@@ -17,6 +17,14 @@ supremum of each normalized condition residual:
              and delta Omega = 0
     W1+W2+W3 delta Omega = 0
 
+Every condition is linear in D Omega, so each sampled point is evaluated
+from two frame arrays (``tensors.frame_tensor``) in the H_t-orthonormal
+frame (E_a): T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and the matrix M of Jn,
+so that Jn A has coefficients M x when A has coefficients x.  A condition
+is a signed sum of contractions T[a, b, c] X[a] Y[b] Z[c] with arguments
+among (A, B, C, JA, JB, JC); d Omega is the cyclic sum of T and
+delta Omega(A) = -T[a, a, c] A[c] is the negative frame trace.
+
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).
 The detected class is the smallest lattice element whose conditions all pass.
@@ -37,7 +45,7 @@ import numpy as np
 
 from . import curvature, tensors
 from .fourdim import embed_half, sphere_to_J
-from .tensors import GTangent, Params, ProductTwistorPoint, gtangent
+from .tensors import Params, ProductTwistorPoint, gtangent
 
 CONDITIONS = ("DΩ", "W1-cond", "dΩ", "N", "δΩ",
               "quasi-cond", "W1W3-cond", "W2W3-cond")
@@ -111,30 +119,46 @@ def sample_point(rng, component: str) -> ProductTwistorPoint:
                                sphere_to_J(embed_half(u2, s2), s2))
 
 
-def _combine(frame: list[GTangent], coeffs) -> GTangent:
-    h = sum(float(c) * e.horizontal for c, e in zip(coeffs, frame))
-    v1 = sum(float(c) * e.vertical.v1 for c, e in zip(coeffs, frame))
-    v2 = sum(float(c) * e.vertical.v2 for c, e in zip(coeffs, frame))
-    return gtangent(h, v1, v2)
+# A condition value is a signed sum of contractions
+# D(X, Y, Z) = T[a, b, c] X[a] Y[b] Z[c] whose arguments index (A, B, C, JA, JB, JC).
+_A, _B, _C, _JA, _JB, _JC = range(6)
+_TERMS: dict[str, tuple[tuple[int, int, int, int], ...]] = {
+    _DOM: ((1, _A, _B, _C),),
+    _W1: ((1, _A, _A, _C),),
+    _DEXT: ((1, _A, _B, _C), (1, _B, _C, _A), (1, _C, _A, _B)),
+    _NIJ: ((1, _A, _JB, _C), (-1, _B, _JA, _C), (1, _JA, _B, _C), (-1, _JB, _A, _C)),
+    _QUASI: ((1, _A, _B, _C), (1, _JA, _JB, _C)),
+    _W13: ((1, _A, _A, _C), (-1, _JA, _JA, _C)),
+    _W23: ((1, _A, _B, _C), (-1, _JA, _JB, _C), (1, _B, _C, _A), (-1, _JB, _JC, _A),
+           (1, _C, _A, _B), (-1, _JC, _JA, _B)),
+}
+#: arguments whose norms scale a condition, where not (A, B, C)
+_NORM_ARGS = {_W1: (_A, _A, _C), _W13: (_A, _A, _C), _DELTA: (_A,)}
 
 
-class _FrameStack:
-    """Frame data stacked for fast linear combination."""
+def condition_values(T, M, coeffs, conditions=CONDITIONS) -> dict[str, np.ndarray]:
+    """Raw condition values at one point for each argument triple.
 
-    def __init__(self, frame: list[GTangent]):
-        self.h = np.stack([e.horizontal for e in frame])
-        self.v1 = np.stack([e.vertical.v1 for e in frame]).reshape(len(frame), 16)
-        self.v2 = np.stack([e.vertical.v2 for e in frame]).reshape(len(frame), 16)
+    ``T`` and ``M`` come from :func:`tensors.frame_tensor`; ``coeffs`` has
+    shape (k, 3, 8) and holds the frame coefficients of (A, B, C).  Returns
+    one array of k values per condition.
+    """
+    args = np.concatenate((coeffs, coeffs @ M.T), axis=1)
+    # d[k, l, i, j] = D(args_i, args_j, args_l) for every slot choice: C contracts first
+    u = (args @ T.reshape(64, 8).T).reshape(len(args), 6, 8, 8)
+    d = args[:, None] @ (u @ np.swapaxes(args, 1, 2)[:, None])
 
-    def combine(self, coeffs) -> GTangent:
-        return gtangent(coeffs @ self.h,
-                        (coeffs @ self.v1).reshape(4, 4),
-                        (coeffs @ self.v2).reshape(4, 4))
+    out = {}
+    for c in conditions:
+        if c == _DELTA:
+            out[c] = -np.einsum("aac,kc->k", T, coeffs[:, _A])
+        else:
+            out[c] = sum(sign * d[:, l, i, j] for sign, i, j, l in _TERMS[c])
+    return out
 
 
 def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
-                        conditions=CONDITIONS, literal_w13: bool = False,
-                        literal_w23: bool = False) -> dict[str, float]:
+                        conditions=CONDITIONS) -> dict[str, float]:
     """Sup of the normalized condition residuals over the seeded sample.
 
     The random stream depends only on the seed, never on the requested
@@ -146,70 +170,23 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
             raise ClassifierError(f"unknown condition {c!r}; known: {CONDITIONS}")
     params = Params(float(t[0]), float(t[1]), n)
     rng = np.random.default_rng(cfg.seed)
-    conds = tuple(conditions)
-    need_j = any(c in conds for c in (_NIJ, _QUASI, _W13, _W23))
-    sup = {c: 0.0 for c in conds}
+    sup = {c: 0.0 for c in conditions}
 
     for _ in range(cfg.num_points):
         p = sample_point(rng, component)
-        pd = tensors._point_data(p)
-        stack = _FrameStack(tensors.frame_at_point(p, params))
-        for _ in range(cfg.num_arg_triples):
-            coeffs = rng.standard_normal((3, 8))
-            args = [stack.combine(c) for c in coeffs]
-            # the frame is H_t-orthonormal, so coefficient norms are H_t norms
-            na, nb, nc = (float(np.linalg.norm(c)) for c in coeffs)
-            av, bv, cv = (tensors._ArgView(pd, rmat, params, g) for g in args)
-            if need_j:
-                jav, jbv, jcv = (tensors._ArgView(pd, rmat, params,
-                                                  tensors._acs_unchecked(pd, params, g))
-                                 for g in args)
-            nrm3 = 1.0 + na * nb * nc
-            nrm_w1 = 1.0 + na * na * nc
-            dcov = tensors._dcov
-
-            d_abc = dcov(pd, params, av, bv, cv) if (
-                _DOM in conds or _QUASI in conds or _W23 in conds) else None
-            d_aac = dcov(pd, params, av, av, cv) if (
-                _W1 in conds or _W13 in conds) else None
-
-            if _DOM in conds:
-                sup[_DOM] = max(sup[_DOM], abs(d_abc) / nrm3)
-            if _W1 in conds:
-                sup[_W1] = max(sup[_W1], abs(d_aac) / nrm_w1)
-            if _DEXT in conds:
-                sup[_DEXT] = max(sup[_DEXT], abs(tensors._dext(pd, params, av, bv, cv)) / nrm3)
-            if _NIJ in conds:
-                nij = (dcov(pd, params, av, jbv, cv) - dcov(pd, params, bv, jav, cv)
-                       + dcov(pd, params, jav, bv, cv) - dcov(pd, params, jbv, av, cv))
-                sup[_NIJ] = max(sup[_NIJ], abs(nij) / nrm3)
-            if _DELTA in conds:
-                sup[_DELTA] = max(sup[_DELTA], abs(tensors._dcodiff(pd, av)) / (1.0 + na))
-            if _QUASI in conds:
-                sup[_QUASI] = max(sup[_QUASI],
-                                  abs(d_abc + dcov(pd, params, jav, jbv, cv)) / nrm3)
-            if _W13 in conds:
-                paired = dcov(pd, params, jav, jav, cv)
-                val = d_aac + paired if literal_w13 else d_aac - paired
-                sup[_W13] = max(sup[_W13], abs(val) / nrm_w1)
-            if _W23 in conds:
-                if literal_w23:
-                    val = (dcov(pd, params, av, av, cv) - dcov(pd, params, jav, jav, cv)
-                           + dcov(pd, params, bv, bv, av) - dcov(pd, params, jbv, jbv, av)
-                           + dcov(pd, params, cv, cv, bv) - dcov(pd, params, jcv, jcv, bv))
-                else:
-                    val = (d_abc - dcov(pd, params, jav, jbv, cv)
-                           + dcov(pd, params, bv, cv, av) - dcov(pd, params, jbv, jcv, av)
-                           + dcov(pd, params, cv, av, bv) - dcov(pd, params, jcv, jav, bv))
-                sup[_W23] = max(sup[_W23], abs(val) / nrm3)
+        coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
+        T, M = tensors.frame_tensor(p, rmat, params)
+        # the frame is H_t-orthonormal, so coefficient norms are H_t norms
+        norms = np.linalg.norm(coeffs, axis=2)
+        for c, vals in condition_values(T, M, coeffs, conditions).items():
+            nrm = 1.0 + np.prod(norms[:, _NORM_ARGS.get(c, (_A, _B, _C))], axis=1)
+            sup[c] = max(sup[c], float(np.max(np.abs(vals) / nrm)))
     return sup
 
 
-def residual(cond: str, rmat, component: str, t, n: int, cfg: SamplingConfig,
-             **variant_flags) -> float:
+def residual(cond: str, rmat, component: str, t, n: int, cfg: SamplingConfig) -> float:
     """Sup of one normalized condition residual over the seeded sample."""
-    return condition_residuals(rmat, component, t, n, cfg, conditions=(cond,),
-                               **variant_flags)[cond]
+    return condition_residuals(rmat, component, t, n, cfg, conditions=(cond,))[cond]
 
 
 @dataclass

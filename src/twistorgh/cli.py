@@ -118,7 +118,8 @@ def cmd_classify(args) -> int:
     try:
         cfg = classifier.SamplingConfig(seed=args.seed, num_points=args.samples,
                                         num_arg_triples=args.triples, tol=args.tol)
-        report = classifier.classify(rmat, args.component, (args.t1, args.t2),
+        # before Python 3.12 argparse strips the value of "--component=--" to []
+        report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
                                      args.n, cfg, source=source)
     except (classifier.ClassifierError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,8 @@ def check_operator(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (6, 6):
         raise CurvatureError(f"curvature operator must be 6x6, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise CurvatureError("curvature operator has non-finite entries")
     err = float(np.max(np.abs(mat - mat.T)))
     if err > SYM_TOL:
         raise CurvatureError(f"curvature operator is not symmetric: max|R - R^T| = {err:.3e}")

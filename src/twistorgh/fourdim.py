@@ -67,7 +67,9 @@ _S_ENDOS_FLAT = S_BASIS_ENDOS.reshape(6, 16)
 
 
 def endo_of_two_vector(v) -> np.ndarray:
-    return (np.asarray(v, dtype=float) @ _S_ENDOS_FLAT).reshape(4, 4)
+    """Skew endomorphism of the two-vector(s) ``v``; leading axes are kept."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _S_ENDOS_FLAT).reshape(v.shape[:-1] + (4, 4))
 
 
 def hodge_star(v) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvature, fibre, tensors
-from .classifier import _FrameStack, sample_point
+from .classifier import sample_point
 from .tensors import Params
 
 ORACLE_TOLS = {
@@ -68,10 +68,11 @@ def _random_config(rng, i: int):
     params = Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
     rmat = curvature.random_strict_operator(rng)
     p = sample_point(rng, component)
-    stack = _FrameStack(tensors.frame_at_point(p, params))
-    args = [stack.combine(rng.standard_normal(8)) for _ in range(3)]
-    norms = [tensors.norm_Ht(p, a, params) for a in args]
-    return component, params, rmat, p, args, norms
+    frame = tensors.frame_at_point(p, params)
+    coeffs = rng.standard_normal((3, 8))
+    args = [tensors.frame_combination(frame, x) for x in coeffs]
+    # the frame is H_t-orthonormal, so coefficient norms are H_t norms
+    return component, params, rmat, p, args, np.linalg.norm(coeffs, axis=1)
 
 
 _ORACLE_STREAM = {
@@ -171,6 +172,8 @@ def run_selftest(seed: int = 1, trials: int | None = None,
         return out
 
     if corrupt_sign_table:
+        # the reading belongs to the closed form: resolve it with the intact table
+        tensors.resolve_nijenhuis_reading()
         with tensors._corrupted_sign_table():
             return run_all()
     return run_all()

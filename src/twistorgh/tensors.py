@@ -100,16 +100,6 @@ class GTangent:
     horizontal: np.ndarray
     vertical: VerticalVector
 
-    def __add__(self, other: "GTangent") -> "GTangent":
-        return GTangent(
-            self.horizontal + other.horizontal,
-            VerticalVector(self.vertical.v1 + other.vertical.v1,
-                           self.vertical.v2 + other.vertical.v2))
-
-    def __rmul__(self, c: float) -> "GTangent":
-        return GTangent(c * self.horizontal,
-                        VerticalVector(c * self.vertical.v1, c * self.vertical.v2))
-
 
 def zero_vertical() -> VerticalVector:
     return VerticalVector(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -152,18 +142,10 @@ def metric_Ht(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) 
             + params.t2 * inner_G(a.vertical.v2, b.vertical.v2))
 
 
-def norm_Ht(p: ProductTwistorPoint, a: GTangent, params: Params) -> float:
-    return float(np.sqrt(max(metric_Ht(p, a, a, params), 0.0)))
-
-
 def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
     """Almost complex structure Jn: horizontal part by J1, vertical by Kn."""
     check_gtangent(p, a)
-    k1, k2 = KSIGNS[params.n]
-    return GTangent(
-        p.j1.matrix @ a.horizontal,
-        VerticalVector(k1 * (p.j1.matrix @ a.vertical.v1),
-                       k2 * (p.j2.matrix @ a.vertical.v2)))
+    return _acs_unchecked(_PointData(p), params, a)
 
 
 def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
@@ -172,9 +154,9 @@ def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> f
 
 
 def _acs_unchecked(pd: "_PointData", params: Params, a: GTangent) -> GTangent:
-    # loop-internal variant of acs for arguments valid by construction
+    # acs for arguments valid by construction; a may be stacked along leading axes
     k1, k2 = KSIGNS[params.n]
-    return GTangent(pd.j1 @ a.horizontal,
+    return GTangent(a.horizontal @ pd.j1.T,
                     VerticalVector(k1 * (pd.j1 @ a.vertical.v1),
                                    k2 * (pd.j2 @ a.vertical.v2)))
 
@@ -195,6 +177,8 @@ class _ArgView:
 
     ``rpe``/``rqe`` are the endomorphisms of R p(V) and R q(V), so pairings
     <R p(V), u ^ v> reduce to v . (rpe @ u) without forming wedge vectors.
+    The argument may be stacked along leading axes; every field then carries
+    them, and indexing a view indexes them.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -203,30 +187,38 @@ class _ArgView:
         n = params.n
         v1, v2 = a.vertical.v1, a.vertical.v2
         stack = np.stack((v1, v2, pd.j1 @ v1, pd.j2 @ v2))
-        wedges = stack.transpose(0, 2, 1)[:, _IU4[0], _IU4[1]] @ _LEX_TO_S_T
+        wedges = np.swapaxes(stack, -1, -2)[..., _IU4[0], _IU4[1]] @ _LEX_TO_S_T
         p6 = SIGMA[n] * params.t1 * wedges[0] + params.t2 * wedges[1]
         q6 = params.t1 * wedges[2] + params.t2 * wedges[3]
         self.X = np.asarray(a.horizontal, dtype=float)
-        self.jX = pd.j1 @ self.X
+        self.jX = self.X @ pd.j1.T
         self.V1 = v1
-        self.rq = rmat @ q6
-        self.rpe = endo_of_two_vector(rmat @ p6)
+        rmat_t = np.transpose(rmat)
+        self.rq = q6 @ rmat_t
+        self.rpe = endo_of_two_vector(p6 @ rmat_t)
         self.rqe = endo_of_two_vector(self.rq)
 
+    def __getitem__(self, idx) -> "_ArgView":
+        out = _ArgView.__new__(_ArgView)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[idx])
+        return out
 
-def _point_data(p: ProductTwistorPoint) -> _PointData:
-    return _PointData(p)
+
+def _pair(x, m, y):
+    """x . (m y), broadcast over leading axes; unstacked arguments give a scalar."""
+    return (x[..., None, :] @ (m @ y[..., :, None]))[..., 0, 0][()]
 
 
-def _dcov(pd: _PointData, params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView) -> float:
+def _dcov(pd: _PointData, params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView):
+    """(D_A Omega)(B, C); stacked views broadcast against each other."""
     e = EPS[params.n]
     # vertical A, horizontal B, C
-    val = float(cv.X @ (av.V1 @ bv.X)) - float(
-        cv.jX @ (av.rqe @ bv.X) + cv.X @ (av.rqe @ bv.jX))
+    val = _pair(cv.X, av.V1, bv.X) - (_pair(cv.jX, av.rqe, bv.X) + _pair(cv.X, av.rqe, bv.jX))
     # horizontal A, B; vertical C
-    val += e * float(bv.X @ (cv.rpe @ av.X)) + float(bv.jX @ (cv.rqe @ av.X))
+    val += e * _pair(bv.X, cv.rpe, av.X) + _pair(bv.jX, cv.rqe, av.X)
     # horizontal A, C; vertical B (antisymmetry in the last two slots)
-    val -= e * float(cv.X @ (bv.rpe @ av.X)) + float(cv.jX @ (bv.rqe @ av.X))
+    val -= e * _pair(cv.X, bv.rpe, av.X) + _pair(cv.jX, bv.rqe, av.X)
     return val
 
 
@@ -250,9 +242,9 @@ def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
     """(D_A Omega)(B, C), assembled from the component formulas."""
     for g in (a, b, c):
         check_gtangent(p, g)
-    pd = _point_data(p)
+    pd = _PointData(p)
     views = [_ArgView(pd, rmat, params, g) for g in (a, b, c)]
-    return _dcov(pd, params, *views)
+    return float(_dcov(pd, params, *views))
 
 
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
@@ -260,7 +252,7 @@ def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
     """d Omega(A, B, C); fully antisymmetric."""
     for g in (a, b, c):
         check_gtangent(p, g)
-    pd = _point_data(p)
+    pd = _PointData(p)
     views = [_ArgView(pd, rmat, params, g) for g in (a, b, c)]
     return _dext(pd, params, *views)
 
@@ -268,34 +260,52 @@ def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
 def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
     """delta Omega(A) = -2 <R q(V), J1^> on verticals, 0 on horizontals."""
     check_gtangent(p, a)
-    pd = _point_data(p)
+    pd = _PointData(p)
     return _dcodiff(pd, _ArgView(pd, rmat, params, a))
 
 
 def frame_at_point(p: ProductTwistorPoint, params: Params) -> list[GTangent]:
     """H_t-orthonormal frame: e1..e4 lifts, then the scaled vertical pairs."""
-    eye = np.eye(4)
-    frame = [gtangent(horizontal=eye[i]) for i in range(4)]
-    u2a, u3a = vertical_basis(p.j1)
-    u2b, u3b = vertical_basis(p.j2)
-    rt1, rt2 = np.sqrt(params.t1), np.sqrt(params.t2)
-    frame.append(gtangent(v1=u2a / rt1))
-    frame.append(gtangent(v1=u3a / rt1))
-    frame.append(gtangent(v2=u2b / rt2))
-    frame.append(gtangent(v2=u3b / rt2))
+    frame = [gtangent(horizontal=x) for x in np.eye(4)]
+    frame += [gtangent(v1=u / np.sqrt(params.t1)) for u in vertical_basis(p.j1)]
+    frame += [gtangent(v2=u / np.sqrt(params.t2)) for u in vertical_basis(p.j2)]
     return frame
+
+
+def frame_combination(frame: list[GTangent], coeffs) -> GTangent:
+    """sum_a coeffs[..., a] frame[a]; leading axes of ``coeffs`` give a stacked vector."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return GTangent(coeffs @ np.stack([e.horizontal for e in frame]),
+                    VerticalVector(
+                        np.tensordot(coeffs, np.stack([e.vertical.v1 for e in frame]), 1),
+                        np.tensordot(coeffs, np.stack([e.vertical.v2 for e in frame]), 1)))
+
+
+def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """D Omega and Jn in the frame (E_a) of ``frame_at_point``.
+
+    T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and M[b, a] = H_t(E_b, Jn E_a), so
+    for A = sum_a x[a] E_a the coefficients of Jn A are M @ x.  ``rmat`` is a
+    6x6 array already validated by the caller.
+    """
+    pd = _PointData(p)
+    e = frame_combination(frame_at_point(p, params), np.eye(8))
+    ev = _ArgView(pd, rmat, params, e)
+    t = _dcov(pd, params, ev[:, None, None], ev[None, :, None], ev[None, None, :])
+    je = _acs_unchecked(pd, params, e)
+    # H_t in the frame; G(V, W) = -1/2 trace(V W)
+    m = (e.horizontal @ je.horizontal.T
+         - 0.5 * params.t1 * np.einsum("bij,aji->ba", e.vertical.v1, je.vertical.v1)
+         - 0.5 * params.t2 * np.einsum("bij,aji->ba", e.vertical.v2, je.vertical.v2))
+    return t, m
 
 
 def codiff_via_frame(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
     """Frame-trace oracle: -sum_alpha (D_{E_alpha} Omega)(E_alpha, A)."""
     check_gtangent(p, a)
-    pd = _point_data(p)
-    av = _ArgView(pd, rmat, params, a)
-    total = 0.0
-    for e in frame_at_point(p, params):
-        ev = _ArgView(pd, rmat, params, e)
-        total -= _dcov(pd, params, ev, ev, av)
-    return total
+    pd = _PointData(p)
+    ev = _ArgView(pd, rmat, params, frame_combination(frame_at_point(p, params), np.eye(8)))
+    return -float(np.sum(_dcov(pd, params, ev, ev, _ArgView(pd, rmat, params, a))))
 
 
 def nijenhuis_pairing(p: ProductTwistorPoint, rmat, params: Params,
@@ -307,12 +317,12 @@ def nijenhuis_pairing(p: ProductTwistorPoint, rmat, params: Params,
     """
     for g in (a, b, c):
         check_gtangent(p, g)
-    pd = _point_data(p)
+    pd = _PointData(p)
     av, bv, cv = (_ArgView(pd, rmat, params, g) for g in (a, b, c))
     jav = _ArgView(pd, rmat, params, acs(p, a, params))
     jbv = _ArgView(pd, rmat, params, acs(p, b, params))
-    return (_dcov(pd, params, av, jbv, cv) - _dcov(pd, params, bv, jav, cv)
-            + _dcov(pd, params, jav, bv, cv) - _dcov(pd, params, jbv, av, cv))
+    return float(_dcov(pd, params, av, jbv, cv) - _dcov(pd, params, bv, jav, cv)
+                 + _dcov(pd, params, jav, bv, cv) - _dcov(pd, params, jbv, av, cv))
 
 
 # Independent closed-form Nijenhuis evaluator.  It keeps its own copies of the
@@ -370,8 +380,7 @@ def resolve_nijenhuis_reading() -> tuple[str, tuple[tuple[str, float], ...]]:
                 p = ProductTwistorPoint(random_ocs(1, rng),
                                         random_ocs(1 if comp == "++" else -1, rng))
                 frame = frame_at_point(p, params)
-                args = [sum((float(ci) * e for ci, e in zip(rng.standard_normal(8), frame)),
-                            gtangent()) for _ in range(3)]
+                args = [frame_combination(frame, rng.standard_normal(8)) for _ in range(3)]
                 ident = nijenhuis_pairing(p, rmat, params, *args)
                 for r in NIJ_READINGS:
                     closed = nijenhuis_closed_form(p, rmat, params, *args, reading=r)

@@ -47,9 +47,9 @@ def test_criterion_1_internal_consistency_oracles():
                                    float(rng.uniform(0.3, 2.0)), n)
                 rmat = random_symmetric_operator(rng)
                 p = cl.sample_point(rng, component)
-                stack = cl._FrameStack(tn.frame_at_point(p, params))
+                frame = tn.frame_at_point(p, params)
                 coeffs = rng.standard_normal((3, 8))
-                a, b, c = (stack.combine(cc) for cc in coeffs)
+                a, b, c = (tn.frame_combination(frame, cc) for cc in coeffs)
                 na, nb, nc = (float(np.linalg.norm(cc)) for cc in coeffs)
                 nrm3 = 1.0 + na * nb * nc
 
@@ -178,8 +178,8 @@ def test_criterion_8_algebraic_invariants():
         n = 1 + i % 4
         params = tn.Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
         p = cl.sample_point(rng, component)
-        stack = cl._FrameStack(tn.frame_at_point(p, params))
-        a, b = (stack.combine(rng.standard_normal(8)) for _ in range(2))
+        frame = tn.frame_at_point(p, params)
+        a, b = (tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(2))
 
         twice = tn.acs(p, tn.acs(p, a, params), params)
         worst["acs_square"] = max(

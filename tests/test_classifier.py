@@ -106,6 +106,13 @@ class TestClassify:
                 above = {d for d in cl.CLASS_ORDER if cl.class_leq(c, d)}
                 assert above <= passing
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_is_rejected(self, bad):
+        rmat = cur.model("constant_curvature", s=12.0)
+        rmat[2, 2] = bad
+        with pytest.raises(cur.CurvatureError, match="non-finite"):
+            cl.classify(rmat, "+-", (0.25, 1.0), 3, FAST)
+
     def test_possible_classes_for_strict_operators(self):
         rng = np.random.default_rng(2718)
         for _ in range(10):
@@ -160,7 +167,7 @@ class TestOrientationSymmetry:
             p2 = tn.ProductTwistorPoint(j1, j2)
             frame = tn.frame_at_point(p, params)
             for _ in range(10):
-                abc = [cl._combine(frame, rng.standard_normal(8)) for _ in range(3)]
+                abc = [tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(3)]
                 abc2 = [tn.gtangent(phi @ g.horizontal,
                                     phi @ g.vertical.v1 @ phi.T,
                                     phi @ g.vertical.v2 @ phi.T) for g in abc]
@@ -189,20 +196,96 @@ class TestOrientationSymmetry:
             cl.classify(rmat, "+-", (0.5, 1.0), 1, FAST).detected == "K"
 
 
+def _contract(T, x, y, z):
+    return np.einsum("abc,ka,kb,kc->k", T, x, y, z)
+
+
+def _sampled_sup(rmat, component, t, n, cfg, value, norm_slots):
+    """Sup of |value(T, A, B, C, JA, JB, JC)| / (1 + product of the slot norms)
+    over the classifier's seeded sample."""
+    params = tn.Params(t[0], t[1], n)
+    rng = np.random.default_rng(cfg.seed)
+    worst = 0.0
+    for _ in range(cfg.num_points):
+        p = cl.sample_point(rng, component)
+        coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
+        T, M = tn.frame_tensor(p, rmat, params)
+        args = (*coeffs.transpose(1, 0, 2), *(coeffs @ M.T).transpose(1, 0, 2))
+        norms = np.linalg.norm(coeffs, axis=2)
+        nrm = 1.0 + np.prod(norms[:, norm_slots], axis=1)
+        worst = max(worst, float(np.max(np.abs(value(T, *args)) / nrm)))
+    return worst
+
+
 class TestLiteralReadings:
     def test_w13_literal_sign_fails_on_the_witness(self):
         rmat = cur.model("constant_curvature", s=12.0)
         good = cl.residual("W1W3-cond", rmat, "+-", (0.25, 1.0), 3, FAST)
-        bad = cl.residual("W1W3-cond", rmat, "+-", (0.25, 1.0), 3, FAST, literal_w13=True)
+
+        def wrong_sign(T, a, b, c, ja, jb, jc):
+            return _contract(T, a, a, c) + _contract(T, ja, ja, c)
+
+        bad = _sampled_sup(rmat, "+-", (0.25, 1.0), 3, FAST, wrong_sign, [0, 0, 2])
         assert good <= 1e-9
         assert bad > 1e-3
 
     def test_w23_literal_cyclic_fails_on_the_witness(self):
         rmat = cur.model("constant_curvature", s=-12.0)
         good = cl.residual("W2W3-cond", rmat, "+-", (0.5, 1.0), 3, FAST)
-        bad = cl.residual("W2W3-cond", rmat, "+-", (0.5, 1.0), 3, FAST, literal_w23=True)
+
+        def literal(T, a, b, c, ja, jb, jc):
+            return (_contract(T, a, a, c) - _contract(T, ja, ja, c)
+                    + _contract(T, b, b, a) - _contract(T, jb, jb, a)
+                    + _contract(T, c, c, b) - _contract(T, jc, jc, b))
+
+        bad = _sampled_sup(rmat, "+-", (0.5, 1.0), 3, FAST, literal, [0, 1, 2])
         assert good <= 1e-9
         assert bad > 1e-3
+
+    def test_sampler_reproduces_the_classifier(self):
+        rmat = cur.model("constant_curvature", s=12.0)
+
+        def w13(T, a, b, c, ja, jb, jc):
+            return _contract(T, a, a, c) - _contract(T, ja, ja, c)
+
+        assert _sampled_sup(rmat, "+-", (0.3, 1.0), 3, FAST, w13, [0, 0, 2]) == pytest.approx(
+            cl.residual("W1W3-cond", rmat, "+-", (0.3, 1.0), 3, FAST), rel=1e-12)
+
+
+class TestFrameTensorContractions:
+    @pytest.mark.parametrize("component", cl.COMPONENTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_condition_values_match_the_public_evaluators(self, component, n):
+        rng = np.random.default_rng([41, n, cl.COMPONENTS.index(component)])
+        rmat = cur.random_strict_operator(rng)
+        params = tn.Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
+        for _ in range(2):
+            p = cl.sample_point(rng, component)
+            coeffs = rng.standard_normal((4, 3, 8))
+            T, M = tn.frame_tensor(p, rmat, params)
+            values = cl.condition_values(T, M, coeffs)
+            frame = tn.frame_at_point(p, params)
+            for k in range(len(coeffs)):
+                a, b, c = (tn.frame_combination(frame, x) for x in coeffs[k])
+                ja, jb, jc = (tn.acs(p, g, params) for g in (a, b, c))
+
+                def d(x, y, z):
+                    return tn.cov_deriv_omega(p, rmat, params, x, y, z)
+
+                expected = {
+                    "DΩ": d(a, b, c),
+                    "W1-cond": d(a, a, c),
+                    "dΩ": tn.ext_deriv_omega(p, rmat, params, a, b, c),
+                    "N": tn.nijenhuis_pairing(p, rmat, params, a, b, c),
+                    "δΩ": tn.codiff_omega(p, rmat, params, a),
+                    "quasi-cond": d(a, b, c) + d(ja, jb, c),
+                    "W1W3-cond": d(a, a, c) - d(ja, ja, c),
+                    "W2W3-cond": (d(a, b, c) - d(ja, jb, c) + d(b, c, a) - d(jb, jc, a)
+                                  + d(c, a, b) - d(jc, ja, b)),
+                }
+                assert set(values) == set(expected)
+                for cond, want in expected.items():
+                    assert values[cond][k] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
 class TestTheoremSuite:

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 
-from twistorgh import cli, curvature as cur
+from twistorgh import classifier as cl, cli, curvature as cur, tensors as tn
 
 FAST = ["--samples", "12", "--triples", "6"]
 
@@ -83,6 +83,26 @@ class TestClassifyCommand:
         assert code == cli.EXIT_VALIDATION
         assert "not symmetric" in err
 
+    def test_non_finite_matrix_exits_3(self, capsys, tmp_path):
+        mat = np.eye(6)
+        mat[1, 1] = np.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"matrix": mat.tolist()}))
+        code, _, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                               "--n", "1")
+        assert code == cli.EXIT_VALIDATION
+        assert "non-finite" in err
+
+    def test_minus_minus_component(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component=--",
+                               "--n", "1", *FAST)
+        assert code == cli.EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["component"] == "--"
+        cfg = cl.SamplingConfig(seed=0, num_points=12, num_arg_triples=6)
+        expected = cl.classify(cur.model("flat"), "--", (1.0, 1.0), 1, cfg).detected
+        assert doc["detected"] == expected == "W3"
+
     def test_matrix_model_requires_input_file(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--model", "asd_general",
                                "--component", "++", "--n", "1")
@@ -151,6 +171,8 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
     def test_corrupted_sign_table_fails_naming_the_check(self, capsys):
+        # as in a fresh process, where no earlier run has resolved the reading
+        tn.resolve_nijenhuis_reading.cache_clear()
         code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "25",
                                  "--corrupt-sign-table")
         assert code == cli.EXIT_FAILURE

@@ -17,14 +17,7 @@ def point(component="++", rng=RNG):
 
 def random_args(p, params, k=3, rng=RNG):
     frame = tn.frame_at_point(p, params)
-    out = []
-    for _ in range(k):
-        coeffs = rng.standard_normal(8)
-        g = tn.gtangent()
-        for c, e in zip(coeffs, frame):
-            g = g + float(c) * e
-        out.append(g)
-    return out
+    return [tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(k)]
 
 
 def canonical_point():
