@@ -99,8 +99,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.num_points <= 0 or self.num_arg_triples <= 0:
             raise ClassifierError("sample counts must be positive")
-        if not self.tol > 0.0:
-            raise ClassifierError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ClassifierError("tol must be positive and finite")
 
 
 def component_signs(component: str) -> tuple[int, int]:
@@ -180,7 +180,8 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
         norms = np.linalg.norm(coeffs, axis=2)
         for c, vals in condition_values(T, M, coeffs, conditions).items():
             nrm = 1.0 + np.prod(norms[:, _NORM_ARGS.get(c, (_A, _B, _C))], axis=1)
-            sup[c] = max(sup[c], float(np.max(np.abs(vals) / nrm)))
+            # np.maximum keeps a NaN that the builtin max would drop
+            sup[c] = float(np.maximum(sup[c], np.max(np.abs(vals) / nrm)))
     return sup
 
 
@@ -195,20 +196,18 @@ class ClassReport:
     detected: str
     config: dict
     flags: dict
-    notes: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "gh-class-report/1",
+            "schema": "gh-class-report/2",
             "config": dict(self.config),
             "residuals": {c: self.residuals[c] for c in CONDITIONS},
             "detected": self.detected,
             "flags": dict(self.flags),
-            "notes": dict(self.notes),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     _CSV_CONFIG = ("source", "component", "n", "t1", "t2", "seed",
                    "num_points", "num_arg_triples", "tol")
@@ -216,15 +215,14 @@ class ClassReport:
     @classmethod
     def csv_header(cls) -> str:
         return ",".join(("detected",) + cls._CSV_CONFIG
-                        + ("strict", "possible_class_violation", "nijenhuis_reading")
+                        + ("strict", "possible_class_violation")
                         + CONDITIONS)
 
     def to_csv_row(self) -> str:
         cells = [self.detected]
         cells += [repr(self.config[k]) if isinstance(self.config[k], float)
                   else str(self.config[k]) for k in self._CSV_CONFIG]
-        cells += [str(self.flags["strict"]), str(self.flags["possible_class_violation"]),
-                  self.notes["nijenhuis_reading"]]
+        cells += [str(self.flags["strict"]), str(self.flags["possible_class_violation"])]
         cells += [repr(self.residuals[c]) for c in CONDITIONS]
         return ",".join(cells)
 
@@ -237,11 +235,16 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
     """Full residual table plus the minimal passing class.
 
     For strict operators a detected class outside the possible set for the
-    given n is flagged, not silenced.
+    given n is flagged, not silenced.  A non-finite residual (the operator or
+    the weights overflow) raises ClassifierError instead of passing every test.
     """
     blocks = curvature.decompose(rmat)
-    reading, reading_residuals = tensors.resolve_nijenhuis_reading()
-    residuals = condition_residuals(rmat, component, t, n, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        residuals = condition_residuals(rmat, component, t, n, cfg)
+    bad = [c for c, r in residuals.items() if not np.isfinite(r)]
+    if bad:
+        raise ClassifierError(f"non-finite residuals for {', '.join(bad)}; "
+                              "the operator or the weights overflow")
     detected = next(c for c in CLASS_ORDER
                     if all(residuals[k] <= cfg.tol for k in CLASS_CONDITIONS[c]))
     violation = blocks.strict and detected not in ALLOWED_DETECTED[n]
@@ -255,10 +258,6 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
             "tol": cfg.tol,
         },
         flags={"strict": blocks.strict, "possible_class_violation": violation},
-        notes={
-            "nijenhuis_reading": reading,
-            "nijenhuis_reading_residuals": dict(reading_residuals),
-        },
     )
 
 

@@ -74,12 +74,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _sampling_config(args) -> classifier.SamplingConfig:
+    return classifier.SamplingConfig(seed=args.seed, num_points=args.samples,
+                                     num_arg_triples=args.triples, tol=args.tol)
+
+
+def _fail(exc, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _emit(text: str, output: str | None) -> int:
+    """Write a report to ``output`` or stdout; EXIT_INPUT if the file cannot be written."""
+    if not output:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {output!r}: {exc}", EXIT_INPUT)
+    return EXIT_OK
 
 
 def _load_operator(args) -> tuple[object, str]:
@@ -110,32 +125,27 @@ def cmd_classify(args) -> int:
     try:
         rmat, source = _load_operator(args)
     except curvature.SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc, EXIT_INPUT)
     except curvature.CurvatureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(exc, EXIT_VALIDATION)
     try:
-        cfg = classifier.SamplingConfig(seed=args.seed, num_points=args.samples,
-                                        num_arg_triples=args.triples, tol=args.tol)
         # before Python 3.12 argparse strips the value of "--component=--" to []
         report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
-                                     args.n, cfg, source=source)
-    except (classifier.ClassifierError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
-    return EXIT_OK
+                                     args.n, _sampling_config(args), source=source)
+    except ValueError as exc:  # ClassifierError, CurvatureError or invalid Params
+        return _fail(exc, EXIT_VALIDATION)
+    return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
 
 
 def cmd_verify(args) -> int:
-    cfg = classifier.SamplingConfig(seed=args.seed, num_points=args.samples,
-                                    num_arg_triples=args.triples, tol=args.tol)
+    try:
+        cfg = _sampling_config(args)
+    except classifier.ClassifierError as exc:
+        return _fail(exc, EXIT_VALIDATION)
     if args.id is not None:
         if args.id not in classifier.THEOREM_IDS:
-            print(f"error: unknown statement id {args.id!r}; "
-                  f"known: {', '.join(classifier.THEOREM_IDS)}", file=sys.stderr)
-            return EXIT_INPUT
+            return _fail(f"unknown statement id {args.id!r}; "
+                         f"known: {', '.join(classifier.THEOREM_IDS)}", EXIT_INPUT)
         results = [classifier.verify_theorem(args.id, cfg)]
     else:
         results = classifier.verify_all(cfg)
@@ -149,8 +159,8 @@ def cmd_verify(args) -> int:
                       f"{c['require']} {c['bound']:.0e}")
     failed = [r.tid for r in results if not r.passed]
     print(f"passed {len(results) - len(failed)}/{len(results)}")
-    if args.output:
-        _emit(classifier.verify_report_json(results), args.output)
+    if args.output and _emit(classifier.verify_report_json(results), args.output):
+        return EXIT_INPUT
     if failed:
         print(f"failing ids: {', '.join(failed)}", file=sys.stderr)
         return EXIT_FAILURE
@@ -158,8 +168,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_selftest(seed=args.seed, trials=args.trials,
-                                    corrupt_sign_table=args.corrupt_sign_table)
+    try:
+        results = selftest.run_selftest(seed=args.seed, trials=args.trials,
+                                        corrupt_sign_table=args.corrupt_sign_table)
+    except ValueError as exc:  # trials below 1
+        return _fail(exc, EXIT_VALIDATION)
     for r in results:
         print(r.line())
     if not selftest.all_ok(results):

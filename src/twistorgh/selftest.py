@@ -6,7 +6,8 @@ code path for the part under test:
     ext-deriv-antisymmetrization  d Omega vs. the cyclic sum of D Omega
     codiff-frame-trace            closed-form delta Omega vs. the negative
                                   frame trace of D Omega
-    nijenhuis-identity            the D Omega identity vs. the closed forms
+    nijenhuis-identity            the D Omega identity vs. the closed form,
+                                  whose signs are written out from n
     restriction                   product tensors on first-factor arguments
                                   vs. the single-fibre forms
     curvature-commutator          G([r, a], b) vs. <R([a, b]^), x ^ y>
@@ -15,7 +16,8 @@ code path for the part under test:
 
 Failures report the worst-offending configuration, reproducible from the
 seed.  The ``corrupt_sign_table`` hook flips the sign table used by the
-derivative evaluators, which must be caught by the Nijenhuis identity check.
+derivative evaluators; the Nijenhuis closed form does not use that table, so
+the nijenhuis-identity check must catch it.
 """
 
 from __future__ import annotations
@@ -99,9 +101,8 @@ def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
                       - tensors.codiff_via_frame(p, rmat, params, a))
             res /= 1.0 + na
         elif kind == "nijenhuis-identity":
-            reading, _ = tensors.resolve_nijenhuis_reading()
             res = abs(tensors.nijenhuis_pairing(p, rmat, params, a, b, c)
-                      - tensors.nijenhuis_closed_form(p, rmat, params, a, b, c, reading))
+                      - tensors.nijenhuis_closed_form(p, rmat, params, a, b, c))
             res /= 1.0 + na * nb * nc
         elif kind == "restriction":
             first = [tensors.gtangent(g.horizontal, g.vertical.v1) for g in (a, b, c)]
@@ -159,6 +160,8 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
 def run_selftest(seed: int = 1, trials: int | None = None,
                  corrupt_sign_table: bool = False) -> list[OracleResult]:
     """Run every oracle; ``trials`` overrides the per-oracle defaults."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
     def count(kind: str) -> int:
         return trials if trials is not None else DEFAULT_TRIALS[kind]
@@ -172,8 +175,6 @@ def run_selftest(seed: int = 1, trials: int | None = None,
         return out
 
     if corrupt_sign_table:
-        # the reading belongs to the closed form: resolve it with the intact table
-        tensors.resolve_nijenhuis_reading()
         with tensors._corrupted_sign_table():
             return run_all()
     return run_all()

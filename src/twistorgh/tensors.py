@@ -22,16 +22,17 @@ symmetric 6x6 curvature operator R acting on two-vectors:
 with p(V) = sigma(n) t1 V1^ + t2 V2^, q(V) = t1 (J1 V1)^ + t2 (J2 V2)^ and
 sigma = +1 for n in {1, 4}, -1 for n in {2, 3}.  The exterior derivative, the
 codifferential (negative frame trace of D Omega) and the Nijenhuis pairing
-follow; independent closed-form evaluators are kept for cross-checking, and
-the single-fibre restrictions (arguments with vanishing second factor) are
-re-derived by a standalone code path.
+follow.  Independent closed-form evaluators are kept as oracles for
+cross-checking: d Omega, delta Omega, and one closed form of the Nijenhuis
+pairing that writes its signs out from n instead of taking EPS and SIGMA, so
+a corrupted sign table is caught.  The single-fibre restrictions (arguments
+with vanishing second factor) are re-derived by a standalone code path.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .fourdim import (
     LEX_TO_S,
     OrientedComplexStructure4,
     endo_of_two_vector,
-    random_ocs,
     two_vector_of_endo,
     vertical_basis,
     wedge_of_pair,
@@ -73,8 +73,8 @@ class Params:
     n: int
 
     def __post_init__(self):
-        if not (self.t1 > 0.0 and self.t2 > 0.0):
-            raise ValueError(f"t1, t2 must be positive, got ({self.t1}, {self.t2})")
+        if not (0.0 < self.t1 < np.inf and 0.0 < self.t2 < np.inf):
+            raise ValueError(f"t1, t2 must be positive and finite, got ({self.t1}, {self.t2})")
         if self.n not in (1, 2, 3, 4):
             raise ValueError(f"n must be in 1..4, got {self.n}")
 
@@ -145,7 +145,7 @@ def metric_Ht(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) 
 def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
     """Almost complex structure Jn: horizontal part by J1, vertical by Kn."""
     check_gtangent(p, a)
-    return _acs_unchecked(_PointData(p), params, a)
+    return _acs_unchecked(p, params, a)
 
 
 def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
@@ -153,24 +153,15 @@ def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> f
     return metric_Ht(p, acs(p, a, params), b, params)
 
 
-def _acs_unchecked(pd: "_PointData", params: Params, a: GTangent) -> GTangent:
+def _acs_unchecked(p: ProductTwistorPoint, params: Params, a: GTangent) -> GTangent:
     # acs for arguments valid by construction; a may be stacked along leading axes
     k1, k2 = KSIGNS[params.n]
-    return GTangent(a.horizontal @ pd.j1.T,
-                    VerticalVector(k1 * (pd.j1 @ a.vertical.v1),
-                                   k2 * (pd.j2 @ a.vertical.v2)))
+    j1, j2 = p.j1.matrix, p.j2.matrix
+    return GTangent(a.horizontal @ j1.T,
+                    VerticalVector(k1 * (j1 @ a.vertical.v1), k2 * (j2 @ a.vertical.v2)))
 
 
 # --- internal views (shared by all derivative evaluators) ---------------------
-
-class _PointData:
-    __slots__ = ("j1", "j2", "j1w")
-
-    def __init__(self, p: ProductTwistorPoint):
-        self.j1 = p.j1.matrix
-        self.j2 = p.j2.matrix
-        self.j1w = p.j1.wedge
-
 
 class _ArgView:
     """Per-argument data: horizontal parts and curvature-weighted wedges.
@@ -183,15 +174,15 @@ class _ArgView:
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
 
-    def __init__(self, pd: _PointData, rmat, params: Params, a: GTangent):
+    def __init__(self, p: ProductTwistorPoint, rmat, params: Params, a: GTangent):
         n = params.n
         v1, v2 = a.vertical.v1, a.vertical.v2
-        stack = np.stack((v1, v2, pd.j1 @ v1, pd.j2 @ v2))
+        stack = np.stack((v1, v2, p.j1.matrix @ v1, p.j2.matrix @ v2))
         wedges = np.swapaxes(stack, -1, -2)[..., _IU4[0], _IU4[1]] @ _LEX_TO_S_T
         p6 = SIGMA[n] * params.t1 * wedges[0] + params.t2 * wedges[1]
         q6 = params.t1 * wedges[2] + params.t2 * wedges[3]
         self.X = np.asarray(a.horizontal, dtype=float)
-        self.jX = self.X @ pd.j1.T
+        self.jX = self.X @ p.j1.matrix.T
         self.V1 = v1
         rmat_t = np.transpose(rmat)
         self.rq = q6 @ rmat_t
@@ -210,7 +201,7 @@ def _pair(x, m, y):
     return (x[..., None, :] @ (m @ y[..., :, None]))[..., 0, 0][()]
 
 
-def _dcov(pd: _PointData, params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView):
+def _dcov(params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView):
     """(D_A Omega)(B, C); stacked views broadcast against each other."""
     e = EPS[params.n]
     # vertical A, horizontal B, C
@@ -222,7 +213,7 @@ def _dcov(pd: _PointData, params: Params, av: _ArgView, bv: _ArgView, cv: _ArgVi
     return val
 
 
-def _dext(pd: _PointData, params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView) -> float:
+def _dext(params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView) -> float:
     e = EPS[params.n]
 
     def hv(xv: _ArgView, yv: _ArgView, vv: _ArgView) -> float:
@@ -231,8 +222,8 @@ def _dext(pd: _PointData, params: Params, av: _ArgView, bv: _ArgView, cv: _ArgVi
     return hv(av, bv, cv) + hv(bv, cv, av) + hv(cv, av, bv)
 
 
-def _dcodiff(pd: _PointData, av: _ArgView) -> float:
-    return -2.0 * float(av.rq @ pd.j1w)
+def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
+    return -2.0 * float(av.rq @ p.j1.wedge)
 
 
 # --- public evaluators --------------------------------------------------------
@@ -242,9 +233,7 @@ def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
     """(D_A Omega)(B, C), assembled from the component formulas."""
     for g in (a, b, c):
         check_gtangent(p, g)
-    pd = _PointData(p)
-    views = [_ArgView(pd, rmat, params, g) for g in (a, b, c)]
-    return float(_dcov(pd, params, *views))
+    return float(_dcov(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c))))
 
 
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
@@ -252,16 +241,13 @@ def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
     """d Omega(A, B, C); fully antisymmetric."""
     for g in (a, b, c):
         check_gtangent(p, g)
-    pd = _PointData(p)
-    views = [_ArgView(pd, rmat, params, g) for g in (a, b, c)]
-    return _dext(pd, params, *views)
+    return _dext(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c)))
 
 
 def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
     """delta Omega(A) = -2 <R q(V), J1^> on verticals, 0 on horizontals."""
     check_gtangent(p, a)
-    pd = _PointData(p)
-    return _dcodiff(pd, _ArgView(pd, rmat, params, a))
+    return _dcodiff(p, _ArgView(p, rmat, params, a))
 
 
 def frame_at_point(p: ProductTwistorPoint, params: Params) -> list[GTangent]:
@@ -288,11 +274,10 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     for A = sum_a x[a] E_a the coefficients of Jn A are M @ x.  ``rmat`` is a
     6x6 array already validated by the caller.
     """
-    pd = _PointData(p)
     e = frame_combination(frame_at_point(p, params), np.eye(8))
-    ev = _ArgView(pd, rmat, params, e)
-    t = _dcov(pd, params, ev[:, None, None], ev[None, :, None], ev[None, None, :])
-    je = _acs_unchecked(pd, params, e)
+    ev = _ArgView(p, rmat, params, e)
+    t = _dcov(params, ev[:, None, None], ev[None, :, None], ev[None, None, :])
+    je = _acs_unchecked(p, params, e)
     # H_t in the frame; G(V, W) = -1/2 trace(V W)
     m = (e.horizontal @ je.horizontal.T
          - 0.5 * params.t1 * np.einsum("bij,aji->ba", e.vertical.v1, je.vertical.v1)
@@ -303,9 +288,8 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
 def codiff_via_frame(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
     """Frame-trace oracle: -sum_alpha (D_{E_alpha} Omega)(E_alpha, A)."""
     check_gtangent(p, a)
-    pd = _PointData(p)
-    ev = _ArgView(pd, rmat, params, frame_combination(frame_at_point(p, params), np.eye(8)))
-    return -float(np.sum(_dcov(pd, params, ev, ev, _ArgView(pd, rmat, params, a))))
+    ev = _ArgView(p, rmat, params, frame_combination(frame_at_point(p, params), np.eye(8)))
+    return -float(np.sum(_dcov(params, ev, ev, _ArgView(p, rmat, params, a))))
 
 
 def nijenhuis_pairing(p: ProductTwistorPoint, rmat, params: Params,
@@ -317,79 +301,41 @@ def nijenhuis_pairing(p: ProductTwistorPoint, rmat, params: Params,
     """
     for g in (a, b, c):
         check_gtangent(p, g)
-    pd = _PointData(p)
-    av, bv, cv = (_ArgView(pd, rmat, params, g) for g in (a, b, c))
-    jav = _ArgView(pd, rmat, params, acs(p, a, params))
-    jbv = _ArgView(pd, rmat, params, acs(p, b, params))
-    return float(_dcov(pd, params, av, jbv, cv) - _dcov(pd, params, bv, jav, cv)
-                 + _dcov(pd, params, jav, bv, cv) - _dcov(pd, params, jbv, av, cv))
-
-
-# Independent closed-form Nijenhuis evaluator.  It keeps its own copies of the
-# sign tables so that corrupting the main tables is detectable, and supports
-# the two candidate scalings of its curvature term ("plain": the second term
-# enters with coefficient -2; "scaled": with coefficient -4 (-1)^n).
-NIJ_EPS = dict(EPS)
-NIJ_SIGMA = dict(SIGMA)
-NIJ_READINGS = ("plain", "scaled")
+    av, bv, cv = (_ArgView(p, rmat, params, g) for g in (a, b, c))
+    jav = _ArgView(p, rmat, params, acs(p, a, params))
+    jbv = _ArgView(p, rmat, params, acs(p, b, params))
+    return float(_dcov(params, av, jbv, cv) - _dcov(params, bv, jav, cv)
+                 + _dcov(params, jav, bv, cv) - _dcov(params, jbv, av, cv))
 
 
 def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
-                          a: GTangent, b: GTangent, c: GTangent,
-                          reading: str = "plain") -> float:
-    if reading not in NIJ_READINGS:
-        raise ValueError(f"reading must be one of {NIJ_READINGS}, got {reading!r}")
+                          a: GTangent, b: GTangent, c: GTangent) -> float:
+    """H_t(N(A, B), C) in closed form; an oracle for ``nijenhuis_pairing``.
+
+    The signs (-1)^n and sigma(n) are written out here rather than read from
+    EPS and SIGMA, so corrupting those tables is detectable.
+    """
     for g in (a, b, c):
         check_gtangent(p, g)
     n = params.n
-    e = NIJ_EPS[n]
+    e = -1.0 if n % 2 else 1.0
+    sigma = 1.0 if n in (1, 4) else -1.0
     j1 = p.j1.matrix
     j2 = p.j2.matrix
     rmat = np.asarray(rmat, dtype=float)
 
     cv1, cv2 = c.vertical.v1, c.vertical.v2
-    pc = NIJ_SIGMA[n] * params.t1 * two_vector_of_endo(cv1) + params.t2 * two_vector_of_endo(cv2)
+    pc = sigma * params.t1 * two_vector_of_endo(cv1) + params.t2 * two_vector_of_endo(cv2)
     qc = params.t1 * two_vector_of_endo(j1 @ cv1) + params.t2 * two_vector_of_endo(j2 @ cv2)
     ax, bx, cx = a.horizontal, b.horizontal, c.horizontal
     jax, jbx = j1 @ ax, j1 @ bx
 
-    coeff2 = -2.0 if reading == "plain" else -4.0 * e
     val = 2.0 * e * float((rmat @ pc) @ (wedge_of_pair(ax, jbx) + wedge_of_pair(jax, bx)))
-    val += coeff2 * float((rmat @ qc) @ (wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx)))
+    val -= 2.0 * float((rmat @ qc) @ (wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx)))
     if n in (3, 4):
         val += 2.0 * float(cx @ (j1 @ (b.vertical.v1 @ ax)))
         val -= 2.0 * float(cx @ (j1 @ (a.vertical.v1 @ bx)))
     return val
-
-
-@lru_cache(maxsize=1)
-def resolve_nijenhuis_reading() -> tuple[str, tuple[tuple[str, float], ...]]:
-    """Pick the closed-form scaling that matches the identity evaluator.
-
-    Probes a fixed set of random configurations with unit curvature (where the
-    two scalings differ); returns the winning reading and the max residual of
-    each candidate.
-    """
-    rng = np.random.default_rng(20240614)
-    rmat = np.eye(6)
-    worst = {r: 0.0 for r in NIJ_READINGS}
-    for comp in ("++", "+-"):
-        for n in (1, 2, 3, 4):
-            params = Params(0.7, 1.3, n)
-            for _ in range(4):
-                p = ProductTwistorPoint(random_ocs(1, rng),
-                                        random_ocs(1 if comp == "++" else -1, rng))
-                frame = frame_at_point(p, params)
-                args = [frame_combination(frame, rng.standard_normal(8)) for _ in range(3)]
-                ident = nijenhuis_pairing(p, rmat, params, *args)
-                for r in NIJ_READINGS:
-                    closed = nijenhuis_closed_form(p, rmat, params, *args, reading=r)
-                    worst[r] = max(worst[r], abs(ident - closed))
-    winner = min(NIJ_READINGS, key=lambda r: worst[r])
-    loser = max(NIJ_READINGS, key=lambda r: worst[r])
-    if worst[winner] > 1e-10 or worst[loser] < 1e-6:
-        raise RuntimeError(f"Nijenhuis scaling resolution is ambiguous: {worst}")
-    return winner, tuple(sorted(worst.items()))
 
 
 @contextmanager

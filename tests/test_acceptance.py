@@ -37,7 +37,6 @@ def random_symmetric_operator(rng, scale=1.0):
 
 
 def test_criterion_1_internal_consistency_oracles():
-    reading, _ = tn.resolve_nijenhuis_reading()
     worst = {"dext": 0.0, "codiff": 0.0, "nijenhuis": 0.0, "restriction": 0.0}
     for component in ("++", "+-"):
         for n in (1, 2, 3, 4):
@@ -65,7 +64,7 @@ def test_criterion_1_internal_consistency_oracles():
 
                 worst["nijenhuis"] = max(worst["nijenhuis"], abs(
                     tn.nijenhuis_pairing(p, rmat, params, a, b, c)
-                    - tn.nijenhuis_closed_form(p, rmat, params, a, b, c, reading)) / nrm3)
+                    - tn.nijenhuis_closed_form(p, rmat, params, a, b, c)) / nrm3)
 
                 first = [tn.gtangent(g.horizontal, g.vertical.v1) for g in (a, b, c)]
                 worst["restriction"] = max(worst["restriction"], max(

@@ -17,6 +17,9 @@ class TestConfigAndNames:
             cl.SamplingConfig(seed=0, num_points=0)
         with pytest.raises(cl.ClassifierError):
             cl.SamplingConfig(seed=0, tol=-1.0)
+        for tol in (np.inf, np.nan):
+            with pytest.raises(cl.ClassifierError, match="finite"):
+                cl.SamplingConfig(seed=0, tol=tol)
 
     def test_unknown_condition(self):
         with pytest.raises(cl.ClassifierError, match="unknown condition"):
@@ -79,7 +82,6 @@ class TestClassify:
     def test_witness_flags(self):
         report = cl.classify(cur.model("kaehler_witness", s=12.0), "+-", (0.5, 1.0), 1, FAST)
         assert not report.flags["strict"]
-        assert report.notes["nijenhuis_reading"] == "plain"
 
     def test_impossible_tolerance_detects_only_exact_zeros(self):
         # for the zero operator the codifferential is exactly zero, so the
@@ -112,6 +114,21 @@ class TestClassify:
         rmat[2, 2] = bad
         with pytest.raises(cur.CurvatureError, match="non-finite"):
             cl.classify(rmat, "+-", (0.25, 1.0), 3, FAST)
+
+    def test_overflowing_residuals_are_rejected(self):
+        # finite inputs whose frame tensor overflows: the sup must keep the NaN
+        rmat = cur.model("constant_curvature", s=1e300)
+        with np.errstate(all="ignore"):
+            res = cl.condition_residuals(rmat, "+-", (1e300, 1.0), 3, FAST)
+            assert any(np.isnan(r) for r in res.values())
+            with pytest.raises(cl.ClassifierError, match="non-finite"):
+                cl.classify(rmat, "+-", (1e300, 1.0), 3, FAST)
+
+    def test_report_json_refuses_nan(self):
+        report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, FAST)
+        report.residuals["DΩ"] = float("nan")
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_possible_classes_for_strict_operators(self):
         rng = np.random.default_rng(2718)

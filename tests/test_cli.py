@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from twistorgh import classifier as cl, cli, curvature as cur, tensors as tn
+from twistorgh import classifier as cl, cli, curvature as cur
 
 FAST = ["--samples", "12", "--triples", "6"]
 
@@ -129,6 +130,42 @@ class TestClassifyCommand:
                                "--n", "1", "--t1", "-2")
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "flat", "--component", "++", "--n", "1", "--t1", "inf"],
+        ["--model", "flat", "--component", "++", "--n", "1", "--tol", "inf"],
+        # finite inputs whose residuals overflow to NaN
+        ["--model", "constant_curvature", "--s", "1e300", "--t1", "1e300",
+         "--component", "+-", "--n", "3"],
+    ])
+    def test_non_finite_inputs_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "classify", *argv, *FAST)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
+                                 "--n", "1", *FAST, "--output", str(out_path))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "cannot write" in err
+
+    def test_report_schema(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
+                               "--n", "1", *FAST)
+        assert code == cli.EXIT_OK
+        doc = json.loads(out)
+        assert doc["schema"] == "gh-class-report/2"
+        assert set(doc) == {"schema", "config", "residuals", "detected", "flags"}
+        code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
+                               "--n", "1", "--format", "csv", *FAST)
+        header = out.split("\n")[0].split(",")
+        assert "nijenhuis_reading" not in header
+        assert header[:12] == ["detected", "source", "component", "n", "t1", "t2", "seed",
+                               "num_points", "num_arg_triples", "tol", "strict",
+                               "possible_class_violation"]
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         args = ["classify", "--model", "constant_curvature", "--s", "12",
                 "--component", "+-", "--n", "3", "--t1", "0.25", "--seed", "11", *FAST]
@@ -157,6 +194,22 @@ class TestVerifyCommand:
         checks = doc["results"][0]["checks"]
         assert any(c["require"] == "<=" for c in checks)
 
+    @pytest.mark.parametrize("argv", [["--id", "4.2a", "--samples", "0"],
+                                      ["--all", "--tol", "-1"]])
+    def test_bad_sampling_arguments_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "verify.json"
+        code, _, err = run_cli(capsys, "verify", "--id", "4.6b", "--seed", "7", *FAST,
+                               "--output", str(out_path))
+        assert code == cli.EXIT_INPUT
+        assert "cannot write" in err
+        assert not out_path.exists()
+
     def test_unknown_id_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--id", "bogus")
         assert code == cli.EXIT_INPUT
@@ -171,13 +224,18 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
     def test_corrupted_sign_table_fails_naming_the_check(self, capsys):
-        # as in a fresh process, where no earlier run has resolved the reading
-        tn.resolve_nijenhuis_reading.cache_clear()
         code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "25",
                                  "--corrupt-sign-table")
         assert code == cli.EXIT_FAILURE
         assert "FAIL nijenhuis-identity" in out
         assert "nijenhuis-identity" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_a_validation_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, "selftest", "--trials", trials)
+        assert code == cli.EXIT_VALIDATION
+        assert "ok" not in out
+        assert "trials" in err
 
 
 class TestModelsCommand:

@@ -34,6 +34,11 @@ class TestParams:
         with pytest.raises(ValueError, match="n must be"):
             tn.Params(1.0, 1.0, 5)
 
+    @pytest.mark.parametrize("t", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
+    def test_non_finite_weights_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            tn.Params(t[0], t[1], 1)
+
 
 class TestMetric:
     def test_horizontal_lift_is_isometric(self):
@@ -305,31 +310,40 @@ class TestNijenhuis:
         for _ in range(25):
             a, b, c = random_args(p, params, rng=rng)
             ident = tn.nijenhuis_pairing(p, rmat, params, a, b, c)
-            closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c, reading="plain")
+            closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
             assert ident == pytest.approx(closed, abs=1e-10 * (1 + abs(ident)))
 
-    def test_scaled_reading_disagrees(self):
+    def test_scaled_curvature_term_is_caught(self):
+        # mutation: the term -2 <R q(C), A^B - JA^JB> scaled to -4 (-1)^n instead
         p = point("+-")
         params = tn.Params(1.0, 1.0, 1)
         rmat = np.eye(6)
         a, b, c = random_args(p, params)
+        j1, j2 = p.j1.matrix, p.j2.matrix
+        qc = (params.t1 * fd.two_vector_of_endo(j1 @ c.vertical.v1)
+              + params.t2 * fd.two_vector_of_endo(j2 @ c.vertical.v2))
+        term = float((rmat @ qc) @ (fd.wedge_of_pair(a.horizontal, b.horizontal)
+                                    - fd.wedge_of_pair(j1 @ a.horizontal, j1 @ b.horizontal)))
+        e = -1.0  # (-1)^n for n = 1
+        closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
+        scaled = closed + (2.0 - 4.0 * e) * term
         ident = tn.nijenhuis_pairing(p, rmat, params, a, b, c)
-        scaled = tn.nijenhuis_closed_form(p, rmat, params, a, b, c, reading="scaled")
+        assert ident == pytest.approx(closed, abs=1e-10 * (1 + abs(ident)))
         assert abs(ident - scaled) > 1e-3
 
-    def test_reading_resolution(self):
-        reading, residuals = tn.resolve_nijenhuis_reading()
-        assert reading == "plain"
-        table = dict(residuals)
-        assert table["plain"] < 1e-10
-        assert table["scaled"] > 1e-3
-
-    def test_unknown_reading_rejected(self):
-        p = point()
-        params = tn.Params(1.0, 1.0, 1)
-        a, b, c = random_args(p, params)
-        with pytest.raises(ValueError, match="reading"):
-            tn.nijenhuis_closed_form(p, np.eye(6), params, a, b, c, reading="bogus")
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_ignores_the_sign_tables(self, n):
+        rng = np.random.default_rng(40 + n)
+        p = point("+-", rng)
+        params = tn.Params(0.7, 1.3, n)
+        rmat = cur.random_strict_operator(rng)
+        a, b, c = random_args(p, params, rng=rng)
+        intact = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
+        with tn._corrupted_sign_table():
+            corrupted = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
+            ident = tn.nijenhuis_pairing(p, rmat, params, a, b, c)
+        assert corrupted == intact
+        assert abs(ident - intact) > 1e-3
 
 
 class TestLeviCivitaComponents:
