@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classifier, curvature, selftest
@@ -97,6 +98,18 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
+def _check_output_dir(output: str | None) -> int:
+    """EXIT_INPUT if ``output`` is a directory or lies in one that does not exist, else 0.
+
+    Called before any work, so a bad path fails at once, not after the run.
+    """
+    if output and os.path.isdir(output):
+        return _fail(f"cannot write {output!r}: it is a directory", EXIT_INPUT)
+    if output and not os.path.isdir(os.path.dirname(output) or "."):
+        return _fail(f"cannot write {output!r}: its directory does not exist", EXIT_INPUT)
+    return EXIT_OK
+
+
 def _load_operator(args) -> tuple[object, str]:
     if args.model is not None:
         name = args.model
@@ -122,6 +135,8 @@ def _load_operator(args) -> tuple[object, str]:
 
 
 def cmd_classify(args) -> int:
+    if _check_output_dir(args.output):
+        return EXIT_INPUT
     try:
         rmat, source = _load_operator(args)
     except curvature.SchemaError as exc:
@@ -138,6 +153,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if _check_output_dir(args.output):
+        return EXIT_INPUT
     try:
         cfg = _sampling_config(args)
     except classifier.ClassifierError as exc:

@@ -26,6 +26,8 @@ import numpy as np
 
 from .fourdim import endo_of_two_vector, two_vector_of_endo, wedge_of_pair
 
+#: symmetry tolerance, relative to max(1, max|entry|), so roundoff in large
+#: entries is not read as asymmetry
 SYM_TOL = 1e-12
 WEYL_TRACE_TOL = 1e-10
 
@@ -38,6 +40,10 @@ class SchemaError(CurvatureError):
     """Malformed curvature-operator document."""
 
 
+def _sym_bound(m: np.ndarray) -> float:
+    return SYM_TOL * max(1.0, float(np.abs(m).max()))
+
+
 def check_operator(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (6, 6):
@@ -45,7 +51,7 @@ def check_operator(mat) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise CurvatureError("curvature operator has non-finite entries")
     err = float(np.max(np.abs(mat - mat.T)))
-    if err > SYM_TOL:
+    if err > _sym_bound(mat):
         raise CurvatureError(f"curvature operator is not symmetric: max|R - R^T| = {err:.3e}")
     return mat
 
@@ -83,7 +89,7 @@ def _check_block(m, name: str, symmetric: bool) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise CurvatureError(f"block {name!r} must be 3x3, got shape {m.shape}")
-    if symmetric and float(np.max(np.abs(m - m.T))) > SYM_TOL:
+    if symmetric and float(np.max(np.abs(m - m.T))) > _sym_bound(m):
         raise CurvatureError(f"block {name!r} must be symmetric")
     return m
 

@@ -32,9 +32,17 @@ class FibreAlgebraError(ValueError):
     """A skewness, compatibility or tangency invariant is violated."""
 
 
-def _as_square(a) -> np.ndarray:
+def _as_squares(a) -> np.ndarray:
+    """Square matrices, possibly stacked along leading axes."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise FibreAlgebraError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _as_square(a) -> np.ndarray:
+    a = _as_squares(a)
+    if a.ndim != 2:
         raise FibreAlgebraError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -46,8 +54,9 @@ def check_even_dim(dim: int) -> int:
 
 
 def check_skew(a, tol: float = SKEW_TOL) -> np.ndarray:
-    a = _as_square(a)
-    err = float(np.max(np.abs(a + a.T)))
+    """``a`` may be a stack of matrices along leading axes; the worst one is reported."""
+    a = _as_squares(a)
+    err = float(np.abs(a + a.swapaxes(-1, -2)).max())
     if err > tol:
         raise FibreAlgebraError(
             f"matrix is not skew-symmetric: max|a + a^T| = {err:.3e} > {tol:.1e}")
@@ -56,7 +65,7 @@ def check_skew(a, tol: float = SKEW_TOL) -> np.ndarray:
 
 def check_complex_structure(j, tol: float = STRUCT_TOL) -> np.ndarray:
     j = check_skew(j, tol)
-    err = float(np.max(np.abs(j @ j + np.eye(j.shape[0]))))
+    err = float(np.abs(j @ j + np.eye(j.shape[-1])).max())
     if err > tol:
         raise FibreAlgebraError(f"J*J != -Id: residual {err:.3e} > {tol:.1e}")
     return j

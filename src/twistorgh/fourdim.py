@@ -25,6 +25,8 @@ from . import fibre
 
 SQRT2 = float(np.sqrt(2.0))
 _IU4 = np.triu_indices(4, 1)
+#: flat positions of the entries a[j, i], i < j, of a 4x4 matrix a
+_LOWER_FLAT = 4 * _IU4[1] + _IU4[0]
 _L = 1.0 / SQRT2
 
 #: change of basis from lexicographic (e12, e13, e14, e23, e24, e34) to the
@@ -37,6 +39,8 @@ LEX_TO_S = np.array([
     [0.0, _L, 0.0, 0.0, _L, 0.0],
     [0.0, 0.0, _L, -_L, 0.0, 0.0],
 ])
+
+_S_TO_LEX = LEX_TO_S.T.copy()
 
 HODGE_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
@@ -57,8 +61,9 @@ def wedge_of_pair(x, y) -> np.ndarray:
 
 
 def two_vector_of_endo(a) -> np.ndarray:
-    """s-basis coefficients of a^ for a skew 4x4 endomorphism a."""
-    return LEX_TO_S @ np.asarray(a, dtype=float).T[_IU4]
+    """s-basis coefficients of a^ for skew 4x4 endomorphism(s) a; leading axes are kept."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(a.shape[:-2] + (16,)).take(_LOWER_FLAT, axis=-1) @ _S_TO_LEX
 
 
 #: endomorphisms of the six s-basis two-vectors
@@ -97,7 +102,7 @@ def _half_slice(sign: int) -> slice:
 
 def check_pure(v, sign: int, tol: float = PURITY_TOL) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    other = v[_half_slice(-sign)]
+    other = v[..., _half_slice(-sign)]
     err = float(np.max(np.abs(other))) if other.size else 0.0
     if err > tol:
         raise FourDimError(
@@ -106,14 +111,15 @@ def check_pure(v, sign: int, tol: float = PURITY_TOL) -> np.ndarray:
 
 
 def embed_half(u3, sign: int) -> np.ndarray:
+    """The two-vector(s) with half ``sign`` equal to u3; leading axes are kept."""
     u3 = np.asarray(u3, dtype=float)
-    v = np.zeros(6)
-    v[_half_slice(sign)] = u3
+    v = np.zeros(u3.shape[:-1] + (6,))
+    v[..., _half_slice(sign)] = u3
     return v
 
 
 def active_half(v, sign: int) -> np.ndarray:
-    return np.asarray(v, dtype=float)[_half_slice(sign)]
+    return np.asarray(v, dtype=float)[..., _half_slice(sign)]
 
 
 def cross(u, v, sign: int) -> np.ndarray:
@@ -132,7 +138,9 @@ class OrientedComplexStructure4:
     """Compatible complex structure on R^4 with its orientation component.
 
     ``wedge`` caches the s-basis coefficients of the structure; it is pure of
-    the declared sign and has norm sqrt2.
+    the declared sign and has norm sqrt2.  ``matrix`` may be a stack of
+    structures of one sign along leading axes; every check then covers each
+    of them, and ``wedge`` keeps the leading axes.
     """
 
     matrix: np.ndarray
@@ -143,23 +151,27 @@ class OrientedComplexStructure4:
         if self.sign not in (1, -1):
             raise FourDimError(f"sign must be +1 or -1, got {self.sign}")
         m = fibre.check_complex_structure(self.matrix)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise FourDimError("oriented complex structures are 4x4")
         w = two_vector_of_endo(m)
         check_pure(w, self.sign)
-        norm = float(np.linalg.norm(w))
-        if abs(norm - SQRT2) > PURITY_TOL:
-            raise FourDimError(f"|J^| = {norm:.12f}, expected sqrt2")
+        err = float(np.abs(np.linalg.norm(w, axis=-1) - SQRT2).max())
+        if err > PURITY_TOL:
+            raise FourDimError(f"|J^| differs from sqrt2 by {err:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "wedge", w)
 
 
 def sphere_to_J(u, sign: int) -> OrientedComplexStructure4:
-    """Complex structure of the 2-vector sqrt2 * u for a unit pure u."""
+    """Complex structure of the 2-vector sqrt2 * u for a unit pure u.
+
+    ``u`` may be a stack of sphere points along leading axes; the result is
+    then the stacked structure.
+    """
     u = check_pure(u, sign)
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > PURITY_TOL:
-        raise FourDimError(f"sphere point must be a unit two-vector, |u| = {norm:.12f}")
+    err = float(np.abs(np.linalg.norm(u, axis=-1) - 1.0).max())
+    if err > PURITY_TOL:
+        raise FourDimError(f"sphere point must be a unit two-vector: ||u| - 1| = {err:.3e}")
     return OrientedComplexStructure4(matrix=endo_of_two_vector(SQRT2 * u), sign=sign)
 
 
@@ -172,22 +184,28 @@ def two_vector_map(q) -> np.ndarray:
     return LEX_TO_S @ fibre.induced_wedge_map(q) @ LEX_TO_S.T
 
 
+_EYE3 = np.eye(3)
+_ANTIPODE_ROT = np.diag([-1.0, 1.0, -1.0])
+
+
 def _rotation_from_e1(u3) -> np.ndarray:
-    """Rotation of R^3 taking (1,0,0) to the unit vector u3.
+    """Rotations of R^3 taking (1,0,0) to the unit vectors u3; leading axes are kept.
 
     Rodrigues about the axis e1 x u3; the antipode u3 = -e1 gets the fixed
     rotation by pi about the second axis, so frames are reproducible.
     """
-    c = float(u3[0])
-    if c >= 1.0 - 1e-12:
-        return np.eye(3)
-    if c <= -1.0 + 1e-12:
-        return np.diag([-1.0, 1.0, -1.0])
-    axis = np.array([0.0, -u3[2], u3[1]])
-    s = float(np.linalg.norm(axis))
-    k = axis / s
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
+    u3 = np.asarray(u3, dtype=float)
+    c = u3[..., 0, None, None]
+    s = np.hypot(u3[..., 1], u3[..., 2])[..., None, None]  # |e1 x u3|
+    # cross-product matrix of the unit axis: (u3 e1^T - e1 u3^T) / s; s = 0
+    # only at the poles, whose rotations are replaced below
+    kx = np.zeros(u3.shape[:-1] + (3, 3))
+    kx[..., 1:, 0] = u3[..., 1:]
+    kx[..., 0, 1:] = -u3[..., 1:]
+    kx /= np.where(s > 0.0, s, 1.0)
+    rot = _EYE3 + s * kx + (1.0 - c) * (kx @ kx)
+    rot = np.where(c >= 1.0 - 1e-12, _EYE3, rot)
+    return np.where(c <= -1.0 + 1e-12, _ANTIPODE_ROT, rot)
 
 
 def vertical_basis(ocs: OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarray]:
@@ -195,12 +213,12 @@ def vertical_basis(ocs: OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarr
 
     The rotation taking s1 (of the matching half) to J^/sqrt2 is applied to
     (s2, s3); the images span the vertical directions at J, are G-orthonormal
-    and anticommute with J.
+    and anticommute with J.  A stacked ``ocs`` gives stacked bases.
     """
     rot = _rotation_from_e1(active_half(j_to_sphere(ocs), ocs.sign))
-    u2 = embed_half(rot @ np.array([0.0, 1.0, 0.0]), ocs.sign)
-    u3 = embed_half(rot @ np.array([0.0, 0.0, 1.0]), ocs.sign)
-    return endo_of_two_vector(u2), endo_of_two_vector(u3)
+    # columns 2 and 3 of the rotation, the images of s2 and s3
+    pair = endo_of_two_vector(embed_half(rot.swapaxes(-1, -2)[..., 1:, :], ocs.sign))
+    return pair[..., 0, :, :], pair[..., 1, :, :]
 
 
 def random_ocs(sign: int, rng) -> OrientedComplexStructure4:

@@ -38,17 +38,12 @@ import numpy as np
 
 from .fibre import inner_G
 from .fourdim import (
-    LEX_TO_S,
     OrientedComplexStructure4,
     endo_of_two_vector,
     two_vector_of_endo,
     vertical_basis,
     wedge_of_pair,
 )
-
-_LEX_TO_S_T = LEX_TO_S.T.copy()
-
-_IU4 = np.triu_indices(4, 1)
 
 #: (-1)^n
 EPS = {1: -1.0, 2: 1.0, 3: -1.0, 4: 1.0}
@@ -58,6 +53,8 @@ SIGMA = {1: 1.0, 2: -1.0, 3: -1.0, 4: 1.0}
 KSIGNS = {1: (1.0, 1.0), 2: (1.0, -1.0), 3: (-1.0, 1.0), 4: (-1.0, -1.0)}
 
 VERTICAL_TOL = 1e-10
+
+_EYE4 = np.eye(4)
 
 
 class TangencyError(ValueError):
@@ -81,6 +78,8 @@ class Params:
 
 @dataclass(frozen=True, eq=False)
 class ProductTwistorPoint:
+    """A point (J1, J2); stacked structures of equal leading shape give a stack of points."""
+
     j1: OrientedComplexStructure4
     j2: OrientedComplexStructure4
 
@@ -153,11 +152,17 @@ def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> f
     return metric_Ht(p, acs(p, a, params), b, params)
 
 
+def _apply(m, x):
+    """m x for 4-vectors x; leading axes of x and the matrix stack m broadcast."""
+    return (m @ x[..., None])[..., 0]
+
+
 def _acs_unchecked(p: ProductTwistorPoint, params: Params, a: GTangent) -> GTangent:
     # acs for arguments valid by construction; a may be stacked along leading axes
+    # whose trailing ones broadcast against the axes of a stacked point
     k1, k2 = KSIGNS[params.n]
     j1, j2 = p.j1.matrix, p.j2.matrix
-    return GTangent(a.horizontal @ j1.T,
+    return GTangent(_apply(j1, a.horizontal),
                     VerticalVector(k1 * (j1 @ a.vertical.v1), k2 * (j2 @ a.vertical.v2)))
 
 
@@ -169,7 +174,8 @@ class _ArgView:
     ``rpe``/``rqe`` are the endomorphisms of R p(V) and R q(V), so pairings
     <R p(V), u ^ v> reduce to v . (rpe @ u) without forming wedge vectors.
     The argument may be stacked along leading axes; every field then carries
-    them, and indexing a view indexes them.
+    them, and indexing a view indexes them.  A stacked point broadcasts
+    against the trailing ones of those axes.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -177,12 +183,11 @@ class _ArgView:
     def __init__(self, p: ProductTwistorPoint, rmat, params: Params, a: GTangent):
         n = params.n
         v1, v2 = a.vertical.v1, a.vertical.v2
-        stack = np.stack((v1, v2, p.j1.matrix @ v1, p.j2.matrix @ v2))
-        wedges = np.swapaxes(stack, -1, -2)[..., _IU4[0], _IU4[1]] @ _LEX_TO_S_T
+        wedges = two_vector_of_endo(np.stack((v1, v2, p.j1.matrix @ v1, p.j2.matrix @ v2)))
         p6 = SIGMA[n] * params.t1 * wedges[0] + params.t2 * wedges[1]
         q6 = params.t1 * wedges[2] + params.t2 * wedges[3]
         self.X = np.asarray(a.horizontal, dtype=float)
-        self.jX = self.X @ p.j1.matrix.T
+        self.jX = _apply(p.j1.matrix, self.X)
         self.V1 = v1
         rmat_t = np.transpose(rmat)
         self.rq = q6 @ rmat_t
@@ -250,12 +255,23 @@ def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> f
     return _dcodiff(p, _ArgView(p, rmat, params, a))
 
 
+def _frame(p: ProductTwistorPoint, params: Params) -> GTangent:
+    """The frame of ``frame_at_point`` as one tangent stacked along (8, *point axes)."""
+    lead = p.j1.matrix.shape[:-2]
+    h = np.zeros((8,) + lead + (4,))
+    h[:4] = _EYE4.reshape((4,) + (1,) * len(lead) + (4,))
+    v1 = np.zeros((8,) + lead + (4, 4))
+    v2 = np.zeros((8,) + lead + (4, 4))
+    v1[4:6] = np.stack(vertical_basis(p.j1)) / np.sqrt(params.t1)
+    v2[6:8] = np.stack(vertical_basis(p.j2)) / np.sqrt(params.t2)
+    return GTangent(h, VerticalVector(v1, v2))
+
+
 def frame_at_point(p: ProductTwistorPoint, params: Params) -> list[GTangent]:
     """H_t-orthonormal frame: e1..e4 lifts, then the scaled vertical pairs."""
-    frame = [gtangent(horizontal=x) for x in np.eye(4)]
-    frame += [gtangent(v1=u / np.sqrt(params.t1)) for u in vertical_basis(p.j1)]
-    frame += [gtangent(v2=u / np.sqrt(params.t2)) for u in vertical_basis(p.j2)]
-    return frame
+    e = _frame(p, params)
+    return [GTangent(e.horizontal[a], VerticalVector(e.vertical.v1[a], e.vertical.v2[a]))
+            for a in range(8)]
 
 
 def frame_combination(frame: list[GTangent], coeffs) -> GTangent:
@@ -272,23 +288,24 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
 
     T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and M[b, a] = H_t(E_b, Jn E_a), so
     for A = sum_a x[a] E_a the coefficients of Jn A are M @ x.  ``rmat`` is a
-    6x6 array already validated by the caller.
+    6x6 array already validated by the caller.  A stacked point gives T and
+    M with its leading axes in front, one (8, 8, 8) and (8, 8) per point.
     """
-    e = frame_combination(frame_at_point(p, params), np.eye(8))
+    e = _frame(p, params)
     ev = _ArgView(p, rmat, params, e)
     t = _dcov(params, ev[:, None, None], ev[None, :, None], ev[None, None, :])
     je = _acs_unchecked(p, params, e)
     # H_t in the frame; G(V, W) = -1/2 trace(V W)
-    m = (e.horizontal @ je.horizontal.T
-         - 0.5 * params.t1 * np.einsum("bij,aji->ba", e.vertical.v1, je.vertical.v1)
-         - 0.5 * params.t2 * np.einsum("bij,aji->ba", e.vertical.v2, je.vertical.v2))
-    return t, m
+    m = (np.einsum("b...i,a...i->...ba", e.horizontal, je.horizontal)
+         - 0.5 * params.t1 * np.einsum("b...ij,a...ji->...ba", e.vertical.v1, je.vertical.v1)
+         - 0.5 * params.t2 * np.einsum("b...ij,a...ji->...ba", e.vertical.v2, je.vertical.v2))
+    return np.ascontiguousarray(np.moveaxis(t, (0, 1, 2), (-3, -2, -1))), m
 
 
 def codiff_via_frame(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
     """Frame-trace oracle: -sum_alpha (D_{E_alpha} Omega)(E_alpha, A)."""
     check_gtangent(p, a)
-    ev = _ArgView(p, rmat, params, frame_combination(frame_at_point(p, params), np.eye(8)))
+    ev = _ArgView(p, rmat, params, _frame(p, params))
     return -float(np.sum(_dcov(params, ev, ev, _ArgView(p, rmat, params, a))))
 
 

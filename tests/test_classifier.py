@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,14 +261,36 @@ class TestLiteralReadings:
         assert good <= 1e-9
         assert bad > 1e-3
 
-    def test_sampler_reproduces_the_classifier(self):
-        rmat = cur.model("constant_curvature", s=12.0)
+    @pytest.mark.parametrize("num_points", [1, 17, 64])
+    @pytest.mark.parametrize("component", cl.COMPONENTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sampler_reproduces_the_classifier(self, n, component, num_points):
+        # the classifier evaluates points in stacked blocks; a per-point loop
+        # over the same stream must give the same sups for every condition
+        rmat = cur.random_strict_operator(np.random.default_rng([17, n]))
+        t = (0.3, 1.2)
+        cfg = cl.SamplingConfig(seed=3, num_points=num_points, num_arg_triples=8)
+        params = tn.Params(t[0], t[1], n)
+        norm_slots = {"W1-cond": [0, 0, 2], "W1W3-cond": [0, 0, 2], "δΩ": [0]}
+        rng = np.random.default_rng(cfg.seed)
+        want = dict.fromkeys(cl.CONDITIONS, 0.0)
+        for _ in range(num_points):
+            p = cl.sample_point(rng, component)
+            coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
+            T, M = tn.frame_tensor(p, rmat, params)
+            assert (T.shape, M.shape) == ((8, 8, 8), (8, 8))
+            norms = np.linalg.norm(coeffs, axis=2)
+            for c, vals in cl.condition_values(T, M, coeffs).items():
+                nrm = 1.0 + np.prod(norms[:, norm_slots.get(c, [0, 1, 2])], axis=1)
+                want[c] = max(want[c], float(np.max(np.abs(vals) / nrm)))
+        got = cl.condition_residuals(rmat, component, t, n, cfg)
+        assert got == pytest.approx(want, rel=1e-12)
 
         def w13(T, a, b, c, ja, jb, jc):
             return _contract(T, a, a, c) - _contract(T, ja, ja, c)
 
-        assert _sampled_sup(rmat, "+-", (0.3, 1.0), 3, FAST, w13, [0, 0, 2]) == pytest.approx(
-            cl.residual("W1W3-cond", rmat, "+-", (0.3, 1.0), 3, FAST), rel=1e-12)
+        assert _sampled_sup(rmat, component, t, n, cfg, w13, [0, 0, 2]) == pytest.approx(
+            got["W1W3-cond"], rel=1e-12)
 
 
 class TestFrameTensorContractions:
@@ -303,6 +327,27 @@ class TestFrameTensorContractions:
                 assert set(values) == set(expected)
                 for cond, want in expected.items():
                     assert values[cond][k] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+
+
+class TestMemory:
+    def test_default_config_peak_allocation_stays_under_1_mib(self):
+        # blocks of points bound the traced peak (about 0.6 MiB); one stack of
+        # all 64 points takes about 1.7 MiB
+        rmat = cur.model("constant_curvature", s=12.0)
+        args = (rmat, "+-", (0.25, 1.0), 3, cl.SamplingConfig())
+        cl.condition_residuals(*args)  # first-call allocations are not the budget's
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cl.condition_residuals(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestTheoremSuite:

@@ -210,6 +210,25 @@ class TestVerifyCommand:
         assert "cannot write" in err
         assert not out_path.exists()
 
+    def test_missing_output_directory_fails_before_the_suite_runs(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran although --output cannot be written")
+
+        monkeypatch.setattr(cl, "verify_all", never)
+        monkeypatch.setattr(cl, "classify", never)
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "--all", "--output", str(out_path))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "cannot write" in err
+        code, out, err = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
+                                 "--n", "1", "--output", str(out_path))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "cannot write" in err
+        code, out, err = run_cli(capsys, "verify", "--all", "--output", str(tmp_path))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "is a directory" in err
+
     def test_unknown_id_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--id", "bogus")
         assert code == cli.EXIT_INPUT

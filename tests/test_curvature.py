@@ -67,6 +67,30 @@ class TestDecompose:
         with pytest.raises(cur.CurvatureError, match="symmetric"):
             cur.compose(0.0, Wplus=bad)
 
+    def test_symmetry_tolerance_is_relative_to_the_entries(self):
+        # entries near 1e5 whose only asymmetry is roundoff (about 1e-11,
+        # a few ulp) pass; a relative asymmetry of 1e-6 is still rejected
+        mat = 1e5 * cur.random_strict_operator(np.random.default_rng(12))
+        scale = float(np.max(np.abs(mat)))
+        assert 1e4 < scale < 1e6
+        roundoff = mat.copy()
+        roundoff[0, 4] += 1.5e-11
+        assert np.max(np.abs(roundoff - roundoff.T)) > cur.SYM_TOL
+        assert cur.decompose(roundoff).strict
+        wp = 1e5 * cur.random_traceless_symmetric(np.random.default_rng(13))
+        wp_roundoff = wp.copy()
+        wp_roundoff[1, 2] += 1.5e-11
+        cur.compose(0.0, Wplus=wp_roundoff)
+
+        skewed = mat.copy()
+        skewed[0, 4] += 1e-6 * scale
+        with pytest.raises(cur.CurvatureError, match="not symmetric"):
+            cur.check_operator(skewed)
+        wp_skewed = wp.copy()
+        wp_skewed[1, 2] += 1e-6 * float(np.max(np.abs(wp)))
+        with pytest.raises(cur.CurvatureError, match="symmetric"):
+            cur.compose(0.0, Wplus=wp_skewed)
+
     def test_strict_trace_relation(self):
         mat = cur.random_strict_operator(RNG)
         blocks = cur.decompose(mat)

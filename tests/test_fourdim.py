@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from twistorgh import fibre, fourdim as fd
 
@@ -120,6 +120,31 @@ class TestSphereModel:
         with pytest.raises(fd.FourDimError, match="not pure"):
             fd.sphere_to_J(S1P, -1)
 
+    @pytest.mark.parametrize("corrupt,error", [
+        (lambda m: m + 1e-6 * np.eye(4), fibre.FibreAlgebraError),      # not skew
+        (lambda m: 1.01 * m, fibre.FibreAlgebraError),                   # J*J != -Id
+        (lambda m: fd.sphere_to_J(S2M, -1).matrix, fd.FourDimError),     # wrong half
+    ])
+    def test_one_bad_matrix_fails_a_stack_like_a_single_check(self, corrupt, error):
+        u = RNG.standard_normal((5, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        stack = fd.sphere_to_J(fd.embed_half(u, 1), 1).matrix.copy()
+        bad = corrupt(stack[2])
+        with pytest.raises(error) as single:
+            fd.OrientedComplexStructure4(bad, 1)
+        stack[2] = bad
+        with pytest.raises(error) as stacked:
+            fd.OrientedComplexStructure4(stack, 1)
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value).split(":")[0] == str(single.value).split(":")[0]
+
+    def test_one_non_unit_row_fails_a_stacked_sphere_point(self):
+        u = fd.embed_half(np.tile([0.0, 0.6, 0.8], (4, 1)), 1)
+        fd.sphere_to_J(u, 1)
+        u[3] *= 1.0 + 1e-6
+        with pytest.raises(fd.FourDimError, match="unit"):
+            fd.sphere_to_J(u, 1)
+
     def test_sign_mismatch_rejected(self):
         j = fd.sphere_to_J(S1P, 1)
         with pytest.raises(fd.FourDimError):
@@ -148,6 +173,22 @@ class TestVerticalBasis:
                 assert np.max(np.abs(j.matrix @ v + v @ j.matrix)) < 1e-12
             gram = np.array([[fibre.inner_G(a, b) for b in (u2, u3)] for a in (u2, u3)])
             assert_allclose(gram, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_stacked_bases_match_one_point_calls(self, sign):
+        # canonical point, antipode and random points in one stack; the poles
+        # take the fixed rotations without a division by zero
+        u = np.vstack([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], RNG.standard_normal((6, 3))])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        with np.errstate(all="raise"):
+            b2, b3 = fd.vertical_basis(fd.sphere_to_J(fd.embed_half(u, sign), sign))
+            assert b2.shape == b3.shape == (len(u), 4, 4)
+            for i, ui in enumerate(u):
+                u2, u3 = fd.vertical_basis(fd.sphere_to_J(fd.embed_half(ui, sign), sign))
+                assert_allclose(b2[i], u2, rtol=0, atol=1e-15)
+                assert_allclose(b3[i], u3, rtol=0, atol=1e-15)
+        assert_array_equal(b2[0], fd.endo_of_two_vector(fd.embed_half([0, 1, 0], sign)))
+        assert_array_equal(b3[1], fd.endo_of_two_vector(fd.embed_half([0, 0, -1], sign)))
 
     def test_completes_oriented_triad(self):
         j = fd.random_ocs(1, RNG)
