@@ -21,16 +21,23 @@ Every condition is linear in D Omega, so each sampled point is evaluated
 from two frame arrays (``tensors.frame_tensor``) in the H_t-orthonormal
 frame (E_a): T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and the matrix M of Jn,
 so that Jn A has coefficients M x when A has coefficients x.  A condition
-is a signed sum of contractions T[a, b, c] X[a] Y[b] Z[c] with arguments
-among (A, B, C, JA, JB, JC); d Omega is the cyclic sum of T and
-delta Omega(A) = -T[a, a, c] A[c] is the negative frame trace.
+is one tensor Q, linear in T, contracted with its argument slots (A, B, C),
+or (A, A, C) for W1 and W1+W3, or (A) for delta Omega; the slots also pick
+the norms.  With tj = T(JX, Y, Z), i.e. tj[a, b, c] = sum_i M[i, a] T[i, b, c],
+tjj = T(JX, JY, Z) and S = T(JX, Y, Z) + T(X, JY, Z):
+
+    D Omega, W1   T                              W1+W2   T + tjj
+    d Omega       T + T[b,c,a] + T[c,a,b]        W1+W3   T - tjj
+    N             S[a,b,c] - S[b,a,c]            W2+W3   cyclic sum of T - tjj
+    delta Omega   -T[a,a,c] (one slot: a trace)
 
 Points are evaluated in blocks of ``BLOCK_POINTS``: one draw gives the
 block's sphere points and coefficient triples, the structures, vertical
-bases and frames are built stacked, and one ``frame_tensor`` call gives the
-stacked T[p, a, b, c] and M[p, b, a] of the block.  The per-point functions
-(``sample_point``, ``fourdim.vertical_basis``, ``tensors.frame_at_point``) are
-one-point calls of the same stacked code.
+bases and frames are built stacked, one ``frame_tensor`` call gives the
+stacked T[p, a, b, c] and M[p, b, a] of the block, and one
+``condition_values`` call contracts every condition over the block.  The
+per-point functions (``sample_point``, ``fourdim.vertical_basis``,
+``tensors.frame_at_point``) are one-point calls of the same stacked code.
 
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).
@@ -51,7 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature, tensors
-from .fourdim import embed_half, sphere_to_J
+from .fourdim import S_BASIS_ENDOS, embed_half, sphere_to_J
 from .tensors import Params, ProductTwistorPoint, gtangent
 
 CONDITIONS = ("DΩ", "W1-cond", "dΩ", "N", "δΩ",
@@ -87,8 +94,8 @@ ALLOWED_DETECTED = {
 COMPONENTS = ("++", "+-", "-+", "--")
 
 #: points per block of ``condition_residuals``: one stacked frame tensor each.
-#: Larger blocks cost peak memory: one block of 64 points takes 1.7 MiB at the
-#: default config against 0.57 MiB for 16, for a few percent of speed.
+#: Larger blocks cost peak memory: one block of 64 points takes 2.2 MiB at the
+#: default config against 0.60 MiB for 16, with no clear gain in speed.
 BLOCK_POINTS = 16
 
 
@@ -137,42 +144,55 @@ def sample_point(rng, component: str) -> ProductTwistorPoint:
     return _points(rng.standard_normal(6), component)
 
 
-# A condition value is a signed sum of contractions
-# D(X, Y, Z) = T[a, b, c] X[a] Y[b] Z[c] whose arguments index (A, B, C, JA, JB, JC).
-_A, _B, _C, _JA, _JB, _JC = range(6)
-_TERMS: dict[str, tuple[tuple[int, int, int, int], ...]] = {
-    _DOM: ((1, _A, _B, _C),),
-    _W1: ((1, _A, _A, _C),),
-    _DEXT: ((1, _A, _B, _C), (1, _B, _C, _A), (1, _C, _A, _B)),
-    _NIJ: ((1, _A, _JB, _C), (-1, _B, _JA, _C), (1, _JA, _B, _C), (-1, _JB, _A, _C)),
-    _QUASI: ((1, _A, _B, _C), (1, _JA, _JB, _C)),
-    _W13: ((1, _A, _A, _C), (-1, _JA, _JA, _C)),
-    _W23: ((1, _A, _B, _C), (-1, _JA, _JB, _C), (1, _B, _C, _A), (-1, _JB, _JC, _A),
-           (1, _C, _A, _B), (-1, _JC, _JA, _B)),
-}
-#: arguments whose norms scale a condition, where not (A, B, C)
-_NORM_ARGS = {_W1: (_A, _A, _C), _W13: (_A, _A, _C), _DELTA: (_A,)}
+_A, _B, _C = range(3)
+#: argument slots of each condition, where not (A, B, C); they also pick the norms
+_SLOTS = {_W1: (_A, _A, _C), _W13: (_A, _A, _C), _DELTA: (_A,)}
+
+
+def _cyclic(q):
+    """q[a, b, c] + q[b, c, a] + q[c, a, b] over the last three axes."""
+    return q + np.moveaxis(q, -1, -3) + np.moveaxis(q, -3, -1)
+
+
+def _condition_tensor(cond: str, T, M):
+    """The tensor Q over the slots of condition ``cond``, linear in T: its value is
+    Q[a, b, c] X[a] Y[b] Z[c] for the slot arguments (X, Y, Z)."""
+    if cond in (_DOM, _W1):
+        return T
+    if cond == _DEXT:
+        return _cyclic(T)
+    if cond == _DELTA:
+        return -np.trace(T, axis1=-3, axis2=-2)
+    mt = np.swapaxes(M, -1, -2)
+    tj = (mt @ T.reshape(T.shape[:-2] + (64,))).reshape(T.shape)  # T(JX, Y, Z)
+    if cond == _NIJ:
+        s = tj + mt[..., None, :, :] @ T  # T(JX, Y, Z) + T(X, JY, Z)
+        return s - np.swapaxes(s, -3, -2)
+    tjj = mt[..., None, :, :] @ tj  # T(JX, JY, Z)
+    if cond == _QUASI:
+        return T + tjj
+    return T - tjj if cond == _W13 else _cyclic(T - tjj)
+
+
+def _contract(q, args):
+    """q contracted with the slot arguments (..., k, 8), the last slot first;
+    leading axes of q and the arguments broadcast.  Returns (..., k)."""
+    u = args[-1] @ np.swapaxes(q.reshape(q.shape[:-len(args)] + (-1, 8)), -1, -2)
+    for x in args[-2::-1]:
+        u = (u.reshape(u.shape[:-1] + (-1, 8)) @ x[..., None])[..., 0]
+    return u[..., 0]
 
 
 def condition_values(T, M, coeffs, conditions=CONDITIONS) -> dict[str, np.ndarray]:
-    """Raw condition values at one point for each argument triple.
+    """Raw condition values for each argument triple.
 
-    ``T`` and ``M`` come from :func:`tensors.frame_tensor`; ``coeffs`` has
-    shape (k, 3, 8) and holds the frame coefficients of (A, B, C).  Returns
-    one array of k values per condition.
+    ``T`` (..., 8, 8, 8) and ``M`` (..., 8, 8) come from
+    :func:`tensors.frame_tensor`; ``coeffs`` (..., k, 3, 8) holds the frame
+    coefficients of (A, B, C).  Returns one (..., k) array per condition.
     """
-    args = np.concatenate((coeffs, coeffs @ M.T), axis=1)
-    # d[k, l, i, j] = D(args_i, args_j, args_l) for every slot choice: C contracts first
-    u = (args @ T.reshape(64, 8).T).reshape(len(args), 6, 8, 8)
-    d = args[:, None] @ (u @ np.swapaxes(args, 1, 2)[:, None])
-
-    out = {}
-    for c in conditions:
-        if c == _DELTA:
-            out[c] = -np.einsum("aac,kc->k", T, coeffs[:, _A])
-        else:
-            out[c] = sum(sign * d[:, l, i, j] for sign, i, j, l in _TERMS[c])
-    return out
+    return {c: _contract(_condition_tensor(c, T, M),
+                         [coeffs[..., i, :] for i in _SLOTS.get(c, (_A, _B, _C))])
+            for c in conditions}
 
 
 def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
@@ -198,14 +218,12 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
         rows = rng.standard_normal((min(BLOCK_POINTS, cfg.num_points - start), 6 + 24 * k))
         coeffs = rows[:, 6:].reshape(-1, k, 3, 8)
         T, M = tensors.frame_tensor(_points(rows, component), rmat, params)
-        vals = [condition_values(T[i], M[i], coeffs[i], conditions) for i in range(len(rows))]
         # the frame is H_t-orthonormal, so coefficient norms are H_t norms
         norms = np.linalg.norm(coeffs, axis=-1)
-        for c in conditions:
-            nrm = 1.0 + np.prod(norms[..., _NORM_ARGS.get(c, (_A, _B, _C))], axis=-1)
-            worst = np.max(np.abs([v[c] for v in vals]) / nrm)
+        for c, vals in condition_values(T, M, coeffs, conditions).items():
+            nrm = 1.0 + np.prod(norms[..., _SLOTS.get(c, (_A, _B, _C))], axis=-1)
             # np.maximum keeps a NaN that the builtin max would drop
-            sup[c] = float(np.maximum(sup[c], worst))
+            sup[c] = float(np.maximum(sup[c], np.max(np.abs(vals) / nrm)))
     return sup
 
 
@@ -366,12 +384,6 @@ def _counterexample_point() -> ProductTwistorPoint:
     return ProductTwistorPoint(j1, j2)
 
 
-def _s_basis_vertical(k: int) -> np.ndarray:
-    from .fourdim import S_BASIS_ENDOS
-
-    return S_BASIS_ENDOS[k].copy()
-
-
 def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
     if tid not in THEOREM_IDS:
         raise ClassifierError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
@@ -389,7 +401,7 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
                        residual(_DOM, rmat, "++", (1.0, 1.0), n, cfg), KAHLER_MIN)
         # explicit witness configuration: J = (s1+, s2+), V = (0, s1+), X = e1, Y = e3
         p = _counterexample_point()
-        v = gtangent(v2=_s_basis_vertical(0))
+        v = gtangent(v2=S_BASIS_ENDOS[0])
         x = gtangent(horizontal=[1.0, 0.0, 0.0, 0.0])
         y = gtangent(horizontal=[0.0, 0.0, 1.0, 0.0])
         val = tensors.cov_deriv_omega(p, curvature.model("constant_curvature", s=12.0),
@@ -477,7 +489,7 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
         if tid == "4.6a":
             # delta Omega at J = (s1+, s2+) against V = (0, s3+): J2 V2 is parallel to J1
             p = _counterexample_point()
-            v = gtangent(v2=_s_basis_vertical(2))
+            v = gtangent(v2=S_BASIS_ENDOS[2])
             val = tensors.codiff_omega(p, rmat, Params(t[0], 1.0, 3), v)
             rec.gt("pointwise-counterexample", abs(val))
 

@@ -236,7 +236,9 @@ def from_json_dict(doc) -> np.ndarray:
         mat = check_operator(_field_matrix(doc, "matrix", (6, 6)))
         if has_blocks:
             from_blocks = from_json_dict({"blocks": doc["blocks"]})
-            if float(np.max(np.abs(mat - from_blocks))) > 1e-9:
+            # relative, like _sym_bound: the blocks carry roundoff of the entries
+            bound = 1e-9 * max(1.0, float(np.abs(mat).max()))
+            if float(np.max(np.abs(mat - from_blocks))) > bound:
                 raise SchemaError("fields 'matrix' and 'blocks' describe different operators")
         return mat
     blocks = doc["blocks"]

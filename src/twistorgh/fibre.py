@@ -16,7 +16,7 @@ stored coordinates, and dimensions other than multiples of two are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ import numpy as np
 SKEW_TOL = 1e-12
 #: verification tolerance for J*J = -Id and tangency
 STRUCT_TOL = 1e-10
-#: default central-difference step for vector-field derivatives
+#: central-difference step for vector-field derivatives
 FD_STEP = 1e-5
 
 
@@ -88,10 +88,6 @@ def inner_G(a, b) -> float:
     if a.shape != b.shape:
         raise FibreAlgebraError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return -0.5 * float(np.einsum("ij,ji->", a, b))
-
-
-def norm_G(a) -> float:
-    return float(np.sqrt(max(inner_G(a, a), 0.0)))
 
 
 def lex_pairs(dim: int) -> list[tuple[int, int]]:
@@ -180,21 +176,15 @@ class FibreVectorField:
     """so(g)-valued function on so(g), tangent-valued along the fibre.
 
     ``derivative(j, x)`` is the ambient directional derivative Y'(j)(x),
-    computed by central differences with ``step`` unless an analytic
-    ``directional_derivative`` is supplied by the caller.
+    computed by central differences with step ``FD_STEP``.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    directional_derivative: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    step: float = FD_STEP
 
     def derivative(self, j, x) -> np.ndarray:
-        if self.directional_derivative is not None:
-            return np.asarray(self.directional_derivative(j, x), dtype=float)
-        h = self.step
-        plus = np.asarray(self.evaluate(j + h * x), dtype=float)
-        minus = np.asarray(self.evaluate(j - h * x), dtype=float)
-        return (plus - minus) / (2.0 * h)
+        plus = np.asarray(self.evaluate(j + FD_STEP * x), dtype=float)
+        minus = np.asarray(self.evaluate(j - FD_STEP * x), dtype=float)
+        return (plus - minus) / (2.0 * FD_STEP)
 
 
 def tangent_projection_field(q) -> FibreVectorField:

@@ -100,10 +100,6 @@ class GTangent:
     vertical: VerticalVector
 
 
-def zero_vertical() -> VerticalVector:
-    return VerticalVector(np.zeros((4, 4)), np.zeros((4, 4)))
-
-
 def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
     h = np.zeros(4) if horizontal is None else np.asarray(horizontal, dtype=float)
     m1 = np.zeros((4, 4)) if v1 is None else np.asarray(v1, dtype=float)
@@ -255,8 +251,9 @@ def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> f
     return _dcodiff(p, _ArgView(p, rmat, params, a))
 
 
-def _frame(p: ProductTwistorPoint, params: Params) -> GTangent:
-    """The frame of ``frame_at_point`` as one tangent stacked along (8, *point axes)."""
+def frame_at_point(p: ProductTwistorPoint, params: Params) -> GTangent:
+    """H_t-orthonormal frame, one tangent stacked along (8, *point axes): the
+    lifts of e1..e4, then the scaled vertical pairs."""
     lead = p.j1.matrix.shape[:-2]
     h = np.zeros((8,) + lead + (4,))
     h[:4] = _EYE4.reshape((4,) + (1,) * len(lead) + (4,))
@@ -267,20 +264,11 @@ def _frame(p: ProductTwistorPoint, params: Params) -> GTangent:
     return GTangent(h, VerticalVector(v1, v2))
 
 
-def frame_at_point(p: ProductTwistorPoint, params: Params) -> list[GTangent]:
-    """H_t-orthonormal frame: e1..e4 lifts, then the scaled vertical pairs."""
-    e = _frame(p, params)
-    return [GTangent(e.horizontal[a], VerticalVector(e.vertical.v1[a], e.vertical.v2[a]))
-            for a in range(8)]
-
-
-def frame_combination(frame: list[GTangent], coeffs) -> GTangent:
+def frame_combination(frame: GTangent, coeffs) -> GTangent:
     """sum_a coeffs[..., a] frame[a]; leading axes of ``coeffs`` give a stacked vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return GTangent(coeffs @ np.stack([e.horizontal for e in frame]),
-                    VerticalVector(
-                        np.tensordot(coeffs, np.stack([e.vertical.v1 for e in frame]), 1),
-                        np.tensordot(coeffs, np.stack([e.vertical.v2 for e in frame]), 1)))
+    return GTangent(np.tensordot(coeffs, frame.horizontal, 1),
+                    VerticalVector(np.tensordot(coeffs, frame.vertical.v1, 1),
+                                   np.tensordot(coeffs, frame.vertical.v2, 1)))
 
 
 def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +279,7 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     6x6 array already validated by the caller.  A stacked point gives T and
     M with its leading axes in front, one (8, 8, 8) and (8, 8) per point.
     """
-    e = _frame(p, params)
+    e = frame_at_point(p, params)
     ev = _ArgView(p, rmat, params, e)
     t = _dcov(params, ev[:, None, None], ev[None, :, None], ev[None, None, :])
     je = _acs_unchecked(p, params, e)
@@ -305,7 +293,7 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
 def codiff_via_frame(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
     """Frame-trace oracle: -sum_alpha (D_{E_alpha} Omega)(E_alpha, A)."""
     check_gtangent(p, a)
-    ev = _ArgView(p, rmat, params, _frame(p, params))
+    ev = _ArgView(p, rmat, params, frame_at_point(p, params))
     return -float(np.sum(_dcov(params, ev, ev, _ArgView(p, rmat, params, a))))
 
 

@@ -300,9 +300,15 @@ class TestFrameTensorContractions:
         rng = np.random.default_rng([41, n, cl.COMPONENTS.index(component)])
         rmat = cur.random_strict_operator(rng)
         params = tn.Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
-        for _ in range(2):
-            p = cl.sample_point(rng, component)
-            coeffs = rng.standard_normal((4, 3, 8))
+        # the classifier's per-point stream: u1, u2, then the coefficient triples
+        draws = [(rng.standard_normal(6), rng.standard_normal((4, 3, 8))) for _ in range(2)]
+        # both points once more as one stacked call
+        T2, M2 = tn.frame_tensor(cl._points(np.stack([u for u, _ in draws]), component),
+                                 rmat, params)
+        stacked = cl.condition_values(T2, M2, np.stack([x for _, x in draws]))
+        assert {v.shape for v in stacked.values()} == {(2, 4)}
+        for i, (u, coeffs) in enumerate(draws):
+            p = cl._points(u, component)
             T, M = tn.frame_tensor(p, rmat, params)
             values = cl.condition_values(T, M, coeffs)
             frame = tn.frame_at_point(p, params)
@@ -327,12 +333,13 @@ class TestFrameTensorContractions:
                 assert set(values) == set(expected)
                 for cond, want in expected.items():
                     assert values[cond][k] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+                    assert stacked[cond][i, k] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
 class TestMemory:
     def test_default_config_peak_allocation_stays_under_1_mib(self):
-        # blocks of points bound the traced peak (about 0.6 MiB); one stack of
-        # all 64 points takes about 1.7 MiB
+        # blocks of points bound the traced peak (0.60 MiB with the conditions
+        # contracted over the block); one stack of all 64 points takes 2.2 MiB
         rmat = cur.model("constant_curvature", s=12.0)
         args = (rmat, "+-", (0.25, 1.0), 3, cl.SamplingConfig())
         cl.condition_residuals(*args)  # first-call allocations are not the budget's

@@ -251,9 +251,19 @@ class TestSerialization:
         with pytest.raises(cur.SchemaError, match="different operators"):
             cur.from_json_dict(doc)
 
-    def test_both_forms_accepted_when_consistent(self):
+    def test_both_forms_accepted_when_consistent(self, tmp_path):
         mat = cur.random_strict_operator(RNG)
         assert_allclose(cur.from_json_dict(cur.to_json_dict(mat)), mat)
+        # at scale 1e8 the blocks differ from the matrix by roundoff (about 3e-8)
+        big = cur.random_strict_operator(np.random.default_rng(0), scale=1e8)
+        path = tmp_path / "big.json"
+        cur.write_json(big, path)
+        np.testing.assert_array_equal(cur.read_json(path), big)
+        # a relative mismatch of 1e-6 is still rejected
+        doc = cur.to_json_dict(big)
+        doc["blocks"]["B"][0][0] += 1e-6 * np.abs(big).max()
+        with pytest.raises(cur.SchemaError, match="different operators"):
+            cur.from_json_dict(doc)
 
     def test_field_errors_are_named(self):
         with pytest.raises(cur.SchemaError, match="'matrix'"):

@@ -175,13 +175,6 @@ class TestLeviCivita:
         field = fibre.tangent_projection_field(0.5 * (q - q.T))
         fibre.check_tangent(j, fibre.fibre_levi_civita(field, x, j))
 
-    def test_analytic_derivative_is_used_when_given(self):
-        j = fibre.standard_complex_structure(4)
-        x = fibre.random_tangent(j, RNG)
-        field = fibre.FibreVectorField(evaluate=lambda a: a,
-                                       directional_derivative=lambda a, d: d)
-        assert_allclose(fibre.fibre_levi_civita(field, x, j), x, atol=1e-14)
-
 
 class TestWedgeIso:
     def test_s12_coefficients(self):

@@ -263,7 +263,8 @@ class TestCodifferential:
         p = point("-+")
         params = tn.Params(0.3, 2.4, 2)
         frame = tn.frame_at_point(p, params)
-        gram = np.array([[tn.metric_Ht(p, a, b, params) for b in frame] for a in frame])
+        vectors = [tn.frame_combination(frame, e) for e in np.eye(8)]
+        gram = np.array([[tn.metric_Ht(p, a, b, params) for b in vectors] for a in vectors])
         assert_allclose(gram, np.eye(8), atol=1e-12)
 
 
