@@ -175,6 +175,15 @@ class TestLeviCivita:
         field = fibre.tangent_projection_field(0.5 * (q - q.T))
         fibre.check_tangent(j, fibre.fibre_levi_civita(field, x, j))
 
+    def test_identity_field_differentiates_to_the_tangent_vector(self):
+        # the central difference is exact for a linear field up to roundoff,
+        # and J X J = X for X tangent at J, so D_X id = X
+        j = fibre.random_complex_structure(6, RNG)
+        x = fibre.random_tangent(j, RNG)
+        field = fibre.FibreVectorField(evaluate=lambda a: a)
+        assert_allclose(field.derivative(j, x), x, atol=1e-9)
+        assert_allclose(fibre.fibre_levi_civita(field, x, j), x, atol=1e-9)
+
 
 class TestWedgeIso:
     def test_s12_coefficients(self):
