@@ -41,7 +41,6 @@ from .tensors import (
     ext_deriv_omega,
     metric_Ht,
     nijenhuis_closed_form,
-    nijenhuis_pairing,
     omega,
     restriction_residuals,
 )

@@ -116,6 +116,8 @@ class SamplingConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ClassifierError(f"seed must be a non-negative integer, got {self.seed}")
         if self.num_points <= 0 or self.num_arg_triples <= 0:
             raise ClassifierError("sample counts must be positive")
         if not 0.0 < self.tol < np.inf:

@@ -24,9 +24,9 @@ EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
-#: models constructible from the scalar flag alone
-_SCALAR_MODELS = {"flat": (), "constant_curvature": ("s",), "kaehler_witness": ("s",),
-                  "w1_witness": ("s",), "w2_witness": ("s",)}
+#: models constructible from the scalar flag alone, and whether they need it
+_SCALAR_MODELS = {name: "s" in params for name, (params, _) in curvature.MODEL_SPECS.items()
+                  if set(params) <= {"s"}}
 
 
 def _add_sampling_args(p: argparse.ArgumentParser) -> None:
@@ -119,7 +119,7 @@ def _load_operator(args) -> tuple[object, str]:
         if name not in _SCALAR_MODELS:
             raise curvature.SchemaError(
                 f"model {name!r} needs matrix-valued blocks; supply it via --input FILE")
-        needs_s = "s" in _SCALAR_MODELS[name]
+        needs_s = _SCALAR_MODELS[name]
         if needs_s and args.s is None:
             raise curvature.SchemaError(f"model {name!r} requires --s")
         if not needs_s and args.s is not None:
@@ -188,7 +188,7 @@ def cmd_selftest(args) -> int:
     try:
         results = selftest.run_selftest(seed=args.seed, trials=args.trials,
                                         corrupt_sign_table=args.corrupt_sign_table)
-    except ValueError as exc:  # trials below 1
+    except ValueError as exc:  # trials below 1 or a negative seed
         return _fail(exc, EXIT_VALIDATION)
     for r in results:
         print(r.line())

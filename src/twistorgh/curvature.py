@@ -108,10 +108,6 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     return mat
 
 
-def compose_blocks(blocks: CurvatureBlocks) -> np.ndarray:
-    return compose(blocks.s, blocks.B, blocks.Wplus, blocks.Wminus)
-
-
 # --- model constructors ------------------------------------------------------
 
 def _annihilate_minus(s: float) -> np.ndarray:

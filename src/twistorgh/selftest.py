@@ -1,13 +1,18 @@
 """Internal-consistency oracles relating independent evaluation routes.
 
 Each oracle compares two implementations of the same quantity that share no
-code path for the part under test:
+code path for the part under test.  The first three evaluate the classifier's
+own route: ``classifier.condition_values`` on the frame tensor
+``tensors.frame_tensor``, with the condition's coefficients drawn in the
+H_t-orthonormal frame.
 
-    ext-deriv-antisymmetrization  d Omega vs. the cyclic sum of D Omega
-    codiff-frame-trace            closed-form delta Omega vs. the negative
-                                  frame trace of D Omega
-    nijenhuis-identity            the D Omega identity vs. the closed form,
-                                  whose signs are written out from n
+    ext-deriv-antisymmetrization  closed-form d Omega vs. the classifier's
+                                  d Omega, the cyclic sum of the frame tensor
+    codiff-frame-trace            closed-form delta Omega vs. the classifier's
+                                  delta Omega, the negative frame trace
+    nijenhuis-identity            the closed form, whose signs are written out
+                                  from n, vs. the classifier's N, the
+                                  D Omega identity contracted with Jn
     restriction                   product tensors on first-factor arguments
                                   vs. the single-fibre forms
     curvature-commutator          G([r, a], b) vs. <R([a, b]^), x ^ y>
@@ -16,8 +21,8 @@ code path for the part under test:
 
 Failures report the worst-offending configuration, reproducible from the
 seed.  The ``corrupt_sign_table`` hook flips the sign table used by the
-derivative evaluators; the Nijenhuis closed form does not use that table, so
-the nijenhuis-identity check must catch it.
+derivative evaluators and the frame tensor; the Nijenhuis closed form does
+not use that table, so the nijenhuis-identity check must catch it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, fibre, tensors
-from .classifier import sample_point
+from . import classifier, curvature, fibre, tensors
 from .tensors import Params
 
 ORACLE_TOLS = {
@@ -69,12 +73,11 @@ def _random_config(rng, i: int):
     n = 1 + (i % 4)
     params = Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
     rmat = curvature.random_strict_operator(rng)
-    p = sample_point(rng, component)
+    p = classifier.sample_point(rng, component)
     frame = tensors.frame_at_point(p, params)
     coeffs = rng.standard_normal((3, 8))
     args = [tensors.frame_combination(frame, x) for x in coeffs]
-    # the frame is H_t-orthonormal, so coefficient norms are H_t norms
-    return component, params, rmat, p, args, np.linalg.norm(coeffs, axis=1)
+    return component, params, rmat, p, args, coeffs
 
 
 _ORACLE_STREAM = {
@@ -84,31 +87,30 @@ _ORACLE_STREAM = {
     "restriction": 4,
 }
 
+#: identity oracles: (classifier condition, closed form, number of argument slots)
+_IDENTITIES = {
+    "ext-deriv-antisymmetrization": ("dΩ", tensors.ext_deriv_omega, 3),
+    "codiff-frame-trace": ("δΩ", tensors.codiff_omega, 1),
+    "nijenhuis-identity": ("N", tensors.nijenhuis_closed_form, 3),
+}
+
 
 def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
     rng = np.random.default_rng([seed, _ORACLE_STREAM[kind]])
     worst_val, worst = 0.0, {}
     for i in range(trials):
-        component, params, rmat, p, (a, b, c), (na, nb, nc) = _random_config(rng, i)
-        if kind == "ext-deriv-antisymmetrization":
-            cyc = (tensors.cov_deriv_omega(p, rmat, params, a, b, c)
-                   + tensors.cov_deriv_omega(p, rmat, params, b, c, a)
-                   + tensors.cov_deriv_omega(p, rmat, params, c, a, b))
-            res = abs(tensors.ext_deriv_omega(p, rmat, params, a, b, c) - cyc)
-            res /= 1.0 + na * nb * nc
-        elif kind == "codiff-frame-trace":
-            res = abs(tensors.codiff_omega(p, rmat, params, a)
-                      - tensors.codiff_via_frame(p, rmat, params, a))
-            res /= 1.0 + na
-        elif kind == "nijenhuis-identity":
-            res = abs(tensors.nijenhuis_pairing(p, rmat, params, a, b, c)
-                      - tensors.nijenhuis_closed_form(p, rmat, params, a, b, c))
-            res /= 1.0 + na * nb * nc
-        elif kind == "restriction":
-            first = [tensors.gtangent(g.horizontal, g.vertical.v1) for g in (a, b, c)]
+        component, params, rmat, p, args, coeffs = _random_config(rng, i)
+        if kind == "restriction":
+            first = [tensors.gtangent(g.horizontal, g.vertical.v1) for g in args]
             res = max(tensors.restriction_residuals(p, rmat, params, *first).values())
-        else:  # pragma: no cover
-            raise AssertionError(kind)
+        else:
+            cond, closed_form, slots = _IDENTITIES[kind]
+            # the classifier's route: the frame tensor contracted by the condition
+            value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
+                                                coeffs[None], (cond,))[cond][0]
+            res = abs(closed_form(p, rmat, params, *args[:slots]) - value)
+            # the frame is H_t-orthonormal, so coefficient norms are H_t norms
+            res /= 1.0 + np.prod(np.linalg.norm(coeffs[:slots], axis=1))
         if res > worst_val:
             worst_val, worst = res, {"trial": i, "component": component, "n": params.n}
     tol = ORACLE_TOLS[kind]
@@ -160,6 +162,8 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
 def run_selftest(seed: int = 1, trials: int | None = None,
                  corrupt_sign_table: bool = False) -> list[OracleResult]:
     """Run every oracle; ``trials`` overrides the per-oracle defaults."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 

@@ -20,13 +20,14 @@ symmetric 6x6 curvature operator R acting on two-vectors:
     (D_W Omega)(X^h, V) = (D_{Z^h} Omega)(U, V) = (D_W Omega)(U, V) = 0,
 
 with p(V) = sigma(n) t1 V1^ + t2 V2^, q(V) = t1 (J1 V1)^ + t2 (J2 V2)^ and
-sigma = +1 for n in {1, 4}, -1 for n in {2, 3}.  The exterior derivative, the
-codifferential (negative frame trace of D Omega) and the Nijenhuis pairing
-follow.  Independent closed-form evaluators are kept as oracles for
-cross-checking: d Omega, delta Omega, and one closed form of the Nijenhuis
-pairing that writes its signs out from n instead of taking EPS and SIGMA, so
-a corrupted sign table is caught.  The single-fibre restrictions (arguments
-with vanishing second factor) are re-derived by a standalone code path.
+sigma = +1 for n in {1, 4}, -1 for n in {2, 3}.  ``frame_tensor`` gives
+D Omega and Jn in an H_t-orthonormal frame; the classifier derives d Omega,
+delta Omega and the Nijenhuis pairing from it.  Closed forms of these three,
+independent of that route, are the oracles ``selftest`` compares it with:
+``ext_deriv_omega``, ``codiff_omega`` and ``nijenhuis_closed_form``, which
+writes its signs out from n instead of taking EPS and SIGMA, so a corrupted
+sign table is caught.  The single-fibre restrictions (arguments with
+vanishing second factor) are re-derived by a standalone code path.
 """
 
 from __future__ import annotations
@@ -290,32 +291,9 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     return np.ascontiguousarray(np.moveaxis(t, (0, 1, 2), (-3, -2, -1))), m
 
 
-def codiff_via_frame(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
-    """Frame-trace oracle: -sum_alpha (D_{E_alpha} Omega)(E_alpha, A)."""
-    check_gtangent(p, a)
-    ev = _ArgView(p, rmat, params, frame_at_point(p, params))
-    return -float(np.sum(_dcov(params, ev, ev, _ArgView(p, rmat, params, a))))
-
-
-def nijenhuis_pairing(p: ProductTwistorPoint, rmat, params: Params,
-                      a: GTangent, b: GTangent, c: GTangent) -> float:
-    """H_t(N(A, B), C) through the covariant-derivative identity
-
-    (D_A Omega)(Jn B, C) - (D_B Omega)(Jn A, C)
-        + (D_{Jn A} Omega)(B, C) - (D_{Jn B} Omega)(A, C).
-    """
-    for g in (a, b, c):
-        check_gtangent(p, g)
-    av, bv, cv = (_ArgView(p, rmat, params, g) for g in (a, b, c))
-    jav = _ArgView(p, rmat, params, acs(p, a, params))
-    jbv = _ArgView(p, rmat, params, acs(p, b, params))
-    return float(_dcov(params, av, jbv, cv) - _dcov(params, bv, jav, cv)
-                 + _dcov(params, jav, bv, cv) - _dcov(params, jbv, av, cv))
-
-
 def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
                           a: GTangent, b: GTangent, c: GTangent) -> float:
-    """H_t(N(A, B), C) in closed form; an oracle for ``nijenhuis_pairing``.
+    """H_t(N(A, B), C) in closed form; an oracle for the classifier's N condition.
 
     The signs (-1)^n and sigma(n) are written out here rather than read from
     EPS and SIGMA, so corrupting those tables is detectable.
@@ -353,26 +331,6 @@ def _corrupted_sign_table():
         yield
     finally:
         SIGMA.update(saved)
-
-
-# --- Levi-Civita components ---------------------------------------------------
-
-def lc_horizontal_horizontal(p: ProductTwistorPoint, rmat, x, y) -> VerticalVector:
-    """Vertical part of D_{X^h} Y^h in a normal frame: (1/2) ([r, J1], [r, J2])."""
-    from .curvature import curvature_endo
-
-    r = curvature_endo(rmat, x, y)
-    j1, j2 = p.j1.matrix, p.j2.matrix
-    return VerticalVector(0.5 * (r @ j1 - j1 @ r), 0.5 * (r @ j2 - j2 @ r))
-
-
-def lc_vertical_horizontal(p: ProductTwistorPoint, rmat, params: Params,
-                           v: VerticalVector, x, y) -> float:
-    """H_t(D_V X^h, Y^h) = -<R q(V), X ^ Y>; horizontal and tensorial in X."""
-    check_vertical(p, v)
-    q = (params.t1 * two_vector_of_endo(p.j1.matrix @ v.v1)
-         + params.t2 * two_vector_of_endo(p.j2.matrix @ v.v2))
-    return -float((np.asarray(rmat, dtype=float) @ q) @ wedge_of_pair(x, y))
 
 
 # --- single-fibre forms (independent code path for the restriction check) ----

@@ -52,19 +52,17 @@ def test_criterion_1_internal_consistency_oracles():
                 na, nb, nc = (float(np.linalg.norm(cc)) for cc in coeffs)
                 nrm3 = 1.0 + na * nb * nc
 
-                cyc = (tn.cov_deriv_omega(p, rmat, params, a, b, c)
-                       + tn.cov_deriv_omega(p, rmat, params, b, c, a)
-                       + tn.cov_deriv_omega(p, rmat, params, c, a, b))
+                # the classifier's route: the frame tensor contracted by each condition
+                vals = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[None],
+                                           ("dΩ", "δΩ", "N"))
                 worst["dext"] = max(worst["dext"], abs(
-                    tn.ext_deriv_omega(p, rmat, params, a, b, c) - cyc) / nrm3)
+                    tn.ext_deriv_omega(p, rmat, params, a, b, c) - vals["dΩ"][0]) / nrm3)
 
                 worst["codiff"] = max(worst["codiff"], abs(
-                    tn.codiff_omega(p, rmat, params, a)
-                    - tn.codiff_via_frame(p, rmat, params, a)) / (1.0 + na))
+                    tn.codiff_omega(p, rmat, params, a) - vals["δΩ"][0]) / (1.0 + na))
 
                 worst["nijenhuis"] = max(worst["nijenhuis"], abs(
-                    tn.nijenhuis_pairing(p, rmat, params, a, b, c)
-                    - tn.nijenhuis_closed_form(p, rmat, params, a, b, c)) / nrm3)
+                    tn.nijenhuis_closed_form(p, rmat, params, a, b, c) - vals["N"][0]) / nrm3)
 
                 first = [tn.gtangent(g.horizontal, g.vertical.v1) for g in (a, b, c)]
                 worst["restriction"] = max(worst["restriction"], max(

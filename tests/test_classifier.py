@@ -194,8 +194,8 @@ class TestOrientationSymmetry:
                     tn.cov_deriv_omega(p, rmat, params, *abc), abs=1e-10)
                 assert tn.codiff_omega(p2, rmat2, params, abc2[0]) == pytest.approx(
                     tn.codiff_omega(p, rmat, params, abc[0]), abs=1e-10)
-                assert tn.nijenhuis_pairing(p2, rmat2, params, *abc2) == pytest.approx(
-                    tn.nijenhuis_pairing(p, rmat, params, *abc), abs=1e-10)
+                assert tn.nijenhuis_closed_form(p2, rmat2, params, *abc2) == pytest.approx(
+                    tn.nijenhuis_closed_form(p, rmat, params, *abc), abs=1e-10)
 
     def test_block_swap_matches_detected_classes(self):
         # classifying on -- with the half-swapped operator reproduces ++
@@ -323,7 +323,7 @@ class TestFrameTensorContractions:
                     "DΩ": d(a, b, c),
                     "W1-cond": d(a, a, c),
                     "dΩ": tn.ext_deriv_omega(p, rmat, params, a, b, c),
-                    "N": tn.nijenhuis_pairing(p, rmat, params, a, b, c),
+                    "N": tn.nijenhuis_closed_form(p, rmat, params, a, b, c),
                     "δΩ": tn.codiff_omega(p, rmat, params, a),
                     "quasi-cond": d(a, b, c) + d(ja, jb, c),
                     "W1W3-cond": d(a, a, c) - d(ja, ja, c),

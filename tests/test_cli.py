@@ -257,6 +257,15 @@ class TestSelftestCommand:
         assert "trials" in err
 
 
+@pytest.mark.parametrize("argv", [["classify", "--model", "flat", "--component", "++", "--n", "1"],
+                                  ["verify", "--id", "4.2a"],
+                                  ["selftest"]])
+def test_negative_seed_is_a_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert "seed must be a non-negative integer" in err
+
+
 class TestModelsCommand:
     def test_lists_models(self, capsys):
         code, out, _ = run_cli(capsys, "models")

@@ -48,7 +48,8 @@ class TestDecompose:
         mat = cur.random_strict_operator(rng)
         blocks = cur.decompose(mat)
         assert blocks.strict
-        assert_allclose(cur.compose_blocks(blocks), mat, atol=1e-13)
+        assert_allclose(cur.compose(blocks.s, blocks.B, blocks.Wplus, blocks.Wminus), mat,
+                        atol=1e-13)
 
     def test_compose_then_decompose(self):
         s = 7.5

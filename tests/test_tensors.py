@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
@@ -24,6 +25,14 @@ def canonical_point():
     # J1 the structure of sqrt2 s1+, J2 of sqrt2 s2+
     return tn.ProductTwistorPoint(fd.sphere_to_J(fd.embed_half([1, 0, 0], 1), 1),
                                   fd.sphere_to_J(fd.embed_half([0, 1, 0], 1), 1))
+
+
+def production(cond, p, rmat, params, *args):
+    """Condition ``cond`` on ``args`` by the classifier's route, from the frame
+    coefficients x[a] = H_t(E_a, A) of each argument."""
+    frame = [tn.frame_combination(tn.frame_at_point(p, params), e) for e in np.eye(8)]
+    x = np.array([[tn.metric_Ht(p, e, g, params) for e in frame] for g in args])
+    return float(cl.condition_values(*tn.frame_tensor(p, rmat, params), x[None], (cond,))[cond][0])
 
 
 class TestParams:
@@ -247,7 +256,7 @@ class TestCodifferential:
         params = tn.Params(1.7, 1.0, 1)
         val = tn.codiff_omega(p, np.eye(6), params, v)
         assert val == pytest.approx(0.0, abs=1e-12)
-        assert val == pytest.approx(tn.codiff_via_frame(p, np.eye(6), params, v), abs=1e-12)
+        assert val == pytest.approx(production("δΩ", p, np.eye(6), params, v), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_frame_trace(self, n):
@@ -257,7 +266,7 @@ class TestCodifferential:
         rmat = cur.random_strict_operator(rng)
         for a in random_args(p, params, rng=rng):
             assert tn.codiff_omega(p, rmat, params, a) == pytest.approx(
-                tn.codiff_via_frame(p, rmat, params, a), abs=1e-10)
+                production("δΩ", p, rmat, params, a), abs=1e-10)
 
     def test_frame_is_orthonormal(self):
         p = point("-+")
@@ -274,7 +283,7 @@ class TestNijenhuis:
         params = tn.Params(1.0, 1.0, 3)
         rmat = cur.random_strict_operator(RNG)
         args = [tn.gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
-        assert tn.nijenhuis_pairing(p, rmat, params, *args) == pytest.approx(0.0, abs=1e-12)
+        assert production("N", p, rmat, params, *args) == pytest.approx(0.0, abs=1e-12)
 
     def test_vertical_pair_vanishes(self):
         p = point()
@@ -284,7 +293,7 @@ class TestNijenhuis:
         w = tn.gtangent(v2=fd.random_vertical_endo(p.j2, RNG))
         c = tn.gtangent(horizontal=RNG.standard_normal(4),
                         v1=fd.random_vertical_endo(p.j1, RNG))
-        assert tn.nijenhuis_pairing(p, rmat, params, v, w, c) == pytest.approx(0.0, abs=1e-12)
+        assert production("N", p, rmat, params, v, w, c) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_pairing_matrix_oracle(self):
         # H(N(X^h, V), Y^h) = 2 <J1 V1 X, Y> for n = 3, 4 and 0 for n = 1, 2
@@ -295,7 +304,7 @@ class TestNijenhuis:
         v = tn.gtangent(v1=v1)
         y = tn.gtangent(horizontal=E[3])
         for n in (1, 2, 3, 4):
-            val = tn.nijenhuis_pairing(p, rmat, tn.Params(1.0, 1.0, n), x, v, y)
+            val = production("N", p, rmat, tn.Params(1.0, 1.0, n), x, v, y)
             expected = 0.0 if n in (1, 2) else 2.0 * float(E[3] @ (p.j1.matrix @ (v1 @ E[0])))
             assert val == pytest.approx(expected, abs=1e-11)
             if n in (3, 4):
@@ -310,7 +319,7 @@ class TestNijenhuis:
         rmat = cur.random_strict_operator(rng)
         for _ in range(25):
             a, b, c = random_args(p, params, rng=rng)
-            ident = tn.nijenhuis_pairing(p, rmat, params, a, b, c)
+            ident = production("N", p, rmat, params, a, b, c)
             closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
             assert ident == pytest.approx(closed, abs=1e-10 * (1 + abs(ident)))
 
@@ -328,7 +337,7 @@ class TestNijenhuis:
         e = -1.0  # (-1)^n for n = 1
         closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
         scaled = closed + (2.0 - 4.0 * e) * term
-        ident = tn.nijenhuis_pairing(p, rmat, params, a, b, c)
+        ident = production("N", p, rmat, params, a, b, c)
         assert ident == pytest.approx(closed, abs=1e-10 * (1 + abs(ident)))
         assert abs(ident - scaled) > 1e-3
 
@@ -342,46 +351,9 @@ class TestNijenhuis:
         intact = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
         with tn._corrupted_sign_table():
             corrupted = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
-            ident = tn.nijenhuis_pairing(p, rmat, params, a, b, c)
+            ident = production("N", p, rmat, params, a, b, c)
         assert corrupted == intact
         assert abs(ident - intact) > 1e-3
-
-
-class TestLeviCivitaComponents:
-    def test_zero_curvature(self):
-        p = point("+-")
-        x, y = RNG.standard_normal((2, 4))
-        out = tn.lc_horizontal_horizontal(p, np.zeros((6, 6)), x, y)
-        assert_allclose(out.v1, np.zeros((4, 4)))
-        v = tn.VerticalVector(fd.random_vertical_endo(p.j1, RNG),
-                              fd.random_vertical_endo(p.j2, RNG))
-        assert tn.lc_vertical_horizontal(p, np.zeros((6, 6)), tn.Params(1.0, 1.0, 1),
-                                         v, x, y) == 0.0
-
-    def test_vertical_part_pairs_with_half_coupling(self):
-        for _ in range(10):
-            p = point("+-")
-            x, y = RNG.standard_normal((2, 4))
-            rmat = cur.random_strict_operator(RNG)
-            params = tn.Params(0.8, 1.9, 1)
-            half_r = tn.lc_horizontal_horizontal(p, rmat, x, y)
-            tn.check_vertical(p, half_r)
-            v = tn.VerticalVector(fd.random_vertical_endo(p.j1, RNG),
-                                  fd.random_vertical_endo(p.j2, RNG))
-            pairing = (params.t1 * fibre.inner_G(half_r.v1, v.v1)
-                       + params.t2 * fibre.inner_G(half_r.v2, v.v2))
-            assert pairing == pytest.approx(
-                0.5 * cur.coupling(rmat, x, y, p, v, params), abs=1e-10)
-
-    def test_mixed_pairing_antisymmetric(self):
-        p = point()
-        rmat = cur.random_strict_operator(RNG)
-        params = tn.Params(1.4, 0.5, 2)
-        v = tn.VerticalVector(fd.random_vertical_endo(p.j1, RNG),
-                              fd.random_vertical_endo(p.j2, RNG))
-        x, y = RNG.standard_normal((2, 4))
-        assert tn.lc_vertical_horizontal(p, rmat, params, v, x, y) == pytest.approx(
-            -tn.lc_vertical_horizontal(p, rmat, params, v, y, x), abs=1e-12)
 
 
 class TestRestriction:
