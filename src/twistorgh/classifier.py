@@ -52,6 +52,8 @@ residual above 1e-3.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, replace
 
@@ -77,11 +79,6 @@ CLASS_CONDITIONS: dict[str, tuple[str, ...]] = {
     "W1W2W3": (_DELTA,),
     "OTHER": (),
 }
-_CLASS_PARTS = {
-    "K": frozenset(), "W1": frozenset({1}), "W2": frozenset({2}), "W3": frozenset({3}),
-    "W1W2": frozenset({1, 2}), "W1W3": frozenset({1, 3}), "W2W3": frozenset({2, 3}),
-    "W1W2W3": frozenset({1, 2, 3}), "OTHER": frozenset({0, 1, 2, 3}),
-}
 
 #: classes a strict operator can produce, by structure index
 ALLOWED_DETECTED = {
@@ -101,11 +98,6 @@ BLOCK_POINTS = 16
 
 class ClassifierError(ValueError):
     """Unknown condition, component or theorem id."""
-
-
-def class_leq(c1: str, c2: str) -> bool:
-    """Lattice order: K below everything, OTHER on top."""
-    return _CLASS_PARTS[c1] <= _CLASS_PARTS[c2]
 
 
 @dataclass(frozen=True)
@@ -257,21 +249,25 @@ class ClassReport:
                    "num_points", "num_arg_triples", "tol")
 
     @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(("detected",) + cls._CSV_CONFIG
-                        + ("strict", "possible_class_violation")
-                        + CONDITIONS)
+    def csv_header(cls) -> tuple[str, ...]:
+        return (("detected",) + cls._CSV_CONFIG
+                + ("strict", "possible_class_violation") + CONDITIONS)
 
-    def to_csv_row(self) -> str:
+    def csv_row(self) -> list[str]:
         cells = [self.detected]
         cells += [repr(self.config[k]) if isinstance(self.config[k], float)
                   else str(self.config[k]) for k in self._CSV_CONFIG]
         cells += [str(self.flags["strict"]), str(self.flags["possible_class_violation"])]
         cells += [repr(self.residuals[c]) for c in CONDITIONS]
-        return ",".join(cells)
+        return cells
 
     def to_csv(self) -> str:
-        return self.csv_header() + "\n" + self.to_csv_row() + "\n"
+        """Header and row; a cell holding a comma, quote or newline is quoted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.csv_header())
+        writer.writerow(self.csv_row())
+        return buf.getvalue()
 
 
 def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,

@@ -126,6 +126,8 @@ def _load_operator(args) -> tuple[object, str]:
             raise curvature.SchemaError(f"model {name!r} does not take --s")
         params = {"s": args.s} if needs_s else {}
         return curvature.model(name, **params), f"model:{name}"
+    if args.s is not None:
+        raise curvature.SchemaError("--s applies to --model only; the file fixes the operator")
     try:
         return curvature.read_json(args.input), f"file:{args.input}"
     except FileNotFoundError as exc:

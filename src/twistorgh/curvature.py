@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourdim import endo_of_two_vector, two_vector_of_endo, wedge_of_pair
+from .tensors import check_vertical
 
 #: symmetry tolerance, relative to max(1, max|entry|), so roundoff in large
 #: entries is not read as asymmetry
@@ -175,17 +176,12 @@ def coupling(mat, x, y, point, v, params) -> float:
     """H_t(R(x, y)J, V) = 2 <R(t1 (J1 V1)^ + t2 (J2 V2)^), x ^ y>.
 
     ``point`` carries j1/j2 (oriented complex structures), ``v`` the vertical
-    pair (v1, v2); verticality is enforced.
+    pair (v1, v2); ``tensors.check_vertical`` enforces verticality.
     """
     mat = check_operator(mat)
-    j1 = point.j1.matrix
-    j2 = point.j2.matrix
-    for jm, vm, label in ((j1, v.v1, "v1"), (j2, v.v2, "v2")):
-        err = float(np.max(np.abs(jm @ vm + vm @ jm)))
-        if err > 1e-10:
-            raise CurvatureError(f"vertical part {label} does not anticommute: {err:.3e}")
-    q = (params.t1 * two_vector_of_endo(j1 @ v.v1)
-         + params.t2 * two_vector_of_endo(j2 @ v.v2))
+    check_vertical(point, v)
+    q = (params.t1 * two_vector_of_endo(point.j1.matrix @ v.v1)
+         + params.t2 * two_vector_of_endo(point.j2.matrix @ v.v2))
     return 2.0 * float((mat @ q) @ wedge_of_pair(x, y))
 
 

@@ -5,9 +5,9 @@ g-orthogonal complex structures J (skew with J @ J = -Id), an embedded
 submanifold of the space so(g) of skew-symmetric endomorphisms.  This module
 implements the pointwise algebra of that picture: the trace metric
 G(a, b) = -1/2 trace(a b), the orthonormal S_ab basis of so(g), the adapted
-A/B tangent basis at a point J, the fibre Kaehler structure V -> J o V, the
-Levi-Civita derivative of tangent vector fields, and the isometry between
-so(g) and 2-vectors.
+A/B tangent basis at a point J, the fibre Kaehler structure V -> J o V and
+the Levi-Civita derivative of tangent vector fields.  The isometry between
+so(g) and 2-vectors is implemented for dimension four, in ``fourdim``.
 
 Coordinates are always orthonormal: g is the identity bilinear form in the
 stored coordinates, and dimensions other than multiples of two are rejected.
@@ -199,56 +199,6 @@ def fibre_levi_civita(field: FibreVectorField, x, j) -> np.ndarray:
     x = check_tangent(j, x)
     d = field.derivative(j, x)
     return 0.5 * (d + j @ d @ j)
-
-
-def project_to_fibre(a) -> np.ndarray:
-    """Retraction a -> a (-a^2)^(-1/2) of an invertible skew onto Z(T, g)."""
-    a = check_skew(a)
-    w, u = np.linalg.eigh(-(a @ a))
-    if np.min(w) <= 0.0:
-        raise FibreAlgebraError("retraction undefined: -a^2 is not positive definite")
-    return a @ ((u / np.sqrt(w)) @ u.T)
-
-
-# --- identification of so(g) with 2-vectors ---------------------------------
-#
-# a^ is the 2-vector with g(a^, x ^ y) = g(a x, y); on the lexicographic
-# orthonormal basis e_i ^ e_j (i < j) its coefficients are the entries a[j, i].
-# The map is a linear isometry for G and the induced 2-vector metric
-# g(x1^x2, x3^x4) = g(x1,x3) g(x2,x4) - g(x1,x4) g(x2,x3).
-
-def wedge_coefficients(a) -> np.ndarray:
-    a = _as_square(a)
-    iu = np.triu_indices(a.shape[0], 1)
-    return a.T[iu]
-
-
-def endo_from_wedge(coeffs, dim: int) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    iu = np.triu_indices(dim, 1)
-    if coeffs.shape != iu[0].shape:
-        raise FibreAlgebraError(
-            f"expected {iu[0].size} coefficients for dimension {dim}, got {coeffs.shape}")
-    m = np.zeros((dim, dim))
-    m[iu[1], iu[0]] = coeffs
-    m[iu] = -coeffs
-    return m
-
-
-def wedge_pair_coefficients(x, y) -> np.ndarray:
-    """Lexicographic coefficients of x ^ y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = np.outer(x, y) - np.outer(y, x)
-    iu = np.triu_indices(x.shape[0], 1)
-    return c[iu]
-
-
-def induced_wedge_map(q) -> np.ndarray:
-    """Matrix of Lambda^2 q on the lexicographic basis, e_i^e_j -> (q e_i)^(q e_j)."""
-    q = _as_square(q)
-    cols = [wedge_pair_coefficients(q[:, i], q[:, j]) for i, j in lex_pairs(q.shape[0])]
-    return np.column_stack(cols)
 
 
 # --- random elements (seeded helpers used by tests and the self-test) -------

@@ -9,10 +9,17 @@ All 6-component vectors use one fixed ordered basis
 
 built from the standard oriented orthonormal basis of R^4.  The first three
 components span the self-dual half (Hodge eigenvalue +1), the last three the
-anti-self-dual half.  Compatible complex structures inducing +/- the
-orientation correspond to the 2-vectors of norm sqrt2 lying in the matching
-half; their tangent (vertical) directions are the orthogonal complement of
-the structure inside that half.
+anti-self-dual half.
+
+A skew endomorphism a corresponds to the 2-vector a^ with
+g(a^, x^y) = g(a x, y).  The map so(g) -> Lambda^2 (``two_vector_of_endo``,
+inverse ``endo_of_two_vector``; ``wedge_of_pair`` gives x^y) is a linear
+isometry for the trace metric G of ``fibre`` and the 2-vector metric
+g(x1^x2, x3^x4) = g(x1,x3) g(x2,x4) - g(x1,x4) g(x2,x3).
+
+Compatible complex structures inducing +/- the orientation correspond to the
+2-vectors of norm sqrt2 lying in the matching half; their tangent (vertical)
+directions are the orthogonal complement of the structure inside that half.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ def two_vector_of_endo(a) -> np.ndarray:
 
 
 #: endomorphisms of the six s-basis two-vectors
-S_BASIS_ENDOS = np.stack([fibre.endo_from_wedge(LEX_TO_S[k], 4) for k in range(6)])
+S_BASIS_ENDOS = np.tensordot(LEX_TO_S, np.stack(fibre.make_S_basis(4)), 1)
 _S_ENDOS_FLAT = S_BASIS_ENDOS.reshape(6, 16)
 
 
@@ -179,11 +186,6 @@ def j_to_sphere(ocs: OrientedComplexStructure4) -> np.ndarray:
     return ocs.wedge / SQRT2
 
 
-def two_vector_map(q) -> np.ndarray:
-    """s-basis matrix of Lambda^2 q for an orthogonal q; swaps halves iff det q = -1."""
-    return LEX_TO_S @ fibre.induced_wedge_map(q) @ LEX_TO_S.T
-
-
 _EYE3 = np.eye(3)
 _ANTIPODE_ROT = np.diag([-1.0, 1.0, -1.0])
 
@@ -219,15 +221,3 @@ def vertical_basis(ocs: OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarr
     # columns 2 and 3 of the rotation, the images of s2 and s3
     pair = endo_of_two_vector(embed_half(rot.swapaxes(-1, -2)[..., 1:, :], ocs.sign))
     return pair[..., 0, :, :], pair[..., 1, :, :]
-
-
-def random_ocs(sign: int, rng) -> OrientedComplexStructure4:
-    u = rng.standard_normal(3)
-    u /= np.linalg.norm(u)
-    return sphere_to_J(embed_half(u, sign), sign)
-
-
-def random_vertical_endo(ocs: OrientedComplexStructure4, rng, scale: float = 1.0) -> np.ndarray:
-    u2, u3 = vertical_basis(ocs)
-    c = rng.standard_normal(2) * scale
-    return c[0] * u2 + c[1] * u3

@@ -110,12 +110,15 @@ def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
 
 def check_vertical(p: ProductTwistorPoint, v: VerticalVector,
                    tol: float = VERTICAL_TOL) -> VerticalVector:
+    """Each part skew and anticommuting with its structure, to ``tol`` times
+    max(1, max|part|), so roundoff in a large vector is not read as a defect."""
     for jm, vm, label in ((p.j1.matrix, v.v1, "v1"), (p.j2.matrix, v.v2, "v2")):
-        err = float(np.max(np.abs(vm + vm.T)))
-        if err > tol:
+        bound = tol * max(1.0, float(np.abs(vm).max()))
+        err = float(np.abs(vm + vm.T).max())
+        if err > bound:
             raise TangencyError(f"vertical part {label} is not skew: {err:.3e}")
-        err = float(np.max(np.abs(jm @ vm + vm @ jm)))
-        if err > tol:
+        err = float(np.abs(jm @ vm + vm @ jm).max())
+        if err > bound:
             raise TangencyError(
                 f"vertical part {label} does not anticommute with the structure: {err:.3e}")
     return v

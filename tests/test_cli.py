@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -47,6 +49,16 @@ class TestClassifyCommand:
         header, row, _tail = out.split("\n")
         assert header.startswith("detected,")
         assert row.startswith("W3,")
+
+    def test_csv_quotes_a_source_with_commas(self, capsys, tmp_path):
+        path = tmp_path / "a,b.json"
+        path.write_text(json.dumps({"matrix": np.eye(6).tolist()}))
+        code, out, _ = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                               "--n", "1", "--format", "csv", *FAST)
+        assert code == cli.EXIT_OK
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header)
+        assert row[header.index("source")] == f"file:{path}"
 
     def test_input_file_with_blocks(self, capsys, tmp_path):
         path = tmp_path / "op.json"
@@ -118,6 +130,15 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "--model", "flat", "--s", "3",
                                "--component", "++", "--n", "1")
         assert code == cli.EXIT_INPUT
+
+    def test_scalar_flag_with_input_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"matrix": np.eye(6).tolist()}))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--s", "5",
+                                 "--component", "++", "--n", "1", *FAST)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--s" in err
 
     def test_unknown_model(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--model", "bogus",

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from twistorgh import fibre, fourdim as fd
 
+from random_fourdim import random_ocs, random_vertical_endo
+
 RNG = np.random.default_rng(303)
 
 E = np.eye(4)
@@ -109,7 +111,7 @@ class TestSphereModel:
             assert_allclose(fd.j_to_sphere(fd.sphere_to_J(u6, sign)), u6, atol=1e-12)
 
     def test_wedge_norm_is_sqrt2(self):
-        j = fd.random_ocs(1, RNG)
+        j = random_ocs(1, RNG)
         assert np.linalg.norm(j.wedge) == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_non_unit_rejected(self):
@@ -167,7 +169,7 @@ class TestVerticalBasis:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_anticommute_and_orthonormal(self, sign):
         for _ in range(25):
-            j = fd.random_ocs(sign, RNG)
+            j = random_ocs(sign, RNG)
             u2, u3 = fd.vertical_basis(j)
             for v in (u2, u3):
                 assert np.max(np.abs(j.matrix @ v + v @ j.matrix)) < 1e-12
@@ -191,7 +193,7 @@ class TestVerticalBasis:
         assert_array_equal(b3[1], fd.endo_of_two_vector(fd.embed_half([0, 0, -1], sign)))
 
     def test_completes_oriented_triad(self):
-        j = fd.random_ocs(1, RNG)
+        j = random_ocs(1, RNG)
         u1 = fd.active_half(fd.j_to_sphere(j), 1)
         u2 = fd.active_half(fd.two_vector_of_endo(fd.vertical_basis(j)[0]), 1)
         u3 = fd.active_half(fd.two_vector_of_endo(fd.vertical_basis(j)[1]), 1)
@@ -203,8 +205,8 @@ class TestQuaternionRelations:
     def test_kaehler_image_is_cross_product(self, sign):
         # (K V)^ = (sign / sqrt2) (J^ x V^) for V vertical at J
         for _ in range(100):
-            j = fd.random_ocs(sign, RNG)
-            v = fd.random_vertical_endo(j, RNG)
+            j = random_ocs(sign, RNG)
+            v = random_vertical_endo(j, RNG)
             lhs = fd.two_vector_of_endo(j.matrix @ v)
             rhs = sign / np.sqrt(2) * fd.cross(j.wedge, fd.two_vector_of_endo(v), sign)
             assert_allclose(lhs, rhs, atol=1e-10)
@@ -224,12 +226,75 @@ class TestQuaternionRelations:
     def test_plus_wedges_with_structure_are_self_dual(self):
         # X ^ J1 Y + J1 X ^ Y and X ^ Y - J1 X ^ J1 Y for J1 in the plus half
         for _ in range(50):
-            j = fd.random_ocs(1, RNG).matrix
+            j = random_ocs(1, RNG).matrix
             x, y = RNG.standard_normal((2, 4))
             w1 = fd.wedge_of_pair(x, j @ y) + fd.wedge_of_pair(j @ x, y)
             w2 = fd.wedge_of_pair(x, y) - fd.wedge_of_pair(j @ x, j @ y)
             assert np.max(np.abs(fd.split_pm(w1)[1])) < 1e-12
             assert np.max(np.abs(fd.split_pm(w2)[1])) < 1e-12
+
+
+def induced_map(q):
+    """s-basis matrix of Lambda^2 q; column k is (q S_k q^T)^ for S_k = S_BASIS_ENDOS[k]."""
+    return fd.two_vector_of_endo(q @ fd.S_BASIS_ENDOS @ q.T).T
+
+
+def random_skew(rng):
+    m = rng.standard_normal((4, 4))
+    return 0.5 * (m - m.T)
+
+
+class TestWedgeIso:
+    def test_s12_is_e1_wedge_e2(self):
+        s12 = fibre.make_S_basis(4)[0]
+        assert_allclose(fd.two_vector_of_endo(s12), fd.wedge_of_pair(E[0], E[1]), atol=1e-15)
+
+    def test_zero(self):
+        assert_array_equal(fd.two_vector_of_endo(np.zeros((4, 4))), np.zeros(6))
+        assert_array_equal(fd.endo_of_two_vector(np.zeros(6)), np.zeros((4, 4)))
+
+    def test_round_trip(self):
+        for _ in range(10):
+            a = random_skew(RNG)
+            assert_allclose(fd.endo_of_two_vector(fd.two_vector_of_endo(a)), a, atol=1e-15)
+            v = RNG.standard_normal(6)
+            assert_allclose(fd.two_vector_of_endo(fd.endo_of_two_vector(v)), v, atol=1e-15)
+
+    def test_isometry(self):
+        for _ in range(50):
+            a, b = random_skew(RNG), random_skew(RNG)
+            norm_g = np.sqrt(fibre.inner_G(a, a))
+            assert abs(norm_g - np.linalg.norm(fd.two_vector_of_endo(a))) < 1e-12
+            pairing = float(fd.two_vector_of_endo(a) @ fd.two_vector_of_endo(b))
+            assert pairing == pytest.approx(fibre.inner_G(a, b), abs=1e-12)
+
+    def test_defining_pairing(self):
+        # g(a^, x ^ y) = g(a x, y)
+        for _ in range(20):
+            a = random_skew(RNG)
+            x, y = RNG.standard_normal((2, 4))
+            lhs = float(fd.two_vector_of_endo(a) @ fd.wedge_of_pair(x, y))
+            assert lhs == pytest.approx(float((a @ x) @ y), abs=1e-12)
+
+    def test_equivariance(self):
+        # (q a q^T)^ = Lambda^2 q a^, with Lambda^2 q (x ^ y) = q x ^ q y
+        for _ in range(20):
+            q = fibre.random_orthogonal(4, RNG)
+            lam = induced_map(q)
+            x, y = RNG.standard_normal((2, 4))
+            assert_allclose(lam @ fd.wedge_of_pair(x, y), fd.wedge_of_pair(q @ x, q @ y),
+                            atol=1e-12)
+            a = random_skew(RNG)
+            assert_allclose(fd.two_vector_of_endo(q @ a @ q.T),
+                            lam @ fd.two_vector_of_endo(a), atol=1e-10)
+
+    def test_two_vector_metric_on_decomposables(self):
+        # g(x1^x2, x3^x4) = g(x1,x3) g(x2,x4) - g(x1,x4) g(x2,x3)
+        for _ in range(50):
+            x1, x2, x3, x4 = RNG.standard_normal((4, 4))
+            lhs = float(fd.wedge_of_pair(x1, x2) @ fd.wedge_of_pair(x3, x4))
+            rhs = (x1 @ x3) * (x2 @ x4) - (x1 @ x4) * (x2 @ x3)
+            assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestInducedMap:
@@ -238,7 +303,7 @@ class TestInducedMap:
     def test_orthogonal_and_half_behaviour(self, seed):
         rng = np.random.default_rng(seed)
         q = fibre.random_orthogonal(4, rng)
-        m = fd.two_vector_map(q)
+        m = induced_map(q)
         assert_allclose(m @ m.T, np.eye(6), atol=1e-12)
         on_plus = m @ np.concatenate([rng.standard_normal(3), np.zeros(3)])
         if np.linalg.det(q) > 0:

@@ -6,6 +6,8 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
+from random_fourdim import random_ocs, random_vertical_endo
+
 RNG = np.random.default_rng(505)
 E = np.eye(4)
 
@@ -13,7 +15,7 @@ E = np.eye(4)
 def point(component="++", rng=RNG):
     s1 = 1 if component[0] == "+" else -1
     s2 = 1 if component[1] == "+" else -1
-    return tn.ProductTwistorPoint(fd.random_ocs(s1, rng), fd.random_ocs(s2, rng))
+    return tn.ProductTwistorPoint(random_ocs(s1, rng), random_ocs(s2, rng))
 
 
 def random_args(p, params, k=3, rng=RNG):
@@ -81,6 +83,29 @@ class TestMetric:
         with pytest.raises(tn.TangencyError, match="anticommute"):
             tn.metric_Ht(p, bad, bad, tn.Params(1.0, 1.0, 1))
 
+    def test_large_vertical_vector_is_accepted(self):
+        # roundoff in J V + V J grows with |V|; at |V| ~ 1e7 it exceeds 1e-10
+        rng = np.random.default_rng(17)
+        p = point("+-", rng)
+        v1 = random_vertical_endo(p.j1, rng)
+        v2 = random_vertical_endo(p.j2, rng)
+        x, y = (tn.gtangent(horizontal=h) for h in rng.standard_normal((2, 4)))
+        params = tn.Params(0.9, 1.4, 3)
+        rmat = cur.model("constant_curvature", s=12.0)
+        unit = tn.cov_deriv_omega(p, rmat, params, tn.gtangent(v1=v1, v2=v2), x, y)
+        big = tn.cov_deriv_omega(p, rmat, params, tn.gtangent(v1=1e7 * v1, v2=1e7 * v2), x, y)
+        assert big == pytest.approx(1e7 * unit, rel=1e-9)
+
+    def test_relative_defect_is_rejected(self):
+        # a part of 1e-6 of max|V| that commutes with J1 is not roundoff
+        rng = np.random.default_rng(17)
+        p = point("+-", rng)
+        v1 = random_vertical_endo(p.j1, rng, scale=1e7)
+        bad = tn.gtangent(v1=v1 + 1e-6 * np.abs(v1).max() * p.j1.matrix)
+        x = tn.gtangent(horizontal=rng.standard_normal(4))
+        with pytest.raises(tn.TangencyError, match="anticommute"):
+            tn.cov_deriv_omega(p, cur.model("flat"), tn.Params(1.0, 1.0, 1), bad, x, x)
+
 
 class TestAlmostComplexStructures:
     def test_horizontal_action(self):
@@ -92,8 +117,8 @@ class TestAlmostComplexStructures:
 
     def test_vertical_sign_table_n3(self):
         p = point()
-        v1 = fd.random_vertical_endo(p.j1, RNG)
-        v2 = fd.random_vertical_endo(p.j2, RNG)
+        v1 = random_vertical_endo(p.j1, RNG)
+        v2 = random_vertical_endo(p.j2, RNG)
         out = tn.acs(p, tn.gtangent(v1=v1, v2=v2), tn.Params(1.0, 1.0, 3))
         assert_allclose(out.vertical.v1, -(p.j1.matrix @ v1))
         assert_allclose(out.vertical.v2, p.j2.matrix @ v2)
@@ -134,8 +159,8 @@ class TestFundamentalForm:
 
     def test_vertical_pair_n1(self):
         p = point()
-        v1 = fd.random_vertical_endo(p.j1, RNG)
-        w1 = fd.random_vertical_endo(p.j1, RNG)
+        v1 = random_vertical_endo(p.j1, RNG)
+        w1 = random_vertical_endo(p.j1, RNG)
         params = tn.Params(1.0, 1.0, 1)
         val = tn.omega(p, tn.gtangent(v1=v1), tn.gtangent(v1=w1), params)
         assert val == pytest.approx(fibre.inner_G(p.j1.matrix @ v1, w1), abs=1e-12)
@@ -164,7 +189,7 @@ class TestCovariantDerivative:
         p = point("+-")
         rmat = np.eye(6)
         t1, t2 = 0.9, 1.7
-        v2 = fd.random_vertical_endo(p.j2, RNG)
+        v2 = random_vertical_endo(p.j2, RNG)
         v = tn.gtangent(v2=v2)
         z = tn.gtangent(horizontal=RNG.standard_normal(4))
         x = tn.gtangent(horizontal=RNG.standard_normal(4))
@@ -186,8 +211,8 @@ class TestCovariantDerivative:
         p = point("+-")
         params = tn.Params(0.6, 0.9, 2)
         rmat = cur.random_strict_operator(RNG)
-        w = tn.gtangent(v1=fd.random_vertical_endo(p.j1, RNG))
-        u = tn.gtangent(v2=fd.random_vertical_endo(p.j2, RNG))
+        w = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
+        u = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
         x = tn.gtangent(horizontal=RNG.standard_normal(4))
         assert tn.cov_deriv_omega(p, rmat, params, w, x, u) == 0.0
         assert tn.cov_deriv_omega(p, rmat, params, x, u, w) == 0.0
@@ -252,7 +277,7 @@ class TestCodifferential:
     def test_constant_curvature_kills_first_factor_verticals(self):
         # (J1 V1)^ is again vertical at J1, hence orthogonal to J1^
         p = point()
-        v = tn.gtangent(v1=fd.random_vertical_endo(p.j1, RNG))
+        v = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
         params = tn.Params(1.7, 1.0, 1)
         val = tn.codiff_omega(p, np.eye(6), params, v)
         assert val == pytest.approx(0.0, abs=1e-12)
@@ -289,10 +314,10 @@ class TestNijenhuis:
         p = point()
         params = tn.Params(0.8, 1.5, 4)
         rmat = cur.random_strict_operator(RNG)
-        v = tn.gtangent(v1=fd.random_vertical_endo(p.j1, RNG))
-        w = tn.gtangent(v2=fd.random_vertical_endo(p.j2, RNG))
+        v = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
+        w = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
         c = tn.gtangent(horizontal=RNG.standard_normal(4),
-                        v1=fd.random_vertical_endo(p.j1, RNG))
+                        v1=random_vertical_endo(p.j1, RNG))
         assert production("N", p, rmat, params, v, w, c) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_pairing_matrix_oracle(self):
@@ -366,14 +391,14 @@ class TestRestriction:
         rmat = cur.random_strict_operator(rng)
         for _ in range(10):
             args = [tn.gtangent(rng.standard_normal(4),
-                                fd.random_vertical_endo(p.j1, rng)) for _ in range(3)]
+                                random_vertical_endo(p.j1, rng)) for _ in range(3)]
             res = tn.restriction_residuals(p, rmat, params, *args)
             assert max(res.values()) < 1e-12
 
     def test_second_factor_rejected(self):
         p = point()
         params = tn.Params(1.0, 1.0, 1)
-        bad = tn.gtangent(v2=fd.random_vertical_endo(p.j2, RNG))
+        bad = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
         ok = tn.gtangent(horizontal=E[0])
         with pytest.raises(tn.TangencyError, match="second-factor"):
             tn.restriction_residuals(p, np.eye(6), params, bad, ok, ok)
