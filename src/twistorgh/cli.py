@@ -35,8 +35,6 @@ def _add_sampling_args(p: argparse.ArgumentParser) -> None:
                    help="number of sampled points (default 64)")
     p.add_argument("--triples", type=int, default=32,
                    help="argument triples per point (default 32)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="residual threshold (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--t1", type=float, default=1.0)
     p_cls.add_argument("--t2", type=float, default=1.0)
     _add_sampling_args(p_cls)
+    p_cls.add_argument("--tol", type=float, default=1e-9, help="residual threshold (default 1e-9)")
     p_cls.add_argument("--format", choices=["json", "csv"], default="json")
     p_cls.add_argument("--output", help="write the report here instead of stdout")
 
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p_ver.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true", help="run every statement")
     which.add_argument("--id", help="run one statement, e.g. 4.6b")
-    _add_sampling_args(p_ver)
+    _add_sampling_args(p_ver)  # no --tol: the suite has its own fixed bounds
     p_ver.add_argument("--output", help="write the JSON report here")
 
     p_self = sub.add_parser("selftest", help="run the internal-consistency oracles")
@@ -76,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sampling_config(args) -> classifier.SamplingConfig:
-    return classifier.SamplingConfig(seed=args.seed, num_points=args.samples,
-                                     num_arg_triples=args.triples, tol=args.tol)
+    return classifier.SamplingConfig(args.seed, args.samples, args.triples,
+                                     getattr(args, "tol", classifier.SamplingConfig.tol))
 
 
 def _fail(exc, code: int) -> int:

@@ -20,14 +20,15 @@ symmetric 6x6 curvature operator R acting on two-vectors:
     (D_W Omega)(X^h, V) = (D_{Z^h} Omega)(U, V) = (D_W Omega)(U, V) = 0,
 
 with p(V) = sigma(n) t1 V1^ + t2 V2^, q(V) = t1 (J1 V1)^ + t2 (J2 V2)^ and
-sigma = +1 for n in {1, 4}, -1 for n in {2, 3}.  ``frame_tensor`` gives
-D Omega and Jn in an H_t-orthonormal frame; the classifier derives d Omega,
-delta Omega and the Nijenhuis pairing from it.  Closed forms of these three,
-independent of that route, are the oracles ``selftest`` compares it with:
-``ext_deriv_omega``, ``codiff_omega`` and ``nijenhuis_closed_form``, which
-writes its signs out from n instead of taking EPS and SIGMA, so a corrupted
-sign table is caught.  The single-fibre restrictions (arguments with
-vanishing second factor) are re-derived by a standalone code path.
+sigma = +1 for n in {1, 4}, -1 for n in {2, 3}.  ``frame_tensor`` builds
+D Omega and Jn in an H_t-orthonormal frame in closed form from their nonzero
+blocks, with ``cov_deriv_omega`` (the general kernel ``_dcov``) as the tests'
+oracle; the classifier derives d Omega, delta Omega and the Nijenhuis pairing
+from it.  Closed forms of these three, independent of that route, are the
+oracles ``selftest`` compares it with: ``ext_deriv_omega``, ``codiff_omega``
+and ``nijenhuis_closed_form``, which writes its signs out from n instead of
+taking EPS and SIGMA, so a corrupted sign table is caught.  The single-fibre
+restrictions (arguments with vanishing second factor) have their own code path.
 """
 
 from __future__ import annotations
@@ -174,8 +175,7 @@ class _ArgView:
     ``rpe``/``rqe`` are the endomorphisms of R p(V) and R q(V), so pairings
     <R p(V), u ^ v> reduce to v . (rpe @ u) without forming wedge vectors.
     The argument may be stacked along leading axes; every field then carries
-    them, and indexing a view indexes them.  A stacked point broadcasts
-    against the trailing ones of those axes.
+    them, and a stacked point broadcasts against the trailing ones.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -193,12 +193,6 @@ class _ArgView:
         self.rq = q6 @ rmat_t
         self.rpe = endo_of_two_vector(p6 @ rmat_t)
         self.rqe = endo_of_two_vector(self.rq)
-
-    def __getitem__(self, idx) -> "_ArgView":
-        out = _ArgView.__new__(_ArgView)
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name)[idx])
-        return out
 
 
 def _pair(x, m, y):
@@ -282,16 +276,30 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     for A = sum_a x[a] E_a the coefficients of Jn A are M @ x.  ``rmat`` is a
     6x6 array already validated by the caller.  A stacked point gives T and
     M with its leading axes in front, one (8, 8, 8) and (8, 8) per point.
+
+    The nonzero blocks, with V1_k, rpe_k, rqe_k from the ``_ArgView`` of E_{4+k},
+    a, b, c < 4, (k1, k2) = KSIGNS[n] and s1, s2 the orientation signs:
+
+        T[4+k, b, c] = (V1_k - J1^T rqe_k - rqe_k J1)[c, b]
+        T[a, b, 4+k] = ((-1)^n rpe_k + J1^T rqe_k)[b, a] = -T[a, 4+k, b]
+        M = blockdiag(J1, -k1 s1 J_std, -k2 s2 J_std),  J_std = [[0, 1], [-1, 0]]
     """
+    j1 = p.j1.matrix
     e = frame_at_point(p, params)
-    ev = _ArgView(p, rmat, params, e)
-    t = _dcov(params, ev[:, None, None], ev[None, :, None], ev[None, None, :])
-    je = _acs_unchecked(p, params, e)
-    # H_t in the frame; G(V, W) = -1/2 trace(V W)
-    m = (np.einsum("b...i,a...i->...ba", e.horizontal, je.horizontal)
-         - 0.5 * params.t1 * np.einsum("b...ij,a...ji->...ba", e.vertical.v1, je.vertical.v1)
-         - 0.5 * params.t2 * np.einsum("b...ij,a...ji->...ba", e.vertical.v2, je.vertical.v2))
-    return np.ascontiguousarray(np.moveaxis(t, (0, 1, 2), (-3, -2, -1))), m
+    ev = _ArgView(p, rmat, params,
+                  GTangent(e.horizontal[4:], VerticalVector(e.vertical.v1[4:], e.vertical.v2[4:])))
+    jrq = np.swapaxes(j1, -1, -2) @ ev.rqe
+    vhh = ev.V1 - (jrq + ev.rqe @ j1)  # [k, ..., c, b]
+    hhv = EPS[params.n] * ev.rpe + jrq  # [k, ..., b, a]
+    t = np.zeros(j1.shape[:-2] + (8, 8, 8))
+    t[..., 4:, :4, :4] = np.moveaxis(vhh, 0, -3).swapaxes(-1, -2)
+    t[..., :4, :4, 4:] = np.moveaxis(hhv, 0, -1).swapaxes(-3, -2)
+    t[..., :4, 4:, :4] = -np.swapaxes(t[..., :4, :4, 4:], -1, -2)
+    k1, k2 = KSIGNS[params.n]
+    m = np.zeros(j1.shape[:-2] + (8, 8))
+    m[..., :4, :4] = j1
+    m[..., 4:, 4:] = np.kron(np.diag([-k1 * p.j1.sign, -k2 * p.j2.sign]), [[0, 1], [-1, 0]])
+    return t, m
 
 
 def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,

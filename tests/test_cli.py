@@ -216,12 +216,21 @@ class TestVerifyCommand:
         assert any(c["require"] == "<=" for c in checks)
 
     @pytest.mark.parametrize("argv", [["--id", "4.2a", "--samples", "0"],
-                                      ["--all", "--tol", "-1"]])
+                                      ["--all", "--triples", "0"]])
     def test_bad_sampling_arguments_exit_3(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_tol_is_a_usage_error(self, capsys):
+        # the suite checks fixed bounds, so a --tol would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--all", "--tol", "1e-3"])
+        assert exc.value.code == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "verify.json"

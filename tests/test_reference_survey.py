@@ -1,0 +1,46 @@
+"""Every row of the benchmark's reference survey gets its recorded class and residuals.
+
+The rows of ``perfbench/reference.json`` cover the eight survey kinds on all
+four components; the operators are built and the residuals compared exactly
+as the benchmark's classify-survey workload does, with its ``build_operator``
+and ``RES_TOL``.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from twistorgh import classifier as cl
+from twistorgh import curvature as cur
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_reference_row_keeps_its_class_and_residuals():
+    workloads = _workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    rows = reference["classify"]["rows"]
+    assert len(rows) == 256
+    bad = []
+    for row in rows:
+        # the operator as the CLI reads it back from the survey's input file
+        rmat = cur.from_json_dict(cur.to_json_dict(workloads.build_operator(cur, row)))
+        report = cl.classify(rmat, row["component"], (row["t1"], row["t2"]), row["n"],
+                             cl.SamplingConfig(seed=row["seed"]))
+        if report.detected != row["detected"]:
+            bad.append(f"row {row['id']}: class {report.detected} != {row['detected']}")
+        for cond, ref in row["residuals"].items():
+            got = report.residuals[cond]
+            if not abs(got - ref) <= workloads.RES_TOL * max(1.0, abs(ref)):
+                bad.append(f"row {row['id']}: {cond} = {got!r} != {ref!r}")
+    assert bad == [], "\n".join(bad[:20])

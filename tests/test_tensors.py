@@ -219,6 +219,57 @@ class TestCovariantDerivative:
         assert tn.cov_deriv_omega(p, rmat, params, w, u, w) == 0.0
 
 
+#: the entries of T that can be nonzero: T[v, h, h], T[h, h, v] and T[h, v, h]
+NONZERO_BLOCKS = np.zeros((8, 8, 8), dtype=bool)
+NONZERO_BLOCKS[4:, :4, :4] = NONZERO_BLOCKS[:4, :4, 4:] = NONZERO_BLOCKS[:4, 4:, :4] = True
+
+
+class TestFrameTensor:
+    """The block-built T and closed-form M: exact zeros outside the blocks, and
+    equal to the general evaluators entry by entry."""
+
+    @staticmethod
+    def block_rows(rng):
+        # u1 = +e1 and u1 = -e1 take both pole branches of the frame rotation,
+        # as do u2 = -e1 and u2 = +e1; the last row is a generic point
+        rows = rng.standard_normal((3, 6))
+        rows[0] = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
+        rows[1] = [-1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        return rows
+
+    @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_public_evaluators(self, component, n):
+        rng = np.random.default_rng(700 + n)
+        rows = self.block_rows(rng)
+        params = tn.Params(0.7, 1.6, n)
+        rmat = cur.random_strict_operator(rng)
+        T, M = tn.frame_tensor(cl._points(rows, component), rmat, params)
+        assert T.shape == (3, 8, 8, 8) and M.shape == (3, 8, 8)
+        assert np.all(T[:, ~NONZERO_BLOCKS] == 0.0)
+        assert np.array_equal(T[:, :4, 4:, :4], -np.swapaxes(T[:, :4, :4, 4:], -1, -2))
+        bound = 1e-13 * np.abs(T).max()
+        for i, row in enumerate(rows):
+            p = cl._points(row, component)
+            frame = [tn.frame_combination(tn.frame_at_point(p, params), x) for x in np.eye(8)]
+            ref = np.array([[[tn.cov_deriv_omega(p, rmat, params, ea, eb, ec)
+                              for ec in frame] for eb in frame] for ea in frame])
+            assert np.abs(T[i] - ref).max() <= bound
+            ref_m = np.array([[tn.metric_Ht(p, eb, tn.acs(p, ea, params), params)
+                               for ea in frame] for eb in frame])
+            assert np.abs(M[i] - ref_m).max() <= 1e-13
+
+    def test_corrupted_sign_table_moves_T(self):
+        rng = np.random.default_rng(900)
+        p = cl._points(self.block_rows(rng), "+-")
+        rmat = cur.random_strict_operator(rng)
+        params = tn.Params(0.8, 1.2, 3)
+        intact, _ = tn.frame_tensor(p, rmat, params)
+        with tn._corrupted_sign_table():
+            corrupted, _ = tn.frame_tensor(p, rmat, params)
+        assert np.abs(corrupted - intact).max() > 1e-3
+
+
 class TestExteriorDerivative:
     def test_all_horizontal_vanishes(self):
         p = point()
