@@ -45,15 +45,18 @@ def _sym_bound(m: np.ndarray) -> float:
     return SYM_TOL * max(1.0, float(np.abs(m).max()))
 
 
-def check_operator(mat) -> np.ndarray:
+def check_operator(mat, stacked: bool = False) -> np.ndarray:
+    """One operator, or with ``stacked`` operators along leading axes, each
+    checked against its own magnitude."""
     mat = np.asarray(mat, dtype=float)
-    if mat.shape != (6, 6):
+    if mat.shape[-2:] != (6, 6) or (mat.ndim != 2 and not stacked):
         raise CurvatureError(f"curvature operator must be 6x6, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise CurvatureError("curvature operator has non-finite entries")
-    err = float(np.max(np.abs(mat - mat.T)))
-    if err > _sym_bound(mat):
-        raise CurvatureError(f"curvature operator is not symmetric: max|R - R^T| = {err:.3e}")
+    err = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
+    if (err > SYM_TOL * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))).any():
+        raise CurvatureError(
+            f"curvature operator is not symmetric: max|R - R^T| = {np.max(err):.3e}")
     return mat
 
 
@@ -167,9 +170,10 @@ def model(name: str, **params) -> np.ndarray:
 # --- coupling with twistor data ----------------------------------------------
 
 def curvature_endo(mat, x, y) -> np.ndarray:
-    """The skew endomorphism r with g(r z, t) = <R(x ^ y), z ^ t>."""
-    mat = check_operator(mat)
-    return endo_of_two_vector(mat @ wedge_of_pair(x, y))
+    """The skew endomorphism r with g(r z, t) = <R(x ^ y), z ^ t>; operators
+    (..., 6, 6) and vectors stacked along leading axes broadcast."""
+    mat = check_operator(mat, stacked=True)
+    return endo_of_two_vector((mat @ wedge_of_pair(x, y)[..., None])[..., 0])
 
 
 def coupling(mat, x, y, point, v, params) -> float:

@@ -40,13 +40,6 @@ def _as_squares(a) -> np.ndarray:
     return a
 
 
-def _as_square(a) -> np.ndarray:
-    a = _as_squares(a)
-    if a.ndim != 2:
-        raise FibreAlgebraError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def check_even_dim(dim: int) -> int:
     if dim < 2 or dim % 2:
         raise FibreAlgebraError(f"dimension must be even and >= 2, got {dim}")
@@ -82,12 +75,13 @@ def check_tangent(j, v, tol: float = STRUCT_TOL) -> np.ndarray:
 
 
 def inner_G(a, b) -> float:
-    """Trace metric G(a, b) = -1/2 trace(a b); positive definite on skews."""
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
+    """Trace metric G(a, b) = -1/2 trace(a b); positive definite on skews.
+    Stacks of matrices along leading axes broadcast."""
+    a = _as_squares(a)
+    b = _as_squares(b)
+    if a.shape[-1] != b.shape[-1]:
         raise FibreAlgebraError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return -0.5 * float(np.einsum("ij,ji->", a, b))
+    return -0.5 * np.einsum("...ij,...ji->...", a, b)[()]
 
 
 def lex_pairs(dim: int) -> list[tuple[int, int]]:

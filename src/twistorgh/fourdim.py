@@ -60,11 +60,10 @@ class FourDimError(ValueError):
 
 
 def wedge_of_pair(x, y) -> np.ndarray:
-    """s-basis coefficients of x ^ y for x, y in R^4."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = np.outer(x, y) - np.outer(y, x)
-    return LEX_TO_S @ c[_IU4]
+    """s-basis coefficients of x ^ y for x, y in R^4; leading axes broadcast."""
+    c = np.asarray(x, dtype=float)[..., :, None] * np.asarray(y, dtype=float)[..., None, :]
+    c = c - np.swapaxes(c, -1, -2)
+    return c[..., _IU4[0], _IU4[1]] @ _S_TO_LEX
 
 
 def two_vector_of_endo(a) -> np.ndarray:

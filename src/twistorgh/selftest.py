@@ -19,10 +19,12 @@ H_t-orthonormal frame.
     fibre-kaehler-parallel        D(K Y) = K(D Y) on the fibre under
                                   central-difference field derivatives
 
-Failures report the worst-offending configuration, reproducible from the
-seed.  The ``corrupt_sign_table`` hook flips the sign table used by the
-derivative evaluators and the frame tensor; the Nijenhuis closed form does
-not use that table, so the nijenhuis-identity check must catch it.
+Each trial draws its configuration in turn; blocks of 64 trials are then
+evaluated stacked, one call per group of equal n = 1 + i % 4 in the tensor
+oracles.  Failures, NaN residuals included, name the worst trial, reproducible
+from the seed.  The ``corrupt_sign_table`` hook flips the sign table of the
+derivative evaluators and the frame tensor; the Nijenhuis closed form does not
+use it, so the nijenhuis-identity check must catch it.
 """
 
 from __future__ import annotations
@@ -68,16 +70,23 @@ class OracleResult:
                 f"tol={self.tol:.0e} trials={self.trials} worst={self.worst}")
 
 
-def _random_config(rng, i: int):
-    component = ("++", "+-")[i % 2]
-    n = 1 + (i % 4)
-    params = Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
-    rmat = curvature.random_strict_operator(rng)
-    p = classifier.sample_point(rng, component)
-    frame = tensors.frame_at_point(p, params)
-    coeffs = rng.standard_normal((3, 8))
-    args = [tensors.frame_combination(frame, x) for x in coeffs]
-    return component, params, rmat, p, args, coeffs
+#: trials per block, four groups of ``classifier.BLOCK_POINTS``
+_BLOCK_TRIALS = 4 * classifier.BLOCK_POINTS
+
+
+def _random_configs(rng, count: int):
+    """(t1, t2, rmat, rows, coeffs) of ``count`` consecutive trials, stacked along
+    one trial axis.  Each trial draws in turn the weights, the operator, the six
+    normals of its point (as ``classifier.sample_point``) and the (3, 8) frame
+    coefficients of its arguments."""
+    draws = [(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), curvature.random_strict_operator(rng),
+              rng.standard_normal(6), rng.standard_normal((3, 8))) for _ in range(count)]
+    return tuple(np.array(x) for x in zip(*draws))
+
+
+def _worse(res, worst_val) -> bool:
+    """A NaN is worse than any number, and the first NaN stays the worst."""
+    return bool(res > worst_val or (np.isnan(res) and not np.isnan(worst_val)))
 
 
 _ORACLE_STREAM = {
@@ -95,24 +104,38 @@ _IDENTITIES = {
 }
 
 
+def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarray:
+    """Residuals of trials of one structure index n, evaluated stacked."""
+    params = Params(t1, t2, n)
+    p = classifier._points(rows, ("++", "+-")[(n - 1) % 2])
+    frame = tensors.frame_at_point(p, params)
+    args = [tensors.frame_combination(frame, coeffs[:, s]) for s in range(3)]
+    if kind == "restriction":
+        first = [tensors.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
+                 for g in args]
+        return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
+    cond, closed_form, slots = _IDENTITIES[kind]
+    # the classifier's route: the frame tensor contracted by the condition
+    value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
+                                        coeffs[:, None], (cond,))[cond][:, 0]
+    res = np.abs(closed_form(p, rmat, params, *args[:slots]) - value)
+    # the frame is H_t-orthonormal, so coefficient norms are H_t norms
+    return res / (1.0 + np.prod(np.linalg.norm(coeffs[:, :slots], axis=-1), axis=-1))
+
+
 def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
     rng = np.random.default_rng([seed, _ORACLE_STREAM[kind]])
     worst_val, worst = 0.0, {}
-    for i in range(trials):
-        component, params, rmat, p, args, coeffs = _random_config(rng, i)
-        if kind == "restriction":
-            first = [tensors.gtangent(g.horizontal, g.vertical.v1) for g in args]
-            res = max(tensors.restriction_residuals(p, rmat, params, *first).values())
-        else:
-            cond, closed_form, slots = _IDENTITIES[kind]
-            # the classifier's route: the frame tensor contracted by the condition
-            value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
-                                                coeffs[None], (cond,))[cond][0]
-            res = abs(closed_form(p, rmat, params, *args[:slots]) - value)
-            # the frame is H_t-orthonormal, so coefficient norms are H_t norms
-            res /= 1.0 + np.prod(np.linalg.norm(coeffs[:slots], axis=1))
-        if res > worst_val:
-            worst_val, worst = res, {"trial": i, "component": component, "n": params.n}
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = _random_configs(rng, min(_BLOCK_TRIALS, trials - start))
+        res = np.empty(len(block[0]))
+        for g in range(min(4, len(res))):  # start is a multiple of 4, so n = 1 + g
+            res[g::4] = _group_residuals(kind, 1 + g, *(x[g::4] for x in block))
+        j = int(np.argmax(res))  # the first NaN, else the first maximum
+        if _worse(res[j], worst_val):
+            i = start + j
+            worst_val, worst = float(res[j]), {"trial": i, "component": ("++", "+-")[i % 2],
+                                               "n": 1 + i % 4}
     tol = ORACLE_TOLS[kind]
     return OracleResult(kind, worst_val, tol, trials, worst_val <= tol, worst)
 
@@ -120,22 +143,21 @@ def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
 def _curvature_commutator(seed: int, trials: int) -> OracleResult:
     rng = np.random.default_rng([seed, 5])
     worst_val, worst = 0.0, {}
-    for i in range(trials):
-        m = rng.standard_normal((6, 6))
-        rmat = 0.5 * (m + m.T)
-        a = rng.standard_normal((4, 4))
-        a = 0.5 * (a - a.T)
-        b = rng.standard_normal((4, 4))
-        b = 0.5 * (b - b.T)
-        x = rng.standard_normal(4)
-        y = rng.standard_normal(4)
+    for start in range(0, trials, _BLOCK_TRIALS):
+        # a trial draws m (6, 6), a, b (4, 4), x and y: one row of 76 normals
+        m, q, x, y = np.split(rng.standard_normal((min(_BLOCK_TRIALS, trials - start), 76)),
+                              [36, 68, 72], axis=1)
+        m, q = m.reshape(-1, 6, 6), q.reshape(-1, 2, 4, 4)
+        rmat = 0.5 * (m + np.swapaxes(m, -1, -2))
+        a, b = np.moveaxis(0.5 * (q - np.swapaxes(q, -1, -2)), 1, 0)
         r = curvature.curvature_endo(rmat, x, y)
         lhs = fibre.inner_G(r @ a - a @ r, b)
         bracket = tensors.two_vector_of_endo(a @ b - b @ a)
-        rhs = float((rmat @ bracket) @ tensors.wedge_of_pair(x, y))
-        res = abs(lhs - rhs) / (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
-        if res > worst_val:
-            worst_val, worst = res, {"trial": i}
+        rhs = np.einsum("...ij,...j,...i->...", rmat, bracket, tensors.wedge_of_pair(x, y))
+        res = np.abs(lhs - rhs) / (1.0 + np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1))
+        j = int(np.argmax(res))  # the first NaN, else the first maximum
+        if _worse(res[j], worst_val):
+            worst_val, worst = float(res[j]), {"trial": start + j}
     tol = ORACLE_TOLS["curvature-commutator"]
     return OracleResult("curvature-commutator", worst_val, tol, trials, worst_val <= tol, worst)
 
@@ -153,7 +175,7 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
         lhs = fibre.fibre_levi_civita(k_field, x, j)
         rhs = j @ fibre.fibre_levi_civita(field, x, j)
         res = float(np.max(np.abs(lhs - rhs)))
-        if res > worst_val:
+        if _worse(res, worst_val):
             worst_val, worst = res, {"trial": i, "dim": dim}
     tol = ORACLE_TOLS["fibre-kaehler-parallel"]
     return OracleResult("fibre-kaehler-parallel", worst_val, tol, trials, worst_val <= tol, worst)

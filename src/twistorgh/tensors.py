@@ -65,14 +65,16 @@ class TangencyError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """Metric weights (t1, t2) and structure index n."""
+    """Metric weights (t1, t2) and structure index n; the weights may be arrays
+    with the leading axes of a stacked point, one pair per point."""
 
     t1: float
     t2: float
     n: int
 
     def __post_init__(self):
-        if not (0.0 < self.t1 < np.inf and 0.0 < self.t2 < np.inf):
+        t = np.array((self.t1, self.t2))
+        if not ((0.0 < t) & (t < np.inf)).all():
             raise ValueError(f"t1, t2 must be positive and finite, got ({self.t1}, {self.t2})")
         if self.n not in (1, 2, 3, 4):
             raise ValueError(f"n must be in 1..4, got {self.n}")
@@ -112,21 +114,23 @@ def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
 def check_vertical(p: ProductTwistorPoint, v: VerticalVector,
                    tol: float = VERTICAL_TOL) -> VerticalVector:
     """Each part skew and anticommuting with its structure, to ``tol`` times
-    max(1, max|part|), so roundoff in a large vector is not read as a defect."""
+    max(1, max|part|), so roundoff in a large vector is not read as a defect.
+    A stacked vector is checked part by part, each against its own magnitude."""
     for jm, vm, label in ((p.j1.matrix, v.v1, "v1"), (p.j2.matrix, v.v2, "v2")):
-        bound = tol * max(1.0, float(np.abs(vm).max()))
-        err = float(np.abs(vm + vm.T).max())
-        if err > bound:
-            raise TangencyError(f"vertical part {label} is not skew: {err:.3e}")
-        err = float(np.abs(jm @ vm + vm @ jm).max())
-        if err > bound:
+        vm = np.asarray(vm, dtype=float)
+        bound = tol * np.maximum(1.0, np.abs(vm).max(axis=(-2, -1)))
+        err = np.abs(vm + np.swapaxes(vm, -1, -2)).max(axis=(-2, -1))
+        if (err > bound).any():
+            raise TangencyError(f"vertical part {label} is not skew: {np.max(err):.3e}")
+        err = np.abs(jm @ vm + vm @ jm).max(axis=(-2, -1))
+        if (err > bound).any():
             raise TangencyError(
-                f"vertical part {label} does not anticommute with the structure: {err:.3e}")
+                f"vertical part {label} does not anticommute with the structure: {np.max(err):.3e}")
     return v
 
 
 def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
-    if np.asarray(a.horizontal).shape != (4,):
+    if np.shape(a.horizontal)[-1:] != (4,):
         raise TangencyError("horizontal part must be a 4-vector")
     check_vertical(p, a.vertical)
     return a
@@ -137,7 +141,7 @@ def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
 def metric_Ht(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
     check_gtangent(p, a)
     check_gtangent(p, b)
-    return (float(a.horizontal @ b.horizontal)
+    return (_dot(a.horizontal, b.horizontal)
             + params.t1 * inner_G(a.vertical.v1, b.vertical.v1)
             + params.t2 * inner_G(a.vertical.v2, b.vertical.v2))
 
@@ -154,8 +158,18 @@ def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> f
 
 
 def _apply(m, x):
-    """m x for 4-vectors x; leading axes of x and the matrix stack m broadcast."""
+    """m x for vectors x; leading axes of x and the matrix stack m broadcast."""
     return (m @ x[..., None])[..., 0]
+
+
+def _w(t, k: int):
+    """Weights t with k unit axes appended, to broadcast against k-axis parts."""
+    return t if np.isscalar(t) else np.reshape(t, np.shape(t) + (1,) * k)
+
+
+def _op(rmat, v):
+    """R v for two-vectors v; a stack of operators broadcasts like a stacked point."""
+    return v @ np.transpose(rmat) if np.ndim(rmat) == 2 else _apply(rmat, v)
 
 
 def _acs_unchecked(p: ProductTwistorPoint, params: Params, a: GTangent) -> GTangent:
@@ -175,7 +189,8 @@ class _ArgView:
     ``rpe``/``rqe`` are the endomorphisms of R p(V) and R q(V), so pairings
     <R p(V), u ^ v> reduce to v . (rpe @ u) without forming wedge vectors.
     The argument may be stacked along leading axes; every field then carries
-    them, and a stacked point broadcasts against the trailing ones.
+    them, and a stacked point, operator (..., 6, 6) and weights broadcast
+    against the trailing ones.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -184,15 +199,20 @@ class _ArgView:
         n = params.n
         v1, v2 = a.vertical.v1, a.vertical.v2
         wedges = two_vector_of_endo(np.stack((v1, v2, p.j1.matrix @ v1, p.j2.matrix @ v2)))
-        p6 = SIGMA[n] * params.t1 * wedges[0] + params.t2 * wedges[1]
-        q6 = params.t1 * wedges[2] + params.t2 * wedges[3]
+        t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
+        p6 = SIGMA[n] * t1 * wedges[0] + t2 * wedges[1]
+        q6 = t1 * wedges[2] + t2 * wedges[3]
         self.X = np.asarray(a.horizontal, dtype=float)
         self.jX = _apply(p.j1.matrix, self.X)
         self.V1 = v1
-        rmat_t = np.transpose(rmat)
-        self.rq = q6 @ rmat_t
-        self.rpe = endo_of_two_vector(p6 @ rmat_t)
+        self.rq = _op(rmat, q6)
+        self.rpe = endo_of_two_vector(_op(rmat, p6))
         self.rqe = endo_of_two_vector(self.rq)
+
+
+def _dot(x, y):
+    """x . y, broadcast over leading axes; unstacked arguments give a scalar."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0][()]
 
 
 def _pair(x, m, y):
@@ -216,23 +236,27 @@ def _dext(params: Params, av: _ArgView, bv: _ArgView, cv: _ArgView) -> float:
     e = EPS[params.n]
 
     def hv(xv: _ArgView, yv: _ArgView, vv: _ArgView) -> float:
-        return float(yv.X @ (vv.V1 @ xv.X)) + 2.0 * e * float(yv.X @ (vv.rpe @ xv.X))
+        return _pair(yv.X, vv.V1, xv.X) + 2.0 * e * _pair(yv.X, vv.rpe, xv.X)
 
     return hv(av, bv, cv) + hv(bv, cv, av) + hv(cv, av, bv)
 
 
 def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
-    return -2.0 * float(av.rq @ p.j1.wedge)
+    return -2.0 * _dot(av.rq, p.j1.wedge)
 
 
 # --- public evaluators --------------------------------------------------------
+#
+# Leading axes of the arguments broadcast against those of a stacked point, of
+# operators (..., 6, 6) and of the weights, which all align; unstacked calls
+# return scalars.
 
 def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
                     a: GTangent, b: GTangent, c: GTangent) -> float:
     """(D_A Omega)(B, C), assembled from the component formulas."""
     for g in (a, b, c):
         check_gtangent(p, g)
-    return float(_dcov(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c))))
+    return _dcov(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c)))
 
 
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
@@ -257,16 +281,17 @@ def frame_at_point(p: ProductTwistorPoint, params: Params) -> GTangent:
     h[:4] = _EYE4.reshape((4,) + (1,) * len(lead) + (4,))
     v1 = np.zeros((8,) + lead + (4, 4))
     v2 = np.zeros((8,) + lead + (4, 4))
-    v1[4:6] = np.stack(vertical_basis(p.j1)) / np.sqrt(params.t1)
-    v2[6:8] = np.stack(vertical_basis(p.j2)) / np.sqrt(params.t2)
+    v1[4:6] = np.stack(vertical_basis(p.j1)) / np.sqrt(_w(params.t1, 2))
+    v2[6:8] = np.stack(vertical_basis(p.j2)) / np.sqrt(_w(params.t2, 2))
     return GTangent(h, VerticalVector(v1, v2))
 
 
 def frame_combination(frame: GTangent, coeffs) -> GTangent:
-    """sum_a coeffs[..., a] frame[a]; leading axes of ``coeffs`` give a stacked vector."""
-    return GTangent(np.tensordot(coeffs, frame.horizontal, 1),
-                    VerticalVector(np.tensordot(coeffs, frame.vertical.v1, 1),
-                                   np.tensordot(coeffs, frame.vertical.v2, 1)))
+    """sum_a coeffs[..., a] frame[a]; leading axes of ``coeffs`` give a stacked
+    vector and broadcast against the point axes of a stacked frame."""
+    return GTangent(np.einsum("...a,a...i->...i", coeffs, frame.horizontal),
+                    VerticalVector(np.einsum("...a,a...ij->...ij", coeffs, frame.vertical.v1),
+                                   np.einsum("...a,a...ij->...ij", coeffs, frame.vertical.v2)))
 
 
 def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +299,9 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
 
     T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and M[b, a] = H_t(E_b, Jn E_a), so
     for A = sum_a x[a] E_a the coefficients of Jn A are M @ x.  ``rmat`` is a
-    6x6 array already validated by the caller.  A stacked point gives T and
-    M with its leading axes in front, one (8, 8, 8) and (8, 8) per point.
+    6x6 array, or one per point, already validated by the caller.  A stacked
+    point gives T and M with its leading axes in front, one (8, 8, 8) and
+    (8, 8) per point, each from its own operator and weights if those stack.
 
     The nonzero blocks, with V1_k, rpe_k, rqe_k from the ``_ArgView`` of E_{4+k},
     a, b, c < 4, (k1, k2) = KSIGNS[n] and s1, s2 the orientation signs:
@@ -316,19 +342,18 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
     sigma = 1.0 if n in (1, 4) else -1.0
     j1 = p.j1.matrix
     j2 = p.j2.matrix
-    rmat = np.asarray(rmat, dtype=float)
+    t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
 
     cv1, cv2 = c.vertical.v1, c.vertical.v2
-    pc = sigma * params.t1 * two_vector_of_endo(cv1) + params.t2 * two_vector_of_endo(cv2)
-    qc = params.t1 * two_vector_of_endo(j1 @ cv1) + params.t2 * two_vector_of_endo(j2 @ cv2)
+    pc = sigma * t1 * two_vector_of_endo(cv1) + t2 * two_vector_of_endo(cv2)
+    qc = t1 * two_vector_of_endo(j1 @ cv1) + t2 * two_vector_of_endo(j2 @ cv2)
     ax, bx, cx = a.horizontal, b.horizontal, c.horizontal
-    jax, jbx = j1 @ ax, j1 @ bx
+    jax, jbx = _apply(j1, ax), _apply(j1, bx)
 
-    val = 2.0 * e * float((rmat @ pc) @ (wedge_of_pair(ax, jbx) + wedge_of_pair(jax, bx)))
-    val -= 2.0 * float((rmat @ qc) @ (wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx)))
+    val = (2.0 * e * _pair(wedge_of_pair(ax, jbx) + wedge_of_pair(jax, bx), rmat, pc)
+           - 2.0 * _pair(wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx), rmat, qc))
     if n in (3, 4):
-        val += 2.0 * float(cx @ (j1 @ (b.vertical.v1 @ ax)))
-        val -= 2.0 * float(cx @ (j1 @ (a.vertical.v1 @ bx)))
+        val = val + 2.0 * (_pair(cx, j1 @ b.vertical.v1, ax) - _pair(cx, j1 @ a.vertical.v1, bx))
     return val
 
 
@@ -356,7 +381,7 @@ class SingleTangent:
 
 def single_metric(j: OrientedComplexStructure4, t: float,
                   a: SingleTangent, b: SingleTangent) -> float:
-    return float(a.horizontal @ b.horizontal) + t * inner_G(a.vertical, b.vertical)
+    return _dot(a.horizontal, b.horizontal) + t * inner_G(a.vertical, b.vertical)
 
 
 def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
@@ -368,40 +393,36 @@ def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
     """
     sgn = -1.0 if k == 1 else 1.0
     jm = j.matrix
-    rmat = np.asarray(rmat, dtype=float)
+    tw = _w(t, 1)
 
-    def rp(arg):
-        return rmat @ (sgn * t * two_vector_of_endo(arg.vertical))
+    def rp(arg, w):  # <R p(V), w>
+        return _pair(w, rmat, sgn * tw * two_vector_of_endo(arg.vertical))
 
-    def rq(arg):
-        return rmat @ (t * two_vector_of_endo(jm @ arg.vertical))
+    def rq(arg, w):  # <R q(V), w>
+        return _pair(w, rmat, tw * two_vector_of_endo(jm @ arg.vertical))
 
     ax, bx, cx = a.horizontal, b.horizontal, c.horizontal
-    jbx, jcx = jm @ bx, jm @ cx
-    val = float(cx @ (a.vertical @ bx)) - float(
-        rq(a) @ (wedge_of_pair(bx, jcx) + wedge_of_pair(jbx, cx)))
-    val += float(rp(c) @ wedge_of_pair(ax, bx)) + float(rq(c) @ wedge_of_pair(ax, jbx))
-    val -= float(rp(b) @ wedge_of_pair(ax, cx)) + float(rq(b) @ wedge_of_pair(ax, jcx))
-    return val
+    jbx, jcx = _apply(jm, bx), _apply(jm, cx)
+    val = _pair(cx, a.vertical, bx) - rq(a, wedge_of_pair(bx, jcx) + wedge_of_pair(jbx, cx))
+    val = val + rp(c, wedge_of_pair(ax, bx)) + rq(c, wedge_of_pair(ax, jbx))
+    return val - (rp(b, wedge_of_pair(ax, cx)) + rq(b, wedge_of_pair(ax, jcx)))
 
 
 def single_ext_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
                      a: SingleTangent, b: SingleTangent, c: SingleTangent) -> float:
     sgn = -1.0 if k == 1 else 1.0
-    rmat = np.asarray(rmat, dtype=float)
 
     def hv(x: SingleTangent, y: SingleTangent, v: SingleTangent) -> float:
-        rv = rmat @ (t * two_vector_of_endo(v.vertical))
-        return float(y.horizontal @ (v.vertical @ x.horizontal)) + 2.0 * sgn * float(
-            rv @ wedge_of_pair(x.horizontal, y.horizontal))
+        rv = _w(t, 1) * two_vector_of_endo(v.vertical)
+        return _pair(y.horizontal, v.vertical, x.horizontal) + 2.0 * sgn * _pair(
+            wedge_of_pair(x.horizontal, y.horizontal), rmat, rv)
 
     return hv(a, b, c) + hv(b, c, a) + hv(c, a, b)
 
 
 def single_codiff(j: OrientedComplexStructure4, rmat, t: float,
                   a: SingleTangent) -> float:
-    rmat = np.asarray(rmat, dtype=float)
-    return -2.0 * t * float((rmat @ two_vector_of_endo(j.matrix @ a.vertical)) @ j.wedge)
+    return -2.0 * t * _pair(j.wedge, rmat, two_vector_of_endo(j.matrix @ a.vertical))
 
 
 def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
@@ -414,7 +435,7 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
     """
     for g in (a, b, c):
         check_gtangent(p, g)
-        if float(np.max(np.abs(g.vertical.v2))) > VERTICAL_TOL:
+        if np.max(np.abs(g.vertical.v2)) > VERTICAL_TOL:
             raise TangencyError("restriction arguments must have zero second-factor vertical part")
     k = 1 if params.n in (1, 2) else 2
     t = params.t1

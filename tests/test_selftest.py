@@ -1,6 +1,11 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from twistorgh import classifier as cl, selftest
+from twistorgh import classifier as cl, curvature as cur, fibre, selftest, tensors as tn
+
+IDENTITY_KINDS = ("ext-deriv-antisymmetrization", "codiff-frame-trace", "nijenhuis-identity")
 
 
 @pytest.mark.parametrize("cond, oracle", [("dΩ", "ext-deriv-antisymmetrization"),
@@ -18,3 +23,144 @@ def test_scaled_condition_tensor_fails_its_oracle_only(monkeypatch, cond, oracle
     monkeypatch.setattr(cl, "_condition_tensor", scaled)
     results = selftest.run_selftest(seed=1, trials=25)
     assert [r.name for r in results if not r.ok] == [oracle]
+
+
+def replay_configs(rng, count):
+    """The per-trial draws one at a time, in the order a trial makes them."""
+    out = []
+    for _ in range(count):
+        t1 = float(rng.uniform(0.3, 2.0))
+        t2 = float(rng.uniform(0.3, 2.0))
+        rmat = cur.random_strict_operator(rng)
+        row = rng.standard_normal(6)  # what cl.sample_point draws for the point
+        coeffs = rng.standard_normal((3, 8))
+        out.append((t1, t2, rmat, row, coeffs))
+    return out
+
+
+def test_block_draws_replay_the_per_trial_stream():
+    rng = np.random.default_rng([1, 3])
+    blocks = [selftest._random_configs(rng, 64), selftest._random_configs(rng, 5)]
+    drawn = [np.concatenate(x) for x in zip(*blocks)]
+    replay = np.random.default_rng([1, 3])
+    for i, config in enumerate(replay_configs(replay, 69)):
+        for got, want in zip(drawn, config):
+            assert np.array_equal(got[i], want), i
+    assert rng.bit_generator.state == replay.bit_generator.state
+    # sample_point draws exactly the six normals of the replay
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    cl.sample_point(a, "+-")
+    b.standard_normal(6)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_commutator_rows_replay_the_per_trial_stream():
+    # one row of 76 normals per trial is the stream of its five draws in turn
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((3, 76))
+    replay = np.random.default_rng(9)
+    for r in rows:
+        parts = [replay.standard_normal(s) for s in ((6, 6), (4, 4), (4, 4), 4, 4)]
+        assert np.array_equal(r, np.concatenate([q.ravel() for q in parts]))
+
+
+def scalar_worst(kind, seed, trials):
+    """The worst trial of an identity oracle, one configuration at a time."""
+    cond, closed_form, slots = selftest._IDENTITIES[kind]
+    rng = np.random.default_rng([seed, selftest._ORACLE_STREAM[kind]])
+    best, worst = -1.0, None
+    for i, (t1, t2, rmat, row, coeffs) in enumerate(replay_configs(rng, trials)):
+        component, n = ("++", "+-")[i % 2], 1 + i % 4
+        params = tn.Params(t1, t2, n)
+        p = cl._points(row, component)
+        frame = tn.frame_at_point(p, params)
+        args = [tn.frame_combination(frame, x) for x in coeffs]
+        value = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[None],
+                                    (cond,))[cond][0]
+        res = abs(closed_form(p, rmat, params, *args[:slots]) - value)
+        res /= 1.0 + np.prod(np.linalg.norm(coeffs[:slots], axis=1))
+        if res > best:
+            best, worst = res, {"trial": i, "component": component, "n": n}
+    return best, worst
+
+
+@pytest.mark.parametrize("cond, kind", [("dΩ", IDENTITY_KINDS[0]), ("δΩ", IDENTITY_KINDS[1]),
+                                        ("N", IDENTITY_KINDS[2])])
+def test_stacked_worst_trial_is_the_scalar_one(monkeypatch, cond, kind):
+    # a 1% error makes the residuals geometric, not roundoff, so the worst
+    # trial is well defined; 70 trials cover a full block and a partial one
+    intact = cl._condition_tensor
+    monkeypatch.setattr(cl, "_condition_tensor",
+                        lambda c, T, M: 1.01 * intact(c, T, M) if c == cond else intact(c, T, M))
+    result = selftest._tensor_oracle(2, 70, kind)
+    best, worst = scalar_worst(kind, 2, 70)
+    assert not result.ok
+    assert result.worst == worst
+    assert result.max_residual == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 5])
+def test_empty_and_partial_groups(trials):
+    results = selftest.run_selftest(seed=1, trials=trials)
+    assert selftest.all_ok(results)
+    assert all(r.trials == trials for r in results)
+
+
+def nan_at(f, call, row=None):
+    """f with a NaN put into row ``row`` of the result of its ``call``-th call."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = np.array(f(*args, **kwargs), dtype=float)
+        if len(calls) == call:
+            out[() if row is None else row] = np.nan
+        calls.append(None)
+        return out
+
+    return wrapped
+
+
+def identity_with_nan(kind):
+    cond, closed_form, slots = selftest._IDENTITIES[kind]
+    return cond, nan_at(closed_form, 0, 2), slots
+
+
+# trial 8 is row 2 of the first group (n = 1) of the first block; fibre-kaehler
+# calls fibre_levi_civita twice per trial
+NAN_INJECTIONS = {
+    kind: lambda mp, kind=kind: mp.setitem(selftest._IDENTITIES, kind, identity_with_nan(kind))
+    for kind in IDENTITY_KINDS
+} | {
+    "restriction": lambda mp: mp.setattr(tn, "single_codiff", nan_at(tn.single_codiff, 0, 2)),
+    "curvature-commutator": lambda mp: mp.setattr(fibre, "inner_G", nan_at(fibre.inner_G, 0, 8)),
+    "fibre-kaehler-parallel": lambda mp: mp.setattr(fibre, "fibre_levi_civita",
+                                                   nan_at(fibre.fibre_levi_civita, 16)),
+}
+
+
+@pytest.mark.parametrize("oracle", list(NAN_INJECTIONS))
+def test_nan_residual_fails_its_oracle_only(monkeypatch, oracle):
+    NAN_INJECTIONS[oracle](monkeypatch)
+    results = selftest.run_selftest(seed=1, trials=25)
+    assert [r.name for r in results if not r.ok] == [oracle]
+    failed = next(r for r in results if not r.ok)
+    assert np.isnan(failed.max_residual)
+    assert failed.worst["trial"] == 8
+    assert "max=nan" in failed.line()
+
+
+@pytest.mark.parametrize("trials", [64, 640])
+def test_oracle_memory_does_not_grow_with_trials(trials):
+    selftest._tensor_oracle(1, 8, "nijenhuis-identity")  # first-call allocations
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        selftest._tensor_oracle(1, trials, "nijenhuis-identity")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 0.6 * 2 ** 20

@@ -107,6 +107,20 @@ class TestMetric:
             tn.cov_deriv_omega(p, cur.model("flat"), tn.Params(1.0, 1.0, 1), bad, x, x)
 
 
+    def test_stacked_vectors_are_bounded_one_by_one(self):
+        # a 1e7-scale vector in the stack must not loosen the bound of the
+        # unit-scale one next to it: 1e-9 is roundoff at 1e7, a defect at 1
+        rng = np.random.default_rng(18)
+        p = point("+-", rng)
+        big = random_vertical_endo(p.j1, rng, scale=1e7)
+        unit = random_vertical_endo(p.j1, rng)
+        sym = np.diag([1.0, 0.0, 0.0, 0.0])
+        zero = np.zeros((2, 4, 4))
+        tn.check_vertical(p, tn.VerticalVector(np.stack((big, unit)), zero))
+        with pytest.raises(tn.TangencyError, match="not skew"):
+            tn.check_vertical(p, tn.VerticalVector(np.stack((big, unit + 1e-9 * sym)), zero))
+
+
 class TestAlmostComplexStructures:
     def test_horizontal_action(self):
         p = point()
@@ -251,12 +265,16 @@ class TestFrameTensor:
         bound = 1e-13 * np.abs(T).max()
         for i, row in enumerate(rows):
             p = cl._points(row, component)
-            frame = [tn.frame_combination(tn.frame_at_point(p, params), x) for x in np.eye(8)]
-            ref = np.array([[[tn.cov_deriv_omega(p, rmat, params, ea, eb, ec)
-                              for ec in frame] for eb in frame] for ea in frame])
+            # the frame along one argument axis each: the evaluators broadcast
+            # them to the full 8x8x8 grid
+            e = np.eye(8)
+            ea, eb, ec = (tn.frame_combination(tn.frame_at_point(p, params), x)
+                          for x in (e[:, None, None], e[:, None], e))
+            ref = tn.cov_deriv_omega(p, rmat, params, ea, eb, ec)
+            assert ref.shape == (8, 8, 8)
             assert np.abs(T[i] - ref).max() <= bound
-            ref_m = np.array([[tn.metric_Ht(p, eb, tn.acs(p, ea, params), params)
-                               for ea in frame] for eb in frame])
+            ref_m = tn.metric_Ht(p, eb, tn.acs(p, ec, params), params)
+            assert ref_m.shape == (8, 8)
             assert np.abs(M[i] - ref_m).max() <= 1e-13
 
     def test_corrupted_sign_table_moves_T(self):
@@ -268,6 +286,61 @@ class TestFrameTensor:
         with tn._corrupted_sign_table():
             corrupted, _ = tn.frame_tensor(p, rmat, params)
         assert np.abs(corrupted - intact).max() > 1e-3
+
+
+def row(g: tn.GTangent, i: int) -> tn.GTangent:
+    return tn.GTangent(g.horizontal[i], tn.VerticalVector(g.vertical.v1[i], g.vertical.v2[i]))
+
+
+class TestStackedEvaluators:
+    """A stack of configurations, one per point of a stacked point, evaluates
+    to the unstacked calls row by row."""
+
+    @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_equal_unstacked_calls(self, component, n):
+        rng = np.random.default_rng(800 + n)
+        rows = rng.standard_normal((16, 6))
+        # both pole branches of the frame rotation on each factor
+        rows[0] = [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
+        rows[1] = [-1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        t = rng.uniform(0.3, 2.0, (16, 2))
+        rmat = np.stack([cur.random_strict_operator(rng) for _ in range(16)])
+        coeffs = rng.standard_normal((16, 3, 8))
+        p = cl._points(rows, component)
+        params = tn.Params(t[:, 0], t[:, 1], n)
+        args = [tn.frame_combination(tn.frame_at_point(p, params), coeffs[:, s])
+                for s in range(3)]
+        k = 1 if n in (1, 2) else 2
+
+        def evaluators(p, rmat, params, args):
+            # the restriction and single-fibre forms take the first-factor parts
+            first = [tn.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
+                     for g in args]
+            sa, sb, sc = (tn.SingleTangent(g.horizontal, g.vertical.v1) for g in args)
+            out = dict(zip("TM", tn.frame_tensor(p, rmat, params)))
+            out.update(tn.restriction_residuals(p, rmat, params, *first))
+            out.update({
+                "cov_deriv_omega": tn.cov_deriv_omega(p, rmat, params, *args),
+                "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
+                "codiff_omega": tn.codiff_omega(p, rmat, params, args[0]),
+                "nijenhuis_closed_form": tn.nijenhuis_closed_form(p, rmat, params, *args),
+                "single_metric": tn.single_metric(p.j1, params.t1, sa, sb),
+                "single_cov_deriv": tn.single_cov_deriv(p.j1, rmat, params.t1, k, sa, sb, sc),
+                "single_ext_deriv": tn.single_ext_deriv(p.j1, rmat, params.t1, k, sa, sb, sc),
+                "single_codiff": tn.single_codiff(p.j1, rmat, params.t1, sa),
+            })
+            return out
+
+        stacked = evaluators(p, rmat, params, args)
+        for i in range(16):
+            unstacked = evaluators(cl._points(rows[i], component), rmat[i],
+                                   tn.Params(t[i, 0], t[i, 1], n),
+                                   [row(g, i) for g in args])
+            for name, value in unstacked.items():
+                assert np.shape(stacked[name]) == (16,) + np.shape(value), name
+                assert np.all(np.abs(stacked[name][i] - value)
+                              <= 1e-13 * np.maximum(1.0, np.abs(value))), (name, i)
 
 
 class TestExteriorDerivative:
