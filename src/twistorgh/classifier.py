@@ -36,8 +36,8 @@ block's sphere points and coefficient triples, the structures, vertical
 bases and frames are built stacked, one ``frame_tensor`` call gives the
 stacked T[p, a, b, c] and M[p, b, a] of the block, and one
 ``condition_values`` call contracts every condition over the block.  The
-per-point functions (``sample_point``, ``fourdim.vertical_basis``,
-``tensors.frame_at_point``) are one-point calls of the same stacked code.
+point functions (``_points``, ``fourdim.vertical_basis``,
+``tensors.frame_at_point``) take one point or a stack with the same code.
 
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).
@@ -132,11 +132,6 @@ def _points(rows, component: str) -> ProductTwistorPoint:
     u1, u2 = u[..., 0, :], u[..., 1, :]
     return ProductTwistorPoint(sphere_to_J(embed_half(u1, s1), s1),
                                sphere_to_J(embed_half(u2, s2), s2))
-
-
-def sample_point(rng, component: str) -> ProductTwistorPoint:
-    """One point drawn as the classifier draws it: u1, then u2, standard normal."""
-    return _points(rng.standard_normal(6), component)
 
 
 _A, _B, _C = range(3)

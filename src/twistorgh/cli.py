@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--seed", type=int, default=1)
     p_self.add_argument("--trials", type=int, default=None,
                         help="override the per-oracle trial counts")
-    p_self.add_argument("--corrupt-sign-table", action="store_true",
-                        help=argparse.SUPPRESS)
 
     sub.add_parser("models", help="list built-in curvature models")
     return parser
@@ -145,7 +143,8 @@ def cmd_classify(args) -> int:
     except curvature.CurvatureError as exc:
         return _fail(exc, EXIT_VALIDATION)
     try:
-        # before Python 3.12 argparse strips the value of "--component=--" to []
+        # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
+        # 3.13 keeps "--"
         report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
                                      args.n, _sampling_config(args), source=source)
     except ValueError as exc:  # ClassifierError, CurvatureError or invalid Params
@@ -187,8 +186,7 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     try:
-        results = selftest.run_selftest(seed=args.seed, trials=args.trials,
-                                        corrupt_sign_table=args.corrupt_sign_table)
+        results = selftest.run_selftest(seed=args.seed, trials=args.trials)
     except ValueError as exc:  # trials below 1 or a negative seed
         return _fail(exc, EXIT_VALIDATION)
     for r in results:

@@ -41,8 +41,9 @@ class SchemaError(CurvatureError):
     """Malformed curvature-operator document."""
 
 
-def _sym_bound(m: np.ndarray) -> float:
-    return SYM_TOL * max(1.0, float(np.abs(m).max()))
+def _sym_bound(m: np.ndarray) -> np.ndarray:
+    """SYM_TOL * max(1, max|m|) over the last two axes: one bound per matrix of a stack."""
+    return SYM_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
 
 
 def check_operator(mat, stacked: bool = False) -> np.ndarray:
@@ -54,7 +55,7 @@ def check_operator(mat, stacked: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise CurvatureError("curvature operator has non-finite entries")
     err = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
-    if (err > SYM_TOL * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))).any():
+    if (err > _sym_bound(mat)).any():
         raise CurvatureError(
             f"curvature operator is not symmetric: max|R - R^T| = {np.max(err):.3e}")
     return mat

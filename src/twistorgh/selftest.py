@@ -22,9 +22,9 @@ H_t-orthonormal frame.
 Each trial draws its configuration in turn; blocks of 64 trials are then
 evaluated stacked, one call per group of equal n = 1 + i % 4 in the tensor
 oracles.  Failures, NaN residuals included, name the worst trial, reproducible
-from the seed.  The ``corrupt_sign_table`` hook flips the sign table of the
-derivative evaluators and the frame tensor; the Nijenhuis closed form does not
-use it, so the nijenhuis-identity check must catch it.
+from the seed.  The Nijenhuis closed form writes out the signs that the frame
+tensor reads from ``tensors.SIGMA``, so a corrupted table fails the
+nijenhuis-identity check; a tier-1 test negates the table to show it.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ _BLOCK_TRIALS = 4 * classifier.BLOCK_POINTS
 def _random_configs(rng, count: int):
     """(t1, t2, rmat, rows, coeffs) of ``count`` consecutive trials, stacked along
     one trial axis.  Each trial draws in turn the weights, the operator, the six
-    normals of its point (as ``classifier.sample_point``) and the (3, 8) frame
-    coefficients of its arguments."""
+    normals of its point (the rows of ``classifier._points``) and the (3, 8)
+    frame coefficients of its arguments."""
     draws = [(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), curvature.random_strict_operator(rng),
               rng.standard_normal(6), rng.standard_normal((3, 8))) for _ in range(count)]
     return tuple(np.array(x) for x in zip(*draws))
@@ -111,8 +111,7 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
     frame = tensors.frame_at_point(p, params)
     args = [tensors.frame_combination(frame, coeffs[:, s]) for s in range(3)]
     if kind == "restriction":
-        first = [tensors.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
-                 for g in args]
+        first = [tensors.gtangent(g.horizontal, g.vertical.v1) for g in args]
         return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
     cond, closed_form, slots = _IDENTITIES[kind]
     # the classifier's route: the frame tensor contracted by the condition
@@ -181,8 +180,7 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
     return OracleResult("fibre-kaehler-parallel", worst_val, tol, trials, worst_val <= tol, worst)
 
 
-def run_selftest(seed: int = 1, trials: int | None = None,
-                 corrupt_sign_table: bool = False) -> list[OracleResult]:
+def run_selftest(seed: int = 1, trials: int | None = None) -> list[OracleResult]:
     """Run every oracle; ``trials`` overrides the per-oracle defaults."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -192,18 +190,12 @@ def run_selftest(seed: int = 1, trials: int | None = None,
     def count(kind: str) -> int:
         return trials if trials is not None else DEFAULT_TRIALS[kind]
 
-    def run_all() -> list[OracleResult]:
-        out = [_tensor_oracle(seed, count(k), k)
-               for k in ("ext-deriv-antisymmetrization", "codiff-frame-trace",
-                         "nijenhuis-identity", "restriction")]
-        out.append(_curvature_commutator(seed, count("curvature-commutator")))
-        out.append(_fibre_kaehler(seed, count("fibre-kaehler-parallel")))
-        return out
-
-    if corrupt_sign_table:
-        with tensors._corrupted_sign_table():
-            return run_all()
-    return run_all()
+    out = [_tensor_oracle(seed, count(k), k)
+           for k in ("ext-deriv-antisymmetrization", "codiff-frame-trace",
+                     "nijenhuis-identity", "restriction")]
+    out.append(_curvature_commutator(seed, count("curvature-commutator")))
+    out.append(_fibre_kaehler(seed, count("fibre-kaehler-parallel")))
+    return out
 
 
 def all_ok(results: list[OracleResult]) -> bool:

@@ -27,13 +27,13 @@ oracle; the classifier derives d Omega, delta Omega and the Nijenhuis pairing
 from it.  Closed forms of these three, independent of that route, are the
 oracles ``selftest`` compares it with: ``ext_deriv_omega``, ``codiff_omega``
 and ``nijenhuis_closed_form``, which writes its signs out from n instead of
-taking EPS and SIGMA, so a corrupted sign table is caught.  The single-fibre
+taking EPS and SIGMA, so a corrupted sign table is caught: the tests negate
+SIGMA and see the nijenhuis-identity oracle fail.  The single-fibre
 restrictions (arguments with vanishing second factor) have their own code path.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +87,6 @@ class ProductTwistorPoint:
     j1: OrientedComplexStructure4
     j2: OrientedComplexStructure4
 
-    @property
-    def component(self) -> str:
-        return f"{'+' if self.j1.sign == 1 else '-'}{'+' if self.j2.sign == 1 else '-'}"
-
 
 @dataclass(frozen=True, eq=False)
 class VerticalVector:
@@ -105,9 +101,13 @@ class GTangent:
 
 
 def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
-    h = np.zeros(4) if horizontal is None else np.asarray(horizontal, dtype=float)
-    m1 = np.zeros((4, 4)) if v1 is None else np.asarray(v1, dtype=float)
-    m2 = np.zeros((4, 4)) if v2 is None else np.asarray(v2, dtype=float)
+    """A tangent from its parts; a missing part is zero with the leading axes
+    of the given parts, so stacked parts give a stacked tangent."""
+    lead = np.broadcast_shapes(*(np.shape(x)[:-k] for x, k in ((horizontal, 1), (v1, 2), (v2, 2))
+                                 if x is not None))
+    h = np.zeros(lead + (4,)) if horizontal is None else np.asarray(horizontal, dtype=float)
+    m1 = np.zeros(lead + (4, 4)) if v1 is None else np.asarray(v1, dtype=float)
+    m2 = np.zeros(lead + (4, 4)) if v2 is None else np.asarray(v2, dtype=float)
     return GTangent(h, VerticalVector(m1, m2))
 
 
@@ -355,18 +355,6 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
     if n in (3, 4):
         val = val + 2.0 * (_pair(cx, j1 @ b.vertical.v1, ax) - _pair(cx, j1 @ a.vertical.v1, bx))
     return val
-
-
-@contextmanager
-def _corrupted_sign_table():
-    """Test hook: flip the sigma table used by the derivative evaluators."""
-    saved = dict(SIGMA)
-    try:
-        for k in SIGMA:
-            SIGMA[k] = -SIGMA[k]
-        yield
-    finally:
-        SIGMA.update(saved)
 
 
 # --- single-fibre forms (independent code path for the restriction check) ----

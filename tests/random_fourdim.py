@@ -1,8 +1,9 @@
-"""Seeded random points and vertical vectors of the four-dimensional sphere model."""
+"""Seeded random points and vertical vectors of the four-dimensional sphere model,
+and a corrupted sign table for the tests of the oracles."""
 
 import numpy as np
 
-from twistorgh import fourdim as fd
+from twistorgh import fourdim as fd, tensors as tn
 
 
 def random_ocs(sign: int, rng) -> fd.OrientedComplexStructure4:
@@ -15,3 +16,10 @@ def random_vertical_endo(ocs: fd.OrientedComplexStructure4, rng, scale: float = 
     u2, u3 = fd.vertical_basis(ocs)
     c = rng.standard_normal(2) * scale
     return c[0] * u2 + c[1] * u3
+
+
+def negate_sign_table(monkeypatch):
+    """Flip tensors.SIGMA, which the frame tensor and the derivative evaluators
+    read and the Nijenhuis closed form does not; undone at the end of the test."""
+    for n, sigma in list(tn.SIGMA.items()):
+        monkeypatch.setitem(tn.SIGMA, n, -sigma)

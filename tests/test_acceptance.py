@@ -48,7 +48,7 @@ def test_criterion_1_internal_consistency_oracles():
             for i in range(500):
                 t[i] = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
                 rmat[i] = random_symmetric_operator(rng)
-                rows[i] = rng.standard_normal(6)  # the draw of cl.sample_point
+                rows[i] = rng.standard_normal(6)  # the point's draw, as in classify
                 coeffs[i] = rng.standard_normal((3, 8))
             params = tn.Params(t[:, 0], t[:, 1], n)
             p = cl._points(rows, component)
@@ -182,7 +182,7 @@ def test_criterion_8_algebraic_invariants():
         component = ("++", "+-", "-+", "--")[i % 4]
         n = 1 + i % 4
         params = tn.Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
-        p = cl.sample_point(rng, component)
+        p = cl._points(rng.standard_normal(6), component)
         frame = tn.frame_at_point(p, params)
         a, b = (tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(2))
 

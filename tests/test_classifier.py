@@ -179,7 +179,7 @@ class TestOrientationSymmetry:
         rmat2 = 0.5 * (rmat2 + rmat2.T)
         params = tn.Params(0.9, 1.4, 3)
         for comp in ("++", "+-"):
-            p = cl.sample_point(rng, comp)
+            p = cl._points(rng.standard_normal(6), comp)
             j1 = fd.OrientedComplexStructure4(phi @ p.j1.matrix @ phi.T, -p.j1.sign)
             j2 = fd.OrientedComplexStructure4(phi @ p.j2.matrix @ phi.T, -p.j2.sign)
             p2 = tn.ProductTwistorPoint(j1, j2)
@@ -225,7 +225,7 @@ def _sampled_sup(rmat, component, t, n, cfg, value, norm_slots):
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(cfg.num_points):
-        p = cl.sample_point(rng, component)
+        p = cl._points(rng.standard_normal(6), component)
         coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
         T, M = tn.frame_tensor(p, rmat, params)
         args = (*coeffs.transpose(1, 0, 2), *(coeffs @ M.T).transpose(1, 0, 2))
@@ -274,7 +274,7 @@ class TestLiteralReadings:
         rng = np.random.default_rng(cfg.seed)
         want = dict.fromkeys(cl.CONDITIONS, 0.0)
         for _ in range(num_points):
-            p = cl.sample_point(rng, component)
+            p = cl._points(rng.standard_normal(6), component)
             coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
             T, M = tn.frame_tensor(p, rmat, params)
             assert (T.shape, M.shape) == ((8, 8, 8), (8, 8))

@@ -9,6 +9,8 @@ import pytest
 
 from twistorgh import classifier as cl, cli, curvature as cur
 
+from random_fourdim import negate_sign_table
+
 FAST = ["--samples", "12", "--triples", "6"]
 
 
@@ -272,12 +274,21 @@ class TestSelftestCommand:
         assert "nijenhuis-identity" in out
         assert "FAIL" not in out
 
-    def test_corrupted_sign_table_fails_naming_the_check(self, capsys):
-        code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "25",
-                                 "--corrupt-sign-table")
+    def test_corrupted_sign_table_fails_naming_the_check(self, capsys, monkeypatch):
+        negate_sign_table(monkeypatch)
+        code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "25")
         assert code == cli.EXIT_FAILURE
         assert "FAIL nijenhuis-identity" in out
         assert "nijenhuis-identity" in err
+
+    def test_corrupt_sign_table_is_a_usage_error(self, capsys):
+        # the sign table is corrupted only by tests, never from the command line
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--corrupt-sign-table"])
+        assert exc.value.code == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --corrupt-sign-table" in captured.err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_a_validation_error(self, capsys, trials):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from twistorgh import curvature as cur
+from twistorgh import classifier as cl, curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
 from random_fourdim import random_ocs, random_vertical_endo
@@ -93,6 +93,27 @@ class TestDecompose:
         wp_skewed[1, 2] += 1e-6 * float(np.max(np.abs(wp)))
         with pytest.raises(cur.CurvatureError, match="symmetric"):
             cur.compose(0.0, Wplus=wp_skewed)
+
+    def test_stacked_operators_are_bounded_one_by_one(self):
+        # the same absolute asymmetry is roundoff in a large operator and a
+        # defect in a small one, also when both sit in one stack
+        big = 1e5 * cur.random_strict_operator(np.random.default_rng(14))
+        small = cur.random_strict_operator(np.random.default_rng(15))
+        assert np.abs(small).max() < 10.0
+        big[0, 4] += 1.5e-11
+        small[0, 4] += 1.5e-11
+        stack = cur.check_operator(np.stack([big, big]), stacked=True)
+        assert stack.shape == (2, 6, 6)
+        with pytest.raises(cur.CurvatureError, match="not symmetric"):
+            cur.check_operator(np.stack([big, small]), stacked=True)
+
+    def test_a_stack_needs_the_stacked_flag(self):
+        stack = np.stack([cur.random_strict_operator(np.random.default_rng(16))] * 2)
+        with pytest.raises(cur.CurvatureError, match="must be 6x6"):
+            cur.check_operator(stack)
+        # so classify refuses a stack of operators
+        with pytest.raises(cur.CurvatureError, match="must be 6x6"):
+            cl.classify(stack, "++", (1.0, 1.0), 1, cl.SamplingConfig(num_points=1))
 
     def test_strict_trace_relation(self):
         mat = cur.random_strict_operator(RNG)

@@ -5,6 +5,8 @@ import pytest
 
 from twistorgh import classifier as cl, curvature as cur, fibre, selftest, tensors as tn
 
+from random_fourdim import negate_sign_table
+
 IDENTITY_KINDS = ("ext-deriv-antisymmetrization", "codiff-frame-trace", "nijenhuis-identity")
 
 
@@ -25,6 +27,14 @@ def test_scaled_condition_tensor_fails_its_oracle_only(monkeypatch, cond, oracle
     assert [r.name for r in results if not r.ok] == [oracle]
 
 
+def test_negated_sign_table_fails_the_closed_form_oracles(monkeypatch):
+    # the frame tensor and the product evaluators read SIGMA; the Nijenhuis closed
+    # form and the single-fibre forms write their signs out
+    negate_sign_table(monkeypatch)
+    results = selftest.run_selftest(seed=1, trials=25)
+    assert [r.name for r in results if not r.ok] == ["nijenhuis-identity", "restriction"]
+
+
 def replay_configs(rng, count):
     """The per-trial draws one at a time, in the order a trial makes them."""
     out = []
@@ -32,7 +42,7 @@ def replay_configs(rng, count):
         t1 = float(rng.uniform(0.3, 2.0))
         t2 = float(rng.uniform(0.3, 2.0))
         rmat = cur.random_strict_operator(rng)
-        row = rng.standard_normal(6)  # what cl.sample_point draws for the point
+        row = rng.standard_normal(6)  # the six normals of the point
         coeffs = rng.standard_normal((3, 8))
         out.append((t1, t2, rmat, row, coeffs))
     return out
@@ -47,11 +57,6 @@ def test_block_draws_replay_the_per_trial_stream():
         for got, want in zip(drawn, config):
             assert np.array_equal(got[i], want), i
     assert rng.bit_generator.state == replay.bit_generator.state
-    # sample_point draws exactly the six normals of the replay
-    a, b = np.random.default_rng(5), np.random.default_rng(5)
-    cl.sample_point(a, "+-")
-    b.standard_normal(6)
-    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_commutator_rows_replay_the_per_trial_stream():

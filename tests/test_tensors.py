@@ -6,7 +6,7 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
-from random_fourdim import random_ocs, random_vertical_endo
+from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -277,14 +277,14 @@ class TestFrameTensor:
             assert ref_m.shape == (8, 8)
             assert np.abs(M[i] - ref_m).max() <= 1e-13
 
-    def test_corrupted_sign_table_moves_T(self):
+    def test_corrupted_sign_table_moves_T(self, monkeypatch):
         rng = np.random.default_rng(900)
         p = cl._points(self.block_rows(rng), "+-")
         rmat = cur.random_strict_operator(rng)
         params = tn.Params(0.8, 1.2, 3)
         intact, _ = tn.frame_tensor(p, rmat, params)
-        with tn._corrupted_sign_table():
-            corrupted, _ = tn.frame_tensor(p, rmat, params)
+        negate_sign_table(monkeypatch)
+        corrupted, _ = tn.frame_tensor(p, rmat, params)
         assert np.abs(corrupted - intact).max() > 1e-3
 
 
@@ -341,6 +341,35 @@ class TestStackedEvaluators:
                 assert np.shape(stacked[name]) == (16,) + np.shape(value), name
                 assert np.all(np.abs(stacked[name][i] - value)
                               <= 1e-13 * np.maximum(1.0, np.abs(value))), (name, i)
+
+    def test_missing_parts_of_stacked_tangents_are_stacked_zeros(self):
+        # gtangent(h, v1) and gtangent(h) on stacked parts evaluate row by row
+        # as the same tangents with explicit zero parts
+        rng = np.random.default_rng(820)
+        rows = rng.standard_normal((5, 6))
+        t = rng.uniform(0.3, 2.0, (5, 2))
+        rmat = np.stack([cur.random_strict_operator(rng) for _ in range(5)])
+        p = cl._points(rows, "+-")
+        params = tn.Params(t[:, 0], t[:, 1], 3)
+        args = [tn.frame_combination(tn.frame_at_point(p, params), rng.standard_normal((5, 8)))
+                for _ in range(3)]
+
+        def evaluators(p, rmat, params, h, first):
+            return {**tn.restriction_residuals(p, rmat, params, *first),
+                    "codiff_omega": tn.codiff_omega(p, rmat, params, first[0]),
+                    "cov_deriv_omega": tn.cov_deriv_omega(p, rmat, params, h, *first[1:])}
+
+        first = [tn.gtangent(g.horizontal, g.vertical.v1) for g in args]
+        h = tn.gtangent(args[0].horizontal)
+        assert first[0].vertical.v2.shape == h.vertical.v1.shape == (5, 4, 4)
+        stacked = evaluators(p, rmat, params, h, first)
+        zero = np.zeros((4, 4))
+        for i in range(5):
+            explicit = [tn.gtangent(g.horizontal[i], g.vertical.v1[i], zero) for g in args]
+            want = evaluators(cl._points(rows[i], "+-"), rmat[i], tn.Params(t[i, 0], t[i, 1], 3),
+                              tn.gtangent(args[0].horizontal[i], zero, zero), explicit)
+            for name, value in want.items():
+                assert abs(stacked[name][i] - value) <= 1e-13 * max(1.0, abs(value)), (name, i)
 
 
 class TestExteriorDerivative:
@@ -491,16 +520,16 @@ class TestNijenhuis:
         assert abs(ident - scaled) > 1e-3
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_closed_form_ignores_the_sign_tables(self, n):
+    def test_closed_form_ignores_the_sign_tables(self, monkeypatch, n):
         rng = np.random.default_rng(40 + n)
         p = point("+-", rng)
         params = tn.Params(0.7, 1.3, n)
         rmat = cur.random_strict_operator(rng)
         a, b, c = random_args(p, params, rng=rng)
         intact = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
-        with tn._corrupted_sign_table():
-            corrupted = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
-            ident = production("N", p, rmat, params, a, b, c)
+        negate_sign_table(monkeypatch)
+        corrupted = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
+        ident = production("N", p, rmat, params, a, b, c)
         assert corrupted == intact
         assert abs(ident - intact) > 1e-3
 
