@@ -94,6 +94,8 @@ def _check_block(m, name: str, symmetric: bool) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise CurvatureError(f"block {name!r} must be 3x3, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise CurvatureError(f"block {name!r} has non-finite entries")
     if symmetric and float(np.max(np.abs(m - m.T))) > _sym_bound(m):
         raise CurvatureError(f"block {name!r} must be symmetric")
     return m
@@ -104,7 +106,10 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     b = _check_block(np.zeros((3, 3)) if B is None else B, "B", symmetric=False)
     wp = _check_block(np.zeros((3, 3)) if Wplus is None else Wplus, "Wplus", symmetric=True)
     wm = _check_block(np.zeros((3, 3)) if Wminus is None else Wminus, "Wminus", symmetric=True)
-    scalar = (float(s) / 12.0) * np.eye(3)
+    s = float(s)
+    if not np.isfinite(s):
+        raise CurvatureError(f"scalar part s must be finite, got {s}")
+    scalar = (s / 12.0) * np.eye(3)
     mat = np.zeros((6, 6))
     mat[:3, :3] = scalar + wp
     mat[3:, 3:] = scalar + wm
@@ -235,7 +240,7 @@ def from_json_dict(doc) -> np.ndarray:
             from_blocks = from_json_dict({"blocks": doc["blocks"]})
             # relative, like _sym_bound: the blocks carry roundoff of the entries
             bound = 1e-9 * max(1.0, float(np.abs(mat).max()))
-            if float(np.max(np.abs(mat - from_blocks))) > bound:
+            if not float(np.max(np.abs(mat - from_blocks))) <= bound:
                 raise SchemaError("fields 'matrix' and 'blocks' describe different operators")
         return mat
     blocks = doc["blocks"]
@@ -282,20 +287,50 @@ def swap_halves(mat) -> np.ndarray:
     return p @ mat @ p
 
 
+def _traceless_symmetric_part(a) -> np.ndarray:
+    """(a + a^T)/2 minus its trace part, for 3x3 matrices along leading axes."""
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    a -= (np.trace(a, axis1=-2, axis2=-1) / 3.0)[..., None, None] * np.eye(3)
+    return a
+
+
 def random_traceless_symmetric(rng, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((3, 3))
-    a = 0.5 * (a + a.T)
-    a -= (np.trace(a) / 3.0) * np.eye(3)
-    return scale * a
+    return scale * _traceless_symmetric_part(rng.standard_normal((3, 3)))
+
+
+#: normals per strict operator: s, then B, W+ and W- row-major
+STRICT_NORMALS = 28
+
+
+def strict_operators(normals, scale: float = 1.0) -> np.ndarray:
+    """Strict operators from rows of 28 normals, one (6, 6) per row along the
+    leading axes: s = 12 scale z[0], B = scale z[1:10], and W+, W- the
+    traceless symmetric parts of z[10:19], z[19:28] times scale.
+
+    The blocks are valid by construction, so none is checked; the arithmetic
+    is that of :func:`compose`, so a row gives the same bits as one
+    :func:`random_strict_operator` draw of those normals.
+    """
+    z = np.asarray(normals, dtype=float)
+    if z.shape[-1:] != (STRICT_NORMALS,):
+        raise CurvatureError(f"expected rows of {STRICT_NORMALS} normals, got shape {z.shape}")
+    lead = z.shape[:-1]
+    b, wp, wm = (z[..., 1 + 9 * k:10 + 9 * k].reshape(lead + (3, 3)) for k in range(3))
+    # s / 12 with s = scale 12 z[0], rounded as compose rounds it
+    scalar = ((scale * 12.0 * z[..., 0]) / 12.0)[..., None, None] * np.eye(3)
+    mat = np.empty(lead + (6, 6))
+    mat[..., :3, :3] = scalar + scale * _traceless_symmetric_part(wp)
+    mat[..., 3:, 3:] = scalar + scale * _traceless_symmetric_part(wm)
+    mat[..., 3:, :3] = scale * b
+    mat[..., :3, 3:] = np.swapaxes(mat[..., 3:, :3], -1, -2)
+    return mat
 
 
 def random_strict_operator(rng, scale: float = 1.0) -> np.ndarray:
-    return compose(
-        s=float(scale * 12.0 * rng.standard_normal()),
-        B=scale * rng.standard_normal((3, 3)),
-        Wplus=random_traceless_symmetric(rng, scale),
-        Wminus=random_traceless_symmetric(rng, scale),
-    )
+    """A random strict operator: one draw of 28 normals through
+    :func:`strict_operators`, the stream of a scalar normal and three (3, 3)
+    draws for s, B, W+ and W- in turn."""
+    return strict_operators(rng.standard_normal(STRICT_NORMALS), scale)
 
 
 def perturbed(mat, kind: str, rng, rel: float = 0.1) -> np.ndarray:

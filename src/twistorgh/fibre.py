@@ -50,7 +50,7 @@ def check_skew(a, tol: float = SKEW_TOL) -> np.ndarray:
     """``a`` may be a stack of matrices along leading axes; the worst one is reported."""
     a = _as_squares(a)
     err = float(np.abs(a + a.swapaxes(-1, -2)).max())
-    if err > tol:
+    if not err <= tol:  # written so that a NaN fails
         raise FibreAlgebraError(
             f"matrix is not skew-symmetric: max|a + a^T| = {err:.3e} > {tol:.1e}")
     return a
@@ -59,7 +59,7 @@ def check_skew(a, tol: float = SKEW_TOL) -> np.ndarray:
 def check_complex_structure(j, tol: float = STRUCT_TOL) -> np.ndarray:
     j = check_skew(j, tol)
     err = float(np.abs(j @ j + np.eye(j.shape[-1])).max())
-    if err > tol:
+    if not err <= tol:
         raise FibreAlgebraError(f"J*J != -Id: residual {err:.3e} > {tol:.1e}")
     return j
 
@@ -68,7 +68,7 @@ def check_tangent(j, v, tol: float = STRUCT_TOL) -> np.ndarray:
     """Tangency at J means JV + VJ = 0 (V skew)."""
     v = check_skew(v, tol)
     err = float(np.max(np.abs(j @ v + v @ j)))
-    if err > tol:
+    if not err <= tol:
         raise FibreAlgebraError(
             f"V is not tangent at J: max|JV + VJ| = {err:.3e} > {tol:.1e}")
     return v
@@ -129,12 +129,12 @@ def make_AB_basis(j, frame) -> list[np.ndarray]:
     if f.shape != (dim, dim):
         raise FibreAlgebraError(f"frame must contain {dim} vectors of length {dim}")
     ortho_err = float(np.max(np.abs(f @ f.T - np.eye(dim))))
-    if ortho_err > STRUCT_TOL:
+    if not ortho_err <= STRUCT_TOL:
         raise FibreAlgebraError(
             f"frame is not orthonormal: max|<f_a, f_b> - delta_ab| = {ortho_err:.3e}")
     for r in range(dim // 2):
         adapt_err = float(np.max(np.abs(j @ f[2 * r] - f[2 * r + 1])))
-        if adapt_err > STRUCT_TOL:
+        if not adapt_err <= STRUCT_TOL:
             raise FibreAlgebraError(
                 f"frame is not J-adapted: |J f_{2 * r + 1} - f_{2 * r + 2}| = {adapt_err:.3e}")
 

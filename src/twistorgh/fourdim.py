@@ -110,7 +110,7 @@ def check_pure(v, sign: int, tol: float = PURITY_TOL) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     other = v[..., _half_slice(-sign)]
     err = float(np.max(np.abs(other))) if other.size else 0.0
-    if err > tol:
+    if not err <= tol:  # written so that a NaN fails
         raise FourDimError(
             f"two-vector is not pure of sign {sign:+d}: opposite half has magnitude {err:.3e}")
     return v
@@ -162,7 +162,7 @@ class OrientedComplexStructure4:
         w = two_vector_of_endo(m)
         check_pure(w, self.sign)
         err = float(np.abs(np.linalg.norm(w, axis=-1) - SQRT2).max())
-        if err > PURITY_TOL:
+        if not err <= PURITY_TOL:
             raise FourDimError(f"|J^| differs from sqrt2 by {err:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "wedge", w)
@@ -176,7 +176,7 @@ def sphere_to_J(u, sign: int) -> OrientedComplexStructure4:
     """
     u = check_pure(u, sign)
     err = float(np.abs(np.linalg.norm(u, axis=-1) - 1.0).max())
-    if err > PURITY_TOL:
+    if not err <= PURITY_TOL:
         raise FourDimError(f"sphere point must be a unit two-vector: ||u| - 1| = {err:.3e}")
     return OrientedComplexStructure4(matrix=endo_of_two_vector(SQRT2 * u), sign=sign)
 

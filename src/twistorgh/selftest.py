@@ -19,12 +19,14 @@ H_t-orthonormal frame.
     fibre-kaehler-parallel        D(K Y) = K(D Y) on the fibre under
                                   central-difference field derivatives
 
-Each trial draws its configuration in turn; blocks of 64 trials are then
-evaluated stacked, one call per group of equal n = 1 + i % 4 in the tensor
-oracles.  Failures, NaN residuals included, name the worst trial, reproducible
-from the seed.  The Nijenhuis closed form writes out the signs that the frame
-tensor reads from ``tensors.SIGMA``, so a corrupted table fails the
-nijenhuis-identity check; a tier-1 test negates the table to show it.
+A tensor-oracle trial makes two draws: its weights, then one row of normals
+for its operator, point and argument coefficients.  Blocks of 64 trials are
+then evaluated stacked: the block's operators are built and checked in one
+call each, and its residuals come from one call per group of equal
+n = 1 + i % 4.  Failures, NaN residuals included, name the worst trial,
+reproducible from the seed.  The Nijenhuis closed form writes out the signs
+that the frame tensor reads from ``tensors.SIGMA``, so a corrupted table fails
+the nijenhuis-identity check; a tier-1 test negates the table to show it.
 """
 
 from __future__ import annotations
@@ -72,16 +74,22 @@ class OracleResult:
 
 #: trials per block, four groups of ``classifier.BLOCK_POINTS``
 _BLOCK_TRIALS = 4 * classifier.BLOCK_POINTS
+#: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
+_TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
 
 def _random_configs(rng, count: int):
     """(t1, t2, rmat, rows, coeffs) of ``count`` consecutive trials, stacked along
-    one trial axis.  Each trial draws in turn the weights, the operator, the six
-    normals of its point (the rows of ``classifier._points``) and the (3, 8)
-    frame coefficients of its arguments."""
-    draws = [(rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), curvature.random_strict_operator(rng),
-              rng.standard_normal(6), rng.standard_normal((3, 8))) for _ in range(count)]
-    return tuple(np.array(x) for x in zip(*draws))
+    one trial axis.  Each trial makes two draws: its weights, then one row of 58
+    normals, which holds the 28 of its operator (``curvature.strict_operators``),
+    the six of its point (the rows of ``classifier._points``) and the (3, 8)
+    frame coefficients of its arguments.  The block's operators are built and
+    checked in one stacked call each."""
+    draws = [(rng.uniform(0.3, 2.0, 2), rng.standard_normal(_TRIAL_NORMALS)) for _ in range(count)]
+    t, z = (np.array(x) for x in zip(*draws))
+    ops, rows, coeffs = np.split(z, np.cumsum([curvature.STRICT_NORMALS, 6]), axis=1)
+    rmat = curvature.check_operator(curvature.strict_operators(ops), stacked=True)
+    return t[:, 0], t[:, 1], rmat, rows, coeffs.reshape(-1, 3, 8)
 
 
 def _worse(res, worst_val) -> bool:

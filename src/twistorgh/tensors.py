@@ -120,10 +120,10 @@ def check_vertical(p: ProductTwistorPoint, v: VerticalVector,
         vm = np.asarray(vm, dtype=float)
         bound = tol * np.maximum(1.0, np.abs(vm).max(axis=(-2, -1)))
         err = np.abs(vm + np.swapaxes(vm, -1, -2)).max(axis=(-2, -1))
-        if (err > bound).any():
+        if not (err <= bound).all():  # written so that a NaN fails
             raise TangencyError(f"vertical part {label} is not skew: {np.max(err):.3e}")
         err = np.abs(jm @ vm + vm @ jm).max(axis=(-2, -1))
-        if (err > bound).any():
+        if not (err <= bound).all():
             raise TangencyError(
                 f"vertical part {label} does not anticommute with the structure: {np.max(err):.3e}")
     return v
@@ -141,6 +141,11 @@ def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
 def metric_Ht(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
     check_gtangent(p, a)
     check_gtangent(p, b)
+    return _metric(params, a, b)
+
+
+def _metric(params: Params, a: GTangent, b: GTangent):
+    # metric_Ht for arguments already checked
     return (_dot(a.horizontal, b.horizontal)
             + params.t1 * inner_G(a.vertical.v1, b.vertical.v1)
             + params.t2 * inner_G(a.vertical.v2, b.vertical.v2))
@@ -419,21 +424,23 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
 
     Arguments must have vanishing second vertical component; n in {1, 2} pairs
     with the single structure k = 1, n in {3, 4} with k = 2, and the single
-    metric weight is t1.  All residuals are identically zero.
+    metric weight is t1.  All residuals are identically zero.  Each argument
+    is checked once and viewed once; the product side is the arithmetic of
+    ``cov_deriv_omega``, ``ext_deriv_omega``, ``codiff_omega`` and ``metric_Ht``.
     """
     for g in (a, b, c):
         check_gtangent(p, g)
-        if np.max(np.abs(g.vertical.v2)) > VERTICAL_TOL:
+        if not np.max(np.abs(g.vertical.v2)) <= VERTICAL_TOL:  # written so that a NaN fails
             raise TangencyError("restriction arguments must have zero second-factor vertical part")
+    av, bv, cv = (_ArgView(p, rmat, params, g) for g in (a, b, c))
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
     sa, sb, sc = (SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))
     return {
-        "cov_deriv": abs(cov_deriv_omega(p, rmat, params, a, b, c)
+        "cov_deriv": abs(_dcov(params, av, bv, cv)
                          - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
-        "ext_deriv": abs(ext_deriv_omega(p, rmat, params, a, b, c)
+        "ext_deriv": abs(_dext(params, av, bv, cv)
                          - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
-        "codiff": abs(codiff_omega(p, rmat, params, a)
-                      - single_codiff(p.j1, rmat, t, sa)),
-        "metric": abs(metric_Ht(p, a, b, params) - single_metric(p.j1, t, sa, sb)),
+        "codiff": abs(_dcodiff(p, av) - single_codiff(p.j1, rmat, t, sa)),
+        "metric": abs(_metric(params, a, b) - single_metric(p.j1, t, sa, sb)),
     }

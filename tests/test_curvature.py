@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from twistorgh import classifier as cl, curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
-from random_fourdim import random_ocs, random_vertical_endo
+from random_fourdim import drawn_strict_operator, random_ocs, random_vertical_endo
 
 RNG = np.random.default_rng(404)
 
@@ -63,6 +63,14 @@ class TestDecompose:
         assert_allclose(blocks.B, b, atol=1e-13)
         assert_allclose(blocks.Wplus, wp, atol=1e-13)
         assert_allclose(blocks.Wminus, wm, atol=1e-13)
+
+    @pytest.mark.parametrize("blocks", [{"Wplus": np.diag([np.nan, 0.0, 0.0])},
+                                        {"B": np.full((3, 3), np.nan)},
+                                        {"Wminus": np.diag([np.inf, 0.0, 0.0])},
+                                        {"s": np.nan}])
+    def test_compose_rejects_non_finite_blocks(self, blocks):
+        with pytest.raises(cur.CurvatureError, match="finite"):
+            cur.compose(**blocks)
 
     def test_compose_rejects_asymmetric_weyl(self):
         bad = np.zeros((3, 3))
@@ -289,6 +297,11 @@ class TestSerialization:
         with pytest.raises(cur.SchemaError, match="different operators"):
             cur.from_json_dict(doc)
 
+    def test_nan_blocks_are_not_consistent_with_a_matrix(self):
+        doc = {"matrix": np.eye(6).tolist(), "blocks": {"s": np.nan}}
+        with pytest.raises(cur.SchemaError):
+            cur.from_json_dict(doc)
+
     def test_field_errors_are_named(self):
         with pytest.raises(cur.SchemaError, match="'matrix'"):
             cur.from_json_dict({"matrix": [[1, 2], [3, 4]]})
@@ -330,3 +343,21 @@ class TestHelpers:
         assert_allclose(blocks.Wplus, cur.decompose(mat).Wplus, atol=1e-12)
         with pytest.raises(cur.CurvatureError, match="unknown perturbation"):
             cur.perturbed(mat, "bogus", np.random.default_rng(1))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e8])
+    def test_random_strict_operator_is_the_blockwise_draw(self, scale):
+        for seed in range(20):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = cur.random_strict_operator(rng, scale), drawn_strict_operator(replay, scale)
+            assert got.tobytes() == want.tobytes(), seed
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_stacked_rows_give_the_per_row_operators(self):
+        rows = np.random.default_rng(5).standard_normal((3, 4, cur.STRICT_NORMALS))
+        ops = cur.strict_operators(rows, 2.5)
+        assert ops.shape == (3, 4, 6, 6)
+        for i in np.ndindex(3, 4):
+            assert ops[i].tobytes() == cur.strict_operators(rows[i], 2.5).tobytes()
+        cur.check_operator(ops, stacked=True)
+        with pytest.raises(cur.CurvatureError, match="28 normals"):
+            cur.strict_operators(rows[..., :27])

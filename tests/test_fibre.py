@@ -220,6 +220,17 @@ class TestInvariantPreservation:
         once = fibre.tangent_projection(j, skew)
         assert_allclose(fibre.tangent_projection(j, once), once, atol=1e-12)
 
+    @pytest.mark.parametrize("check", [
+        lambda nan, j: fibre.check_skew(nan),
+        lambda nan, j: fibre.check_complex_structure(nan),
+        lambda nan, j: fibre.check_tangent(j, nan),
+        lambda nan, j: fibre.check_tangent(nan, np.zeros((4, 4))),
+        lambda nan, j: fibre.make_AB_basis(j, nan),
+    ])
+    def test_nan_is_rejected(self, check):
+        with pytest.raises(fibre.FibreAlgebraError):
+            check(np.full((4, 4), np.nan), fibre.standard_complex_structure(4))
+
     def test_skewness_violation_detected(self):
         with pytest.raises(fibre.FibreAlgebraError, match="not skew"):
             fibre.check_skew(np.eye(4))

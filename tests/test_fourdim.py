@@ -147,6 +147,15 @@ class TestSphereModel:
         with pytest.raises(fd.FourDimError, match="unit"):
             fd.sphere_to_J(u, 1)
 
+    def test_nan_is_rejected(self):
+        with pytest.raises(fd.FourDimError, match="not pure"):
+            fd.check_pure([0.0, 0.0, 0.0, np.nan, 0.0, 0.0], 1)
+        with pytest.raises(fd.FourDimError, match="unit"):
+            fd.sphere_to_J([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0], 1)
+        # the structure's fibre checks run before its own
+        with pytest.raises(fibre.FibreAlgebraError):
+            fd.OrientedComplexStructure4(np.full((4, 4), np.nan), 1)
+
     def test_sign_mismatch_rejected(self):
         j = fd.sphere_to_J(S1P, 1)
         with pytest.raises(fd.FourDimError):

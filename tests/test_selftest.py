@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twistorgh import classifier as cl, curvature as cur, fibre, selftest, tensors as tn
+from twistorgh import classifier as cl, fibre, selftest, tensors as tn
 
-from random_fourdim import negate_sign_table
+from random_fourdim import drawn_strict_operator, negate_sign_table
 
 IDENTITY_KINDS = ("ext-deriv-antisymmetrization", "codiff-frame-trace", "nijenhuis-identity")
 
@@ -36,12 +36,13 @@ def test_negated_sign_table_fails_the_closed_form_oracles(monkeypatch):
 
 
 def replay_configs(rng, count):
-    """The per-trial draws one at a time, in the order a trial makes them."""
+    """The per-trial draws one at a time, each part of a trial by itself: two
+    scalar weights, the operator block by block, the point, the coefficients."""
     out = []
     for _ in range(count):
         t1 = float(rng.uniform(0.3, 2.0))
         t2 = float(rng.uniform(0.3, 2.0))
-        rmat = cur.random_strict_operator(rng)
+        rmat = drawn_strict_operator(rng)
         row = rng.standard_normal(6)  # the six normals of the point
         coeffs = rng.standard_normal((3, 8))
         out.append((t1, t2, rmat, row, coeffs))

@@ -120,6 +120,15 @@ class TestMetric:
         with pytest.raises(tn.TangencyError, match="not skew"):
             tn.check_vertical(p, tn.VerticalVector(np.stack((big, unit + 1e-9 * sym)), zero))
 
+    def test_nan_vertical_part_is_rejected(self):
+        p = point()
+        nan = np.full((4, 4), np.nan)
+        with pytest.raises(tn.TangencyError):
+            tn.check_vertical(p, tn.VerticalVector(nan, np.zeros((4, 4))))
+        with pytest.raises(tn.TangencyError):
+            tn.check_vertical(p, tn.VerticalVector(np.stack((np.zeros((4, 4)), nan)),
+                                                   np.zeros((2, 4, 4))))
+
 
 class TestAlmostComplexStructures:
     def test_horizontal_action(self):
@@ -555,3 +564,70 @@ class TestRestriction:
         ok = tn.gtangent(horizontal=E[0])
         with pytest.raises(tn.TangencyError, match="second-factor"):
             tn.restriction_residuals(p, np.eye(6), params, bad, ok, ok)
+
+    @staticmethod
+    def first_factor_block(n, rng):
+        """16 stacked trials of first-factor arguments, as the restriction oracle builds them."""
+        rows = rng.standard_normal((16, 6))
+        t = rng.uniform(0.3, 2.0, (16, 2))
+        rmat = np.stack([cur.random_strict_operator(rng) for _ in range(16)])
+        p = cl._points(rows, ("++", "+-")[(n - 1) % 2])
+        params = tn.Params(t[:, 0], t[:, 1], n)
+        frame = tn.frame_at_point(p, params)
+        args = [tn.frame_combination(frame, rng.standard_normal((16, 8))) for _ in range(3)]
+        first = [tn.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
+                 for g in args]
+        return p, rmat, params, first
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_values_are_those_of_the_public_evaluators(self, n):
+        p, rmat, params, (a, b, c) = self.first_factor_block(n, np.random.default_rng(900 + n))
+        k = 1 if n in (1, 2) else 2
+        sa, sb, sc = (tn.SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))
+        t = params.t1
+        want = {
+            "cov_deriv": abs(tn.cov_deriv_omega(p, rmat, params, a, b, c)
+                             - tn.single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+            "ext_deriv": abs(tn.ext_deriv_omega(p, rmat, params, a, b, c)
+                             - tn.single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+            "codiff": abs(tn.codiff_omega(p, rmat, params, a)
+                          - tn.single_codiff(p.j1, rmat, t, sa)),
+            "metric": abs(tn.metric_Ht(p, a, b, params) - tn.single_metric(p.j1, t, sa, sb)),
+        }
+        got = tn.restriction_residuals(p, rmat, params, a, b, c)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == (16,), name
+            assert np.array_equal(got[name], want[name]), name
+        assert max(np.max(v) for v in got.values()) < 1e-12
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_one_bad_trial_of_a_stack_is_rejected(self, slot):
+        p, rmat, params, args = self.first_factor_block(2, np.random.default_rng(910))
+        g = args[slot]
+        # trial 5 not tangent: a part of J1 commutes with J1
+        v1 = g.vertical.v1.copy()
+        v1[5] += 1e-3 * p.j1.matrix[5]
+        bad = list(args)
+        bad[slot] = tn.gtangent(g.horizontal, v1, g.vertical.v2)
+        with pytest.raises(tn.TangencyError, match="anticommute"):
+            tn.restriction_residuals(p, rmat, params, *bad)
+        # trial 11 with a second-factor part that is itself vertical
+        v2 = g.vertical.v2.copy()
+        v2[11] = fd.vertical_basis(p.j2)[0][11]
+        bad[slot] = tn.gtangent(g.horizontal, g.vertical.v1, v2)
+        with pytest.raises(tn.TangencyError, match="second-factor"):
+            tn.restriction_residuals(p, rmat, params, *bad)
+        # a NaN second-factor part
+        v2[11] = np.nan
+        bad[slot] = tn.gtangent(g.horizontal, g.vertical.v1, v2)
+        with pytest.raises(tn.TangencyError):
+            tn.restriction_residuals(p, rmat, params, *bad)
+
+    def test_negated_sign_table_breaks_the_restriction(self, monkeypatch):
+        # the product side reads SIGMA, the single-fibre forms write their signs out
+        p, rmat, params, args = self.first_factor_block(1, np.random.default_rng(920))
+        negate_sign_table(monkeypatch)
+        res = tn.restriction_residuals(p, rmat, params, *args)
+        assert np.max(res["cov_deriv"]) > 1e-3
+        assert np.max(res["ext_deriv"]) > 1e-3
