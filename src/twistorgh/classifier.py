@@ -21,10 +21,11 @@ Every condition is linear in D Omega, so each sampled point is evaluated
 from two frame arrays (``tensors.frame_tensor``) in the H_t-orthonormal
 frame (E_a): T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and the matrix M of Jn,
 so that Jn A has coefficients M x when A has coefficients x.  A condition
-is one tensor Q, linear in T, contracted with its argument slots (A, B, C),
-or (A, A, C) for W1 and W1+W3, or (A) for delta Omega; the slots also pick
-the norms.  With tj = T(JX, Y, Z), i.e. tj[a, b, c] = sum_i M[i, a] T[i, b, c],
-tjj = T(JX, JY, Z) and S = T(JX, Y, Z) + T(X, JY, Z):
+is one tensor Q, linear in T, with value Q[a, b, c] X[a] Y[b] Z[c] on its
+argument slots (A, B, C), or (A, A, C) for W1 and W1+W3, or (A) for delta
+Omega; the slots also pick the norms.  With tj = T(JX, Y, Z), i.e.
+tj[a, b, c] = sum_i M[i, a] T[i, b, c], tjj = T(JX, JY, Z) and
+S = T(JX, Y, Z) + T(X, JY, Z):
 
     D Omega, W1   T                              W1+W2   T + tjj
     d Omega       T + T[b,c,a] + T[c,a,b]        W1+W3   T - tjj
@@ -35,9 +36,16 @@ Points are evaluated in blocks of ``BLOCK_POINTS``: one draw gives the
 block's sphere points and coefficient triples, the structures, vertical
 bases and frames are built stacked, one ``frame_tensor`` call gives the
 stacked T[p, a, b, c] and M[p, b, a] of the block, and one
-``condition_values`` call contracts every condition over the block.  The
-point functions (``_points``, ``fourdim.vertical_basis``,
-``tensors.frame_at_point``) take one point or a stack with the same code.
+``condition_values`` call contracts every condition over the block.  It
+forms the J-twists tj and tjj at most once for all conditions, and drops tj
+once N and tjj are formed.  The (A, B, C) conditions share one outer product
+X (x) Y of the block's arguments, and the (A, A, C) conditions share X (x) X,
+formed after the first is dropped; each condition is then one matmul of its
+outer product against Q, seen as (64, 8), and one dot with Z, while delta
+Omega is one matvec.  Each block's sup is one stacked abs, divide and max over
+the requested conditions.  The point functions (``_points``,
+``fourdim.vertical_basis``, ``tensors.frame_at_point``) take one point or a
+stack with the same code.
 
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).
@@ -92,8 +100,9 @@ ALLOWED_DETECTED = {
 COMPONENTS = ("++", "+-", "-+", "--")
 
 #: points per block of ``condition_residuals``: one stacked frame tensor each.
-#: 64-point blocks run about 12% faster (6.8 against 7.6 ms at the default config,
-#: 2-vCPU VM) but peak at 2.2 MiB traced; 16 stay under 1 MiB, at 0.60 MiB.
+#: 64-point blocks run about 9% faster (5.6 against 6.1 ms per default-config
+#: classify, 2-vCPU VM, one BLAS thread) but peak at 2.6 MiB traced; 16 stay
+#: under 1 MiB, at 0.81 MiB.
 BLOCK_POINTS = 16
 
 
@@ -145,33 +154,45 @@ def _cyclic(q):
     return q + np.moveaxis(q, -1, -3) + np.moveaxis(q, -3, -1)
 
 
-def _condition_tensor(cond: str, T, M):
-    """The tensor Q over the slots of condition ``cond``, linear in T: its value is
-    Q[a, b, c] X[a] Y[b] Z[c] for the slot arguments (X, Y, Z)."""
-    if cond in (_DOM, _W1):
-        return T
-    if cond == _DEXT:
-        return _cyclic(T)
-    if cond == _DELTA:
-        return -np.trace(T, axis1=-3, axis2=-2)
-    mt = np.swapaxes(M, -1, -2)
-    tj = (mt @ T.reshape(T.shape[:-2] + (64,))).reshape(T.shape)  # T(JX, Y, Z)
-    if cond == _NIJ:
-        s = tj + mt[..., None, :, :] @ T  # T(JX, Y, Z) + T(X, JY, Z)
-        return s - np.swapaxes(s, -3, -2)
-    tjj = mt[..., None, :, :] @ tj  # T(JX, JY, Z)
-    if cond == _QUASI:
-        return T + tjj
-    return T - tjj if cond == _W13 else _cyclic(T - tjj)
+_TWISTED = frozenset({_NIJ, _QUASI, _W13, _W23})  # built from T(JX, Y, Z)
 
 
-def _contract(q, args):
-    """q contracted with the slot arguments (..., k, 8), the last slot first;
-    leading axes of q and the arguments broadcast.  Returns (..., k)."""
-    u = args[-1] @ np.swapaxes(q.reshape(q.shape[:-len(args)] + (-1, 8)), -1, -2)
-    for x in args[-2::-1]:
-        u = (u.reshape(u.shape[:-1] + (-1, 8)) @ x[..., None])[..., 0]
-    return u[..., 0]
+def _nijenhuis(T, tj, mt):
+    s = tj + mt[..., None, :, :] @ T  # T(JX, Y, Z) + T(X, JY, Z)
+    return s - np.swapaxes(s, -3, -2)
+
+
+def _condition_tensors(T, M, conditions):
+    """(condition, Q) for each of ``conditions``: Q is the tensor over the condition's
+    slots, linear in T, whose value is Q[a, b, c] X[a] Y[b] Z[c] for the slot
+    arguments (X, Y, Z).  The (A, B, C) conditions come first, then (A, A, C), then
+    delta Omega, so a consumer needs one argument outer product at a time.  The
+    J-twists T(JX, Y, Z) and T(JX, JY, Z) are formed at most once, and T(JX, Y, Z)
+    is dropped once N and T(JX, JY, Z) are."""
+    want = set(conditions)
+    if _DOM in want:
+        yield _DOM, T
+    if _DEXT in want:
+        yield _DEXT, _cyclic(T)
+    tjj = None
+    if want & _TWISTED:
+        mt = np.swapaxes(M, -1, -2)
+        tj = (mt @ T.reshape(T.shape[:-2] + (64,))).reshape(T.shape)  # T(JX, Y, Z)
+        if _NIJ in want:
+            yield _NIJ, _nijenhuis(T, tj, mt)
+        if want & (_TWISTED - {_NIJ}):
+            tjj = mt[..., None, :, :] @ tj  # T(JX, JY, Z)
+        del tj
+    if _QUASI in want:
+        yield _QUASI, T + tjj
+    if _W23 in want:
+        yield _W23, _cyclic(T - tjj)
+    if _W1 in want:
+        yield _W1, T
+    if _W13 in want:
+        yield _W13, T - tjj
+    if _DELTA in want:
+        yield _DELTA, -np.trace(T, axis1=-3, axis2=-2)
 
 
 def condition_values(T, M, coeffs, conditions=CONDITIONS) -> dict[str, np.ndarray]:
@@ -179,11 +200,28 @@ def condition_values(T, M, coeffs, conditions=CONDITIONS) -> dict[str, np.ndarra
 
     ``T`` (..., 8, 8, 8) and ``M`` (..., 8, 8) come from
     :func:`tensors.frame_tensor`; ``coeffs`` (..., k, 3, 8) holds the frame
-    coefficients of (A, B, C).  Returns one (..., k) array per condition.
+    coefficients of (A, B, C), or only of the slots the conditions use.
+    Returns one (..., k) array per condition.  The conditions over the same
+    slots share the outer product of their first two arguments, so each is
+    one matmul of it against Q and a dot with its last argument; delta Omega
+    is one matvec.  Leading axes of T and of ``coeffs`` broadcast.
     """
-    return {c: _contract(_condition_tensor(c, T, M),
-                         [coeffs[..., i, :] for i in _SLOTS[c]])
-            for c in conditions}
+    out = {}
+    pair = outer = None
+    for c, q in _condition_tensors(T, M, conditions):
+        *head, last = _SLOTS[c]
+        z = coeffs[..., last, :]
+        if not head:  # delta Omega: Q is a vector over its one slot
+            out[c] = (z @ q[..., None])[..., 0]
+        else:
+            if head != pair:
+                outer = None  # drop the previous outer product first
+                x, y = (coeffs[..., i, :] for i in head)
+                outer = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (64,))
+                pair = head
+            out[c] = np.einsum("...i,...i->...", outer @ q.reshape(q.shape[:-3] + (64, 8)), z)
+        del q  # free Q before the next one is formed
+    return {c: out[c] for c in conditions}
 
 
 def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
@@ -203,7 +241,10 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
     params = Params(float(t[0]), float(t[1]), n)
     rng = np.random.default_rng(cfg.seed)
     k = cfg.num_arg_triples
-    sup = {c: 0.0 for c in conditions}
+    slots = [_SLOTS[c] for c in conditions]
+    if not slots:
+        return {}
+    sup = np.zeros(len(slots))
 
     for start in range(0, cfg.num_points, BLOCK_POINTS):
         rows = rng.standard_normal((min(BLOCK_POINTS, cfg.num_points - start), 6 + 24 * k))
@@ -211,11 +252,12 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
         T, M = tensors.frame_tensor(_points(rows, component), rmat, params)
         # the frame is H_t-orthonormal, so coefficient norms are H_t norms
         norms = np.linalg.norm(coeffs, axis=-1)
-        nrm = {s: 1.0 + np.prod(norms[..., s], axis=-1) for s in {_SLOTS[c] for c in conditions}}
-        for c, vals in condition_values(T, M, coeffs, conditions).items():
-            # np.maximum keeps a NaN that the builtin max would drop
-            sup[c] = float(np.maximum(sup[c], np.max(np.abs(vals) / nrm[_SLOTS[c]])))
-    return sup
+        nrm = {s: 1.0 + np.prod(norms[..., s], axis=-1) for s in set(slots)}
+        vals = condition_values(T, M, coeffs, conditions)
+        # np.maximum and np.max keep a NaN that the builtin max would drop
+        sup = np.maximum(sup, np.max(np.abs(np.stack([vals[c] for c in conditions]))
+                                     / np.stack([nrm[s] for s in slots]), axis=(1, 2)))
+    return {c: float(v) for c, v in zip(conditions, sup)}
 
 
 def residual(cond: str, rmat, component: str, t, n: int, cfg: SamplingConfig) -> float:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 suite/assertion failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ def _add_sampling_args(p: argparse.ArgumentParser) -> None:
                    help="argument triples per point (default 32)")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twistorgh", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -152,6 +152,10 @@ def model(name: str, **params) -> np.ndarray:
     missing = allowed - set(params)
     if missing:
         raise CurvatureError(f"model {name!r} requires {sorted(missing)}")
+    # before any arithmetic: inf * 0 in the witnesses' blocks would warn, and a NaN
+    # scalar would pass the sign check of w2_witness
+    if "s" in params and not np.isfinite(float(params["s"])):
+        raise CurvatureError(f"model {name!r} requires a finite s, got {params['s']}")
 
     if name == "flat":
         return np.zeros((6, 6))

@@ -329,7 +329,8 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     k1, k2 = KSIGNS[params.n]
     m = np.zeros(j1.shape[:-2] + (8, 8))
     m[..., :4, :4] = j1
-    m[..., 4:, 4:] = np.kron(np.diag([-k1 * p.j1.sign, -k2 * p.j2.sign]), [[0, 1], [-1, 0]])
+    m[..., 4, 5], m[..., 6, 7] = -k1 * p.j1.sign, -k2 * p.j2.sign
+    m[..., 5, 4], m[..., 7, 6] = k1 * p.j1.sign, k2 * p.j2.sign
     return t, m
 
 

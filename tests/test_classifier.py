@@ -51,10 +51,16 @@ class TestResiduals:
                                    (1.0, 1.0), n, FAST) > 0.1
 
     def test_partial_run_matches_full_run(self):
+        # the default config fills blocks of 16 points, whose conditions share
+        # the J-twists and argument outer products in a full run only
         rmat = cur.model("constant_curvature", s=12.0)
-        full = cl.condition_residuals(rmat, "+-", (0.25, 1.0), 3, FAST)
-        for cond in cl.CONDITIONS:
-            assert cl.residual(cond, rmat, "+-", (0.25, 1.0), 3, FAST) == full[cond]
+        for cfg in (FAST, cl.SamplingConfig()):
+            for component in cl.COMPONENTS:
+                full = cl.condition_residuals(rmat, component, (0.25, 1.0), 3, cfg)
+                for cond in cl.CONDITIONS:
+                    assert cl.residual(cond, rmat, component, (0.25, 1.0), 3, cfg) == \
+                        full[cond], (cfg, component, cond)
+        assert cl.condition_residuals(rmat, "+-", (0.25, 1.0), 3, FAST, conditions=()) == {}
 
 
 class TestClassify:
@@ -215,7 +221,7 @@ class TestOrientationSymmetry:
 
 
 def _contract(T, x, y, z):
-    return np.einsum("abc,ka,kb,kc->k", T, x, y, z)
+    return np.einsum("...abc,...ka,...kb,...kc->...k", T, x, y, z)
 
 
 def _sampled_sup(rmat, component, t, n, cfg, value, norm_slots):
@@ -335,10 +341,61 @@ class TestFrameTensorContractions:
                     assert stacked[cond][i, k] == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
+def _dense_condition_values(T, M, coeffs):
+    """Each condition as one dense einsum of T with its (J-twisted) slot arguments."""
+    x, y, z = (coeffs[..., i, :] for i in range(3))
+
+    def j(v):  # coefficients of Jn V
+        return np.einsum("...ij,...kj->...ki", M, v)
+
+    def t(a, b, c):
+        return _contract(T, a, b, c)
+
+    def cyclic(f, a, b, c):
+        return f(a, b, c) + f(b, c, a) + f(c, a, b)
+
+    def w23(a, b, c):
+        return t(a, b, c) - t(j(a), j(b), c)
+
+    return {
+        "DΩ": t(x, y, z),
+        "W1-cond": t(x, x, z),
+        "dΩ": cyclic(t, x, y, z),
+        "N": t(j(x), y, z) + t(x, j(y), z) - t(j(y), x, z) - t(y, j(x), z),
+        "δΩ": -np.einsum("...aac,...kc->...k", T, x),
+        "quasi-cond": t(x, y, z) + t(j(x), j(y), z),
+        "W1W3-cond": t(x, x, z) - t(j(x), j(x), z),
+        "W2W3-cond": cyclic(w23, x, y, z),
+    }
+
+
+class TestSharedContraction:
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_condition_values_match_dense_einsum(self, lead, k, n):
+        rng = np.random.default_rng([23, len(lead), k, n])
+        rmat = cur.random_strict_operator(rng)
+        params = tn.Params(0.7, 1.3, n)
+        T, M = tn.frame_tensor(cl._points(rng.standard_normal(lead + (6,)), "+-"), rmat, params)
+        coeffs = rng.standard_normal(lead + (k, 3, 8))
+        want = _dense_condition_values(T, M, coeffs)
+        got = cl.condition_values(T, M, coeffs)
+        assert list(got) == list(cl.CONDITIONS)
+        for cond in cl.CONDITIONS:
+            assert got[cond].shape == lead + (k,)
+            scale = np.max(np.abs(want[cond]))
+            assert np.max(np.abs(got[cond] - want[cond])) <= 1e-13 * scale, cond
+            # asked alone, a condition indexes only the slots it uses
+            slots = 1 if cond == "δΩ" else 3
+            alone = cl.condition_values(T, M, coeffs[..., :slots, :], (cond,))
+            assert np.array_equal(alone[cond], got[cond]), cond
+
+
 class TestMemory:
     def test_default_config_peak_allocation_stays_under_1_mib(self):
-        # blocks of points bound the traced peak (0.60 MiB with the conditions
-        # contracted over the block); one stack of all 64 points takes 2.2 MiB
+        # blocks of points bound the traced peak (0.81 MiB, most of it the
+        # block's argument outer product); one stack of all 64 points takes 2.6 MiB
         rmat = cur.model("constant_curvature", s=12.0)
         args = (rmat, "+-", (0.25, 1.0), 3, cl.SamplingConfig())
         cl.condition_residuals(*args)  # first-call allocations are not the budget's

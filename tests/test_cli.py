@@ -166,6 +166,17 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["constant_curvature", "kaehler_witness", "w1_witness",
+                                       "w2_witness"])
+    @pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
+    def test_non_finite_scalar_exits_3_without_a_warning(self, capsys, model, s):
+        code, out, err = run_cli(capsys, "classify", "--model", model, f"--s={s}",
+                                 "--component=+-", "--n", "1", *FAST)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite s" in err
+
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
@@ -305,6 +316,32 @@ def test_negative_seed_is_a_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")
     assert (code, out) == (cli.EXIT_VALIDATION, "")
     assert "seed must be a non-negative integer" in err
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # one parser serves every call of the process, so no call may see the
+    # options or the defaults of the call before it
+    assert cli.build_parser() is cli.build_parser()
+    flat = ["classify", "--model", "flat", "--component", "++", "--n", "1", *FAST]
+    code, out, _ = run_cli(capsys, *flat, "--format", "csv", "--seed", "5")
+    assert code == cli.EXIT_OK
+    assert out.startswith("detected,")
+    report = tmp_path / "verify.json"
+    code, _, _ = run_cli(capsys, "verify", "--id", "4.2a", *FAST, "--output", str(report))
+    assert code == cli.EXIT_OK
+    runs = {seed: cl.verify_report_json([cl.verify_theorem("4.2a",
+                                                          cl.SamplingConfig(seed, 12, 6))])
+            for seed in (0, 5)}
+    assert runs[0] != runs[5]
+    assert report.read_text() == runs[0]
+    code, out, _ = run_cli(capsys, *flat)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["config"]["seed"] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*flat, "--n", "7"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(capsys, *flat)[:2] == (code, out)
 
 
 class TestModelsCommand:

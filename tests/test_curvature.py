@@ -149,6 +149,14 @@ class TestModels:
         with pytest.raises(cur.CurvatureError, match="s < 0"):
             cur.model("w2_witness", s=3.0)
 
+    @pytest.mark.parametrize("name", [n for n, (params, _) in cur.MODEL_SPECS.items()
+                                      if "s" in params])
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scalar_is_rejected(self, name, s):
+        params = {p: np.zeros((3, 3)) for p in cur.MODEL_SPECS[name][0]} | {"s": s}
+        with pytest.raises(cur.CurvatureError, match="finite s"):
+            cur.model(name, **params)
+
     def test_einstein_models_reject_b(self):
         wm = cur.random_traceless_symmetric(RNG)
         with pytest.raises(cur.CurvatureError, match="B = 0"):

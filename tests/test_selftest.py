@@ -10,19 +10,24 @@ from random_fourdim import drawn_strict_operator, negate_sign_table
 IDENTITY_KINDS = ("ext-deriv-antisymmetrization", "codiff-frame-trace", "nijenhuis-identity")
 
 
+def scaled_condition_tensors(cond):
+    """``classifier._condition_tensors`` with the tensor Q of ``cond`` scaled by 1.01."""
+    intact = cl._condition_tensors
+
+    def scaled(T, M, conditions):
+        for c, q in intact(T, M, conditions):
+            yield c, (1.01 * q if c == cond else q)
+
+    return scaled
+
+
 @pytest.mark.parametrize("cond, oracle", [("dΩ", "ext-deriv-antisymmetrization"),
                                           ("δΩ", "codiff-frame-trace"),
                                           ("N", "nijenhuis-identity")])
 def test_scaled_condition_tensor_fails_its_oracle_only(monkeypatch, cond, oracle):
     # the identity oracles evaluate the classifier's contractions, so a 1% error
     # in one condition's tensor Q must fail the oracle of that condition
-    intact = cl._condition_tensor
-
-    def scaled(c, T, M):
-        q = intact(c, T, M)
-        return 1.01 * q if c == cond else q
-
-    monkeypatch.setattr(cl, "_condition_tensor", scaled)
+    monkeypatch.setattr(cl, "_condition_tensors", scaled_condition_tensors(cond))
     results = selftest.run_selftest(seed=1, trials=25)
     assert [r.name for r in results if not r.ok] == [oracle]
 
@@ -95,9 +100,7 @@ def scalar_worst(kind, seed, trials):
 def test_stacked_worst_trial_is_the_scalar_one(monkeypatch, cond, kind):
     # a 1% error makes the residuals geometric, not roundoff, so the worst
     # trial is well defined; 70 trials cover a full block and a partial one
-    intact = cl._condition_tensor
-    monkeypatch.setattr(cl, "_condition_tensor",
-                        lambda c, T, M: 1.01 * intact(c, T, M) if c == cond else intact(c, T, M))
+    monkeypatch.setattr(cl, "_condition_tensors", scaled_condition_tensors(cond))
     result = selftest._tensor_oracle(2, 70, kind)
     best, worst = scalar_worst(kind, 2, 70)
     assert not result.ok
