@@ -12,9 +12,10 @@ fail tracelessness are accepted and marked non-strict: several classification
 witnesses require R to annihilate one half entirely, which forces
 W- = -(s/12) Id.
 
-Sign convention for the coupling with tangent vectors: the curvature of the
-induced connection on skew endomorphisms acts as a -> [r, a] where r is the
-endomorphism of R(x ^ y), so that G([r, a], b) = <R([a, b]^), x ^ y>.
+Sign convention of ``curvature_endo``: r is the skew endomorphism of
+R(x ^ y), and the curvature of the induced connection on skew endomorphisms
+acts as a -> [r, a], so that G([r, a], b) = <R([a, b]^), x ^ y>; the
+curvature-commutator oracle of ``selftest`` checks this identity.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourdim import endo_of_two_vector, two_vector_of_endo, wedge_of_pair
-from .tensors import check_vertical
+from .fourdim import endo_of_two_vector, wedge_of_pair
 
 #: symmetry tolerance, relative to max(1, max|entry|), so roundoff in large
 #: entries is not read as asymmetry
@@ -177,26 +177,13 @@ def model(name: str, **params) -> np.ndarray:
     raise AssertionError(name)
 
 
-# --- coupling with twistor data ----------------------------------------------
+# --- curvature endomorphisms -------------------------------------------------
 
 def curvature_endo(mat, x, y) -> np.ndarray:
     """The skew endomorphism r with g(r z, t) = <R(x ^ y), z ^ t>; operators
     (..., 6, 6) and vectors stacked along leading axes broadcast."""
     mat = check_operator(mat, stacked=True)
     return endo_of_two_vector((mat @ wedge_of_pair(x, y)[..., None])[..., 0])
-
-
-def coupling(mat, x, y, point, v, params) -> float:
-    """H_t(R(x, y)J, V) = 2 <R(t1 (J1 V1)^ + t2 (J2 V2)^), x ^ y>.
-
-    ``point`` carries j1/j2 (oriented complex structures), ``v`` the vertical
-    pair (v1, v2); ``tensors.check_vertical`` enforces verticality.
-    """
-    mat = check_operator(mat)
-    check_vertical(point, v)
-    q = (params.t1 * two_vector_of_endo(point.j1.matrix @ v.v1)
-         + params.t2 * two_vector_of_endo(point.j2.matrix @ v.v2))
-    return 2.0 * float((mat @ q) @ wedge_of_pair(x, y))
 
 
 # --- serialization -----------------------------------------------------------
@@ -349,6 +336,4 @@ def perturbed(mat, kind: str, rng, rel: float = 0.1) -> np.ndarray:
         noise = rng.standard_normal((3, 3))
         noise *= rel * base / max(float(np.linalg.norm(noise)), 1e-12)
         return compose(blocks.s, blocks.B + noise, blocks.Wplus, blocks.Wminus)
-    if kind == "s":
-        return compose(blocks.s + rel * 12.0 * base, blocks.B, blocks.Wplus, blocks.Wminus)
     raise CurvatureError(f"unknown perturbation kind {kind!r}")

@@ -4,10 +4,11 @@ The fibre over a Euclidean space (T, g) of dimension 2m is the set Z(T, g) of
 g-orthogonal complex structures J (skew with J @ J = -Id), an embedded
 submanifold of the space so(g) of skew-symmetric endomorphisms.  This module
 implements the pointwise algebra of that picture: the trace metric
-G(a, b) = -1/2 trace(a b), the orthonormal S_ab basis of so(g), the adapted
-A/B tangent basis at a point J, the fibre Kaehler structure V -> J o V and
-the Levi-Civita derivative of tangent vector fields.  The isometry between
-so(g) and 2-vectors is implemented for dimension four, in ``fourdim``.
+G(a, b) = -1/2 trace(a b), the orthonormal S_ab basis of so(g), the
+projection onto the tangent space at a point J and the Levi-Civita derivative
+of tangent vector fields, with which ``selftest`` checks that the fibre
+Kaehler structure V -> J o V is parallel.  The isometry between so(g) and
+2-vectors is implemented for dimension four, in ``fourdim``.
 
 Coordinates are always orthonormal: g is the identity bilinear form in the
 stored coordinates, and dimensions other than multiples of two are rejected.
@@ -109,55 +110,6 @@ def standard_complex_structure(dim: int) -> np.ndarray:
         j[i + 1, i] = 1.0
         j[i, i + 1] = -1.0
     return j
-
-
-def make_AB_basis(j, frame) -> list[np.ndarray]:
-    """G-orthonormal tangent basis at J adapted to an orthonormal frame.
-
-    ``frame[k]`` is the k-th frame vector; the frame must satisfy
-    J frame[2r-2] = frame[2r-1] (1-based: J f_{2r-1} = f_{2r}).  Returns
-    [A_12, B_12, A_13, B_13, ...] with
-
-        A_rs = (S'_{2r-1,2s-1} - S'_{2r,2s}) / sqrt2,
-        B_rs = (S'_{2r-1,2s} + S'_{2r,2s-1}) / sqrt2,
-
-    where S'_ab are built from the frame; B_rs = J o A_rs.  Empty for m = 1.
-    """
-    j = check_complex_structure(j)
-    dim = j.shape[0]
-    f = np.asarray(frame, dtype=float)
-    if f.shape != (dim, dim):
-        raise FibreAlgebraError(f"frame must contain {dim} vectors of length {dim}")
-    ortho_err = float(np.max(np.abs(f @ f.T - np.eye(dim))))
-    if not ortho_err <= STRUCT_TOL:
-        raise FibreAlgebraError(
-            f"frame is not orthonormal: max|<f_a, f_b> - delta_ab| = {ortho_err:.3e}")
-    for r in range(dim // 2):
-        adapt_err = float(np.max(np.abs(j @ f[2 * r] - f[2 * r + 1])))
-        if not adapt_err <= STRUCT_TOL:
-            raise FibreAlgebraError(
-                f"frame is not J-adapted: |J f_{2 * r + 1} - f_{2 * r + 2}| = {adapt_err:.3e}")
-
-    def s_frame(a: int, b: int) -> np.ndarray:
-        # S'_ab in ambient coordinates (1-based frame labels)
-        fa, fb = f[a - 1], f[b - 1]
-        return np.outer(fb, fa) - np.outer(fa, fb)
-
-    m = dim // 2
-    rt2 = np.sqrt(2.0)
-    out = []
-    for r in range(1, m + 1):
-        for s in range(r + 1, m + 1):
-            out.append((s_frame(2 * r - 1, 2 * s - 1) - s_frame(2 * r, 2 * s)) / rt2)
-            out.append((s_frame(2 * r - 1, 2 * s) + s_frame(2 * r, 2 * s - 1)) / rt2)
-    return out
-
-
-def kaehler_K(j, v) -> np.ndarray:
-    """Fibre almost complex structure K V = J o V on tangent vectors at J."""
-    j = check_complex_structure(j)
-    v = check_tangent(j, v)
-    return j @ v
 
 
 def tangent_projection(j, q) -> np.ndarray:

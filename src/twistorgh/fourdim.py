@@ -9,7 +9,8 @@ All 6-component vectors use one fixed ordered basis
 
 built from the standard oriented orthonormal basis of R^4.  The first three
 components span the self-dual half (Hodge eigenvalue +1), the last three the
-anti-self-dual half.
+anti-self-dual half, so the Hodge star is the sign pattern (1, 1, 1, -1, -1, -1)
+and the split into halves is the slices v[:3], v[3:] (``active_half``).
 
 A skew endomorphism a corresponds to the 2-vector a^ with
 g(a^, x^y) = g(a x, y).  The map so(g) -> Lambda^2 (``two_vector_of_endo``,
@@ -49,8 +50,6 @@ LEX_TO_S = np.array([
 
 _S_TO_LEX = LEX_TO_S.T.copy()
 
-HODGE_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-
 #: tolerance for purity / unit-sphere checks
 PURITY_TOL = 1e-10
 
@@ -83,21 +82,6 @@ def endo_of_two_vector(v) -> np.ndarray:
     return (v @ _S_ENDOS_FLAT).reshape(v.shape[:-1] + (4, 4))
 
 
-def hodge_star(v) -> np.ndarray:
-    """+Id on the self-dual half, -Id on the anti-self-dual half; an involution."""
-    return HODGE_SIGNS * np.asarray(v, dtype=float)
-
-
-def split_pm(v) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal decomposition v = v_plus + v_minus into Hodge eigenvectors."""
-    v = np.asarray(v, dtype=float)
-    plus = v.copy()
-    plus[3:] = 0.0
-    minus = v.copy()
-    minus[:3] = 0.0
-    return plus, minus
-
-
 def _half_slice(sign: int) -> slice:
     if sign == 1:
         return slice(0, 3)
@@ -126,17 +110,6 @@ def embed_half(u3, sign: int) -> np.ndarray:
 
 def active_half(v, sign: int) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., _half_slice(sign)]
-
-
-def cross(u, v, sign: int) -> np.ndarray:
-    """Vector cross product in the oriented 3-space of pure two-vectors.
-
-    s1 x s2 = s3 cyclically in either half; corresponds to the endomorphism
-    commutator via (sign / sqrt2) [K_u, K_v].
-    """
-    u = check_pure(u, sign)
-    v = check_pure(v, sign)
-    return embed_half(np.cross(active_half(u, sign), active_half(v, sign)), sign)
 
 
 @dataclass(frozen=True, eq=False)

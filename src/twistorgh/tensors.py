@@ -29,7 +29,11 @@ oracles ``selftest`` compares it with: ``ext_deriv_omega``, ``codiff_omega``
 and ``nijenhuis_closed_form``, which writes its signs out from n instead of
 taking EPS and SIGMA, so a corrupted sign table is caught: the tests negate
 SIGMA and see the nijenhuis-identity oracle fail.  The single-fibre
-restrictions (arguments with vanishing second factor) have their own code path.
+restrictions (arguments with vanishing second factor) have their own code path,
+which ``restriction_residuals`` compares with the product tensors.  H_t, Jn
+and Omega have no checked evaluator here: the frame tensor carries Jn as the
+matrix M, and the tests keep their references for H_t and Jn in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -136,30 +140,13 @@ def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
     return a
 
 
-# --- metric, structures, fundamental form ------------------------------------
-
-def metric_Ht(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
-    check_gtangent(p, a)
-    check_gtangent(p, b)
-    return _metric(params, a, b)
-
+# --- metric and almost complex structure -------------------------------------
 
 def _metric(params: Params, a: GTangent, b: GTangent):
-    # metric_Ht for arguments already checked
+    # H_t(a, b) for arguments already checked
     return (_dot(a.horizontal, b.horizontal)
             + params.t1 * inner_G(a.vertical.v1, b.vertical.v1)
             + params.t2 * inner_G(a.vertical.v2, b.vertical.v2))
-
-
-def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
-    """Almost complex structure Jn: horizontal part by J1, vertical by Kn."""
-    check_gtangent(p, a)
-    return _acs_unchecked(p, params, a)
-
-
-def omega(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
-    """Fundamental form Omega(A, B) = H_t(Jn A, B)."""
-    return metric_Ht(p, acs(p, a, params), b, params)
 
 
 def _apply(m, x):
@@ -178,7 +165,7 @@ def _op(rmat, v):
 
 
 def _acs_unchecked(p: ProductTwistorPoint, params: Params, a: GTangent) -> GTangent:
-    # acs for arguments valid by construction; a may be stacked along leading axes
+    # Jn a for arguments valid by construction; a may be stacked along leading axes
     # whose trailing ones broadcast against the axes of a stacked point
     k1, k2 = KSIGNS[params.n]
     j1, j2 = p.j1.matrix, p.j2.matrix
@@ -427,7 +414,7 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
     with the single structure k = 1, n in {3, 4} with k = 2, and the single
     metric weight is t1.  All residuals are identically zero.  Each argument
     is checked once and viewed once; the product side is the arithmetic of
-    ``cov_deriv_omega``, ``ext_deriv_omega``, ``codiff_omega`` and ``metric_Ht``.
+    ``cov_deriv_omega``, ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
     """
     for g in (a, b, c):
         check_gtangent(p, g)

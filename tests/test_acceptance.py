@@ -13,6 +13,8 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
+from reference import acs, metric_Ht
+
 SEED = 7
 VERIFY_CFG = cl.SamplingConfig(seed=SEED)
 
@@ -170,6 +172,7 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_algebraic_invariants():
     rng = np.random.default_rng([SEED, 8])
     worst = {"acs_square": 0.0, "compat": 0.0, "omega_antisym": 0.0,
+             "frame_M_square": 0.0, "frame_M_orthogonal": 0.0,
              "s_basis": 0.0, "cross_commutator": 0.0, "isometry": 0.0}
 
     for dim in (4, 6):
@@ -186,7 +189,7 @@ def test_criterion_8_algebraic_invariants():
         frame = tn.frame_at_point(p, params)
         a, b = (tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(2))
 
-        twice = tn.acs(p, tn.acs(p, a, params), params)
+        twice = acs(p, acs(p, a, params), params)
         worst["acs_square"] = max(
             worst["acs_square"],
             float(np.max(np.abs(twice.horizontal + a.horizontal))),
@@ -194,19 +197,29 @@ def test_criterion_8_algebraic_invariants():
             float(np.max(np.abs(twice.vertical.v2 + a.vertical.v2))))
 
         worst["compat"] = max(worst["compat"], abs(
-            tn.metric_Ht(p, tn.acs(p, a, params), tn.acs(p, b, params), params)
-            - tn.metric_Ht(p, a, b, params)))
+            metric_Ht(p, acs(p, a, params), acs(p, b, params), params)
+            - metric_Ht(p, a, b, params)))
 
+        # Omega(A, B) = H_t(Jn A, B)
         worst["omega_antisym"] = max(worst["omega_antisym"], abs(
-            tn.omega(p, a, b, params) + tn.omega(p, b, a, params)))
+            metric_Ht(p, acs(p, a, params), b, params)
+            + metric_Ht(p, acs(p, b, params), a, params)))
+
+        # Jn in the frame, as the classifier's contractions read it
+        _, m = tn.frame_tensor(p, cur.model("flat"), params)
+        worst["frame_M_square"] = max(worst["frame_M_square"],
+                                      float(np.max(np.abs(m @ m + np.eye(8)))))
+        worst["frame_M_orthogonal"] = max(worst["frame_M_orthogonal"],
+                                          float(np.max(np.abs(m.T @ m - np.eye(8)))))
 
         sign = 1 if i % 2 == 0 else -1
         u = fd.embed_half(rng.standard_normal(3), sign)
         v = fd.embed_half(rng.standard_normal(3), sign)
         ku, kv = fd.endo_of_two_vector(u), fd.endo_of_two_vector(v)
         bracket = fd.two_vector_of_endo(sign / np.sqrt(2.0) * (ku @ kv - kv @ ku))
+        cross = fd.embed_half(np.cross(fd.active_half(u, sign), fd.active_half(v, sign)), sign)
         worst["cross_commutator"] = max(worst["cross_commutator"],
-                                        float(np.max(np.abs(bracket - fd.cross(u, v, sign)))))
+                                        float(np.max(np.abs(bracket - cross))))
 
         q = rng.standard_normal((4, 4))
         skew = 0.5 * (q - q.T)

@@ -7,6 +7,8 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
+from reference import acs
+
 RNG = np.random.default_rng(606)
 
 FAST = cl.SamplingConfig(seed=3, num_points=16, num_arg_triples=8)
@@ -319,7 +321,7 @@ class TestFrameTensorContractions:
             frame = tn.frame_at_point(p, params)
             for k in range(len(coeffs)):
                 a, b, c = (tn.frame_combination(frame, x) for x in coeffs[k])
-                ja, jb, jc = (tn.acs(p, g, params) for g in (a, b, c))
+                ja, jb, jc = (acs(p, g, params) for g in (a, b, c))
 
                 def d(x, y, z):
                     return tn.cov_deriv_omega(p, rmat, params, x, y, z)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from twistorgh import classifier as cl, curvature as cur
-from twistorgh import fibre, fourdim as fd, tensors as tn
+from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import drawn_strict_operator, random_ocs, random_vertical_endo
+from random_fourdim import drawn_strict_operator
 
 RNG = np.random.default_rng(404)
 
@@ -202,47 +202,6 @@ class TestCurvatureEndo:
         x, y = RNG.standard_normal((2, 4))
         assert_allclose(cur.curvature_endo(mat, x, y), -cur.curvature_endo(mat, y, x),
                         atol=1e-13)
-
-
-class TestCoupling:
-    def _setup(self):
-        p = tn.ProductTwistorPoint(random_ocs(1, RNG), random_ocs(-1, RNG))
-        v = tn.VerticalVector(random_vertical_endo(p.j1, RNG),
-                              random_vertical_endo(p.j2, RNG))
-        return p, v
-
-    def test_zero_curvature(self):
-        p, v = self._setup()
-        x, y = RNG.standard_normal((2, 4))
-        assert cur.coupling(np.zeros((6, 6)), x, y, p, v, tn.Params(1.0, 1.0, 1)) == 0.0
-
-    def test_linear_in_t1(self):
-        p, v = self._setup()
-        v = tn.VerticalVector(v.v1, np.zeros((4, 4)))
-        x, y = RNG.standard_normal((2, 4))
-        mat = cur.random_strict_operator(RNG)
-        one = cur.coupling(mat, x, y, p, v, tn.Params(1.0, 1.0, 1))
-        two = cur.coupling(mat, x, y, p, v, tn.Params(2.0, 1.0, 1))
-        assert two == pytest.approx(2.0 * one, abs=1e-12)
-
-    def test_matches_commutator_action(self):
-        # oracle: H_t(R(X, Y)J, V) with R(X, Y) acting by commutators
-        for _ in range(20):
-            p, v = self._setup()
-            x, y = RNG.standard_normal((2, 4))
-            mat = cur.random_strict_operator(RNG)
-            params = tn.Params(0.7, 1.9, 1)
-            r = cur.curvature_endo(mat, x, y)
-            j1, j2 = p.j1.matrix, p.j2.matrix
-            oracle = (params.t1 * fibre.inner_G(r @ j1 - j1 @ r, v.v1)
-                      + params.t2 * fibre.inner_G(r @ j2 - j2 @ r, v.v2))
-            assert cur.coupling(mat, x, y, p, v, params) == pytest.approx(oracle, abs=1e-10)
-
-    def test_verticality_enforced(self):
-        p, _ = self._setup()
-        bad = tn.VerticalVector(p.j1.matrix.copy(), np.zeros((4, 4)))
-        with pytest.raises(tn.TangencyError, match="anticommute"):
-            cur.coupling(np.eye(6), E[0], E[1], p, bad, tn.Params(1.0, 1.0, 1))
 
 
 def test_commutator_lemma_thousand_trials():

@@ -1,27 +1,70 @@
-"""Layout guard: every module-level function or class in src/twistorgh is used.
+"""Layout guard: every module-level name of src/twistorgh is used, and the
+package exports exactly its documented API.
 
-A top-level ``def`` or ``class`` passes when code in src/twistorgh/*.py or
-perfbench/*.py refers to it outside its own definition, or when
-twistorgh/__init__.py exports it.  Only code counts: a name read, an attribute
-or an import.  A mention in a docstring, a comment or a string (such as the
-name tables of perfbench/tracer.py, which skip missing names) keeps nothing
-alive.  A helper that only tests call belongs under tests/, not in the package.
+In src/twistorgh/*.py other than __init__.py, three kinds of module-level
+name must be referred to by code:
+
+- a ``def`` or ``class`` and a constant (an assignment target, tuple targets
+  such as ``_A, _B = range(2)`` included) pass when code in
+  src/twistorgh/*.py or perfbench/*.py refers to the name outside the
+  statement that defines it;
+- an import (other than ``from __future__``) passes when code of its own
+  module refers to the name it binds outside the import statement.
+
+Only code counts: a name read, an attribute or an import.  A mention in a
+docstring, a comment or a string (such as the name tables of
+perfbench/tracer.py, which skip missing names) keeps nothing alive, and
+neither does a re-export from twistorgh/__init__.py: the exports are pinned by
+their own test below.  A helper that only tests call belongs under tests/,
+not in the package.
 """
 
 import ast
+import types
 from pathlib import Path
+
+import twistorgh
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twistorgh"
-USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+CHECKED = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+USERS = CHECKED + sorted((ROOT / "perfbench").glob("*.py"))
+
+#: the exports README "Python API" documents
+DOCUMENTED_API = [
+    "classify", "SamplingConfig", "ClassReport", "verify_all",
+    "model", "compose", "read_json", "write_json",
+    "ClassifierError", "CurvatureError", "SchemaError",
+]
+
+
+def _targets(node):
+    """Names an assignment target binds: a name, or the names of a tuple/list."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _targets(elt)
 
 
 def _definitions(tree):
-    """(name, first line, last line) of each module-level def/class, decorators included."""
+    """(kind, name, first line, last line) of each module-level def, class,
+    constant and import; decorators are part of a def or class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno
+            yield "definition", node.name, first, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in _targets(target):
+                    yield "constant", name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield "import", name, node.lineno, node.end_lineno
 
 
 def _references(tree):
@@ -35,28 +78,27 @@ def _references(tree):
             yield from ((part, node.lineno) for part in node.name.split("."))
 
 
-def _exported():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
-
-
 def _unused():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
-    exported = _exported()
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _definitions(trees[path]):
-            if name in exported:
-                continue
+    for path in CHECKED:
+        for kind, name, first, last in _definitions(trees[path]):
+            # an import binds a name in its own module only
+            scope = {path: refs[path]} if kind == "import" else refs
             if not any(ref == name and (p != path or not first <= line <= last)
-                       for p, found in refs.items() for ref, line in found):
-                unused.append(f"{path.name}:{first} {name}")
+                       for p, found in scope.items() for ref, line in found):
+                unused.append(f"{path.name}:{first} {kind} {name}")
     return unused
 
 
 def test_every_package_definition_is_used_outside_tests():
     unused = _unused()
-    assert not unused, ("defined in src/twistorgh, used neither there, in perfbench/ nor "
-                        "exported by twistorgh/__init__.py: " + ", ".join(unused))
+    assert not unused, ("module-level names of src/twistorgh that no code there or in "
+                        "perfbench/ uses: " + ", ".join(unused))
+
+
+def test_public_api_is_the_documented_list():
+    assert twistorgh.__all__ == DOCUMENTED_API
+    for name in twistorgh.__all__:
+        assert not isinstance(getattr(twistorgh, name), types.ModuleType), name

@@ -7,6 +7,7 @@ from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
 from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo
+from reference import acs, metric_Ht
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -29,11 +30,16 @@ def canonical_point():
                                   fd.sphere_to_J(fd.embed_half([0, 1, 0], 1), 1))
 
 
+def omega(p, a, b, params):
+    """The fundamental form Omega(A, B) = H_t(Jn A, B) of the references."""
+    return metric_Ht(p, acs(p, a, params), b, params)
+
+
 def production(cond, p, rmat, params, *args):
     """Condition ``cond`` on ``args`` by the classifier's route, from the frame
     coefficients x[a] = H_t(E_a, A) of each argument."""
     frame = [tn.frame_combination(tn.frame_at_point(p, params), e) for e in np.eye(8)]
-    x = np.array([[tn.metric_Ht(p, e, g, params) for e in frame] for g in args])
+    x = np.array([[metric_Ht(p, e, g, params) for e in frame] for g in args])
     return float(cl.condition_values(*tn.frame_tensor(p, rmat, params), x[None], (cond,))[cond][0])
 
 
@@ -56,32 +62,32 @@ class TestMetric:
         p = point()
         params = tn.Params(3.0, 0.5, 1)
         a = tn.gtangent(horizontal=E[0])
-        assert tn.metric_Ht(p, a, a, params) == pytest.approx(1.0)
+        assert metric_Ht(p, a, a, params) == pytest.approx(1.0)
 
     def test_vertical_scaling(self):
         p = point()
         u2, _ = fd.vertical_basis(p.j1)
         a = tn.gtangent(v1=u2)  # G-unit vertical direction
-        assert tn.metric_Ht(p, a, a, tn.Params(3.0, 1.0, 1)) == pytest.approx(3.0)
+        assert metric_Ht(p, a, a, tn.Params(3.0, 1.0, 1)) == pytest.approx(3.0)
 
     def test_no_cross_term(self):
         p = point()
         u2, _ = fd.vertical_basis(p.j2)
         a = tn.gtangent(horizontal=RNG.standard_normal(4))
         b = tn.gtangent(v2=u2)
-        assert tn.metric_Ht(p, a, b, tn.Params(1.3, 0.7, 2)) == 0.0
+        assert metric_Ht(p, a, b, tn.Params(1.3, 0.7, 2)) == 0.0
 
     def test_positive_definite(self):
         p = point("+-")
         params = tn.Params(0.4, 2.2, 4)
         for a in random_args(p, params):
-            assert tn.metric_Ht(p, a, a, params) > 0.0
+            assert metric_Ht(p, a, a, params) > 0.0
 
     def test_verticality_enforced(self):
         p = point()
         bad = tn.gtangent(v1=p.j1.matrix)
         with pytest.raises(tn.TangencyError, match="anticommute"):
-            tn.metric_Ht(p, bad, bad, tn.Params(1.0, 1.0, 1))
+            metric_Ht(p, bad, bad, tn.Params(1.0, 1.0, 1))
 
     def test_large_vertical_vector_is_accepted(self):
         # roundoff in J V + V J grows with |V|; at |V| ~ 1e7 it exceeds 1e-10
@@ -135,14 +141,14 @@ class TestAlmostComplexStructures:
         p = point()
         x = RNG.standard_normal(4)
         for n in (1, 2, 3, 4):
-            out = tn.acs(p, tn.gtangent(horizontal=x), tn.Params(1.0, 1.0, n))
+            out = acs(p, tn.gtangent(horizontal=x), tn.Params(1.0, 1.0, n))
             assert_allclose(out.horizontal, p.j1.matrix @ x)
 
     def test_vertical_sign_table_n3(self):
         p = point()
         v1 = random_vertical_endo(p.j1, RNG)
         v2 = random_vertical_endo(p.j2, RNG)
-        out = tn.acs(p, tn.gtangent(v1=v1, v2=v2), tn.Params(1.0, 1.0, 3))
+        out = acs(p, tn.gtangent(v1=v1, v2=v2), tn.Params(1.0, 1.0, 3))
         assert_allclose(out.vertical.v1, -(p.j1.matrix @ v1))
         assert_allclose(out.vertical.v2, p.j2.matrix @ v2)
 
@@ -151,7 +157,7 @@ class TestAlmostComplexStructures:
         p = point("+-")
         params = tn.Params(0.9, 1.4, n)
         for a in random_args(p, params):
-            twice = tn.acs(p, tn.acs(p, a, params), params)
+            twice = acs(p, acs(p, a, params), params)
             assert_allclose(twice.horizontal, -a.horizontal, atol=1e-12)
             assert_allclose(twice.vertical.v1, -a.vertical.v1, atol=1e-12)
             assert_allclose(twice.vertical.v2, -a.vertical.v2, atol=1e-12)
@@ -161,8 +167,8 @@ class TestAlmostComplexStructures:
         p = point("-+")
         params = tn.Params(1.7, 0.6, n)
         a, b, _ = random_args(p, params)
-        assert tn.metric_Ht(p, tn.acs(p, a, params), tn.acs(p, b, params), params) == \
-            pytest.approx(tn.metric_Ht(p, a, b, params), abs=1e-12)
+        assert metric_Ht(p, acs(p, a, params), acs(p, b, params), params) == \
+            pytest.approx(metric_Ht(p, a, b, params), abs=1e-12)
 
 
 class TestFundamentalForm:
@@ -171,21 +177,21 @@ class TestFundamentalForm:
         params = tn.Params(1.0, 1.0, 1)
         a = tn.gtangent(horizontal=E[0])
         b = tn.gtangent(horizontal=p.j1.matrix @ E[0])
-        assert tn.omega(p, a, b, params) == pytest.approx(1.0)
+        assert omega(p, a, b, params) == pytest.approx(1.0)
 
     def test_antisymmetry(self):
         p = point("+-")
         params = tn.Params(0.8, 1.1, 2)
         a, b, _ = random_args(p, params)
-        assert tn.omega(p, a, b, params) == pytest.approx(-tn.omega(p, b, a, params), abs=1e-12)
-        assert tn.omega(p, a, a, params) == pytest.approx(0.0, abs=1e-12)
+        assert omega(p, a, b, params) == pytest.approx(-omega(p, b, a, params), abs=1e-12)
+        assert omega(p, a, a, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_vertical_pair_n1(self):
         p = point()
         v1 = random_vertical_endo(p.j1, RNG)
         w1 = random_vertical_endo(p.j1, RNG)
         params = tn.Params(1.0, 1.0, 1)
-        val = tn.omega(p, tn.gtangent(v1=v1), tn.gtangent(v1=w1), params)
+        val = omega(p, tn.gtangent(v1=v1), tn.gtangent(v1=w1), params)
         assert val == pytest.approx(fibre.inner_G(p.j1.matrix @ v1, w1), abs=1e-12)
 
 
@@ -282,7 +288,7 @@ class TestFrameTensor:
             ref = tn.cov_deriv_omega(p, rmat, params, ea, eb, ec)
             assert ref.shape == (8, 8, 8)
             assert np.abs(T[i] - ref).max() <= bound
-            ref_m = tn.metric_Ht(p, eb, tn.acs(p, ec, params), params)
+            ref_m = metric_Ht(p, eb, acs(p, ec, params), params)
             assert ref_m.shape == (8, 8)
             assert np.abs(M[i] - ref_m).max() <= 1e-13
 
@@ -460,7 +466,7 @@ class TestCodifferential:
         params = tn.Params(0.3, 2.4, 2)
         frame = tn.frame_at_point(p, params)
         vectors = [tn.frame_combination(frame, e) for e in np.eye(8)]
-        gram = np.array([[tn.metric_Ht(p, a, b, params) for b in vectors] for a in vectors])
+        gram = np.array([[metric_Ht(p, a, b, params) for b in vectors] for a in vectors])
         assert_allclose(gram, np.eye(8), atol=1e-12)
 
 
@@ -592,7 +598,7 @@ class TestRestriction:
                              - tn.single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
             "codiff": abs(tn.codiff_omega(p, rmat, params, a)
                           - tn.single_codiff(p.j1, rmat, t, sa)),
-            "metric": abs(tn.metric_Ht(p, a, b, params) - tn.single_metric(p.j1, t, sa, sb)),
+            "metric": abs(metric_Ht(p, a, b, params) - tn.single_metric(p.j1, t, sa, sb)),
         }
         got = tn.restriction_residuals(p, rmat, params, a, b, c)
         assert list(got) == list(want)
