@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from twistorgh import classifier as cl, curvature as cur
 from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import drawn_strict_operator
+from random_fourdim import drawn_strict_operator, random_ocs
 
 RNG = np.random.default_rng(404)
 
@@ -202,6 +202,44 @@ class TestCurvatureEndo:
         x, y = RNG.standard_normal((2, 4))
         assert_allclose(cur.curvature_endo(mat, x, y), -cur.curvature_endo(mat, y, x),
                         atol=1e-13)
+
+    def test_linear_in_the_operator(self):
+        m1, m2 = cur.random_strict_operator(RNG), cur.random_strict_operator(RNG)
+        x, y = RNG.standard_normal((2, 4))
+        assert_allclose(cur.curvature_endo(2.0 * m1 - 0.5 * m2, x, y),
+                        2.0 * cur.curvature_endo(m1, x, y) - 0.5 * cur.curvature_endo(m2, x, y),
+                        atol=1e-12)
+
+    def test_scalar_part_is_a_multiple_of_the_wedge(self):
+        x, y = RNG.standard_normal((2, 4))
+        assert_allclose(cur.curvature_endo(cur.compose(6.0), x, y),
+                        0.5 * fd.endo_of_two_vector(fd.wedge_of_pair(x, y)), atol=1e-13)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_commutator_with_a_structure_is_vertical(self, sign):
+        # [r, J] is tangent at J and lies in the span of the vertical basis,
+        # the direction the curvature-commutator oracle pairs with
+        for _ in range(20):
+            j = random_ocs(sign, RNG)
+            x, y = RNG.standard_normal((2, 4))
+            r = cur.curvature_endo(cur.random_strict_operator(RNG), x, y)
+            c = fibre.check_tangent(j.matrix, r @ j.matrix - j.matrix @ r)
+            u2, u3 = fd.vertical_basis(j)
+            in_span = fibre.inner_G(c, u2) * u2 + fibre.inner_G(c, u3) * u3
+            assert np.max(np.abs(c - in_span)) < 1e-10 * (1.0 + np.max(np.abs(c)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weyl_half_commutes_with_opposite_structures(self, sign):
+        # R built from the Weyl block of one half takes values in that half, so
+        # its endomorphism commutes with every structure of the other half
+        w = cur.random_traceless_symmetric(RNG)
+        mat = cur.compose(0.0, Wplus=w) if sign == 1 else cur.compose(0.0, Wminus=w)
+        for _ in range(20):
+            x, y = RNG.standard_normal((2, 4))
+            r = cur.curvature_endo(mat, x, y)
+            fd.check_pure(fd.two_vector_of_endo(r), sign)
+            j = random_ocs(-sign, RNG).matrix
+            assert np.max(np.abs(r @ j - j @ r)) < 1e-12
 
 
 def test_commutator_lemma_thousand_trials():

@@ -71,6 +71,65 @@ class TestSBasis:
             fibre.make_S_basis(5)
 
 
+def projection_matrix(j):
+    """Matrix of ``tangent_projection`` at J in the G-orthonormal S basis."""
+    basis = fibre.make_S_basis(j.shape[0])
+    return np.array([[fibre.inner_G(p, fibre.tangent_projection(j, s)) for s in basis]
+                     for p in basis])
+
+
+class TestTangentSpace:
+    def test_dim2_empty(self):
+        # the fibre of R^2 is the two points +-J, with no tangent directions
+        j = fibre.standard_complex_structure(2)
+        (s,) = fibre.make_S_basis(2)
+        assert_allclose(fibre.tangent_projection(j, s), np.zeros((2, 2)), atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    def test_orthonormal_tangent_spanning(self, dim):
+        # G-orthogonal projector of rank m^2 - m whose image is tangent at J and
+        # whose kernel commutes with J
+        m = dim // 2
+        j = fibre.random_complex_structure(dim, RNG)
+        p = projection_matrix(j)
+        assert_allclose(p, p.T, atol=1e-12)
+        assert_allclose(p @ p, p, atol=1e-12)
+        assert np.linalg.matrix_rank(p, tol=1e-8) == m * m - m
+        for s in fibre.make_S_basis(dim):
+            v = fibre.check_tangent(j, fibre.tangent_projection(j, s))
+            rest = s - v
+            assert np.max(np.abs(j @ rest - rest @ j)) < 1e-12
+
+    def test_random_adapted_frame(self):
+        # the projection is equivariant: P(q J q^T, q a q^T) = q P(J, a) q^T
+        for _ in range(10):
+            q = fibre.random_orthogonal(6, RNG)
+            j = fibre.standard_complex_structure(6)
+            a = RNG.standard_normal((6, 6))
+            a = 0.5 * (a - a.T)
+            assert_allclose(fibre.tangent_projection(q @ j @ q.T, q @ a @ q.T),
+                            q @ fibre.tangent_projection(j, a) @ q.T, atol=1e-12)
+
+
+class TestKaehlerStructure:
+    """The fibre Kaehler structure V -> J o V on the tangent space at J."""
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_square_is_minus_identity(self, dim):
+        for _ in range(20):
+            j = fibre.random_complex_structure(dim, RNG)
+            v = fibre.random_tangent(j, RNG)
+            kv = fibre.check_tangent(j, j @ v)
+            assert_allclose(j @ kv, -v, atol=1e-12)
+
+    def test_is_G_orthogonal(self):
+        for _ in range(20):
+            j = fibre.random_complex_structure(6, RNG)
+            v, w = fibre.random_tangent(j, RNG), fibre.random_tangent(j, RNG)
+            assert fibre.inner_G(j @ v, j @ w) == pytest.approx(fibre.inner_G(v, w), abs=1e-12)
+            assert fibre.inner_G(j @ v, v) == pytest.approx(0.0, abs=1e-12)
+
+
 class TestLeviCivita:
     def test_constant_field_gives_zero(self):
         j = fibre.random_complex_structure(4, RNG)
@@ -158,6 +217,9 @@ class TestInvariantPreservation:
         lambda nan, j: fibre.check_complex_structure(nan),
         lambda nan, j: fibre.check_tangent(j, nan),
         lambda nan, j: fibre.check_tangent(nan, np.zeros((4, 4))),
+        lambda nan, j: fibre.tangent_projection_field(nan),
+        lambda nan, j: fibre.fibre_levi_civita(fibre.tangent_projection_field(-j), nan, j),
+        lambda nan, j: fibre.fibre_levi_civita(fibre.tangent_projection_field(-j), 0 * j, nan),
     ])
     def test_nan_is_rejected(self, check):
         with pytest.raises(fibre.FibreAlgebraError):

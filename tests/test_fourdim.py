@@ -23,11 +23,104 @@ def test_change_of_basis_is_orthogonal():
     assert_allclose(fd.LEX_TO_S @ fd.LEX_TO_S.T, np.eye(6), atol=1e-15)
 
 
+def _hodge_matrix():
+    """s-basis matrix of the Hodge star, built from *(e_i ^ e_j) = eps e_k ^ e_l
+    with eps the sign of the permutation (i, j, k, l) of (0, 1, 2, 3)."""
+    h = np.zeros((6, 6))
+    for i, j in fibre.lex_pairs(4):
+        k, l = (m for m in range(4) if m not in (i, j))
+        eps = round(np.linalg.det(E[[i, j, k, l]]))
+        h += eps * np.outer(fd.wedge_of_pair(E[k], E[l]), fd.wedge_of_pair(E[i], E[j]))
+    return h
+
+
+HODGE = _hodge_matrix()
+
+
+def hodge_star(v):
+    return HODGE @ v
+
+
 class TestHodge:
     def test_e12_maps_to_e34(self):
         # the Hodge star is +1 on the first half of the s-basis, -1 on the second
         w = fd.wedge_of_pair(E[0], E[1])
         assert_allclose(w * [1, 1, 1, -1, -1, -1], fd.wedge_of_pair(E[2], E[3]), atol=1e-15)
+
+    def test_is_the_sign_pattern_of_the_halves(self):
+        assert_allclose(HODGE, np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), atol=1e-15)
+
+    def test_self_dual_eigenvector(self):
+        assert_allclose(hodge_star(S1P), S1P, atol=1e-15)
+
+    def test_anti_self_dual_eigenvector(self):
+        assert_allclose(hodge_star(S2M), -S2M, atol=1e-15)
+
+    def test_involution(self):
+        v = RNG.standard_normal(6)
+        assert_allclose(hodge_star(hodge_star(v)), v, atol=1e-15)
+
+
+class TestSplit:
+    """The split into halves is ``active_half`` and, back in Lambda^2, ``embed_half``."""
+
+    @staticmethod
+    def split_pm(v):
+        return tuple(fd.embed_half(fd.active_half(v, sign), sign) for sign in (1, -1))
+
+    def test_decomposable(self):
+        plus, minus = self.split_pm(fd.wedge_of_pair(E[0], E[1]))
+        assert_allclose(plus, S1P / np.sqrt(2), atol=1e-15)
+        assert_allclose(minus, S1M / np.sqrt(2), atol=1e-15)
+
+    def test_pure_eigenvector(self):
+        plus, minus = self.split_pm(S3P)
+        assert_array_equal(plus, S3P)
+        assert_array_equal(minus, np.zeros(6))
+        assert_array_equal(fd.check_pure(S3P, 1), S3P)
+
+    def test_zero(self):
+        plus, minus = self.split_pm(np.zeros(6))
+        assert_array_equal(plus, np.zeros(6))
+        assert_array_equal(minus, np.zeros(6))
+
+    def test_parts_are_eigenvectors_and_orthogonal(self):
+        v = RNG.standard_normal(6)
+        plus, minus = self.split_pm(v)
+        assert_allclose(hodge_star(plus), plus, atol=1e-15)
+        assert_allclose(hodge_star(minus), -minus, atol=1e-15)
+        assert plus @ minus == 0.0
+        assert_array_equal(plus + minus, v)
+
+    def test_purity_tolerance(self):
+        fd.check_pure(S1P + 0.5 * fd.PURITY_TOL * S1M, 1)
+        with pytest.raises(fd.FourDimError, match="not pure"):
+            fd.check_pure(S1P + 2.0 * fd.PURITY_TOL * S1M, 1)
+        with pytest.raises(fd.FourDimError, match="not pure"):
+            fd.check_pure(S1P + S1M, -1)
+
+
+class TestCross:
+    """The cross product of a half is the commutator of its endomorphisms:
+    sigma x tau corresponds to (sign / sqrt2) [K_sigma, K_tau]."""
+
+    @pytest.mark.parametrize("sign,basis", [(1, (S1P, S2P, S3P)), (-1, (S1M, S2M, S3M))])
+    def test_cyclic_triads(self, sign, basis):
+        # sqrt2 K_{s1}, sqrt2 K_{s2}, sqrt2 K_{s3} are complex structures with
+        # I J = sign K, cyclically
+        i, j, k = (np.sqrt(2) * fd.endo_of_two_vector(s) for s in basis)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            assert_allclose(a @ a, -np.eye(4), atol=1e-14)
+            assert_allclose(a @ b, sign * c, atol=1e-14)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_commutator_relation(self, sign):
+        for _ in range(10):
+            u3, v3 = RNG.standard_normal((2, 3))
+            ku = fd.endo_of_two_vector(fd.embed_half(u3, sign))
+            kv = fd.endo_of_two_vector(fd.embed_half(v3, sign))
+            bracket = fd.two_vector_of_endo(sign / np.sqrt(2) * (ku @ kv - kv @ ku))
+            assert_allclose(bracket, fd.embed_half(np.cross(u3, v3), sign), atol=1e-10)
 
 
 class TestSphereModel:
