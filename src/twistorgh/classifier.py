@@ -32,18 +32,23 @@ S = T(JX, Y, Z) + T(X, JY, Z):
     N             S[a,b,c] - S[b,a,c]            W2+W3   cyclic sum of T - tjj
     delta Omega   -T[a,a,c] (one slot: a trace)
 
-Points are evaluated in blocks of ``BLOCK_POINTS``: one draw gives the
-block's sphere points and coefficient triples, the structures, vertical
-bases and frames are built stacked, one ``frame_tensor`` call gives the
-stacked T[p, a, b, c] and M[p, b, a] of the block, and one
-``condition_values`` call contracts every condition over the block.  It
-forms the J-twists tj and tjj at most once for all conditions, and drops tj
-once N and tjj are formed.  The (A, B, C) conditions share one outer product
-X (x) Y of the block's arguments, and the (A, A, C) conditions share X (x) X,
-formed after the first is dropped; each condition is then one matmul of its
-outer product against Q, seen as (64, 8), and one dot with Z, while delta
-Omega is one matvec.  Each block's sup is one stacked abs, divide and max over
-the requested conditions.  The point functions (``_points``,
+Points are evaluated in geometry blocks of ``BLOCK_POINTS`` (32): one draw
+gives the block's sphere points and coefficient triples, the structures,
+vertical bases and frames are built stacked, one ``frame_tensor`` call gives
+the stacked T[p, a, b, c] and M[p, b, a] of the block, and the coefficient
+norms are taken once.  The block is then contracted in chunks of
+``CHUNK_POINTS`` (16), one ``condition_values`` call per chunk.  A call that
+asks one or two conditions spends most of its time on the geometry, which
+32-point blocks build half as often as 16-point ones; the chunks keep the
+argument outer products, the largest arrays, 16 points wide, so the peak
+memory stays under 1 MiB.  A chunk's contraction forms the J-twists tj and
+tjj at most once for all conditions, and drops tj once N and tjj are
+formed.  The (A, B, C) conditions share one outer product X (x) Y of the
+chunk's arguments, and the (A, A, C) conditions share X (x) X, formed after
+the first is dropped; each condition is then one matmul of its outer product
+against Q, seen as (64, 8), and one dot with Z, while delta Omega is one
+matvec.  Each chunk's sup is one stacked abs, divide and max over the
+requested conditions.  The point functions (``_points``,
 ``fourdim.vertical_basis``, ``tensors.frame_at_point``) take one point or a
 stack with the same code.
 
@@ -99,11 +104,17 @@ ALLOWED_DETECTED = {
 
 COMPONENTS = ("++", "+-", "-+", "--")
 
-#: points per block of ``condition_residuals``: one stacked frame tensor each.
-#: 64-point blocks run about 9% faster (5.6 against 6.1 ms per default-config
-#: classify, 2-vCPU VM, one BLAS thread) but peak at 2.6 MiB traced; 16 stay
-#: under 1 MiB, at 0.81 MiB.
-BLOCK_POINTS = 16
+#: points per geometry block of ``condition_residuals``: one draw, one stacked
+#: frame tensor and one set of coefficient norms each.  Against 16-point blocks,
+#: 32 build the geometry half as often, which shows most in verify's calls of
+#: one or two conditions (BENCH_14.json).  A default-config call then peaks at
+#: 963 KiB traced (numpy 2.4); 64-point blocks would peak at 1324 KiB, over
+#: the 1 MiB that tests/test_classifier.py::TestMemory allows.
+BLOCK_POINTS = 32
+#: points per contraction chunk of a geometry block: the argument outer
+#: products of ``condition_values``, the largest arrays, are (chunk, triples,
+#: 64) wide.
+CHUNK_POINTS = 16
 
 
 class ClassifierError(ValueError):
@@ -232,7 +243,8 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
     condition subset, so residuals agree between partial and full runs.
     Each point draws u1 (3 normals), u2 (3) and its coefficient triples
     (k, 3, 8) in turn; points are evaluated in blocks of ``BLOCK_POINTS``,
-    which draw the same stream as one row of 6 + 24 k normals per point.
+    which draw the same stream as one row of 6 + 24 k normals per point, and
+    each block is contracted in chunks of ``CHUNK_POINTS``.
     """
     rmat = curvature.check_operator(rmat)
     for c in conditions:
@@ -251,12 +263,17 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
         coeffs = rows[:, 6:].reshape(-1, k, 3, 8)
         T, M = tensors.frame_tensor(_points(rows, component), rmat, params)
         # the frame is H_t-orthonormal, so coefficient norms are H_t norms
-        norms = np.linalg.norm(coeffs, axis=-1)
+        norms = np.sqrt(np.einsum("...i,...i->...", coeffs, coeffs))
         nrm = {s: 1.0 + np.prod(norms[..., s], axis=-1) for s in set(slots)}
-        vals = condition_values(T, M, coeffs, conditions)
-        # np.maximum and np.max keep a NaN that the builtin max would drop
-        sup = np.maximum(sup, np.max(np.abs(np.stack([vals[c] for c in conditions]))
-                                     / np.stack([nrm[s] for s in slots]), axis=(1, 2)))
+        del norms
+        for lo in range(0, len(rows), CHUNK_POINTS):
+            chunk = slice(lo, lo + CHUNK_POINTS)
+            vals = condition_values(T[chunk], M[chunk], coeffs[chunk], conditions)
+            # np.maximum and np.max keep a NaN that the builtin max would drop
+            sup = np.maximum(sup, np.max(np.abs(np.stack([vals[c] for c in conditions]))
+                                         / np.stack([nrm[s][chunk] for s in slots]),
+                                         axis=(1, 2)))
+            del vals  # free the chunk's values before the next chunk is contracted
     return {c: float(v) for c, v in zip(conditions, sup)}
 
 

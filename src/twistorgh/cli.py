@@ -129,7 +129,7 @@ def _load_operator(args) -> tuple[object, str]:
         raise curvature.SchemaError("--s applies to --model only; the file fixes the operator")
     try:
         return curvature.read_json(args.input), f"file:{args.input}"
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
         raise curvature.SchemaError(f"cannot read {args.input!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise curvature.SchemaError(f"malformed JSON in {args.input!r}: {exc}") from None

@@ -72,8 +72,11 @@ class OracleResult:
                 f"tol={self.tol:.0e} trials={self.trials} worst={self.worst}")
 
 
-#: trials per block, four groups of ``classifier.BLOCK_POINTS``
-_BLOCK_TRIALS = 4 * classifier.BLOCK_POINTS
+#: trials per block.  A multiple of 4, so that every block starts at n = 1 and
+#: splits into four groups of one n each (16 trials here).  It is selftest's own
+#: size, not the classifier's block size, so that resizing the classifier's
+#: blocks moves neither selftest's grouping nor its memory and timings.
+_BLOCK_TRIALS = 64
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 

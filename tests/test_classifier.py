@@ -268,12 +268,15 @@ class TestLiteralReadings:
         assert good <= 1e-9
         assert bad > 1e-3
 
-    @pytest.mark.parametrize("num_points", [1, 17, 64])
+    # 40 points are one full geometry block of 32 and a partial one of 8,
+    # contracted in chunks of 16 + 16 + 8
+    @pytest.mark.parametrize("num_points", [1, 17, 40, 64])
     @pytest.mark.parametrize("component", cl.COMPONENTS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sampler_reproduces_the_classifier(self, n, component, num_points):
-        # the classifier evaluates points in stacked blocks; a per-point loop
-        # over the same stream must give the same sups for every condition
+        # the classifier evaluates points in stacked blocks and chunks; a
+        # per-point loop over the same stream must give the same sups for every
+        # condition
         rmat = cur.random_strict_operator(np.random.default_rng([17, n]))
         t = (0.3, 1.2)
         cfg = cl.SamplingConfig(seed=3, num_points=num_points, num_arg_triples=8)
@@ -396,8 +399,10 @@ class TestSharedContraction:
 
 class TestMemory:
     def test_default_config_peak_allocation_stays_under_1_mib(self):
-        # blocks of points bound the traced peak (0.81 MiB, most of it the
-        # block's argument outer product); one stack of all 64 points takes 2.6 MiB
+        # geometry blocks of 32 points, contracted in chunks of 16, bound the
+        # traced peak at 963 KiB (numpy 2.4): the block's draw and T, and the
+        # chunk's argument outer product.  One 64-point geometry block peaks at
+        # 1324 KiB, one stack of all 64 points contracted at once at 2.6 MiB.
         rmat = cur.model("constant_curvature", s=12.0)
         args = (rmat, "+-", (0.25, 1.0), 3, cl.SamplingConfig())
         cl.condition_residuals(*args)  # first-call allocations are not the budget's

@@ -80,6 +80,22 @@ class TestClassifyCommand:
         assert code == cli.EXIT_INPUT
         assert "malformed JSON" in err
 
+    def test_directory_input_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "classify", "--input", str(tmp_path),
+                                 "--component", "++", "--n", "1")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"matrix": "é"}'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path),
+                                 "--component", "++", "--n", "1")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
     def test_bad_field_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"matrix": [[1.0] * 5] * 5}))

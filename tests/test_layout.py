@@ -5,9 +5,12 @@ In src/twistorgh/*.py other than __init__.py, three kinds of module-level
 name must be referred to by code:
 
 - a ``def`` or ``class`` and a constant (an assignment target, tuple targets
-  such as ``_A, _B = range(2)`` included) pass when code in
-  src/twistorgh/*.py or perfbench/*.py refers to the name outside the
-  statement that defines it;
+  such as ``_A, _B = range(2)`` included) pass when code of its own module
+  refers to the name outside the statement that defines it, or when code of
+  another module in src/twistorgh/*.py or perfbench/*.py reaches it by an
+  attribute access (``tensors.frame_tensor``) or a ``from ... import`` of the
+  name from its module.  A bare name of the same spelling in another module
+  is that module's own name and keeps nothing alive;
 - an import (other than ``from __future__``) passes when code of its own
   module refers to the name it binds outside the import statement.
 
@@ -67,15 +70,26 @@ def _definitions(tree):
                 yield "import", name, node.lineno, node.end_lineno
 
 
+#: the ``source`` of an attribute reference: it can name any module's definition
+ANY_MODULE = "*"
+
+
 def _references(tree):
-    """(name, line) of each name the code refers to: names, attributes, imports."""
+    """(name, line, source) of each name the code refers to: names, attributes,
+    imports.  ``source`` says whose definition the reference can be from another
+    module: ``ANY_MODULE`` for an attribute, the module's last dotted part for a
+    ``from module import name``, and None for a bare name or an ``import``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield from ((part, node.lineno) for part in node.name.split("."))
+            yield node.attr, node.lineno, ANY_MODULE
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from ((part, node.lineno, None) for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            yield from ((alias.name, node.lineno, source) for alias in node.names)
 
 
 def _unused():
@@ -86,8 +100,9 @@ def _unused():
         for kind, name, first, last in _definitions(trees[path]):
             # an import binds a name in its own module only
             scope = {path: refs[path]} if kind == "import" else refs
-            if not any(ref == name and (p != path or not first <= line <= last)
-                       for p, found in scope.items() for ref, line in found):
+            if not any(ref == name and (not first <= line <= last if p == path
+                                        else source in (ANY_MODULE, path.stem))
+                       for p, found in scope.items() for ref, line, source in found):
                 unused.append(f"{path.name}:{first} {kind} {name}")
     return unused
 
