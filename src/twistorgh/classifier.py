@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature, tensors
-from .fourdim import S_BASIS_ENDOS, embed_half, sphere_to_J
+from .fourdim import S_BASIS_ENDOS, OrientedComplexStructure4
 from .tensors import Params, ProductTwistorPoint, gtangent
 
 CONDITIONS = ("DΩ", "W1-cond", "dΩ", "N", "δΩ",
@@ -145,13 +145,10 @@ def component_signs(component: str) -> tuple[int, int]:
 
 def _points(rows, component: str) -> ProductTwistorPoint:
     """The point(s) of sphere rows (u1, u2) = (rows[..., :3], rows[..., 3:6]),
-    normalised; leading axes of ``rows`` give a stacked point."""
+    which the structures normalise; leading axes of ``rows`` give a stacked point."""
     s1, s2 = component_signs(component)
-    u = rows[..., :6].reshape(rows.shape[:-1] + (2, 3))
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    u1, u2 = u[..., 0, :], u[..., 1, :]
-    return ProductTwistorPoint(sphere_to_J(embed_half(u1, s1), s1),
-                               sphere_to_J(embed_half(u2, s2), s2))
+    return ProductTwistorPoint(OrientedComplexStructure4(rows[..., :3], s1),
+                               OrientedComplexStructure4(rows[..., 3:6], s2))
 
 
 _A, _B, _C = range(3)
@@ -435,8 +432,8 @@ def _theorem_rng(cfg: SamplingConfig, tid: str):
 
 
 def _counterexample_point() -> ProductTwistorPoint:
-    j1 = sphere_to_J(embed_half([1.0, 0.0, 0.0], 1), 1)   # structure of sqrt2 s1+
-    j2 = sphere_to_J(embed_half([0.0, 1.0, 0.0], 1), 1)   # structure of sqrt2 s2+
+    j1 = OrientedComplexStructure4([1.0, 0.0, 0.0], 1)   # structure of sqrt2 s1+
+    j2 = OrientedComplexStructure4([0.0, 1.0, 0.0], 1)   # structure of sqrt2 s2+
     return ProductTwistorPoint(j1, j2)
 
 

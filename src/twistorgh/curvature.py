@@ -30,6 +30,7 @@ from .fourdim import endo_of_two_vector, wedge_of_pair
 #: symmetry tolerance, relative to max(1, max|entry|), so roundoff in large
 #: entries is not read as asymmetry
 SYM_TOL = 1e-12
+#: Weyl-trace tolerance of ``strict``, relative to max(1, max|entry|) like SYM_TOL
 WEYL_TRACE_TOL = 1e-10
 
 
@@ -77,7 +78,7 @@ def decompose(mat) -> CurvatureBlocks:
 
     Contract: top-left block = (s/12) Id + W+, bottom-right = (s/12) Id + W-,
     bottom-left = B (the half-exchanging block; top-right is its transpose),
-    with s = 2 trace.  ``strict`` iff both W traces vanish within 1e-10.
+    with s = 2 trace.  ``strict`` iff both |trace W| <= 1e-10 max(1, max|R|).
     """
     mat = check_operator(mat)
     s = 2.0 * float(np.trace(mat))
@@ -85,8 +86,9 @@ def decompose(mat) -> CurvatureBlocks:
     wplus = mat[:3, :3] - scalar
     wminus = mat[3:, 3:] - scalar
     b = mat[3:, :3]
-    strict = (abs(float(np.trace(wplus))) <= WEYL_TRACE_TOL
-              and abs(float(np.trace(wminus))) <= WEYL_TRACE_TOL)
+    bound = WEYL_TRACE_TOL * max(1.0, float(np.abs(mat).max()))
+    strict = (abs(float(np.trace(wplus))) <= bound
+              and abs(float(np.trace(wminus))) <= bound)
     return CurvatureBlocks(s=s, B=b, Wplus=wplus, Wminus=wminus, strict=strict)
 
 

@@ -10,7 +10,7 @@ All 6-component vectors use one fixed ordered basis
 built from the standard oriented orthonormal basis of R^4.  The first three
 components span the self-dual half (Hodge eigenvalue +1), the last three the
 anti-self-dual half, so the Hodge star is the sign pattern (1, 1, 1, -1, -1, -1)
-and the split into halves is the slices v[:3], v[3:] (``active_half``).
+and the split into halves is the slices v[:3], v[3:].
 
 A skew endomorphism a corresponds to the 2-vector a^ with
 g(a^, x^y) = g(a x, y).  The map so(g) -> Lambda^2 (``two_vector_of_endo``,
@@ -19,8 +19,9 @@ isometry for the trace metric G of ``fibre`` and the 2-vector metric
 g(x1^x2, x3^x4) = g(x1,x3) g(x2,x4) - g(x1,x4) g(x2,x3).
 
 Compatible complex structures inducing +/- the orientation correspond to the
-2-vectors of norm sqrt2 lying in the matching half; their tangent (vertical)
-directions are the orthogonal complement of the structure inside that half.
+points u of the unit sphere of the matching half, J^ = sqrt2 u, and are stored
+as u.  Their tangent (vertical) directions are the orthogonal complement of u
+inside that half.
 """
 
 from __future__ import annotations
@@ -50,12 +51,8 @@ LEX_TO_S = np.array([
 
 _S_TO_LEX = LEX_TO_S.T.copy()
 
-#: tolerance for purity / unit-sphere checks
-PURITY_TOL = 1e-10
-
-
 class FourDimError(ValueError):
-    """Bad two-vector arguments: mixed halves, non-unit sphere points, ..."""
+    """A half sign other than +1 or -1."""
 
 
 def wedge_of_pair(x, y) -> np.ndarray:
@@ -90,16 +87,6 @@ def _half_slice(sign: int) -> slice:
     raise FourDimError(f"sign must be +1 or -1, got {sign}")
 
 
-def check_pure(v, sign: int, tol: float = PURITY_TOL) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    other = v[..., _half_slice(-sign)]
-    err = float(np.max(np.abs(other))) if other.size else 0.0
-    if not err <= tol:  # written so that a NaN fails
-        raise FourDimError(
-            f"two-vector is not pure of sign {sign:+d}: opposite half has magnitude {err:.3e}")
-    return v
-
-
 def embed_half(u3, sign: int) -> np.ndarray:
     """The two-vector(s) with half ``sign`` equal to u3; leading axes are kept."""
     u3 = np.asarray(u3, dtype=float)
@@ -108,54 +95,26 @@ def embed_half(u3, sign: int) -> np.ndarray:
     return v
 
 
-def active_half(v, sign: int) -> np.ndarray:
-    return np.asarray(v, dtype=float)[..., _half_slice(sign)]
-
-
 @dataclass(frozen=True, eq=False)
 class OrientedComplexStructure4:
-    """Compatible complex structure on R^4 with its orientation component.
+    """The complex structure of a sphere point: the unit vector ``u`` of the half ``sign``.
 
-    ``wedge`` caches the s-basis coefficients of the structure; it is pure of
-    the declared sign and has norm sqrt2.  ``matrix`` may be a stack of
-    structures of one sign along leading axes; every check then covers each
-    of them, and ``wedge`` keeps the leading axes.
+    The constructor normalises ``u``; ``wedge`` is the two-vector sqrt2 u and
+    ``matrix`` its endomorphism.  Leading axes of ``u`` give a stack of structures.
     """
 
-    matrix: np.ndarray
+    u: np.ndarray
     sign: int
     wedge: np.ndarray = field(init=False)
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise FourDimError(f"sign must be +1 or -1, got {self.sign}")
-        m = fibre.check_complex_structure(self.matrix)
-        if m.shape[-2:] != (4, 4):
-            raise FourDimError("oriented complex structures are 4x4")
-        w = two_vector_of_endo(m)
-        check_pure(w, self.sign)
-        err = float(np.abs(np.linalg.norm(w, axis=-1) - SQRT2).max())
-        if not err <= PURITY_TOL:
-            raise FourDimError(f"|J^| differs from sqrt2 by {err:.3e}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "wedge", w)
-
-
-def sphere_to_J(u, sign: int) -> OrientedComplexStructure4:
-    """Complex structure of the 2-vector sqrt2 * u for a unit pure u.
-
-    ``u`` may be a stack of sphere points along leading axes; the result is
-    then the stacked structure.
-    """
-    u = check_pure(u, sign)
-    err = float(np.abs(np.linalg.norm(u, axis=-1) - 1.0).max())
-    if not err <= PURITY_TOL:
-        raise FourDimError(f"sphere point must be a unit two-vector: ||u| - 1| = {err:.3e}")
-    return OrientedComplexStructure4(matrix=endo_of_two_vector(SQRT2 * u), sign=sign)
-
-
-def j_to_sphere(ocs: OrientedComplexStructure4) -> np.ndarray:
-    return ocs.wedge / SQRT2
+        u = np.asarray(self.u, dtype=float)
+        u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        wedge = SQRT2 * embed_half(u, self.sign)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "wedge", wedge)
+        object.__setattr__(self, "matrix", endo_of_two_vector(wedge))
 
 
 _EYE3 = np.eye(3)
@@ -165,31 +124,30 @@ _ANTIPODE_ROT = np.diag([-1.0, 1.0, -1.0])
 def _rotation_from_e1(u3) -> np.ndarray:
     """Rotations of R^3 taking (1,0,0) to the unit vectors u3; leading axes are kept.
 
-    Rodrigues about the axis e1 x u3; the antipode u3 = -e1 gets the fixed
-    rotation by pi about the second axis, so frames are reproducible.
+    Rodrigues about the axis e1 x u3, accurate however close u3 is to a pole;
+    it is the identity at e1, and the antipode -e1 gets the fixed rotation by
+    pi about the second axis, so frames are reproducible.
     """
     u3 = np.asarray(u3, dtype=float)
     c = u3[..., 0, None, None]
     s = np.hypot(u3[..., 1], u3[..., 2])[..., None, None]  # |e1 x u3|
-    # cross-product matrix of the unit axis: (u3 e1^T - e1 u3^T) / s; s = 0
-    # only at the poles, whose rotations are replaced below
+    # cross-product matrix of the unit axis, (u3 e1^T - e1 u3^T) / s; zero at the poles
     kx = np.zeros(u3.shape[:-1] + (3, 3))
     kx[..., 1:, 0] = u3[..., 1:]
     kx[..., 0, 1:] = -u3[..., 1:]
     kx /= np.where(s > 0.0, s, 1.0)
     rot = _EYE3 + s * kx + (1.0 - c) * (kx @ kx)
-    rot = np.where(c >= 1.0 - 1e-12, _EYE3, rot)
-    return np.where(c <= -1.0 + 1e-12, _ANTIPODE_ROT, rot)
+    return np.where((s == 0.0) & (c < 0.0), _ANTIPODE_ROT, rot)
 
 
 def vertical_basis(ocs: OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarray]:
-    """Endomorphisms of the deterministic orthonormal completion of J^/sqrt2.
+    """Endomorphisms of the deterministic orthonormal completion of the sphere point u.
 
-    The rotation taking s1 (of the matching half) to J^/sqrt2 is applied to
+    The rotation taking s1 (of the matching half) to u is applied to
     (s2, s3); the images span the vertical directions at J, are G-orthonormal
     and anticommute with J.  A stacked ``ocs`` gives stacked bases.
     """
-    rot = _rotation_from_e1(active_half(j_to_sphere(ocs), ocs.sign))
+    rot = _rotation_from_e1(ocs.u)
     # columns 2 and 3 of the rotation, the images of s2 and s3
     pair = endo_of_two_vector(embed_half(rot.swapaxes(-1, -2)[..., 1:, :], ocs.sign))
     return pair[..., 0, :, :], pair[..., 1, :, :]

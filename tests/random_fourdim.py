@@ -1,5 +1,5 @@
 """Seeded random points and vertical vectors of the four-dimensional sphere model,
-a block-by-block strict-operator draw and a corrupted sign table for the tests
+the halves of a two-vector, a block-by-block strict-operator draw and a corrupted sign table for the tests
 of the oracles."""
 
 import numpy as np
@@ -8,9 +8,13 @@ from twistorgh import curvature as cur, fourdim as fd, tensors as tn
 
 
 def random_ocs(sign: int, rng) -> fd.OrientedComplexStructure4:
-    u = rng.standard_normal(3)
-    u /= np.linalg.norm(u)
-    return fd.sphere_to_J(fd.embed_half(u, sign), sign)
+    return fd.OrientedComplexStructure4(rng.standard_normal(3), sign)
+
+
+def half(v, sign: int) -> np.ndarray:
+    """The 3-vector(s) of the half ``sign`` of the two-vector(s) v; leading axes are kept."""
+    v = np.asarray(v, dtype=float)
+    return v[..., :3] if sign == 1 else v[..., 3:]
 
 
 def random_vertical_endo(ocs: fd.OrientedComplexStructure4, rng, scale: float = 1.0) -> np.ndarray:

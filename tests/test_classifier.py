@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
+from random_fourdim import half
 from reference import acs
 
 RNG = np.random.default_rng(606)
@@ -173,6 +175,18 @@ class TestDeterminism:
         assert len(header.split(",")) == len(row.split(","))
 
 
+def reversed_structure(phi, j):
+    """phi J phi^T for an orientation-reversing phi, built from the half of its
+    two-vector of the opposite sign; the other half must vanish and the build
+    must give phi J phi^T back."""
+    conj = phi @ j.matrix @ phi.T
+    w = fd.two_vector_of_endo(conj)
+    assert np.max(np.abs(half(w, j.sign))) < 1e-12
+    out = fd.OrientedComplexStructure4(half(w, -j.sign), -j.sign)
+    assert_allclose(out.matrix, conj, rtol=0, atol=1e-12)
+    return out
+
+
 class TestOrientationSymmetry:
     def test_pointwise_equivariance_under_orientation_reversal(self):
         # push every datum forward by an orientation-reversing isometry; all
@@ -188,9 +202,7 @@ class TestOrientationSymmetry:
         params = tn.Params(0.9, 1.4, 3)
         for comp in ("++", "+-"):
             p = cl._points(rng.standard_normal(6), comp)
-            j1 = fd.OrientedComplexStructure4(phi @ p.j1.matrix @ phi.T, -p.j1.sign)
-            j2 = fd.OrientedComplexStructure4(phi @ p.j2.matrix @ phi.T, -p.j2.sign)
-            p2 = tn.ProductTwistorPoint(j1, j2)
+            p2 = tn.ProductTwistorPoint(*(reversed_structure(phi, j) for j in (p.j1, p.j2)))
             frame = tn.frame_at_point(p, params)
             for _ in range(10):
                 abc = [tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(3)]

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from twistorgh import classifier as cl, curvature as cur
 from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import drawn_strict_operator, random_ocs
+from random_fourdim import drawn_strict_operator, half, random_ocs
 
 RNG = np.random.default_rng(404)
 
@@ -63,6 +63,28 @@ class TestDecompose:
         assert_allclose(blocks.B, b, atol=1e-13)
         assert_allclose(blocks.Wplus, wp, atol=1e-13)
         assert_allclose(blocks.Wminus, wm, atol=1e-13)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e7, 1e8])
+    def test_strict_operators_read_strict_at_every_scale(self, scale):
+        # the Weyl traces carry roundoff of the entries, so their bound is
+        # relative to max(1, max|R|) like the symmetry bound
+        rng = np.random.default_rng(int(np.log10(scale)))
+        for _ in range(50):
+            mat = cur.random_strict_operator(rng, scale)
+            assert cur.decompose(mat).strict
+            assert cur.to_json_dict(mat)["blocks"]["strict"] is True
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e4, 1e6, 1e8])
+    def test_relative_weyl_trace_reads_non_strict_at_every_scale(self, scale):
+        rng = np.random.default_rng(17)
+        for sign in (1, -1):
+            blocks = cur.decompose(cur.random_strict_operator(rng, scale))
+            r = float(np.abs(cur.compose(blocks.s, blocks.B, blocks.Wplus, blocks.Wminus)).max())
+            shift = (1e-6 * r / 3.0) * np.eye(3)   # adds 1e-6 max|R| to one trace
+            wplus = blocks.Wplus + (shift if sign == 1 else 0.0)
+            wminus = blocks.Wminus + (shift if sign == -1 else 0.0)
+            mat = cur.compose(blocks.s, blocks.B, wplus, wminus)
+            assert not cur.decompose(mat).strict
 
     @pytest.mark.parametrize("blocks", [{"Wplus": np.diag([np.nan, 0.0, 0.0])},
                                         {"B": np.full((3, 3), np.nan)},
@@ -237,7 +259,7 @@ class TestCurvatureEndo:
         for _ in range(20):
             x, y = RNG.standard_normal((2, 4))
             r = cur.curvature_endo(mat, x, y)
-            fd.check_pure(fd.two_vector_of_endo(r), sign)
+            assert np.max(np.abs(half(fd.two_vector_of_endo(r), -sign))) < 1e-12
             j = random_ocs(-sign, RNG).matrix
             assert np.max(np.abs(r @ j - j @ r)) < 1e-12
 

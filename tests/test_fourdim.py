@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import random_ocs, random_vertical_endo
+from random_fourdim import half, random_ocs, random_vertical_endo
 
 RNG = np.random.default_rng(303)
 
@@ -62,11 +62,11 @@ class TestHodge:
 
 
 class TestSplit:
-    """The split into halves is ``active_half`` and, back in Lambda^2, ``embed_half``."""
+    """The split into halves is the slices v[:3], v[3:] and, back in Lambda^2, ``embed_half``."""
 
     @staticmethod
     def split_pm(v):
-        return tuple(fd.embed_half(fd.active_half(v, sign), sign) for sign in (1, -1))
+        return tuple(fd.embed_half(half(v, sign), sign) for sign in (1, -1))
 
     def test_decomposable(self):
         plus, minus = self.split_pm(fd.wedge_of_pair(E[0], E[1]))
@@ -77,7 +77,6 @@ class TestSplit:
         plus, minus = self.split_pm(S3P)
         assert_array_equal(plus, S3P)
         assert_array_equal(minus, np.zeros(6))
-        assert_array_equal(fd.check_pure(S3P, 1), S3P)
 
     def test_zero(self):
         plus, minus = self.split_pm(np.zeros(6))
@@ -92,12 +91,12 @@ class TestSplit:
         assert plus @ minus == 0.0
         assert_array_equal(plus + minus, v)
 
-    def test_purity_tolerance(self):
-        fd.check_pure(S1P + 0.5 * fd.PURITY_TOL * S1M, 1)
-        with pytest.raises(fd.FourDimError, match="not pure"):
-            fd.check_pure(S1P + 2.0 * fd.PURITY_TOL * S1M, 1)
-        with pytest.raises(fd.FourDimError, match="not pure"):
-            fd.check_pure(S1P + S1M, -1)
+    def test_bad_sign_rejected(self):
+        for sign in (0, 2, -2):
+            with pytest.raises(fd.FourDimError, match="sign must be"):
+                fd.embed_half([1.0, 0.0, 0.0], sign)
+            with pytest.raises(fd.FourDimError, match="sign must be"):
+                fd.OrientedComplexStructure4([1.0, 0.0, 0.0], sign)
 
 
 class TestCross:
@@ -123,86 +122,107 @@ class TestCross:
             assert_allclose(bracket, fd.embed_half(np.cross(u3, v3), sign), atol=1e-10)
 
 
+#: the poles (1, 0, 0) and (-1, 0, 0) of a half, where the axis e1 x u of the
+#: vertical frame's rotation vanishes
+POLES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+
+def random_sphere_rows(rng, k=6):
+    """The two poles and k random directions, each at a random length in [1e-3, 1e3]."""
+    rows = np.vstack([POLES, rng.standard_normal((k, 3))])
+    return rows * 10.0 ** rng.uniform(-3.0, 3.0, (len(rows), 1))
+
+
+def orientation_sign(j, rng):
+    """Sign of det(x, Jx, y, Jy) for random x, y: the orientation J induces."""
+    x, y = rng.standard_normal((2, 4))
+    return np.sign(np.linalg.det(np.column_stack([x, j @ x, y, j @ y])))
+
+
 class TestSphereModel:
     def test_self_dual_standard_structure(self):
-        j = fd.sphere_to_J(S1P, 1)
+        j = fd.OrientedComplexStructure4([1.0, 0.0, 0.0], 1)
         assert_allclose(j.matrix @ E[0], E[1], atol=1e-14)
         assert_allclose(j.matrix @ E[2], E[3], atol=1e-14)
 
     def test_anti_self_dual_standard_structure(self):
-        j = fd.sphere_to_J(S1M, -1)
+        j = fd.OrientedComplexStructure4([1.0, 0.0, 0.0], -1)
         assert_allclose(j.matrix @ E[0], E[1], atol=1e-14)
         assert_allclose(j.matrix @ E[2], -E[3], atol=1e-14)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_round_trip(self, sign):
+        # the wedge is sqrt2 u in its half, and the matrix maps back to it
         for _ in range(100):
             u = RNG.standard_normal(3)
             u /= np.linalg.norm(u)
-            u6 = fd.embed_half(u, sign)
-            assert_allclose(fd.j_to_sphere(fd.sphere_to_J(u6, sign)), u6, atol=1e-12)
+            j = fd.OrientedComplexStructure4(u, sign)
+            assert_allclose(j.wedge / np.sqrt(2), fd.embed_half(u, sign), atol=1e-15)
+            assert_allclose(fd.two_vector_of_endo(j.matrix), j.wedge, atol=1e-15)
 
     def test_wedge_norm_is_sqrt2(self):
         j = random_ocs(1, RNG)
         assert np.linalg.norm(j.wedge) == pytest.approx(np.sqrt(2), abs=1e-12)
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(fd.FourDimError, match="unit"):
-            fd.sphere_to_J(2.0 * S1P, 1)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, -1]))
+    def test_every_sphere_point_is_a_complex_structure(self, seed, sign):
+        # any nonzero 3-vector, the exact poles included, gives a compatible
+        # complex structure inducing sign times the orientation
+        rng = np.random.default_rng(seed)
+        rows = random_sphere_rows(rng)
+        j = fd.OrientedComplexStructure4(rows, sign)
+        assert j.u.shape == (len(rows), 3)
+        assert j.wedge.shape == (len(rows), 6)
+        assert j.matrix.shape == (len(rows), 4, 4)
+        assert_allclose(np.linalg.norm(j.u, axis=-1), 1.0, rtol=0, atol=1e-15)
+        assert_allclose(j.u * np.linalg.norm(rows, axis=-1, keepdims=True), rows, rtol=1e-15)
+        m = j.matrix
+        assert_allclose(m + m.swapaxes(-1, -2), 0.0, atol=1e-15)
+        assert_allclose(m @ m, np.broadcast_to(-np.eye(4), m.shape), atol=1e-15)
+        assert_array_equal(half(j.wedge, -sign), 0.0)
+        assert_allclose(np.linalg.norm(j.wedge, axis=-1), np.sqrt(2), rtol=0, atol=1e-15)
+        assert_allclose(fd.two_vector_of_endo(m), j.wedge, atol=1e-15)
+        assert [orientation_sign(mi, rng) for mi in m] == [sign] * len(rows)
 
-    def test_wrong_half_rejected(self):
-        with pytest.raises(fd.FourDimError, match="not pure"):
-            fd.sphere_to_J(S1P, -1)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, -1]))
+    def test_positive_multiples_give_the_same_structure(self, seed, sign):
+        rng = np.random.default_rng(seed)
+        rows = random_sphere_rows(rng)
+        j = fd.OrientedComplexStructure4(rows, sign)
+        for lam in (2.0 ** -40, 0.5, 8.0, 2.0 ** 40):   # powers of two scale exactly
+            k = fd.OrientedComplexStructure4(lam * rows, sign)
+            for a, b in ((j.u, k.u), (j.wedge, k.wedge), (j.matrix, k.matrix)):
+                assert_array_equal(a, b)
+        lam = 10.0 ** rng.uniform(-6.0, 6.0, (len(rows), 1))
+        k = fd.OrientedComplexStructure4(lam * rows, sign)
+        for a, b in ((j.u, k.u), (j.wedge, k.wedge), (j.matrix, k.matrix)):
+            assert_allclose(a, b, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("corrupt,error", [
-        (lambda m: m + 1e-6 * np.eye(4), fibre.FibreAlgebraError),      # not skew
-        (lambda m: 1.01 * m, fibre.FibreAlgebraError),                   # J*J != -Id
-        (lambda m: fd.sphere_to_J(S2M, -1).matrix, fd.FourDimError),     # wrong half
-    ])
-    def test_one_bad_matrix_fails_a_stack_like_a_single_check(self, corrupt, error):
-        u = RNG.standard_normal((5, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        stack = fd.sphere_to_J(fd.embed_half(u, 1), 1).matrix.copy()
-        bad = corrupt(stack[2])
-        with pytest.raises(error) as single:
-            fd.OrientedComplexStructure4(bad, 1)
-        stack[2] = bad
-        with pytest.raises(error) as stacked:
-            fd.OrientedComplexStructure4(stack, 1)
-        assert type(stacked.value) is type(single.value)
-        assert str(stacked.value).split(":")[0] == str(single.value).split(":")[0]
-
-    def test_one_non_unit_row_fails_a_stacked_sphere_point(self):
-        u = fd.embed_half(np.tile([0.0, 0.6, 0.8], (4, 1)), 1)
-        fd.sphere_to_J(u, 1)
-        u[3] *= 1.0 + 1e-6
-        with pytest.raises(fd.FourDimError, match="unit"):
-            fd.sphere_to_J(u, 1)
-
-    def test_nan_is_rejected(self):
-        with pytest.raises(fd.FourDimError, match="not pure"):
-            fd.check_pure([0.0, 0.0, 0.0, np.nan, 0.0, 0.0], 1)
-        with pytest.raises(fd.FourDimError, match="unit"):
-            fd.sphere_to_J([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0], 1)
-        # the structure's fibre checks run before its own
-        with pytest.raises(fibre.FibreAlgebraError):
-            fd.OrientedComplexStructure4(np.full((4, 4), np.nan), 1)
-
-    def test_sign_mismatch_rejected(self):
-        j = fd.sphere_to_J(S1P, 1)
-        with pytest.raises(fd.FourDimError):
-            fd.OrientedComplexStructure4(matrix=j.matrix, sign=-1)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, -1]))
+    def test_stacked_build_equals_one_point_builds(self, seed, sign):
+        rng = np.random.default_rng(seed)
+        rows = random_sphere_rows(rng).reshape(2, 4, 3)
+        j = fd.OrientedComplexStructure4(rows, sign)
+        assert j.matrix.shape == (2, 4, 4, 4)
+        for idx in np.ndindex(rows.shape[:-1]):
+            k = fd.OrientedComplexStructure4(rows[idx], sign)
+            assert_array_equal(j.u[idx], k.u)
+            assert_array_equal(j.wedge[idx], k.wedge)
+            assert_array_equal(j.matrix[idx], k.matrix)
 
 
 class TestVerticalBasis:
     def test_canonical_point(self):
-        j = fd.sphere_to_J(S1P, 1)
+        j = fd.OrientedComplexStructure4([1.0, 0.0, 0.0], 1)
         u2, u3 = fd.vertical_basis(j)
         assert_allclose(u2, fd.endo_of_two_vector(S2P), atol=1e-14)
         assert_allclose(u3, fd.endo_of_two_vector(S3P), atol=1e-14)
 
     def test_antipodal_point_is_handled(self):
-        j = fd.sphere_to_J(-S1M, -1)
+        j = fd.OrientedComplexStructure4([-1.0, 0.0, 0.0], -1)
         u2, u3 = fd.vertical_basis(j)
         assert_allclose(u2, fd.endo_of_two_vector(S2M), atol=1e-14)
         assert_allclose(u3, fd.endo_of_two_vector(-S3M), atol=1e-14)
@@ -220,25 +240,46 @@ class TestVerticalBasis:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_stacked_bases_match_one_point_calls(self, sign):
         # canonical point, antipode and random points in one stack; the poles
-        # take the fixed rotations without a division by zero
-        u = np.vstack([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], RNG.standard_normal((6, 3))])
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        # get their rotations without a division by zero
+        u = np.vstack([POLES, RNG.standard_normal((6, 3))])
         with np.errstate(all="raise"):
-            b2, b3 = fd.vertical_basis(fd.sphere_to_J(fd.embed_half(u, sign), sign))
+            b2, b3 = fd.vertical_basis(fd.OrientedComplexStructure4(u, sign))
             assert b2.shape == b3.shape == (len(u), 4, 4)
             for i, ui in enumerate(u):
-                u2, u3 = fd.vertical_basis(fd.sphere_to_J(fd.embed_half(ui, sign), sign))
+                u2, u3 = fd.vertical_basis(fd.OrientedComplexStructure4(ui, sign))
                 assert_allclose(b2[i], u2, rtol=0, atol=1e-15)
                 assert_allclose(b3[i], u3, rtol=0, atol=1e-15)
         assert_array_equal(b2[0], fd.endo_of_two_vector(fd.embed_half([0, 1, 0], sign)))
         assert_array_equal(b3[1], fd.endo_of_two_vector(fd.embed_half([0, 0, -1], sign)))
 
+    @staticmethod
+    def near_pole_rows():
+        """Points at angles 1e-6, 1e-9 and 1e-12 from each pole, three azimuths each."""
+        rows = [[pole * np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)]
+                for pole in (1.0, -1.0) for theta in (1e-6, 1e-9, 1e-12)
+                for phi in (0.0, 0.7, -2.3)]
+        return np.array(rows)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_the_poles_the_basis_is_vertical(self, sign):
+        # the rotation to u is Rodrigues's however close u is to a pole, so
+        # the basis anticommutes with J to roundoff and not to the angle
+        rows = self.near_pole_rows()
+        stacked = fd.OrientedComplexStructure4(rows, sign)
+        singles = [fd.OrientedComplexStructure4(r, sign) for r in rows]
+        for jm, (u2, u3) in [(stacked.matrix, fd.vertical_basis(stacked))] + [
+                (j.matrix, fd.vertical_basis(j)) for j in singles]:
+            for v in (u2, u3):
+                assert np.max(np.abs(jm @ v + v @ jm)) <= 1e-14
+            gram = np.stack([np.stack([fibre.inner_G(a, b) for b in (u2, u3)], -1)
+                             for a in (u2, u3)], -1)
+            assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
     def test_completes_oriented_triad(self):
         j = random_ocs(1, RNG)
-        u1 = fd.active_half(fd.j_to_sphere(j), 1)
-        u2 = fd.active_half(fd.two_vector_of_endo(fd.vertical_basis(j)[0]), 1)
-        u3 = fd.active_half(fd.two_vector_of_endo(fd.vertical_basis(j)[1]), 1)
-        assert_allclose(np.cross(u1, u2), u3, atol=1e-12)
+        u2 = half(fd.two_vector_of_endo(fd.vertical_basis(j)[0]), 1)
+        u3 = half(fd.two_vector_of_endo(fd.vertical_basis(j)[1]), 1)
+        assert_allclose(np.cross(j.u, u2), u3, atol=1e-12)
 
 
 class TestQuaternionRelations:
@@ -249,8 +290,9 @@ class TestQuaternionRelations:
             j = random_ocs(sign, RNG)
             v = random_vertical_endo(j, RNG)
             lhs = fd.two_vector_of_endo(j.matrix @ v)
-            u = fd.active_half(fd.check_pure(j.wedge, sign), sign)
-            w = fd.active_half(fd.check_pure(fd.two_vector_of_endo(v), sign), sign)
+            w = fd.two_vector_of_endo(v)
+            assert np.max(np.abs(half(w, -sign))) < 1e-12
+            u, w = half(j.wedge, sign), half(w, sign)
             rhs = sign / np.sqrt(2) * fd.embed_half(np.cross(u, w), sign)
             assert_allclose(lhs, rhs, atol=1e-10)
 

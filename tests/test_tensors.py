@@ -26,8 +26,8 @@ def random_args(p, params, k=3, rng=RNG):
 
 def canonical_point():
     # J1 the structure of sqrt2 s1+, J2 of sqrt2 s2+
-    return tn.ProductTwistorPoint(fd.sphere_to_J(fd.embed_half([1, 0, 0], 1), 1),
-                                  fd.sphere_to_J(fd.embed_half([0, 1, 0], 1), 1))
+    return tn.ProductTwistorPoint(fd.OrientedComplexStructure4([1, 0, 0], 1),
+                                  fd.OrientedComplexStructure4([0, 1, 0], 1))
 
 
 def omega(p, a, b, params):
@@ -291,6 +291,24 @@ class TestFrameTensor:
             ref_m = metric_Ht(p, eb, acs(p, ec, params), params)
             assert ref_m.shape == (8, 8)
             assert np.abs(M[i] - ref_m).max() <= 1e-13
+
+    def test_kaehler_witness_vanishes_near_the_poles(self):
+        # the witness is Kaehler for (+-, n = 1, t1 = 6/s) at every point; near
+        # a pole of the first sphere the frame stays vertical to roundoff, so
+        # T stays at roundoff too and the frame passes the tangency check
+        rng = np.random.default_rng(901)
+        rows = rng.standard_normal((12, 6))
+        for i, (pole, theta) in enumerate((pole, theta) for pole in (1.0, -1.0)
+                                          for theta in (1e-6, 1e-9, 1e-12)):
+            rows[2 * i:2 * i + 2, :3] = [pole * np.cos(theta), np.sin(theta), np.sin(theta)]
+            rows[2 * i + 1, 3:] = [pole * np.cos(theta), 0.0, -np.sin(theta)]
+        p = cl._points(rows, "+-")
+        params = tn.Params(0.5, 1.0, 1)
+        frame = tn.frame_at_point(p, params)
+        for a in range(8):
+            tn.check_gtangent(p, row(frame, a))
+        T, _ = tn.frame_tensor(p, cur.model("kaehler_witness", s=12.0), params)
+        assert np.abs(T).max() <= 1e-14
 
     def test_corrupted_sign_table_moves_T(self, monkeypatch):
         rng = np.random.default_rng(900)
