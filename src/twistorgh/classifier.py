@@ -42,12 +42,12 @@ asks one or two conditions spends most of its time on the geometry, which
 32-point blocks build half as often as 16-point ones; the chunks keep the
 argument outer products, the largest arrays, 16 points wide, so the peak
 memory stays under 1 MiB.  A chunk's contraction forms the J-twists tj and
-tjj at most once for all conditions, and drops tj once N and tjj are
-formed.  The (A, B, C) conditions share one outer product X (x) Y of the
-chunk's arguments, and the (A, A, C) conditions share X (x) X, formed after
-the first is dropped; each condition is then one matmul of its outer product
-against Q, seen as (64, 8), and one dot with Z, while delta Omega is one
-matvec.  Each chunk's sup is one stacked abs, divide and max over the
+tjj at most once for all conditions: tjj first, then tj turns into S in
+place and is dropped once N is formed.  The (A, B, C) conditions share one
+outer product X (x) Y of the chunk's arguments, and the (A, A, C)
+conditions share X (x) X, formed after the first is dropped; each
+condition is then one matmul of its outer product against Q, seen as
+(64, 8), and one dot with Z, while delta Omega is one matvec.  Each chunk's sup is one stacked abs, divide and max over the
 requested conditions.  The point functions (``_points``,
 ``fourdim.vertical_basis``, ``tensors.frame_at_point``) take one point or a
 stack with the same code.
@@ -108,7 +108,7 @@ COMPONENTS = ("++", "+-", "-+", "--")
 #: frame tensor and one set of coefficient norms each.  Against 16-point blocks,
 #: 32 build the geometry half as often, which shows most in verify's calls of
 #: one or two conditions (BENCH_14.json).  A default-config call then peaks at
-#: 963 KiB traced (numpy 2.4); 64-point blocks would peak at 1324 KiB, over
+#: 899 KiB traced (numpy 2.4); 64-point blocks would peak at 1260 KiB, over
 #: the 1 MiB that tests/test_classifier.py::TestMemory allows.
 BLOCK_POINTS = 32
 #: points per contraction chunk of a geometry block: the argument outer
@@ -158,16 +158,14 @@ _SLOTS = dict.fromkeys(CONDITIONS, (_A, _B, _C)) | {_W1: (_A, _A, _C), _W13: (_A
 
 
 def _cyclic(q):
-    """q[a, b, c] + q[b, c, a] + q[c, a, b] over the last three axes."""
-    return q + np.moveaxis(q, -1, -3) + np.moveaxis(q, -3, -1)
+    """q[a, b, c] + q[b, c, a] + q[c, a, b] over the last three axes, summed in
+    that order into one new array."""
+    s = q + np.moveaxis(q, -1, -3)
+    s += np.moveaxis(q, -3, -1)
+    return s
 
 
 _TWISTED = frozenset({_NIJ, _QUASI, _W13, _W23})  # built from T(JX, Y, Z)
-
-
-def _nijenhuis(T, tj, mt):
-    s = tj + mt[..., None, :, :] @ T  # T(JX, Y, Z) + T(X, JY, Z)
-    return s - np.swapaxes(s, -3, -2)
 
 
 def _condition_tensors(T, M, conditions):
@@ -175,8 +173,8 @@ def _condition_tensors(T, M, conditions):
     slots, linear in T, whose value is Q[a, b, c] X[a] Y[b] Z[c] for the slot
     arguments (X, Y, Z).  The (A, B, C) conditions come first, then (A, A, C), then
     delta Omega, so a consumer needs one argument outer product at a time.  The
-    J-twists T(JX, Y, Z) and T(JX, JY, Z) are formed at most once, and T(JX, Y, Z)
-    is dropped once N and T(JX, JY, Z) are."""
+    J-twists T(JX, Y, Z) and T(JX, JY, Z) are formed at most once, T(JX, JY, Z)
+    first, so that T(JX, Y, Z) can then turn into N's sum S in place."""
     want = set(conditions)
     if _DOM in want:
         yield _DOM, T
@@ -186,11 +184,18 @@ def _condition_tensors(T, M, conditions):
     if want & _TWISTED:
         mt = np.swapaxes(M, -1, -2)
         tj = (mt @ T.reshape(T.shape[:-2] + (64,))).reshape(T.shape)  # T(JX, Y, Z)
-        if _NIJ in want:
-            yield _NIJ, _nijenhuis(T, tj, mt)
         if want & (_TWISTED - {_NIJ}):
             tjj = mt[..., None, :, :] @ tj  # T(JX, JY, Z)
-        del tj
+        if _NIJ in want:
+            tj += mt[..., None, :, :] @ T  # S = T(JX, Y, Z) + T(X, JY, Z)
+            # N = S - S[b, a, c]: numpy subtracts a contiguous copy of the
+            # transpose without the buffer that a strided operand takes
+            nij = np.swapaxes(tj, -3, -2).copy()
+            np.subtract(tj, nij, out=nij)
+        del tj  # S is dropped before N is yielded
+    if _NIJ in want:
+        yield _NIJ, nij
+        del nij
     if _QUASI in want:
         yield _QUASI, T + tjj
     if _W23 in want:

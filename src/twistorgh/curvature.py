@@ -205,13 +205,21 @@ def to_json_dict(mat) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    """A JSON number: ``true`` and ``false`` load as bools, which Python counts
+    as integers, and numpy would read them and numeric strings as numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _field_matrix(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
-    try:
+    try:  # OverflowError: an integer beyond the float range
         m = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"field {key!r} is not a numeric matrix: {exc}") from None
     if m.shape != shape:
         raise SchemaError(f"field {key!r} must have shape {shape}, got {m.shape}")
+    if not all(_is_number(x) for row in doc[key] for x in row):
+        raise SchemaError(f"field {key!r} must hold numbers, not booleans or strings")
     return m
 
 
@@ -243,17 +251,16 @@ def from_json_dict(doc) -> np.ndarray:
     unknown = set(blocks) - known
     if unknown:
         raise SchemaError(f"unknown field(s) in 'blocks': {sorted(unknown)}")
-    try:
-        s = float(blocks.get("s", 0.0))
-    except (TypeError, ValueError):
-        raise SchemaError("field 'blocks.s' must be a number") from None
+    s = blocks.get("s", 0.0)
+    if not _is_number(s):
+        raise SchemaError("field 'blocks.s' must be a number")
     def block_of(key):
         if key not in blocks:
             return np.zeros((3, 3))
         return _field_matrix(blocks, key, (3, 3))
     try:
         return compose(s=s, B=block_of("B"), Wplus=block_of("Wplus"), Wminus=block_of("Wminus"))
-    except CurvatureError as exc:
+    except (CurvatureError, OverflowError) as exc:
         raise SchemaError(f"invalid 'blocks': {exc}") from None
 
 

@@ -20,13 +20,16 @@ H_t-orthonormal frame.
                                   central-difference field derivatives
 
 A tensor-oracle trial makes two draws: its weights, then one row of normals
-for its operator, point and argument coefficients.  Blocks of 64 trials are
-then evaluated stacked: the block's operators are built and checked in one
-call each, and its residuals come from one call per group of equal
-n = 1 + i % 4.  Failures, NaN residuals included, name the worst trial,
-reproducible from the seed.  The Nijenhuis closed form writes out the signs
-that the frame tensor reads from ``tensors.SIGMA``, so a corrupted table fails
-the nijenhuis-identity check; a tier-1 test negates the table to show it.
+for its operator, point and argument coefficients.  Blocks of 128 trials
+are then evaluated stacked: the block's operators are built and checked in
+one call each, and its residuals come from one call per group of 32 trials
+of equal n = 1 + i % 4.  An identity oracle's group runs the classifier's
+route before it builds the closed form's frame and arguments, so it peaks at
+the larger of the two routes, not their sum.  Failures, NaN residuals
+included, name the worst trial, reproducible from the seed.  The Nijenhuis
+closed form writes out the signs that the frame tensor reads from
+``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity check; a
+tier-1 test negates the table to show it.
 """
 
 from __future__ import annotations
@@ -73,10 +76,14 @@ class OracleResult:
 
 
 #: trials per block.  A multiple of 4, so that every block starts at n = 1 and
-#: splits into four groups of one n each (16 trials here).  It is selftest's own
-#: size, not the classifier's block size, so that resizing the classifier's
-#: blocks moves neither selftest's grouping nor its memory and timings.
-_BLOCK_TRIALS = 64
+#: splits into four groups of one n each (32 trials here).  The size is the
+#: largest that keeps every tensor oracle under the 0.6 MiB traced peak of
+#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials (0.51
+#: MiB at most over 640 trials, numpy 2.4); 256 would go over it.  It is
+#: selftest's own size, not the classifier's block size, so that resizing the
+#: classifier's blocks moves neither selftest's grouping nor its memory and
+#: timings.
+_BLOCK_TRIALS = 128
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
@@ -88,8 +95,10 @@ def _random_configs(rng, count: int):
     the six of its point (the rows of ``classifier._points``) and the (3, 8)
     frame coefficients of its arguments.  The block's operators are built and
     checked in one stacked call each."""
-    draws = [(rng.uniform(0.3, 2.0, 2), rng.standard_normal(_TRIAL_NORMALS)) for _ in range(count)]
-    t, z = (np.array(x) for x in zip(*draws))
+    t, z = np.empty((count, 2)), np.empty((count, _TRIAL_NORMALS))
+    for i in range(count):
+        t[i] = rng.uniform(0.3, 2.0, 2)
+        rng.standard_normal(out=z[i])
     ops, rows, coeffs = np.split(z, np.cumsum([curvature.STRICT_NORMALS, 6]), axis=1)
     rmat = curvature.check_operator(curvature.strict_operators(ops), stacked=True)
     return t[:, 0], t[:, 1], rmat, rows, coeffs.reshape(-1, 3, 8)
@@ -115,20 +124,27 @@ _IDENTITIES = {
 }
 
 
+def _arguments(p, params: Params, coeffs, slots: int) -> list:
+    """The tangent vectors of the first ``slots`` rows of frame coefficients."""
+    frame = tensors.frame_at_point(p, params)
+    return [tensors.frame_combination(frame, coeffs[:, s]) for s in range(slots)]
+
+
 def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarray:
     """Residuals of trials of one structure index n, evaluated stacked."""
     params = Params(t1, t2, n)
     p = classifier._points(rows, ("++", "+-")[(n - 1) % 2])
-    frame = tensors.frame_at_point(p, params)
-    args = [tensors.frame_combination(frame, coeffs[:, s]) for s in range(3)]
     if kind == "restriction":
-        first = [tensors.gtangent(g.horizontal, g.vertical.v1) for g in args]
+        first = [tensors.gtangent(g.horizontal, g.vertical.v1)
+                 for g in _arguments(p, params, coeffs, 3)]
         return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
     cond, closed_form, slots = _IDENTITIES[kind]
-    # the classifier's route: the frame tensor contracted by the condition
+    # the classifier's route, the frame tensor contracted by the condition, runs
+    # before the closed form's frame and arguments exist, so a group's peak memory
+    # is the larger of the two routes, not their sum
     value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
                                         coeffs[:, None], (cond,))[cond][:, 0]
-    res = np.abs(closed_form(p, rmat, params, *args[:slots]) - value)
+    res = np.abs(closed_form(p, rmat, params, *_arguments(p, params, coeffs, slots)) - value)
     # the frame is H_t-orthonormal, so coefficient norms are H_t norms
     return res / (1.0 + np.prod(np.linalg.norm(coeffs[:, :slots], axis=-1), axis=-1))
 

@@ -412,9 +412,9 @@ class TestSharedContraction:
 class TestMemory:
     def test_default_config_peak_allocation_stays_under_1_mib(self):
         # geometry blocks of 32 points, contracted in chunks of 16, bound the
-        # traced peak at 963 KiB (numpy 2.4): the block's draw and T, and the
+        # traced peak at 899 KiB (numpy 2.4): the block's draw and T, and the
         # chunk's argument outer product.  One 64-point geometry block peaks at
-        # 1324 KiB, one stack of all 64 points contracted at once at 2.6 MiB.
+        # 1260 KiB, one stack of all 64 points contracted at once at 2.6 MiB.
         rmat = cur.model("constant_curvature", s=12.0)
         args = (rmat, "+-", (0.25, 1.0), 3, cl.SamplingConfig())
         cl.condition_residuals(*args)  # first-call allocations are not the budget's

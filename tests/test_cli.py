@@ -104,6 +104,21 @@ class TestClassifyCommand:
         assert code == cli.EXIT_INPUT
         assert "'matrix'" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"blocks": {"s": True}},
+        {"matrix": [["1"] + ["0"] * 5] + np.eye(6)[1:].tolist()},
+        {"matrix": [[True, 1.0, 0, 0, 0, 0], [1.0] + [0] * 5] + np.eye(6)[2:].tolist()},
+        {"blocks": {"s": 12.0, "Wminus": [[False, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+    ])
+    def test_boolean_or_string_entry_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                                 "--n", "1")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "number" in err
+
     def test_asymmetric_matrix_exits_3(self, capsys, tmp_path):
         mat = np.eye(6).tolist()
         mat[0][1] = 0.25

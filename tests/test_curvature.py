@@ -337,6 +337,33 @@ class TestSerialization:
         with pytest.raises(cur.SchemaError, match="unknown field"):
             cur.from_json_dict({"blocks": {"Q": [[0] * 3] * 3}})
 
+    @pytest.mark.parametrize("doc", [
+        {"blocks": {"s": True}},
+        {"blocks": {"s": "12"}},
+        {"matrix": [["1", "0", "0", "0", "0", "0"]] + np.eye(6)[1:].tolist()},
+        {"matrix": [[True, 0, 0, 0, 0, 0]] + np.eye(6)[1:].tolist()},
+        {"matrix": [[False, 1.0, 0, 0, 0, 0]] + np.eye(6)[1:].tolist()},
+        {"blocks": {"B": [["0"] * 3] * 3}},
+        {"blocks": {"Wplus": [[True, 0, 0], [0, False, 0], [0, 0, 0]]}},
+        {"blocks": {"Wminus": [[0, 0, 0], [0, 0, 0], [0, 0, "0.5"]]}},
+    ])
+    def test_booleans_and_strings_are_not_numbers(self, doc):
+        # numpy reads true as 1, false as 0 and "1" as 1.0; a document must say 1
+        with pytest.raises(cur.SchemaError, match="must hold numbers|must be a number"):
+            cur.from_json_dict(doc)
+
+    def test_integers_beyond_the_float_range_are_schema_errors(self):
+        huge = 10 ** 400
+        with pytest.raises(cur.SchemaError, match="'matrix'"):
+            cur.from_json_dict({"matrix": [[huge] + [0] * 5] + np.eye(6)[1:].tolist()})
+        with pytest.raises(cur.SchemaError, match="'blocks'"):
+            cur.from_json_dict({"blocks": {"s": huge}})
+
+    def test_integer_entries_are_numbers(self):
+        mat = np.eye(6, dtype=int).tolist()
+        np.testing.assert_array_equal(cur.from_json_dict({"matrix": mat}), np.eye(6))
+        assert_allclose(cur.from_json_dict({"blocks": {"s": 12}}), np.eye(6))
+
     def test_asymmetric_matrix_is_a_validation_error(self):
         mat = np.eye(6).tolist()
         mat[0][1] = 0.5

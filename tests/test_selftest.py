@@ -158,16 +158,32 @@ def test_nan_residual_fails_its_oracle_only(monkeypatch, oracle):
     assert "max=nan" in failed.line()
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("trials", [3, 25, 129, 200])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, seed, trials):
+    # 129 and 200 trials end in a partial block at either size, 3 leaves an n-group empty
+    assert selftest._BLOCK_TRIALS != 64
+    results = selftest.run_selftest(seed=seed, trials=trials)
+    monkeypatch.setattr(selftest, "_BLOCK_TRIALS", 64)
+    small = selftest.run_selftest(seed=seed, trials=trials)
+    assert [r.name for r in results] == [r.name for r in small]
+    for got, want in zip(results, small):
+        assert got.max_residual.hex() == want.max_residual.hex(), got.name
+        assert (got.worst, got.ok, got.trials, got.tol) == (want.worst, want.ok, want.trials,
+                                                           want.tol), got.name
+
+
+@pytest.mark.parametrize("kind", [*IDENTITY_KINDS, "restriction"])
 @pytest.mark.parametrize("trials", [64, 640])
-def test_oracle_memory_does_not_grow_with_trials(trials):
-    selftest._tensor_oracle(1, 8, "nijenhuis-identity")  # first-call allocations
+def test_oracle_memory_does_not_grow_with_trials(trials, kind):
+    selftest._tensor_oracle(1, 8, kind)  # first-call allocations
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        selftest._tensor_oracle(1, trials, "nijenhuis-identity")
+        selftest._tensor_oracle(1, trials, kind)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
