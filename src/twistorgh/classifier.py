@@ -33,8 +33,8 @@ S = T(JX, Y, Z) + T(X, JY, Z):
     delta Omega   -T[a,a,c] (one slot: a trace)
 
 Points are evaluated in geometry blocks of ``BLOCK_POINTS`` (32): one draw
-gives the block's sphere points and coefficient triples, the structures,
-vertical bases and frames are built stacked, one ``frame_tensor`` call gives
+gives the block's sphere points and coefficient triples, the structures and
+their vertical basis rows are built stacked, one ``frame_tensor`` call gives
 the stacked T[p, a, b, c] and M[p, b, a] of the block, and the coefficient
 norms are taken once.  The block is then contracted in chunks of
 ``CHUNK_POINTS`` (16), one ``condition_values`` call per chunk.  A call that
@@ -47,10 +47,11 @@ place and is dropped once N is formed.  The (A, B, C) conditions share one
 outer product X (x) Y of the chunk's arguments, and the (A, A, C)
 conditions share X (x) X, formed after the first is dropped; each
 condition is then one matmul of its outer product against Q, seen as
-(64, 8), and one dot with Z, while delta Omega is one matvec.  Each chunk's sup is one stacked abs, divide and max over the
-requested conditions.  The point functions (``_points``,
-``fourdim.vertical_basis``, ``tensors.frame_at_point``) take one point or a
-stack with the same code.
+(64, 8), and one dot with Z, while delta Omega is one matvec.  Each
+chunk's sup is one stacked abs, divide and max over the requested
+conditions.  The point functions (``_points``, the
+``fourdim.OrientedComplexStructure4`` constructor with its basis rows, and
+``tensors.frame_tensor``) take one point or a stack with the same code.
 
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).

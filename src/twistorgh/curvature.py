@@ -223,11 +223,36 @@ def _field_matrix(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return m
 
 
+def _from_blocks(blocks) -> np.ndarray:
+    """The operator of a block form.  Malformed fields are a SchemaError; a
+    non-finite or asymmetric block is the CurvatureError of :func:`compose`."""
+    if not isinstance(blocks, dict):
+        raise SchemaError("field 'blocks' must be a JSON object")
+    known = {"s", "B", "Wplus", "Wminus", "strict"}
+    unknown = set(blocks) - known
+    if unknown:
+        raise SchemaError(f"unknown field(s) in 'blocks': {sorted(unknown)}")
+    s = blocks.get("s", 0.0)
+    if not _is_number(s):
+        raise SchemaError("field 'blocks.s' must be a number")
+    if not isinstance(blocks.get("strict", False), bool):
+        raise SchemaError("field 'blocks.strict' must be true or false")
+    def block_of(key):
+        if key not in blocks:
+            return np.zeros((3, 3))
+        return _field_matrix(blocks, key, (3, 3))
+    try:
+        return compose(s=s, B=block_of("B"), Wplus=block_of("Wplus"), Wminus=block_of("Wminus"))
+    except OverflowError as exc:  # an integer s beyond the float range
+        raise SchemaError(f"invalid 'blocks': {exc}") from None
+
+
 def from_json_dict(doc) -> np.ndarray:
     """Read an operator document holding "matrix", "blocks", or both.
 
     With both present the matrix wins after a consistency check against the
-    assembled blocks.
+    assembled blocks.  A ``blocks.strict`` flag must agree with the
+    decomposition of the operator read.
     """
     if not isinstance(doc, dict):
         raise SchemaError("curvature document must be a JSON object")
@@ -238,30 +263,23 @@ def from_json_dict(doc) -> np.ndarray:
     if has_matrix:
         mat = check_operator(_field_matrix(doc, "matrix", (6, 6)))
         if has_blocks:
-            from_blocks = from_json_dict({"blocks": doc["blocks"]})
+            try:
+                from_blocks = _from_blocks(doc["blocks"])
+            except SchemaError:
+                raise
+            except CurvatureError as exc:  # blocks that cannot describe the finite matrix
+                raise SchemaError(f"invalid 'blocks': {exc}") from None
             # relative, like _sym_bound: the blocks carry roundoff of the entries
             bound = 1e-9 * max(1.0, float(np.abs(mat).max()))
             if not float(np.max(np.abs(mat - from_blocks))) <= bound:
                 raise SchemaError("fields 'matrix' and 'blocks' describe different operators")
-        return mat
-    blocks = doc["blocks"]
-    if not isinstance(blocks, dict):
-        raise SchemaError("field 'blocks' must be a JSON object")
-    known = {"s", "B", "Wplus", "Wminus", "strict"}
-    unknown = set(blocks) - known
-    if unknown:
-        raise SchemaError(f"unknown field(s) in 'blocks': {sorted(unknown)}")
-    s = blocks.get("s", 0.0)
-    if not _is_number(s):
-        raise SchemaError("field 'blocks.s' must be a number")
-    def block_of(key):
-        if key not in blocks:
-            return np.zeros((3, 3))
-        return _field_matrix(blocks, key, (3, 3))
-    try:
-        return compose(s=s, B=block_of("B"), Wplus=block_of("Wplus"), Wminus=block_of("Wminus"))
-    except (CurvatureError, OverflowError) as exc:
-        raise SchemaError(f"invalid 'blocks': {exc}") from None
+    else:
+        mat = _from_blocks(doc["blocks"])
+    claimed = doc["blocks"].get("strict") if has_blocks else None
+    if claimed is not None and claimed != decompose(mat).strict:
+        raise SchemaError(f"field 'blocks.strict' is {json.dumps(claimed)}, but the operator's "
+                          f"Weyl blocks give strict = {json.dumps(not claimed)}")
+    return mat
 
 
 def read_json(path) -> np.ndarray:

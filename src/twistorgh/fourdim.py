@@ -21,7 +21,17 @@ g(x1^x2, x3^x4) = g(x1,x3) g(x2,x4) - g(x1,x4) g(x2,x3).
 Compatible complex structures inducing +/- the orientation correspond to the
 points u of the unit sphere of the matching half, J^ = sqrt2 u, and are stored
 as u.  Their tangent (vertical) directions are the orthogonal complement of u
-inside that half.
+inside that half, spanned by the basis rows (w_a, w_b) of the structure: with
+c = u_1, s = |(u_2, u_3)| and a = (u_2, u_3) / s,
+
+    w_j = e_j - a_j (s e1 + (1 - c) (0, a)),    j = 2, 3,
+
+which is e_j - u_j (e1 + f (0, u_2, u_3)) with f = (1 - c) / s^2: the images
+of e2 and e3 under Rodrigues's rotation about e1 x u taking e1 to u, accurate
+however close u is to a pole.  They complete u to an oriented orthonormal
+triad, u x w_a = w_b and u x w_b = -w_a.  At the poles a = (0, 1): the rows
+of e1 are (e2, e3), and the antipode -e1 gets the fixed pair (e2, -e3) of the
+rotation by pi about the second axis, so frames are reproducible.
 """
 
 from __future__ import annotations
@@ -95,18 +105,35 @@ def embed_half(u3, sign: int) -> np.ndarray:
     return v
 
 
+_E23 = np.eye(3)[1:]
+
+
+def _basis_rows(u, sign: int) -> np.ndarray:
+    """The basis rows (w_a, w_b) of the unit vectors u of the half ``sign``, as
+    two-vectors stacked (..., 2, 6)."""
+    s = np.hypot(u[..., 1:2], u[..., 2:])
+    a = np.zeros(u.shape[:-1] + (2,))
+    a[..., 1] = 1.0  # the poles' a
+    np.divide(u[..., 1:], s, out=a, where=s > 0.0)
+    v = np.concatenate((s, (1.0 - u[..., :1]) * a), axis=-1)  # s e1 + (1 - c) (0, a)
+    return embed_half(_E23 - a[..., :, None] * v[..., None, :], sign)
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedComplexStructure4:
     """The complex structure of a sphere point: the unit vector ``u`` of the half ``sign``.
 
-    The constructor normalises ``u``; ``wedge`` is the two-vector sqrt2 u and
-    ``matrix`` its endomorphism.  Leading axes of ``u`` give a stack of structures.
+    The constructor normalises ``u``; ``wedge`` is the two-vector sqrt2 u,
+    ``matrix`` its endomorphism and ``basis`` the two-vectors of the basis rows
+    (w_a, w_b), stacked (..., 2, 6), which span the vertical directions.
+    Leading axes of ``u`` give a stack of structures.
     """
 
     u: np.ndarray
     sign: int
     wedge: np.ndarray = field(init=False)
     matrix: np.ndarray = field(init=False)
+    basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -115,39 +142,14 @@ class OrientedComplexStructure4:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "wedge", wedge)
         object.__setattr__(self, "matrix", endo_of_two_vector(wedge))
-
-
-_EYE3 = np.eye(3)
-_ANTIPODE_ROT = np.diag([-1.0, 1.0, -1.0])
-
-
-def _rotation_from_e1(u3) -> np.ndarray:
-    """Rotations of R^3 taking (1,0,0) to the unit vectors u3; leading axes are kept.
-
-    Rodrigues about the axis e1 x u3, accurate however close u3 is to a pole;
-    it is the identity at e1, and the antipode -e1 gets the fixed rotation by
-    pi about the second axis, so frames are reproducible.
-    """
-    u3 = np.asarray(u3, dtype=float)
-    c = u3[..., 0, None, None]
-    s = np.hypot(u3[..., 1], u3[..., 2])[..., None, None]  # |e1 x u3|
-    # cross-product matrix of the unit axis, (u3 e1^T - e1 u3^T) / s; zero at the poles
-    kx = np.zeros(u3.shape[:-1] + (3, 3))
-    kx[..., 1:, 0] = u3[..., 1:]
-    kx[..., 0, 1:] = -u3[..., 1:]
-    kx /= np.where(s > 0.0, s, 1.0)
-    rot = _EYE3 + s * kx + (1.0 - c) * (kx @ kx)
-    return np.where((s == 0.0) & (c < 0.0), _ANTIPODE_ROT, rot)
+        object.__setattr__(self, "basis", _basis_rows(u, self.sign))
 
 
 def vertical_basis(ocs: OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarray]:
-    """Endomorphisms of the deterministic orthonormal completion of the sphere point u.
+    """Endomorphisms of the basis rows (w_a, w_b) of the sphere point u.
 
-    The rotation taking s1 (of the matching half) to u is applied to
-    (s2, s3); the images span the vertical directions at J, are G-orthonormal
-    and anticommute with J.  A stacked ``ocs`` gives stacked bases.
+    They span the vertical directions at J, are G-orthonormal and anticommute
+    with J.  A stacked ``ocs`` gives stacked bases.
     """
-    rot = _rotation_from_e1(ocs.u)
-    # columns 2 and 3 of the rotation, the images of s2 and s3
-    pair = endo_of_two_vector(embed_half(rot.swapaxes(-1, -2)[..., 1:, :], ocs.sign))
+    pair = endo_of_two_vector(ocs.basis)
     return pair[..., 0, :, :], pair[..., 1, :, :]

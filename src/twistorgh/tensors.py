@@ -21,19 +21,29 @@ symmetric 6x6 curvature operator R acting on two-vectors:
 
 with p(V) = sigma(n) t1 V1^ + t2 V2^, q(V) = t1 (J1 V1)^ + t2 (J2 V2)^ and
 sigma = +1 for n in {1, 4}, -1 for n in {2, 3}.  ``frame_tensor`` builds
-D Omega and Jn in an H_t-orthonormal frame in closed form from their nonzero
-blocks, with ``cov_deriv_omega`` (the general kernel ``_dcov``) as the tests'
-oracle; the classifier derives d Omega, delta Omega and the Nijenhuis pairing
-from it.  Closed forms of these three, independent of that route, are the
-oracles ``selftest`` compares it with: ``ext_deriv_omega``, ``codiff_omega``
-and ``nijenhuis_closed_form``, which writes its signs out from n instead of
-taking EPS and SIGMA, so a corrupted sign table is caught: the tests negate
-SIGMA and see the nijenhuis-identity oracle fail.  The single-fibre
-restrictions (arguments with vanishing second factor) have their own code path,
-which ``restriction_residuals`` compares with the product tensors.  H_t, Jn
-and Omega have no checked evaluator here: the frame tensor carries Jn as the
-matrix M, and the tests keep their references for H_t and Jn in
-tests/reference.py.
+D Omega and Jn in an H_t-orthonormal frame straight from the sphere points:
+R p and R q of each vertical frame vector are signed copies of R applied to
+the structures' basis rows, and the nonzero blocks
+
+    T[4+k, b, c] = (V1_k + J1 rqe_k - rqe_k J1)[c, b],
+    T[a, b, 4+k] = ((-1)^n rpe_k - J1 rqe_k)[b, a] = -T[a, 4+k, b]
+
+follow from a few stacked products (see its docstring).  It does not use the
+per-argument views ``_ArgView`` and the general kernel ``_dcov`` behind
+``cov_deriv_omega``, which is the tests' oracle for it.  The classifier
+derives d Omega, delta Omega and the Nijenhuis pairing from the frame tensor.
+Closed forms of these three are the oracles ``selftest`` compares it with:
+``ext_deriv_omega``, ``codiff_omega`` and ``nijenhuis_closed_form``.  They
+evaluate through ``_ArgView``, so the classifier's route and the closed forms
+share no code above ``fourdim`` except the sign tables, and the oracles
+compare independent routes.  ``nijenhuis_closed_form`` writes its signs out
+from n instead of taking EPS and SIGMA, so a corrupted sign table is caught:
+the tests negate SIGMA and see the nijenhuis-identity oracle fail.  The
+single-fibre restrictions (arguments with vanishing second factor) have their
+own code path, which ``restriction_residuals`` compares with the product
+tensors.  H_t, Jn and Omega have no checked evaluator here: the frame tensor
+carries Jn as the matrix M, and the tests keep their references for H_t and
+Jn in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -61,6 +71,8 @@ KSIGNS = {1: (1.0, 1.0), 2: (1.0, -1.0), 3: (-1.0, 1.0), 4: (-1.0, -1.0)}
 VERTICAL_TOL = 1e-10
 
 _EYE4 = np.eye(4)
+#: the rows R w_j behind R p_k (k = 0..3), then R q_k: q_k turns w_k into u x w_k
+_PQ_ROWS = np.array([0, 1, 2, 3, 1, 0, 3, 2])
 
 
 class TangencyError(ValueError):
@@ -295,29 +307,44 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     point gives T and M with its leading axes in front, one (8, 8, 8) and
     (8, 8) per point, each from its own operator and weights if those stack.
 
-    The nonzero blocks, with V1_k, rpe_k, rqe_k from the ``_ArgView`` of E_{4+k},
-    a, b, c < 4, (k1, k2) = KSIGNS[n] and s1, s2 the orientation signs:
+    E_{4+k} is the vertical V1 = w_k / sqrt(t1) for k = 0, 1 and V2 =
+    w_k / sqrt(t2) for k = 2, 3, where (w_0, w_1) and (w_2, w_3) are the basis
+    rows (``OrientedComplexStructure4.basis``) of J1 and J2.  With s1, s2 the
+    orientation signs, (J V)^ = s u x V^ and u x w_a = w_b, u x w_b = -w_a, so
+    R p and R q of E_{4+k} are signed copies of the rows R w_j and no product
+    with J is formed:
 
-        T[4+k, b, c] = (V1_k - J1^T rqe_k - rqe_k J1)[c, b]
-        T[a, b, 4+k] = ((-1)^n rpe_k + J1^T rqe_k)[b, a] = -T[a, 4+k, b]
+        R p_k = sigma(n) sqrt(t1) R w_k,  R q_k = s1 sqrt(t1) R (w_1, -w_0)_k   (k = 0, 1)
+        R p_k = sqrt(t2) R w_k,           R q_k = s2 sqrt(t2) R (w_3, -w_2)_k   (k = 2, 3)
+
+    With rpe_k, rqe_k their endomorphisms, V1_k the endomorphism of w_k / sqrt(t1)
+    (zero for k = 2, 3), a, b, c < 4 and J1^T = -J1, so that rqe_k J1 is the
+    transpose of J1 rqe_k, the nonzero blocks are
+
+        T[4+k, b, c] = (V1_k + J1 rqe_k - rqe_k J1)[c, b]
+        T[a, b, 4+k] = ((-1)^n rpe_k - J1 rqe_k)[b, a] = -T[a, 4+k, b]
         M = blockdiag(J1, -k1 s1 J_std, -k2 s2 J_std),  J_std = [[0, 1], [-1, 0]]
+
+    with (k1, k2) = KSIGNS[n].
     """
-    j1 = p.j1.matrix
-    e = frame_at_point(p, params)
-    ev = _ArgView(p, rmat, params,
-                  GTangent(e.horizontal[4:], VerticalVector(e.vertical.v1[4:], e.vertical.v2[4:])))
-    jrq = np.swapaxes(j1, -1, -2) @ ev.rqe
-    vhh = ev.V1 - (jrq + ev.rqe @ j1)  # [k, ..., c, b]
-    hhv = EPS[params.n] * ev.rpe + jrq  # [k, ..., b, a]
-    t = np.zeros(j1.shape[:-2] + (8, 8, 8))
-    t[..., 4:, :4, :4] = np.moveaxis(vhh, 0, -3).swapaxes(-1, -2)
-    t[..., :4, :4, 4:] = np.moveaxis(hhv, 0, -1).swapaxes(-3, -2)
-    t[..., :4, 4:, :4] = -np.swapaxes(t[..., :4, :4, 4:], -1, -2)
+    j1, j2 = p.j1, p.j2
+    sq1, sq2 = np.sqrt(_w(params.t1, 2)), np.sqrt(_w(params.t2, 2))
+    rw = np.concatenate((sq1 * j1.basis, sq2 * j2.basis), axis=-2) @ np.swapaxes(rmat, -1, -2)
+    e = EPS[params.n]
+    ep = e * SIGMA[params.n]
+    coef = np.array([ep, ep, e, e, j1.sign, -j1.sign, j2.sign, -j2.sign])[:, None]
+    ends = endo_of_two_vector(rw[..., _PQ_ROWS, :] * coef)  # (-1)^n rpe_k, then rqe_k
+    a = j1.matrix[..., None, :, :] @ ends[..., 4:, :, :]  # J1 rqe_k; rqe_k J1 is its transpose
+    t = np.zeros(a.shape[:-3] + (8, 8, 8))
+    np.subtract(np.swapaxes(a, -1, -2), a, out=t[..., 4:, :4, :4])
+    t[..., 4:6, :4, :4] -= endo_of_two_vector(j1.basis / sq1)  # V1_k[c, b] = -V1_k[b, c]
+    np.subtract(ends[..., :4, :, :], a, out=np.swapaxes(t[..., :4, :4, 4:], -3, -1))
+    np.negative(np.swapaxes(t[..., :4, :4, 4:], -1, -2), out=t[..., :4, 4:, :4])
     k1, k2 = KSIGNS[params.n]
-    m = np.zeros(j1.shape[:-2] + (8, 8))
-    m[..., :4, :4] = j1
-    m[..., 4, 5], m[..., 6, 7] = -k1 * p.j1.sign, -k2 * p.j2.sign
-    m[..., 5, 4], m[..., 7, 6] = k1 * p.j1.sign, k2 * p.j2.sign
+    m = np.zeros(a.shape[:-3] + (8, 8))
+    m[..., :4, :4] = j1.matrix
+    m[..., 4, 5], m[..., 6, 7] = -k1 * j1.sign, -k2 * j2.sign
+    m[..., 5, 4], m[..., 7, 6] = k1 * j1.sign, k2 * j2.sign
     return t, m
 
 

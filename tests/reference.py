@@ -1,6 +1,9 @@
 """Checked references for the metric H_t and the almost complex structure Jn
 on tangents of the product twistor space, for the tests of the frame tensor,
-its frame and the classifier's contractions."""
+its frame and the classifier's contractions, and Rodrigues's rotation for the
+tests of the structures' vertical basis rows."""
+
+import numpy as np
 
 from twistorgh.tensors import (
     GTangent,
@@ -22,3 +25,26 @@ def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
     """Almost complex structure Jn: horizontal part by J1, vertical by Kn."""
     check_gtangent(p, a)
     return _acs_unchecked(p, params, a)
+
+
+_EYE3 = np.eye(3)
+_ANTIPODE_ROT = np.diag([-1.0, 1.0, -1.0])
+
+
+def rotation_from_e1(u3) -> np.ndarray:
+    """Rotations of R^3 taking (1,0,0) to the unit vectors u3; leading axes are kept.
+
+    Rodrigues about the axis e1 x u3, accurate however close u3 is to a pole;
+    it is the identity at e1, and the antipode -e1 gets the fixed rotation by
+    pi about the second axis.  Its last two columns are the basis rows of u3.
+    """
+    u3 = np.asarray(u3, dtype=float)
+    c = u3[..., 0, None, None]
+    s = np.hypot(u3[..., 1], u3[..., 2])[..., None, None]  # |e1 x u3|
+    # cross-product matrix of the unit axis, (u3 e1^T - e1 u3^T) / s; zero at the poles
+    kx = np.zeros(u3.shape[:-1] + (3, 3))
+    kx[..., 1:, 0] = u3[..., 1:]
+    kx[..., 0, 1:] = -u3[..., 1:]
+    kx /= np.where(s > 0.0, s, 1.0)
+    rot = _EYE3 + s * kx + (1.0 - c) * (kx @ kx)
+    return np.where((s == 0.0) & (c < 0.0), _ANTIPODE_ROT, rot)

@@ -139,6 +139,37 @@ class TestClassifyCommand:
         assert code == cli.EXIT_VALIDATION
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("blocks, message", [
+        ({"s": float("nan")}, "must be finite"),
+        ({"s": 12.0, "Wplus": [[float("nan"), 0, 0], [0, 0, 0], [0, 0, 0]]}, "non-finite"),
+        ({"s": 12.0, "Wplus": [[0, 0.25, 0], [0, 0, 0], [0, 0, 0]]}, "must be symmetric"),
+    ])
+    def test_invalid_blocks_exit_3_like_the_matrix_form(self, capsys, tmp_path, blocks, message):
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps({"blocks": blocks}))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                                 "--n", "1")
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocks, message", [
+        ({"s": 12.0, "strict": "maybe"}, "must be true or false"),
+        ({"s": 12.0, "strict": 1}, "must be true or false"),
+        ({"s": 12.0, "Wminus": np.eye(3).tolist(), "strict": True},
+         "'blocks.strict' is true, but the operator's Weyl blocks give strict = false"),
+        ({"s": 12.0, "strict": False},
+         "'blocks.strict' is false, but the operator's Weyl blocks give strict = true"),
+    ])
+    def test_strict_flag_is_checked(self, capsys, tmp_path, blocks, message):
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps({"blocks": blocks}))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                                 "--n", "1")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert message in err
+
     def test_minus_minus_component(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component=--",
                                "--n", "1", *FAST)

@@ -329,6 +329,37 @@ class TestSerialization:
         with pytest.raises(cur.SchemaError):
             cur.from_json_dict(doc)
 
+    @pytest.mark.parametrize("name", ["constant_curvature", "kaehler_witness"])
+    def test_written_strict_flag_reads_back(self, name):
+        mat = cur.model(name, s=12.0)
+        doc = json.loads(json.dumps(cur.to_json_dict(mat)))
+        assert doc["blocks"]["strict"] is cur.decompose(mat).strict
+        np.testing.assert_array_equal(cur.from_json_dict(doc), mat)
+        del doc["matrix"]
+        assert_allclose(cur.from_json_dict(doc), mat, atol=1e-15)
+        doc["blocks"]["strict"] = not doc["blocks"]["strict"]
+        with pytest.raises(cur.SchemaError, match="blocks.strict"):
+            cur.from_json_dict(doc)
+
+    @pytest.mark.parametrize("flag", ["maybe", 1, None, [True]])
+    def test_non_boolean_strict_flag_rejected(self, flag):
+        with pytest.raises(cur.SchemaError, match="must be true or false"):
+            cur.from_json_dict({"blocks": {"s": 12.0, "strict": flag}})
+        doc = cur.to_json_dict(cur.model("flat"))
+        doc["blocks"]["strict"] = flag
+        with pytest.raises(cur.SchemaError, match="must be true or false"):
+            cur.from_json_dict(doc)
+
+    def test_invalid_blocks_raise_the_validation_error(self):
+        # like a matrix, non-finite or asymmetric blocks are invalid operators,
+        # not malformed documents; an s beyond the float range stays a schema error
+        for blocks in ({"s": np.inf}, {"Wminus": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}):
+            with pytest.raises(cur.CurvatureError) as info:
+                cur.from_json_dict({"blocks": blocks})
+            assert not isinstance(info.value, cur.SchemaError)
+        with pytest.raises(cur.SchemaError, match="invalid 'blocks'"):
+            cur.from_json_dict({"blocks": {"s": 10 ** 400}})
+
     def test_field_errors_are_named(self):
         with pytest.raises(cur.SchemaError, match="'matrix'"):
             cur.from_json_dict({"matrix": [[1, 2], [3, 4]]})

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from twistorgh import fibre, fourdim as fd
 
 from random_fourdim import half, random_ocs, random_vertical_endo
+from reference import rotation_from_e1
 
 RNG = np.random.default_rng(303)
 
@@ -274,6 +275,26 @@ class TestVerticalBasis:
             gram = np.stack([np.stack([fibre.inner_G(a, b) for b in (u2, u3)], -1)
                              for a in (u2, u3)], -1)
             assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_basis_rows_are_rodrigues(self, sign):
+        # the closed-form rows are the last two columns of Rodrigues's rotation
+        # taking e1 to u, at the poles, near them and at random points, stacked
+        # and one by one, with no floating-point warning at the poles
+        u = np.vstack([POLES, self.near_pole_rows(), RNG.standard_normal((20, 3))])
+        with np.errstate(all="raise"):
+            stacked = fd.OrientedComplexStructure4(u, sign)
+            ref = np.swapaxes(rotation_from_e1(stacked.u), -1, -2)[:, 1:, :]
+            singles = np.stack([fd.OrientedComplexStructure4(ui, sign).basis for ui in u])
+        assert stacked.basis.shape == (len(u), 2, 6)
+        assert np.all(half(stacked.basis, -sign) == 0.0)
+        for basis in (stacked.basis, singles):
+            assert np.abs(half(basis, sign) - ref).max() <= 1e-15
+            w_a, w_b = half(basis[:, 0], sign), half(basis[:, 1], sign)
+            assert np.abs(np.cross(stacked.u, w_a) - w_b).max() <= 1e-15
+            assert np.abs(np.cross(stacked.u, w_b) + w_a).max() <= 1e-15
+        assert_array_equal(half(stacked.basis[0], sign), [[0, 1, 0], [0, 0, 1]])
+        assert_array_equal(half(stacked.basis[1], sign), [[0, 1, 0], [0, 0, -1]])
 
     def test_completes_oriented_triad(self):
         j = random_ocs(1, RNG)

@@ -292,6 +292,38 @@ class TestFrameTensor:
             assert ref_m.shape == (8, 8)
             assert np.abs(M[i] - ref_m).max() <= 1e-13
 
+    @staticmethod
+    def pole_rows(rng):
+        """Sphere rows (u1, u2) whose factors each meet the exact poles +-e1 and
+        points 1e-6, 1e-9 and 1e-12 rad from each pole, plus two random rows."""
+        near = [[pole * np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)]
+                for pole in (1.0, -1.0) for theta, phi in ((1e-6, 0.4), (1e-9, 2.1), (1e-12, -1.3))]
+        u = np.vstack([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], near, rng.standard_normal((2, 3))])
+        return np.hstack([u, np.roll(u, 3, axis=0)])
+
+    @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_operators_and_weights_match_the_derivative_kernel(self, component, n):
+        # one point per row, each with its own operator and weights, against
+        # the _dcov route (cov_deriv_omega on the frame vectors) row by row
+        rng = np.random.default_rng(720 + n)
+        rows = self.pole_rows(rng)
+        rmats = cur.strict_operators(rng.standard_normal((len(rows), cur.STRICT_NORMALS)))
+        t1, t2 = rng.uniform(0.2, 3.0, (2, len(rows)))
+        with np.errstate(all="raise"):
+            T, M = tn.frame_tensor(cl._points(rows, component), rmats, tn.Params(t1, t2, n))
+        assert T.shape == (len(rows), 8, 8, 8) and M.shape == (len(rows), 8, 8)
+        assert np.all(T[:, ~NONZERO_BLOCKS] == 0.0)
+        e = np.eye(8)
+        for i, row in enumerate(rows):
+            p = cl._points(row, component)
+            params = tn.Params(t1[i], t2[i], n)
+            frame = tn.frame_at_point(p, params)
+            ea, eb, ec = (tn.frame_combination(frame, x) for x in (e[:, None, None], e[:, None], e))
+            ref = tn.cov_deriv_omega(p, rmats[i], params, ea, eb, ec)
+            assert np.abs(T[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(M[i] - metric_Ht(p, eb, acs(p, ec, params), params)).max() <= 1e-13
+
     def test_kaehler_witness_vanishes_near_the_poles(self):
         # the witness is Kaehler for (+-, n = 1, t1 = 6/s) at every point; near
         # a pole of the first sphere the frame stays vertical to roundoff, so
