@@ -78,11 +78,11 @@ class OracleResult:
 #: trials per block.  A multiple of 4, so that every block starts at n = 1 and
 #: splits into four groups of one n each (32 trials here).  The size is the
 #: largest that keeps every tensor oracle under the 0.6 MiB traced peak of
-#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials (0.51
-#: MiB at most over 640 trials, numpy 2.4); 256 would go over it.  It is
-#: selftest's own size, not the classifier's block size, so that resizing the
-#: classifier's blocks moves neither selftest's grouping nor its memory and
-#: timings.
+#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials (0.511
+#: MiB at most over 640 trials, nijenhuis-identity, numpy 2.4); 256 would go
+#: over it.  It is selftest's own size, not the classifier's block size, so
+#: that resizing the classifier's blocks moves neither selftest's grouping nor
+#: its memory and timings.
 _BLOCK_TRIALS = 128
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
@@ -93,12 +93,16 @@ def _random_configs(rng, count: int):
     one trial axis.  Each trial makes two draws: its weights, then one row of 58
     normals, which holds the 28 of its operator (``curvature.strict_operators``),
     the six of its point (the rows of ``classifier._points``) and the (3, 8)
-    frame coefficients of its arguments.  The block's operators are built and
-    checked in one stacked call each."""
+    frame coefficients of its arguments.  The weights are drawn in place as
+    uniforms on [0, 1) and mapped to [0.3, 2) once per block by the arithmetic
+    of ``Generator.uniform``, which draws the same numbers.  The block's
+    operators are built and checked in one stacked call each."""
     t, z = np.empty((count, 2)), np.empty((count, _TRIAL_NORMALS))
     for i in range(count):
-        t[i] = rng.uniform(0.3, 2.0, 2)
+        rng.random(out=t[i])
         rng.standard_normal(out=z[i])
+    low, high = 0.3, 2.0
+    t = low + (high - low) * t
     ops, rows, coeffs = np.split(z, np.cumsum([curvature.STRICT_NORMALS, 6]), axis=1)
     rmat = curvature.check_operator(curvature.strict_operators(ops), stacked=True)
     return t[:, 0], t[:, 1], rmat, rows, coeffs.reshape(-1, 3, 8)

@@ -36,9 +36,12 @@ Closed forms of these three are the oracles ``selftest`` compares it with:
 ``ext_deriv_omega``, ``codiff_omega`` and ``nijenhuis_closed_form``.  They
 evaluate through ``_ArgView``, so the classifier's route and the closed forms
 share no code above ``fourdim`` except the sign tables, and the oracles
-compare independent routes.  ``nijenhuis_closed_form`` writes its signs out
-from n instead of taking EPS and SIGMA, so a corrupted sign table is caught:
-the tests negate SIGMA and see the nijenhuis-identity oracle fail.  The
+compare independent routes.  An evaluator of three arguments broadcasts them
+to common leading axes and stacks them (``_stack``), checks the stack once
+and, but for the Nijenhuis form, views it once and passes the view's slices to
+its kernel.  ``nijenhuis_closed_form`` writes its signs out from n instead of
+taking EPS and SIGMA, so a corrupted sign table is caught: the tests negate
+SIGMA and see the nijenhuis-identity oracle fail.  The
 single-fibre restrictions (arguments with vanishing second factor) have their
 own code path, which ``restriction_residuals`` compares with the product
 tensors.  H_t, Jn and Omega have no checked evaluator here: the frame tensor
@@ -146,10 +149,33 @@ def check_vertical(p: ProductTwistorPoint, v: VerticalVector,
 
 
 def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
+    """A finite horizontal 4-vector and a vertical part (``check_vertical``)."""
     if np.shape(a.horizontal)[-1:] != (4,):
         raise TangencyError("horizontal part must be a 4-vector")
+    if not np.isfinite(a.horizontal).all():
+        raise TangencyError("horizontal part must be finite")
     check_vertical(p, a.vertical)
     return a
+
+
+def _stack(p: ProductTwistorPoint, rmat, params: Params, *args: GTangent) -> GTangent:
+    """The arguments on a new leading axis, each part broadcast to the leading
+    axes of all of them and of the point, operator and weights, so that one
+    check and one ``_ArgView`` serve them all: slice i of the view is the view
+    of argument i, broadcast to those axes."""
+    for g in args:
+        if np.shape(g.horizontal)[-1:] != (4,):
+            raise TangencyError("horizontal part must be a 4-vector")
+    parts = [(g.horizontal, g.vertical.v1, g.vertical.v2) for g in args]
+    shapes = {np.shape(x)[:-k] for ps in parts for x, k in zip(ps, (1, 2, 2))}
+    shapes |= {p.j1.matrix.shape[:-2], p.j2.matrix.shape[:-2], np.shape(rmat)[:-2],
+               np.shape(params.t1), np.shape(params.t2)}
+    lead = np.broadcast_shapes(*shapes)  # a set: they mostly agree, and each shape costs time
+    out = [np.empty((len(args),) + lead + tail) for tail in ((4,), (4, 4), (4, 4))]
+    for i, ps in enumerate(parts):
+        for o, x in zip(out, ps):
+            o[i] = x  # broadcasts x to the leading axes
+    return GTangent(out[0], VerticalVector(out[1], out[2]))
 
 
 # --- metric and almost complex structure -------------------------------------
@@ -194,7 +220,9 @@ class _ArgView:
     <R p(V), u ^ v> reduce to v . (rpe @ u) without forming wedge vectors.
     The argument may be stacked along leading axes; every field then carries
     them, and a stacked point, operator (..., 6, 6) and weights broadcast
-    against the trailing ones.
+    against the trailing ones.  Indexing a view indexes every field, so
+    ``view[i]`` of a view of arguments stacked by ``_stack`` is the view of
+    argument i, built without calling ``__init__``.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -212,6 +240,12 @@ class _ArgView:
         self.rq = _op(rmat, q6)
         self.rpe = endo_of_two_vector(_op(rmat, p6))
         self.rqe = endo_of_two_vector(self.rq)
+
+    def __getitem__(self, i) -> "_ArgView":
+        view = object.__new__(_ArgView)
+        for name in self.__slots__:
+            setattr(view, name, getattr(self, name)[i])
+        return view
 
 
 def _dot(x, y):
@@ -258,17 +292,15 @@ def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
 def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
                     a: GTangent, b: GTangent, c: GTangent) -> float:
     """(D_A Omega)(B, C), assembled from the component formulas."""
-    for g in (a, b, c):
-        check_gtangent(p, g)
-    return _dcov(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c)))
+    v = _ArgView(p, rmat, params, check_gtangent(p, _stack(p, rmat, params, a, b, c)))
+    return _dcov(params, v[0], v[1], v[2])
 
 
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
                     a: GTangent, b: GTangent, c: GTangent) -> float:
     """d Omega(A, B, C); fully antisymmetric."""
-    for g in (a, b, c):
-        check_gtangent(p, g)
-    return _dext(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c)))
+    v = _ArgView(p, rmat, params, check_gtangent(p, _stack(p, rmat, params, a, b, c)))
+    return _dext(params, v[0], v[1], v[2])
 
 
 def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
@@ -355,8 +387,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
     The signs (-1)^n and sigma(n) are written out here rather than read from
     EPS and SIGMA, so corrupting those tables is detectable.
     """
-    for g in (a, b, c):
-        check_gtangent(p, g)
+    check_gtangent(p, _stack(p, rmat, params, a, b, c))
     n = params.n
     e = -1.0 if n % 2 else 1.0
     sigma = 1.0 if n in (1, 4) else -1.0
@@ -439,15 +470,17 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
 
     Arguments must have vanishing second vertical component; n in {1, 2} pairs
     with the single structure k = 1, n in {3, 4} with k = 2, and the single
-    metric weight is t1.  All residuals are identically zero.  Each argument
-    is checked once and viewed once; the product side is the arithmetic of
-    ``cov_deriv_omega``, ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
+    metric weight is t1.  All residuals are identically zero.  The arguments
+    are checked once and viewed once, as one stack, so the codiff residual of
+    A carries the leading axes of all three, as the derivative residuals do;
+    the product side is the arithmetic of ``cov_deriv_omega``,
+    ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
     """
-    for g in (a, b, c):
-        check_gtangent(p, g)
-        if not np.max(np.abs(g.vertical.v2)) <= VERTICAL_TOL:  # written so that a NaN fails
-            raise TangencyError("restriction arguments must have zero second-factor vertical part")
-    av, bv, cv = (_ArgView(p, rmat, params, g) for g in (a, b, c))
+    abc = check_gtangent(p, _stack(p, rmat, params, a, b, c))
+    if not np.max(np.abs(abc.vertical.v2)) <= VERTICAL_TOL:  # written so that a NaN fails
+        raise TangencyError("restriction arguments must have zero second-factor vertical part")
+    v = _ArgView(p, rmat, params, abc)
+    av, bv, cv = v[0], v[1], v[2]
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
     sa, sb, sc = (SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))

@@ -1,7 +1,9 @@
 """Checked references for the metric H_t and the almost complex structure Jn
 on tangents of the product twistor space, for the tests of the frame tensor,
-its frame and the classifier's contractions, and Rodrigues's rotation for the
-tests of the structures' vertical basis rows."""
+its frame and the classifier's contractions; the closed-form evaluators with
+each argument checked and viewed on its own, for the tests of their stacked
+arguments; and Rodrigues's rotation for the tests of the structures' vertical
+basis rows."""
 
 import numpy as np
 
@@ -9,9 +11,18 @@ from twistorgh.tensors import (
     GTangent,
     Params,
     ProductTwistorPoint,
+    SingleTangent,
     _acs_unchecked,
+    _ArgView,
+    _dcodiff,
+    _dcov,
+    _dext,
     _metric,
     check_gtangent,
+    single_codiff,
+    single_cov_deriv,
+    single_ext_deriv,
+    single_metric,
 )
 
 
@@ -25,6 +36,34 @@ def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
     """Almost complex structure Jn: horizontal part by J1, vertical by Kn."""
     check_gtangent(p, a)
     return _acs_unchecked(p, params, a)
+
+
+def one_by_one(kernel, p: ProductTwistorPoint, rmat, params: Params,
+               a: GTangent, b: GTangent, c: GTangent):
+    """``kernel`` (``_dcov`` or ``_dext``) on arguments checked and viewed one
+    at a time: ``cov_deriv_omega`` and ``ext_deriv_omega`` check and view them
+    as one stack instead."""
+    for g in (a, b, c):
+        check_gtangent(p, g)
+    return kernel(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c)))
+
+
+def restriction_one_by_one(p: ProductTwistorPoint, rmat, params: Params,
+                           a: GTangent, b: GTangent, c: GTangent) -> dict:
+    """The values of ``restriction_residuals``, with each argument checked and
+    viewed on its own."""
+    k = 1 if params.n in (1, 2) else 2
+    t = params.t1
+    sa, sb, sc = (SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))
+    return {
+        "cov_deriv": abs(one_by_one(_dcov, p, rmat, params, a, b, c)
+                         - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+        "ext_deriv": abs(one_by_one(_dext, p, rmat, params, a, b, c)
+                         - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+        "codiff": abs(_dcodiff(p, _ArgView(p, rmat, params, check_gtangent(p, a)))
+                      - single_codiff(p.j1, rmat, t, sa)),
+        "metric": abs(metric_Ht(p, a, b, params) - single_metric(p.j1, t, sa, sb)),
+    }
 
 
 _EYE3 = np.eye(3)

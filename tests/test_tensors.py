@@ -7,7 +7,7 @@ from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
 from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo
-from reference import acs, metric_Ht
+from reference import acs, metric_Ht, one_by_one, restriction_one_by_one
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -435,6 +435,102 @@ class TestStackedEvaluators:
                               tn.gtangent(args[0].horizontal[i], zero, zero), explicit)
             for name, value in want.items():
                 assert abs(stacked[name][i] - value) <= 1e-13 * max(1.0, abs(value)), (name, i)
+
+
+class TestStackedArguments:
+    """The closed forms check and view their three arguments as one stack; the
+    values are those of checking and viewing each argument on its own, and a
+    defect in any slot is still rejected."""
+
+    #: arguments of one shape, so the stack broadcasts none of them
+    EQUAL = ["stacked", "block"]
+    #: arguments the stack broadcasts to a common shape
+    BROADCAST = ["unstacked-0", "unstacked-1", "unstacked-2", "frame"]
+    THREE_SLOT = [tn.cov_deriv_omega, tn.ext_deriv_omega, tn.nijenhuis_closed_form]
+
+    @staticmethod
+    def layout(name, n, rng):
+        """(point, operator, weights, arguments) of one layout of the arguments."""
+        if name == "block":  # 16 trials, each with its own point, operator and weights
+            t = rng.uniform(0.3, 2.0, (16, 2))
+            rmat = cur.strict_operators(rng.standard_normal((16, cur.STRICT_NORMALS)))
+            p = cl._points(rng.standard_normal((16, 6)), ("++", "+-")[(n - 1) % 2])
+            params = tn.Params(t[:, 0], t[:, 1], n)
+            coeffs = rng.standard_normal((3, 16, 8))
+        else:
+            p = point(("++", "+-", "-+", "--")[n - 1], rng)
+            rmat = cur.random_strict_operator(rng)
+            params = tn.Params(0.7, 1.6, n)
+            if name == "stacked":  # three arguments stacked along (5,) at one point
+                coeffs = rng.standard_normal((3, 5, 8))
+            elif name == "frame":  # the frame along one argument axis each
+                e = np.eye(8)
+                coeffs = [e[:, None, None], e[:, None], e]
+            else:  # one unstacked argument, the other two stacked along (5,)
+                coeffs = [rng.standard_normal((5, 8)) for _ in range(3)]
+                coeffs[int(name[-1])] = rng.standard_normal(8)
+        frame = tn.frame_at_point(p, params)
+        return p, rmat, params, [tn.frame_combination(frame, x) for x in coeffs]
+
+    @pytest.mark.parametrize("layout", EQUAL + BROADCAST)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_are_those_of_the_one_by_one_route(self, layout, n):
+        # bit for bit when no argument is broadcast.  Broadcasting one changes
+        # the shape of its rows in the stacked 6x6 and 6x16 products (a matrix
+        # of rows instead of one row), and BLAS may round those differently,
+        # so broadcast layouts agree to a few units in the last place
+        p, rmat, params, args = self.layout(layout, n, np.random.default_rng(940 + n))
+        first = [tn.gtangent(g.horizontal, g.vertical.v1) for g in args]
+        pairs = [(tn.cov_deriv_omega(p, rmat, params, *args),
+                  one_by_one(tn._dcov, p, rmat, params, *args)),
+                 (tn.ext_deriv_omega(p, rmat, params, *args),
+                  one_by_one(tn._dext, p, rmat, params, *args))]
+        got = tn.restriction_residuals(p, rmat, params, *first)
+        want = restriction_one_by_one(p, rmat, params, *first)
+        # the codiff residual, like the derivative residuals, carries the leading
+        # axes of all three arguments, since the first one is viewed in the stack
+        want["codiff"] = np.broadcast_to(want["codiff"], np.shape(want["cov_deriv"]))
+        assert list(got) == list(want)
+        pairs += [(got[name], want[name]) for name in want]
+        scale = max(1.0, *(np.abs(w).max() for _, w in pairs[:2]))
+        for i, (g, w) in enumerate(pairs):
+            assert np.shape(g) == np.shape(w), i
+            if layout in self.EQUAL:
+                assert np.array_equal(g, w), i
+            else:
+                assert np.abs(g - w).max() <= 64 * np.finfo(float).eps * scale, i
+
+    @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_one_bad_trial_in_any_slot_is_rejected(self, evaluator, slot):
+        p, rmat, params, args = self.layout("block", 3, np.random.default_rng(950))
+        g = args[slot]
+        bad = list(args)
+        # trial 5 not tangent: a part of J1 commutes with J1
+        v1 = g.vertical.v1.copy()
+        v1[5] += 1e-3 * p.j1.matrix[5]
+        bad[slot] = tn.gtangent(g.horizontal, v1, g.vertical.v2)
+        with pytest.raises(tn.TangencyError, match="anticommute"):
+            evaluator(p, rmat, params, *bad)
+        # trial 11 with a second-factor part that is not skew
+        v2 = g.vertical.v2.copy()
+        v2[11] += 1e-3 * np.eye(4)
+        bad[slot] = tn.gtangent(g.horizontal, g.vertical.v1, v2)
+        with pytest.raises(tn.TangencyError, match="skew"):
+            evaluator(p, rmat, params, *bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_horizontal_part_is_rejected(self, slot, evaluator, value):
+        rng = np.random.default_rng(960)
+        p = point("+-", rng)
+        params = tn.Params(0.7, 1.6, 3)
+        args = random_args(p, params, rng=rng)
+        args[slot] = tn.gtangent([value, 0.0, 0.0, 0.0], args[slot].vertical.v1,
+                                 args[slot].vertical.v2)
+        with np.errstate(all="raise"), pytest.raises(tn.TangencyError, match="finite"):
+            evaluator(p, cur.random_strict_operator(rng), params, *args)
 
 
 class TestExteriorDerivative:
