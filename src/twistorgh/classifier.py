@@ -53,6 +53,16 @@ conditions.  The point functions (``_points``, the
 ``fourdim.OrientedComplexStructure4`` constructor with its basis rows, and
 ``tensors.frame_tensor``) take one point or a stack with the same code.
 
+A block's structures depend only on its sphere rows and the component, and
+calls at one seed draw the same rows (the theorem suite's calls share one
+seed), so ``condition_residuals`` takes them from a least-recently-used cache
+of ``GEOMETRY_CACHE_BLOCKS`` blocks (``_block_points``).  Its key is the
+block's contiguous sphere rows as bytes, their shape and the component, so a
+hit does not depend on how a seed maps to rows; the cached arrays are
+read-only.  The seeded draw and the coefficient norms are not cached.  The
+self-test calls ``_points`` directly: its rows never recur, and cached
+entries would only add to its retained memory.
+
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).
 The detected class is the smallest lattice element whose conditions all pass.
@@ -67,6 +77,7 @@ residual above 1e-3.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -116,6 +127,11 @@ BLOCK_POINTS = 32
 #: products of ``condition_values``, the largest arrays, are (chunk, triples,
 #: 64) wide.
 CHUNK_POINTS = 16
+#: geometry blocks whose structures ``condition_residuals`` keeps for later calls
+#: that draw the same sphere rows.  ``verify --all`` needs 6: two full blocks and
+#: one reduced block on each of ``++`` and ``+-``.  A 32-point entry holds about
+#: 23 KiB.
+GEOMETRY_CACHE_BLOCKS = 8
 
 
 class ClassifierError(ValueError):
@@ -150,6 +166,17 @@ def _points(rows, component: str) -> ProductTwistorPoint:
     s1, s2 = component_signs(component)
     return ProductTwistorPoint(OrientedComplexStructure4(rows[..., :3], s1),
                                OrientedComplexStructure4(rows[..., 3:6], s2))
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_BLOCKS)
+def _block_points(key: bytes, shape: tuple[int, ...], component: str) -> ProductTwistorPoint:
+    """``_points`` of the sphere rows whose float64 bytes are ``key``, kept for the
+    next call with the same rows; the cached arrays are read-only."""
+    p = _points(np.frombuffer(key).reshape(shape), component)
+    for j in (p.j1, p.j2):
+        for a in (j.u, j.wedge, j.matrix, j.basis):
+            a.flags.writeable = False
+    return p
 
 
 _A, _B, _C = range(3)
@@ -247,7 +274,8 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
     Each point draws u1 (3 normals), u2 (3) and its coefficient triples
     (k, 3, 8) in turn; points are evaluated in blocks of ``BLOCK_POINTS``,
     which draw the same stream as one row of 6 + 24 k normals per point, and
-    each block is contracted in chunks of ``CHUNK_POINTS``.
+    each block is contracted in chunks of ``CHUNK_POINTS``.  A block's
+    structures come from the cache ``_block_points``, keyed by its sphere rows.
     """
     rmat = curvature.check_operator(rmat)
     for c in conditions:
@@ -264,7 +292,9 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
     for start in range(0, cfg.num_points, BLOCK_POINTS):
         rows = rng.standard_normal((min(BLOCK_POINTS, cfg.num_points - start), 6 + 24 * k))
         coeffs = rows[:, 6:].reshape(-1, k, 3, 8)
-        T, M = tensors.frame_tensor(_points(rows, component), rmat, params)
+        sphere = np.ascontiguousarray(rows[:, :6])
+        T, M = tensors.frame_tensor(_block_points(sphere.tobytes(), sphere.shape, component),
+                                    rmat, params)
         # the frame is H_t-orthonormal, so coefficient norms are H_t norms
         norms = np.sqrt(np.einsum("...i,...i->...", coeffs, coeffs))
         nrm = {s: 1.0 + np.prod(norms[..., s], axis=-1) for s in set(slots)}

@@ -120,11 +120,13 @@ _ORACLE_STREAM = {
     "restriction": 4,
 }
 
-#: identity oracles: (classifier condition, closed form, number of argument slots)
+#: identity oracles: (classifier condition, closed form's name in ``tensors``,
+#: number of argument slots).  The closed form is looked up by name at each
+#: call, so a wrapper installed on ``tensors`` after import sees the call.
 _IDENTITIES = {
-    "ext-deriv-antisymmetrization": ("dΩ", tensors.ext_deriv_omega, 3),
-    "codiff-frame-trace": ("δΩ", tensors.codiff_omega, 1),
-    "nijenhuis-identity": ("N", tensors.nijenhuis_closed_form, 3),
+    "ext-deriv-antisymmetrization": ("dΩ", tensors.ext_deriv_omega.__name__, 3),
+    "codiff-frame-trace": ("δΩ", tensors.codiff_omega.__name__, 1),
+    "nijenhuis-identity": ("N", tensors.nijenhuis_closed_form.__name__, 3),
 }
 
 
@@ -148,7 +150,8 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
     # is the larger of the two routes, not their sum
     value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
                                         coeffs[:, None], (cond,))[cond][:, 0]
-    res = np.abs(closed_form(p, rmat, params, *_arguments(p, params, coeffs, slots)) - value)
+    res = np.abs(getattr(tensors, closed_form)(p, rmat, params,
+                                               *_arguments(p, params, coeffs, slots)) - value)
     # the frame is H_t-orthonormal, so coefficient norms are H_t norms
     return res / (1.0 + np.prod(np.linalg.norm(coeffs[:, :slots], axis=-1), axis=-1))
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from twistorgh import classifier as cl
 from twistorgh import curvature as cur
-from twistorgh import fibre, fourdim as fd, tensors as tn
+from twistorgh import fibre, fourdim as fd, selftest, tensors as tn
 
 from random_fourdim import half
 from reference import acs
@@ -409,15 +409,83 @@ class TestSharedContraction:
             assert np.array_equal(alone[cond], got[cond]), cond
 
 
+class TestGeometryCache:
+    ARGS = (cur.model("constant_curvature", s=12.0), "+-", (0.25, 1.0), 3)
+
+    @staticmethod
+    def cached(rows, component):
+        rows = np.ascontiguousarray(rows)
+        return cl._block_points(rows.tobytes(), rows.shape, component)
+
+    def test_warm_call_equals_cold_call_bit_for_bit(self):
+        cfg = cl.SamplingConfig(seed=5)
+        cl._block_points.cache_clear()
+        cold = cl.condition_residuals(*self.ARGS, cfg)
+        assert cl._block_points.cache_info().misses == 2
+        warm = cl.condition_residuals(*self.ARGS, cfg)
+        assert cl._block_points.cache_info().hits == 2
+        cl._block_points.cache_clear()
+        again = cl.condition_residuals(*self.ARGS, cfg)
+        assert [v.hex() for v in warm.values()] == [v.hex() for v in cold.values()]
+        assert [v.hex() for v in again.values()] == [v.hex() for v in cold.values()]
+
+    @pytest.mark.parametrize("factor", ["j1", "j2"])
+    @pytest.mark.parametrize("field", ["u", "wedge", "matrix", "basis"])
+    def test_cached_arrays_are_read_only(self, factor, field):
+        p = self.cached(np.random.default_rng(31).standard_normal((4, 6)), "+-")
+        a = getattr(getattr(p, factor), field)
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+
+    def test_same_rows_on_each_component_give_its_structures(self):
+        rows = np.random.default_rng(32).standard_normal((5, 6))
+        for component in cl.COMPONENTS:
+            p = self.cached(rows, component)
+            want = cl._points(rows, component)
+            assert (p.j1.sign, p.j2.sign) == cl.component_signs(component)
+            for got, ref in ((p.j1, want.j1), (p.j2, want.j2)):
+                assert np.array_equal(got.wedge, ref.wedge), component
+                assert np.array_equal(got.basis, ref.basis), component
+
+    def test_partial_block_hits_the_cache(self):
+        # 40 samples: a full 32-point block, then a partial one of 8 points
+        cfg = cl.SamplingConfig(seed=11, num_points=40, num_arg_triples=8)
+        cl._block_points.cache_clear()
+        first = cl.condition_residuals(*self.ARGS, cfg)
+        assert cl._block_points.cache_info()[:2] == (0, 2)
+        assert cl.condition_residuals(*self.ARGS, cfg) == first
+        assert cl._block_points.cache_info()[:2] == (2, 2)
+
+    def test_cache_stays_bounded_over_many_seeds(self):
+        assert cl._block_points.cache_info().maxsize == cl.GEOMETRY_CACHE_BLOCKS >= 6
+        for seed in range(3 * cl.GEOMETRY_CACHE_BLOCKS):
+            cl.condition_residuals(*self.ARGS, cl.SamplingConfig(seed=seed, num_points=16,
+                                                                 num_arg_triples=2), ("δΩ",))
+            assert cl._block_points.cache_info().currsize <= cl.GEOMETRY_CACHE_BLOCKS
+        assert cl._block_points.cache_info().currsize == cl.GEOMETRY_CACHE_BLOCKS
+
+    def test_selftest_does_not_reach_the_cache(self):
+        # its rows never recur, so its structures are built directly
+        cl.condition_residuals(*self.ARGS, FAST)
+        before = cl._block_points.cache_info()
+        assert before.currsize > 0
+        assert selftest.all_ok(selftest.run_selftest(seed=1, trials=8))
+        assert cl._block_points.cache_info() == before
+
+
 class TestMemory:
     def test_default_config_peak_allocation_stays_under_1_mib(self):
         # geometry blocks of 32 points, contracted in chunks of 16, bound the
-        # traced peak at 899 KiB (numpy 2.4): the block's draw and T, and the
-        # chunk's argument outer product.  One 64-point geometry block peaks at
-        # 1260 KiB, one stack of all 64 points contracted at once at 2.6 MiB.
+        # traced peak at 943 KiB (numpy 2.4): the block's draw and T, the
+        # chunk's argument outer product, and the 46 KiB of the two blocks'
+        # structures that the geometry cache keeps.  One 64-point geometry block
+        # peaks at 1260 KiB, one stack of all 64 points contracted at once at 2.6 MiB.
         rmat = cur.model("constant_curvature", s=12.0)
         args = (rmat, "+-", (0.25, 1.0), 3, cl.SamplingConfig())
         cl.condition_residuals(*args)  # first-call allocations are not the budget's
+        cl._block_points.cache_clear()  # but building the structures is
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()

@@ -1,9 +1,11 @@
-"""Every row of the benchmark's reference survey gets its recorded class and residuals.
+"""Every row of the benchmark's reference survey gets its recorded class and residuals,
+and every statement its recorded verdicts.
 
 The rows of ``perfbench/reference.json`` cover the eight survey kinds on all
 four components; the operators are built and the residuals compared exactly
 as the benchmark's classify-survey workload does, with its ``build_operator``
-and ``RES_TOL``.
+and ``RES_TOL``.  The statements are checked as its verify-suite workload
+checks them: each check's name and verdict, in order.
 """
 
 import importlib.util
@@ -26,9 +28,13 @@ def _workloads():
     return module
 
 
+def _reference():
+    return json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+
+
 def test_every_reference_row_keeps_its_class_and_residuals():
     workloads = _workloads()
-    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    reference = _reference()
     rows = reference["classify"]["rows"]
     assert len(rows) == 256
     bad = []
@@ -44,3 +50,17 @@ def test_every_reference_row_keeps_its_class_and_residuals():
             if not abs(got - ref) <= workloads.RES_TOL * max(1.0, abs(ref)):
                 bad.append(f"row {row['id']}: {cond} = {got!r} != {ref!r}")
     assert bad == [], "\n".join(bad[:20])
+
+
+def test_every_statement_keeps_its_verdicts_with_a_cold_and_a_warm_cache():
+    # the second run finds every geometry block of the first in the cache
+    reference = _reference()["verify"]
+    want = reference["statements"]  # per statement: [name, ok] of each check, and passed
+    cfg = cl.SamplingConfig(seed=reference["seed"])
+    cl._block_points.cache_clear()
+    for run in ("cold", "warm"):
+        got = {r.tid: {"checks": [[c["name"], c["ok"]] for c in r.checks], "passed": r.passed}
+               for r in cl.verify_all(cfg)}
+        assert list(got) == list(want), run
+        assert got == want, run
+    assert cl._block_points.cache_info().hits > 0
