@@ -68,10 +68,14 @@ are scale-free, and a single violating sample fails a class (sup, not mean).
 The detected class is the smallest lattice element whose conditions all pass.
 
 The theorem suite (ids 4.2a .. 4.9b) checks each classification statement in
-both directions: the witness operator satisfies the class conditions at
-tolerance 1e-9, and perturbing any hypothesis (extra self-dual Weyl part,
-extra traceless-Ricci block, scalar shift, 10% shift of t1) pushes a
-residual above 1e-3.
+both directions: the witness operators satisfy the class conditions at
+tolerance 1e-9 on the full sample, and perturbing any hypothesis (extra
+self-dual Weyl part, extra traceless-Ricci block, scalar shift, 10% shift of
+t1) pushes a residual above 1e-3 on the reduced sample, a quarter of the
+points and triples (at least 8 and 4).  Statement i of ``THEOREM_IDS`` draws
+from its own stream ``default_rng([seed, i])``: t2, then the traceless W-
+(scale 0.7), then the B block of 4.3a and 4.4a, then one draw per
+perturbation in check order.
 """
 
 from __future__ import annotations
@@ -395,10 +399,6 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
 POSITIVE_TOL = 1e-9
 NEGATIVE_MIN = 1e-3
 KAHLER_MIN = 0.1
-PERTURBATION_REL = 0.1
-
-THEOREM_IDS = ("4.2a", "4.2b", "4.3a", "4.3b", "4.4a", "4.4b", "4.5a", "4.5b",
-               "4.6a", "4.6b", "4.7a", "4.7b", "4.8a", "4.8b", "4.9a", "4.9b")
 
 THEOREM_STATEMENTS = {
     "4.2a": "structures 1,2 on ++ are never Kaehler",
@@ -425,6 +425,8 @@ THEOREM_STATEMENTS = {
             "R annihilates the anti-self-dual half and t1 = -6/s",
 }
 
+THEOREM_IDS = tuple(THEOREM_STATEMENTS)
+
 
 @dataclass
 class TheoremResult:
@@ -439,9 +441,16 @@ class TheoremResult:
 
 
 class _Recorder:
-    """Checks of one statement; names recur on every run, so they are interned."""
+    """Checks of one statement, with its stream, its first draws and its two
+    samples; names recur on every run, so they are interned."""
 
-    def __init__(self):
+    def __init__(self, tid: str, cfg: SamplingConfig):
+        self.rng = np.random.default_rng([cfg.seed, THEOREM_IDS.index(tid)])
+        # violations are dense, so a reduced sample is enough to exhibit one
+        self.cfg, self.neg = cfg, replace(cfg, num_points=max(8, cfg.num_points // 4),
+                                          num_arg_triples=max(4, cfg.num_arg_triples // 4))
+        self.t2 = float(self.rng.uniform(0.5, 1.5))
+        self.wm = curvature.random_traceless_symmetric(self.rng, scale=0.7)
         self.checks: list[dict] = []
 
     def le(self, name: str, value: float, bound: float = POSITIVE_TOL) -> None:
@@ -452,19 +461,25 @@ class _Recorder:
         self.checks.append({"name": sys.intern(name), "value": float(value), "bound": bound,
                             "require": ">", "ok": bool(value > bound)})
 
+    def holds(self, label: str, rmat, component: str, t, ns, conds, tags=None) -> None:
+        """``<=`` checks ``{label}/n={n}/{tag}`` of ``conds`` on the full sample, one
+        ``condition_residuals`` call per structure n; the tags default to ``conds``."""
+        for n in ns:
+            res = condition_residuals(rmat, component, t, n, self.cfg, conditions=conds)
+            for c, tag in zip(conds, tags or conds):
+                self.le(f"{label}/n={n}/{tag}", res[c])
+
+    def fails(self, name: str, cond: str, rmat, component: str, t, n: int) -> None:
+        """A ``>`` check of one residual on the reduced sample."""
+        self.gt(name, residual(cond, rmat, component, t, n, self.neg))
+
+    def noisy(self, rmat, kind: str):
+        """``rmat`` with one hypothesis block perturbed, drawn from the statement's stream."""
+        return curvature.perturbed(rmat, kind, self.rng)
+
     @property
     def passed(self) -> bool:
         return all(c["ok"] for c in self.checks)
-
-
-def _neg_cfg(cfg: SamplingConfig) -> SamplingConfig:
-    # violations are dense, so a reduced sample is enough to exhibit one
-    return replace(cfg, num_points=max(8, cfg.num_points // 4),
-                   num_arg_triples=max(4, cfg.num_arg_triples // 4))
-
-
-def _theorem_rng(cfg: SamplingConfig, tid: str):
-    return np.random.default_rng([cfg.seed, THEOREM_IDS.index(tid)])
 
 
 def _counterexample_point() -> ProductTwistorPoint:
@@ -476,130 +491,90 @@ def _counterexample_point() -> ProductTwistorPoint:
 def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
     if tid not in THEOREM_IDS:
         raise ClassifierError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
-    rec = _Recorder()
-    rng = _theorem_rng(cfg, tid)
-    neg = _neg_cfg(cfg)
-    t2 = float(rng.uniform(0.5, 1.5))
-    wm = curvature.random_traceless_symmetric(rng, scale=0.7)
+    rec = _Recorder(tid, cfg)
+    t2, wm = rec.t2, rec.wm
 
     if tid == "4.2a":
-        for label, rmat in (("flat", curvature.model("flat")),
-                            ("const12", curvature.model("constant_curvature", s=12.0))):
+        const12 = curvature.model("constant_curvature", s=12.0)
+        for label, rmat in (("flat", curvature.model("flat")), ("const12", const12)):
             for n in (1, 2):
                 rec.gt(f"{label}/n={n}/D-residual",
                        residual(_DOM, rmat, "++", (1.0, 1.0), n, cfg), KAHLER_MIN)
         # explicit witness configuration: J = (s1+, s2+), V = (0, s1+), X = e1, Y = e3
-        p = _counterexample_point()
-        v = gtangent(v2=S_BASIS_ENDOS[0])
-        x = gtangent(horizontal=[1.0, 0.0, 0.0, 0.0])
-        y = gtangent(horizontal=[0.0, 0.0, 1.0, 0.0])
-        val = tensors.cov_deriv_omega(p, curvature.model("constant_curvature", s=12.0),
-                                      Params(1.0, 1.0, 1), v, x, y)
+        x, y = (gtangent(horizontal=np.eye(4)[i]) for i in (0, 2))
+        val = tensors.cov_deriv_omega(_counterexample_point(), const12, Params(1.0, 1.0, 1),
+                                      gtangent(v2=S_BASIS_ENDOS[0]), x, y)
         rec.gt("pointwise-counterexample", abs(val), KAHLER_MIN)
 
     elif tid == "4.2b":
         for s in (12.0, 3.7):
             rmat = curvature.model("kaehler_witness", s=s)
             t = (6.0 / s, t2)
-            for n in (1, 2):
-                rec.le(f"s={s}/n={n}/D-residual", residual(_DOM, rmat, "+-", t, n, cfg))
-            rec.gt(f"s={s}/t1-off/D-residual",
-                   residual(_DOM, rmat, "+-", (1.1 * 6.0 / s, t2), 1, neg))
-            rec.gt(f"s={s}/Wplus-noise/D-residual",
-                   residual(_DOM, curvature.perturbed(rmat, "Wplus", rng, PERTURBATION_REL),
-                            "+-", t, 1, neg))
-            rec.gt(f"s={s}/B-noise/D-residual",
-                   residual(_DOM, curvature.perturbed(rmat, "B", rng, PERTURBATION_REL),
-                            "+-", t, 1, neg))
+            rec.holds(f"s={s}", rmat, "+-", t, (1, 2), (_DOM,), ("D-residual",))
+            rec.fails(f"s={s}/t1-off/D-residual", _DOM, rmat, "+-", (1.1 * 6.0 / s, t2), 1)
+            for kind in ("Wplus", "B"):
+                rec.fails(f"s={s}/{kind}-noise/D-residual", _DOM, rec.noisy(rmat, kind),
+                          "+-", t, 1)
 
     elif tid in ("4.3a", "4.4a"):
         ns = (1, 2) if tid == "4.3a" else (3, 4)
         conds = (_NIJ, _DELTA) if tid == "4.3a" else (_DELTA,)
-        witnesses = (("flat", curvature.model("flat")),
-                     ("scalar-flat-asd",
-                      curvature.model("asd_general", s=0.0,
-                                      B=rng.standard_normal((3, 3)), Wminus=wm)))
-        for label, rmat in witnesses:
-            for n in ns:
-                res = condition_residuals(rmat, "++", (1.0, t2), n, cfg, conditions=conds)
-                for c in conds:
-                    rec.le(f"{label}/n={n}/{c}", res[c])
-        rec.gt("s-shift/delta-residual",
-               residual(_DELTA, curvature.model("constant_curvature", s=12.0),
-                        "++", (1.0, t2), ns[0], neg))
+        rec.holds("flat", curvature.model("flat"), "++", (1.0, t2), ns, conds)
+        rmat = curvature.model("asd_general", s=0.0, B=rec.rng.standard_normal((3, 3)),
+                               Wminus=wm)
+        rec.holds("scalar-flat-asd", rmat, "++", (1.0, t2), ns, conds)
+        rec.fails("s-shift/delta-residual", _DELTA,
+                  curvature.model("constant_curvature", s=12.0), "++", (1.0, t2), ns[0])
 
     elif tid in ("4.3b", "4.4b"):
         ns = (1, 2) if tid == "4.3b" else (3, 4)
         conds = (_NIJ, _DELTA) if tid == "4.3b" else (_DELTA,)
         rmat = curvature.model("einstein_asd", s=5.2, Wminus=wm)
         t = (0.8, t2)
-        for n in ns:
-            res = condition_residuals(rmat, "+-", t, n, cfg, conditions=conds)
-            for c in conds:
-                rec.le(f"einstein-asd/n={n}/{c}", res[c])
-        rec.gt("Wplus-noise/delta-residual",
-               residual(_DELTA, curvature.perturbed(rmat, "Wplus", rng, PERTURBATION_REL),
-                        "+-", t, ns[0], neg))
-        rec.gt("B-noise/delta-residual",
-               residual(_DELTA, curvature.perturbed(rmat, "B", rng, PERTURBATION_REL),
-                        "+-", t, ns[0], neg))
+        rec.holds("einstein-asd", rmat, "+-", t, ns, conds)
+        for kind in ("Wplus", "B"):
+            rec.fails(f"{kind}-noise/delta-residual", _DELTA, rec.noisy(rmat, kind),
+                      "+-", t, ns[0])
 
     elif tid == "4.5a":
         rmat = curvature.model("asd_ricci_flat", Wminus=wm)
-        for n in (3, 4):
-            rec.le(f"ricci-flat-asd/n={n}/quasi",
-                   residual(_QUASI, rmat, "++", (0.8, t2), n, cfg))
-        rec.gt("s-shift/quasi",
-               residual(_QUASI, curvature.model("einstein_asd", s=4.0, Wminus=wm),
-                        "++", (0.8, t2), 3, neg))
-        rec.gt("B-noise/quasi",
-               residual(_QUASI, curvature.perturbed(rmat, "B", rng, PERTURBATION_REL),
-                        "++", (0.8, t2), 3, neg))
+        t = (0.8, t2)
+        rec.holds("ricci-flat-asd", rmat, "++", t, (3, 4), (_QUASI,), ("quasi",))
+        rec.fails("s-shift/quasi", _QUASI, curvature.model("einstein_asd", s=4.0, Wminus=wm),
+                  "++", t, 3)
+        rec.fails("B-noise/quasi", _QUASI, rec.noisy(rmat, "B"), "++", t, 3)
 
     elif tid == "4.5b":
         s = 9.0
         rmat = curvature.model("einstein_asd", s=s, Wminus=-(s / 12.0) * np.eye(3))
-        for n in (3, 4):
-            rec.le(f"annihilating/n={n}/quasi",
-                   residual(_QUASI, rmat, "+-", (0.8, t2), n, cfg))
-        rec.gt("generic-Wminus/quasi",
-               residual(_QUASI, curvature.model("einstein_asd", s=s, Wminus=wm),
-                        "+-", (0.8, t2), 3, neg))
-        rec.gt("Wplus-noise/quasi",
-               residual(_QUASI, curvature.perturbed(rmat, "Wplus", rng, PERTURBATION_REL),
-                        "+-", (0.8, t2), 3, neg))
+        t = (0.8, t2)
+        rec.holds("annihilating", rmat, "+-", t, (3, 4), (_QUASI,), ("quasi",))
+        rec.fails("generic-Wminus/quasi", _QUASI, curvature.model("einstein_asd", s=s, Wminus=wm),
+                  "+-", t, 3)
+        rec.fails("Wplus-noise/quasi", _QUASI, rec.noisy(rmat, "Wplus"), "+-", t, 3)
 
     elif tid in ("4.6a", "4.7a"):
         s = 12.0 if tid == "4.6a" else -12.0
         rmat = curvature.model("constant_curvature", s=s)
         t = (3.0 / s if tid == "4.6a" else -6.0 / s, t2)
         for n in (3, 4):
-            rec.gt(f"const/n={n}/delta-residual", residual(_DELTA, rmat, "++", t, n, neg))
+            rec.fails(f"const/n={n}/delta-residual", _DELTA, rmat, "++", t, n)
         if tid == "4.6a":
             # delta Omega at J = (s1+, s2+) against V = (0, s3+): J2 V2 is parallel to J1
-            p = _counterexample_point()
-            v = gtangent(v2=S_BASIS_ENDOS[2])
-            val = tensors.codiff_omega(p, rmat, Params(t[0], 1.0, 3), v)
+            val = tensors.codiff_omega(_counterexample_point(), rmat, Params(t[0], 1.0, 3),
+                                       gtangent(v2=S_BASIS_ENDOS[2]))
             rec.gt("pointwise-counterexample", abs(val))
 
     elif tid in ("4.6b", "4.7b"):
-        s_vals = (12.0, 5.0) if tid == "4.6b" else (-12.0, -5.5)
         cond = _W13 if tid == "4.6b" else _W23
-        for s in s_vals:
+        for s in (12.0, 5.0) if tid == "4.6b" else (-12.0, -5.5):
             t1 = 3.0 / s if tid == "4.6b" else -6.0 / s
-            for label, rmat in (("const", curvature.model("constant_curvature", s=s)),
+            const = curvature.model("constant_curvature", s=s)
+            for label, rmat in (("const", const),
                                 ("einstein", curvature.model("einstein_asd", s=s, Wminus=wm))):
-                for n in (3, 4):
-                    res = condition_residuals(rmat, "+-", (t1, t2), n, cfg,
-                                              conditions=(cond, _DELTA))
-                    rec.le(f"s={s}/{label}/n={n}/{cond}", res[cond])
-                    rec.le(f"s={s}/{label}/n={n}/{_DELTA}", res[_DELTA])
-            rmat = curvature.model("constant_curvature", s=s)
-            rec.gt(f"s={s}/t1-off/{cond}",
-                   residual(cond, rmat, "+-", (1.1 * t1, t2), 3, neg))
-            rec.gt(f"s={s}/B-noise/delta",
-                   residual(_DELTA, curvature.perturbed(rmat, "B", rng, PERTURBATION_REL),
-                            "+-", (t1, t2), 3, neg))
+                rec.holds(f"s={s}/{label}", rmat, "+-", (t1, t2), (3, 4), (cond, _DELTA))
+            rec.fails(f"s={s}/t1-off/{cond}", cond, const, "+-", (1.1 * t1, t2), 3)
+            rec.fails(f"s={s}/B-noise/delta", _DELTA, rec.noisy(const, "B"), "+-", (t1, t2), 3)
 
     elif tid in ("4.8a", "4.9a"):
         s = 12.0 if tid == "4.8a" else -12.0
@@ -608,25 +583,18 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
         rmat = curvature.model(name, s=s)
         t1 = 3.0 / s if tid == "4.8a" else -6.0 / s
         for n in (3, 4):
-            rec.gt(f"{name}/n={n}/{cond}", residual(cond, rmat, "++", (t1, t2), n, neg))
+            rec.fails(f"{name}/n={n}/{cond}", cond, rmat, "++", (t1, t2), n)
 
-    elif tid in ("4.8b", "4.9b"):
-        s_vals = (12.0, 5.0) if tid == "4.8b" else (-12.0, -7.0)
+    else:  # 4.8b, 4.9b
         name = "w1_witness" if tid == "4.8b" else "w2_witness"
         cond = _W1 if tid == "4.8b" else _DEXT
-        for s in s_vals:
+        for s in (12.0, 5.0) if tid == "4.8b" else (-12.0, -7.0):
             t1 = 3.0 / s if tid == "4.8b" else -6.0 / s
             rmat = curvature.model(name, s=s)
-            for n in (3, 4):
-                rec.le(f"s={s}/n={n}/{cond}", residual(cond, rmat, "+-", (t1, t2), n, cfg))
-            rec.gt(f"s={s}/t1-off/{cond}",
-                   residual(cond, rmat, "+-", (1.1 * t1, t2), 3, neg))
-            rec.gt(f"s={s}/generic-Wminus/{cond}",
-                   residual(cond, curvature.model("einstein_asd", s=s, Wminus=wm),
-                            "+-", (t1, t2), 3, neg))
-
-    else:  # pragma: no cover
-        raise AssertionError(tid)
+            rec.holds(f"s={s}", rmat, "+-", (t1, t2), (3, 4), (cond,))
+            rec.fails(f"s={s}/t1-off/{cond}", cond, rmat, "+-", (1.1 * t1, t2), 3)
+            rec.fails(f"s={s}/generic-Wminus/{cond}", cond,
+                      curvature.model("einstein_asd", s=s, Wminus=wm), "+-", (t1, t2), 3)
 
     return TheoremResult(tid=tid, statement=THEOREM_STATEMENTS[tid],
                          passed=rec.passed, checks=rec.checks)

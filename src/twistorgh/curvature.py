@@ -32,6 +32,8 @@ from .fourdim import endo_of_two_vector, wedge_of_pair
 SYM_TOL = 1e-12
 #: Weyl-trace tolerance of ``strict``, relative to max(1, max|entry|) like SYM_TOL
 WEYL_TRACE_TOL = 1e-10
+#: size of a ``perturbed`` block's noise, relative to max(1, |R|_F)
+PERTURBATION_REL = 0.1
 
 
 class CurvatureError(ValueError):
@@ -351,16 +353,16 @@ def random_strict_operator(rng, scale: float = 1.0) -> np.ndarray:
     return strict_operators(rng.standard_normal(STRICT_NORMALS), scale)
 
 
-def perturbed(mat, kind: str, rng, rel: float = 0.1) -> np.ndarray:
-    """Add noise of relative size ``rel`` to one hypothesis block."""
+def perturbed(mat, kind: str, rng) -> np.ndarray:
+    """Add noise of relative size ``PERTURBATION_REL`` to one hypothesis block."""
     blocks = decompose(mat)
     base = max(float(np.linalg.norm(mat)), 1.0)
     if kind == "Wplus":
         noise = random_traceless_symmetric(rng)
-        noise *= rel * base / max(float(np.linalg.norm(noise)), 1e-12)
+        noise *= PERTURBATION_REL * base / max(float(np.linalg.norm(noise)), 1e-12)
         return compose(blocks.s, blocks.B, blocks.Wplus + noise, blocks.Wminus)
     if kind == "B":
         noise = rng.standard_normal((3, 3))
-        noise *= rel * base / max(float(np.linalg.norm(noise)), 1e-12)
+        noise *= PERTURBATION_REL * base / max(float(np.linalg.norm(noise)), 1e-12)
         return compose(blocks.s, blocks.B + noise, blocks.Wplus, blocks.Wminus)
     raise CurvatureError(f"unknown perturbation kind {kind!r}")

@@ -159,6 +159,6 @@ def random_complex_structure(dim: int, rng) -> np.ndarray:
     return q @ standard_complex_structure(dim) @ q.T
 
 
-def random_tangent(j, rng, scale: float = 1.0) -> np.ndarray:
+def random_tangent(j, rng) -> np.ndarray:
     q = rng.standard_normal(j.shape)
-    return tangent_projection(j, scale * 0.5 * (q - q.T))
+    return tangent_projection(j, 0.5 * (q - q.T))

@@ -510,6 +510,20 @@ class TestTheoremSuite:
         result = cl.verify_theorem(tid, FAST)
         assert result.passed, [c for c in result.checks if not c["ok"]]
 
+    def test_suite_makes_its_calls_on_the_full_and_the_reduced_sample(self, monkeypatch):
+        # the suite's cost and its geometry-cache hits rest on this mix of calls
+        orig = cl.condition_residuals
+        mix = {}
+
+        def counted(rmat, component, t, n, cfg, conditions=cl.CONDITIONS):
+            key = (cfg.num_points, cfg.num_arg_triples, len(conditions))
+            mix[key] = mix.get(key, 0) + 1
+            return orig(rmat, component, t, n, cfg, conditions)
+
+        monkeypatch.setattr(cl, "condition_residuals", counted)
+        assert all(r.passed for r in cl.verify_all(DEFAULT))
+        assert mix == {(64, 32, 1): 26, (64, 32, 2): 22, (16, 8, 1): 40}
+
     def test_result_serialization(self):
         result = cl.verify_theorem("4.9a", FAST)
         doc = result.to_json_dict()

@@ -64,3 +64,25 @@ def test_every_statement_keeps_its_verdicts_with_a_cold_and_a_warm_cache():
         assert list(got) == list(want), run
         assert got == want, run
     assert cl._block_points.cache_info().hits > 0
+
+
+def test_every_check_keeps_its_seed_7_value():
+    # tests/verify_seed7.json is `verify --all --seed 7 --output` of the suite
+    # as first written; a slip in a statement's draw order moves these values
+    # even where the verdicts hold
+    tol = _workloads().RES_TOL
+    golden = json.loads(Path(__file__).with_name("verify_seed7.json")
+                        .read_text(encoding="utf-8"))["results"]
+    got = cl.verify_all(cl.SamplingConfig(seed=7))
+    assert [r.tid for r in got] == [r["id"] for r in golden]
+    bad = []
+    for result, ref in zip(got, golden):
+        assert [c["name"] for c in result.checks] == [c["name"] for c in ref["checks"]], ref["id"]
+        for check, want in zip(result.checks, ref["checks"]):
+            if ({k: check[k] for k in ("require", "bound", "ok")}
+                    != {k: want[k] for k in ("require", "bound", "ok")}):
+                bad.append(f"{ref['id']} {want['name']}: {check} != {want}")
+            if not abs(check["value"] - want["value"]) <= tol * max(1.0, abs(want["value"])):
+                bad.append(f"{ref['id']} {want['name']}: value {check['value']!r} "
+                           f"!= {want['value']!r}")
+    assert bad == [], "\n".join(bad[:20])
