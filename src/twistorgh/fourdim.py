@@ -144,12 +144,3 @@ class OrientedComplexStructure4:
         object.__setattr__(self, "matrix", endo_of_two_vector(wedge))
         object.__setattr__(self, "basis", _basis_rows(u, self.sign))
 
-
-def vertical_basis(ocs: OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarray]:
-    """Endomorphisms of the basis rows (w_a, w_b) of the sphere point u.
-
-    They span the vertical directions at J, are G-orthonormal and anticommute
-    with J.  A stacked ``ocs`` gives stacked bases.
-    """
-    pair = endo_of_two_vector(ocs.basis)
-    return pair[..., 0, :, :], pair[..., 1, :, :]

@@ -24,7 +24,7 @@ for its operator, point and argument coefficients.  Blocks of 128 trials
 are then evaluated stacked: the block's operators are built and checked in
 one call each, and its residuals come from one call per group of 32 trials
 of equal n = 1 + i % 4.  An identity oracle's group runs the classifier's
-route before it builds the closed form's frame and arguments, so it peaks at
+route before it builds the closed form's arguments, so it peaks at
 the larger of the two routes, not their sum.  Failures, NaN residuals
 included, name the worst trial, reproducible from the seed.  The Nijenhuis
 closed form writes out the signs that the frame tensor reads from
@@ -132,8 +132,7 @@ _IDENTITIES = {
 
 def _arguments(p, params: Params, coeffs, slots: int) -> list:
     """The tangent vectors of the first ``slots`` rows of frame coefficients."""
-    frame = tensors.frame_at_point(p, params)
-    return [tensors.frame_combination(frame, coeffs[:, s]) for s in range(slots)]
+    return [tensors.frame_vectors(p, params, coeffs[:, s]) for s in range(slots)]
 
 
 def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarray:
@@ -141,12 +140,12 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
     params = Params(t1, t2, n)
     p = classifier._points(rows, ("++", "+-")[(n - 1) % 2])
     if kind == "restriction":
-        first = [tensors.gtangent(g.horizontal, g.vertical.v1)
+        first = [tensors.gtangent(g.horizontal, g.v1)
                  for g in _arguments(p, params, coeffs, 3)]
         return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
     cond, closed_form, slots = _IDENTITIES[kind]
     # the classifier's route, the frame tensor contracted by the condition, runs
-    # before the closed form's frame and arguments exist, so a group's peak memory
+    # before the closed form's arguments exist, so a group's peak memory
     # is the larger of the two routes, not their sum
     value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
                                         coeffs[:, None], (cond,))[cond][:, 0]

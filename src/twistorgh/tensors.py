@@ -28,13 +28,13 @@ the structures' basis rows, and the nonzero blocks
     T[4+k, b, c] = (V1_k + J1 rqe_k - rqe_k J1)[c, b],
     T[a, b, 4+k] = ((-1)^n rpe_k - J1 rqe_k)[b, a] = -T[a, 4+k, b]
 
-follow from a few stacked products (see its docstring).  It does not use the
-per-argument views ``_ArgView`` and the general kernel ``_dcov`` behind
-``cov_deriv_omega``, which is the tests' oracle for it.  The classifier
-derives d Omega, delta Omega and the Nijenhuis pairing from the frame tensor.
-Closed forms of these three are the oracles ``selftest`` compares it with:
-``ext_deriv_omega``, ``codiff_omega`` and ``nijenhuis_closed_form``.  They
-evaluate through ``_ArgView``, so the classifier's route and the closed forms
+follow from a few stacked products (see its docstring).  The frame tensor is
+the only route of the classifier and the theorem suite: they derive D Omega,
+d Omega, delta Omega and the Nijenhuis pairing from it.  Closed forms of the
+last three are the oracles ``selftest`` compares it with: ``ext_deriv_omega``,
+``codiff_omega`` and ``nijenhuis_closed_form``, on arguments that
+``frame_vectors`` builds from frame coefficients.  They evaluate through the
+per-argument views ``_ArgView``, so the classifier's route and the closed forms
 share no code above ``fourdim`` except the sign tables, and the oracles
 compare independent routes.  An evaluator of three arguments broadcasts them
 to common leading axes and stacks them (``_stack``), checks the stack once
@@ -60,7 +60,6 @@ from .fourdim import (
     OrientedComplexStructure4,
     endo_of_two_vector,
     two_vector_of_endo,
-    vertical_basis,
     wedge_of_pair,
 )
 
@@ -73,7 +72,6 @@ KSIGNS = {1: (1.0, 1.0), 2: (1.0, -1.0), 3: (-1.0, 1.0), 4: (-1.0, -1.0)}
 
 VERTICAL_TOL = 1e-10
 
-_EYE4 = np.eye(4)
 #: the rows R w_j behind R p_k (k = 0..3), then R q_k: q_k turns w_k into u x w_k
 _PQ_ROWS = np.array([0, 1, 2, 3, 1, 0, 3, 2])
 
@@ -108,15 +106,12 @@ class ProductTwistorPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class VerticalVector:
+class GTangent:
+    """A tangent: the horizontal 4-vector and the vertical pair (V1, V2)."""
+
+    horizontal: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class GTangent:
-    horizontal: np.ndarray
-    vertical: VerticalVector
 
 
 def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
@@ -127,15 +122,15 @@ def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
     h = np.zeros(lead + (4,)) if horizontal is None else np.asarray(horizontal, dtype=float)
     m1 = np.zeros(lead + (4, 4)) if v1 is None else np.asarray(v1, dtype=float)
     m2 = np.zeros(lead + (4, 4)) if v2 is None else np.asarray(v2, dtype=float)
-    return GTangent(h, VerticalVector(m1, m2))
+    return GTangent(h, m1, m2)
 
 
-def check_vertical(p: ProductTwistorPoint, v: VerticalVector,
-                   tol: float = VERTICAL_TOL) -> VerticalVector:
-    """Each part skew and anticommuting with its structure, to ``tol`` times
-    max(1, max|part|), so roundoff in a large vector is not read as a defect.
-    A stacked vector is checked part by part, each against its own magnitude."""
-    for jm, vm, label in ((p.j1.matrix, v.v1, "v1"), (p.j2.matrix, v.v2, "v2")):
+def check_vertical(p: ProductTwistorPoint, a: GTangent, tol: float = VERTICAL_TOL) -> GTangent:
+    """Each vertical part of ``a`` skew and anticommuting with its structure, to
+    ``tol`` times max(1, max|part|), so roundoff in a large vector is not read as
+    a defect.  A stacked vector is checked part by part, each against its own
+    magnitude."""
+    for jm, vm, label in ((p.j1.matrix, a.v1, "v1"), (p.j2.matrix, a.v2, "v2")):
         vm = np.asarray(vm, dtype=float)
         bound = tol * np.maximum(1.0, np.abs(vm).max(axis=(-2, -1)))
         err = np.abs(vm + np.swapaxes(vm, -1, -2)).max(axis=(-2, -1))
@@ -145,7 +140,7 @@ def check_vertical(p: ProductTwistorPoint, v: VerticalVector,
         if not (err <= bound).all():
             raise TangencyError(
                 f"vertical part {label} does not anticommute with the structure: {np.max(err):.3e}")
-    return v
+    return a
 
 
 def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
@@ -154,7 +149,7 @@ def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
         raise TangencyError("horizontal part must be a 4-vector")
     if not np.isfinite(a.horizontal).all():
         raise TangencyError("horizontal part must be finite")
-    check_vertical(p, a.vertical)
+    check_vertical(p, a)
     return a
 
 
@@ -166,7 +161,7 @@ def _stack(p: ProductTwistorPoint, rmat, params: Params, *args: GTangent) -> GTa
     for g in args:
         if np.shape(g.horizontal)[-1:] != (4,):
             raise TangencyError("horizontal part must be a 4-vector")
-    parts = [(g.horizontal, g.vertical.v1, g.vertical.v2) for g in args]
+    parts = [(g.horizontal, g.v1, g.v2) for g in args]
     shapes = {np.shape(x)[:-k] for ps in parts for x, k in zip(ps, (1, 2, 2))}
     shapes |= {p.j1.matrix.shape[:-2], p.j2.matrix.shape[:-2], np.shape(rmat)[:-2],
                np.shape(params.t1), np.shape(params.t2)}
@@ -175,7 +170,7 @@ def _stack(p: ProductTwistorPoint, rmat, params: Params, *args: GTangent) -> GTa
     for i, ps in enumerate(parts):
         for o, x in zip(out, ps):
             o[i] = x  # broadcasts x to the leading axes
-    return GTangent(out[0], VerticalVector(out[1], out[2]))
+    return GTangent(*out)
 
 
 # --- metric and almost complex structure -------------------------------------
@@ -183,8 +178,8 @@ def _stack(p: ProductTwistorPoint, rmat, params: Params, *args: GTangent) -> GTa
 def _metric(params: Params, a: GTangent, b: GTangent):
     # H_t(a, b) for arguments already checked
     return (_dot(a.horizontal, b.horizontal)
-            + params.t1 * inner_G(a.vertical.v1, b.vertical.v1)
-            + params.t2 * inner_G(a.vertical.v2, b.vertical.v2))
+            + params.t1 * inner_G(a.v1, b.v1)
+            + params.t2 * inner_G(a.v2, b.v2))
 
 
 def _apply(m, x):
@@ -207,8 +202,7 @@ def _acs_unchecked(p: ProductTwistorPoint, params: Params, a: GTangent) -> GTang
     # whose trailing ones broadcast against the axes of a stacked point
     k1, k2 = KSIGNS[params.n]
     j1, j2 = p.j1.matrix, p.j2.matrix
-    return GTangent(_apply(j1, a.horizontal),
-                    VerticalVector(k1 * (j1 @ a.vertical.v1), k2 * (j2 @ a.vertical.v2)))
+    return GTangent(_apply(j1, a.horizontal), k1 * (j1 @ a.v1), k2 * (j2 @ a.v2))
 
 
 # --- internal views (shared by all derivative evaluators) ---------------------
@@ -229,7 +223,7 @@ class _ArgView:
 
     def __init__(self, p: ProductTwistorPoint, rmat, params: Params, a: GTangent):
         n = params.n
-        v1, v2 = a.vertical.v1, a.vertical.v2
+        v1, v2 = a.v1, a.v2
         wedges = two_vector_of_endo(np.stack((v1, v2, p.j1.matrix @ v1, p.j2.matrix @ v2)))
         t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
         p6 = SIGMA[n] * t1 * wedges[0] + t2 * wedges[1]
@@ -289,13 +283,6 @@ def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
 # operators (..., 6, 6) and of the weights, which all align; unstacked calls
 # return scalars.
 
-def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
-                    a: GTangent, b: GTangent, c: GTangent) -> float:
-    """(D_A Omega)(B, C), assembled from the component formulas."""
-    v = _ArgView(p, rmat, params, check_gtangent(p, _stack(p, rmat, params, a, b, c)))
-    return _dcov(params, v[0], v[1], v[2])
-
-
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
                     a: GTangent, b: GTangent, c: GTangent) -> float:
     """d Omega(A, B, C); fully antisymmetric."""
@@ -309,29 +296,20 @@ def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> f
     return _dcodiff(p, _ArgView(p, rmat, params, a))
 
 
-def frame_at_point(p: ProductTwistorPoint, params: Params) -> GTangent:
-    """H_t-orthonormal frame, one tangent stacked along (8, *point axes): the
-    lifts of e1..e4, then the scaled vertical pairs."""
-    lead = p.j1.matrix.shape[:-2]
-    h = np.zeros((8,) + lead + (4,))
-    h[:4] = _EYE4.reshape((4,) + (1,) * len(lead) + (4,))
-    v1 = np.zeros((8,) + lead + (4, 4))
-    v2 = np.zeros((8,) + lead + (4, 4))
-    v1[4:6] = np.stack(vertical_basis(p.j1)) / np.sqrt(_w(params.t1, 2))
-    v2[6:8] = np.stack(vertical_basis(p.j2)) / np.sqrt(_w(params.t2, 2))
-    return GTangent(h, VerticalVector(v1, v2))
-
-
-def frame_combination(frame: GTangent, coeffs) -> GTangent:
-    """sum_a coeffs[..., a] frame[a]; leading axes of ``coeffs`` give a stacked
-    vector and broadcast against the point axes of a stacked frame."""
-    return GTangent(np.einsum("...a,a...i->...i", coeffs, frame.horizontal),
-                    VerticalVector(np.einsum("...a,a...ij->...ij", coeffs, frame.vertical.v1),
-                                   np.einsum("...a,a...ij->...ij", coeffs, frame.vertical.v2)))
+def frame_vectors(p: ProductTwistorPoint, params: Params, coeffs) -> GTangent:
+    """sum_a coeffs[..., a] E_a in the H_t-orthonormal frame (E_a): the lifts
+    E_0..E_3 of e1..e4, then E_{4+k} = w_k / sqrt(t1) (k = 0, 1) and w_k / sqrt(t2)
+    (k = 2, 3) for the basis rows (w_0, w_1) of J1 and (w_2, w_3) of J2.  Leading
+    axes of ``coeffs`` give a stacked vector and broadcast against the axes of a
+    stacked point and its weights."""
+    c = np.asarray(coeffs, dtype=float)
+    v1 = (c[..., None, 4:6] @ p.j1.basis)[..., 0, :] / np.sqrt(_w(params.t1, 1))
+    v2 = (c[..., None, 6:8] @ p.j2.basis)[..., 0, :] / np.sqrt(_w(params.t2, 1))
+    return GTangent(c[..., :4], endo_of_two_vector(v1), endo_of_two_vector(v2))
 
 
 def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """D Omega and Jn in the frame (E_a) of ``frame_at_point``.
+    """D Omega and Jn in the frame (E_a) of ``frame_vectors``.
 
     T[a, b, c] = (D_{E_a} Omega)(E_b, E_c) and M[b, a] = H_t(E_b, Jn E_a), so
     for A = sum_a x[a] E_a the coefficients of Jn A are M @ x.  ``rmat`` is a
@@ -339,12 +317,11 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     point gives T and M with its leading axes in front, one (8, 8, 8) and
     (8, 8) per point, each from its own operator and weights if those stack.
 
-    E_{4+k} is the vertical V1 = w_k / sqrt(t1) for k = 0, 1 and V2 =
-    w_k / sqrt(t2) for k = 2, 3, where (w_0, w_1) and (w_2, w_3) are the basis
-    rows (``OrientedComplexStructure4.basis``) of J1 and J2.  With s1, s2 the
-    orientation signs, (J V)^ = s u x V^ and u x w_a = w_b, u x w_b = -w_a, so
-    R p and R q of E_{4+k} are signed copies of the rows R w_j and no product
-    with J is formed:
+    The vertical E_{4+k} are w_k / sqrt(t1) (k = 0, 1) and w_k / sqrt(t2)
+    (k = 2, 3) for the basis rows (``OrientedComplexStructure4.basis``) of J1
+    and J2.  With s1, s2 the orientation signs, (J V)^ = s u x V^ and
+    u x w_a = w_b, u x w_b = -w_a, so R p and R q of E_{4+k} are signed
+    copies of the rows R w_j and no product with J is formed:
 
         R p_k = sigma(n) sqrt(t1) R w_k,  R q_k = s1 sqrt(t1) R (w_1, -w_0)_k   (k = 0, 1)
         R p_k = sqrt(t2) R w_k,           R q_k = s2 sqrt(t2) R (w_3, -w_2)_k   (k = 2, 3)
@@ -395,7 +372,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
     j2 = p.j2.matrix
     t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
 
-    cv1, cv2 = c.vertical.v1, c.vertical.v2
+    cv1, cv2 = c.v1, c.v2
     pc = sigma * t1 * two_vector_of_endo(cv1) + t2 * two_vector_of_endo(cv2)
     qc = t1 * two_vector_of_endo(j1 @ cv1) + t2 * two_vector_of_endo(j2 @ cv2)
     ax, bx, cx = a.horizontal, b.horizontal, c.horizontal
@@ -404,7 +381,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
     val = (2.0 * e * _pair(wedge_of_pair(ax, jbx) + wedge_of_pair(jax, bx), rmat, pc)
            - 2.0 * _pair(wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx), rmat, qc))
     if n in (3, 4):
-        val = val + 2.0 * (_pair(cx, j1 @ b.vertical.v1, ax) - _pair(cx, j1 @ a.vertical.v1, bx))
+        val = val + 2.0 * (_pair(cx, j1 @ b.v1, ax) - _pair(cx, j1 @ a.v1, bx))
     return val
 
 
@@ -473,17 +450,17 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
     metric weight is t1.  All residuals are identically zero.  The arguments
     are checked once and viewed once, as one stack, so the codiff residual of
     A carries the leading axes of all three, as the derivative residuals do;
-    the product side is the arithmetic of ``cov_deriv_omega``,
+    the product side is the arithmetic of the derivative kernel ``_dcov``, of
     ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
     """
     abc = check_gtangent(p, _stack(p, rmat, params, a, b, c))
-    if not np.max(np.abs(abc.vertical.v2)) <= VERTICAL_TOL:  # written so that a NaN fails
+    if not np.max(np.abs(abc.v2)) <= VERTICAL_TOL:  # written so that a NaN fails
         raise TangencyError("restriction arguments must have zero second-factor vertical part")
     v = _ArgView(p, rmat, params, abc)
     av, bv, cv = v[0], v[1], v[2]
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
-    sa, sb, sc = (SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))
+    sa, sb, sc = (SingleTangent(g.horizontal, g.v1) for g in (a, b, c))
     return {
         "cov_deriv": abs(_dcov(params, av, bv, cv)
                          - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),

@@ -1,5 +1,6 @@
-"""Seeded random points and vertical vectors of the four-dimensional sphere model,
-the halves of a two-vector, a block-by-block strict-operator draw and a corrupted sign table for the tests
+"""Seeded random points and vertical vectors of the four-dimensional sphere
+model, the vertical basis of a structure, the halves of a two-vector, a
+block-by-block strict-operator draw and a corrupted sign table for the tests
 of the oracles."""
 
 import numpy as np
@@ -17,8 +18,18 @@ def half(v, sign: int) -> np.ndarray:
     return v[..., :3] if sign == 1 else v[..., 3:]
 
 
+def vertical_pair(ocs: fd.OrientedComplexStructure4) -> tuple[np.ndarray, np.ndarray]:
+    """The endomorphisms of the basis rows of ``ocs``: the vertical parts of the
+    frame vectors E_4 and E_5 of ``tensors.frame_vectors`` at a point whose first
+    factor is ``ocs``, at unit weights.  A stacked ``ocs`` gives stacked pairs."""
+    lead = np.shape(ocs.u)[:-1]
+    coeffs = np.eye(8)[4:6].reshape((2,) + (1,) * len(lead) + (8,))
+    e = tn.frame_vectors(tn.ProductTwistorPoint(ocs, ocs), tn.Params(1.0, 1.0, 1), coeffs)
+    return e.v1[0], e.v1[1]
+
+
 def random_vertical_endo(ocs: fd.OrientedComplexStructure4, rng, scale: float = 1.0) -> np.ndarray:
-    u2, u3 = fd.vertical_basis(ocs)
+    u2, u3 = vertical_pair(ocs)
     c = rng.standard_normal(2) * scale
     return c[0] * u2 + c[1] * u3
 

@@ -1,7 +1,8 @@
-"""Checked references for the metric H_t and the almost complex structure Jn
-on tangents of the product twistor space, for the tests of the frame tensor,
-its frame and the classifier's contractions; the closed-form evaluators with
-each argument checked and viewed on its own, for the tests of their stacked
+"""Checked references for the metric H_t, the almost complex structure Jn and
+the covariant derivative D Omega on tangents of the product twistor space, for
+the tests of the frame tensor, its frame, the classifier's contractions and
+the theorem suite's counterexamples; the closed-form evaluators with each
+argument checked and viewed on its own, for the tests of their stacked
 arguments; and Rodrigues's rotation for the tests of the structures' vertical
 basis rows."""
 
@@ -18,6 +19,7 @@ from twistorgh.tensors import (
     _dcov,
     _dext,
     _metric,
+    _stack,
     check_gtangent,
     single_codiff,
     single_cov_deriv,
@@ -38,6 +40,14 @@ def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
     return _acs_unchecked(p, params, a)
 
 
+def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
+                    a: GTangent, b: GTangent, c: GTangent):
+    """(D_A Omega)(B, C), assembled from the component formulas by the kernel
+    ``_dcov``: the oracle for the frame tensor T, which the classifier reads."""
+    v = _ArgView(p, rmat, params, check_gtangent(p, _stack(p, rmat, params, a, b, c)))
+    return _dcov(params, v[0], v[1], v[2])
+
+
 def one_by_one(kernel, p: ProductTwistorPoint, rmat, params: Params,
                a: GTangent, b: GTangent, c: GTangent):
     """``kernel`` (``_dcov`` or ``_dext``) on arguments checked and viewed one
@@ -54,7 +64,7 @@ def restriction_one_by_one(p: ProductTwistorPoint, rmat, params: Params,
     viewed on its own."""
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
-    sa, sb, sc = (SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))
+    sa, sb, sc = (SingleTangent(g.horizontal, g.v1) for g in (a, b, c))
     return {
         "cov_deriv": abs(one_by_one(_dcov, p, rmat, params, a, b, c)
                          - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),

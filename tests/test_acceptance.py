@@ -54,8 +54,7 @@ def test_criterion_1_internal_consistency_oracles():
                 coeffs[i] = rng.standard_normal((3, 8))
             params = tn.Params(t[:, 0], t[:, 1], n)
             p = cl._points(rows, component)
-            frame = tn.frame_at_point(p, params)
-            a, b, c = (tn.frame_combination(frame, coeffs[:, s]) for s in range(3))
+            a, b, c = (tn.frame_vectors(p, params, coeffs[:, s]) for s in range(3))
             norms = np.linalg.norm(coeffs, axis=-1)
             nrm3 = 1.0 + np.prod(norms, axis=-1)
 
@@ -73,7 +72,7 @@ def test_criterion_1_internal_consistency_oracles():
                                     - vals["δΩ"][:, 0]) / (1.0 + norms[:, 0]))
             record("nijenhuis", np.abs(tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
                                        - vals["N"][:, 0]) / nrm3)
-            first = [tn.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
+            first = [tn.gtangent(g.horizontal, g.v1, np.zeros_like(g.v2))
                      for g in (a, b, c)]
             record("restriction",
                    list(tn.restriction_residuals(p, rmat, params, *first).values()))
@@ -186,15 +185,14 @@ def test_criterion_8_algebraic_invariants():
         n = 1 + i % 4
         params = tn.Params(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
         p = cl._points(rng.standard_normal(6), component)
-        frame = tn.frame_at_point(p, params)
-        a, b = (tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(2))
+        a, b = (tn.frame_vectors(p, params, rng.standard_normal(8)) for _ in range(2))
 
         twice = acs(p, acs(p, a, params), params)
         worst["acs_square"] = max(
             worst["acs_square"],
             float(np.max(np.abs(twice.horizontal + a.horizontal))),
-            float(np.max(np.abs(twice.vertical.v1 + a.vertical.v1))),
-            float(np.max(np.abs(twice.vertical.v2 + a.vertical.v2))))
+            float(np.max(np.abs(twice.v1 + a.v1))),
+            float(np.max(np.abs(twice.v2 + a.v2))))
 
         worst["compat"] = max(worst["compat"], abs(
             metric_Ht(p, acs(p, a, params), acs(p, b, params), params)

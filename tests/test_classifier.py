@@ -9,12 +9,17 @@ from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, selftest, tensors as tn
 
 from random_fourdim import half
-from reference import acs
+from reference import acs, cov_deriv_omega
 
 RNG = np.random.default_rng(606)
 
 FAST = cl.SamplingConfig(seed=3, num_points=16, num_arg_triples=8)
 DEFAULT = cl.SamplingConfig(seed=7)
+
+
+def residual(cond, rmat, component, t, n, cfg):
+    """Sup of one condition's normalized residual over the seeded sample."""
+    return cl.condition_residuals(rmat, component, t, n, cfg, conditions=(cond,))[cond]
 
 
 def class_parts(name):
@@ -34,25 +39,25 @@ class TestConfigAndNames:
 
     def test_unknown_condition(self):
         with pytest.raises(cl.ClassifierError, match="unknown condition"):
-            cl.residual("bogus", cur.model("flat"), "++", (1.0, 1.0), 1, FAST)
+            residual("bogus", cur.model("flat"), "++", (1.0, 1.0), 1, FAST)
 
     def test_unknown_component(self):
         with pytest.raises(cl.ClassifierError, match="component"):
-            cl.residual("N", cur.model("flat"), "+", (1.0, 1.0), 1, FAST)
+            residual("N", cur.model("flat"), "+", (1.0, 1.0), 1, FAST)
 
 
 class TestResiduals:
     def test_flat_codifferential_is_exactly_zero(self):
-        assert cl.residual("δΩ", cur.model("flat"), "++", (1.0, 1.0), 1, FAST) == 0.0
+        assert residual("δΩ", cur.model("flat"), "++", (1.0, 1.0), 1, FAST) == 0.0
 
     def test_flat_nijenhuis_small_on_first_structures(self):
-        assert cl.residual("N", cur.model("flat"), "++", (1.0, 1.0), 1, FAST) < 1e-13
+        assert residual("N", cur.model("flat"), "++", (1.0, 1.0), 1, FAST) < 1e-13
 
     def test_flat_covariant_derivative_is_large(self):
         for component in ("++", "+-"):
             for n in (1, 2, 3, 4):
-                assert cl.residual("DΩ", cur.model("flat"), component,
-                                   (1.0, 1.0), n, FAST) > 0.1
+                assert residual("DΩ", cur.model("flat"), component,
+                                (1.0, 1.0), n, FAST) > 0.1
 
     def test_partial_run_matches_full_run(self):
         # the default config fills blocks of 16 points, whose conditions share
@@ -62,7 +67,7 @@ class TestResiduals:
             for component in cl.COMPONENTS:
                 full = cl.condition_residuals(rmat, component, (0.25, 1.0), 3, cfg)
                 for cond in cl.CONDITIONS:
-                    assert cl.residual(cond, rmat, component, (0.25, 1.0), 3, cfg) == \
+                    assert residual(cond, rmat, component, (0.25, 1.0), 3, cfg) == \
                         full[cond], (cfg, component, cond)
         assert cl.condition_residuals(rmat, "+-", (0.25, 1.0), 3, FAST, conditions=()) == {}
 
@@ -161,9 +166,9 @@ class TestDeterminism:
 
     def test_seed_changes_the_sample(self):
         rmat = cur.model("flat")
-        a = cl.residual("DΩ", rmat, "++", (1.0, 1.0), 1, FAST)
-        b = cl.residual("DΩ", rmat, "++", (1.0, 1.0), 1,
-                        cl.SamplingConfig(seed=4, num_points=16, num_arg_triples=8))
+        a = residual("DΩ", rmat, "++", (1.0, 1.0), 1, FAST)
+        b = residual("DΩ", rmat, "++", (1.0, 1.0), 1,
+                     cl.SamplingConfig(seed=4, num_points=16, num_arg_triples=8))
         assert a != b
 
     def test_csv_round(self):
@@ -203,14 +208,13 @@ class TestOrientationSymmetry:
         for comp in ("++", "+-"):
             p = cl._points(rng.standard_normal(6), comp)
             p2 = tn.ProductTwistorPoint(*(reversed_structure(phi, j) for j in (p.j1, p.j2)))
-            frame = tn.frame_at_point(p, params)
             for _ in range(10):
-                abc = [tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(3)]
+                abc = [tn.frame_vectors(p, params, rng.standard_normal(8)) for _ in range(3)]
                 abc2 = [tn.gtangent(phi @ g.horizontal,
-                                    phi @ g.vertical.v1 @ phi.T,
-                                    phi @ g.vertical.v2 @ phi.T) for g in abc]
-                assert tn.cov_deriv_omega(p2, rmat2, params, *abc2) == pytest.approx(
-                    tn.cov_deriv_omega(p, rmat, params, *abc), abs=1e-10)
+                                    phi @ g.v1 @ phi.T,
+                                    phi @ g.v2 @ phi.T) for g in abc]
+                assert cov_deriv_omega(p2, rmat2, params, *abc2) == pytest.approx(
+                    cov_deriv_omega(p, rmat, params, *abc), abs=1e-10)
                 assert tn.codiff_omega(p2, rmat2, params, abc2[0]) == pytest.approx(
                     tn.codiff_omega(p, rmat, params, abc[0]), abs=1e-10)
                 assert tn.nijenhuis_closed_form(p2, rmat2, params, *abc2) == pytest.approx(
@@ -258,7 +262,7 @@ def _sampled_sup(rmat, component, t, n, cfg, value, norm_slots):
 class TestLiteralReadings:
     def test_w13_literal_sign_fails_on_the_witness(self):
         rmat = cur.model("constant_curvature", s=12.0)
-        good = cl.residual("W1W3-cond", rmat, "+-", (0.25, 1.0), 3, FAST)
+        good = residual("W1W3-cond", rmat, "+-", (0.25, 1.0), 3, FAST)
 
         def wrong_sign(T, a, b, c, ja, jb, jc):
             return _contract(T, a, a, c) + _contract(T, ja, ja, c)
@@ -269,7 +273,7 @@ class TestLiteralReadings:
 
     def test_w23_literal_cyclic_fails_on_the_witness(self):
         rmat = cur.model("constant_curvature", s=-12.0)
-        good = cl.residual("W2W3-cond", rmat, "+-", (0.5, 1.0), 3, FAST)
+        good = residual("W2W3-cond", rmat, "+-", (0.5, 1.0), 3, FAST)
 
         def literal(T, a, b, c, ja, jb, jc):
             return (_contract(T, a, a, c) - _contract(T, ja, ja, c)
@@ -333,13 +337,12 @@ class TestFrameTensorContractions:
             p = cl._points(u, component)
             T, M = tn.frame_tensor(p, rmat, params)
             values = cl.condition_values(T, M, coeffs)
-            frame = tn.frame_at_point(p, params)
             for k in range(len(coeffs)):
-                a, b, c = (tn.frame_combination(frame, x) for x in coeffs[k])
+                a, b, c = (tn.frame_vectors(p, params, x) for x in coeffs[k])
                 ja, jb, jc = (acs(p, g, params) for g in (a, b, c))
 
                 def d(x, y, z):
-                    return tn.cov_deriv_omega(p, rmat, params, x, y, z)
+                    return cov_deriv_omega(p, rmat, params, x, y, z)
 
                 expected = {
                     "DΩ": d(a, b, c),
@@ -511,7 +514,8 @@ class TestTheoremSuite:
         assert result.passed, [c for c in result.checks if not c["ok"]]
 
     def test_suite_makes_its_calls_on_the_full_and_the_reduced_sample(self, monkeypatch):
-        # the suite's cost and its geometry-cache hits rest on this mix of calls
+        # the suite's cost and its geometry-cache hits rest on this mix of calls;
+        # every violation, 4.2a's four included, is sampled on the reduced sample
         orig = cl.condition_residuals
         mix = {}
 
@@ -522,7 +526,26 @@ class TestTheoremSuite:
 
         monkeypatch.setattr(cl, "condition_residuals", counted)
         assert all(r.passed for r in cl.verify_all(DEFAULT))
-        assert mix == {(64, 32, 1): 26, (64, 32, 2): 22, (16, 8, 1): 40}
+        assert mix == {(64, 32, 1): 22, (64, 32, 2): 22, (16, 8, 1): 44}
+
+    def test_pointwise_counterexamples_are_the_closed_forms(self):
+        # the suite reads each counterexample as one entry or trace of the frame
+        # tensor; the closed forms at the configuration it names pin those indices.
+        # 4.2a: V = (0, s1+), X = e1, Y = e3; 4.6a: delta Omega of V = (0, s3+)
+        p = cl._counterexample_point()
+        const12 = cur.model("constant_curvature", s=12.0)
+        x, y = (tn.gtangent(horizontal=np.eye(4)[i]) for i in (0, 2))
+        want = {
+            "4.2a": cov_deriv_omega(p, const12, tn.Params(1.0, 1.0, 1),
+                                    tn.gtangent(v2=fd.S_BASIS_ENDOS[0]), x, y),
+            "4.6a": tn.codiff_omega(p, const12, tn.Params(3.0 / 12.0, 1.0, 3),
+                                    tn.gtangent(v2=fd.S_BASIS_ENDOS[2])),
+        }
+        for tid, value in want.items():
+            (got,) = [c["value"] for c in cl.verify_theorem(tid, FAST).checks
+                      if c["name"] == "pointwise-counterexample"]
+            assert abs(value) > 1.0, tid
+            assert abs(got - abs(value)) <= 1e-14 * abs(value), (tid, got, value)
 
     def test_result_serialization(self):
         result = cl.verify_theorem("4.9a", FAST)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from twistorgh import classifier as cl, curvature as cur
 from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import drawn_strict_operator, half, random_ocs
+from random_fourdim import drawn_strict_operator, half, random_ocs, vertical_pair
 
 RNG = np.random.default_rng(404)
 
@@ -246,7 +246,7 @@ class TestCurvatureEndo:
             x, y = RNG.standard_normal((2, 4))
             r = cur.curvature_endo(cur.random_strict_operator(RNG), x, y)
             c = fibre.check_tangent(j.matrix, r @ j.matrix - j.matrix @ r)
-            u2, u3 = fd.vertical_basis(j)
+            u2, u3 = vertical_pair(j)
             in_span = fibre.inner_G(c, u2) * u2 + fibre.inner_G(c, u3) * u3
             assert np.max(np.abs(c - in_span)) < 1e-10 * (1.0 + np.max(np.abs(c)))
 

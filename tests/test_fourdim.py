@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import half, random_ocs, random_vertical_endo
+from random_fourdim import half, random_ocs, random_vertical_endo, vertical_pair
 from reference import rotation_from_e1
 
 RNG = np.random.default_rng(303)
@@ -218,13 +218,13 @@ class TestSphereModel:
 class TestVerticalBasis:
     def test_canonical_point(self):
         j = fd.OrientedComplexStructure4([1.0, 0.0, 0.0], 1)
-        u2, u3 = fd.vertical_basis(j)
+        u2, u3 = vertical_pair(j)
         assert_allclose(u2, fd.endo_of_two_vector(S2P), atol=1e-14)
         assert_allclose(u3, fd.endo_of_two_vector(S3P), atol=1e-14)
 
     def test_antipodal_point_is_handled(self):
         j = fd.OrientedComplexStructure4([-1.0, 0.0, 0.0], -1)
-        u2, u3 = fd.vertical_basis(j)
+        u2, u3 = vertical_pair(j)
         assert_allclose(u2, fd.endo_of_two_vector(S2M), atol=1e-14)
         assert_allclose(u3, fd.endo_of_two_vector(-S3M), atol=1e-14)
 
@@ -232,7 +232,7 @@ class TestVerticalBasis:
     def test_anticommute_and_orthonormal(self, sign):
         for _ in range(25):
             j = random_ocs(sign, RNG)
-            u2, u3 = fd.vertical_basis(j)
+            u2, u3 = vertical_pair(j)
             for v in (u2, u3):
                 assert np.max(np.abs(j.matrix @ v + v @ j.matrix)) < 1e-12
             gram = np.array([[fibre.inner_G(a, b) for b in (u2, u3)] for a in (u2, u3)])
@@ -244,10 +244,10 @@ class TestVerticalBasis:
         # get their rotations without a division by zero
         u = np.vstack([POLES, RNG.standard_normal((6, 3))])
         with np.errstate(all="raise"):
-            b2, b3 = fd.vertical_basis(fd.OrientedComplexStructure4(u, sign))
+            b2, b3 = vertical_pair(fd.OrientedComplexStructure4(u, sign))
             assert b2.shape == b3.shape == (len(u), 4, 4)
             for i, ui in enumerate(u):
-                u2, u3 = fd.vertical_basis(fd.OrientedComplexStructure4(ui, sign))
+                u2, u3 = vertical_pair(fd.OrientedComplexStructure4(ui, sign))
                 assert_allclose(b2[i], u2, rtol=0, atol=1e-15)
                 assert_allclose(b3[i], u3, rtol=0, atol=1e-15)
         assert_array_equal(b2[0], fd.endo_of_two_vector(fd.embed_half([0, 1, 0], sign)))
@@ -268,8 +268,8 @@ class TestVerticalBasis:
         rows = self.near_pole_rows()
         stacked = fd.OrientedComplexStructure4(rows, sign)
         singles = [fd.OrientedComplexStructure4(r, sign) for r in rows]
-        for jm, (u2, u3) in [(stacked.matrix, fd.vertical_basis(stacked))] + [
-                (j.matrix, fd.vertical_basis(j)) for j in singles]:
+        for jm, (u2, u3) in [(stacked.matrix, vertical_pair(stacked))] + [
+                (j.matrix, vertical_pair(j)) for j in singles]:
             for v in (u2, u3):
                 assert np.max(np.abs(jm @ v + v @ jm)) <= 1e-14
             gram = np.stack([np.stack([fibre.inner_G(a, b) for b in (u2, u3)], -1)
@@ -298,8 +298,8 @@ class TestVerticalBasis:
 
     def test_completes_oriented_triad(self):
         j = random_ocs(1, RNG)
-        u2 = half(fd.two_vector_of_endo(fd.vertical_basis(j)[0]), 1)
-        u3 = half(fd.two_vector_of_endo(fd.vertical_basis(j)[1]), 1)
+        u2 = half(fd.two_vector_of_endo(vertical_pair(j)[0]), 1)
+        u3 = half(fd.two_vector_of_endo(vertical_pair(j)[1]), 1)
         assert_allclose(np.cross(j.u, u2), u3, atol=1e-12)
 
 

@@ -84,8 +84,7 @@ def scalar_worst(kind, seed, trials):
         component, n = ("++", "+-")[i % 2], 1 + i % 4
         params = tn.Params(t1, t2, n)
         p = cl._points(row, component)
-        frame = tn.frame_at_point(p, params)
-        args = [tn.frame_combination(frame, x) for x in coeffs]
+        args = [tn.frame_vectors(p, params, x) for x in coeffs]
         value = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[None],
                                     (cond,))[cond][0]
         res = abs(getattr(tn, closed_form)(p, rmat, params, *args[:slots]) - value)

@@ -6,8 +6,8 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
-from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo
-from reference import acs, metric_Ht, one_by_one, restriction_one_by_one
+from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo, vertical_pair
+from reference import acs, cov_deriv_omega, metric_Ht, one_by_one, restriction_one_by_one
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -20,8 +20,7 @@ def point(component="++", rng=RNG):
 
 
 def random_args(p, params, k=3, rng=RNG):
-    frame = tn.frame_at_point(p, params)
-    return [tn.frame_combination(frame, rng.standard_normal(8)) for _ in range(k)]
+    return [tn.frame_vectors(p, params, rng.standard_normal(8)) for _ in range(k)]
 
 
 def canonical_point():
@@ -38,8 +37,8 @@ def omega(p, a, b, params):
 def production(cond, p, rmat, params, *args):
     """Condition ``cond`` on ``args`` by the classifier's route, from the frame
     coefficients x[a] = H_t(E_a, A) of each argument."""
-    frame = [tn.frame_combination(tn.frame_at_point(p, params), e) for e in np.eye(8)]
-    x = np.array([[metric_Ht(p, e, g, params) for e in frame] for g in args])
+    frame = tn.frame_vectors(p, params, np.eye(8))
+    x = np.array([[metric_Ht(p, row(frame, a), g, params) for a in range(8)] for g in args])
     return float(cl.condition_values(*tn.frame_tensor(p, rmat, params), x[None], (cond,))[cond][0])
 
 
@@ -66,13 +65,13 @@ class TestMetric:
 
     def test_vertical_scaling(self):
         p = point()
-        u2, _ = fd.vertical_basis(p.j1)
+        u2, _ = vertical_pair(p.j1)
         a = tn.gtangent(v1=u2)  # G-unit vertical direction
         assert metric_Ht(p, a, a, tn.Params(3.0, 1.0, 1)) == pytest.approx(3.0)
 
     def test_no_cross_term(self):
         p = point()
-        u2, _ = fd.vertical_basis(p.j2)
+        u2, _ = vertical_pair(p.j2)
         a = tn.gtangent(horizontal=RNG.standard_normal(4))
         b = tn.gtangent(v2=u2)
         assert metric_Ht(p, a, b, tn.Params(1.3, 0.7, 2)) == 0.0
@@ -98,8 +97,8 @@ class TestMetric:
         x, y = (tn.gtangent(horizontal=h) for h in rng.standard_normal((2, 4)))
         params = tn.Params(0.9, 1.4, 3)
         rmat = cur.model("constant_curvature", s=12.0)
-        unit = tn.cov_deriv_omega(p, rmat, params, tn.gtangent(v1=v1, v2=v2), x, y)
-        big = tn.cov_deriv_omega(p, rmat, params, tn.gtangent(v1=1e7 * v1, v2=1e7 * v2), x, y)
+        unit = cov_deriv_omega(p, rmat, params, tn.gtangent(v1=v1, v2=v2), x, y)
+        big = cov_deriv_omega(p, rmat, params, tn.gtangent(v1=1e7 * v1, v2=1e7 * v2), x, y)
         assert big == pytest.approx(1e7 * unit, rel=1e-9)
 
     def test_relative_defect_is_rejected(self):
@@ -110,7 +109,7 @@ class TestMetric:
         bad = tn.gtangent(v1=v1 + 1e-6 * np.abs(v1).max() * p.j1.matrix)
         x = tn.gtangent(horizontal=rng.standard_normal(4))
         with pytest.raises(tn.TangencyError, match="anticommute"):
-            tn.cov_deriv_omega(p, cur.model("flat"), tn.Params(1.0, 1.0, 1), bad, x, x)
+            cov_deriv_omega(p, cur.model("flat"), tn.Params(1.0, 1.0, 1), bad, x, x)
 
 
     def test_stacked_vectors_are_bounded_one_by_one(self):
@@ -122,18 +121,17 @@ class TestMetric:
         unit = random_vertical_endo(p.j1, rng)
         sym = np.diag([1.0, 0.0, 0.0, 0.0])
         zero = np.zeros((2, 4, 4))
-        tn.check_vertical(p, tn.VerticalVector(np.stack((big, unit)), zero))
+        tn.check_vertical(p, tn.gtangent(v1=np.stack((big, unit)), v2=zero))
         with pytest.raises(tn.TangencyError, match="not skew"):
-            tn.check_vertical(p, tn.VerticalVector(np.stack((big, unit + 1e-9 * sym)), zero))
+            tn.check_vertical(p, tn.gtangent(v1=np.stack((big, unit + 1e-9 * sym)), v2=zero))
 
     def test_nan_vertical_part_is_rejected(self):
         p = point()
         nan = np.full((4, 4), np.nan)
         with pytest.raises(tn.TangencyError):
-            tn.check_vertical(p, tn.VerticalVector(nan, np.zeros((4, 4))))
+            tn.check_vertical(p, tn.gtangent(v1=nan))
         with pytest.raises(tn.TangencyError):
-            tn.check_vertical(p, tn.VerticalVector(np.stack((np.zeros((4, 4)), nan)),
-                                                   np.zeros((2, 4, 4))))
+            tn.check_vertical(p, tn.gtangent(v1=np.stack((np.zeros((4, 4)), nan))))
 
 
 class TestAlmostComplexStructures:
@@ -149,8 +147,8 @@ class TestAlmostComplexStructures:
         v1 = random_vertical_endo(p.j1, RNG)
         v2 = random_vertical_endo(p.j2, RNG)
         out = acs(p, tn.gtangent(v1=v1, v2=v2), tn.Params(1.0, 1.0, 3))
-        assert_allclose(out.vertical.v1, -(p.j1.matrix @ v1))
-        assert_allclose(out.vertical.v2, p.j2.matrix @ v2)
+        assert_allclose(out.v1, -(p.j1.matrix @ v1))
+        assert_allclose(out.v2, p.j2.matrix @ v2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_square_is_minus_identity(self, n):
@@ -159,8 +157,8 @@ class TestAlmostComplexStructures:
         for a in random_args(p, params):
             twice = acs(p, acs(p, a, params), params)
             assert_allclose(twice.horizontal, -a.horizontal, atol=1e-12)
-            assert_allclose(twice.vertical.v1, -a.vertical.v1, atol=1e-12)
-            assert_allclose(twice.vertical.v2, -a.vertical.v2, atol=1e-12)
+            assert_allclose(twice.v1, -a.v1, atol=1e-12)
+            assert_allclose(twice.v2, -a.v2, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_metric_compatibility(self, n):
@@ -201,7 +199,7 @@ class TestCovariantDerivative:
         params = tn.Params(0.7, 1.2, 3)
         rmat = cur.random_strict_operator(RNG)
         args = [tn.gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
-        assert tn.cov_deriv_omega(p, rmat, params, *args) == 0.0
+        assert cov_deriv_omega(p, rmat, params, *args) == 0.0
 
     def test_flat_vertical_horizontal_value(self):
         # V1 the endomorphism of s2+ at J1 = structure of s1+: <V1 e1, e3> = 1/sqrt2
@@ -210,7 +208,7 @@ class TestCovariantDerivative:
         b = tn.gtangent(horizontal=E[0])
         c = tn.gtangent(horizontal=E[2])
         for n in (1, 2, 3, 4):
-            val = tn.cov_deriv_omega(p, np.zeros((6, 6)), tn.Params(1.0, 1.0, n), v, b, c)
+            val = cov_deriv_omega(p, np.zeros((6, 6)), tn.Params(1.0, 1.0, n), v, b, c)
             assert val == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_structure_index_difference(self):
@@ -222,8 +220,8 @@ class TestCovariantDerivative:
         v = tn.gtangent(v2=v2)
         z = tn.gtangent(horizontal=RNG.standard_normal(4))
         x = tn.gtangent(horizontal=RNG.standard_normal(4))
-        d1 = tn.cov_deriv_omega(p, rmat, tn.Params(t1, t2, 1), z, x, v)
-        d2 = tn.cov_deriv_omega(p, rmat, tn.Params(t1, t2, 2), z, x, v)
+        d1 = cov_deriv_omega(p, rmat, tn.Params(t1, t2, 1), z, x, v)
+        d2 = cov_deriv_omega(p, rmat, tn.Params(t1, t2, 2), z, x, v)
         expected = -2.0 * t2 * float((rmat @ fd.two_vector_of_endo(v2))
                                      @ fd.wedge_of_pair(z.horizontal, x.horizontal))
         assert d1 - d2 == pytest.approx(expected, abs=1e-12)
@@ -233,8 +231,8 @@ class TestCovariantDerivative:
         params = tn.Params(1.3, 0.4, 4)
         rmat = cur.random_strict_operator(RNG)
         a, b, c = random_args(p, params)
-        assert tn.cov_deriv_omega(p, rmat, params, a, b, c) == pytest.approx(
-            -tn.cov_deriv_omega(p, rmat, params, a, c, b), abs=1e-11)
+        assert cov_deriv_omega(p, rmat, params, a, b, c) == pytest.approx(
+            -cov_deriv_omega(p, rmat, params, a, c, b), abs=1e-11)
 
     def test_purely_vertical_patterns_vanish(self):
         p = point("+-")
@@ -243,9 +241,9 @@ class TestCovariantDerivative:
         w = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
         u = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
         x = tn.gtangent(horizontal=RNG.standard_normal(4))
-        assert tn.cov_deriv_omega(p, rmat, params, w, x, u) == 0.0
-        assert tn.cov_deriv_omega(p, rmat, params, x, u, w) == 0.0
-        assert tn.cov_deriv_omega(p, rmat, params, w, u, w) == 0.0
+        assert cov_deriv_omega(p, rmat, params, w, x, u) == 0.0
+        assert cov_deriv_omega(p, rmat, params, x, u, w) == 0.0
+        assert cov_deriv_omega(p, rmat, params, w, u, w) == 0.0
 
 
 #: the entries of T that can be nonzero: T[v, h, h], T[h, h, v] and T[h, v, h]
@@ -283,9 +281,9 @@ class TestFrameTensor:
             # the frame along one argument axis each: the evaluators broadcast
             # them to the full 8x8x8 grid
             e = np.eye(8)
-            ea, eb, ec = (tn.frame_combination(tn.frame_at_point(p, params), x)
+            ea, eb, ec = (tn.frame_vectors(p, params, x)
                           for x in (e[:, None, None], e[:, None], e))
-            ref = tn.cov_deriv_omega(p, rmat, params, ea, eb, ec)
+            ref = cov_deriv_omega(p, rmat, params, ea, eb, ec)
             assert ref.shape == (8, 8, 8)
             assert np.abs(T[i] - ref).max() <= bound
             ref_m = metric_Ht(p, eb, acs(p, ec, params), params)
@@ -318,9 +316,8 @@ class TestFrameTensor:
         for i, row in enumerate(rows):
             p = cl._points(row, component)
             params = tn.Params(t1[i], t2[i], n)
-            frame = tn.frame_at_point(p, params)
-            ea, eb, ec = (tn.frame_combination(frame, x) for x in (e[:, None, None], e[:, None], e))
-            ref = tn.cov_deriv_omega(p, rmats[i], params, ea, eb, ec)
+            ea, eb, ec = (tn.frame_vectors(p, params, x) for x in (e[:, None, None], e[:, None], e))
+            ref = cov_deriv_omega(p, rmats[i], params, ea, eb, ec)
             assert np.abs(T[i] - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.abs(M[i] - metric_Ht(p, eb, acs(p, ec, params), params)).max() <= 1e-13
 
@@ -336,9 +333,8 @@ class TestFrameTensor:
             rows[2 * i + 1, 3:] = [pole * np.cos(theta), 0.0, -np.sin(theta)]
         p = cl._points(rows, "+-")
         params = tn.Params(0.5, 1.0, 1)
-        frame = tn.frame_at_point(p, params)
-        for a in range(8):
-            tn.check_gtangent(p, row(frame, a))
+        # the eight frame vectors at every point, checked as one stack
+        tn.check_gtangent(p, tn.frame_vectors(p, params, np.eye(8)[:, None]))
         T, _ = tn.frame_tensor(p, cur.model("kaehler_witness", s=12.0), params)
         assert np.abs(T).max() <= 1e-14
 
@@ -354,7 +350,7 @@ class TestFrameTensor:
 
 
 def row(g: tn.GTangent, i: int) -> tn.GTangent:
-    return tn.GTangent(g.horizontal[i], tn.VerticalVector(g.vertical.v1[i], g.vertical.v2[i]))
+    return tn.GTangent(g.horizontal[i], g.v1[i], g.v2[i])
 
 
 class TestStackedEvaluators:
@@ -374,19 +370,19 @@ class TestStackedEvaluators:
         coeffs = rng.standard_normal((16, 3, 8))
         p = cl._points(rows, component)
         params = tn.Params(t[:, 0], t[:, 1], n)
-        args = [tn.frame_combination(tn.frame_at_point(p, params), coeffs[:, s])
+        args = [tn.frame_vectors(p, params, coeffs[:, s])
                 for s in range(3)]
         k = 1 if n in (1, 2) else 2
 
         def evaluators(p, rmat, params, args):
             # the restriction and single-fibre forms take the first-factor parts
-            first = [tn.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
+            first = [tn.gtangent(g.horizontal, g.v1, np.zeros_like(g.v2))
                      for g in args]
-            sa, sb, sc = (tn.SingleTangent(g.horizontal, g.vertical.v1) for g in args)
+            sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1) for g in args)
             out = dict(zip("TM", tn.frame_tensor(p, rmat, params)))
             out.update(tn.restriction_residuals(p, rmat, params, *first))
             out.update({
-                "cov_deriv_omega": tn.cov_deriv_omega(p, rmat, params, *args),
+                "cov_deriv_omega": cov_deriv_omega(p, rmat, params, *args),
                 "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
                 "codiff_omega": tn.codiff_omega(p, rmat, params, args[0]),
                 "nijenhuis_closed_form": tn.nijenhuis_closed_form(p, rmat, params, *args),
@@ -416,21 +412,21 @@ class TestStackedEvaluators:
         rmat = np.stack([cur.random_strict_operator(rng) for _ in range(5)])
         p = cl._points(rows, "+-")
         params = tn.Params(t[:, 0], t[:, 1], 3)
-        args = [tn.frame_combination(tn.frame_at_point(p, params), rng.standard_normal((5, 8)))
+        args = [tn.frame_vectors(p, params, rng.standard_normal((5, 8)))
                 for _ in range(3)]
 
         def evaluators(p, rmat, params, h, first):
             return {**tn.restriction_residuals(p, rmat, params, *first),
                     "codiff_omega": tn.codiff_omega(p, rmat, params, first[0]),
-                    "cov_deriv_omega": tn.cov_deriv_omega(p, rmat, params, h, *first[1:])}
+                    "cov_deriv_omega": cov_deriv_omega(p, rmat, params, h, *first[1:])}
 
-        first = [tn.gtangent(g.horizontal, g.vertical.v1) for g in args]
+        first = [tn.gtangent(g.horizontal, g.v1) for g in args]
         h = tn.gtangent(args[0].horizontal)
-        assert first[0].vertical.v2.shape == h.vertical.v1.shape == (5, 4, 4)
+        assert first[0].v2.shape == h.v1.shape == (5, 4, 4)
         stacked = evaluators(p, rmat, params, h, first)
         zero = np.zeros((4, 4))
         for i in range(5):
-            explicit = [tn.gtangent(g.horizontal[i], g.vertical.v1[i], zero) for g in args]
+            explicit = [tn.gtangent(g.horizontal[i], g.v1[i], zero) for g in args]
             want = evaluators(cl._points(rows[i], "+-"), rmat[i], tn.Params(t[i, 0], t[i, 1], 3),
                               tn.gtangent(args[0].horizontal[i], zero, zero), explicit)
             for name, value in want.items():
@@ -446,7 +442,7 @@ class TestStackedArguments:
     EQUAL = ["stacked", "block"]
     #: arguments the stack broadcasts to a common shape
     BROADCAST = ["unstacked-0", "unstacked-1", "unstacked-2", "frame"]
-    THREE_SLOT = [tn.cov_deriv_omega, tn.ext_deriv_omega, tn.nijenhuis_closed_form]
+    THREE_SLOT = [cov_deriv_omega, tn.ext_deriv_omega, tn.nijenhuis_closed_form]
 
     @staticmethod
     def layout(name, n, rng):
@@ -469,8 +465,7 @@ class TestStackedArguments:
             else:  # one unstacked argument, the other two stacked along (5,)
                 coeffs = [rng.standard_normal((5, 8)) for _ in range(3)]
                 coeffs[int(name[-1])] = rng.standard_normal(8)
-        frame = tn.frame_at_point(p, params)
-        return p, rmat, params, [tn.frame_combination(frame, x) for x in coeffs]
+        return p, rmat, params, [tn.frame_vectors(p, params, x) for x in coeffs]
 
     @pytest.mark.parametrize("layout", EQUAL + BROADCAST)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -480,8 +475,8 @@ class TestStackedArguments:
         # of rows instead of one row), and BLAS may round those differently,
         # so broadcast layouts agree to a few units in the last place
         p, rmat, params, args = self.layout(layout, n, np.random.default_rng(940 + n))
-        first = [tn.gtangent(g.horizontal, g.vertical.v1) for g in args]
-        pairs = [(tn.cov_deriv_omega(p, rmat, params, *args),
+        first = [tn.gtangent(g.horizontal, g.v1) for g in args]
+        pairs = [(cov_deriv_omega(p, rmat, params, *args),
                   one_by_one(tn._dcov, p, rmat, params, *args)),
                  (tn.ext_deriv_omega(p, rmat, params, *args),
                   one_by_one(tn._dext, p, rmat, params, *args))]
@@ -507,15 +502,15 @@ class TestStackedArguments:
         g = args[slot]
         bad = list(args)
         # trial 5 not tangent: a part of J1 commutes with J1
-        v1 = g.vertical.v1.copy()
+        v1 = g.v1.copy()
         v1[5] += 1e-3 * p.j1.matrix[5]
-        bad[slot] = tn.gtangent(g.horizontal, v1, g.vertical.v2)
+        bad[slot] = tn.gtangent(g.horizontal, v1, g.v2)
         with pytest.raises(tn.TangencyError, match="anticommute"):
             evaluator(p, rmat, params, *bad)
         # trial 11 with a second-factor part that is not skew
-        v2 = g.vertical.v2.copy()
+        v2 = g.v2.copy()
         v2[11] += 1e-3 * np.eye(4)
-        bad[slot] = tn.gtangent(g.horizontal, g.vertical.v1, v2)
+        bad[slot] = tn.gtangent(g.horizontal, g.v1, v2)
         with pytest.raises(tn.TangencyError, match="skew"):
             evaluator(p, rmat, params, *bad)
 
@@ -527,8 +522,8 @@ class TestStackedArguments:
         p = point("+-", rng)
         params = tn.Params(0.7, 1.6, 3)
         args = random_args(p, params, rng=rng)
-        args[slot] = tn.gtangent([value, 0.0, 0.0, 0.0], args[slot].vertical.v1,
-                                 args[slot].vertical.v2)
+        args[slot] = tn.gtangent([value, 0.0, 0.0, 0.0], args[slot].v1,
+                                 args[slot].v2)
         with np.errstate(all="raise"), pytest.raises(tn.TangencyError, match="finite"):
             evaluator(p, cur.random_strict_operator(rng), params, *args)
 
@@ -569,9 +564,9 @@ class TestExteriorDerivative:
         rmat = cur.random_strict_operator(rng)
         for _ in range(25):
             a, b, c = random_args(p, params, rng=rng)
-            cyc = (tn.cov_deriv_omega(p, rmat, params, a, b, c)
-                   + tn.cov_deriv_omega(p, rmat, params, b, c, a)
-                   + tn.cov_deriv_omega(p, rmat, params, c, a, b))
+            cyc = (cov_deriv_omega(p, rmat, params, a, b, c)
+                   + cov_deriv_omega(p, rmat, params, b, c, a)
+                   + cov_deriv_omega(p, rmat, params, c, a, b))
             assert tn.ext_deriv_omega(p, rmat, params, a, b, c) == pytest.approx(cyc, abs=1e-10)
 
 
@@ -610,10 +605,27 @@ class TestCodifferential:
     def test_frame_is_orthonormal(self):
         p = point("-+")
         params = tn.Params(0.3, 2.4, 2)
-        frame = tn.frame_at_point(p, params)
-        vectors = [tn.frame_combination(frame, e) for e in np.eye(8)]
+        frame = tn.frame_vectors(p, params, np.eye(8))
+        vectors = [row(frame, a) for a in range(8)]
         gram = np.array([[metric_Ht(p, a, b, params) for b in vectors] for a in vectors])
         assert_allclose(gram, np.eye(8), atol=1e-12)
+
+    @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
+    def test_stacked_point_and_coefficients_equal_one_point_builds(self, component):
+        # one point, weights and coefficient row per trial, both pole branches
+        # of each factor included, against the build at each point alone
+        rng = np.random.default_rng(611)
+        rows = TestFrameTensor.pole_rows(rng)
+        t1, t2 = rng.uniform(0.2, 3.0, (2, len(rows)))
+        coeffs = rng.standard_normal((len(rows), 8))
+        g = tn.frame_vectors(cl._points(rows, component), tn.Params(t1, t2, 1), coeffs)
+        assert (g.horizontal.shape, g.v1.shape, g.v2.shape) == (
+            (len(rows), 4), (len(rows), 4, 4), (len(rows), 4, 4))
+        for i, r in enumerate(rows):
+            one = tn.frame_vectors(cl._points(r, component), tn.Params(t1[i], t2[i], 1), coeffs[i])
+            for got, want in zip((g.horizontal[i], g.v1[i], g.v2[i]),
+                                 (one.horizontal, one.v1, one.v2)):
+                assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
 
 
 class TestNijenhuis:
@@ -669,8 +681,8 @@ class TestNijenhuis:
         rmat = np.eye(6)
         a, b, c = random_args(p, params)
         j1, j2 = p.j1.matrix, p.j2.matrix
-        qc = (params.t1 * fd.two_vector_of_endo(j1 @ c.vertical.v1)
-              + params.t2 * fd.two_vector_of_endo(j2 @ c.vertical.v2))
+        qc = (params.t1 * fd.two_vector_of_endo(j1 @ c.v1)
+              + params.t2 * fd.two_vector_of_endo(j2 @ c.v2))
         term = float((rmat @ qc) @ (fd.wedge_of_pair(a.horizontal, b.horizontal)
                                     - fd.wedge_of_pair(j1 @ a.horizontal, j1 @ b.horizontal)))
         e = -1.0  # (-1)^n for n = 1
@@ -725,9 +737,8 @@ class TestRestriction:
         rmat = np.stack([cur.random_strict_operator(rng) for _ in range(16)])
         p = cl._points(rows, ("++", "+-")[(n - 1) % 2])
         params = tn.Params(t[:, 0], t[:, 1], n)
-        frame = tn.frame_at_point(p, params)
-        args = [tn.frame_combination(frame, rng.standard_normal((16, 8))) for _ in range(3)]
-        first = [tn.gtangent(g.horizontal, g.vertical.v1, np.zeros_like(g.vertical.v2))
+        args = [tn.frame_vectors(p, params, rng.standard_normal((16, 8))) for _ in range(3)]
+        first = [tn.gtangent(g.horizontal, g.v1, np.zeros_like(g.v2))
                  for g in args]
         return p, rmat, params, first
 
@@ -735,10 +746,10 @@ class TestRestriction:
     def test_stacked_values_are_those_of_the_public_evaluators(self, n):
         p, rmat, params, (a, b, c) = self.first_factor_block(n, np.random.default_rng(900 + n))
         k = 1 if n in (1, 2) else 2
-        sa, sb, sc = (tn.SingleTangent(g.horizontal, g.vertical.v1) for g in (a, b, c))
+        sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1) for g in (a, b, c))
         t = params.t1
         want = {
-            "cov_deriv": abs(tn.cov_deriv_omega(p, rmat, params, a, b, c)
+            "cov_deriv": abs(cov_deriv_omega(p, rmat, params, a, b, c)
                              - tn.single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
             "ext_deriv": abs(tn.ext_deriv_omega(p, rmat, params, a, b, c)
                              - tn.single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
@@ -758,21 +769,21 @@ class TestRestriction:
         p, rmat, params, args = self.first_factor_block(2, np.random.default_rng(910))
         g = args[slot]
         # trial 5 not tangent: a part of J1 commutes with J1
-        v1 = g.vertical.v1.copy()
+        v1 = g.v1.copy()
         v1[5] += 1e-3 * p.j1.matrix[5]
         bad = list(args)
-        bad[slot] = tn.gtangent(g.horizontal, v1, g.vertical.v2)
+        bad[slot] = tn.gtangent(g.horizontal, v1, g.v2)
         with pytest.raises(tn.TangencyError, match="anticommute"):
             tn.restriction_residuals(p, rmat, params, *bad)
         # trial 11 with a second-factor part that is itself vertical
-        v2 = g.vertical.v2.copy()
-        v2[11] = fd.vertical_basis(p.j2)[0][11]
-        bad[slot] = tn.gtangent(g.horizontal, g.vertical.v1, v2)
+        v2 = g.v2.copy()
+        v2[11] = vertical_pair(p.j2)[0][11]
+        bad[slot] = tn.gtangent(g.horizontal, g.v1, v2)
         with pytest.raises(tn.TangencyError, match="second-factor"):
             tn.restriction_residuals(p, rmat, params, *bad)
         # a NaN second-factor part
         v2[11] = np.nan
-        bad[slot] = tn.gtangent(g.horizontal, g.vertical.v1, v2)
+        bad[slot] = tn.gtangent(g.horizontal, g.v1, v2)
         with pytest.raises(tn.TangencyError):
             tn.restriction_residuals(p, rmat, params, *bad)
 
