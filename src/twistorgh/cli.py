@@ -84,6 +84,13 @@ def _fail(exc, code: int) -> int:
     return code
 
 
+def _out_of_memory(exc: MemoryError, args) -> int:
+    """A sampling config too large to allocate is a bad input, not a suite failure."""
+    detail = f": {exc}" if str(exc) else ""
+    return _fail(f"not enough memory for --samples {args.samples} --triples {args.triples}"
+                 f"{detail}", EXIT_VALIDATION)
+
+
 def _emit(text: str, output: str | None) -> int:
     """Write a report to ``output`` or stdout; EXIT_INPUT if the file cannot be written."""
     if not output:
@@ -151,6 +158,8 @@ def cmd_classify(args) -> int:
                                      args.n, _sampling_config(args), source=source)
     except ValueError as exc:  # ClassifierError, CurvatureError or invalid Params
         return _fail(exc, EXIT_VALIDATION)
+    except MemoryError as exc:
+        return _out_of_memory(exc, args)
     return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
 
 
@@ -165,9 +174,11 @@ def cmd_verify(args) -> int:
         if args.id not in classifier.THEOREM_IDS:
             return _fail(f"unknown statement id {args.id!r}; "
                          f"known: {', '.join(classifier.THEOREM_IDS)}", EXIT_INPUT)
-        results = [classifier.verify_theorem(args.id, cfg)]
-    else:
-        results = classifier.verify_all(cfg)
+    try:
+        results = ([classifier.verify_theorem(args.id, cfg)] if args.id is not None
+                   else classifier.verify_all(cfg))
+    except MemoryError as exc:
+        return _out_of_memory(exc, args)
     detailed = args.id is not None
     for r in results:
         print(f"{r.tid}  {'PASS' if r.passed else 'FAIL'}  {r.statement}")

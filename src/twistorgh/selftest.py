@@ -23,13 +23,15 @@ A tensor-oracle trial makes two draws: its weights, then one row of normals
 for its operator, point and argument coefficients.  Blocks of 128 trials
 are then evaluated stacked: the block's operators are built and checked in
 one call each, and its residuals come from one call per group of 32 trials
-of equal n = 1 + i % 4.  An identity oracle's group runs the classifier's
-route before it builds the closed form's arguments, so it peaks at
-the larger of the two routes, not their sum.  Failures, NaN residuals
-included, name the worst trial, reproducible from the seed.  The Nijenhuis
-closed form writes out the signs that the frame tensor reads from
-``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity check; a
-tier-1 test negates the table to show it.
+of equal n = 1 + i % 4.  Both routes take the drawn frame coefficients as
+they are: the closed forms build their arguments' vectors from them (the
+restriction from those of E_0..E_5), so there is no tangent to check.  An
+identity oracle's group runs the classifier's route before it calls the
+closed form, so it peaks at the larger of the two routes, not their sum.
+Failures, NaN residuals included, name the worst trial, reproducible from the
+seed.  The Nijenhuis closed form writes out the signs that the frame tensor
+reads from ``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity
+check; a tier-1 test negates the table to show it.
 """
 
 from __future__ import annotations
@@ -130,27 +132,21 @@ _IDENTITIES = {
 }
 
 
-def _arguments(p, params: Params, coeffs, slots: int) -> list:
-    """The tangent vectors of the first ``slots`` rows of frame coefficients."""
-    return [tensors.frame_vectors(p, params, coeffs[:, s]) for s in range(slots)]
-
-
 def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarray:
     """Residuals of trials of one structure index n, evaluated stacked."""
     params = Params(t1, t2, n)
     p = classifier._points(rows, ("++", "+-")[(n - 1) % 2])
-    if kind == "restriction":
-        first = [tensors.gtangent(g.horizontal, g.v1)
-                 for g in _arguments(p, params, coeffs, 3)]
+    if kind == "restriction":  # the coefficients of E_0..E_5: first-factor arguments
+        first = np.moveaxis(coeffs[..., :6], 1, 0)
         return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
     cond, closed_form, slots = _IDENTITIES[kind]
     # the classifier's route, the frame tensor contracted by the condition, runs
-    # before the closed form's arguments exist, so a group's peak memory
-    # is the larger of the two routes, not their sum
+    # before the closed form builds its arguments' vectors, so a group's peak
+    # memory is the larger of the two routes, not their sum
     value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
                                         coeffs[:, None], (cond,))[cond][:, 0]
     res = np.abs(getattr(tensors, closed_form)(p, rmat, params,
-                                               *_arguments(p, params, coeffs, slots)) - value)
+                                               *np.moveaxis(coeffs[:, :slots], 1, 0)) - value)
     # the frame is H_t-orthonormal, so coefficient norms are H_t norms
     return res / (1.0 + np.prod(np.linalg.norm(coeffs[:, :slots], axis=-1), axis=-1))
 

@@ -32,21 +32,22 @@ follow from a few stacked products (see its docstring).  The frame tensor is
 the only route of the classifier and the theorem suite: they derive D Omega,
 d Omega, delta Omega and the Nijenhuis pairing from it.  Closed forms of the
 last three are the oracles ``selftest`` compares it with: ``ext_deriv_omega``,
-``codiff_omega`` and ``nijenhuis_closed_form``, on arguments that
-``frame_vectors`` builds from frame coefficients.  They evaluate through the
-per-argument views ``_ArgView``, so the classifier's route and the closed forms
-share no code above ``fourdim`` except the sign tables, and the oracles
-compare independent routes.  An evaluator of three arguments broadcasts them
-to common leading axes and stacks them (``_stack``), checks the stack once
-and, but for the Nijenhuis form, views it once and passes the view's slices to
-its kernel.  ``nijenhuis_closed_form`` writes its signs out from n instead of
-taking EPS and SIGMA, so a corrupted sign table is caught: the tests negate
-SIGMA and see the nijenhuis-identity oracle fail.  The
+``codiff_omega`` and ``nijenhuis_closed_form``.  Their arguments are frame
+coefficients: an array x of shape (..., 8) stands for sum_a x[a] E_a in the
+frame of ``frame_vectors``, a tangent whatever its values, so no argument is
+checked.  An evaluator broadcasts its coefficient arrays to common leading
+axes, stacks them and builds their vectors with one ``frame_vectors`` call;
+but for the Nijenhuis form, it views the stack once (``_ArgView``) and passes
+the view's slices to its kernel.  The classifier's route and the closed forms
+share no code above ``fourdim`` except the sign tables, so the oracles compare
+independent routes.  ``nijenhuis_closed_form`` writes its signs out from n
+instead of taking EPS and SIGMA, so a corrupted sign table is caught: the
+tests negate SIGMA and see the nijenhuis-identity oracle fail.  The
 single-fibre restrictions (arguments with vanishing second factor) have their
 own code path, which ``restriction_residuals`` compares with the product
-tensors.  H_t, Jn and Omega have no checked evaluator here: the frame tensor
-carries Jn as the matrix M, and the tests keep their references for H_t and
-Jn in tests/reference.py.
+tensors on coefficients of E_0..E_5.  H_t, Jn and Omega have no public
+evaluator here: the frame tensor carries Jn as the matrix M, and the tests
+keep their references for H_t and Jn in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -70,14 +71,8 @@ SIGMA = {1: 1.0, 2: -1.0, 3: -1.0, 4: 1.0}
 #: vertical action of Jn: (k1 J1 V1, k2 J2 V2)
 KSIGNS = {1: (1.0, 1.0), 2: (1.0, -1.0), 3: (-1.0, 1.0), 4: (-1.0, -1.0)}
 
-VERTICAL_TOL = 1e-10
-
 #: the rows R w_j behind R p_k (k = 0..3), then R q_k: q_k turns w_k into u x w_k
 _PQ_ROWS = np.array([0, 1, 2, 3, 1, 0, 3, 2])
-
-
-class TangencyError(ValueError):
-    """A vector that must be vertical at the given point is not."""
 
 
 @dataclass(frozen=True)
@@ -107,76 +102,18 @@ class ProductTwistorPoint:
 
 @dataclass(frozen=True, eq=False)
 class GTangent:
-    """A tangent: the horizontal 4-vector and the vertical pair (V1, V2)."""
+    """A tangent: the horizontal 4-vector and the vertical pair (V1, V2), as
+    ``frame_vectors`` builds it from frame coefficients."""
 
     horizontal: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
 
 
-def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
-    """A tangent from its parts; a missing part is zero with the leading axes
-    of the given parts, so stacked parts give a stacked tangent."""
-    lead = np.broadcast_shapes(*(np.shape(x)[:-k] for x, k in ((horizontal, 1), (v1, 2), (v2, 2))
-                                 if x is not None))
-    h = np.zeros(lead + (4,)) if horizontal is None else np.asarray(horizontal, dtype=float)
-    m1 = np.zeros(lead + (4, 4)) if v1 is None else np.asarray(v1, dtype=float)
-    m2 = np.zeros(lead + (4, 4)) if v2 is None else np.asarray(v2, dtype=float)
-    return GTangent(h, m1, m2)
-
-
-def check_vertical(p: ProductTwistorPoint, a: GTangent, tol: float = VERTICAL_TOL) -> GTangent:
-    """Each vertical part of ``a`` skew and anticommuting with its structure, to
-    ``tol`` times max(1, max|part|), so roundoff in a large vector is not read as
-    a defect.  A stacked vector is checked part by part, each against its own
-    magnitude."""
-    for jm, vm, label in ((p.j1.matrix, a.v1, "v1"), (p.j2.matrix, a.v2, "v2")):
-        vm = np.asarray(vm, dtype=float)
-        bound = tol * np.maximum(1.0, np.abs(vm).max(axis=(-2, -1)))
-        err = np.abs(vm + np.swapaxes(vm, -1, -2)).max(axis=(-2, -1))
-        if not (err <= bound).all():  # written so that a NaN fails
-            raise TangencyError(f"vertical part {label} is not skew: {np.max(err):.3e}")
-        err = np.abs(jm @ vm + vm @ jm).max(axis=(-2, -1))
-        if not (err <= bound).all():
-            raise TangencyError(
-                f"vertical part {label} does not anticommute with the structure: {np.max(err):.3e}")
-    return a
-
-
-def check_gtangent(p: ProductTwistorPoint, a: GTangent) -> GTangent:
-    """A finite horizontal 4-vector and a vertical part (``check_vertical``)."""
-    if np.shape(a.horizontal)[-1:] != (4,):
-        raise TangencyError("horizontal part must be a 4-vector")
-    if not np.isfinite(a.horizontal).all():
-        raise TangencyError("horizontal part must be finite")
-    check_vertical(p, a)
-    return a
-
-
-def _stack(p: ProductTwistorPoint, rmat, params: Params, *args: GTangent) -> GTangent:
-    """The arguments on a new leading axis, each part broadcast to the leading
-    axes of all of them and of the point, operator and weights, so that one
-    check and one ``_ArgView`` serve them all: slice i of the view is the view
-    of argument i, broadcast to those axes."""
-    for g in args:
-        if np.shape(g.horizontal)[-1:] != (4,):
-            raise TangencyError("horizontal part must be a 4-vector")
-    parts = [(g.horizontal, g.v1, g.v2) for g in args]
-    shapes = {np.shape(x)[:-k] for ps in parts for x, k in zip(ps, (1, 2, 2))}
-    shapes |= {p.j1.matrix.shape[:-2], p.j2.matrix.shape[:-2], np.shape(rmat)[:-2],
-               np.shape(params.t1), np.shape(params.t2)}
-    lead = np.broadcast_shapes(*shapes)  # a set: they mostly agree, and each shape costs time
-    out = [np.empty((len(args),) + lead + tail) for tail in ((4,), (4, 4), (4, 4))]
-    for i, ps in enumerate(parts):
-        for o, x in zip(out, ps):
-            o[i] = x  # broadcasts x to the leading axes
-    return GTangent(*out)
-
-
 # --- metric and almost complex structure -------------------------------------
 
 def _metric(params: Params, a: GTangent, b: GTangent):
-    # H_t(a, b) for arguments already checked
+    # H_t(a, b)
     return (_dot(a.horizontal, b.horizontal)
             + params.t1 * inner_G(a.v1, b.v1)
             + params.t2 * inner_G(a.v2, b.v2))
@@ -198,8 +135,8 @@ def _op(rmat, v):
 
 
 def _acs_unchecked(p: ProductTwistorPoint, params: Params, a: GTangent) -> GTangent:
-    # Jn a for arguments valid by construction; a may be stacked along leading axes
-    # whose trailing ones broadcast against the axes of a stacked point
+    # Jn a; a may be stacked along leading axes whose trailing ones broadcast
+    # against the axes of a stacked point
     k1, k2 = KSIGNS[params.n]
     j1, j2 = p.j1.matrix, p.j2.matrix
     return GTangent(_apply(j1, a.horizontal), k1 * (j1 @ a.v1), k2 * (j2 @ a.v2))
@@ -212,11 +149,12 @@ class _ArgView:
 
     ``rpe``/``rqe`` are the endomorphisms of R p(V) and R q(V), so pairings
     <R p(V), u ^ v> reduce to v . (rpe @ u) without forming wedge vectors.
-    The argument may be stacked along leading axes; every field then carries
-    them, and a stacked point, operator (..., 6, 6) and weights broadcast
-    against the trailing ones.  Indexing a view indexes every field, so
-    ``view[i]`` of a view of arguments stacked by ``_stack`` is the view of
-    argument i, built without calling ``__init__``.
+    The argument, the vectors ``frame_vectors`` builds from frame coefficients,
+    may be stacked along leading axes; every field then carries them, and a
+    stacked point, operator (..., 6, 6) and weights broadcast against the
+    trailing ones.  Indexing a view indexes every field, so ``view[i]`` of a
+    view of arguments stacked on a first axis is the view of argument i, built
+    without calling ``__init__``.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -279,21 +217,21 @@ def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
 
 # --- public evaluators --------------------------------------------------------
 #
-# Leading axes of the arguments broadcast against those of a stacked point, of
-# operators (..., 6, 6) and of the weights, which all align; unstacked calls
-# return scalars.
+# Each argument is an array (..., 8) of frame coefficients, the tangent
+# sum_a x[a] E_a of ``frame_vectors``.  The arguments broadcast against each
+# other, and a stacked point, operators (..., 6, 6) and weights, which all
+# align, against the trailing axes of the arguments, so a stacked point needs
+# arguments stacked along its axes.  Unstacked calls return scalars.
 
-def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
-                    a: GTangent, b: GTangent, c: GTangent) -> float:
+def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params, a, b, c) -> float:
     """d Omega(A, B, C); fully antisymmetric."""
-    v = _ArgView(p, rmat, params, check_gtangent(p, _stack(p, rmat, params, a, b, c)))
+    v = _ArgView(p, rmat, params, frame_vectors(p, params, np.stack(np.broadcast_arrays(a, b, c))))
     return _dext(params, v[0], v[1], v[2])
 
 
-def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a: GTangent) -> float:
+def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a) -> float:
     """delta Omega(A) = -2 <R q(V), J1^> on verticals, 0 on horizontals."""
-    check_gtangent(p, a)
-    return _dcodiff(p, _ArgView(p, rmat, params, a))
+    return _dcodiff(p, _ArgView(p, rmat, params, frame_vectors(p, params, a)))
 
 
 def frame_vectors(p: ProductTwistorPoint, params: Params, coeffs) -> GTangent:
@@ -357,14 +295,13 @@ def frame_tensor(p: ProductTwistorPoint, rmat, params: Params) -> tuple[np.ndarr
     return t, m
 
 
-def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
-                          a: GTangent, b: GTangent, c: GTangent) -> float:
+def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c) -> float:
     """H_t(N(A, B), C) in closed form; an oracle for the classifier's N condition.
 
     The signs (-1)^n and sigma(n) are written out here rather than read from
     EPS and SIGMA, so corrupting those tables is detectable.
     """
-    check_gtangent(p, _stack(p, rmat, params, a, b, c))
+    g = frame_vectors(p, params, np.stack(np.broadcast_arrays(a, b, c)))
     n = params.n
     e = -1.0 if n % 2 else 1.0
     sigma = 1.0 if n in (1, 4) else -1.0
@@ -372,16 +309,15 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params,
     j2 = p.j2.matrix
     t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
 
-    cv1, cv2 = c.v1, c.v2
+    (ax, bx, cx), (av1, bv1, cv1), cv2 = g.horizontal, g.v1, g.v2[2]
     pc = sigma * t1 * two_vector_of_endo(cv1) + t2 * two_vector_of_endo(cv2)
     qc = t1 * two_vector_of_endo(j1 @ cv1) + t2 * two_vector_of_endo(j2 @ cv2)
-    ax, bx, cx = a.horizontal, b.horizontal, c.horizontal
     jax, jbx = _apply(j1, ax), _apply(j1, bx)
 
     val = (2.0 * e * _pair(wedge_of_pair(ax, jbx) + wedge_of_pair(jax, bx), rmat, pc)
            - 2.0 * _pair(wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx), rmat, qc))
     if n in (3, 4):
-        val = val + 2.0 * (_pair(cx, j1 @ b.v1, ax) - _pair(cx, j1 @ a.v1, bx))
+        val = val + 2.0 * (_pair(cx, j1 @ bv1, ax) - _pair(cx, j1 @ av1, bx))
     return val
 
 
@@ -442,30 +378,30 @@ def single_codiff(j: OrientedComplexStructure4, rmat, t: float,
 
 
 def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
-                          a: GTangent, b: GTangent, c: GTangent) -> dict[str, float]:
+                          a, b, c) -> dict[str, float]:
     """Product tensors on first-factor arguments vs. the single-fibre forms.
 
-    Arguments must have vanishing second vertical component; n in {1, 2} pairs
-    with the single structure k = 1, n in {3, 4} with k = 2, and the single
-    metric weight is t1.  All residuals are identically zero.  The arguments
-    are checked once and viewed once, as one stack, so the codiff residual of
-    A carries the leading axes of all three, as the derivative residuals do;
-    the product side is the arithmetic of the derivative kernel ``_dcov``, of
+    The arguments are coefficients (..., 6) of E_0..E_5, so their second
+    vertical component vanishes; n in {1, 2} pairs with the single structure
+    k = 1, n in {3, 4} with k = 2, and the single metric weight is t1.  All
+    residuals are identically zero.  The arguments are broadcast, stacked and
+    viewed once, so every residual carries the leading axes of all three; the
+    product side is the arithmetic of the derivative kernel ``_dcov``, of
     ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
     """
-    abc = check_gtangent(p, _stack(p, rmat, params, a, b, c))
-    if not np.max(np.abs(abc.v2)) <= VERTICAL_TOL:  # written so that a NaN fails
-        raise TangencyError("restriction arguments must have zero second-factor vertical part")
-    v = _ArgView(p, rmat, params, abc)
+    abc = np.stack(np.broadcast_arrays(a, b, c))
+    g = frame_vectors(p, params, np.concatenate((abc, np.zeros(abc.shape[:-1] + (2,))), axis=-1))
+    v = _ArgView(p, rmat, params, g)
     av, bv, cv = v[0], v[1], v[2]
+    ga, gb, _ = (GTangent(*parts) for parts in zip(g.horizontal, g.v1, g.v2))
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
-    sa, sb, sc = (SingleTangent(g.horizontal, g.v1) for g in (a, b, c))
+    sa, sb, sc = (SingleTangent(h, v1) for h, v1 in zip(g.horizontal, g.v1))
     return {
         "cov_deriv": abs(_dcov(params, av, bv, cv)
                          - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
         "ext_deriv": abs(_dext(params, av, bv, cv)
                          - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
         "codiff": abs(_dcodiff(p, av) - single_codiff(p.j1, rmat, t, sa)),
-        "metric": abs(_metric(params, a, b) - single_metric(p.j1, t, sa, sb)),
+        "metric": abs(_metric(params, ga, gb) - single_metric(p.j1, t, sa, sb)),
     }

@@ -1,10 +1,15 @@
-"""Checked references for the metric H_t, the almost complex structure Jn and
-the covariant derivative D Omega on tangents of the product twistor space, for
-the tests of the frame tensor, its frame, the classifier's contractions and
-the theorem suite's counterexamples; the closed-form evaluators with each
-argument checked and viewed on its own, for the tests of their stacked
-arguments; and Rodrigues's rotation for the tests of the structures' vertical
-basis rows."""
+"""References for the metric H_t and the almost complex structure Jn on
+tangents of the product twistor space, and the frame coefficients of a tangent
+built by hand, for the tests of the frame tensor, its frame, the classifier's
+contractions and the theorem suite's counterexamples; the covariant derivative
+D Omega on frame coefficients; the closed-form kernels on arguments viewed one
+at a time, for the tests of the closed forms' stacked arguments; and
+Rodrigues's rotation for the tests of the structures' vertical basis rows.
+
+Like the closed forms, the helpers that take frame coefficients check nothing:
+coefficients stand for a tangent whatever their values.  The tangents built by
+hand (``gtangent``) are the tests' own, and ``coefficients`` reads them in the
+H_t-orthonormal frame of ``frame_vectors``."""
 
 import numpy as np
 
@@ -19,8 +24,7 @@ from twistorgh.tensors import (
     _dcov,
     _dext,
     _metric,
-    _stack,
-    check_gtangent,
+    frame_vectors,
     single_codiff,
     single_cov_deriv,
     single_ext_deriv,
@@ -28,51 +32,70 @@ from twistorgh.tensors import (
 )
 
 
+def gtangent(horizontal=None, v1=None, v2=None) -> GTangent:
+    """A tangent from its parts; a missing part is zero with the leading axes
+    of the given parts, so stacked parts give a stacked tangent."""
+    lead = np.broadcast_shapes(*(np.shape(x)[:-k] for x, k in ((horizontal, 1), (v1, 2), (v2, 2))
+                                 if x is not None))
+    h = np.zeros(lead + (4,)) if horizontal is None else np.asarray(horizontal, dtype=float)
+    m1 = np.zeros(lead + (4, 4)) if v1 is None else np.asarray(v1, dtype=float)
+    m2 = np.zeros(lead + (4, 4)) if v2 is None else np.asarray(v2, dtype=float)
+    return GTangent(h, m1, m2)
+
+
 def metric_Ht(p: ProductTwistorPoint, a: GTangent, b: GTangent, params: Params) -> float:
-    check_gtangent(p, a)
-    check_gtangent(p, b)
     return _metric(params, a, b)
 
 
 def acs(p: ProductTwistorPoint, a: GTangent, params: Params) -> GTangent:
     """Almost complex structure Jn: horizontal part by J1, vertical by Kn."""
-    check_gtangent(p, a)
     return _acs_unchecked(p, params, a)
 
 
-def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params,
-                    a: GTangent, b: GTangent, c: GTangent):
-    """(D_A Omega)(B, C), assembled from the component formulas by the kernel
-    ``_dcov``: the oracle for the frame tensor T, which the classifier reads."""
-    v = _ArgView(p, rmat, params, check_gtangent(p, _stack(p, rmat, params, a, b, c)))
+def coefficients(p: ProductTwistorPoint, params: Params, a: GTangent) -> np.ndarray:
+    """The frame coefficients x[..., i] = H_t(E_i, A) of a tangent A, which the
+    closed forms take: the frame (E_i) of ``frame_vectors`` is H_t-orthonormal,
+    so A = sum_i x[i] E_i when A is tangent."""
+    return np.stack([metric_Ht(p, frame_vectors(p, params, e), a, params) for e in np.eye(8)],
+                    axis=-1)
+
+
+def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params, a, b, c):
+    """(D_A Omega)(B, C) on frame coefficients, assembled from the component
+    formulas by the kernel ``_dcov``: the oracle for the frame tensor T, which
+    the classifier reads.  The arguments are stacked and viewed once, as the
+    closed forms in ``tensors`` do."""
+    v = _ArgView(p, rmat, params, frame_vectors(p, params, np.stack(np.broadcast_arrays(a, b, c))))
     return _dcov(params, v[0], v[1], v[2])
 
 
-def one_by_one(kernel, p: ProductTwistorPoint, rmat, params: Params,
-               a: GTangent, b: GTangent, c: GTangent):
-    """``kernel`` (``_dcov`` or ``_dext``) on arguments checked and viewed one
-    at a time: ``cov_deriv_omega`` and ``ext_deriv_omega`` check and view them
-    as one stack instead."""
-    for g in (a, b, c):
-        check_gtangent(p, g)
-    return kernel(params, *(_ArgView(p, rmat, params, g) for g in (a, b, c)))
+def _view(p: ProductTwistorPoint, rmat, params: Params, x) -> _ArgView:
+    return _ArgView(p, rmat, params, frame_vectors(p, params, x))
 
 
-def restriction_one_by_one(p: ProductTwistorPoint, rmat, params: Params,
-                           a: GTangent, b: GTangent, c: GTangent) -> dict:
-    """The values of ``restriction_residuals``, with each argument checked and
-    viewed on its own."""
+def one_by_one(kernel, p: ProductTwistorPoint, rmat, params: Params, a, b, c):
+    """``kernel`` (``_dcov`` or ``_dext``) on frame coefficients viewed one at
+    a time: ``cov_deriv_omega`` and ``ext_deriv_omega`` view them as one stack
+    instead."""
+    return kernel(params, *(_view(p, rmat, params, x) for x in (a, b, c)))
+
+
+def restriction_one_by_one(p: ProductTwistorPoint, rmat, params: Params, a, b, c) -> dict:
+    """The values of ``restriction_residuals`` on coefficients (..., 6) of
+    E_0..E_5, with each argument viewed on its own."""
+    a, b, c = (np.concatenate((x, np.zeros(np.shape(x)[:-1] + (2,))), axis=-1)
+               for x in (a, b, c))
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
-    sa, sb, sc = (SingleTangent(g.horizontal, g.v1) for g in (a, b, c))
+    ga, gb, gc = (frame_vectors(p, params, x) for x in (a, b, c))
+    sa, sb, sc = (SingleTangent(g.horizontal, g.v1) for g in (ga, gb, gc))
     return {
         "cov_deriv": abs(one_by_one(_dcov, p, rmat, params, a, b, c)
                          - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
         "ext_deriv": abs(one_by_one(_dext, p, rmat, params, a, b, c)
                          - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
-        "codiff": abs(_dcodiff(p, _ArgView(p, rmat, params, check_gtangent(p, a)))
-                      - single_codiff(p.j1, rmat, t, sa)),
-        "metric": abs(metric_Ht(p, a, b, params) - single_metric(p.j1, t, sa, sb)),
+        "codiff": abs(_dcodiff(p, _view(p, rmat, params, a)) - single_codiff(p.j1, rmat, t, sa)),
+        "metric": abs(metric_Ht(p, ga, gb, params) - single_metric(p.j1, t, sa, sb)),
     }
 
 

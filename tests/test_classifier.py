@@ -9,7 +9,7 @@ from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, selftest, tensors as tn
 
 from random_fourdim import half
-from reference import acs, cov_deriv_omega
+from reference import acs, coefficients, cov_deriv_omega, gtangent
 
 RNG = np.random.default_rng(606)
 
@@ -209,10 +209,12 @@ class TestOrientationSymmetry:
             p = cl._points(rng.standard_normal(6), comp)
             p2 = tn.ProductTwistorPoint(*(reversed_structure(phi, j) for j in (p.j1, p.j2)))
             for _ in range(10):
-                abc = [tn.frame_vectors(p, params, rng.standard_normal(8)) for _ in range(3)]
-                abc2 = [tn.gtangent(phi @ g.horizontal,
-                                    phi @ g.v1 @ phi.T,
-                                    phi @ g.v2 @ phi.T) for g in abc]
+                abc = [rng.standard_normal(8) for _ in range(3)]
+                # the same tangents pushed forward, read in the frame at p2
+                abc2 = [coefficients(p2, params, gtangent(phi @ g.horizontal,
+                                                          phi @ g.v1 @ phi.T,
+                                                          phi @ g.v2 @ phi.T))
+                        for g in (tn.frame_vectors(p, params, x) for x in abc)]
                 assert cov_deriv_omega(p2, rmat2, params, *abc2) == pytest.approx(
                     cov_deriv_omega(p, rmat, params, *abc), abs=1e-10)
                 assert tn.codiff_omega(p2, rmat2, params, abc2[0]) == pytest.approx(
@@ -338,8 +340,10 @@ class TestFrameTensorContractions:
             T, M = tn.frame_tensor(p, rmat, params)
             values = cl.condition_values(T, M, coeffs)
             for k in range(len(coeffs)):
-                a, b, c = (tn.frame_vectors(p, params, x) for x in coeffs[k])
-                ja, jb, jc = (acs(p, g, params) for g in (a, b, c))
+                a, b, c = coeffs[k]
+                # Jn of each argument by the reference, read in the frame
+                ja, jb, jc = (coefficients(p, params, acs(p, g, params))
+                              for g in (tn.frame_vectors(p, params, x) for x in (a, b, c)))
 
                 def d(x, y, z):
                     return cov_deriv_omega(p, rmat, params, x, y, z)
@@ -534,12 +538,13 @@ class TestTheoremSuite:
         # 4.2a: V = (0, s1+), X = e1, Y = e3; 4.6a: delta Omega of V = (0, s3+)
         p = cl._counterexample_point()
         const12 = cur.model("constant_curvature", s=12.0)
-        x, y = (tn.gtangent(horizontal=np.eye(4)[i]) for i in (0, 2))
+        x, y = (gtangent(horizontal=np.eye(4)[i]) for i in (0, 2))
+        p42, p46 = tn.Params(1.0, 1.0, 1), tn.Params(3.0 / 12.0, 1.0, 3)
         want = {
-            "4.2a": cov_deriv_omega(p, const12, tn.Params(1.0, 1.0, 1),
-                                    tn.gtangent(v2=fd.S_BASIS_ENDOS[0]), x, y),
-            "4.6a": tn.codiff_omega(p, const12, tn.Params(3.0 / 12.0, 1.0, 3),
-                                    tn.gtangent(v2=fd.S_BASIS_ENDOS[2])),
+            "4.2a": cov_deriv_omega(p, const12, p42, *(
+                coefficients(p, p42, g) for g in (gtangent(v2=fd.S_BASIS_ENDOS[0]), x, y))),
+            "4.6a": tn.codiff_omega(p, const12, p46,
+                                    coefficients(p, p46, gtangent(v2=fd.S_BASIS_ENDOS[2]))),
         }
         for tid, value in want.items():
             (got,) = [c["value"] for c in cl.verify_theorem(tid, FAST).checks

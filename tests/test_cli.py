@@ -380,6 +380,24 @@ def test_negative_seed_is_a_validation_error(capsys, argv):
     assert "seed must be a non-negative integer" in err
 
 
+@pytest.mark.parametrize("argv", [["classify", "--model", "flat", "--component", "++", "--n", "1"],
+                                  ["verify", "--id", "4.2a"],
+                                  ["verify", "--all"]])
+@pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array", ""])
+def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
+    # a sampling config too large to allocate (--triples 100000000) is a bad
+    # input, not a suite failure; the failed allocation is simulated, since
+    # a real one may succeed and fill the memory
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cl, "condition_residuals", no_memory)
+    code, out, err = run_cli(capsys, *argv, *FAST)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith("error: not enough memory for --samples 12 --triples 6")
+    assert message in err and err.count("\n") == 1
+
+
 def test_cached_parser_carries_nothing_between_calls(capsys, tmp_path):
     # one parser serves every call of the process, so no call may see the
     # options or the defaults of the call before it

@@ -84,10 +84,9 @@ def scalar_worst(kind, seed, trials):
         component, n = ("++", "+-")[i % 2], 1 + i % 4
         params = tn.Params(t1, t2, n)
         p = cl._points(row, component)
-        args = [tn.frame_vectors(p, params, x) for x in coeffs]
         value = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[None],
                                     (cond,))[cond][0]
-        res = abs(getattr(tn, closed_form)(p, rmat, params, *args[:slots]) - value)
+        res = abs(getattr(tn, closed_form)(p, rmat, params, *coeffs[:slots]) - value)
         res /= 1.0 + np.prod(np.linalg.norm(coeffs[:slots], axis=1))
         if res > best:
             best, worst = res, {"trial": i, "component": component, "n": n}

@@ -7,7 +7,8 @@ from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, tensors as tn
 
 from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo, vertical_pair
-from reference import acs, cov_deriv_omega, metric_Ht, one_by_one, restriction_one_by_one
+from reference import (acs, coefficients, cov_deriv_omega, gtangent, metric_Ht, one_by_one,
+                       restriction_one_by_one)
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -19,8 +20,19 @@ def point(component="++", rng=RNG):
     return tn.ProductTwistorPoint(random_ocs(s1, rng), random_ocs(s2, rng))
 
 
+def random_coeffs(k=3, rng=RNG):
+    """k rows of frame coefficients, the arguments the closed forms take."""
+    return [rng.standard_normal(8) for _ in range(k)]
+
+
 def random_args(p, params, k=3, rng=RNG):
-    return [tn.frame_vectors(p, params, rng.standard_normal(8)) for _ in range(k)]
+    """k tangents, for the references of H_t and Jn."""
+    return [tn.frame_vectors(p, params, x) for x in random_coeffs(k, rng)]
+
+
+def read(p, params, *tangents):
+    """The frame coefficients of tangents built by hand."""
+    return [coefficients(p, params, g) for g in tangents]
 
 
 def canonical_point():
@@ -35,11 +47,10 @@ def omega(p, a, b, params):
 
 
 def production(cond, p, rmat, params, *args):
-    """Condition ``cond`` on ``args`` by the classifier's route, from the frame
-    coefficients x[a] = H_t(E_a, A) of each argument."""
-    frame = tn.frame_vectors(p, params, np.eye(8))
-    x = np.array([[metric_Ht(p, row(frame, a), g, params) for a in range(8)] for g in args])
-    return float(cl.condition_values(*tn.frame_tensor(p, rmat, params), x[None], (cond,))[cond][0])
+    """Condition ``cond`` by the classifier's route on the frame coefficients
+    ``args``."""
+    x = np.array(args)[None]
+    return float(cl.condition_values(*tn.frame_tensor(p, rmat, params), x, (cond,))[cond][0])
 
 
 class TestParams:
@@ -60,20 +71,20 @@ class TestMetric:
     def test_horizontal_lift_is_isometric(self):
         p = point()
         params = tn.Params(3.0, 0.5, 1)
-        a = tn.gtangent(horizontal=E[0])
+        a = gtangent(horizontal=E[0])
         assert metric_Ht(p, a, a, params) == pytest.approx(1.0)
 
     def test_vertical_scaling(self):
         p = point()
         u2, _ = vertical_pair(p.j1)
-        a = tn.gtangent(v1=u2)  # G-unit vertical direction
+        a = gtangent(v1=u2)  # G-unit vertical direction
         assert metric_Ht(p, a, a, tn.Params(3.0, 1.0, 1)) == pytest.approx(3.0)
 
     def test_no_cross_term(self):
         p = point()
         u2, _ = vertical_pair(p.j2)
-        a = tn.gtangent(horizontal=RNG.standard_normal(4))
-        b = tn.gtangent(v2=u2)
+        a = gtangent(horizontal=RNG.standard_normal(4))
+        b = gtangent(v2=u2)
         assert metric_Ht(p, a, b, tn.Params(1.3, 0.7, 2)) == 0.0
 
     def test_positive_definite(self):
@@ -82,56 +93,19 @@ class TestMetric:
         for a in random_args(p, params):
             assert metric_Ht(p, a, a, params) > 0.0
 
-    def test_verticality_enforced(self):
-        p = point()
-        bad = tn.gtangent(v1=p.j1.matrix)
-        with pytest.raises(tn.TangencyError, match="anticommute"):
-            metric_Ht(p, bad, bad, tn.Params(1.0, 1.0, 1))
-
     def test_large_vertical_vector_is_accepted(self):
-        # roundoff in J V + V J grows with |V|; at |V| ~ 1e7 it exceeds 1e-10
+        # a vector of |V| ~ 1e7 read in the frame and evaluated scales linearly
         rng = np.random.default_rng(17)
         p = point("+-", rng)
         v1 = random_vertical_endo(p.j1, rng)
         v2 = random_vertical_endo(p.j2, rng)
-        x, y = (tn.gtangent(horizontal=h) for h in rng.standard_normal((2, 4)))
+        x, y = (gtangent(horizontal=h) for h in rng.standard_normal((2, 4)))
         params = tn.Params(0.9, 1.4, 3)
         rmat = cur.model("constant_curvature", s=12.0)
-        unit = cov_deriv_omega(p, rmat, params, tn.gtangent(v1=v1, v2=v2), x, y)
-        big = cov_deriv_omega(p, rmat, params, tn.gtangent(v1=1e7 * v1, v2=1e7 * v2), x, y)
+        unit = cov_deriv_omega(p, rmat, params, *read(p, params, gtangent(v1=v1, v2=v2), x, y))
+        big = cov_deriv_omega(p, rmat, params,
+                              *read(p, params, gtangent(v1=1e7 * v1, v2=1e7 * v2), x, y))
         assert big == pytest.approx(1e7 * unit, rel=1e-9)
-
-    def test_relative_defect_is_rejected(self):
-        # a part of 1e-6 of max|V| that commutes with J1 is not roundoff
-        rng = np.random.default_rng(17)
-        p = point("+-", rng)
-        v1 = random_vertical_endo(p.j1, rng, scale=1e7)
-        bad = tn.gtangent(v1=v1 + 1e-6 * np.abs(v1).max() * p.j1.matrix)
-        x = tn.gtangent(horizontal=rng.standard_normal(4))
-        with pytest.raises(tn.TangencyError, match="anticommute"):
-            cov_deriv_omega(p, cur.model("flat"), tn.Params(1.0, 1.0, 1), bad, x, x)
-
-
-    def test_stacked_vectors_are_bounded_one_by_one(self):
-        # a 1e7-scale vector in the stack must not loosen the bound of the
-        # unit-scale one next to it: 1e-9 is roundoff at 1e7, a defect at 1
-        rng = np.random.default_rng(18)
-        p = point("+-", rng)
-        big = random_vertical_endo(p.j1, rng, scale=1e7)
-        unit = random_vertical_endo(p.j1, rng)
-        sym = np.diag([1.0, 0.0, 0.0, 0.0])
-        zero = np.zeros((2, 4, 4))
-        tn.check_vertical(p, tn.gtangent(v1=np.stack((big, unit)), v2=zero))
-        with pytest.raises(tn.TangencyError, match="not skew"):
-            tn.check_vertical(p, tn.gtangent(v1=np.stack((big, unit + 1e-9 * sym)), v2=zero))
-
-    def test_nan_vertical_part_is_rejected(self):
-        p = point()
-        nan = np.full((4, 4), np.nan)
-        with pytest.raises(tn.TangencyError):
-            tn.check_vertical(p, tn.gtangent(v1=nan))
-        with pytest.raises(tn.TangencyError):
-            tn.check_vertical(p, tn.gtangent(v1=np.stack((np.zeros((4, 4)), nan))))
 
 
 class TestAlmostComplexStructures:
@@ -139,14 +113,14 @@ class TestAlmostComplexStructures:
         p = point()
         x = RNG.standard_normal(4)
         for n in (1, 2, 3, 4):
-            out = acs(p, tn.gtangent(horizontal=x), tn.Params(1.0, 1.0, n))
+            out = acs(p, gtangent(horizontal=x), tn.Params(1.0, 1.0, n))
             assert_allclose(out.horizontal, p.j1.matrix @ x)
 
     def test_vertical_sign_table_n3(self):
         p = point()
         v1 = random_vertical_endo(p.j1, RNG)
         v2 = random_vertical_endo(p.j2, RNG)
-        out = acs(p, tn.gtangent(v1=v1, v2=v2), tn.Params(1.0, 1.0, 3))
+        out = acs(p, gtangent(v1=v1, v2=v2), tn.Params(1.0, 1.0, 3))
         assert_allclose(out.v1, -(p.j1.matrix @ v1))
         assert_allclose(out.v2, p.j2.matrix @ v2)
 
@@ -173,8 +147,8 @@ class TestFundamentalForm:
     def test_horizontal_value(self):
         p = point()
         params = tn.Params(1.0, 1.0, 1)
-        a = tn.gtangent(horizontal=E[0])
-        b = tn.gtangent(horizontal=p.j1.matrix @ E[0])
+        a = gtangent(horizontal=E[0])
+        b = gtangent(horizontal=p.j1.matrix @ E[0])
         assert omega(p, a, b, params) == pytest.approx(1.0)
 
     def test_antisymmetry(self):
@@ -189,7 +163,7 @@ class TestFundamentalForm:
         v1 = random_vertical_endo(p.j1, RNG)
         w1 = random_vertical_endo(p.j1, RNG)
         params = tn.Params(1.0, 1.0, 1)
-        val = omega(p, tn.gtangent(v1=v1), tn.gtangent(v1=w1), params)
+        val = omega(p, gtangent(v1=v1), gtangent(v1=w1), params)
         assert val == pytest.approx(fibre.inner_G(p.j1.matrix @ v1, w1), abs=1e-12)
 
 
@@ -198,17 +172,18 @@ class TestCovariantDerivative:
         p = point("+-")
         params = tn.Params(0.7, 1.2, 3)
         rmat = cur.random_strict_operator(RNG)
-        args = [tn.gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
-        assert cov_deriv_omega(p, rmat, params, *args) == 0.0
+        args = [gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
+        assert cov_deriv_omega(p, rmat, params, *read(p, params, *args)) == 0.0
 
     def test_flat_vertical_horizontal_value(self):
         # V1 the endomorphism of s2+ at J1 = structure of s1+: <V1 e1, e3> = 1/sqrt2
         p = canonical_point()
-        v = tn.gtangent(v1=fd.endo_of_two_vector(fd.embed_half([0, 1, 0], 1)))
-        b = tn.gtangent(horizontal=E[0])
-        c = tn.gtangent(horizontal=E[2])
+        v = gtangent(v1=fd.endo_of_two_vector(fd.embed_half([0, 1, 0], 1)))
+        b = gtangent(horizontal=E[0])
+        c = gtangent(horizontal=E[2])
         for n in (1, 2, 3, 4):
-            val = cov_deriv_omega(p, np.zeros((6, 6)), tn.Params(1.0, 1.0, n), v, b, c)
+            params = tn.Params(1.0, 1.0, n)
+            val = cov_deriv_omega(p, np.zeros((6, 6)), params, *read(p, params, v, b, c))
             assert val == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_structure_index_difference(self):
@@ -217,11 +192,11 @@ class TestCovariantDerivative:
         rmat = np.eye(6)
         t1, t2 = 0.9, 1.7
         v2 = random_vertical_endo(p.j2, RNG)
-        v = tn.gtangent(v2=v2)
-        z = tn.gtangent(horizontal=RNG.standard_normal(4))
-        x = tn.gtangent(horizontal=RNG.standard_normal(4))
-        d1 = cov_deriv_omega(p, rmat, tn.Params(t1, t2, 1), z, x, v)
-        d2 = cov_deriv_omega(p, rmat, tn.Params(t1, t2, 2), z, x, v)
+        v = gtangent(v2=v2)
+        z = gtangent(horizontal=RNG.standard_normal(4))
+        x = gtangent(horizontal=RNG.standard_normal(4))
+        d1, d2 = (cov_deriv_omega(p, rmat, params, *read(p, params, z, x, v))
+                  for params in (tn.Params(t1, t2, 1), tn.Params(t1, t2, 2)))
         expected = -2.0 * t2 * float((rmat @ fd.two_vector_of_endo(v2))
                                      @ fd.wedge_of_pair(z.horizontal, x.horizontal))
         assert d1 - d2 == pytest.approx(expected, abs=1e-12)
@@ -230,7 +205,7 @@ class TestCovariantDerivative:
         p = point()
         params = tn.Params(1.3, 0.4, 4)
         rmat = cur.random_strict_operator(RNG)
-        a, b, c = random_args(p, params)
+        a, b, c = random_coeffs()
         assert cov_deriv_omega(p, rmat, params, a, b, c) == pytest.approx(
             -cov_deriv_omega(p, rmat, params, a, c, b), abs=1e-11)
 
@@ -238,9 +213,10 @@ class TestCovariantDerivative:
         p = point("+-")
         params = tn.Params(0.6, 0.9, 2)
         rmat = cur.random_strict_operator(RNG)
-        w = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
-        u = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
-        x = tn.gtangent(horizontal=RNG.standard_normal(4))
+        w = gtangent(v1=random_vertical_endo(p.j1, RNG))
+        u = gtangent(v2=random_vertical_endo(p.j2, RNG))
+        x = gtangent(horizontal=RNG.standard_normal(4))
+        w, u, x = read(p, params, w, u, x)
         assert cov_deriv_omega(p, rmat, params, w, x, u) == 0.0
         assert cov_deriv_omega(p, rmat, params, x, u, w) == 0.0
         assert cov_deriv_omega(p, rmat, params, w, u, w) == 0.0
@@ -281,9 +257,8 @@ class TestFrameTensor:
             # the frame along one argument axis each: the evaluators broadcast
             # them to the full 8x8x8 grid
             e = np.eye(8)
-            ea, eb, ec = (tn.frame_vectors(p, params, x)
-                          for x in (e[:, None, None], e[:, None], e))
-            ref = cov_deriv_omega(p, rmat, params, ea, eb, ec)
+            ref = cov_deriv_omega(p, rmat, params, e[:, None, None], e[:, None], e)
+            eb, ec = (tn.frame_vectors(p, params, x) for x in (e[:, None], e))
             assert ref.shape == (8, 8, 8)
             assert np.abs(T[i] - ref).max() <= bound
             ref_m = metric_Ht(p, eb, acs(p, ec, params), params)
@@ -316,25 +291,49 @@ class TestFrameTensor:
         for i, row in enumerate(rows):
             p = cl._points(row, component)
             params = tn.Params(t1[i], t2[i], n)
-            ea, eb, ec = (tn.frame_vectors(p, params, x) for x in (e[:, None, None], e[:, None], e))
-            ref = cov_deriv_omega(p, rmats[i], params, ea, eb, ec)
+            ref = cov_deriv_omega(p, rmats[i], params, e[:, None, None], e[:, None], e)
+            eb, ec = (tn.frame_vectors(p, params, x) for x in (e[:, None], e))
             assert np.abs(T[i] - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.abs(M[i] - metric_Ht(p, eb, acs(p, ec, params), params)).max() <= 1e-13
 
-    def test_kaehler_witness_vanishes_near_the_poles(self):
-        # the witness is Kaehler for (+-, n = 1, t1 = 6/s) at every point; near
-        # a pole of the first sphere the frame stays vertical to roundoff, so
-        # T stays at roundoff too and the frame passes the tangency check
+    @staticmethod
+    def kaehler_rows():
+        """Rows 1e-6, 1e-9 and 1e-12 rad from either pole of the first sphere, two
+        per offset; the second of each pair has its second sphere equally near
+        that pole."""
         rng = np.random.default_rng(901)
         rows = rng.standard_normal((12, 6))
         for i, (pole, theta) in enumerate((pole, theta) for pole in (1.0, -1.0)
                                           for theta in (1e-6, 1e-9, 1e-12)):
             rows[2 * i:2 * i + 2, :3] = [pole * np.cos(theta), np.sin(theta), np.sin(theta)]
             rows[2 * i + 1, 3:] = [pole * np.cos(theta), 0.0, -np.sin(theta)]
-        p = cl._points(rows, "+-")
+        return rows
+
+    @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
+    def test_frame_vectors_are_tangent(self, component):
+        # what makes frame coefficients valid arguments of the closed forms: any
+        # coefficients give vertical parts skew and anticommuting with their
+        # structure, to 1e-10 max(1, max|V|) per vector, at the poles too
+        rng = np.random.default_rng(930)
+        rows = np.vstack([self.pole_rows(rng), self.kaehler_rows()])
+        t1, t2 = rng.uniform(0.2, 3.0, (2, len(rows)))
+        p = cl._points(rows, component)
+        # coefficients over 16 decades, stacked in front of the points' axis
+        coeffs = 10.0 ** rng.uniform(-8.0, 8.0, (6, len(rows), 1)) * rng.standard_normal(
+            (6, len(rows), 8))
+        g = tn.frame_vectors(p, tn.Params(t1, t2, 1), coeffs)
+        for j, v in ((p.j1.matrix, g.v1), (p.j2.matrix, g.v2)):
+            assert v.shape == (6, len(rows), 4, 4)
+            bound = 1e-10 * np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
+            assert np.all(np.abs(v + np.swapaxes(v, -1, -2)).max(axis=(-2, -1)) <= bound)
+            assert np.all(np.abs(j @ v + v @ j).max(axis=(-2, -1)) <= bound)
+
+    def test_kaehler_witness_vanishes_near_the_poles(self):
+        # the witness is Kaehler for (+-, n = 1, t1 = 6/s) at every point; near
+        # a pole of the first sphere the frame stays vertical to roundoff
+        # (test_frame_vectors_are_tangent), so T stays at roundoff too
+        p = cl._points(self.kaehler_rows(), "+-")
         params = tn.Params(0.5, 1.0, 1)
-        # the eight frame vectors at every point, checked as one stack
-        tn.check_gtangent(p, tn.frame_vectors(p, params, np.eye(8)[:, None]))
         T, _ = tn.frame_tensor(p, cur.model("kaehler_witness", s=12.0), params)
         assert np.abs(T).max() <= 1e-14
 
@@ -370,15 +369,14 @@ class TestStackedEvaluators:
         coeffs = rng.standard_normal((16, 3, 8))
         p = cl._points(rows, component)
         params = tn.Params(t[:, 0], t[:, 1], n)
-        args = [tn.frame_vectors(p, params, coeffs[:, s])
-                for s in range(3)]
+        args = [coeffs[:, s] for s in range(3)]
         k = 1 if n in (1, 2) else 2
 
         def evaluators(p, rmat, params, args):
             # the restriction and single-fibre forms take the first-factor parts
-            first = [tn.gtangent(g.horizontal, g.v1, np.zeros_like(g.v2))
-                     for g in args]
-            sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1) for g in args)
+            first = [x[..., :6] for x in args]
+            sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1)
+                          for g in (tn.frame_vectors(p, params, x) for x in args))
             out = dict(zip("TM", tn.frame_tensor(p, rmat, params)))
             out.update(tn.restriction_residuals(p, rmat, params, *first))
             out.update({
@@ -397,56 +395,25 @@ class TestStackedEvaluators:
         for i in range(16):
             unstacked = evaluators(cl._points(rows[i], component), rmat[i],
                                    tn.Params(t[i, 0], t[i, 1], n),
-                                   [row(g, i) for g in args])
+                                   [x[i] for x in args])
             for name, value in unstacked.items():
                 assert np.shape(stacked[name]) == (16,) + np.shape(value), name
                 assert np.all(np.abs(stacked[name][i] - value)
                               <= 1e-13 * np.maximum(1.0, np.abs(value))), (name, i)
 
-    def test_missing_parts_of_stacked_tangents_are_stacked_zeros(self):
-        # gtangent(h, v1) and gtangent(h) on stacked parts evaluate row by row
-        # as the same tangents with explicit zero parts
-        rng = np.random.default_rng(820)
-        rows = rng.standard_normal((5, 6))
-        t = rng.uniform(0.3, 2.0, (5, 2))
-        rmat = np.stack([cur.random_strict_operator(rng) for _ in range(5)])
-        p = cl._points(rows, "+-")
-        params = tn.Params(t[:, 0], t[:, 1], 3)
-        args = [tn.frame_vectors(p, params, rng.standard_normal((5, 8)))
-                for _ in range(3)]
-
-        def evaluators(p, rmat, params, h, first):
-            return {**tn.restriction_residuals(p, rmat, params, *first),
-                    "codiff_omega": tn.codiff_omega(p, rmat, params, first[0]),
-                    "cov_deriv_omega": cov_deriv_omega(p, rmat, params, h, *first[1:])}
-
-        first = [tn.gtangent(g.horizontal, g.v1) for g in args]
-        h = tn.gtangent(args[0].horizontal)
-        assert first[0].v2.shape == h.v1.shape == (5, 4, 4)
-        stacked = evaluators(p, rmat, params, h, first)
-        zero = np.zeros((4, 4))
-        for i in range(5):
-            explicit = [tn.gtangent(g.horizontal[i], g.v1[i], zero) for g in args]
-            want = evaluators(cl._points(rows[i], "+-"), rmat[i], tn.Params(t[i, 0], t[i, 1], 3),
-                              tn.gtangent(args[0].horizontal[i], zero, zero), explicit)
-            for name, value in want.items():
-                assert abs(stacked[name][i] - value) <= 1e-13 * max(1.0, abs(value)), (name, i)
-
 
 class TestStackedArguments:
-    """The closed forms check and view their three arguments as one stack; the
-    values are those of checking and viewing each argument on its own, and a
-    defect in any slot is still rejected."""
+    """The closed forms view their three arguments as one stack; the values
+    are those of viewing each argument on its own."""
 
     #: arguments of one shape, so the stack broadcasts none of them
     EQUAL = ["stacked", "block"]
     #: arguments the stack broadcasts to a common shape
     BROADCAST = ["unstacked-0", "unstacked-1", "unstacked-2", "frame"]
-    THREE_SLOT = [cov_deriv_omega, tn.ext_deriv_omega, tn.nijenhuis_closed_form]
 
     @staticmethod
     def layout(name, n, rng):
-        """(point, operator, weights, arguments) of one layout of the arguments."""
+        """(point, operator, weights, coefficient arguments) of one layout."""
         if name == "block":  # 16 trials, each with its own point, operator and weights
             t = rng.uniform(0.3, 2.0, (16, 2))
             rmat = cur.strict_operators(rng.standard_normal((16, cur.STRICT_NORMALS)))
@@ -465,7 +432,7 @@ class TestStackedArguments:
             else:  # one unstacked argument, the other two stacked along (5,)
                 coeffs = [rng.standard_normal((5, 8)) for _ in range(3)]
                 coeffs[int(name[-1])] = rng.standard_normal(8)
-        return p, rmat, params, [tn.frame_vectors(p, params, x) for x in coeffs]
+        return p, rmat, params, list(coeffs)
 
     @pytest.mark.parametrize("layout", EQUAL + BROADCAST)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -475,16 +442,17 @@ class TestStackedArguments:
         # of rows instead of one row), and BLAS may round those differently,
         # so broadcast layouts agree to a few units in the last place
         p, rmat, params, args = self.layout(layout, n, np.random.default_rng(940 + n))
-        first = [tn.gtangent(g.horizontal, g.v1) for g in args]
+        first = [x[..., :6] for x in args]
         pairs = [(cov_deriv_omega(p, rmat, params, *args),
                   one_by_one(tn._dcov, p, rmat, params, *args)),
                  (tn.ext_deriv_omega(p, rmat, params, *args),
                   one_by_one(tn._dext, p, rmat, params, *args))]
         got = tn.restriction_residuals(p, rmat, params, *first)
         want = restriction_one_by_one(p, rmat, params, *first)
-        # the codiff residual, like the derivative residuals, carries the leading
-        # axes of all three arguments, since the first one is viewed in the stack
-        want["codiff"] = np.broadcast_to(want["codiff"], np.shape(want["cov_deriv"]))
+        # the codiff and metric residuals, like the derivative residuals, carry
+        # the leading axes of all three arguments, which are viewed as one stack
+        for name in ("codiff", "metric"):
+            want[name] = np.broadcast_to(want[name], np.shape(want["cov_deriv"]))
         assert list(got) == list(want)
         pairs += [(got[name], want[name]) for name in want]
         scale = max(1.0, *(np.abs(w).max() for _, w in pairs[:2]))
@@ -495,61 +463,30 @@ class TestStackedArguments:
             else:
                 assert np.abs(g - w).max() <= 64 * np.finfo(float).eps * scale, i
 
-    @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_one_bad_trial_in_any_slot_is_rejected(self, evaluator, slot):
-        p, rmat, params, args = self.layout("block", 3, np.random.default_rng(950))
-        g = args[slot]
-        bad = list(args)
-        # trial 5 not tangent: a part of J1 commutes with J1
-        v1 = g.v1.copy()
-        v1[5] += 1e-3 * p.j1.matrix[5]
-        bad[slot] = tn.gtangent(g.horizontal, v1, g.v2)
-        with pytest.raises(tn.TangencyError, match="anticommute"):
-            evaluator(p, rmat, params, *bad)
-        # trial 11 with a second-factor part that is not skew
-        v2 = g.v2.copy()
-        v2[11] += 1e-3 * np.eye(4)
-        bad[slot] = tn.gtangent(g.horizontal, g.v1, v2)
-        with pytest.raises(tn.TangencyError, match="skew"):
-            evaluator(p, rmat, params, *bad)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_non_finite_horizontal_part_is_rejected(self, slot, evaluator, value):
-        rng = np.random.default_rng(960)
-        p = point("+-", rng)
-        params = tn.Params(0.7, 1.6, 3)
-        args = random_args(p, params, rng=rng)
-        args[slot] = tn.gtangent([value, 0.0, 0.0, 0.0], args[slot].v1,
-                                 args[slot].v2)
-        with np.errstate(all="raise"), pytest.raises(tn.TangencyError, match="finite"):
-            evaluator(p, cur.random_strict_operator(rng), params, *args)
-
 
 class TestExteriorDerivative:
     def test_all_horizontal_vanishes(self):
         p = point()
         params = tn.Params(1.0, 1.0, 1)
         rmat = cur.random_strict_operator(RNG)
-        args = [tn.gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
-        assert tn.ext_deriv_omega(p, rmat, params, *args) == 0.0
+        args = [gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
+        assert tn.ext_deriv_omega(p, rmat, params, *read(p, params, *args)) == 0.0
 
     def test_flat_value(self):
         p = canonical_point()
-        v = tn.gtangent(v1=fd.endo_of_two_vector(fd.embed_half([0, 1, 0], 1)))
-        x = tn.gtangent(horizontal=E[0])
-        y = tn.gtangent(horizontal=E[2])
+        v = gtangent(v1=fd.endo_of_two_vector(fd.embed_half([0, 1, 0], 1)))
+        x = gtangent(horizontal=E[0])
+        y = gtangent(horizontal=E[2])
         for n in (1, 2, 3, 4):
-            val = tn.ext_deriv_omega(p, np.zeros((6, 6)), tn.Params(1.0, 1.0, n), x, y, v)
+            params = tn.Params(1.0, 1.0, n)
+            val = tn.ext_deriv_omega(p, np.zeros((6, 6)), params, *read(p, params, x, y, v))
             assert val == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_fully_antisymmetric(self):
         p = point("+-")
         params = tn.Params(0.5, 1.6, 3)
         rmat = cur.random_strict_operator(RNG)
-        a, b, c = random_args(p, params)
+        a, b, c = random_coeffs()
         base = tn.ext_deriv_omega(p, rmat, params, a, b, c)
         assert tn.ext_deriv_omega(p, rmat, params, b, a, c) == pytest.approx(-base, abs=1e-11)
         assert tn.ext_deriv_omega(p, rmat, params, a, c, b) == pytest.approx(-base, abs=1e-11)
@@ -563,7 +500,7 @@ class TestExteriorDerivative:
         params = tn.Params(0.8, 1.3, n)
         rmat = cur.random_strict_operator(rng)
         for _ in range(25):
-            a, b, c = random_args(p, params, rng=rng)
+            a, b, c = random_coeffs(rng=rng)
             cyc = (cov_deriv_omega(p, rmat, params, a, b, c)
                    + cov_deriv_omega(p, rmat, params, b, c, a)
                    + cov_deriv_omega(p, rmat, params, c, a, b))
@@ -574,20 +511,21 @@ class TestCodifferential:
     def test_horizontal_argument_vanishes(self):
         p = point("+-")
         rmat = cur.random_strict_operator(RNG)
-        a = tn.gtangent(horizontal=RNG.standard_normal(4))
-        assert tn.codiff_omega(p, rmat, tn.Params(1.0, 1.0, 2), a) == 0.0
+        params = tn.Params(1.0, 1.0, 2)
+        (a,) = read(p, params, gtangent(horizontal=RNG.standard_normal(4)))
+        assert tn.codiff_omega(p, rmat, params, a) == 0.0
 
     def test_flat_vanishes(self):
         p = point()
         params = tn.Params(0.9, 1.1, 1)
-        (a,) = random_args(p, params, k=1)
+        (a,) = random_coeffs(k=1)
         assert tn.codiff_omega(p, np.zeros((6, 6)), params, a) == 0.0
 
     def test_constant_curvature_kills_first_factor_verticals(self):
         # (J1 V1)^ is again vertical at J1, hence orthogonal to J1^
         p = point()
-        v = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
         params = tn.Params(1.7, 1.0, 1)
+        (v,) = read(p, params, gtangent(v1=random_vertical_endo(p.j1, RNG)))
         val = tn.codiff_omega(p, np.eye(6), params, v)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert val == pytest.approx(production("δΩ", p, np.eye(6), params, v), abs=1e-12)
@@ -598,7 +536,7 @@ class TestCodifferential:
         p = point("+-", rng)
         params = tn.Params(1.2, 0.7, n)
         rmat = cur.random_strict_operator(rng)
-        for a in random_args(p, params, rng=rng):
+        for a in random_coeffs(rng=rng):
             assert tn.codiff_omega(p, rmat, params, a) == pytest.approx(
                 production("δΩ", p, rmat, params, a), abs=1e-10)
 
@@ -633,29 +571,30 @@ class TestNijenhuis:
         p = point("+-")
         params = tn.Params(1.0, 1.0, 3)
         rmat = cur.random_strict_operator(RNG)
-        args = [tn.gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)]
+        args = read(p, params, *(gtangent(horizontal=RNG.standard_normal(4)) for _ in range(3)))
         assert production("N", p, rmat, params, *args) == pytest.approx(0.0, abs=1e-12)
 
     def test_vertical_pair_vanishes(self):
         p = point()
         params = tn.Params(0.8, 1.5, 4)
         rmat = cur.random_strict_operator(RNG)
-        v = tn.gtangent(v1=random_vertical_endo(p.j1, RNG))
-        w = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
-        c = tn.gtangent(horizontal=RNG.standard_normal(4),
-                        v1=random_vertical_endo(p.j1, RNG))
-        assert production("N", p, rmat, params, v, w, c) == pytest.approx(0.0, abs=1e-12)
+        v = gtangent(v1=random_vertical_endo(p.j1, RNG))
+        w = gtangent(v2=random_vertical_endo(p.j2, RNG))
+        c = gtangent(horizontal=RNG.standard_normal(4), v1=random_vertical_endo(p.j1, RNG))
+        assert production("N", p, rmat, params, *read(p, params, v, w, c)) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_mixed_pairing_matrix_oracle(self):
         # H(N(X^h, V), Y^h) = 2 <J1 V1 X, Y> for n = 3, 4 and 0 for n = 1, 2
         p = canonical_point()
         v1 = fd.endo_of_two_vector(fd.embed_half([0, 1, 0], 1))
         rmat = cur.random_strict_operator(RNG)
-        x = tn.gtangent(horizontal=E[0])
-        v = tn.gtangent(v1=v1)
-        y = tn.gtangent(horizontal=E[3])
+        x = gtangent(horizontal=E[0])
+        v = gtangent(v1=v1)
+        y = gtangent(horizontal=E[3])
         for n in (1, 2, 3, 4):
-            val = production("N", p, rmat, tn.Params(1.0, 1.0, n), x, v, y)
+            params = tn.Params(1.0, 1.0, n)
+            val = production("N", p, rmat, params, *read(p, params, x, v, y))
             expected = 0.0 if n in (1, 2) else 2.0 * float(E[3] @ (p.j1.matrix @ (v1 @ E[0])))
             assert val == pytest.approx(expected, abs=1e-11)
             if n in (3, 4):
@@ -669,7 +608,7 @@ class TestNijenhuis:
         params = tn.Params(1.1, 0.6, n)
         rmat = cur.random_strict_operator(rng)
         for _ in range(25):
-            a, b, c = random_args(p, params, rng=rng)
+            a, b, c = random_coeffs(rng=rng)
             ident = production("N", p, rmat, params, a, b, c)
             closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
             assert ident == pytest.approx(closed, abs=1e-10 * (1 + abs(ident)))
@@ -679,12 +618,13 @@ class TestNijenhuis:
         p = point("+-")
         params = tn.Params(1.0, 1.0, 1)
         rmat = np.eye(6)
-        a, b, c = random_args(p, params)
+        a, b, c = random_coeffs()
+        ga, gb, gc = (tn.frame_vectors(p, params, x) for x in (a, b, c))
         j1, j2 = p.j1.matrix, p.j2.matrix
-        qc = (params.t1 * fd.two_vector_of_endo(j1 @ c.v1)
-              + params.t2 * fd.two_vector_of_endo(j2 @ c.v2))
-        term = float((rmat @ qc) @ (fd.wedge_of_pair(a.horizontal, b.horizontal)
-                                    - fd.wedge_of_pair(j1 @ a.horizontal, j1 @ b.horizontal)))
+        qc = (params.t1 * fd.two_vector_of_endo(j1 @ gc.v1)
+              + params.t2 * fd.two_vector_of_endo(j2 @ gc.v2))
+        term = float((rmat @ qc) @ (fd.wedge_of_pair(ga.horizontal, gb.horizontal)
+                                    - fd.wedge_of_pair(j1 @ ga.horizontal, j1 @ gb.horizontal)))
         e = -1.0  # (-1)^n for n = 1
         closed = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
         scaled = closed + (2.0 - 4.0 * e) * term
@@ -698,7 +638,7 @@ class TestNijenhuis:
         p = point("+-", rng)
         params = tn.Params(0.7, 1.3, n)
         rmat = cur.random_strict_operator(rng)
-        a, b, c = random_args(p, params, rng=rng)
+        a, b, c = random_coeffs(rng=rng)
         intact = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
         negate_sign_table(monkeypatch)
         corrupted = tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
@@ -716,37 +656,32 @@ class TestRestriction:
         params = tn.Params(0.7, 1.8, n)
         rmat = cur.random_strict_operator(rng)
         for _ in range(10):
-            args = [tn.gtangent(rng.standard_normal(4),
-                                random_vertical_endo(p.j1, rng)) for _ in range(3)]
-            res = tn.restriction_residuals(p, rmat, params, *args)
+            args = [gtangent(rng.standard_normal(4), random_vertical_endo(p.j1, rng))
+                    for _ in range(3)]
+            first = [x[:6] for x in read(p, params, *args)]
+            res = tn.restriction_residuals(p, rmat, params, *first)
             assert max(res.values()) < 1e-12
-
-    def test_second_factor_rejected(self):
-        p = point()
-        params = tn.Params(1.0, 1.0, 1)
-        bad = tn.gtangent(v2=random_vertical_endo(p.j2, RNG))
-        ok = tn.gtangent(horizontal=E[0])
-        with pytest.raises(tn.TangencyError, match="second-factor"):
-            tn.restriction_residuals(p, np.eye(6), params, bad, ok, ok)
 
     @staticmethod
     def first_factor_block(n, rng):
-        """16 stacked trials of first-factor arguments, as the restriction oracle builds them."""
+        """16 stacked trials of first-factor arguments, coefficients of E_0..E_5
+        as the restriction oracle takes them."""
         rows = rng.standard_normal((16, 6))
         t = rng.uniform(0.3, 2.0, (16, 2))
         rmat = np.stack([cur.random_strict_operator(rng) for _ in range(16)])
         p = cl._points(rows, ("++", "+-")[(n - 1) % 2])
         params = tn.Params(t[:, 0], t[:, 1], n)
-        args = [tn.frame_vectors(p, params, rng.standard_normal((16, 8))) for _ in range(3)]
-        first = [tn.gtangent(g.horizontal, g.v1, np.zeros_like(g.v2))
-                 for g in args]
+        first = [rng.standard_normal((16, 8))[:, :6] for _ in range(3)]
         return p, rmat, params, first
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stacked_values_are_those_of_the_public_evaluators(self, n):
-        p, rmat, params, (a, b, c) = self.first_factor_block(n, np.random.default_rng(900 + n))
+        p, rmat, params, first = self.first_factor_block(n, np.random.default_rng(900 + n))
+        # the same arguments with zero coefficients of E_6, E_7
+        a, b, c = (np.concatenate((x, np.zeros((16, 2))), axis=-1) for x in first)
+        ga, gb, gc = (tn.frame_vectors(p, params, x) for x in (a, b, c))
         k = 1 if n in (1, 2) else 2
-        sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1) for g in (a, b, c))
+        sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1) for g in (ga, gb, gc))
         t = params.t1
         want = {
             "cov_deriv": abs(cov_deriv_omega(p, rmat, params, a, b, c)
@@ -755,37 +690,14 @@ class TestRestriction:
                              - tn.single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
             "codiff": abs(tn.codiff_omega(p, rmat, params, a)
                           - tn.single_codiff(p.j1, rmat, t, sa)),
-            "metric": abs(metric_Ht(p, a, b, params) - tn.single_metric(p.j1, t, sa, sb)),
+            "metric": abs(metric_Ht(p, ga, gb, params) - tn.single_metric(p.j1, t, sa, sb)),
         }
-        got = tn.restriction_residuals(p, rmat, params, a, b, c)
+        got = tn.restriction_residuals(p, rmat, params, *first)
         assert list(got) == list(want)
         for name in want:
             assert got[name].shape == (16,), name
             assert np.array_equal(got[name], want[name]), name
         assert max(np.max(v) for v in got.values()) < 1e-12
-
-    @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_one_bad_trial_of_a_stack_is_rejected(self, slot):
-        p, rmat, params, args = self.first_factor_block(2, np.random.default_rng(910))
-        g = args[slot]
-        # trial 5 not tangent: a part of J1 commutes with J1
-        v1 = g.v1.copy()
-        v1[5] += 1e-3 * p.j1.matrix[5]
-        bad = list(args)
-        bad[slot] = tn.gtangent(g.horizontal, v1, g.v2)
-        with pytest.raises(tn.TangencyError, match="anticommute"):
-            tn.restriction_residuals(p, rmat, params, *bad)
-        # trial 11 with a second-factor part that is itself vertical
-        v2 = g.v2.copy()
-        v2[11] = vertical_pair(p.j2)[0][11]
-        bad[slot] = tn.gtangent(g.horizontal, g.v1, v2)
-        with pytest.raises(tn.TangencyError, match="second-factor"):
-            tn.restriction_residuals(p, rmat, params, *bad)
-        # a NaN second-factor part
-        v2[11] = np.nan
-        bad[slot] = tn.gtangent(g.horizontal, g.v1, v2)
-        with pytest.raises(tn.TangencyError):
-            tn.restriction_residuals(p, rmat, params, *bad)
 
     def test_negated_sign_table_breaks_the_restriction(self, monkeypatch):
         # the product side reads SIGMA, the single-fibre forms write their signs out
