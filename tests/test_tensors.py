@@ -404,12 +404,14 @@ class TestStackedEvaluators:
 
 class TestStackedArguments:
     """The closed forms view their three arguments as one stack; the values
-    are those of viewing each argument on its own."""
+    are those of viewing each argument on its own, and each trial of the stack
+    is evaluated apart from the others."""
 
     #: arguments of one shape, so the stack broadcasts none of them
     EQUAL = ["stacked", "block"]
     #: arguments the stack broadcasts to a common shape
     BROADCAST = ["unstacked-0", "unstacked-1", "unstacked-2", "frame"]
+    THREE_SLOT = [cov_deriv_omega, tn.ext_deriv_omega, tn.nijenhuis_closed_form]
 
     @staticmethod
     def layout(name, n, rng):
@@ -462,6 +464,37 @@ class TestStackedArguments:
                 assert np.array_equal(g, w), i
             else:
                 assert np.abs(g - w).max() <= 64 * np.finfo(float).eps * scale, i
+
+    @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_one_trial_changed_in_any_slot_moves_that_trial_alone(self, evaluator, slot):
+        rng = np.random.default_rng(950)
+        p, rmat, params, args = self.layout("block", 3, rng)
+        clean = evaluator(p, rmat, params, *args)
+        changed = list(args)
+        changed[slot] = args[slot].copy()
+        changed[slot][5] += rng.standard_normal(8)
+        got = evaluator(p, rmat, params, *changed)
+        others = np.arange(16) != 5
+        assert np.array_equal(got[others], clean[others])
+        assert abs(got[5] - clean[5]) > 1e-6 * max(1.0, abs(clean[5]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_coefficient_stays_in_its_trial(self, slot, evaluator, value):
+        # nothing checks the arguments, so a non-finite coefficient must show in
+        # its own trial's value and leave the other trials of the stack intact
+        p, rmat, params, args = self.layout("block", 3, np.random.default_rng(960))
+        clean = evaluator(p, rmat, params, *args)
+        bad = list(args)
+        bad[slot] = args[slot].copy()
+        bad[slot][5, 0] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = evaluator(p, rmat, params, *bad)
+        others = np.arange(16) != 5
+        assert np.array_equal(got[others], clean[others])
+        assert not np.isfinite(got[5])
 
 
 class TestExteriorDerivative:
@@ -698,6 +731,22 @@ class TestRestriction:
             assert got[name].shape == (16,), name
             assert np.array_equal(got[name], want[name]), name
         assert max(np.max(v) for v in got.values()) < 1e-12
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_coefficient_stays_in_its_trial(self, slot):
+        # a NaN argument must not read as a vanishing residual: the derivative
+        # residuals of its trial, which read all three slots, are NaN, and the
+        # other trials keep their values
+        p, rmat, params, args = self.first_factor_block(2, np.random.default_rng(910))
+        clean = tn.restriction_residuals(p, rmat, params, *args)
+        bad = list(args)
+        bad[slot] = args[slot].copy()
+        bad[slot][5, 4] = np.nan
+        got = tn.restriction_residuals(p, rmat, params, *bad)
+        others = np.arange(16) != 5
+        for name in clean:
+            assert np.array_equal(got[name][others], clean[name][others]), name
+        assert np.isnan(got["cov_deriv"][5]) and np.isnan(got["ext_deriv"][5])
 
     def test_negated_sign_table_breaks_the_restriction(self, monkeypatch):
         # the product side reads SIGMA, the single-fibre forms write their signs out
