@@ -20,18 +20,27 @@ H_t-orthonormal frame.
                                   central-difference field derivatives
 
 A tensor-oracle trial makes two draws: its weights, then one row of normals
-for its operator, point and argument coefficients.  Blocks of 128 trials
-are then evaluated stacked: the block's operators are built and checked in
-one call each, and its residuals come from one call per group of 32 trials
-of equal n = 1 + i % 4.  Both routes take the drawn frame coefficients as
-they are: the closed forms build their arguments' vectors from them (the
-restriction from those of E_0..E_5), so there is no tangent to check.  An
-identity oracle's group runs the classifier's route before it calls the
-closed form, so it peaks at the larger of the two routes, not their sum.
-Failures, NaN residuals included, name the worst trial, reproducible from the
-seed.  The Nijenhuis closed form writes out the signs that the frame tensor
+for its operator, point and argument coefficients.  Blocks of trials are then
+evaluated stacked: the block's operators are built and checked in one call
+each, and its residuals come from one call per group of a quarter of the
+block, the trials of equal n = 1 + i % 4.  The identity oracles take blocks of
+128 trials (groups of 32), and the restriction, whose trials hold no frame
+tensor, blocks of 200 (groups of 50); over 640 trials they peak at 0.51 MiB
+(nijenhuis-identity) and 0.41 MiB of traced memory.  Both routes take the
+drawn frame coefficients as they are: the closed forms build their arguments'
+vectors from them (the restriction from those of E_0..E_5), so there is no
+tangent to check.  An identity oracle's group runs the classifier's route
+before it calls the closed form, so it peaks at the larger of the two routes,
+not their sum.  Failures, NaN residuals included, name the worst trial,
+reproducible from the seed.  The Nijenhuis closed form writes out the signs that the frame tensor
 reads from ``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity
 check; a tier-1 test negates the table to show it.
+
+The curvature-commutator and fibre-kaehler-parallel oracles take blocks of 128
+trials too.  A fibre trial draws its J, X and q in turn, and a block evaluates
+the fields of its trials of one dimension, 4 for even trials and 6 for odd
+ones, as one stack per dimension: one ``tangent_projection_field`` and two
+``fibre_levi_civita`` calls each (0.30 MiB traced over 640 trials).
 """
 
 from __future__ import annotations
@@ -77,15 +86,21 @@ class OracleResult:
                 f"tol={self.tol:.0e} trials={self.trials} worst={self.worst}")
 
 
-#: trials per block.  A multiple of 4, so that every block starts at n = 1 and
-#: splits into four groups of one n each (32 trials here).  The size is the
-#: largest that keeps every tensor oracle under the 0.6 MiB traced peak of
-#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials (0.511
-#: MiB at most over 640 trials, nijenhuis-identity, numpy 2.4); 256 would go
-#: over it.  It is selftest's own size, not the classifier's block size, so
-#: that resizing the classifier's blocks moves neither selftest's grouping nor
-#: its memory and timings.
+#: trials per block of every oracle but the restriction.  A multiple of 4, so
+#: that every block starts at n = 1 and splits into four groups of one n each
+#: (32 trials here).  The size is the largest that keeps the identity oracles
+#: under the 0.6 MiB traced peak of
+#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials: each
+#: of their trials holds a full 8x8x8 frame tensor, and over 640 trials
+#: nijenhuis-identity peaks at 0.51 MiB (numpy 2.4), 1.01 MiB at 256.  It is
+#: selftest's own size, not the classifier's block size, so that resizing the
+#: classifier's blocks moves neither selftest's grouping nor its memory and
+#: timings.
 _BLOCK_TRIALS = 128
+#: trials per block of the restriction oracle, whose trials hold no frame
+#: tensor: a multiple of 4 that takes the default 200 trials in one block of
+#: four groups of 50, and peaks at 0.41 MiB over 640 trials (0.27 MiB at 128)
+_RESTRICTION_BLOCK_TRIALS = 200
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
@@ -153,9 +168,10 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
 
 def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
     rng = np.random.default_rng([seed, _ORACLE_STREAM[kind]])
+    size = _RESTRICTION_BLOCK_TRIALS if kind == "restriction" else _BLOCK_TRIALS
     worst_val, worst = 0.0, {}
-    for start in range(0, trials, _BLOCK_TRIALS):
-        block = _random_configs(rng, min(_BLOCK_TRIALS, trials - start))
+    for start in range(0, trials, size):
+        block = _random_configs(rng, min(size, trials - start))
         res = np.empty(len(block[0]))
         for g in range(min(4, len(res))):  # start is a multiple of 4, so n = 1 + g
             res[g::4] = _group_residuals(kind, 1 + g, *(x[g::4] for x in block))
@@ -193,18 +209,29 @@ def _curvature_commutator(seed: int, trials: int) -> OracleResult:
 def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
     rng = np.random.default_rng([seed, 6])
     worst_val, worst = 0.0, {}
-    for i in range(trials):
-        dim = 4 if i % 2 == 0 else 6
-        j = fibre.random_complex_structure(dim, rng)
-        x = fibre.random_tangent(j, rng)
-        q = rng.standard_normal((dim, dim))
-        field = fibre.tangent_projection_field(0.5 * (q - q.T))
-        k_field = fibre.FibreVectorField(evaluate=lambda a, f=field: a @ f.evaluate(a))
-        lhs = fibre.fibre_levi_civita(k_field, x, j)
-        rhs = j @ fibre.fibre_levi_civita(field, x, j)
-        res = float(np.max(np.abs(lhs - rhs)))
-        if _worse(res, worst_val):
-            worst_val, worst = res, {"trial": i, "dim": dim}
+    for start in range(0, trials, _BLOCK_TRIALS):
+        # trial i draws J, then X, then q, on the fibre of dimension 4 (even i)
+        # or 6 (odd i); start is even, so the block's trials of one dimension
+        # are every other one, and each dimension is evaluated as one stack
+        count = min(_BLOCK_TRIALS, trials - start)
+        draws = {4: [], 6: []}
+        for i in range(count):
+            dim = 6 if i % 2 else 4
+            j = fibre.random_complex_structure(dim, rng)
+            draws[dim].append((j, fibre.random_tangent(j, rng), rng.standard_normal((dim, dim))))
+        res = np.empty(count)
+        for first, dim in enumerate((4, 6)):
+            if not draws[dim]:
+                continue
+            j, x, q = (np.array(a) for a in zip(*draws[dim]))
+            field = fibre.tangent_projection_field(0.5 * (q - np.swapaxes(q, -1, -2)))
+            k_field = fibre.FibreVectorField(evaluate=lambda a, f=field: a @ f.evaluate(a))
+            lhs = fibre.fibre_levi_civita(k_field, x, j)
+            rhs = j @ fibre.fibre_levi_civita(field, x, j)
+            res[first::2] = np.max(np.abs(lhs - rhs), axis=(-2, -1))
+        i = int(np.argmax(res))  # the first NaN, else the first maximum
+        if _worse(res[i], worst_val):
+            worst_val, worst = float(res[i]), {"trial": start + i, "dim": 6 if i % 2 else 4}
     tol = ORACLE_TOLS["fibre-kaehler-parallel"]
     return OracleResult("fibre-kaehler-parallel", worst_val, tol, trials, worst_val <= tol, worst)
 

@@ -35,19 +35,20 @@ last three are the oracles ``selftest`` compares it with: ``ext_deriv_omega``,
 ``codiff_omega`` and ``nijenhuis_closed_form``.  Their arguments are frame
 coefficients: an array x of shape (..., 8) stands for sum_a x[a] E_a in the
 frame of ``frame_vectors``, a tangent whatever its values, so no argument is
-checked.  An evaluator broadcasts its coefficient arrays to common leading
-axes, stacks them and builds their vectors with one ``frame_vectors`` call;
-but for the Nijenhuis form, it views the stack once (``_ArgView``) and passes
-the view's slices to its kernel.  The classifier's route and the closed forms
-share no code above ``fourdim`` except the sign tables, so the oracles compare
-independent routes.  ``nijenhuis_closed_form`` writes its signs out from n
-instead of taking EPS and SIGMA, so a corrupted sign table is caught: the
-tests negate SIGMA and see the nijenhuis-identity oracle fail.  The
-single-fibre restrictions (arguments with vanishing second factor) have their
-own code path, which ``restriction_residuals`` compares with the product
-tensors on coefficients of E_0..E_5.  H_t, Jn and Omega have no public
-evaluator here: the frame tensor carries Jn as the matrix M, and the tests
-keep their references for H_t and Jn in tests/reference.py.
+checked.  An evaluator broadcasts its coefficient arrays to the leading axes
+they share with the point, the operators and the weights, stacks them and
+builds their vectors with one ``frame_vectors`` call; but for the Nijenhuis
+form, it views the stack once (``_ArgView``) and passes the view's slices to
+its kernel.  The classifier's route and the closed forms share no code above
+``fourdim`` except the sign tables, so the oracles compare independent routes.
+``nijenhuis_closed_form`` writes its signs out from n instead of taking EPS
+and SIGMA, so a corrupted sign table is caught: the tests negate SIGMA and see
+the nijenhuis-identity oracle fail.  The single-fibre restrictions
+(arguments with vanishing second factor) have their own code path, which
+``restriction_residuals`` compares with the product tensors on coefficients of
+E_0..E_5.  H_t, Jn and Omega have no public evaluator here: the frame tensor
+carries Jn as the matrix M, and the tests keep their references for H_t and Jn
+in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -219,13 +220,22 @@ def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
 #
 # Each argument is an array (..., 8) of frame coefficients, the tangent
 # sum_a x[a] E_a of ``frame_vectors``.  The arguments broadcast against each
-# other, and a stacked point, operators (..., 6, 6) and weights, which all
-# align, against the trailing axes of the arguments, so a stacked point needs
-# arguments stacked along its axes.  Unstacked calls return scalars.
+# other and against the leading axes of a stacked point, operators (..., 6, 6)
+# and weights (``_stacked_args``), so unstacked arguments at a stacked point
+# give one value per point.  Unstacked calls return scalars.
+
+def _stacked_args(p: ProductTwistorPoint, rmat, params: Params, *args) -> np.ndarray:
+    """The arguments broadcast to the leading axes they share with each other,
+    the point, the operators and the weights, stacked on a new first axis."""
+    lead = np.broadcast_shapes(p.j1.matrix.shape[:-2], np.shape(rmat)[:-2], np.shape(params.t1),
+                               np.shape(params.t2), *(np.shape(x)[:-1] for x in args))
+    return np.stack([np.broadcast_to(x, lead + np.shape(x)[-1:]) for x in args])
+
 
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params, a, b, c) -> float:
     """d Omega(A, B, C); fully antisymmetric."""
-    v = _ArgView(p, rmat, params, frame_vectors(p, params, np.stack(np.broadcast_arrays(a, b, c))))
+    abc = _stacked_args(p, rmat, params, a, b, c)
+    v = _ArgView(p, rmat, params, frame_vectors(p, params, abc))
     return _dext(params, v[0], v[1], v[2])
 
 
@@ -301,7 +311,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c)
     The signs (-1)^n and sigma(n) are written out here rather than read from
     EPS and SIGMA, so corrupting those tables is detectable.
     """
-    g = frame_vectors(p, params, np.stack(np.broadcast_arrays(a, b, c)))
+    g = frame_vectors(p, params, _stacked_args(p, rmat, params, a, b, c))
     n = params.n
     e = -1.0 if n % 2 else 1.0
     sigma = 1.0 if n in (1, 4) else -1.0
@@ -385,11 +395,12 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
     vertical component vanishes; n in {1, 2} pairs with the single structure
     k = 1, n in {3, 4} with k = 2, and the single metric weight is t1.  All
     residuals are identically zero.  The arguments are broadcast, stacked and
-    viewed once, so every residual carries the leading axes of all three; the
+    viewed once, so every residual carries the leading axes of all three and
+    of a stacked point, operator or weights; the
     product side is the arithmetic of the derivative kernel ``_dcov``, of
     ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
     """
-    abc = np.stack(np.broadcast_arrays(a, b, c))
+    abc = _stacked_args(p, rmat, params, a, b, c)
     g = frame_vectors(p, params, np.concatenate((abc, np.zeros(abc.shape[:-1] + (2,))), axis=-1))
     v = _ArgView(p, rmat, params, g)
     av, bv, cv = v[0], v[1], v[2]

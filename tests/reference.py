@@ -24,6 +24,7 @@ from twistorgh.tensors import (
     _dcov,
     _dext,
     _metric,
+    _stacked_args,
     frame_vectors,
     single_codiff,
     single_cov_deriv,
@@ -65,7 +66,8 @@ def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params, a, b, c):
     formulas by the kernel ``_dcov``: the oracle for the frame tensor T, which
     the classifier reads.  The arguments are stacked and viewed once, as the
     closed forms in ``tensors`` do."""
-    v = _ArgView(p, rmat, params, frame_vectors(p, params, np.stack(np.broadcast_arrays(a, b, c))))
+    abc = _stacked_args(p, rmat, params, a, b, c)
+    v = _ArgView(p, rmat, params, frame_vectors(p, params, abc))
     return _dcov(params, v[0], v[1], v[2])
 
 

@@ -132,15 +132,16 @@ def closed_form_with_nan(mp, kind):
     mp.setattr(tn, name, nan_at(getattr(tn, name), 0, 2))
 
 
-# trial 8 is row 2 of the first group (n = 1) of the first block; fibre-kaehler
-# calls fibre_levi_civita twice per trial
+# trial 8 is row 2 of the first group (n = 1) of the first block; fibre-kaehler's
+# first fibre_levi_civita call is the left side of the block's dimension-4 stack
+# of the even trials, so trial 8 is its row 4
 NAN_INJECTIONS = {
     kind: lambda mp, kind=kind: closed_form_with_nan(mp, kind) for kind in IDENTITY_KINDS
 } | {
     "restriction": lambda mp: mp.setattr(tn, "single_codiff", nan_at(tn.single_codiff, 0, 2)),
     "curvature-commutator": lambda mp: mp.setattr(fibre, "inner_G", nan_at(fibre.inner_G, 0, 8)),
     "fibre-kaehler-parallel": lambda mp: mp.setattr(fibre, "fibre_levi_civita",
-                                                   nan_at(fibre.fibre_levi_civita, 16)),
+                                                   nan_at(fibre.fibre_levi_civita, 0, 4)),
 }
 
 
@@ -172,12 +173,15 @@ def test_nan_residual_fails_its_oracle_only(monkeypatch, oracle):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("trials", [3, 25, 129, 200])
+@pytest.mark.parametrize("trials", [3, 25, 129, 200, 201])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, seed, trials):
-    # 129 and 200 trials end in a partial block at either size, 3 leaves an n-group empty
-    assert selftest._BLOCK_TRIALS != 64
+    # at 64 trials per block, 129, 200 and 201 trials end in a partial block;
+    # at the default sizes 201 ends the restriction in a one-trial block, and
+    # 3 leaves an n-group empty and a fibre dimension with one trial
+    assert 64 not in (selftest._BLOCK_TRIALS, selftest._RESTRICTION_BLOCK_TRIALS)
     results = selftest.run_selftest(seed=seed, trials=trials)
     monkeypatch.setattr(selftest, "_BLOCK_TRIALS", 64)
+    monkeypatch.setattr(selftest, "_RESTRICTION_BLOCK_TRIALS", 64)
     small = selftest.run_selftest(seed=seed, trials=trials)
     assert [r.name for r in results] == [r.name for r in small]
     for got, want in zip(results, small):
@@ -186,17 +190,53 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, seed, trials):
                                                            want.tol), got.name
 
 
-@pytest.mark.parametrize("kind", [*IDENTITY_KINDS, "restriction"])
+def per_trial_fibre_kaehler(seed, trials):
+    """(max_residual, worst) of the fibre oracle evaluated one trial at a time."""
+    rng = np.random.default_rng([seed, 6])
+    worst_val, worst = 0.0, {}
+    for i in range(trials):
+        dim = 4 if i % 2 == 0 else 6
+        j = fibre.random_complex_structure(dim, rng)
+        x = fibre.random_tangent(j, rng)
+        q = rng.standard_normal((dim, dim))
+        field = fibre.tangent_projection_field(0.5 * (q - q.T))
+        k_field = fibre.FibreVectorField(evaluate=lambda a, f=field: a @ f.evaluate(a))
+        lhs = fibre.fibre_levi_civita(k_field, x, j)
+        rhs = j @ fibre.fibre_levi_civita(field, x, j)
+        res = float(np.max(np.abs(lhs - rhs)))
+        if selftest._worse(res, worst_val):
+            worst_val, worst = res, {"trial": i, "dim": dim}
+    return worst_val, worst
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("trials", [1, 2, 20, 21, 129])
+def test_stacked_fibre_oracle_is_the_per_trial_one(seed, trials):
+    # 1 leaves the dimension-6 stack empty, 21 ends on an even trial, and 129
+    # ends in a one-trial block
+    result = selftest._fibre_kaehler(seed, trials)
+    best, worst = per_trial_fibre_kaehler(seed, trials)
+    assert result.max_residual.hex() == best.hex()
+    assert result.worst == worst
+    assert result.ok
+
+
+ORACLES = {kind: lambda trials, kind=kind: selftest._tensor_oracle(1, trials, kind)
+           for kind in (*IDENTITY_KINDS, "restriction")} | {
+    "fibre-kaehler-parallel": lambda trials: selftest._fibre_kaehler(1, trials)}
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
 @pytest.mark.parametrize("trials", [64, 640])
 def test_oracle_memory_does_not_grow_with_trials(trials, kind):
-    selftest._tensor_oracle(1, 8, kind)  # first-call allocations
+    ORACLES[kind](8)  # first-call allocations
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        selftest._tensor_oracle(1, trials, kind)
+        ORACLES[kind](trials)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:

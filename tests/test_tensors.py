@@ -496,6 +496,48 @@ class TestStackedArguments:
         assert np.array_equal(got[others], clean[others])
         assert not np.isfinite(got[5])
 
+    @pytest.mark.parametrize("stacked", ["point", "all", "operator"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_unstacked_arguments_at_a_stacked_point_give_one_value_per_point(self, k, stacked):
+        # the arguments are broadcast to the leading axes of the point, the
+        # operators and the weights before they are stacked, so the argument
+        # stack never pairs with them: k points sharing one operator and
+        # weights, k points each with its own, or one point with k of each
+        rng = np.random.default_rng(970 + k)
+        rows = rng.standard_normal((k, 6))
+        if stacked == "operator":
+            rows[:] = rows[0]
+        n = 3
+        if stacked == "point":
+            rmat, params = cur.random_strict_operator(rng), tn.Params(0.7, 1.6, n)
+            at = [(rmat, params)] * k
+        else:
+            t = rng.uniform(0.3, 2.0, (k, 2))
+            rmat = cur.strict_operators(rng.standard_normal((k, cur.STRICT_NORMALS)))
+            params = tn.Params(t[:, 0], t[:, 1], n)
+            at = [(rmat[i], tn.Params(t[i, 0], t[i, 1], n)) for i in range(k)]
+        args = random_coeffs(3, rng)
+        first = [x[:6] for x in args]
+
+        def evaluators(p, rmat, params):
+            out = dict(tn.restriction_residuals(p, rmat, params, *first))
+            out.update({
+                "cov_deriv_omega": cov_deriv_omega(p, rmat, params, *args),
+                "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
+                "codiff_omega": tn.codiff_omega(p, rmat, params, args[0]),
+                "nijenhuis_closed_form": tn.nijenhuis_closed_form(p, rmat, params, *args),
+            })
+            return out
+
+        p = cl._points(rows[0] if stacked == "operator" else rows, "+-")
+        got = evaluators(p, rmat, params)
+        singles = [evaluators(cl._points(rows[i], "+-"), *at[i]) for i in range(k)]
+        scale = max(1.0, *(abs(v) for s in singles for v in s.values()))
+        for name in got:
+            want = np.array([s[name] for s in singles])
+            assert np.shape(got[name]) == (k,), name
+            assert np.abs(got[name] - want).max() <= 64 * np.finfo(float).eps * scale, name
+
 
 class TestExteriorDerivative:
     def test_all_horizontal_vanishes(self):
