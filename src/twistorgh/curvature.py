@@ -81,16 +81,21 @@ def decompose(mat) -> CurvatureBlocks:
     Contract: top-left block = (s/12) Id + W+, bottom-right = (s/12) Id + W-,
     bottom-left = B (the half-exchanging block; top-right is its transpose),
     with s = 2 trace.  ``strict`` iff both |trace W| <= 1e-10 max(1, max|R|).
+    Finite entries whose scalar part or Weyl traces overflow raise CurvatureError.
     """
     mat = check_operator(mat)
-    s = 2.0 * float(np.trace(mat))
-    scalar = (s / 12.0) * np.eye(3)
-    wplus = mat[:3, :3] - scalar
-    wminus = mat[3:, 3:] - scalar
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        s = 2.0 * float(np.trace(mat))
+        scalar = (s / 12.0) * np.eye(3)
+        wplus = mat[:3, :3] - scalar
+        wminus = mat[3:, 3:] - scalar
+        traces = np.abs([np.trace(wplus), np.trace(wminus)])
+    if not (np.isfinite(s) and np.isfinite(traces).all()):
+        raise CurvatureError(f"curvature operator overflows: its scalar part s = 2 trace(R) "
+                             f"or a Weyl trace is not finite (s = {s})")
     b = mat[3:, :3]
     bound = WEYL_TRACE_TOL * max(1.0, float(np.abs(mat).max()))
-    strict = (abs(float(np.trace(wplus))) <= bound
-              and abs(float(np.trace(wminus))) <= bound)
+    strict = bool((traces <= bound).all())
     return CurvatureBlocks(s=s, B=b, Wplus=wplus, Wminus=wminus, strict=strict)
 
 
@@ -115,8 +120,11 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
         raise CurvatureError(f"scalar part s must be finite, got {s}")
     scalar = (s / 12.0) * np.eye(3)
     mat = np.zeros((6, 6))
-    mat[:3, :3] = scalar + wp
-    mat[3:, 3:] = scalar + wm
+    with np.errstate(over="ignore"):  # overflow is reported below
+        mat[:3, :3] = scalar + wp
+        mat[3:, 3:] = scalar + wm
+    if not np.all(np.isfinite(mat)):
+        raise CurvatureError("curvature operator overflows: (s/12) Id + W is not finite")
     mat[3:, :3] = b
     mat[:3, 3:] = b.T
     return mat

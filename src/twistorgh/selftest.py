@@ -21,26 +21,29 @@ H_t-orthonormal frame.
 
 A tensor-oracle trial makes two draws: its weights, then one row of normals
 for its operator, point and argument coefficients.  Blocks of trials are then
-evaluated stacked: the block's operators are built and checked in one call
-each, and its residuals come from one call per group of a quarter of the
-block, the trials of equal n = 1 + i % 4.  The identity oracles take blocks of
-128 trials (groups of 32), and the restriction, whose trials hold no frame
-tensor, blocks of 200 (groups of 50); over 640 trials they peak at 0.51 MiB
-(nijenhuis-identity) and 0.41 MiB of traced memory.  Both routes take the
-drawn frame coefficients as they are: the closed forms build their arguments'
-vectors from them (the restriction from those of E_0..E_5), so there is no
-tangent to check.  An identity oracle's group runs the classifier's route
-before it calls the closed form, so it peaks at the larger of the two routes,
-not their sum.  Failures, NaN residuals included, name the worst trial,
-reproducible from the seed.  The Nijenhuis closed form writes out the signs that the frame tensor
-reads from ``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity
-check; a tier-1 test negates the table to show it.
+evaluated stacked: every oracle takes blocks of 200 trials, so a tensor
+oracle's default 200 trials are one block.  The block's operators are built
+and checked in one call each, and its residuals come from one call per group
+of a quarter of the block (50 trials), the trials of equal n = 1 + i % 4: one
+point and one closed-form call per group.  Each trial of an identity oracle's
+route holds a full 8x8x8 frame tensor, so a group runs the classifier's route
+over slices of 25 trials, and then the closed form over the whole group; it
+peaks at the larger of the two routes, not their sum.  Over 640 trials the
+tensor oracles peak at 0.49 MiB (nijenhuis-identity) or less of traced memory.
+Both routes take the drawn frame coefficients as they are: the closed forms
+build their arguments' vectors from them (the restriction from those of
+E_0..E_5), so there is no tangent to check.  Failures, NaN residuals included,
+name the worst trial, reproducible from the seed.  The Nijenhuis closed form
+writes out the signs that the frame tensor reads from ``tensors.SIGMA``, so a
+corrupted table fails the nijenhuis-identity check; a tier-1 test negates the
+table to show it.
 
-The curvature-commutator and fibre-kaehler-parallel oracles take blocks of 128
-trials too.  A fibre trial draws its J, X and q in turn, and a block evaluates
-the fields of its trials of one dimension, 4 for even trials and 6 for odd
-ones, as one stack per dimension: one ``tangent_projection_field`` and two
-``fibre_levi_civita`` calls each (0.30 MiB traced over 640 trials).
+The curvature-commutator oracle evaluates each block of its 1000 trials as one
+stack (0.43 MiB traced over 640 trials).  A fibre trial draws its J, X and q
+in turn, and a block evaluates the fields of its trials of one dimension, 4
+for even trials and 6 for odd ones, as one stack per dimension: one
+``tangent_projection_field`` and two ``fibre_levi_civita`` calls each (0.47
+MiB traced over 640 trials).
 """
 
 from __future__ import annotations
@@ -86,21 +89,22 @@ class OracleResult:
                 f"tol={self.tol:.0e} trials={self.trials} worst={self.worst}")
 
 
-#: trials per block of every oracle but the restriction.  A multiple of 4, so
-#: that every block starts at n = 1 and splits into four groups of one n each
-#: (32 trials here).  The size is the largest that keeps the identity oracles
-#: under the 0.6 MiB traced peak of
-#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials: each
-#: of their trials holds a full 8x8x8 frame tensor, and over 640 trials
-#: nijenhuis-identity peaks at 0.51 MiB (numpy 2.4), 1.01 MiB at 256.  It is
+#: trials per block of every oracle.  A multiple of 4, so that every block
+#: starts at n = 1 and splits into four groups of one n each (50 trials here):
+#: each tensor oracle's default 200 trials are one block, whose groups each make
+#: one ``_points`` call and one closed-form call.  The closed forms hold no frame
+#: tensor, and over 640 trials every oracle peaks at 0.49 MiB (nijenhuis-identity)
+#: or less of traced memory (numpy 2.4), under the 0.6 MiB of
+#: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials.  It is
 #: selftest's own size, not the classifier's block size, so that resizing the
 #: classifier's blocks moves neither selftest's grouping nor its memory and
 #: timings.
-_BLOCK_TRIALS = 128
-#: trials per block of the restriction oracle, whose trials hold no frame
-#: tensor: a multiple of 4 that takes the default 200 trials in one block of
-#: four groups of 50, and peaks at 0.41 MiB over 640 trials (0.27 MiB at 128)
-_RESTRICTION_BLOCK_TRIALS = 200
+_BLOCK_TRIALS = 200
+#: trials per chunk of an identity group's classifier route: each of its trials
+#: holds a full 8x8x8 frame tensor, so the route runs over slices of at most
+#: this many trials of the group (half a full group).  At 32, nijenhuis-identity
+#: peaks at 0.58 MiB over 640 trials, too close to the bound.
+_ROUTE_TRIALS = 25
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
@@ -156,10 +160,15 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
         return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
     cond, closed_form, slots = _IDENTITIES[kind]
     # the classifier's route, the frame tensor contracted by the condition, runs
-    # before the closed form builds its arguments' vectors, so a group's peak
-    # memory is the larger of the two routes, not their sum
-    value = classifier.condition_values(*tensors.frame_tensor(p, rmat, params),
-                                        coeffs[:, None], (cond,))[cond][:, 0]
+    # in chunks of _ROUTE_TRIALS before the closed form builds its arguments'
+    # vectors, so a group's peak memory is the larger of the two routes, not
+    # their sum
+    value = np.empty(len(rows))
+    for lo in range(0, len(rows), _ROUTE_TRIALS):
+        c = slice(lo, lo + _ROUTE_TRIALS)
+        value[c] = classifier.condition_values(
+            *tensors.frame_tensor(p[c], rmat[c], Params(t1[c], t2[c], n)),
+            coeffs[c, None], (cond,))[cond][:, 0]
     res = np.abs(getattr(tensors, closed_form)(p, rmat, params,
                                                *np.moveaxis(coeffs[:, :slots], 1, 0)) - value)
     # the frame is H_t-orthonormal, so coefficient norms are H_t norms
@@ -168,10 +177,9 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
 
 def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
     rng = np.random.default_rng([seed, _ORACLE_STREAM[kind]])
-    size = _RESTRICTION_BLOCK_TRIALS if kind == "restriction" else _BLOCK_TRIALS
     worst_val, worst = 0.0, {}
-    for start in range(0, trials, size):
-        block = _random_configs(rng, min(size, trials - start))
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = _random_configs(rng, min(_BLOCK_TRIALS, trials - start))
         res = np.empty(len(block[0]))
         for g in range(min(4, len(res))):  # start is a multiple of 4, so n = 1 + g
             res[g::4] = _group_residuals(kind, 1 + g, *(x[g::4] for x in block))

@@ -239,6 +239,23 @@ class TestClassifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite s" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("doc", [
+        {"matrix": np.diag([1e308] * 6).tolist()},  # the trace overflows
+        # trace(W+) overflows, s does not
+        {"matrix": np.diag([0.89e308, 0.89e308, -1.7e308, -0.83e308, 0.0, 0.0]).tolist()},
+        # finite blocks whose sum (s/12) Id + W+ overflows
+        {"blocks": {"s": 1.7e308, "Wplus": np.diag([1.7e308, -0.85e308, -0.85e308]).tolist()}},
+    ])
+    def test_overflowing_operator_exits_3_without_a_warning(self, capsys, tmp_path, doc):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component=+-",
+                                 "--n", "3", *FAST)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "classify", "--model", "flat", "--component", "++",

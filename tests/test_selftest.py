@@ -97,10 +97,10 @@ def scalar_worst(kind, seed, trials):
                                         ("N", IDENTITY_KINDS[2])])
 def test_stacked_worst_trial_is_the_scalar_one(monkeypatch, cond, kind):
     # a 1% error makes the residuals geometric, not roundoff, so the worst
-    # trial is well defined; 70 trials cover a full block and a partial one
+    # trial is well defined; 210 trials cover a full block and a partial one
     monkeypatch.setattr(cl, "_condition_tensors", scaled_condition_tensors(cond))
-    result = selftest._tensor_oracle(2, 70, kind)
-    best, worst = scalar_worst(kind, 2, 70)
+    result = selftest._tensor_oracle(2, 210, kind)
+    best, worst = scalar_worst(kind, 2, 210)
     assert not result.ok
     assert result.worst == worst
     assert result.max_residual == pytest.approx(best, rel=1e-9)
@@ -145,20 +145,29 @@ NAN_INJECTIONS = {
 }
 
 
-@pytest.mark.parametrize("kind", IDENTITY_KINDS)
-def test_closed_form_is_looked_up_on_tensors_at_each_call(monkeypatch, kind):
-    # a wrapper installed on the module after import, as perfbench's tracer does,
-    # sees every call: one per n-group of the 8-trial block
-    name = selftest._IDENTITIES[kind][1]
-    intact, calls = getattr(tn, name), []
+def counting(monkeypatch, module, name):
+    """The calls of ``module.name``, counted by a wrapper installed on the module."""
+    intact, calls = getattr(module, name), []
 
-    def counting(*args):
+    def wrapped(*args):
         calls.append(None)
         return intact(*args)
 
-    monkeypatch.setattr(tn, name, counting)
-    assert selftest._tensor_oracle(1, 8, kind).ok
-    assert len(calls) == 4
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+@pytest.mark.parametrize("trials, route_calls", [(8, 4), (200, 8)])
+def test_closed_form_is_looked_up_on_tensors_at_each_call(monkeypatch, kind, trials,
+                                                          route_calls):
+    # a wrapper installed on the module after import, as perfbench's tracer does,
+    # sees every call: one closed form per n-group of the block; the 50-trial
+    # groups of a full block run the frame tensor in two 25-trial chunks each
+    closed_form = counting(monkeypatch, tn, selftest._IDENTITIES[kind][1])
+    route = counting(monkeypatch, tn, "frame_tensor")
+    assert selftest._tensor_oracle(1, trials, kind).ok
+    assert (len(closed_form), len(route)) == (4, route_calls)
 
 
 @pytest.mark.parametrize("oracle", list(NAN_INJECTIONS))
@@ -175,13 +184,15 @@ def test_nan_residual_fails_its_oracle_only(monkeypatch, oracle):
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("trials", [3, 25, 129, 200, 201])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, seed, trials):
-    # at 64 trials per block, 129, 200 and 201 trials end in a partial block;
-    # at the default sizes 201 ends the restriction in a one-trial block, and
-    # 3 leaves an n-group empty and a fibre dimension with one trial
-    assert 64 not in (selftest._BLOCK_TRIALS, selftest._RESTRICTION_BLOCK_TRIALS)
+    # at 64 trials per block, 129, 200 and 201 trials end in a partial block,
+    # and 7-trial route chunks end the 16-trial groups of a full block in a
+    # partial chunk (16 = 2 * 7 + 2); at the default sizes 201 ends every
+    # oracle in a one-trial block, and 3 leaves an n-group empty and a fibre
+    # dimension with one trial
+    assert selftest._BLOCK_TRIALS != 64 and selftest._ROUTE_TRIALS != 7
     results = selftest.run_selftest(seed=seed, trials=trials)
     monkeypatch.setattr(selftest, "_BLOCK_TRIALS", 64)
-    monkeypatch.setattr(selftest, "_RESTRICTION_BLOCK_TRIALS", 64)
+    monkeypatch.setattr(selftest, "_ROUTE_TRIALS", 7)
     small = selftest.run_selftest(seed=seed, trials=trials)
     assert [r.name for r in results] == [r.name for r in small]
     for got, want in zip(results, small):
@@ -210,9 +221,9 @@ def per_trial_fibre_kaehler(seed, trials):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("trials", [1, 2, 20, 21, 129])
+@pytest.mark.parametrize("trials", [1, 2, 20, 21, 201])
 def test_stacked_fibre_oracle_is_the_per_trial_one(seed, trials):
-    # 1 leaves the dimension-6 stack empty, 21 ends on an even trial, and 129
+    # 1 leaves the dimension-6 stack empty, 21 ends on an even trial, and 201
     # ends in a one-trial block
     result = selftest._fibre_kaehler(seed, trials)
     best, worst = per_trial_fibre_kaehler(seed, trials)
@@ -223,6 +234,7 @@ def test_stacked_fibre_oracle_is_the_per_trial_one(seed, trials):
 
 ORACLES = {kind: lambda trials, kind=kind: selftest._tensor_oracle(1, trials, kind)
            for kind in (*IDENTITY_KINDS, "restriction")} | {
+    "curvature-commutator": lambda trials: selftest._curvature_commutator(1, trials),
     "fibre-kaehler-parallel": lambda trials: selftest._fibre_kaehler(1, trials)}
 
 

@@ -356,6 +356,19 @@ class TestStackedEvaluators:
     """A stack of configurations, one per point of a stacked point, evaluates
     to the unstacked calls row by row."""
 
+    @pytest.mark.parametrize("index", [slice(3, 10), slice(14, 21), 5])
+    def test_indexing_a_stacked_point_slices_its_arrays(self, index):
+        # the structures are not rebuilt, so u is not normalised again and
+        # every array is that of the rows it slices, bit for bit
+        p = cl._points(np.random.default_rng(810).standard_normal((16, 6)), "+-")
+        q = p[index]
+        for got, whole in ((q.j1, p.j1), (q.j2, p.j2)):
+            assert got.sign == whole.sign
+            for name in ("u", "wedge", "matrix", "basis"):
+                want = getattr(whole, name)[index]
+                assert getattr(got, name).shape == want.shape, name
+                assert getattr(got, name).tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_equal_unstacked_calls(self, component, n):
