@@ -473,10 +473,6 @@ class _Recorder:
         """A ``>`` check of one residual on the reduced sample."""
         self.gt(name, condition_residuals(rmat, component, t, n, self.neg, (cond,))[cond], bound)
 
-    def noisy(self, rmat, kind: str):
-        """``rmat`` with one hypothesis block perturbed, drawn from the statement's stream."""
-        return curvature.perturbed(rmat, kind, self.rng)
-
     @property
     def passed(self) -> bool:
         return all(c["ok"] for c in self.checks)
@@ -512,8 +508,8 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
             rec.holds(f"s={s}", rmat, "+-", t, (1, 2), (_DOM,), ("D-residual",))
             rec.fails(f"s={s}/t1-off/D-residual", _DOM, rmat, "+-", (1.1 * 6.0 / s, t2), 1)
             for kind in ("Wplus", "B"):
-                rec.fails(f"s={s}/{kind}-noise/D-residual", _DOM, rec.noisy(rmat, kind),
-                          "+-", t, 1)
+                rec.fails(f"s={s}/{kind}-noise/D-residual", _DOM,
+                          curvature.perturbed(rmat, kind, rec.rng), "+-", t, 1)
 
     elif tid in ("4.3a", "4.4a"):
         ns = (1, 2) if tid == "4.3a" else (3, 4)
@@ -532,8 +528,8 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
         t = (0.8, t2)
         rec.holds("einstein-asd", rmat, "+-", t, ns, conds)
         for kind in ("Wplus", "B"):
-            rec.fails(f"{kind}-noise/delta-residual", _DELTA, rec.noisy(rmat, kind),
-                      "+-", t, ns[0])
+            rec.fails(f"{kind}-noise/delta-residual", _DELTA,
+                      curvature.perturbed(rmat, kind, rec.rng), "+-", t, ns[0])
 
     elif tid == "4.5a":
         rmat = curvature.model("asd_ricci_flat", Wminus=wm)
@@ -541,7 +537,7 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
         rec.holds("ricci-flat-asd", rmat, "++", t, (3, 4), (_QUASI,), ("quasi",))
         rec.fails("s-shift/quasi", _QUASI, curvature.model("einstein_asd", s=4.0, Wminus=wm),
                   "++", t, 3)
-        rec.fails("B-noise/quasi", _QUASI, rec.noisy(rmat, "B"), "++", t, 3)
+        rec.fails("B-noise/quasi", _QUASI, curvature.perturbed(rmat, "B", rec.rng), "++", t, 3)
 
     elif tid == "4.5b":
         s = 9.0
@@ -550,7 +546,8 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
         rec.holds("annihilating", rmat, "+-", t, (3, 4), (_QUASI,), ("quasi",))
         rec.fails("generic-Wminus/quasi", _QUASI, curvature.model("einstein_asd", s=s, Wminus=wm),
                   "+-", t, 3)
-        rec.fails("Wplus-noise/quasi", _QUASI, rec.noisy(rmat, "Wplus"), "+-", t, 3)
+        rec.fails("Wplus-noise/quasi", _QUASI, curvature.perturbed(rmat, "Wplus", rec.rng),
+                  "+-", t, 3)
 
     elif tid in ("4.6a", "4.7a"):
         s = 12.0 if tid == "4.6a" else -12.0
@@ -573,7 +570,8 @@ def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
                                 ("einstein", curvature.model("einstein_asd", s=s, Wminus=wm))):
                 rec.holds(f"s={s}/{label}", rmat, "+-", (t1, t2), (3, 4), (cond, _DELTA))
             rec.fails(f"s={s}/t1-off/{cond}", cond, const, "+-", (1.1 * t1, t2), 3)
-            rec.fails(f"s={s}/B-noise/delta", _DELTA, rec.noisy(const, "B"), "+-", (t1, t2), 3)
+            rec.fails(f"s={s}/B-noise/delta", _DELTA, curvature.perturbed(const, "B", rec.rng),
+                      "+-", (t1, t2), 3)
 
     elif tid in ("4.8a", "4.9a"):
         s = 12.0 if tid == "4.8a" else -12.0

@@ -19,58 +19,60 @@ H_t-orthonormal frame.
     fibre-kaehler-parallel        D(K Y) = K(D Y) on the fibre under
                                   central-difference field derivatives
 
-A tensor-oracle trial makes two draws: its weights, then one row of normals
-for its operator, point and argument coefficients.  Blocks of trials are then
-evaluated stacked: every oracle takes blocks of 200 trials, so a tensor
-oracle's default 200 trials are one block.  The block's operators are built
-and checked in one call each, and its residuals come from one call per group
-of a quarter of the block (50 trials), the trials of equal n = 1 + i % 4: one
-point and one closed-form call per group.  Each trial of an identity oracle's
-route holds a full 8x8x8 frame tensor, so a group runs the classifier's route
-over slices of 25 trials, and then the closed form over the whole group; it
-peaks at the larger of the two routes, not their sum.  Over 640 trials the
-tensor oracles peak at 0.49 MiB (nijenhuis-identity) or less of traced memory.
-Both routes take the drawn frame coefficients as they are: the closed forms
-build their arguments' vectors from them (the restriction from those of
-E_0..E_5), so there is no tangent to check.  Failures, NaN residuals included,
-name the worst trial, reproducible from the seed.  The Nijenhuis closed form
-writes out the signs that the frame tensor reads from ``tensors.SIGMA``, so a
-corrupted table fails the nijenhuis-identity check; a tier-1 test negates the
-table to show it.
+``ORACLES`` gives each oracle, in report order, its stream, tolerance and
+default trials.  ``_scan`` runs an oracle in blocks of 200 trials drawn from
+its generator ``[seed, stream]``, and names the worst trial, the first NaN
+else the first maximum, reproducible from the seed.  A tensor oracle (the
+first four) draws a block's weights in one call on a second generator
+``[seed, stream, 1]``, and its rows of 58 normals, for each trial's operator,
+point and argument coefficients, in one call on the first; each generator
+fills a block in trial order, so a trial's draws do not depend on the block
+size.  The block's operators are built and checked in one call each, and its
+residuals come from one call per group of a quarter of the block (50
+trials), the trials of equal n = 1 + i % 4: one point and one closed-form
+call per group.  Each trial of an identity oracle's route holds a full 8x8x8
+frame tensor, so a group runs the classifier's route over slices of 25
+trials, and then the closed form over the whole group; it peaks at the larger
+of the two routes, not their sum.  Both routes take the drawn frame
+coefficients as they are: the closed forms build their arguments' vectors
+from them (the restriction from those of E_0..E_5), so there is no tangent to
+check.  The Nijenhuis closed form writes out the signs that the frame tensor
+reads from ``tensors.SIGMA``, so a corrupted table fails the
+nijenhuis-identity check; a tier-1 test negates the table to show it.
 
-The curvature-commutator oracle evaluates each block of its 1000 trials as one
-stack (0.43 MiB traced over 640 trials).  A fibre trial draws its J, X and q
-in turn, and a block evaluates the fields of its trials of one dimension, 4
-for even trials and 6 for odd ones, as one stack per dimension: one
-``tangent_projection_field`` and two ``fibre_levi_civita`` calls each (0.47
-MiB traced over 640 trials).
+The curvature-commutator oracle draws a block's rows of 76 normals in one
+call and evaluates them as one stack.  A fibre trial draws its J, X and q in
+turn, and a block evaluates its trials of one dimension, 4 for even trials and
+6 for odd ones, as one stack per dimension: one ``tangent_projection_field``
+and two ``fibre_levi_civita`` calls each.  Over 640 trials every oracle peaks
+at 0.50 MiB (nijenhuis-identity) or less of traced memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import classifier, curvature, fibre, tensors
 from .tensors import Params
 
-ORACLE_TOLS = {
-    "ext-deriv-antisymmetrization": 1e-10,
-    "codiff-frame-trace": 1e-10,
-    "nijenhuis-identity": 1e-10,
-    "restriction": 1e-12,
-    "curvature-commutator": 1e-10,
-    "fibre-kaehler-parallel": 1e-6,
-}
 
-DEFAULT_TRIALS = {
-    "ext-deriv-antisymmetrization": 200,
-    "codiff-frame-trace": 200,
-    "nijenhuis-identity": 200,
-    "restriction": 200,
-    "curvature-commutator": 1000,
-    "fibre-kaehler-parallel": 20,
+class _Oracle(NamedTuple):
+    stream: int  # the oracle's seeded generator is [seed, stream]
+    tol: float
+    trials: int  # default trials
+
+
+#: every oracle, in report order
+ORACLES = {
+    "ext-deriv-antisymmetrization": _Oracle(1, 1e-10, 200),
+    "codiff-frame-trace": _Oracle(2, 1e-10, 200),
+    "nijenhuis-identity": _Oracle(3, 1e-10, 200),
+    "restriction": _Oracle(4, 1e-12, 200),
+    "curvature-commutator": _Oracle(5, 1e-10, 1000),
+    "fibre-kaehler-parallel": _Oracle(6, 1e-6, 20),
 }
 
 
@@ -93,7 +95,7 @@ class OracleResult:
 #: starts at n = 1 and splits into four groups of one n each (50 trials here):
 #: each tensor oracle's default 200 trials are one block, whose groups each make
 #: one ``_points`` call and one closed-form call.  The closed forms hold no frame
-#: tensor, and over 640 trials every oracle peaks at 0.49 MiB (nijenhuis-identity)
+#: tensor, and over 640 trials every oracle peaks at 0.50 MiB (nijenhuis-identity)
 #: or less of traced memory (numpy 2.4), under the 0.6 MiB of
 #: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials.  It is
 #: selftest's own size, not the classifier's block size, so that resizing the
@@ -109,24 +111,20 @@ _ROUTE_TRIALS = 25
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
 
-def _random_configs(rng, count: int):
+def _random_configs(rng, weights, count: int):
     """(t1, t2, rmat, rows, coeffs) of ``count`` consecutive trials, stacked along
-    one trial axis.  Each trial makes two draws: its weights, then one row of 58
-    normals, which holds the 28 of its operator (``curvature.strict_operators``),
-    the six of its point (the rows of ``classifier._points``) and the (3, 8)
-    frame coefficients of its arguments.  The weights are drawn in place as
-    uniforms on [0, 1) and mapped to [0.3, 2) once per block by the arithmetic
-    of ``Generator.uniform``, which draws the same numbers.  The block's
-    operators are built and checked in one stacked call each."""
-    t, z = np.empty((count, 2)), np.empty((count, _TRIAL_NORMALS))
-    for i in range(count):
-        rng.random(out=t[i])
-        rng.standard_normal(out=z[i])
-    low, high = 0.3, 2.0
-    t = low + (high - low) * t
-    ops, rows, coeffs = np.split(z, np.cumsum([curvature.STRICT_NORMALS, 6]), axis=1)
+    one trial axis.  ``weights`` draws the trials' (t1, t2) in one call, and
+    ``rng`` their rows of 58 normals in one call: the 28 of a trial's operator
+    (``curvature.strict_operators``), the six of its point (the rows of
+    ``classifier._points``) and the (3, 8) frame coefficients of its arguments.
+    Each generator fills its block in trial order, so a trial's draws do not
+    depend on the block size.  The block's operators are built and checked in
+    one stacked call each."""
+    t1, t2 = weights.uniform(0.3, 2.0, (count, 2)).T
+    ops, rows, coeffs = np.split(rng.standard_normal((count, _TRIAL_NORMALS)),
+                                 np.cumsum([curvature.STRICT_NORMALS, 6]), axis=1)
     rmat = curvature.check_operator(curvature.strict_operators(ops), stacked=True)
-    return t[:, 0], t[:, 1], rmat, rows, coeffs.reshape(-1, 3, 8)
+    return t1, t2, rmat, rows, coeffs.reshape(-1, 3, 8)
 
 
 def _worse(res, worst_val) -> bool:
@@ -134,12 +132,21 @@ def _worse(res, worst_val) -> bool:
     return bool(res > worst_val or (np.isnan(res) and not np.isnan(worst_val)))
 
 
-_ORACLE_STREAM = {
-    "ext-deriv-antisymmetrization": 1,
-    "codiff-frame-trace": 2,
-    "nijenhuis-identity": 3,
-    "restriction": 4,
-}
+def _scan(name: str, seed: int, trials: int, block, where) -> OracleResult:
+    """The oracle ``name`` over ``trials`` trials drawn from ``[seed, stream]``:
+    ``block(rng, count)`` draws and evaluates the next ``count`` trials, at most
+    _BLOCK_TRIALS at a time, into their residuals, and ``where(i)`` describes
+    the worst trial i."""
+    oracle = ORACLES[name]
+    rng = np.random.default_rng([seed, oracle.stream])
+    worst_val, worst = 0.0, {}
+    for start in range(0, trials, _BLOCK_TRIALS):
+        res = block(rng, min(_BLOCK_TRIALS, trials - start))
+        j = int(np.argmax(res))  # the first NaN, else the first maximum
+        if _worse(res[j], worst_val):
+            worst_val, worst = float(res[j]), where(start + j)
+    return OracleResult(name, worst_val, oracle.tol, trials, worst_val <= oracle.tol, worst)
+
 
 #: identity oracles: (classifier condition, closed form's name in ``tensors``,
 #: number of argument slots).  The closed form is looked up by name at each
@@ -176,29 +183,23 @@ def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarra
 
 
 def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
-    rng = np.random.default_rng([seed, _ORACLE_STREAM[kind]])
-    worst_val, worst = 0.0, {}
-    for start in range(0, trials, _BLOCK_TRIALS):
-        block = _random_configs(rng, min(_BLOCK_TRIALS, trials - start))
-        res = np.empty(len(block[0]))
-        for g in range(min(4, len(res))):  # start is a multiple of 4, so n = 1 + g
-            res[g::4] = _group_residuals(kind, 1 + g, *(x[g::4] for x in block))
-        j = int(np.argmax(res))  # the first NaN, else the first maximum
-        if _worse(res[j], worst_val):
-            i = start + j
-            worst_val, worst = float(res[j]), {"trial": i, "component": ("++", "+-")[i % 2],
-                                               "n": 1 + i % 4}
-    tol = ORACLE_TOLS[kind]
-    return OracleResult(kind, worst_val, tol, trials, worst_val <= tol, worst)
+    weights = np.random.default_rng([seed, ORACLES[kind].stream, 1])
+
+    def block(rng, count):
+        configs = _random_configs(rng, weights, count)
+        res = np.empty(count)
+        for g in range(min(4, count)):  # a block starts at n = 1, so n = 1 + g
+            res[g::4] = _group_residuals(kind, 1 + g, *(x[g::4] for x in configs))
+        return res
+
+    return _scan(kind, seed, trials, block,
+                 lambda i: {"trial": i, "component": ("++", "+-")[i % 2], "n": 1 + i % 4})
 
 
 def _curvature_commutator(seed: int, trials: int) -> OracleResult:
-    rng = np.random.default_rng([seed, 5])
-    worst_val, worst = 0.0, {}
-    for start in range(0, trials, _BLOCK_TRIALS):
+    def block(rng, count):
         # a trial draws m (6, 6), a, b (4, 4), x and y: one row of 76 normals
-        m, q, x, y = np.split(rng.standard_normal((min(_BLOCK_TRIALS, trials - start), 76)),
-                              [36, 68, 72], axis=1)
+        m, q, x, y = np.split(rng.standard_normal((count, 76)), [36, 68, 72], axis=1)
         m, q = m.reshape(-1, 6, 6), q.reshape(-1, 2, 4, 4)
         rmat = 0.5 * (m + np.swapaxes(m, -1, -2))
         a, b = np.moveaxis(0.5 * (q - np.swapaxes(q, -1, -2)), 1, 0)
@@ -206,22 +207,16 @@ def _curvature_commutator(seed: int, trials: int) -> OracleResult:
         lhs = fibre.inner_G(r @ a - a @ r, b)
         bracket = tensors.two_vector_of_endo(a @ b - b @ a)
         rhs = np.einsum("...ij,...j,...i->...", rmat, bracket, tensors.wedge_of_pair(x, y))
-        res = np.abs(lhs - rhs) / (1.0 + np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1))
-        j = int(np.argmax(res))  # the first NaN, else the first maximum
-        if _worse(res[j], worst_val):
-            worst_val, worst = float(res[j]), {"trial": start + j}
-    tol = ORACLE_TOLS["curvature-commutator"]
-    return OracleResult("curvature-commutator", worst_val, tol, trials, worst_val <= tol, worst)
+        return np.abs(lhs - rhs) / (1.0 + np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1))
+
+    return _scan("curvature-commutator", seed, trials, block, lambda i: {"trial": i})
 
 
 def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
-    rng = np.random.default_rng([seed, 6])
-    worst_val, worst = 0.0, {}
-    for start in range(0, trials, _BLOCK_TRIALS):
+    def block(rng, count):
         # trial i draws J, then X, then q, on the fibre of dimension 4 (even i)
-        # or 6 (odd i); start is even, so the block's trials of one dimension
-        # are every other one, and each dimension is evaluated as one stack
-        count = min(_BLOCK_TRIALS, trials - start)
+        # or 6 (odd i); a block starts at an even trial, so its trials of one
+        # dimension are every other one, and each dimension is one stack
         draws = {4: [], 6: []}
         for i in range(count):
             dim = 6 if i % 2 else 4
@@ -237,11 +232,10 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
             lhs = fibre.fibre_levi_civita(k_field, x, j)
             rhs = j @ fibre.fibre_levi_civita(field, x, j)
             res[first::2] = np.max(np.abs(lhs - rhs), axis=(-2, -1))
-        i = int(np.argmax(res))  # the first NaN, else the first maximum
-        if _worse(res[i], worst_val):
-            worst_val, worst = float(res[i]), {"trial": start + i, "dim": 6 if i % 2 else 4}
-    tol = ORACLE_TOLS["fibre-kaehler-parallel"]
-    return OracleResult("fibre-kaehler-parallel", worst_val, tol, trials, worst_val <= tol, worst)
+        return res
+
+    return _scan("fibre-kaehler-parallel", seed, trials, block,
+                 lambda i: {"trial": i, "dim": 6 if i % 2 else 4})
 
 
 def run_selftest(seed: int = 1, trials: int | None = None) -> list[OracleResult]:
@@ -251,15 +245,16 @@ def run_selftest(seed: int = 1, trials: int | None = None) -> list[OracleResult]
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
-    def count(kind: str) -> int:
-        return trials if trials is not None else DEFAULT_TRIALS[kind]
+    def run(name: str, count: int) -> OracleResult:
+        # the oracles are looked up at each call, so a wrapper installed on the
+        # module after import sees the call
+        if name == "curvature-commutator":
+            return _curvature_commutator(seed, count)
+        if name == "fibre-kaehler-parallel":
+            return _fibre_kaehler(seed, count)
+        return _tensor_oracle(seed, count, name)
 
-    out = [_tensor_oracle(seed, count(k), k)
-           for k in ("ext-deriv-antisymmetrization", "codiff-frame-trace",
-                     "nijenhuis-identity", "restriction")]
-    out.append(_curvature_commutator(seed, count("curvature-commutator")))
-    out.append(_fibre_kaehler(seed, count("fibre-kaehler-parallel")))
-    return out
+    return [run(name, trials or oracle.trials) for name, oracle in ORACLES.items()]
 
 
 def all_ok(results: list[OracleResult]) -> bool:

@@ -1,11 +1,14 @@
 """Every row of the benchmark's reference survey gets its recorded class and residuals,
-and every statement its recorded verdicts.
+every statement its recorded verdicts, and every validated selftest seed its
+recorded oracle verdicts.
 
 The rows of ``perfbench/reference.json`` cover the eight survey kinds on all
 four components; the operators are built and the residuals compared exactly
 as the benchmark's classify-survey workload does, with its ``build_operator``
 and ``RES_TOL``.  The statements are checked as its verify-suite workload
-checks them: each check's name and verdict, in order.
+checks them: each check's name and verdict, in order.  The selftest seeds are
+checked as its selftest-oracles workload checks them: each oracle's name and
+verdict, in order.
 """
 
 import importlib.util
@@ -15,6 +18,7 @@ from pathlib import Path
 
 from twistorgh import classifier as cl
 from twistorgh import curvature as cur
+from twistorgh import selftest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -86,3 +90,14 @@ def test_every_check_keeps_its_seed_7_value():
                 bad.append(f"{ref['id']} {want['name']}: value {check['value']!r} "
                            f"!= {want['value']!r}")
     assert bad == [], "\n".join(bad[:20])
+
+
+def test_every_validated_selftest_seed_keeps_its_oracle_verdicts():
+    # the oracles' report order is the order of selftest.ORACLES, so a reorder or
+    # rename there fails every op of the selftest-oracles workload
+    reference = _reference()["selftest"]
+    want = reference["oracles"]  # [name, ok] of each oracle, in report order
+    assert list(selftest.ORACLES) == [name for name, _ in want]
+    for seed in reference["validated_seeds"]:
+        got = [[r.name, r.ok] for r in selftest.run_selftest(seed=seed)]
+        assert got == want, seed

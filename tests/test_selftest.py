@@ -40,13 +40,19 @@ def test_negated_sign_table_fails_the_closed_form_oracles(monkeypatch):
     assert [r.name for r in results if not r.ok] == ["nijenhuis-identity", "restriction"]
 
 
-def replay_configs(rng, count):
+def generators(seed, kind):
+    """The two generators of a tensor oracle: its rows', then its weights'."""
+    stream = selftest.ORACLES[kind].stream
+    return np.random.default_rng([seed, stream]), np.random.default_rng([seed, stream, 1])
+
+
+def replay_configs(rng, weights, count):
     """The per-trial draws one at a time, each part of a trial by itself: two
     scalar weights, the operator block by block, the point, the coefficients."""
     out = []
     for _ in range(count):
-        t1 = float(rng.uniform(0.3, 2.0))
-        t2 = float(rng.uniform(0.3, 2.0))
+        t1 = float(weights.uniform(0.3, 2.0))
+        t2 = float(weights.uniform(0.3, 2.0))
         rmat = drawn_strict_operator(rng)
         row = rng.standard_normal(6)  # the six normals of the point
         coeffs = rng.standard_normal((3, 8))
@@ -55,14 +61,16 @@ def replay_configs(rng, count):
 
 
 def test_block_draws_replay_the_per_trial_stream():
-    rng = np.random.default_rng([1, 3])
-    blocks = [selftest._random_configs(rng, 64), selftest._random_configs(rng, 5)]
+    rng, weights = generators(1, "nijenhuis-identity")
+    blocks = [selftest._random_configs(rng, weights, 64),
+              selftest._random_configs(rng, weights, 5)]
     drawn = [np.concatenate(x) for x in zip(*blocks)]
-    replay = np.random.default_rng([1, 3])
-    for i, config in enumerate(replay_configs(replay, 69)):
+    replay, replay_weights = generators(1, "nijenhuis-identity")
+    for i, config in enumerate(replay_configs(replay, replay_weights, 69)):
         for got, want in zip(drawn, config):
             assert np.array_equal(got[i], want), i
     assert rng.bit_generator.state == replay.bit_generator.state
+    assert weights.bit_generator.state == replay_weights.bit_generator.state
 
 
 def test_commutator_rows_replay_the_per_trial_stream():
@@ -78,9 +86,9 @@ def test_commutator_rows_replay_the_per_trial_stream():
 def scalar_worst(kind, seed, trials):
     """The worst trial of an identity oracle, one configuration at a time."""
     cond, closed_form, slots = selftest._IDENTITIES[kind]
-    rng = np.random.default_rng([seed, selftest._ORACLE_STREAM[kind]])
     best, worst = -1.0, None
-    for i, (t1, t2, rmat, row, coeffs) in enumerate(replay_configs(rng, trials)):
+    for i, (t1, t2, rmat, row, coeffs) in enumerate(replay_configs(*generators(seed, kind),
+                                                                   trials)):
         component, n = ("++", "+-")[i % 2], 1 + i % 4
         params = tn.Params(t1, t2, n)
         p = cl._points(row, component)
