@@ -195,9 +195,11 @@ _SLOTS = dict.fromkeys(CONDITIONS, (_A, _B, _C)) | {_W1: (_A, _A, _C), _W13: (_A
 
 def _cyclic(q):
     """q[a, b, c] + q[b, c, a] + q[c, a, b] over the last three axes, summed in
-    that order into one new array."""
-    s = q + np.moveaxis(q, -1, -3)
-    s += np.moveaxis(q, -3, -1)
+    that order into one new array.  The rotations are transposed views with
+    the axes spelled out, which skips ``np.moveaxis``'s axis normalisation."""
+    lead = range(q.ndim - 3)
+    s = q + q.transpose(*lead, -1, -3, -2)
+    s += q.transpose(*lead, -2, -1, -3)
     return s
 
 

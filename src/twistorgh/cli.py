@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -138,8 +137,6 @@ def _load_operator(args) -> tuple[object, str]:
         return curvature.read_json(args.input), f"file:{args.input}"
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
         raise curvature.SchemaError(f"cannot read {args.input!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise curvature.SchemaError(f"malformed JSON in {args.input!r}: {exc}") from None
 
 
 def cmd_classify(args) -> int:

@@ -44,23 +44,21 @@ class SchemaError(CurvatureError):
     """Malformed curvature-operator document."""
 
 
-def _sym_bound(m: np.ndarray) -> np.ndarray:
-    """SYM_TOL * max(1, max|m|) over the last two axes: one bound per matrix of a stack."""
-    return SYM_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+def _sym_bound(m: np.ndarray) -> float:
+    """SYM_TOL * max(1, max|m|): the symmetry tolerance of the matrix m."""
+    return SYM_TOL * max(1.0, float(np.abs(m).max()))
 
 
-def check_operator(mat, stacked: bool = False) -> np.ndarray:
-    """One operator, or with ``stacked`` operators along leading axes, each
-    checked against its own magnitude."""
+def check_operator(mat) -> np.ndarray:
+    """One 6x6 operator, finite and symmetric within :func:`_sym_bound`."""
     mat = np.asarray(mat, dtype=float)
-    if mat.shape[-2:] != (6, 6) or (mat.ndim != 2 and not stacked):
+    if mat.shape != (6, 6):
         raise CurvatureError(f"curvature operator must be 6x6, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise CurvatureError("curvature operator has non-finite entries")
-    err = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-2, -1))
-    if (err > _sym_bound(mat)).any():
-        raise CurvatureError(
-            f"curvature operator is not symmetric: max|R - R^T| = {np.max(err):.3e}")
+    err = float(np.max(np.abs(mat - mat.T)))
+    if err > _sym_bound(mat):
+        raise CurvatureError(f"curvature operator is not symmetric: max|R - R^T| = {err:.3e}")
     return mat
 
 
@@ -193,8 +191,8 @@ def model(name: str, **params) -> np.ndarray:
 
 def curvature_endo(mat, x, y) -> np.ndarray:
     """The skew endomorphism r with g(r z, t) = <R(x ^ y), z ^ t>; operators
-    (..., 6, 6) and vectors stacked along leading axes broadcast."""
-    mat = check_operator(mat, stacked=True)
+    (..., 6, 6) and vectors stacked along leading axes broadcast.  The
+    operators are taken as given: their callers build them symmetric."""
     return endo_of_two_vector((mat @ wedge_of_pair(x, y)[..., None])[..., 0])
 
 
@@ -293,8 +291,15 @@ def from_json_dict(doc) -> np.ndarray:
 
 
 def read_json(path) -> np.ndarray:
+    """The operator of the document at ``path``.  A document the decoder refuses
+    is a SchemaError: malformed, nested past its recursion limit, or holding an
+    integer literal past Python's digit limit."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"malformed JSON in {str(path)!r}: {exc}") from None
     return from_json_dict(doc)
 
 

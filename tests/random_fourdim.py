@@ -1,11 +1,25 @@
 """Seeded random points and vertical vectors of the four-dimensional sphere
 model, the vertical basis of a structure, the halves of a two-vector, a
 block-by-block strict-operator draw and a corrupted sign table for the tests
-of the oracles."""
+of the oracles, and assertions that a matrix is tangent at J or is a complex
+structure."""
 
 import numpy as np
 
 from twistorgh import curvature as cur, fourdim as fd, tensors as tn
+
+
+def assert_tangent(j, v, tol: float = 1e-10) -> np.ndarray:
+    """Assert that v is tangent at J: skew, with JV + VJ = 0, to ``tol``; a NaN fails."""
+    assert np.max(np.abs(v + v.T)) <= tol
+    assert np.max(np.abs(j @ v + v @ j)) <= tol
+    return v
+
+
+def assert_complex_structure(j, tol: float = 1e-10) -> None:
+    """Assert that J is skew with J J = -Id, to ``tol``; a NaN fails."""
+    assert np.max(np.abs(j + j.T)) <= tol
+    assert np.max(np.abs(j @ j + np.eye(len(j)))) <= tol
 
 
 def random_ocs(sign: int, rng) -> fd.OrientedComplexStructure4:

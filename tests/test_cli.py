@@ -80,6 +80,19 @@ class TestClassifyCommand:
         assert code == cli.EXIT_INPUT
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"matrix": ' + "[" * 100_000,  # past the decoder's recursion limit
+        '{"matrix": [[1' + "0" * 5000 + "]]}",  # past Python's 4300-digit limit
+    ], ids=["deep-nesting", "long-integer"])
+    def test_undecodable_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                                 "--n", "1")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_directory_input_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", "--input", str(tmp_path),
                                  "--component", "++", "--n", "1")

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from twistorgh import fibre
 
+from random_fourdim import assert_complex_structure, assert_tangent
+
 RNG = np.random.default_rng(101)
 
 
@@ -36,10 +38,6 @@ class TestInnerG:
         b = fibre.random_tangent(fibre.standard_complex_structure(4), RNG)
         assert fibre.inner_G(np.zeros((4, 4)), b) == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(fibre.FibreAlgebraError, match="mismatch"):
-            fibre.inner_G(np.zeros((4, 4)), np.zeros((6, 6)))
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_positive_definite_on_skews(self, seed):
@@ -65,10 +63,6 @@ class TestSBasis:
         basis = fibre.make_S_basis(dim)
         gram = np.array([[fibre.inner_G(a, b) for b in basis] for a in basis])
         assert_allclose(gram, np.eye(len(basis)), atol=1e-14)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(fibre.FibreAlgebraError):
-            fibre.make_S_basis(5)
 
 
 def projection_matrix(j):
@@ -96,7 +90,7 @@ class TestTangentSpace:
         assert_allclose(p @ p, p, atol=1e-12)
         assert np.linalg.matrix_rank(p, tol=1e-8) == m * m - m
         for s in fibre.make_S_basis(dim):
-            v = fibre.check_tangent(j, fibre.tangent_projection(j, s))
+            v = assert_tangent(j, fibre.tangent_projection(j, s))
             rest = s - v
             assert np.max(np.abs(j @ rest - rest @ j)) < 1e-12
 
@@ -119,7 +113,7 @@ class TestKaehlerStructure:
         for _ in range(20):
             j = fibre.random_complex_structure(dim, RNG)
             v = fibre.random_tangent(j, RNG)
-            kv = fibre.check_tangent(j, j @ v)
+            kv = assert_tangent(j, j @ v)
             assert_allclose(j @ kv, -v, atol=1e-12)
 
     def test_is_G_orthogonal(self):
@@ -172,7 +166,7 @@ class TestLeviCivita:
         x = fibre.random_tangent(j, RNG)
         q = RNG.standard_normal((6, 6))
         field = fibre.tangent_projection_field(0.5 * (q - q.T))
-        fibre.check_tangent(j, fibre.fibre_levi_civita(field, x, j))
+        assert_tangent(j, fibre.fibre_levi_civita(field, x, j))
 
     def test_identity_field_differentiates_to_the_tangent_vector(self):
         # the central difference is exact for a linear field up to roundoff,
@@ -192,15 +186,15 @@ class TestInvariantPreservation:
             q = rng.standard_normal((4, 4))
             skew = 0.5 * (q - q.T)
             v = fibre.tangent_projection(j, skew)
-            fibre.check_tangent(j, v)
+            assert_tangent(j, v)
             # J o V, the fibre Kaehler image of the selftest oracle's field
-            fibre.check_tangent(j, j @ v)
+            assert_tangent(j, j @ v)
 
     def test_random_complex_structures_are_valid(self):
         rng = np.random.default_rng(5)
         for dim in (4, 6):
             for _ in range(25):
-                fibre.check_complex_structure(fibre.random_complex_structure(dim, rng))
+                assert_complex_structure(fibre.random_complex_structure(dim, rng))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -211,20 +205,3 @@ class TestInvariantPreservation:
         skew = 0.5 * (q - q.T)
         once = fibre.tangent_projection(j, skew)
         assert_allclose(fibre.tangent_projection(j, once), once, atol=1e-12)
-
-    @pytest.mark.parametrize("check", [
-        lambda nan, j: fibre.check_skew(nan),
-        lambda nan, j: fibre.check_complex_structure(nan),
-        lambda nan, j: fibre.check_tangent(j, nan),
-        lambda nan, j: fibre.check_tangent(nan, np.zeros((4, 4))),
-        lambda nan, j: fibre.tangent_projection_field(nan),
-        lambda nan, j: fibre.fibre_levi_civita(fibre.tangent_projection_field(-j), nan, j),
-        lambda nan, j: fibre.fibre_levi_civita(fibre.tangent_projection_field(-j), 0 * j, nan),
-    ])
-    def test_nan_is_rejected(self, check):
-        with pytest.raises(fibre.FibreAlgebraError):
-            check(np.full((4, 4), np.nan), fibre.standard_complex_structure(4))
-
-    def test_skewness_violation_detected(self):
-        with pytest.raises(fibre.FibreAlgebraError, match="not skew"):
-            fibre.check_skew(np.eye(4))

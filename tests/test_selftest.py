@@ -178,15 +178,27 @@ def test_closed_form_is_looked_up_on_tensors_at_each_call(monkeypatch, kind, tri
     assert (len(closed_form), len(route)) == (4, route_calls)
 
 
-@pytest.mark.parametrize("oracle", list(NAN_INJECTIONS))
-def test_nan_residual_fails_its_oracle_only(monkeypatch, oracle):
-    NAN_INJECTIONS[oracle](monkeypatch)
+def assert_nan_fails_at_trial_8(oracle):
     results = selftest.run_selftest(seed=1, trials=25)
     assert [r.name for r in results if not r.ok] == [oracle]
     failed = next(r for r in results if not r.ok)
     assert np.isnan(failed.max_residual)
     assert failed.worst["trial"] == 8
     assert "max=nan" in failed.line()
+
+
+@pytest.mark.parametrize("oracle", list(NAN_INJECTIONS))
+def test_nan_residual_fails_its_oracle_only(monkeypatch, oracle):
+    NAN_INJECTIONS[oracle](monkeypatch)
+    assert_nan_fails_at_trial_8(oracle)
+
+
+def test_nan_fibre_draw_fails_the_fibre_oracle_only(monkeypatch):
+    # nothing checks the fibre draws, so a NaN structure J, drawn first in
+    # trial 8, must reach that trial's residual
+    monkeypatch.setattr(fibre, "random_complex_structure",
+                        nan_at(fibre.random_complex_structure, 8))
+    assert_nan_fails_at_trial_8("fibre-kaehler-parallel")
 
 
 @pytest.mark.parametrize("seed", [1, 7])
