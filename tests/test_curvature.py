@@ -125,6 +125,19 @@ class TestDecompose:
         with pytest.raises(cur.CurvatureError, match="symmetric"):
             cur.compose(0.0, Wplus=wp_skewed)
 
+    def test_stacked_operators_are_bounded_one_by_one(self):
+        # the same absolute asymmetry is roundoff in a large operator and a
+        # defect in a small one, so each operator of a stack meets its own bound
+        big = 1e5 * cur.random_strict_operator(np.random.default_rng(14))
+        small = cur.random_strict_operator(np.random.default_rng(15))
+        assert np.abs(small).max() < 10.0
+        big[0, 4] += 1.5e-11
+        small[0, 4] += 1.5e-11
+        stack = np.stack([big, small])
+        assert cur.check_operator(stack[0]).shape == (6, 6)
+        with pytest.raises(cur.CurvatureError, match="not symmetric"):
+            cur.check_operator(stack[1])
+
     def test_classify_refuses_a_stack(self):
         stack = np.stack([cur.random_strict_operator(np.random.default_rng(16))] * 2)
         with pytest.raises(cur.CurvatureError, match="must be 6x6"):

@@ -38,6 +38,11 @@ class TestInnerG:
         b = fibre.random_tangent(fibre.standard_complex_structure(4), RNG)
         assert fibre.inner_G(np.zeros((4, 4)), b) == 0.0
 
+    def test_dimension_mismatch(self):
+        # the contraction pairs the matrices' own axes, which do not broadcast
+        with pytest.raises(ValueError):
+            fibre.inner_G(np.zeros((4, 4)), np.zeros((6, 6)))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_positive_definite_on_skews(self, seed):
@@ -205,3 +210,19 @@ class TestInvariantPreservation:
         skew = 0.5 * (q - q.T)
         once = fibre.tangent_projection(j, skew)
         assert_allclose(fibre.tangent_projection(j, once), once, atol=1e-12)
+
+    @pytest.mark.parametrize("entry", [
+        lambda nan, j: fibre.inner_G(nan, j),
+        lambda nan, j: fibre.tangent_projection(j, nan),
+        lambda nan, j: fibre.tangent_projection(nan, -j),
+        lambda nan, j: fibre.random_tangent(nan, np.random.default_rng(0)),
+        lambda nan, j: fibre.tangent_projection_field(nan).evaluate(j),
+        lambda nan, j: fibre.fibre_levi_civita(fibre.tangent_projection_field(-j), nan, j),
+        lambda nan, j: fibre.fibre_levi_civita(fibre.tangent_projection_field(-j), 0 * j, nan),
+    ], ids=["inner_G", "projection-of-nan", "projection-at-nan", "random_tangent",
+            "field", "levi-civita-direction", "levi-civita-point"])
+    def test_nan_propagates(self, entry):
+        # nothing here checks its input, so a NaN must reach every output entry,
+        # where the self-test's residuals fail on it
+        out = entry(np.full((4, 4), np.nan), fibre.standard_complex_structure(4))
+        assert np.isnan(out).all()
