@@ -128,7 +128,7 @@ COMPONENTS = ("++", "+-", "-+", "--")
 #: frame tensor and one set of coefficient norms each.  Against 16-point blocks,
 #: 32 build the geometry half as often, which shows most in verify's calls of
 #: one or two conditions (BENCH_14.json).  A default-config call then peaks at
-#: 899 KiB traced (numpy 2.4); 64-point blocks would peak at 1260 KiB, over
+#: 943 KiB traced (numpy 2.4); 64-point blocks would peak at 1260 KiB, over
 #: the 1 MiB that tests/test_classifier.py::TestMemory allows.
 BLOCK_POINTS = 32
 #: points per contraction chunk of a geometry block: the argument outer
@@ -339,28 +339,16 @@ class ClassReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
-    _CSV_CONFIG = ("source", "component", "n", "t1", "t2", "seed",
-                   "num_points", "num_arg_triples", "tol")
-
-    @classmethod
-    def csv_header(cls) -> tuple[str, ...]:
-        return (("detected",) + cls._CSV_CONFIG
-                + ("strict", "possible_class_violation") + CONDITIONS)
-
-    def csv_row(self) -> list[str]:
-        cells = [self.detected]
-        cells += [repr(self.config[k]) if isinstance(self.config[k], float)
-                  else str(self.config[k]) for k in self._CSV_CONFIG]
-        cells += [str(self.flags["strict"]), str(self.flags["possible_class_violation"])]
-        cells += [repr(self.residuals[c]) for c in CONDITIONS]
-        return cells
-
     def to_csv(self) -> str:
-        """Header and row; a cell holding a comma, quote or newline is quoted."""
+        """The fields of ``to_json_dict`` as a header and a row: detected, config,
+        flags, then residuals.  A float cell is its repr, any other its str; a
+        cell holding a comma, quote or newline is quoted."""
+        doc = self.to_json_dict()
+        cells = {"detected": doc["detected"], **doc["config"], **doc["flags"], **doc["residuals"]}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.csv_header())
-        writer.writerow(self.csv_row())
+        writer.writerow(cells)
+        writer.writerow(repr(v) if isinstance(v, float) else str(v) for v in cells.values())
         return buf.getvalue()
 
 

@@ -108,6 +108,18 @@ def _check_block(m, name: str, symmetric: bool) -> np.ndarray:
     return m
 
 
+def _assemble(s, b, wp, wm) -> np.ndarray:
+    """(s/12) Id + B + W+ + W-: one 6x6 operator per entry of the leading axes
+    of the scalar parts s and of the blocks (..., 3, 3), which all share them."""
+    scalar = (np.asarray(s) / 12.0)[..., None, None] * np.eye(3)
+    mat = np.empty(b.shape[:-2] + (6, 6))
+    mat[..., :3, :3] = scalar + wp
+    mat[..., 3:, 3:] = scalar + wm
+    mat[..., 3:, :3] = b
+    mat[..., :3, 3:] = np.swapaxes(mat[..., 3:, :3], -1, -2)
+    return mat
+
+
 def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     """Assemble the 6x6 operator from blocks; inverse of :func:`decompose`."""
     b = _check_block(np.zeros((3, 3)) if B is None else B, "B", symmetric=False)
@@ -116,15 +128,10 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     s = float(s)
     if not np.isfinite(s):
         raise CurvatureError(f"scalar part s must be finite, got {s}")
-    scalar = (s / 12.0) * np.eye(3)
-    mat = np.zeros((6, 6))
     with np.errstate(over="ignore"):  # overflow is reported below
-        mat[:3, :3] = scalar + wp
-        mat[3:, 3:] = scalar + wm
+        mat = _assemble(s, b, wp, wm)
     if not np.all(np.isfinite(mat)):
         raise CurvatureError("curvature operator overflows: (s/12) Id + W is not finite")
-    mat[3:, :3] = b
-    mat[:3, 3:] = b.T
     return mat
 
 
@@ -340,23 +347,17 @@ def strict_operators(normals, scale: float = 1.0) -> np.ndarray:
     leading axes: s = 12 scale z[0], B = scale z[1:10], and W+, W- the
     traceless symmetric parts of z[10:19], z[19:28] times scale.
 
-    The blocks are valid by construction, so none is checked; the arithmetic
-    is that of :func:`compose`, so a row gives the same bits as one
-    :func:`random_strict_operator` draw of those normals.
+    The blocks are valid by construction, so none is checked; they are
+    assembled by the code of :func:`compose`, so a row gives the same bits as
+    ``compose`` of its blocks.
     """
     z = np.asarray(normals, dtype=float)
     if z.shape[-1:] != (STRICT_NORMALS,):
         raise CurvatureError(f"expected rows of {STRICT_NORMALS} normals, got shape {z.shape}")
     lead = z.shape[:-1]
     b, wp, wm = (z[..., 1 + 9 * k:10 + 9 * k].reshape(lead + (3, 3)) for k in range(3))
-    # s / 12 with s = scale 12 z[0], rounded as compose rounds it
-    scalar = ((scale * 12.0 * z[..., 0]) / 12.0)[..., None, None] * np.eye(3)
-    mat = np.empty(lead + (6, 6))
-    mat[..., :3, :3] = scalar + scale * _traceless_symmetric_part(wp)
-    mat[..., 3:, 3:] = scalar + scale * _traceless_symmetric_part(wm)
-    mat[..., 3:, :3] = scale * b
-    mat[..., :3, 3:] = np.swapaxes(mat[..., 3:, :3], -1, -2)
-    return mat
+    return _assemble(scale * 12.0 * z[..., 0], scale * b, scale * _traceless_symmetric_part(wp),
+                     scale * _traceless_symmetric_part(wm))
 
 
 def random_strict_operator(rng, scale: float = 1.0) -> np.ndarray:

@@ -47,8 +47,8 @@ the nijenhuis-identity oracle fail.  The single-fibre restrictions
 (arguments with vanishing second factor) have their own code path, which
 ``restriction_residuals`` compares with the product tensors on coefficients of
 E_0..E_5.  H_t, Jn and Omega have no public evaluator here: the frame tensor
-carries Jn as the matrix M, and the tests keep their references for H_t and Jn
-in tests/reference.py.
+carries Jn as the matrix M, and the tests keep the H_t formula and their
+reference for Jn in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fibre import inner_G
 from .fourdim import (
     OrientedComplexStructure4,
     endo_of_two_vector,
@@ -126,14 +125,7 @@ class GTangent:
     v2: np.ndarray
 
 
-# --- metric and almost complex structure -------------------------------------
-
-def _metric(params: Params, a: GTangent, b: GTangent):
-    # H_t(a, b)
-    return (_dot(a.horizontal, b.horizontal)
-            + params.t1 * inner_G(a.v1, b.v1)
-            + params.t2 * inner_G(a.v2, b.v2))
-
+# --- almost complex structure -------------------------------------------------
 
 def _apply(m, x):
     """m x for vectors x; leading axes of x and the matrix stack m broadcast."""
@@ -356,11 +348,6 @@ class SingleTangent:
     vertical: np.ndarray
 
 
-def single_metric(j: OrientedComplexStructure4, t: float,
-                  a: SingleTangent, b: SingleTangent) -> float:
-    return _dot(a.horizontal, b.horizontal) + t * inner_G(a.vertical, b.vertical)
-
-
 def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
                      a: SingleTangent, b: SingleTangent, c: SingleTangent) -> float:
     """(D_A Omega_k)(B, C) for the structure k in {1, 2} on one fibre bundle.
@@ -411,15 +398,14 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
     k = 1, n in {3, 4} with k = 2, and the single metric weight is t1.  All
     residuals are identically zero.  The arguments are broadcast, stacked and
     viewed once, so every residual carries the leading axes of all three and
-    of a stacked point, operator or weights; the
-    product side is the arithmetic of the derivative kernel ``_dcov``, of
-    ``ext_deriv_omega``, ``codiff_omega`` and of H_t.
+    of a stacked point, operator or weights; the product side is the
+    arithmetic of the derivative kernel ``_dcov``, of ``ext_deriv_omega`` and
+    of ``codiff_omega``.
     """
     abc = _stacked_args(p, rmat, params, a, b, c)
     g = frame_vectors(p, params, np.concatenate((abc, np.zeros(abc.shape[:-1] + (2,))), axis=-1))
     v = _ArgView(p, rmat, params, g)
     av, bv, cv = v[0], v[1], v[2]
-    ga, gb, _ = (GTangent(*parts) for parts in zip(g.horizontal, g.v1, g.v2))
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
     sa, sb, sc = (SingleTangent(h, v1) for h, v1 in zip(g.horizontal, g.v1))
@@ -429,5 +415,4 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
         "ext_deriv": abs(_dext(params, av, bv, cv)
                          - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
         "codiff": abs(_dcodiff(p, av) - single_codiff(p.j1, rmat, t, sa)),
-        "metric": abs(_metric(params, ga, gb) - single_metric(p.j1, t, sa, sb)),
     }

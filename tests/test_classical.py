@@ -1,0 +1,91 @@
+"""The classical single twistor space inside the product: its Nijenhuis tensor.
+
+On first-factor arguments, the coefficients of E_0..E_5, the product structure
+Jn acts as the structure J1 (n = 1, 2) or J2 (n = 3, 4) of the twistor space of
+the first factor with metric g + t1 G; the restriction oracle ties the product
+tensors there to the single-fibre forms.  So the classifier's N tensor,
+restricted to the frame indices 0:6, is the Nijenhuis tensor of that single
+twistor space, and two classical statements pin it:
+
+- J1 is integrable exactly when the Weyl half of the first factor's
+  orientation vanishes (Atiyah, Hitchin and Singer, 1978): W+ on the
+  components ++ and +-, W- on -+ and --;
+- J2 is never integrable (Eells and Salamon, 1985), flat R included.
+
+The restriction does not depend on u2, so u1 runs over the 12 vertices of an
+icosahedron at one fixed u2.
+"""
+
+import numpy as np
+import pytest
+
+from twistorgh import classifier as cl
+from twistorgh import curvature as cur
+from twistorgh import tensors as tn
+
+PHI = (1.0 + 5.0 ** 0.5) / 2.0
+_SIGNED = np.array([(0.0, a, b * PHI) for a in (1, -1) for b in (1, -1)])
+#: the cyclic shifts of (0, +-1, +-phi), normalised
+ICOSAHEDRON = np.concatenate([np.roll(_SIGNED, k, axis=1) for k in range(3)]) / np.hypot(1.0, PHI)
+U2 = np.array([0.3, -0.5, 0.8])
+#: normals of W+ and W- in a row of ``curvature.strict_operators``
+WEYL_NORMALS = {1: slice(10, 19), -1: slice(19, 28)}
+
+TRIALS = 20
+VANISH_REL = 1e-12
+NONZERO_MIN = 1e-3
+
+
+def single_nijenhuis(rmat, component, t, n):
+    """max |N[a, b, c]| over the first-factor frame indices a, b, c < 6 and the
+    12 icosahedron points."""
+    rows = np.concatenate((ICOSAHEDRON, np.broadcast_to(U2, (12, 3))), axis=1)
+    T, M = tn.frame_tensor(cl._points(rows, component), rmat, tn.Params(t[0], t[1], n))
+    (_, nij), = cl._condition_tensors(T, M, ("N",))
+    return float(np.abs(nij[..., :6, :6, :6]).max())
+
+
+def operators(component, rng):
+    """Random weights and strict operators: (t, kind, R) for a generic operator, one
+    whose Weyl half of the first factor's orientation (W_same) is zero, one whose
+    other half is zero, and the flat operator."""
+    same = 1 if component[0] == "+" else -1
+    for _ in range(TRIALS):
+        t = rng.uniform(0.3, 2.0, 2)
+        z = rng.standard_normal(cur.STRICT_NORMALS)
+        no_same, no_other = z.copy(), z.copy()
+        no_same[WEYL_NORMALS[same]] = 0.0
+        no_other[WEYL_NORMALS[-same]] = 0.0
+        yield t, "generic", cur.strict_operators(z)
+        yield t, "W_same=0", cur.strict_operators(no_same)
+        yield t, "W_other=0", cur.strict_operators(no_other)
+        yield t, "flat", np.zeros((6, 6))
+
+
+def test_icosahedron_vertices_are_unit_and_distinct():
+    assert ICOSAHEDRON.shape == (12, 3)
+    assert np.allclose(np.linalg.norm(ICOSAHEDRON, axis=1), 1.0, rtol=0, atol=1e-15)
+    # each vertex: its antipode, five vertices at cos = -1/sqrt5, five at 1/sqrt5, itself
+    cosines = np.repeat([-1.0, -5 ** -0.5, 5 ** -0.5, 1.0], [1, 5, 5, 1])
+    assert np.allclose(np.sort(ICOSAHEDRON @ ICOSAHEDRON.T, axis=1), cosines, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_j1_is_integrable_exactly_when_the_same_weyl_half_vanishes(component, n):
+    rng = np.random.default_rng([70, n, cl.COMPONENTS.index(component)])
+    for t, kind, rmat in operators(component, rng):
+        value = single_nijenhuis(rmat, component, t, n)
+        if kind in ("W_same=0", "flat"):
+            assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (kind, t, value)
+        else:
+            assert value > NONZERO_MIN, (kind, t, value)
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_j2_is_never_integrable(component, n):
+    rng = np.random.default_rng([71, n, cl.COMPONENTS.index(component)])
+    for t, kind, rmat in operators(component, rng):
+        value = single_nijenhuis(rmat, component, t, n)
+        assert value > NONZERO_MIN, (kind, t, value)

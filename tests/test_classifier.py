@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -178,6 +180,27 @@ class TestDeterminism:
         assert header.split(",")[0] == "detected"
         assert row.split(",")[0] == "W3"
         assert len(header.split(",")) == len(row.split(","))
+
+    @pytest.mark.parametrize("source", ["", 'in,put "x"\nop.json'], ids=["plain", "quoted"])
+    def test_csv_cells_are_the_json_fields(self, source):
+        report = cl.classify(cur.model("constant_curvature", s=12.0), "+-", (0.25, 1.0), 3,
+                             cl.SamplingConfig(), source=source)
+        doc = report.to_json_dict()
+        fields = [("detected", doc["detected"])]
+        for part in ("config", "flags", "residuals"):
+            fields += doc[part].items()
+        header, row = csv.reader(io.StringIO(report.to_csv()))
+        assert header == [name for name, _ in fields]
+        assert len(row) == len(fields)
+        for cell, (name, value) in zip(row, fields):
+            if isinstance(value, float):
+                assert float(cell) == value, name
+            elif isinstance(value, bool):
+                assert cell == ("True" if value else "False"), name
+            elif isinstance(value, int):
+                assert cell == str(value), name
+            else:
+                assert isinstance(value, str) and cell == value, name
 
 
 def reversed_structure(phi, j):

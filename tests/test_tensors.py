@@ -397,7 +397,6 @@ class TestStackedEvaluators:
                 "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
                 "codiff_omega": tn.codiff_omega(p, rmat, params, args[0]),
                 "nijenhuis_closed_form": tn.nijenhuis_closed_form(p, rmat, params, *args),
-                "single_metric": tn.single_metric(p.j1, params.t1, sa, sb),
                 "single_cov_deriv": tn.single_cov_deriv(p.j1, rmat, params.t1, k, sa, sb, sc),
                 "single_ext_deriv": tn.single_ext_deriv(p.j1, rmat, params.t1, k, sa, sb, sc),
                 "single_codiff": tn.single_codiff(p.j1, rmat, params.t1, sa),
@@ -464,10 +463,9 @@ class TestStackedArguments:
                   one_by_one(tn._dext, p, rmat, params, *args))]
         got = tn.restriction_residuals(p, rmat, params, *first)
         want = restriction_one_by_one(p, rmat, params, *first)
-        # the codiff and metric residuals, like the derivative residuals, carry
-        # the leading axes of all three arguments, which are viewed as one stack
-        for name in ("codiff", "metric"):
-            want[name] = np.broadcast_to(want[name], np.shape(want["cov_deriv"]))
+        # the codiff residual, like the derivative residuals, carries the
+        # leading axes of all three arguments, which are viewed as one stack
+        want["codiff"] = np.broadcast_to(want["codiff"], np.shape(want["cov_deriv"]))
         assert list(got) == list(want)
         pairs += [(got[name], want[name]) for name in want]
         scale = max(1.0, *(np.abs(w).max() for _, w in pairs[:2]))
@@ -778,7 +776,6 @@ class TestRestriction:
                              - tn.single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
             "codiff": abs(tn.codiff_omega(p, rmat, params, a)
                           - tn.single_codiff(p.j1, rmat, t, sa)),
-            "metric": abs(metric_Ht(p, ga, gb, params) - tn.single_metric(p.j1, t, sa, sb)),
         }
         got = tn.restriction_residuals(p, rmat, params, *first)
         assert list(got) == list(want)
