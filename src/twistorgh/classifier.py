@@ -148,6 +148,17 @@ class ClassifierError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingConfig:
+    """How ``condition_residuals`` samples, and the threshold ``classify`` applies.
+
+    ``seed`` seeds the draw of points and argument triples; ``num_points``
+    sphere points are drawn, each with ``num_arg_triples`` argument triples;
+    ``classify`` reads a condition as holding when its residual is at most
+    ``tol``.  ``verify_theorem`` ignores ``tol``, since the suite checks fixed
+    bounds, and derives its reduced sample for violations from the two sizes:
+    a quarter of each, at least 8 points and 4 triples.  The command line
+    runs at these defaults, with only ``seed`` and ``classify``'s ``tol`` set.
+    """
+
     seed: int = 0
     num_points: int = 64
     num_arg_triples: int = 32

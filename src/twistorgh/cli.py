@@ -29,14 +29,6 @@ _SCALAR_MODELS = {name: "s" in params for name, (params, _) in curvature.MODEL_S
                   if set(params) <= {"s"}}
 
 
-def _add_sampling_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--samples", type=int, default=64,
-                   help="number of sampled points (default 64)")
-    p.add_argument("--triples", type=int, default=32,
-                   help="argument triples per point (default 32)")
-
-
 @functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twistorgh", description=__doc__,
@@ -52,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--n", type=int, required=True, choices=[1, 2, 3, 4])
     p_cls.add_argument("--t1", type=float, default=1.0)
     p_cls.add_argument("--t2", type=float, default=1.0)
-    _add_sampling_args(p_cls)
+    p_cls.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p_cls.add_argument("--tol", type=float, default=1e-9, help="residual threshold (default 1e-9)")
     p_cls.add_argument("--format", choices=["json", "csv"], default="json")
     p_cls.add_argument("--output", help="write the report here instead of stdout")
@@ -61,33 +53,20 @@ def build_parser() -> argparse.ArgumentParser:
     which = p_ver.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true", help="run every statement")
     which.add_argument("--id", help="run one statement, e.g. 4.6b")
-    _add_sampling_args(p_ver)  # no --tol: the suite has its own fixed bounds
+    p_ver.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    # no --tol: the suite has its own fixed bounds
     p_ver.add_argument("--output", help="write the JSON report here")
 
     p_self = sub.add_parser("selftest", help="run the internal-consistency oracles")
     p_self.add_argument("--seed", type=int, default=1)
-    p_self.add_argument("--trials", type=int, default=None,
-                        help="override the per-oracle trial counts")
 
     sub.add_parser("models", help="list built-in curvature models")
     return parser
 
 
-def _sampling_config(args) -> classifier.SamplingConfig:
-    return classifier.SamplingConfig(args.seed, args.samples, args.triples,
-                                     getattr(args, "tol", classifier.SamplingConfig.tol))
-
-
 def _fail(exc, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
-
-
-def _out_of_memory(exc: MemoryError, args) -> int:
-    """A sampling config too large to allocate is a bad input, not a suite failure."""
-    detail = f": {exc}" if str(exc) else ""
-    return _fail(f"not enough memory for --samples {args.samples} --triples {args.triples}"
-                 f"{detail}", EXIT_VALIDATION)
 
 
 def _emit(text: str, output: str | None) -> int:
@@ -152,11 +131,10 @@ def cmd_classify(args) -> int:
         # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
         # 3.13 keeps "--"
         report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
-                                     args.n, _sampling_config(args), source=source)
+                                     args.n, classifier.SamplingConfig(args.seed, tol=args.tol),
+                                     source=source)
     except ValueError as exc:  # ClassifierError, CurvatureError or invalid Params
         return _fail(exc, EXIT_VALIDATION)
-    except MemoryError as exc:
-        return _out_of_memory(exc, args)
     return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
 
 
@@ -164,18 +142,14 @@ def cmd_verify(args) -> int:
     if _check_output_dir(args.output):
         return EXIT_INPUT
     try:
-        cfg = _sampling_config(args)
-    except classifier.ClassifierError as exc:
+        cfg = classifier.SamplingConfig(args.seed)
+    except classifier.ClassifierError as exc:  # a negative seed
         return _fail(exc, EXIT_VALIDATION)
-    if args.id is not None:
-        if args.id not in classifier.THEOREM_IDS:
-            return _fail(f"unknown statement id {args.id!r}; "
-                         f"known: {', '.join(classifier.THEOREM_IDS)}", EXIT_INPUT)
-    try:
-        results = ([classifier.verify_theorem(args.id, cfg)] if args.id is not None
-                   else classifier.verify_all(cfg))
-    except MemoryError as exc:
-        return _out_of_memory(exc, args)
+    if args.id is not None and args.id not in classifier.THEOREM_IDS:
+        return _fail(f"unknown statement id {args.id!r}; "
+                     f"known: {', '.join(classifier.THEOREM_IDS)}", EXIT_INPUT)
+    results = ([classifier.verify_theorem(args.id, cfg)] if args.id is not None
+               else classifier.verify_all(cfg))
     detailed = args.id is not None
     for r in results:
         print(f"{r.tid}  {'PASS' if r.passed else 'FAIL'}  {r.statement}")
@@ -196,8 +170,8 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     try:
-        results = selftest.run_selftest(seed=args.seed, trials=args.trials)
-    except ValueError as exc:  # trials below 1 or a negative seed
+        results = selftest.run_selftest(seed=args.seed)
+    except ValueError as exc:  # a negative seed
         return _fail(exc, EXIT_VALIDATION)
     for r in results:
         print(r.line())

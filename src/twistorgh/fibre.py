@@ -4,11 +4,11 @@ The fibre over a Euclidean space (T, g) of dimension 2m is the set Z(T, g) of
 g-orthogonal complex structures J (skew with J @ J = -Id), an embedded
 submanifold of the space so(g) of skew-symmetric endomorphisms.  This module
 implements the pointwise algebra of that picture: the trace metric
-G(a, b) = -1/2 trace(a b), the orthonormal S_ab basis of so(g), the
-projection onto the tangent space at a point J and the Levi-Civita derivative
-of tangent vector fields, with which ``selftest`` checks that the fibre
-Kaehler structure V -> J o V is parallel.  The isometry between so(g) and
-2-vectors is implemented for dimension four, in ``fourdim``.
+G(a, b) = -1/2 trace(a b), the projection onto the tangent space at a point J
+and the Levi-Civita derivative of tangent vector fields, with which
+``selftest`` checks that the fibre Kaehler structure V -> J o V is parallel.
+The isometry between so(g) and 2-vectors is implemented for dimension four,
+in ``fourdim``.
 
 Coordinates are always orthonormal: g is the identity bilinear form in the
 stored coordinates.  No function here checks its input: callers pass an even
@@ -31,22 +31,6 @@ def inner_G(a, b) -> float:
     """Trace metric G(a, b) = -1/2 trace(a b); positive definite on skews.
     Stacks of matrices along leading axes broadcast."""
     return -0.5 * np.einsum("...ij,...ji->...", a, b)[()]
-
-
-def lex_pairs(dim: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, in lexicographic order (0-based)."""
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def make_S_basis(dim: int) -> list[np.ndarray]:
-    """G-orthonormal basis {S_ab : a < b} of so(g), S_ab e_a = e_b, S_ab e_b = -e_a."""
-    out = []
-    for a, b in lex_pairs(dim):
-        s = np.zeros((dim, dim))
-        s[b, a] = 1.0
-        s[a, b] = -1.0
-        out.append(s)
-    return out
 
 
 def standard_complex_structure(dim: int) -> np.ndarray:

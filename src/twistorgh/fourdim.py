@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fibre
-
 SQRT2 = float(np.sqrt(2.0))
 _IU4 = np.triu_indices(4, 1)
 #: flat positions of the entries a[j, i], i < j, of a 4x4 matrix a
@@ -78,8 +76,14 @@ def two_vector_of_endo(a) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (16,)).take(_LOWER_FLAT, axis=-1) @ _S_TO_LEX
 
 
+#: endomorphisms S_ij of the lexicographic two-vectors e_i ^ e_j, i < j:
+#: S_ij e_i = e_j and S_ij e_j = -e_i
+_LEX_ENDOS = np.zeros((6, 4, 4))
+_LEX_ENDOS[range(6), _IU4[1], _IU4[0]] = 1.0
+_LEX_ENDOS[range(6), _IU4[0], _IU4[1]] = -1.0
+
 #: endomorphisms of the six s-basis two-vectors
-S_BASIS_ENDOS = np.tensordot(LEX_TO_S, np.stack(fibre.make_S_basis(4)), 1)
+S_BASIS_ENDOS = np.tensordot(LEX_TO_S, _LEX_ENDOS, 1)
 _S_ENDOS_FLAT = S_BASIS_ENDOS.reshape(6, 16)
 
 

@@ -1,12 +1,28 @@
 """Seeded random points and vertical vectors of the four-dimensional sphere
 model, the vertical basis of a structure, the halves of a two-vector, a
 block-by-block strict-operator draw and a corrupted sign table for the tests
-of the oracles, and assertions that a matrix is tangent at J or is a complex
-structure."""
+of the oracles, the lexicographic S_ab basis of so(dim), and assertions that a
+matrix is tangent at J or is a complex structure."""
 
 import numpy as np
 
 from twistorgh import curvature as cur, fourdim as fd, tensors as tn
+
+
+def lex_pairs(dim: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, in lexicographic order (0-based)."""
+    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+
+
+def make_S_basis(dim: int) -> list[np.ndarray]:
+    """G-orthonormal basis {S_ab : a < b} of so(dim), S_ab e_a = e_b, S_ab e_b = -e_a."""
+    out = []
+    for a, b in lex_pairs(dim):
+        s = np.zeros((dim, dim))
+        s[b, a] = 1.0
+        s[a, b] = -1.0
+        out.append(s)
+    return out
 
 
 def assert_tangent(j, v, tol: float = 1e-10) -> np.ndarray:

@@ -34,6 +34,8 @@ class TestConfigAndNames:
         with pytest.raises(cl.ClassifierError):
             cl.SamplingConfig(seed=0, num_points=0)
         with pytest.raises(cl.ClassifierError):
+            cl.SamplingConfig(seed=0, num_arg_triples=0)
+        with pytest.raises(cl.ClassifierError):
             cl.SamplingConfig(seed=0, tol=-1.0)
         for tol in (np.inf, np.nan):
             with pytest.raises(cl.ClassifierError, match="finite"):

@@ -11,9 +11,6 @@ from twistorgh import classifier as cl, cli, curvature as cur
 
 from random_fourdim import negate_sign_table
 
-FAST = ["--samples", "12", "--triples", "6"]
-
-
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -23,7 +20,7 @@ def run_cli(capsys, *argv):
 class TestClassifyCommand:
     def test_flat_detects_hermitian_semi_kaehler(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", "--t1", "1", "--t2", "1", *FAST)
+                               "--n", "1", "--t1", "1", "--t2", "1")
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["detected"] == "W3"
@@ -32,13 +29,13 @@ class TestClassifyCommand:
     def test_negative_constant_curvature_example(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "constant_curvature",
                                "--s", "-12", "--component", "+-", "--n", "4",
-                               "--t1", "0.5", *FAST)
+                               "--t1", "0.5")
         assert code == cli.EXIT_OK
         assert json.loads(out)["detected"] == "W2W3"
 
     def test_impossible_tolerance_flags_the_class(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", "--tol", "1e-30", *FAST)
+                               "--n", "1", "--tol", "1e-30")
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["detected"] == "W1W2W3"
@@ -46,7 +43,7 @@ class TestClassifyCommand:
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", "--format", "csv", *FAST)
+                               "--n", "1", "--format", "csv")
         assert code == cli.EXIT_OK
         header, row, _tail = out.split("\n")
         assert header.startswith("detected,")
@@ -56,7 +53,7 @@ class TestClassifyCommand:
         path = tmp_path / "a,b.json"
         path.write_text(json.dumps({"matrix": np.eye(6).tolist()}))
         code, out, _ = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
-                               "--n", "1", "--format", "csv", *FAST)
+                               "--n", "1", "--format", "csv")
         assert code == cli.EXIT_OK
         header, row = csv.reader(io.StringIO(out))
         assert len(row) == len(header)
@@ -68,7 +65,7 @@ class TestClassifyCommand:
         doc = {"blocks": {"s": 5.2, "Wminus": wm.tolist()}}
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "classify", "--input", str(path), "--component", "+-",
-                               "--n", "1", "--t1", "0.8", *FAST)
+                               "--n", "1", "--t1", "0.8")
         assert code == cli.EXIT_OK
         assert json.loads(out)["detected"] == "W3"
 
@@ -185,13 +182,12 @@ class TestClassifyCommand:
 
     def test_minus_minus_component(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component=--",
-                               "--n", "1", *FAST)
+                               "--n", "1")
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["config"]["component"] == "--"
-        cfg = cl.SamplingConfig(seed=0, num_points=12, num_arg_triples=6)
-        expected = cl.classify(cur.model("flat"), "--", (1.0, 1.0), 1, cfg).detected
-        assert doc["detected"] == expected == "W3"
+        expected = cl.classify(cur.model("flat"), "--", (1.0, 1.0), 1, cl.SamplingConfig())
+        assert doc["detected"] == expected.detected == "W3"
 
     def test_matrix_model_requires_input_file(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--model", "asd_general",
@@ -212,7 +208,7 @@ class TestClassifyCommand:
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"matrix": np.eye(6).tolist()}))
         code, out, err = run_cli(capsys, "classify", "--input", str(path), "--s", "5",
-                                 "--component", "++", "--n", "1", *FAST)
+                                 "--component", "++", "--n", "1")
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert "--s" in err
@@ -236,7 +232,7 @@ class TestClassifyCommand:
          "--component", "+-", "--n", "3"],
     ])
     def test_non_finite_inputs_exit_3(self, capsys, argv):
-        code, out, err = run_cli(capsys, "classify", *argv, *FAST)
+        code, out, err = run_cli(capsys, "classify", *argv)
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error: ")
@@ -247,7 +243,7 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
     def test_non_finite_scalar_exits_3_without_a_warning(self, capsys, model, s):
         code, out, err = run_cli(capsys, "classify", "--model", model, f"--s={s}",
-                                 "--component=+-", "--n", "1", *FAST)
+                                 "--component=+-", "--n", "1")
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite s" in err
@@ -264,7 +260,7 @@ class TestClassifyCommand:
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component=+-",
-                                 "--n", "3", *FAST)
+                                 "--n", "3")
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows" in err
@@ -272,20 +268,20 @@ class TestClassifyCommand:
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                                 "--n", "1", *FAST, "--output", str(out_path))
+                                 "--n", "1", "--output", str(out_path))
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert "cannot write" in err
 
     def test_report_schema(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", *FAST)
+                               "--n", "1")
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["schema"] == "gh-class-report/2"
         assert set(doc) == {"schema", "config", "residuals", "detected", "flags"}
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", "--format", "csv", *FAST)
+                               "--n", "1", "--format", "csv")
         header = out.split("\n")[0].split(",")
         assert "nijenhuis_reading" not in header
         assert header[:12] == ["detected", "source", "component", "n", "t1", "t2", "seed",
@@ -294,7 +290,7 @@ class TestClassifyCommand:
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         args = ["classify", "--model", "constant_curvature", "--s", "12",
-                "--component", "+-", "--n", "3", "--t1", "0.25", "--seed", "11", *FAST]
+                "--component", "+-", "--n", "3", "--t1", "0.25", "--seed", "11"]
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         assert cli.main(args + ["--output", str(f1)]) == cli.EXIT_OK
         assert cli.main(args + ["--output", str(f2)]) == cli.EXIT_OK
@@ -304,14 +300,14 @@ class TestClassifyCommand:
 
 class TestVerifyCommand:
     def test_all_statements_at_reduced_sampling(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "7",
-                               "--samples", "8", "--triples", "4")
+        # the violations read the suite's own reduced sample of 16 points x 8 triples
+        code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "7")
         assert code == cli.EXIT_OK
         assert "passed 16/16" in out
 
     def test_single_statement(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
-        code, out, _ = run_cli(capsys, "verify", "--id", "4.6b", "--seed", "7", *FAST,
+        code, out, _ = run_cli(capsys, "verify", "--id", "4.6b", "--seed", "7",
                                "--output", str(out_path))
         assert code == cli.EXIT_OK
         assert "4.6b  PASS" in out
@@ -320,26 +316,9 @@ class TestVerifyCommand:
         checks = doc["results"][0]["checks"]
         assert any(c["require"] == "<=" for c in checks)
 
-    @pytest.mark.parametrize("argv", [["--id", "4.2a", "--samples", "0"],
-                                      ["--all", "--triples", "0"]])
-    def test_bad_sampling_arguments_exit_3(self, capsys, argv):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == cli.EXIT_VALIDATION
-        assert out == ""
-        assert err.startswith("error: ")
-
-    def test_tol_is_a_usage_error(self, capsys):
-        # the suite checks fixed bounds, so a --tol would be silently ignored
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--all", "--tol", "1e-3"])
-        assert exc.value.code == cli.EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --tol" in captured.err
-
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "verify.json"
-        code, _, err = run_cli(capsys, "verify", "--id", "4.6b", "--seed", "7", *FAST,
+        code, _, err = run_cli(capsys, "verify", "--id", "4.6b", "--seed", "7",
                                "--output", str(out_path))
         assert code == cli.EXIT_INPUT
         assert "cannot write" in err
@@ -372,14 +351,14 @@ class TestVerifyCommand:
 
 class TestSelftestCommand:
     def test_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--seed", "1", "--trials", "25")
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "1")
         assert code == cli.EXIT_OK
         assert "nijenhuis-identity" in out
         assert "FAIL" not in out
 
     def test_corrupted_sign_table_fails_naming_the_check(self, capsys, monkeypatch):
         negate_sign_table(monkeypatch)
-        code, out, err = run_cli(capsys, "selftest", "--seed", "1", "--trials", "25")
+        code, out, err = run_cli(capsys, "selftest", "--seed", "1")
         assert code == cli.EXIT_FAILURE
         assert "FAIL nijenhuis-identity" in out
         assert "nijenhuis-identity" in err
@@ -393,13 +372,6 @@ class TestSelftestCommand:
         assert captured.out == ""
         assert "unrecognized arguments: --corrupt-sign-table" in captured.err
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_no_trials_is_a_validation_error(self, capsys, trials):
-        code, out, err = run_cli(capsys, "selftest", "--trials", trials)
-        assert code == cli.EXIT_VALIDATION
-        assert "ok" not in out
-        assert "trials" in err
-
 
 @pytest.mark.parametrize("argv", [["classify", "--model", "flat", "--component", "++", "--n", "1"],
                                   ["verify", "--id", "4.2a"],
@@ -410,37 +382,37 @@ def test_negative_seed_is_a_validation_error(capsys, argv):
     assert "seed must be a non-negative integer" in err
 
 
-@pytest.mark.parametrize("argv", [["classify", "--model", "flat", "--component", "++", "--n", "1"],
-                                  ["verify", "--id", "4.2a"],
-                                  ["verify", "--all"]])
-@pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array", ""])
-def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
-    # a sampling config too large to allocate (--triples 100000000) is a bad
-    # input, not a suite failure; the failed allocation is simulated, since
-    # a real one may succeed and fill the memory
-    def no_memory(*args, **kwargs):
-        raise MemoryError(message)
-
-    monkeypatch.setattr(cl, "condition_residuals", no_memory)
-    code, out, err = run_cli(capsys, *argv, *FAST)
-    assert (code, out) == (cli.EXIT_VALIDATION, "")
-    assert err.startswith("error: not enough memory for --samples 12 --triples 6")
-    assert message in err and err.count("\n") == 1
+@pytest.mark.parametrize("argv", [
+    # the suite checks fixed bounds, so a --tol would be silently ignored
+    ["verify", "--all", "--tol", "1e-3"],
+    # every command runs at its one validated sample size
+    ["verify", "--all", "--samples", "8"],
+    ["verify", "--all", "--triples", "8"],
+    ["classify", "--model", "flat", "--component", "++", "--n", "1", "--samples", "8"],
+    ["classify", "--model", "flat", "--component", "++", "--n", "1", "--triples", "8"],
+    ["selftest", "--trials", "3"],
+])
+def test_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys, tmp_path):
     # one parser serves every call of the process, so no call may see the
     # options or the defaults of the call before it
     assert cli.build_parser() is cli.build_parser()
-    flat = ["classify", "--model", "flat", "--component", "++", "--n", "1", *FAST]
+    flat = ["classify", "--model", "flat", "--component", "++", "--n", "1"]
     code, out, _ = run_cli(capsys, *flat, "--format", "csv", "--seed", "5")
     assert code == cli.EXIT_OK
     assert out.startswith("detected,")
     report = tmp_path / "verify.json"
-    code, _, _ = run_cli(capsys, "verify", "--id", "4.2a", *FAST, "--output", str(report))
+    code, _, _ = run_cli(capsys, "verify", "--id", "4.2a", "--output", str(report))
     assert code == cli.EXIT_OK
-    runs = {seed: cl.verify_report_json([cl.verify_theorem("4.2a",
-                                                          cl.SamplingConfig(seed, 12, 6))])
+    runs = {seed: cl.verify_report_json([cl.verify_theorem("4.2a", cl.SamplingConfig(seed))])
             for seed in (0, 5)}
     assert runs[0] != runs[5]
     assert report.read_text() == runs[0]

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from twistorgh import fibre
 
-from random_fourdim import assert_complex_structure, assert_tangent
+from random_fourdim import assert_complex_structure, assert_tangent, make_S_basis
 
 RNG = np.random.default_rng(101)
 
@@ -56,23 +56,23 @@ class TestInnerG:
 
 class TestSBasis:
     def test_dim2_single_element(self):
-        (s,) = fibre.make_S_basis(2)
+        (s,) = make_S_basis(2)
         assert_allclose(s @ np.array([1.0, 0.0]), [0.0, 1.0])
 
     def test_counts(self):
-        assert len(fibre.make_S_basis(4)) == 6
-        assert len(fibre.make_S_basis(6)) == 15
+        assert len(make_S_basis(4)) == 6
+        assert len(make_S_basis(6)) == 15
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_orthonormal(self, dim):
-        basis = fibre.make_S_basis(dim)
+        basis = make_S_basis(dim)
         gram = np.array([[fibre.inner_G(a, b) for b in basis] for a in basis])
         assert_allclose(gram, np.eye(len(basis)), atol=1e-14)
 
 
 def projection_matrix(j):
     """Matrix of ``tangent_projection`` at J in the G-orthonormal S basis."""
-    basis = fibre.make_S_basis(j.shape[0])
+    basis = make_S_basis(j.shape[0])
     return np.array([[fibre.inner_G(p, fibre.tangent_projection(j, s)) for s in basis]
                      for p in basis])
 
@@ -81,7 +81,7 @@ class TestTangentSpace:
     def test_dim2_empty(self):
         # the fibre of R^2 is the two points +-J, with no tangent directions
         j = fibre.standard_complex_structure(2)
-        (s,) = fibre.make_S_basis(2)
+        (s,) = make_S_basis(2)
         assert_allclose(fibre.tangent_projection(j, s), np.zeros((2, 2)), atol=1e-15)
 
     @pytest.mark.parametrize("dim", [4, 6, 8])
@@ -94,7 +94,7 @@ class TestTangentSpace:
         assert_allclose(p, p.T, atol=1e-12)
         assert_allclose(p @ p, p, atol=1e-12)
         assert np.linalg.matrix_rank(p, tol=1e-8) == m * m - m
-        for s in fibre.make_S_basis(dim):
+        for s in make_S_basis(dim):
             v = assert_tangent(j, fibre.tangent_projection(j, s))
             rest = s - v
             assert np.max(np.abs(j @ rest - rest @ j)) < 1e-12

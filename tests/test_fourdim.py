@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from twistorgh import fibre, fourdim as fd
 
-from random_fourdim import half, random_ocs, random_vertical_endo, vertical_pair
+from random_fourdim import (half, lex_pairs, make_S_basis, random_ocs, random_vertical_endo,
+                            vertical_pair)
 from reference import rotation_from_e1
 
 RNG = np.random.default_rng(303)
@@ -28,7 +29,7 @@ def _hodge_matrix():
     """s-basis matrix of the Hodge star, built from *(e_i ^ e_j) = eps e_k ^ e_l
     with eps the sign of the permutation (i, j, k, l) of (0, 1, 2, 3)."""
     h = np.zeros((6, 6))
-    for i, j in fibre.lex_pairs(4):
+    for i, j in lex_pairs(4):
         k, l = (m for m in range(4) if m not in (i, j))
         eps = round(np.linalg.det(E[[i, j, k, l]]))
         h += eps * np.outer(fd.wedge_of_pair(E[k], E[l]), fd.wedge_of_pair(E[i], E[j]))
@@ -352,7 +353,7 @@ def random_skew(rng):
 
 class TestWedgeIso:
     def test_s12_is_e1_wedge_e2(self):
-        s12 = fibre.make_S_basis(4)[0]
+        s12 = make_S_basis(4)[0]
         assert_allclose(fd.two_vector_of_endo(s12), fd.wedge_of_pair(E[0], E[1]), atol=1e-15)
 
     def test_zero(self):

@@ -121,6 +121,12 @@ def test_empty_and_partial_groups(trials):
     assert all(r.trials == trials for r in results)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_no_trials_is_a_value_error(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        selftest.run_selftest(seed=1, trials=trials)
+
+
 def nan_at(f, call, row=None):
     """f with a NaN put into row ``row`` of the result of its ``call``-th call."""
     calls = []
