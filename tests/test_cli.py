@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistorgh import classifier as cl, cli, curvature as cur
+from twistorgh import classifier as cl, cli, curvature as cur, selftest
 
 from random_fourdim import negate_sign_table
 
@@ -288,6 +288,15 @@ class TestClassifyCommand:
                                "num_points", "num_arg_triples", "tol", "strict",
                                "possible_class_violation"]
 
+    def test_runs_at_the_default_sample_with_the_given_seed_and_tol(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
+                               "--n", "1", "--seed", "3", "--tol", "1e-6")
+        assert code == cli.EXIT_OK
+        report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1,
+                             cl.SamplingConfig(3, tol=1e-6), source="model:flat")
+        assert out == report.to_json()
+        assert json.loads(out)["config"]["num_points"] == cl.SamplingConfig().num_points
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         args = ["classify", "--model", "constant_curvature", "--s", "12",
                 "--component", "+-", "--n", "3", "--t1", "0.25", "--seed", "11"]
@@ -304,6 +313,12 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "7")
         assert code == cli.EXIT_OK
         assert "passed 16/16" in out
+
+    def test_all_runs_at_the_default_sample(self, capsys, tmp_path):
+        report = tmp_path / "verify.json"
+        code, _, _ = run_cli(capsys, "verify", "--all", "--seed", "2", "--output", str(report))
+        assert code == cli.EXIT_OK
+        assert report.read_text() == cl.verify_report_json(cl.verify_all(cl.SamplingConfig(2)))
 
     def test_single_statement(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
@@ -355,6 +370,11 @@ class TestSelftestCommand:
         assert code == cli.EXIT_OK
         assert "nijenhuis-identity" in out
         assert "FAIL" not in out
+
+    def test_runs_the_default_trials(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--seed", "2")
+        assert code == cli.EXIT_OK
+        assert out.splitlines() == [r.line() for r in selftest.run_selftest(seed=2)]
 
     def test_corrupted_sign_table_fails_naming_the_check(self, capsys, monkeypatch):
         negate_sign_table(monkeypatch)

@@ -352,6 +352,11 @@ def random_skew(rng):
 
 
 class TestWedgeIso:
+    def test_s_basis_endos_rotate_the_lexicographic_basis(self):
+        # fourdim builds its S_ij itself; they must be the fibre's S_ij exactly
+        lex = np.stack(make_S_basis(4))
+        assert_array_equal(fd.S_BASIS_ENDOS, np.tensordot(fd.LEX_TO_S, lex, 1))
+
     def test_s12_is_e1_wedge_e2(self):
         s12 = make_S_basis(4)[0]
         assert_allclose(fd.two_vector_of_endo(s12), fd.wedge_of_pair(E[0], E[1]), atol=1e-15)
