@@ -69,10 +69,10 @@ The detected class is the smallest lattice element whose conditions all pass.
 
 The theorem suite (ids 4.2a .. 4.9b) checks each classification statement in
 both directions: the witness operators satisfy the class conditions at
-tolerance 1e-9 on the full sample, and perturbing any hypothesis (extra
-self-dual Weyl part, extra traceless-Ricci block, scalar shift, 10% shift of
-t1) pushes a residual above 1e-3 on the reduced sample, a quarter of the
-points and triples (at least 8 and 4).  Every violation is sampled there,
+tolerance 1e-9 on the full sample ``SAMPLE``, and perturbing any hypothesis
+(extra self-dual Weyl part, extra traceless-Ricci block, scalar shift, 10%
+shift of t1) pushes a residual above 1e-3 on ``REDUCED_SAMPLE``, 16 points
+with 8 triples each.  Every violation is sampled there,
 the never-Kaehler residuals of 4.2a too, with their bound 0.1.  The
 pointwise counterexamples of 4.2a and 4.6a are entries of the frame tensor
 at one fixed point, so the suite, like the detector, reads only the frame
@@ -89,7 +89,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,6 +124,11 @@ ALLOWED_DETECTED = {
 
 COMPONENTS = ("++", "+-", "-+", "--")
 
+#: (points, argument triples per point) sampled by ``classify`` and the suite's
+#: witnesses, and by the suite's violations, which are dense
+SAMPLE = (64, 32)
+REDUCED_SAMPLE = (16, 8)
+
 #: points per geometry block of ``condition_residuals``: one draw, one stacked
 #: frame tensor and one set of coefficient norms each.  Against 16-point blocks,
 #: 32 build the geometry half as often, which shows most in verify's calls of
@@ -150,25 +155,20 @@ class ClassifierError(ValueError):
 class SamplingConfig:
     """How ``condition_residuals`` samples, and the threshold ``classify`` applies.
 
-    ``seed`` seeds the draw of points and argument triples; ``num_points``
-    sphere points are drawn, each with ``num_arg_triples`` argument triples;
+    ``seed`` seeds the draw of points and argument triples, whose sizes are
+    fixed: ``SAMPLE``, 64 sphere points with 32 argument triples each.
     ``classify`` reads a condition as holding when its residual is at most
     ``tol``.  ``verify_theorem`` ignores ``tol``, since the suite checks fixed
-    bounds, and derives its reduced sample for violations from the two sizes:
-    a quarter of each, at least 8 points and 4 triples.  The command line
-    runs at these defaults, with only ``seed`` and ``classify``'s ``tol`` set.
+    bounds, and samples its violations on ``REDUCED_SAMPLE``, 16 points with
+    8 triples each.
     """
 
     seed: int = 0
-    num_points: int = 64
-    num_arg_triples: int = 32
     tol: float = 1e-9
 
     def __post_init__(self):
         if self.seed < 0:
             raise ClassifierError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.num_points <= 0 or self.num_arg_triples <= 0:
-            raise ClassifierError("sample counts must be positive")
         if not 0.0 < self.tol < np.inf:
             raise ClassifierError("tol must be positive and finite")
 
@@ -287,8 +287,9 @@ def condition_values(T, M, coeffs, conditions=CONDITIONS) -> dict[str, np.ndarra
 
 
 def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
-                        conditions=CONDITIONS) -> dict[str, float]:
-    """Sup of the normalized condition residuals over the seeded sample.
+                        conditions=CONDITIONS, sample=SAMPLE) -> dict[str, float]:
+    """Sup of the normalized condition residuals over the seeded sample of
+    ``sample`` = (points, argument triples per point).
 
     The random stream depends only on the seed, never on the requested
     condition subset, so residuals agree between partial and full runs.
@@ -304,14 +305,14 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
             raise ClassifierError(f"unknown condition {c!r}; known: {CONDITIONS}")
     params = Params(float(t[0]), float(t[1]), n)
     rng = np.random.default_rng(cfg.seed)
-    k = cfg.num_arg_triples
+    num_points, k = sample
     slots = [_SLOTS[c] for c in conditions]
     if not slots:
         return {}
     sup = np.zeros(len(slots))
 
-    for start in range(0, cfg.num_points, BLOCK_POINTS):
-        rows = rng.standard_normal((min(BLOCK_POINTS, cfg.num_points - start), 6 + 24 * k))
+    for start in range(0, num_points, BLOCK_POINTS):
+        rows = rng.standard_normal((min(BLOCK_POINTS, num_points - start), 6 + 24 * k))
         coeffs = rows[:, 6:].reshape(-1, k, 3, 8)
         sphere = np.ascontiguousarray(rows[:, :6])
         T, M = tensors.frame_tensor(_block_points(sphere.tobytes(), sphere.shape, component),
@@ -387,7 +388,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
         config={
             "source": source, "component": component, "n": n,
             "t1": float(t[0]), "t2": float(t[1]), "seed": cfg.seed,
-            "num_points": cfg.num_points, "num_arg_triples": cfg.num_arg_triples,
+            "num_points": SAMPLE[0], "num_arg_triples": SAMPLE[1],
             "tol": cfg.tol,
         },
         flags={"strict": blocks.strict, "possible_class_violation": violation},
@@ -441,14 +442,13 @@ class TheoremResult:
 
 
 class _Recorder:
-    """Checks of one statement, with its stream, its first draws and its two
-    samples; names recur on every run, so they are interned."""
+    """Checks of one statement, with its stream and its first draws; witnesses
+    are sampled on ``SAMPLE`` and violations on ``REDUCED_SAMPLE``.  Names recur
+    on every run, so they are interned."""
 
     def __init__(self, tid: str, cfg: SamplingConfig):
         self.rng = np.random.default_rng([cfg.seed, THEOREM_IDS.index(tid)])
-        # violations are dense, so a reduced sample is enough to exhibit one
-        self.cfg, self.neg = cfg, replace(cfg, num_points=max(8, cfg.num_points // 4),
-                                          num_arg_triples=max(4, cfg.num_arg_triples // 4))
+        self.cfg = cfg
         self.t2 = float(self.rng.uniform(0.5, 1.5))
         self.wm = curvature.random_traceless_symmetric(self.rng, scale=0.7)
         self.checks: list[dict] = []
@@ -472,7 +472,8 @@ class _Recorder:
     def fails(self, name: str, cond: str, rmat, component: str, t, n: int,
               bound: float = NEGATIVE_MIN) -> None:
         """A ``>`` check of one residual on the reduced sample."""
-        self.gt(name, condition_residuals(rmat, component, t, n, self.neg, (cond,))[cond], bound)
+        self.gt(name, condition_residuals(rmat, component, t, n, self.cfg, (cond,),
+                                          REDUCED_SAMPLE)[cond], bound)
 
     @property
     def passed(self) -> bool:

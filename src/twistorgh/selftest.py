@@ -20,7 +20,7 @@ H_t-orthonormal frame.
                                   central-difference field derivatives
 
 ``ORACLES`` gives each oracle, in report order, its stream, tolerance and
-default trials.  ``_scan`` runs an oracle in blocks of 200 trials drawn from
+trials.  ``_scan`` runs an oracle in blocks of 200 trials drawn from
 its generator ``[seed, stream]``, and names the worst trial, the first NaN
 else the first maximum, reproducible from the seed.  A tensor oracle (the
 first four) draws a block's weights in one call on a second generator
@@ -64,7 +64,7 @@ from .tensors import Params
 class _Oracle(NamedTuple):
     stream: int  # the oracle's seeded generator is [seed, stream]
     tol: float
-    trials: int  # default trials
+    trials: int
 
 
 #: every oracle, in report order
@@ -95,7 +95,7 @@ class OracleResult:
 
 #: trials per block of every oracle.  A multiple of 4, so that every block
 #: starts at n = 1 and splits into four groups of one n each (50 trials here):
-#: each tensor oracle's default 200 trials are one block, whose groups each make
+#: each tensor oracle's 200 trials are one block, whose groups each make
 #: one ``_points`` call and one closed-form call.  The closed forms hold no frame
 #: tensor, and over 640 trials every oracle peaks at 0.50 MiB (nijenhuis-identity)
 #: or less of traced memory (numpy 2.4), under the 0.6 MiB of
@@ -239,23 +239,21 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
                  lambda i: {"trial": i, "dim": 6 if i % 2 else 4})
 
 
-def run_selftest(seed: int = 1, trials: int | None = None) -> list[OracleResult]:
-    """Run every oracle; ``trials`` overrides the per-oracle defaults."""
+def _oracle(name: str, seed: int, trials: int) -> OracleResult:
+    """The oracle ``name`` over ``trials`` trials.  The oracles are looked up at
+    each call, so a wrapper installed on the module after import sees the call."""
+    if name == "curvature-commutator":
+        return _curvature_commutator(seed, trials)
+    if name == "fibre-kaehler-parallel":
+        return _fibre_kaehler(seed, trials)
+    return _tensor_oracle(seed, trials, name)
+
+
+def run_selftest(seed: int = 1) -> list[OracleResult]:
+    """Run every oracle at its trials in ``ORACLES``."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-    def run(name: str, count: int) -> OracleResult:
-        # the oracles are looked up at each call, so a wrapper installed on the
-        # module after import sees the call
-        if name == "curvature-commutator":
-            return _curvature_commutator(seed, count)
-        if name == "fibre-kaehler-parallel":
-            return _fibre_kaehler(seed, count)
-        return _tensor_oracle(seed, count, name)
-
-    return [run(name, trials or oracle.trials) for name, oracle in ORACLES.items()]
+    return [_oracle(name, seed, oracle.trials) for name, oracle in ORACLES.items()]
 
 
 def all_ok(results: list[OracleResult]) -> bool:

@@ -142,7 +142,7 @@ def test_criterion_5_theorem_suite_negative_directions(verify_results):
 
 def test_criterion_6_possible_class_corollaries():
     rng = np.random.default_rng([SEED, 6])
-    cfg = cl.SamplingConfig(seed=SEED, num_points=16, num_arg_triples=8)
+    cfg = cl.SamplingConfig(seed=SEED)
     seen = []
     for _ in range(10):
         rmat = cur.random_strict_operator(rng)

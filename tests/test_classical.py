@@ -5,12 +5,19 @@ Jn acts as the structure J1 (n = 1, 2) or J2 (n = 3, 4) of the twistor space of
 the first factor with metric g + t1 G; the restriction oracle ties the product
 tensors there to the single-fibre forms.  So the classifier's N tensor,
 restricted to the frame indices 0:6, is the Nijenhuis tensor of that single
-twistor space, and two classical statements pin it:
+twistor space, and its delta Omega there is the codifferential of that
+space: the frame tensor vanishes on (E_6 or E_7, E_6 or E_7, E_0..E_5), so
+the trace over all eight frame vectors is the trace over E_0..E_5.  Three
+statements pin the two:
 
 - J1 is integrable exactly when the Weyl half of the first factor's
   orientation vanishes (Atiyah, Hitchin and Singer, 1978): W+ on the
   components ++ and +-, W- on -+ and --;
-- J2 is never integrable (Eells and Salamon, 1985), flat R included.
+- J2 is never integrable (Eells and Salamon, 1985), flat R included;
+- J1 and J2 are balanced (delta Omega = 0) exactly when that Weyl half
+  vanishes, flat R included.  For J1 this is Michelsohn's (Acta Math. 149,
+  1982): the twistor space of a half-conformally-flat manifold is balanced;
+  for J2 it is the class W1+W2+W3 of the single twistor space's class table.
 
 The restriction does not depend on u2, so u1 runs over the 12 vertices of an
 icosahedron at one fixed u2.
@@ -36,13 +43,13 @@ VANISH_REL = 1e-12
 NONZERO_MIN = 1e-3
 
 
-def single_nijenhuis(rmat, component, t, n):
-    """max |N[a, b, c]| over the first-factor frame indices a, b, c < 6 and the
-    12 icosahedron points."""
+def single(cond, rmat, component, t, n):
+    """max |Q| of the classifier's tensor Q of ``cond`` over the first-factor frame
+    indices (< 6) of each slot and the 12 icosahedron points."""
     rows = np.concatenate((ICOSAHEDRON, np.broadcast_to(U2, (12, 3))), axis=1)
     T, M = tn.frame_tensor(cl._points(rows, component), rmat, tn.Params(t[0], t[1], n))
-    (_, nij), = cl._condition_tensors(T, M, ("N",))
-    return float(np.abs(nij[..., :6, :6, :6]).max())
+    (_, q), = cl._condition_tensors(T, M, (cond,))
+    return float(np.abs(q[(slice(None),) + (slice(6),) * (q.ndim - 1)]).max())
 
 
 def operators(component, rng):
@@ -75,7 +82,7 @@ def test_icosahedron_vertices_are_unit_and_distinct():
 def test_j1_is_integrable_exactly_when_the_same_weyl_half_vanishes(component, n):
     rng = np.random.default_rng([70, n, cl.COMPONENTS.index(component)])
     for t, kind, rmat in operators(component, rng):
-        value = single_nijenhuis(rmat, component, t, n)
+        value = single("N", rmat, component, t, n)
         if kind in ("W_same=0", "flat"):
             assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (kind, t, value)
         else:
@@ -87,5 +94,17 @@ def test_j1_is_integrable_exactly_when_the_same_weyl_half_vanishes(component, n)
 def test_j2_is_never_integrable(component, n):
     rng = np.random.default_rng([71, n, cl.COMPONENTS.index(component)])
     for t, kind, rmat in operators(component, rng):
-        value = single_nijenhuis(rmat, component, t, n)
+        value = single("N", rmat, component, t, n)
         assert value > NONZERO_MIN, (kind, t, value)
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_balanced_exactly_when_the_same_weyl_half_vanishes(component, n):
+    rng = np.random.default_rng([72, n, cl.COMPONENTS.index(component)])
+    for t, kind, rmat in operators(component, rng):
+        value = single("δΩ", rmat, component, t, n)
+        if kind in ("W_same=0", "flat"):
+            assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (kind, t, value)
+        else:
+            assert value > NONZERO_MIN, (kind, t, value)

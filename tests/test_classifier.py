@@ -15,13 +15,13 @@ from reference import acs, coefficients, cov_deriv_omega, gtangent
 
 RNG = np.random.default_rng(606)
 
-FAST = cl.SamplingConfig(seed=3, num_points=16, num_arg_triples=8)
+FAST = cl.SamplingConfig(seed=3)
 DEFAULT = cl.SamplingConfig(seed=7)
 
 
-def residual(cond, rmat, component, t, n, cfg):
+def residual(cond, rmat, component, t, n, cfg, sample=cl.SAMPLE):
     """Sup of one condition's normalized residual over the seeded sample."""
-    return cl.condition_residuals(rmat, component, t, n, cfg, conditions=(cond,))[cond]
+    return cl.condition_residuals(rmat, component, t, n, cfg, (cond,), sample)[cond]
 
 
 def class_parts(name):
@@ -31,10 +31,6 @@ def class_parts(name):
 
 class TestConfigAndNames:
     def test_config_validation(self):
-        with pytest.raises(cl.ClassifierError):
-            cl.SamplingConfig(seed=0, num_points=0)
-        with pytest.raises(cl.ClassifierError):
-            cl.SamplingConfig(seed=0, num_arg_triples=0)
         with pytest.raises(cl.ClassifierError):
             cl.SamplingConfig(seed=0, tol=-1.0)
         for tol in (np.inf, np.nan):
@@ -64,15 +60,16 @@ class TestResiduals:
                                 (1.0, 1.0), n, FAST) > 0.1
 
     def test_partial_run_matches_full_run(self):
-        # the default config fills blocks of 16 points, whose conditions share
-        # the J-twists and argument outer products in a full run only
+        # both samples fill chunks of 16 points, whose conditions share the
+        # J-twists and argument outer products in a full run only
         rmat = cur.model("constant_curvature", s=12.0)
-        for cfg in (FAST, cl.SamplingConfig()):
+        for sample in (cl.SAMPLE, cl.REDUCED_SAMPLE):
             for component in cl.COMPONENTS:
-                full = cl.condition_residuals(rmat, component, (0.25, 1.0), 3, cfg)
+                full = cl.condition_residuals(rmat, component, (0.25, 1.0), 3, FAST,
+                                              sample=sample)
                 for cond in cl.CONDITIONS:
-                    assert residual(cond, rmat, component, (0.25, 1.0), 3, cfg) == \
-                        full[cond], (cfg, component, cond)
+                    assert residual(cond, rmat, component, (0.25, 1.0), 3, FAST, sample) == \
+                        full[cond], (sample, component, cond)
         assert cl.condition_residuals(rmat, "+-", (0.25, 1.0), 3, FAST, conditions=()) == {}
 
 
@@ -107,7 +104,7 @@ class TestClassify:
         # for the zero operator the codifferential is exactly zero, so the
         # first class whose conditions all pass is W1W2W3; the detector flags
         # it as impossible for n = 1 rather than silencing it
-        cfg = cl.SamplingConfig(seed=3, num_points=16, num_arg_triples=8, tol=1e-30)
+        cfg = cl.SamplingConfig(seed=3, tol=1e-30)
         report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, cfg)
         assert report.detected == "W1W2W3"
         assert report.flags["possible_class_violation"]
@@ -171,8 +168,7 @@ class TestDeterminism:
     def test_seed_changes_the_sample(self):
         rmat = cur.model("flat")
         a = residual("DΩ", rmat, "++", (1.0, 1.0), 1, FAST)
-        b = residual("DΩ", rmat, "++", (1.0, 1.0), 1,
-                     cl.SamplingConfig(seed=4, num_points=16, num_arg_triples=8))
+        b = residual("DΩ", rmat, "++", (1.0, 1.0), 1, cl.SamplingConfig(seed=4))
         assert a != b
 
     def test_csv_round(self):
@@ -269,15 +265,16 @@ def _contract(T, x, y, z):
     return np.einsum("...abc,...ka,...kb,...kc->...k", T, x, y, z)
 
 
-def _sampled_sup(rmat, component, t, n, cfg, value, norm_slots):
+def _sampled_sup(rmat, component, t, n, cfg, value, norm_slots, sample=cl.SAMPLE):
     """Sup of |value(T, A, B, C, JA, JB, JC)| / (1 + product of the slot norms)
-    over the classifier's seeded sample."""
+    over the classifier's seeded sample of ``sample`` = (points, triples)."""
     params = tn.Params(t[0], t[1], n)
     rng = np.random.default_rng(cfg.seed)
+    num_points, k = sample
     worst = 0.0
-    for _ in range(cfg.num_points):
+    for _ in range(num_points):
         p = cl._points(rng.standard_normal(6), component)
-        coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
+        coeffs = rng.standard_normal((k, 3, 8))
         T, M = tn.frame_tensor(p, rmat, params)
         args = (*coeffs.transpose(1, 0, 2), *(coeffs @ M.T).transpose(1, 0, 2))
         norms = np.linalg.norm(coeffs, axis=2)
@@ -311,39 +308,40 @@ class TestLiteralReadings:
         assert good <= 1e-9
         assert bad > 1e-3
 
-    # 40 points are one full geometry block of 32 and a partial one of 8,
-    # contracted in chunks of 16 + 16 + 8
-    @pytest.mark.parametrize("num_points", [1, 17, 40, 64])
+    # the full sample is two geometry blocks of 32 points, each contracted in
+    # two chunks of 16; the reduced one is one partial block of 16 points
+    @pytest.mark.parametrize("sample", [cl.SAMPLE, cl.REDUCED_SAMPLE])
     @pytest.mark.parametrize("component", cl.COMPONENTS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_sampler_reproduces_the_classifier(self, n, component, num_points):
+    def test_sampler_reproduces_the_classifier(self, n, component, sample):
         # the classifier evaluates points in stacked blocks and chunks; a
         # per-point loop over the same stream must give the same sups for every
         # condition
         rmat = cur.random_strict_operator(np.random.default_rng([17, n]))
         t = (0.3, 1.2)
-        cfg = cl.SamplingConfig(seed=3, num_points=num_points, num_arg_triples=8)
+        cfg = cl.SamplingConfig(seed=3)
         params = tn.Params(t[0], t[1], n)
         norm_slots = {"W1-cond": [0, 0, 2], "W1W3-cond": [0, 0, 2], "δΩ": [0]}
         rng = np.random.default_rng(cfg.seed)
+        num_points, k = sample
         want = dict.fromkeys(cl.CONDITIONS, 0.0)
         for _ in range(num_points):
             p = cl._points(rng.standard_normal(6), component)
-            coeffs = rng.standard_normal((cfg.num_arg_triples, 3, 8))
+            coeffs = rng.standard_normal((k, 3, 8))
             T, M = tn.frame_tensor(p, rmat, params)
             assert (T.shape, M.shape) == ((8, 8, 8), (8, 8))
             norms = np.linalg.norm(coeffs, axis=2)
             for c, vals in cl.condition_values(T, M, coeffs).items():
                 nrm = 1.0 + np.prod(norms[:, norm_slots.get(c, [0, 1, 2])], axis=1)
                 want[c] = max(want[c], float(np.max(np.abs(vals) / nrm)))
-        got = cl.condition_residuals(rmat, component, t, n, cfg)
+        got = cl.condition_residuals(rmat, component, t, n, cfg, sample=sample)
         assert got == pytest.approx(want, rel=1e-12)
 
         def w13(T, a, b, c, ja, jb, jc):
             return _contract(T, a, a, c) - _contract(T, ja, ja, c)
 
-        assert _sampled_sup(rmat, component, t, n, cfg, w13, [0, 0, 2]) == pytest.approx(
-            got["W1W3-cond"], rel=1e-12)
+        assert _sampled_sup(rmat, component, t, n, cfg, w13, [0, 0, 2], sample) == \
+            pytest.approx(got["W1W3-cond"], rel=1e-12)
 
 
 class TestFrameTensorContractions:
@@ -482,19 +480,19 @@ class TestGeometryCache:
                 assert np.array_equal(got.basis, ref.basis), component
 
     def test_partial_block_hits_the_cache(self):
-        # 40 samples: a full 32-point block, then a partial one of 8 points
-        cfg = cl.SamplingConfig(seed=11, num_points=40, num_arg_triples=8)
+        # the reduced sample is one partial block of 16 points
+        cfg = cl.SamplingConfig(seed=11)
         cl._block_points.cache_clear()
-        first = cl.condition_residuals(*self.ARGS, cfg)
-        assert cl._block_points.cache_info()[:2] == (0, 2)
-        assert cl.condition_residuals(*self.ARGS, cfg) == first
-        assert cl._block_points.cache_info()[:2] == (2, 2)
+        first = cl.condition_residuals(*self.ARGS, cfg, sample=cl.REDUCED_SAMPLE)
+        assert cl._block_points.cache_info()[:2] == (0, 1)
+        assert cl.condition_residuals(*self.ARGS, cfg, sample=cl.REDUCED_SAMPLE) == first
+        assert cl._block_points.cache_info()[:2] == (1, 1)
 
     def test_cache_stays_bounded_over_many_seeds(self):
         assert cl._block_points.cache_info().maxsize == cl.GEOMETRY_CACHE_BLOCKS >= 6
         for seed in range(3 * cl.GEOMETRY_CACHE_BLOCKS):
-            cl.condition_residuals(*self.ARGS, cl.SamplingConfig(seed=seed, num_points=16,
-                                                                 num_arg_triples=2), ("δΩ",))
+            cl.condition_residuals(*self.ARGS, cl.SamplingConfig(seed=seed), ("δΩ",),
+                                   cl.REDUCED_SAMPLE)
             assert cl._block_points.cache_info().currsize <= cl.GEOMETRY_CACHE_BLOCKS
         assert cl._block_points.cache_info().currsize == cl.GEOMETRY_CACHE_BLOCKS
 
@@ -503,7 +501,7 @@ class TestGeometryCache:
         cl.condition_residuals(*self.ARGS, FAST)
         before = cl._block_points.cache_info()
         assert before.currsize > 0
-        assert selftest.all_ok(selftest.run_selftest(seed=1, trials=8))
+        assert selftest.all_ok(selftest.run_selftest(seed=1))
         assert cl._block_points.cache_info() == before
 
 
@@ -538,7 +536,7 @@ class TestTheoremSuite:
             cl.verify_theorem("bogus", FAST)
 
     @pytest.mark.parametrize("tid", ["4.2a", "4.2b", "4.6b", "4.8b"])
-    def test_sample_of_statements_at_reduced_sampling(self, tid):
+    def test_sample_of_statements_at_another_seed(self, tid):
         result = cl.verify_theorem(tid, FAST)
         assert result.passed, [c for c in result.checks if not c["ok"]]
 
@@ -548,14 +546,14 @@ class TestTheoremSuite:
         orig = cl.condition_residuals
         mix = {}
 
-        def counted(rmat, component, t, n, cfg, conditions=cl.CONDITIONS):
-            key = (cfg.num_points, cfg.num_arg_triples, len(conditions))
+        def counted(rmat, component, t, n, cfg, conditions=cl.CONDITIONS, sample=cl.SAMPLE):
+            key = (sample, len(conditions))
             mix[key] = mix.get(key, 0) + 1
-            return orig(rmat, component, t, n, cfg, conditions)
+            return orig(rmat, component, t, n, cfg, conditions, sample)
 
         monkeypatch.setattr(cl, "condition_residuals", counted)
         assert all(r.passed for r in cl.verify_all(DEFAULT))
-        assert mix == {(64, 32, 1): 22, (64, 32, 2): 22, (16, 8, 1): 44}
+        assert mix == {(cl.SAMPLE, 1): 22, (cl.SAMPLE, 2): 22, (cl.REDUCED_SAMPLE, 1): 44}
 
     def test_pointwise_counterexamples_are_the_closed_forms(self):
         # the suite reads each counterexample as one entry or trace of the frame

@@ -295,7 +295,8 @@ class TestClassifyCommand:
         report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1,
                              cl.SamplingConfig(3, tol=1e-6), source="model:flat")
         assert out == report.to_json()
-        assert json.loads(out)["config"]["num_points"] == cl.SamplingConfig().num_points
+        config = json.loads(out)["config"]
+        assert (config["num_points"], config["num_arg_triples"]) == cl.SAMPLE
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         args = ["classify", "--model", "constant_curvature", "--s", "12",

@@ -28,7 +28,7 @@ def test_scaled_condition_tensor_fails_its_oracle_only(monkeypatch, cond, oracle
     # the identity oracles evaluate the classifier's contractions, so a 1% error
     # in one condition's tensor Q must fail the oracle of that condition
     monkeypatch.setattr(cl, "_condition_tensors", scaled_condition_tensors(cond))
-    results = selftest.run_selftest(seed=1, trials=25)
+    results = selftest.run_selftest(seed=1)
     assert [r.name for r in results if not r.ok] == [oracle]
 
 
@@ -36,7 +36,7 @@ def test_negated_sign_table_fails_the_closed_form_oracles(monkeypatch):
     # the frame tensor and the product evaluators read SIGMA; the Nijenhuis closed
     # form and the single-fibre forms write their signs out
     negate_sign_table(monkeypatch)
-    results = selftest.run_selftest(seed=1, trials=25)
+    results = selftest.run_selftest(seed=1)
     assert [r.name for r in results if not r.ok] == ["nijenhuis-identity", "restriction"]
 
 
@@ -114,17 +114,16 @@ def test_stacked_worst_trial_is_the_scalar_one(monkeypatch, cond, kind):
     assert result.max_residual == pytest.approx(best, rel=1e-9)
 
 
+def every_oracle(seed, trials):
+    """Each oracle, in report order, over ``trials`` trials in place of its own."""
+    return [selftest._oracle(name, seed, trials) for name in selftest.ORACLES]
+
+
 @pytest.mark.parametrize("trials", [1, 2, 3, 5])
 def test_empty_and_partial_groups(trials):
-    results = selftest.run_selftest(seed=1, trials=trials)
+    results = every_oracle(1, trials)
     assert selftest.all_ok(results)
     assert all(r.trials == trials for r in results)
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_no_trials_is_a_value_error(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        selftest.run_selftest(seed=1, trials=trials)
 
 
 def nan_at(f, call, row=None):
@@ -185,7 +184,7 @@ def test_closed_form_is_looked_up_on_tensors_at_each_call(monkeypatch, kind, tri
 
 
 def assert_nan_fails_at_trial_8(oracle):
-    results = selftest.run_selftest(seed=1, trials=25)
+    results = selftest.run_selftest(seed=1)
     assert [r.name for r in results if not r.ok] == [oracle]
     failed = next(r for r in results if not r.ok)
     assert np.isnan(failed.max_residual)
@@ -216,10 +215,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, seed, trials):
     # oracle in a one-trial block, and 3 leaves an n-group empty and a fibre
     # dimension with one trial
     assert selftest._BLOCK_TRIALS != 64 and selftest._ROUTE_TRIALS != 7
-    results = selftest.run_selftest(seed=seed, trials=trials)
+    results = every_oracle(seed, trials)
     monkeypatch.setattr(selftest, "_BLOCK_TRIALS", 64)
     monkeypatch.setattr(selftest, "_ROUTE_TRIALS", 7)
-    small = selftest.run_selftest(seed=seed, trials=trials)
+    small = every_oracle(seed, trials)
     assert [r.name for r in results] == [r.name for r in small]
     for got, want in zip(results, small):
         assert got.max_residual.hex() == want.max_residual.hex(), got.name
@@ -258,23 +257,17 @@ def test_stacked_fibre_oracle_is_the_per_trial_one(seed, trials):
     assert result.ok
 
 
-ORACLES = {kind: lambda trials, kind=kind: selftest._tensor_oracle(1, trials, kind)
-           for kind in (*IDENTITY_KINDS, "restriction")} | {
-    "curvature-commutator": lambda trials: selftest._curvature_commutator(1, trials),
-    "fibre-kaehler-parallel": lambda trials: selftest._fibre_kaehler(1, trials)}
-
-
-@pytest.mark.parametrize("kind", list(ORACLES))
+@pytest.mark.parametrize("kind", list(selftest.ORACLES))
 @pytest.mark.parametrize("trials", [64, 640])
 def test_oracle_memory_does_not_grow_with_trials(trials, kind):
-    ORACLES[kind](8)  # first-call allocations
+    selftest._oracle(kind, 1, 8)  # first-call allocations
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ORACLES[kind](trials)
+        selftest._oracle(kind, 1, trials)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
