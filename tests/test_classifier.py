@@ -309,8 +309,12 @@ class TestLiteralReadings:
         assert bad > 1e-3
 
     # the full sample is two geometry blocks of 32 points, each contracted in
-    # two chunks of 16; the reduced one is one partial block of 16 points
-    @pytest.mark.parametrize("sample", [cl.SAMPLE, cl.REDUCED_SAMPLE])
+    # two chunks of 16; the reduced one is one partial block of 16 points.
+    # The other shapes are not production samples but exercise the remaining
+    # block splits: 1 point is a partial chunk, 17 points one full chunk and
+    # a 1-point one, and 40 points a full block and a partial one of 8
+    @pytest.mark.parametrize("sample", [(1, 8), (17, 8), (40, 8), cl.REDUCED_SAMPLE,
+                                        cl.SAMPLE])
     @pytest.mark.parametrize("component", cl.COMPONENTS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sampler_reproduces_the_classifier(self, n, component, sample):
