@@ -298,8 +298,8 @@ def condition_residuals(rmat, component: str, t, n: int, cfg: SamplingConfig,
     which draw the same stream as one row of 6 + 24 k normals per point, and
     each block is contracted in chunks of ``CHUNK_POINTS``.  A block's
     structures come from the cache ``_block_points``, keyed by its sphere rows.
+    The float (6, 6) operator is unchecked: ``classify`` checks it, the suite builds it.
     """
-    rmat = curvature.check_operator(rmat)
     for c in conditions:
         if c not in CONDITIONS:
             raise ClassifierError(f"unknown condition {c!r}; known: {CONDITIONS}")
@@ -372,9 +372,9 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
     given n is flagged, not silenced.  A non-finite residual (the operator or
     the weights overflow) raises ClassifierError instead of passing every test.
     """
-    blocks = curvature.decompose(rmat)
+    blocks = curvature.decompose(rmat)  # the check of the operator
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        residuals = condition_residuals(rmat, component, t, n, cfg)
+        residuals = condition_residuals(np.asarray(rmat, dtype=float), component, t, n, cfg)
     bad = [c for c, r in residuals.items() if not np.isfinite(r)]
     if bad:
         raise ClassifierError(f"non-finite residuals for {', '.join(bad)}; "

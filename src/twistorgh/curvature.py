@@ -263,7 +263,7 @@ def _from_blocks(blocks) -> np.ndarray:
 
 
 def from_json_dict(doc) -> np.ndarray:
-    """Read an operator document holding "matrix", "blocks", or both.
+    """Read an operator document holding "matrix", "blocks", or both, and nothing else.
 
     With both present the matrix wins after a consistency check against the
     assembled blocks.  A ``blocks.strict`` flag must agree with the
@@ -271,10 +271,11 @@ def from_json_dict(doc) -> np.ndarray:
     """
     if not isinstance(doc, dict):
         raise SchemaError("curvature document must be a JSON object")
+    if not doc or set(doc) - {"matrix", "blocks"}:
+        raise SchemaError("curvature document must contain 'matrix' or 'blocks' and no other "
+                          f"field, got {sorted(doc)}")
     has_matrix = "matrix" in doc
     has_blocks = "blocks" in doc
-    if not (has_matrix or has_blocks):
-        raise SchemaError("curvature document must contain 'matrix' or 'blocks'")
     if has_matrix:
         mat = check_operator(_field_matrix(doc, "matrix", (6, 6)))
         if has_blocks:
@@ -319,8 +320,8 @@ def write_json(mat, path) -> None:
 # --- helpers for tests and the verification suite ----------------------------
 
 def swap_halves(mat) -> np.ndarray:
-    """Conjugate by the block swap of the two halves (orientation reversal)."""
-    mat = check_operator(mat)
+    """Conjugate by the block swap of the two halves (orientation reversal).
+    The operator is taken as given: its callers build it or have checked it."""
     p = np.zeros((6, 6))
     p[:3, 3:] = np.eye(3)
     p[3:, :3] = np.eye(3)
@@ -342,41 +343,39 @@ def random_traceless_symmetric(rng, scale: float = 1.0) -> np.ndarray:
 STRICT_NORMALS = 28
 
 
-def strict_operators(normals, scale: float = 1.0) -> np.ndarray:
+def strict_operators(normals) -> np.ndarray:
     """Strict operators from rows of 28 normals, one (6, 6) per row along the
-    leading axes: s = 12 scale z[0], B = scale z[1:10], and W+, W- the
-    traceless symmetric parts of z[10:19], z[19:28] times scale.
+    leading axes: s = 12 z[0], B = z[1:10], and W+, W- the traceless
+    symmetric parts of z[10:19], z[19:28].
 
-    The blocks are valid by construction, so none is checked; they are
-    assembled by the code of :func:`compose`, so a row gives the same bits as
-    ``compose`` of its blocks.
+    The callers draw the rows, and the blocks are valid by construction, so
+    nothing is checked; they are assembled by the code of :func:`compose`, so
+    a row gives the same bits as ``compose`` of its blocks.
     """
     z = np.asarray(normals, dtype=float)
-    if z.shape[-1:] != (STRICT_NORMALS,):
-        raise CurvatureError(f"expected rows of {STRICT_NORMALS} normals, got shape {z.shape}")
     lead = z.shape[:-1]
     b, wp, wm = (z[..., 1 + 9 * k:10 + 9 * k].reshape(lead + (3, 3)) for k in range(3))
-    return _assemble(scale * 12.0 * z[..., 0], scale * b, scale * _traceless_symmetric_part(wp),
-                     scale * _traceless_symmetric_part(wm))
+    return _assemble(12.0 * z[..., 0], b, _traceless_symmetric_part(wp),
+                     _traceless_symmetric_part(wm))
 
 
-def random_strict_operator(rng, scale: float = 1.0) -> np.ndarray:
+def random_strict_operator(rng) -> np.ndarray:
     """A random strict operator: one draw of 28 normals through
     :func:`strict_operators`, the stream of a scalar normal and three (3, 3)
     draws for s, B, W+ and W- in turn."""
-    return strict_operators(rng.standard_normal(STRICT_NORMALS), scale)
+    return strict_operators(rng.standard_normal(STRICT_NORMALS))
 
 
 def perturbed(mat, kind: str, rng) -> np.ndarray:
-    """Add noise of relative size ``PERTURBATION_REL`` to one hypothesis block."""
+    """Add noise of relative size ``PERTURBATION_REL`` to one hypothesis block.
+    ``decompose`` checks the operator; its blocks plus finite noise are valid,
+    so they are assembled by the code of :func:`compose`, unchecked."""
+    if kind not in ("Wplus", "B"):
+        raise CurvatureError(f"unknown perturbation kind {kind!r}")
     blocks = decompose(mat)
     base = max(float(np.linalg.norm(mat)), 1.0)
+    noise = random_traceless_symmetric(rng) if kind == "Wplus" else rng.standard_normal((3, 3))
+    noise *= PERTURBATION_REL * base / max(float(np.linalg.norm(noise)), 1e-12)
     if kind == "Wplus":
-        noise = random_traceless_symmetric(rng)
-        noise *= PERTURBATION_REL * base / max(float(np.linalg.norm(noise)), 1e-12)
-        return compose(blocks.s, blocks.B, blocks.Wplus + noise, blocks.Wminus)
-    if kind == "B":
-        noise = rng.standard_normal((3, 3))
-        noise *= PERTURBATION_REL * base / max(float(np.linalg.norm(noise)), 1e-12)
-        return compose(blocks.s, blocks.B + noise, blocks.Wplus, blocks.Wminus)
-    raise CurvatureError(f"unknown perturbation kind {kind!r}")
+        return _assemble(blocks.s, blocks.B, blocks.Wplus + noise, blocks.Wminus)
+    return _assemble(blocks.s, blocks.B + noise, blocks.Wplus, blocks.Wminus)

@@ -64,17 +64,17 @@ def random_vertical_endo(ocs: fd.OrientedComplexStructure4, rng, scale: float = 
     return c[0] * u2 + c[1] * u3
 
 
-def drawn_strict_operator(rng, scale: float = 1.0) -> np.ndarray:
+def drawn_strict_operator(rng) -> np.ndarray:
     """A strict operator drawn block by block, written out apart from the
     package's builder: a scalar normal for s, then (3, 3) draws for B, W+ and
     W-, the last two symmetrised and made traceless, then ``compose``."""
     def traceless_symmetric(a):
         a = 0.5 * (a + a.T)
         a -= (np.trace(a) / 3.0) * np.eye(3)
-        return scale * a
+        return a
 
-    s = float(scale * 12.0 * rng.standard_normal())
-    b = scale * rng.standard_normal((3, 3))
+    s = float(12.0 * rng.standard_normal())
+    b = rng.standard_normal((3, 3))
     wplus = traceless_symmetric(rng.standard_normal((3, 3)))
     wminus = traceless_symmetric(rng.standard_normal((3, 3)))
     return cur.compose(s, b, wplus, wminus)

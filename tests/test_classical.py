@@ -19,6 +19,13 @@ statements pin the two:
   1982): the twistor space of a half-conformally-flat manifold is balanced;
   for J2 it is the class W1+W2+W3 of the single twistor space's class table.
 
+The rest of that class table is pinned for Einstein operators (B = 0) whose
+Weyl half of the first factor's orientation vanishes: J1 is Kaehler exactly at
+t1 s = 6 (Friedrich and Kurke, 1982; Hitchin, 1981), and J2 is never Kaehler,
+always quasi-Kaehler, nearly Kaehler (W1) at t1 s = 3 and almost Kaehler (W2)
+at t1 s = -6 (Muskarov, 1987).  Noise in B or in that Weyl half leaves every
+class.
+
 The restriction does not depend on u2, so u1 runs over the 12 vertices of an
 icosahedron at one fixed u2.
 """
@@ -49,6 +56,8 @@ def single(cond, rmat, component, t, n):
     rows = np.concatenate((ICOSAHEDRON, np.broadcast_to(U2, (12, 3))), axis=1)
     T, M = tn.frame_tensor(cl._points(rows, component), rmat, tn.Params(t[0], t[1], n))
     (_, q), = cl._condition_tensors(T, M, (cond,))
+    if cl._SLOTS[cond][:2] == (cl._A, cl._A):  # on (A, A, C) only Q's symmetric part counts
+        q = 0.5 * (q + np.swapaxes(q, -3, -2))
     return float(np.abs(q[(slice(None),) + (slice(6),) * (q.ndim - 1)]).max())
 
 
@@ -67,6 +76,25 @@ def operators(component, rng):
         yield t, "W_same=0", cur.strict_operators(no_same)
         yield t, "W_other=0", cur.strict_operators(no_other)
         yield t, "flat", np.zeros((6, 6))
+
+
+#: the class-table conditions that vanish for an Einstein operator with W_same = 0,
+#: by single structure (1 for J1, 2 for J2) and t1 s
+CLASS_TABLE = {
+    (1, 6.0): {"DΩ", "W1-cond", "dΩ", "quasi-cond"}, (1, 3.0): set(), (1, -6.0): set(),
+    (2, 6.0): {"quasi-cond"}, (2, 3.0): {"W1-cond", "quasi-cond"},
+    (2, -6.0): {"dΩ", "quasi-cond"},
+}
+
+
+def einstein_operators(component, s, rng):
+    """(kind, R): an Einstein operator of scalar part s with W_same = 0 and a random
+    other Weyl half, and the same with noise in B or in W_same.  They are built with
+    W+ as W_same and half-swapped when the first factor's orientation is negative."""
+    rmat = cur.compose(s, Wminus=cur.random_traceless_symmetric(rng))
+    ops = (("einstein", rmat), ("B-noise", cur.perturbed(rmat, "B", rng)),
+           ("W_same-noise", cur.perturbed(rmat, "Wplus", rng)))
+    return [(kind, r if component[0] == "+" else cur.swap_halves(r)) for kind, r in ops]
 
 
 def test_icosahedron_vertices_are_unit_and_distinct():
@@ -108,3 +136,21 @@ def test_balanced_exactly_when_the_same_weyl_half_vanishes(component, n):
             assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (kind, t, value)
         else:
             assert value > NONZERO_MIN, (kind, t, value)
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_einstein_operators_follow_the_class_table(component, n):
+    rng = np.random.default_rng([73, n, cl.COMPONENTS.index(component)])
+    for s in (12.0, 5.0, -12.0):
+        for ts in (6.0, 3.0) if s > 0 else (-6.0,):
+            t = (ts / s, rng.uniform(0.3, 2.0))
+            vanishing = CLASS_TABLE[(1 if n < 3 else 2, ts)]
+            for kind, rmat in einstein_operators(component, s, rng):
+                for cond in ("DΩ", "W1-cond", "dΩ", "quasi-cond"):
+                    value = single(cond, rmat, component, t, n)
+                    if kind == "einstein" and cond in vanishing:
+                        assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), \
+                            (kind, s, ts, cond, value)
+                    else:
+                        assert value > NONZERO_MIN, (kind, s, ts, cond, value)

@@ -141,6 +141,13 @@ class TestClassify:
             with pytest.raises(cl.ClassifierError, match="non-finite"):
                 cl.classify(rmat, "+-", (1e300, 1.0), 3, FAST)
 
+    @pytest.mark.parametrize("component", cl.COMPONENTS)
+    def test_array_likes_give_the_same_report(self, component):
+        # condition_residuals reads the operator as given; classify converts it
+        reports = {cl.classify(rmat, component, (0.25, 1.0), 3, FAST).to_json()
+                   for rmat in (np.eye(6).tolist(), np.eye(6, dtype=int), np.eye(6))}
+        assert len(reports) == 1
+
     def test_report_json_refuses_nan(self):
         report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, FAST)
         report.residuals["DΩ"] = float("nan")

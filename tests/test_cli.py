@@ -114,6 +114,15 @@ class TestClassifyCommand:
         assert code == cli.EXIT_INPUT
         assert "'matrix'" in err
 
+    def test_unknown_top_level_field_exits_2(self, capsys, tmp_path):
+        # valid blocks beside a misspelt "matrix" would otherwise classify silently
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"blocks": {"s": 12.0}, "matirx": np.zeros((6, 6)).tolist()}))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component=+-",
+                                 "--n", "3", "--t1", "0.25")
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "'matirx'" in err
+
     @pytest.mark.parametrize("doc", [
         {"blocks": {"s": True}},
         {"matrix": [["1"] + ["0"] * 5] + np.eye(6)[1:].tolist()},
