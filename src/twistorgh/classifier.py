@@ -148,7 +148,14 @@ GEOMETRY_CACHE_BLOCKS = 8
 
 
 class ClassifierError(ValueError):
-    """Unknown condition, component or theorem id."""
+    """Unknown condition, component or theorem id, or an invalid argument."""
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer is a ClassifierError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ClassifierError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -167,6 +174,7 @@ class SamplingConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.seed < 0:
             raise ClassifierError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.tol < np.inf:
@@ -373,6 +381,11 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
     the weights overflow) raises ClassifierError instead of passing every test.
     """
     blocks = curvature.decompose(rmat)  # the check of the operator
+    n = _as_int(n, "n")
+    try:
+        t1, t2 = t = tuple(map(float, t if np.ndim(t) == 1 else None))  # a str has ndim 0
+    except (TypeError, ValueError):  # not a pair of numbers
+        raise ClassifierError(f"t must be a pair (t1, t2), got {t!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         residuals = condition_residuals(np.asarray(rmat, dtype=float), component, t, n, cfg)
     bad = [c for c, r in residuals.items() if not np.isfinite(r)]
@@ -387,7 +400,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
         detected=detected,
         config={
             "source": source, "component": component, "n": n,
-            "t1": float(t[0]), "t2": float(t[1]), "seed": cfg.seed,
+            "t1": t1, "t2": t2, "seed": cfg.seed,
             "num_points": SAMPLE[0], "num_arg_triples": SAMPLE[1],
             "tol": cfg.tol,
         },

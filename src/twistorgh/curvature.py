@@ -12,6 +12,10 @@ fail tracelessness are accepted and marked non-strict: several classification
 witnesses require R to annihilate one half entirely, which forces
 W- = -(s/12) Id.
 
+Matrices from outside are checked where they enter, by ``check_operator``
+(shape, finite entries, symmetry of R, W+ and W-); operators built from
+checked blocks or from normals are not checked again.
+
 Sign convention of ``curvature_endo``: r is the skew endomorphism of
 R(x ^ y), and the curvature of the induced connection on skew endomorphisms
 acts as a -> [r, a], so that G([r, a], b) = <R([a, b]^), x ^ y>; the
@@ -44,22 +48,19 @@ class SchemaError(CurvatureError):
     """Malformed curvature-operator document."""
 
 
-def _sym_bound(m: np.ndarray) -> float:
-    """SYM_TOL * max(1, max|m|): the symmetry tolerance of the matrix m."""
-    return SYM_TOL * max(1.0, float(np.abs(m).max()))
-
-
-def check_operator(mat) -> np.ndarray:
-    """One 6x6 operator, finite and symmetric within :func:`_sym_bound`."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (6, 6):
-        raise CurvatureError(f"curvature operator must be 6x6, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise CurvatureError("curvature operator has non-finite entries")
-    err = float(np.max(np.abs(mat - mat.T)))
-    if err > _sym_bound(mat):
-        raise CurvatureError(f"curvature operator is not symmetric: max|R - R^T| = {err:.3e}")
-    return mat
+def check_operator(m, name: str = "curvature operator", size: int = 6,
+                   symmetric: bool = True) -> np.ndarray:
+    """``m`` as a float size x size matrix, finite and, if ``symmetric``, symmetric
+    within SYM_TOL * max(1, max|m|): R, W+ and W- are; the block B is not."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (size, size):
+        raise CurvatureError(f"{name} must be {size}x{size}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise CurvatureError(f"{name} has non-finite entries")
+    err = float(np.max(np.abs(m - m.T)))
+    if symmetric and err > SYM_TOL * max(1.0, float(np.abs(m).max())):
+        raise CurvatureError(f"{name} is not symmetric: max|R - R^T| = {err:.3e}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -97,17 +98,6 @@ def decompose(mat) -> CurvatureBlocks:
     return CurvatureBlocks(s=s, B=b, Wplus=wplus, Wminus=wminus, strict=strict)
 
 
-def _check_block(m, name: str, symmetric: bool) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise CurvatureError(f"block {name!r} must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise CurvatureError(f"block {name!r} has non-finite entries")
-    if symmetric and float(np.max(np.abs(m - m.T))) > _sym_bound(m):
-        raise CurvatureError(f"block {name!r} must be symmetric")
-    return m
-
-
 def _assemble(s, b, wp, wm) -> np.ndarray:
     """(s/12) Id + B + W+ + W-: one 6x6 operator per entry of the leading axes
     of the scalar parts s and of the blocks (..., 3, 3), which all share them."""
@@ -122,9 +112,9 @@ def _assemble(s, b, wp, wm) -> np.ndarray:
 
 def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     """Assemble the 6x6 operator from blocks; inverse of :func:`decompose`."""
-    b = _check_block(np.zeros((3, 3)) if B is None else B, "B", symmetric=False)
-    wp = _check_block(np.zeros((3, 3)) if Wplus is None else Wplus, "Wplus", symmetric=True)
-    wm = _check_block(np.zeros((3, 3)) if Wminus is None else Wminus, "Wminus", symmetric=True)
+    b = check_operator(np.zeros((3, 3)) if B is None else B, "block 'B'", 3, symmetric=False)
+    wp = check_operator(np.zeros((3, 3)) if Wplus is None else Wplus, "block 'Wplus'", 3)
+    wm = check_operator(np.zeros((3, 3)) if Wminus is None else Wminus, "block 'Wminus'", 3)
     s = float(s)
     if not np.isfinite(s):
         raise CurvatureError(f"scalar part s must be finite, got {s}")
@@ -285,7 +275,7 @@ def from_json_dict(doc) -> np.ndarray:
                 raise
             except CurvatureError as exc:  # blocks that cannot describe the finite matrix
                 raise SchemaError(f"invalid 'blocks': {exc}") from None
-            # relative, like _sym_bound: the blocks carry roundoff of the entries
+            # relative, like SYM_TOL: the blocks carry roundoff of the entries
             bound = 1e-9 * max(1.0, float(np.abs(mat).max()))
             if not float(np.max(np.abs(mat - from_blocks))) <= bound:
                 raise SchemaError("fields 'matrix' and 'blocks' describe different operators")
@@ -313,19 +303,17 @@ def read_json(path) -> np.ndarray:
 
 def write_json(mat, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(mat), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(to_json_dict(mat), indent=2) + "\n")
 
 
 # --- helpers for tests and the verification suite ----------------------------
 
 def swap_halves(mat) -> np.ndarray:
-    """Conjugate by the block swap of the two halves (orientation reversal).
-    The operator is taken as given: its callers build it or have checked it."""
-    p = np.zeros((6, 6))
-    p[:3, 3:] = np.eye(3)
-    p[3:, :3] = np.eye(3)
-    return p @ mat @ p
+    """Conjugate by the block swap of the two halves (orientation reversal): rows
+    and columns in the order (3, 4, 5, 0, 1, 2).  The operator is taken as given:
+    its callers build it or have checked it."""
+    order = [3, 4, 5, 0, 1, 2]
+    return np.asarray(mat, dtype=float)[np.ix_(order, order)]
 
 
 def _traceless_symmetric_part(a) -> np.ndarray:
@@ -367,11 +355,9 @@ def random_strict_operator(rng) -> np.ndarray:
 
 
 def perturbed(mat, kind: str, rng) -> np.ndarray:
-    """Add noise of relative size ``PERTURBATION_REL`` to one hypothesis block.
+    """Add noise of relative size ``PERTURBATION_REL`` to the block ``kind``, "Wplus" or "B".
     ``decompose`` checks the operator; its blocks plus finite noise are valid,
     so they are assembled by the code of :func:`compose`, unchecked."""
-    if kind not in ("Wplus", "B"):
-        raise CurvatureError(f"unknown perturbation kind {kind!r}")
     blocks = decompose(mat)
     base = max(float(np.linalg.norm(mat)), 1.0)
     noise = random_traceless_symmetric(rng) if kind == "Wplus" else rng.standard_normal((3, 3))

@@ -20,9 +20,11 @@ g(x1^x2, x3^x4) = g(x1,x3) g(x2,x4) - g(x1,x4) g(x2,x3).
 
 Compatible complex structures inducing +/- the orientation correspond to the
 points u of the unit sphere of the matching half, J^ = sqrt2 u, and are stored
-as u.  Their tangent (vertical) directions are the orthogonal complement of u
-inside that half, spanned by the basis rows (w_a, w_b) of the structure: with
-c = u_1, s = |(u_2, u_3)| and a = (u_2, u_3) / s,
+as u with the half's sign, 1 or -1 (unchecked: the signs come from the
+classifier's components or are literals).  Their tangent (vertical)
+directions are the orthogonal complement of u inside that half, spanned by
+the basis rows (w_a, w_b) of the structure: with c = u_1, s = |(u_2, u_3)|
+and a = (u_2, u_3) / s,
 
     w_j = e_j - a_j (s e1 + (1 - c) (0, a)),    j = 2, 3,
 
@@ -59,9 +61,6 @@ LEX_TO_S = np.array([
 
 _S_TO_LEX = LEX_TO_S.T.copy()
 
-class FourDimError(ValueError):
-    """A half sign other than +1 or -1."""
-
 
 def wedge_of_pair(x, y) -> np.ndarray:
     """s-basis coefficients of x ^ y for x, y in R^4; leading axes broadcast."""
@@ -93,19 +92,11 @@ def endo_of_two_vector(v) -> np.ndarray:
     return (v @ _S_ENDOS_FLAT).reshape(v.shape[:-1] + (4, 4))
 
 
-def _half_slice(sign: int) -> slice:
-    if sign == 1:
-        return slice(0, 3)
-    if sign == -1:
-        return slice(3, 6)
-    raise FourDimError(f"sign must be +1 or -1, got {sign}")
-
-
 def embed_half(u3, sign: int) -> np.ndarray:
-    """The two-vector(s) with half ``sign`` equal to u3; leading axes are kept."""
+    """The two-vector(s) whose half ``sign`` (1 or -1) is u3; leading axes are kept."""
     u3 = np.asarray(u3, dtype=float)
     v = np.zeros(u3.shape[:-1] + (6,))
-    v[..., _half_slice(sign)] = u3
+    v[..., slice(0, 3) if sign == 1 else slice(3, 6)] = u3
     return v
 
 

@@ -37,10 +37,8 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import tensors as tn
 
-PHI = (1.0 + 5.0 ** 0.5) / 2.0
-_SIGNED = np.array([(0.0, a, b * PHI) for a in (1, -1) for b in (1, -1)])
-#: the cyclic shifts of (0, +-1, +-phi), normalised
-ICOSAHEDRON = np.concatenate([np.roll(_SIGNED, k, axis=1) for k in range(3)]) / np.hypot(1.0, PHI)
+from gray_hervella import ICOSAHEDRON
+
 U2 = np.array([0.3, -0.5, 0.8])
 #: normals of W+ and W- in a row of ``curvature.strict_operators``
 WEYL_NORMALS = {1: slice(10, 19), -1: slice(19, 28)}

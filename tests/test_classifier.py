@@ -37,6 +37,11 @@ class TestConfigAndNames:
             with pytest.raises(cl.ClassifierError, match="finite"):
                 cl.SamplingConfig(seed=0, tol=tol)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(cl.ClassifierError, match="seed must be an integer"):
+            cl.SamplingConfig(seed=seed)
+
     def test_unknown_condition(self):
         with pytest.raises(cl.ClassifierError, match="unknown condition"):
             residual("bogus", cur.model("flat"), "++", (1.0, 1.0), 1, FAST)
@@ -147,6 +152,24 @@ class TestClassify:
         reports = {cl.classify(rmat, component, (0.25, 1.0), 3, FAST).to_json()
                    for rmat in (np.eye(6).tolist(), np.eye(6, dtype=int), np.eye(6))}
         assert len(reports) == 1
+
+    def test_numpy_integers_give_the_same_report(self):
+        # the report holds Python ints, which JSON can write
+        rmat = cur.model("constant_curvature", s=12.0)
+        want = cl.classify(rmat, "+-", (0.25, 1.0), 3, FAST).to_json()
+        got = cl.classify(rmat, "+-", (0.25, 1.0), np.int64(3), cl.SamplingConfig(np.int64(3)))
+        assert got.to_json() == want
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(cl.ClassifierError, match="n must be an integer"):
+            cl.classify(cur.model("flat"), "++", (1.0, 1.0), n, FAST)
+
+    @pytest.mark.parametrize("t", [(0.25,), (0.25, 1.0, 9.0), 0.25, ("a", 1.0), "12",
+                                   [[0.25, 1.0]]])
+    def test_t_must_be_a_pair(self, t):
+        with pytest.raises(cl.ClassifierError, match="t must be a pair"):
+            cl.classify(cur.model("flat"), "++", t, 1, FAST)
 
     def test_report_json_refuses_nan(self):
         report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, FAST)

@@ -148,6 +148,18 @@ class TestClassifyCommand:
         assert code == cli.EXIT_VALIDATION
         assert "not symmetric" in err
 
+    def test_roundoff_asymmetry_of_large_entries_classifies(self, capsys, tmp_path):
+        # entries near 1e5 with an asymmetry of 1.5e-11, a few ulp: the symmetry
+        # bound is relative to max(1, max|R|)
+        mat = 1e5 * cur.random_strict_operator(np.random.default_rng(12))
+        mat[0, 4] += 1.5e-11
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"matrix": mat.tolist()}))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                                 "--n", "1")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["flags"]["strict"]
+
     def test_non_finite_matrix_exits_3(self, capsys, tmp_path):
         mat = np.eye(6)
         mat[1, 1] = np.nan
@@ -161,7 +173,8 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("blocks, message", [
         ({"s": float("nan")}, "must be finite"),
         ({"s": 12.0, "Wplus": [[float("nan"), 0, 0], [0, 0, 0], [0, 0, 0]]}, "non-finite"),
-        ({"s": 12.0, "Wplus": [[0, 0.25, 0], [0, 0, 0], [0, 0, 0]]}, "must be symmetric"),
+        ({"s": 12.0, "Wplus": [[0, 0.25, 0], [0, 0, 0], [0, 0, 0]]},
+         "is not symmetric: max|R - R^T| = 2.500e-01"),
     ])
     def test_invalid_blocks_exit_3_like_the_matrix_form(self, capsys, tmp_path, blocks, message):
         path = tmp_path / "blocks.json"

@@ -415,6 +415,9 @@ class TestSerialization:
         path = tmp_path / "op.json"
         cur.write_json(mat, path)
         assert_allclose(cur.read_json(path), mat)
+        # one write of the indented document and a newline
+        text = json.dumps(cur.to_json_dict(mat), indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == text
 
 
 class TestHelpers:
@@ -423,11 +426,13 @@ class TestHelpers:
         assert_allclose(cur.swap_halves(cur.swap_halves(mat)), mat)
 
     def test_swap_halves_exchanges_weyl_blocks(self):
+        b = RNG.standard_normal((3, 3))
         wp = cur.random_traceless_symmetric(RNG)
         wm = cur.random_traceless_symmetric(RNG)
-        swapped = cur.decompose(cur.swap_halves(cur.compose(3.0, None, wp, wm)))
+        swapped = cur.decompose(cur.swap_halves(cur.compose(3.0, b, wp, wm)))
         assert_allclose(swapped.Wplus, wm, atol=1e-13)
         assert_allclose(swapped.Wminus, wp, atol=1e-13)
+        assert swapped.B.tobytes() == b.T.tobytes()
 
     def test_perturbed_moves_only_the_requested_block(self):
         mat = cur.model("kaehler_witness", s=12.0)
@@ -435,8 +440,6 @@ class TestHelpers:
         blocks = cur.decompose(pert)
         assert np.linalg.norm(blocks.B) > 0.01
         assert_allclose(blocks.Wplus, cur.decompose(mat).Wplus, atol=1e-12)
-        with pytest.raises(cur.CurvatureError, match="unknown perturbation"):
-            cur.perturbed(mat, "bogus", np.random.default_rng(1))
 
     def test_random_strict_operator_is_the_blockwise_draw(self):
         for seed in range(20):

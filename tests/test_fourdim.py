@@ -93,13 +93,6 @@ class TestSplit:
         assert plus @ minus == 0.0
         assert_array_equal(plus + minus, v)
 
-    def test_bad_sign_rejected(self):
-        for sign in (0, 2, -2):
-            with pytest.raises(fd.FourDimError, match="sign must be"):
-                fd.embed_half([1.0, 0.0, 0.0], sign)
-            with pytest.raises(fd.FourDimError, match="sign must be"):
-                fd.OrientedComplexStructure4([1.0, 0.0, 0.0], sign)
-
 
 class TestCross:
     """The cross product of a half is the commutator of its endomorphisms:
