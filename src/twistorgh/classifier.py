@@ -65,11 +65,12 @@ entries would only add to its retained memory.
 
 Raw residuals are divided by (1 + product of argument norms) so tolerances
 are scale-free, and a single violating sample fails a class (sup, not mean).
-The detected class is the smallest lattice element whose conditions all pass.
+The detected class is the smallest lattice element whose conditions all pass,
+each residual at most ``TOL``.
 
 The theorem suite (ids 4.2a .. 4.9b) checks each classification statement in
 both directions: the witness operators satisfy the class conditions at
-tolerance 1e-9 on the full sample ``SAMPLE``, and perturbing any hypothesis
+tolerance ``TOL`` on the full sample ``SAMPLE``, and perturbing any hypothesis
 (extra self-dual Weyl part, extra traceless-Ricci block, scalar shift, 10%
 shift of t1) pushes a residual above 1e-3 on ``REDUCED_SAMPLE``, 16 points
 with 8 triples each.  Every violation is sampled there,
@@ -129,6 +130,10 @@ COMPONENTS = ("++", "+-", "-+", "--")
 SAMPLE = (64, 32)
 REDUCED_SAMPLE = (16, 8)
 
+#: the residual at or below which a condition holds: ``classify``'s lattice test
+#: and the bound of the suite's witnesses
+TOL = 1e-9
+
 #: points per geometry block of ``condition_residuals``: one draw, one stacked
 #: frame tensor and one set of coefficient norms each.  Against 16-point blocks,
 #: 32 build the geometry half as often, which shows most in verify's calls of
@@ -160,25 +165,18 @@ def _as_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """How ``condition_residuals`` samples, and the threshold ``classify`` applies.
-
-    ``seed`` seeds the draw of points and argument triples, whose sizes are
-    fixed: ``SAMPLE``, 64 sphere points with 32 argument triples each.
-    ``classify`` reads a condition as holding when its residual is at most
-    ``tol``.  ``verify_theorem`` ignores ``tol``, since the suite checks fixed
-    bounds, and samples its violations on ``REDUCED_SAMPLE``, 16 points with
-    8 triples each.
+    """The seed of ``condition_residuals``' draw of points and argument triples,
+    whose sizes are fixed: ``SAMPLE``, 64 sphere points with 32 argument triples
+    each, for ``classify`` and the suite's witnesses, and ``REDUCED_SAMPLE``, 16
+    points with 8 triples each, for the suite's violations.
     """
 
     seed: int = 0
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.seed < 0:
             raise ClassifierError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0.0 < self.tol < np.inf:
-            raise ClassifierError("tol must be positive and finite")
 
 
 def component_signs(component: str) -> tuple[int, int]:
@@ -374,18 +372,24 @@ class ClassReport:
 
 def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
              source: str = "") -> ClassReport:
-    """Full residual table plus the minimal passing class.
+    """Full residual table plus the minimal class whose residuals are all at most ``TOL``.
 
-    For strict operators a detected class outside the possible set for the
-    given n is flagged, not silenced.  A non-finite residual (the operator or
-    the weights overflow) raises ClassifierError instead of passing every test.
+    ``n`` must be an integer in 1..4 and ``t`` a pair of numbers, not bools or
+    strings, each positive and finite, else ClassifierError.  For strict
+    operators a detected class outside the possible set for the given n is
+    flagged, not silenced.  A non-finite residual (the operator or the weights
+    overflow) raises ClassifierError instead of passing every test.
     """
     blocks = curvature.decompose(rmat)  # the check of the operator
     n = _as_int(n, "n")
-    try:
-        t1, t2 = t = tuple(map(float, t if np.ndim(t) == 1 else None))  # a str has ndim 0
-    except (TypeError, ValueError):  # not a pair of numbers
-        raise ClassifierError(f"t must be a pair (t1, t2), got {t!r}") from None
+    if n not in (1, 2, 3, 4):
+        raise ClassifierError(f"n must be in 1..4, got {n}")
+    pair = tuple(t) if np.iterable(t) else ()
+    if len(pair) != 2 or not all(map(curvature._is_number, pair)):
+        raise ClassifierError(f"t must be a pair (t1, t2) of numbers, got {t!r}")
+    if not all(0 < x <= sys.float_info.max for x in pair):  # a NaN fails too
+        raise ClassifierError(f"t1, t2 must be positive and finite, got {t!r}")
+    t1, t2 = t = tuple(map(float, pair))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         residuals = condition_residuals(np.asarray(rmat, dtype=float), component, t, n, cfg)
     bad = [c for c, r in residuals.items() if not np.isfinite(r)]
@@ -393,7 +397,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
         raise ClassifierError(f"non-finite residuals for {', '.join(bad)}; "
                               "the operator or the weights overflow")
     detected = next(c for c in CLASS_ORDER
-                    if all(residuals[k] <= cfg.tol for k in CLASS_CONDITIONS[c]))
+                    if all(residuals[k] <= TOL for k in CLASS_CONDITIONS[c]))
     violation = blocks.strict and detected not in ALLOWED_DETECTED[n]
     return ClassReport(
         residuals=residuals,
@@ -402,7 +406,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
             "source": source, "component": component, "n": n,
             "t1": t1, "t2": t2, "seed": cfg.seed,
             "num_points": SAMPLE[0], "num_arg_triples": SAMPLE[1],
-            "tol": cfg.tol,
+            "tol": TOL,
         },
         flags={"strict": blocks.strict, "possible_class_violation": violation},
     )
@@ -410,7 +414,6 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
 
 # --- theorem suite -------------------------------------------------------------
 
-POSITIVE_TOL = 1e-9
 NEGATIVE_MIN = 1e-3
 KAHLER_MIN = 0.1
 
@@ -466,7 +469,7 @@ class _Recorder:
         self.wm = curvature.random_traceless_symmetric(self.rng, scale=0.7)
         self.checks: list[dict] = []
 
-    def le(self, name: str, value: float, bound: float = POSITIVE_TOL) -> None:
+    def le(self, name: str, value: float, bound: float = TOL) -> None:
         self.checks.append({"name": sys.intern(name), "value": float(value), "bound": bound,
                             "require": "<=", "ok": bool(value <= bound)})
 

@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--t1", type=float, default=1.0)
     p_cls.add_argument("--t2", type=float, default=1.0)
     p_cls.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p_cls.add_argument("--tol", type=float, default=1e-9, help="residual threshold (default 1e-9)")
     p_cls.add_argument("--format", choices=["json", "csv"], default="json")
     p_cls.add_argument("--output", help="write the report here instead of stdout")
 
@@ -54,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="run every statement")
     which.add_argument("--id", help="run one statement, e.g. 4.6b")
     p_ver.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    # no --tol: the suite has its own fixed bounds
     p_ver.add_argument("--output", help="write the JSON report here")
 
     p_self = sub.add_parser("selftest", help="run the internal-consistency oracles")
@@ -131,9 +129,9 @@ def cmd_classify(args) -> int:
         # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
         # 3.13 keeps "--"
         report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
-                                     args.n, classifier.SamplingConfig(args.seed, tol=args.tol),
+                                     args.n, classifier.SamplingConfig(args.seed),
                                      source=source)
-    except ValueError as exc:  # ClassifierError, CurvatureError or invalid Params
+    except ValueError as exc:  # ClassifierError (a bad seed, t or n) or CurvatureError
         return _fail(exc, EXIT_VALIDATION)
     return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
 
@@ -171,7 +169,7 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     try:
         results = selftest.run_selftest(seed=args.seed)
-    except ValueError as exc:  # a negative seed
+    except classifier.ClassifierError as exc:  # a negative seed
         return _fail(exc, EXIT_VALIDATION)
     for r in results:
         print(r.line())

@@ -115,6 +115,8 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     b = check_operator(np.zeros((3, 3)) if B is None else B, "block 'B'", 3, symmetric=False)
     wp = check_operator(np.zeros((3, 3)) if Wplus is None else Wplus, "block 'Wplus'", 3)
     wm = check_operator(np.zeros((3, 3)) if Wminus is None else Wminus, "block 'Wminus'", 3)
+    if not _is_number(s):
+        raise CurvatureError(f"scalar part s must be a number, got {s!r}")
     s = float(s)
     if not np.isfinite(s):
         raise CurvatureError(f"scalar part s must be finite, got {s}")
@@ -161,8 +163,8 @@ def model(name: str, **params) -> np.ndarray:
         raise CurvatureError(f"model {name!r} requires {sorted(missing)}")
     # before any arithmetic: inf * 0 in the witnesses' blocks would warn, and a NaN
     # scalar would pass the sign check of w2_witness
-    if "s" in params and not np.isfinite(float(params["s"])):
-        raise CurvatureError(f"model {name!r} requires a finite s, got {params['s']}")
+    if "s" in params and not (_is_number(params["s"]) and np.isfinite(float(params["s"]))):
+        raise CurvatureError(f"model {name!r} requires a finite s, got {params['s']!r}")
 
     if name == "flat":
         return np.zeros((6, 6))
@@ -211,9 +213,10 @@ def to_json_dict(mat) -> dict:
 
 
 def _is_number(x) -> bool:
-    """A JSON number: ``true`` and ``false`` load as bools, which Python counts
-    as integers, and numpy would read them and numeric strings as numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A Python or numpy integer or float, and not a bool: JSON's ``true`` and
+    ``false`` load as bools, which Python counts as integers, and ``float`` and
+    numpy would read them and numeric strings as numbers."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def _field_matrix(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:

@@ -250,9 +250,9 @@ def _oracle(name: str, seed: int, trials: int) -> OracleResult:
 
 
 def run_selftest(seed: int = 1) -> list[OracleResult]:
-    """Run every oracle at its trials in ``ORACLES``."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    """Run every oracle at its trials in ``ORACLES``.  The seed obeys the rule of
+    ``classifier.SamplingConfig``: a non-negative integer, else ClassifierError."""
+    seed = classifier.SamplingConfig(seed).seed
     return [_oracle(name, seed, oracle.trials) for name, oracle in ORACLES.items()]
 
 

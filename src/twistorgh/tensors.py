@@ -78,18 +78,12 @@ _PQ_ROWS = np.array([0, 1, 2, 3, 1, 0, 3, 2])
 @dataclass(frozen=True)
 class Params:
     """Metric weights (t1, t2) and structure index n; the weights may be arrays
-    with the leading axes of a stacked point, one pair per point."""
+    with the leading axes of a stacked point, one pair per point.  They are
+    taken as given: ``classifier.classify`` checks the weights and n of a call."""
 
     t1: float
     t2: float
     n: int
-
-    def __post_init__(self):
-        t = np.array((self.t1, self.t2))
-        if not ((0.0 < t) & (t < np.inf)).all():
-            raise ValueError(f"t1, t2 must be positive and finite, got ({self.t1}, {self.t2})")
-        if self.n not in (1, 2, 3, 4):
-            raise ValueError(f"n must be in 1..4, got {self.n}")
 
 
 @dataclass(frozen=True, eq=False)

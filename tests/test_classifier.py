@@ -30,17 +30,23 @@ def class_parts(name):
 
 
 class TestConfigAndNames:
-    def test_config_validation(self):
-        with pytest.raises(cl.ClassifierError):
-            cl.SamplingConfig(seed=0, tol=-1.0)
-        for tol in (np.inf, np.nan):
-            with pytest.raises(cl.ClassifierError, match="finite"):
-                cl.SamplingConfig(seed=0, tol=tol)
+    def test_config_holds_only_the_seed(self):
+        # the class threshold is the constant TOL
+        with pytest.raises(TypeError):
+            cl.SamplingConfig(seed=0, tol=1e-6)
 
     @pytest.mark.parametrize("seed", [1.5, True, "3"])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(cl.ClassifierError, match="seed must be an integer"):
             cl.SamplingConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed,match", [(1.5, "seed must be an integer"),
+                                            (True, "seed must be an integer"),
+                                            ("3", "seed must be an integer"),
+                                            (-1, "seed must be a non-negative integer")])
+    def test_selftest_seed_follows_the_config_rule(self, seed, match):
+        with pytest.raises(cl.ClassifierError, match=match):
+            selftest.run_selftest(seed)
 
     def test_unknown_condition(self):
         with pytest.raises(cl.ClassifierError, match="unknown condition"):
@@ -105,13 +111,15 @@ class TestClassify:
         report = cl.classify(cur.model("kaehler_witness", s=12.0), "+-", (0.5, 1.0), 1, FAST)
         assert not report.flags["strict"]
 
-    def test_impossible_tolerance_detects_only_exact_zeros(self):
-        # for the zero operator the codifferential is exactly zero, so the
-        # first class whose conditions all pass is W1W2W3; the detector flags
-        # it as impossible for n = 1 rather than silencing it
-        cfg = cl.SamplingConfig(seed=3, tol=1e-30)
-        report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, cfg)
-        assert report.detected == "W1W2W3"
+    def test_class_outside_the_possible_set_is_flagged_not_silenced(self, monkeypatch):
+        # a strict Einstein operator is W3 for n = 1; with W3 taken out of the
+        # possible set the class is still reported, and flagged
+        rmat = cur.model("einstein_asd", s=5.2,
+                         Wminus=cur.random_traceless_symmetric(np.random.default_rng(5)))
+        monkeypatch.setitem(cl.ALLOWED_DETECTED, 1, frozenset({"K", "OTHER"}))
+        report = cl.classify(rmat, "+-", (0.8, 1.1), 1, FAST)
+        assert report.flags["strict"]
+        assert report.detected == "W3"
         assert report.flags["possible_class_violation"]
 
     def test_monotone_in_the_lattice(self):
@@ -123,7 +131,7 @@ class TestClassify:
         ]:
             report = cl.classify(rmat, component, t, n, FAST)
             passing = {c for c in cl.CLASS_ORDER
-                       if all(report.residuals[k] <= FAST.tol
+                       if all(report.residuals[k] <= cl.TOL
                               for k in cl.CLASS_CONDITIONS[c])}
             assert report.detected in passing
             for c in passing:
@@ -157,7 +165,8 @@ class TestClassify:
         # the report holds Python ints, which JSON can write
         rmat = cur.model("constant_curvature", s=12.0)
         want = cl.classify(rmat, "+-", (0.25, 1.0), 3, FAST).to_json()
-        got = cl.classify(rmat, "+-", (0.25, 1.0), np.int64(3), cl.SamplingConfig(np.int64(3)))
+        got = cl.classify(rmat, "+-", np.array([0.25, 1]), np.int64(3),
+                          cl.SamplingConfig(np.int64(3)))
         assert got.to_json() == want
 
     @pytest.mark.parametrize("n", [True, 3.0, "3"])
@@ -165,10 +174,22 @@ class TestClassify:
         with pytest.raises(cl.ClassifierError, match="n must be an integer"):
             cl.classify(cur.model("flat"), "++", (1.0, 1.0), n, FAST)
 
+    @pytest.mark.parametrize("n", [0, 5, 7])
+    def test_n_must_be_a_structure_index(self, n):
+        with pytest.raises(cl.ClassifierError, match="n must be in 1..4"):
+            cl.classify(cur.model("flat"), "++", (1.0, 1.0), n, FAST)
+
     @pytest.mark.parametrize("t", [(0.25,), (0.25, 1.0, 9.0), 0.25, ("a", 1.0), "12",
-                                   [[0.25, 1.0]]])
+                                   [[0.25, 1.0]], (True, 1.0), ("0.25", 1.0)])
     def test_t_must_be_a_pair(self, t):
+        # a bool or a str would pass float(), as 1.0 and 0.25
         with pytest.raises(cl.ClassifierError, match="t must be a pair"):
+            cl.classify(cur.model("flat"), "++", t, 1, FAST)
+
+    @pytest.mark.parametrize("t", [(-1.0, 1.0), (0.25, 0.0), (np.inf, 1.0), (1.0, np.inf),
+                                   (np.nan, 1.0), (1.0, np.nan), (10 ** 400, 1.0)])
+    def test_weights_must_be_positive_and_finite(self, t):
+        with pytest.raises(cl.ClassifierError, match="positive and finite"):
             cl.classify(cur.model("flat"), "++", t, 1, FAST)
 
     def test_report_json_refuses_nan(self):

@@ -33,14 +33,6 @@ class TestClassifyCommand:
         assert code == cli.EXIT_OK
         assert json.loads(out)["detected"] == "W2W3"
 
-    def test_impossible_tolerance_flags_the_class(self, capsys):
-        code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", "--tol", "1e-30")
-        assert code == cli.EXIT_OK
-        doc = json.loads(out)
-        assert doc["detected"] == "W1W2W3"
-        assert doc["flags"]["possible_class_violation"] is True
-
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
                                "--n", "1", "--format", "csv")
@@ -248,7 +240,6 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--model", "flat", "--component", "++", "--n", "1", "--t1", "inf"],
-        ["--model", "flat", "--component", "++", "--n", "1", "--tol", "inf"],
         # finite inputs whose residuals overflow to NaN
         ["--model", "constant_curvature", "--s", "1e300", "--t1", "1e300",
          "--component", "+-", "--n", "3"],
@@ -310,12 +301,12 @@ class TestClassifyCommand:
                                "num_points", "num_arg_triples", "tol", "strict",
                                "possible_class_violation"]
 
-    def test_runs_at_the_default_sample_with_the_given_seed_and_tol(self, capsys):
+    def test_runs_at_the_default_sample_with_the_given_seed(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
-                               "--n", "1", "--seed", "3", "--tol", "1e-6")
+                               "--n", "1", "--seed", "3")
         assert code == cli.EXIT_OK
         report = cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1,
-                             cl.SamplingConfig(3, tol=1e-6), source="model:flat")
+                             cl.SamplingConfig(3), source="model:flat")
         assert out == report.to_json()
         config = json.loads(out)["config"]
         assert (config["num_points"], config["num_arg_triples"]) == cl.SAMPLE
@@ -426,8 +417,9 @@ def test_negative_seed_is_a_validation_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # the suite checks fixed bounds, so a --tol would be silently ignored
+    # the class threshold is fixed: classifier.TOL
     ["verify", "--all", "--tol", "1e-3"],
+    ["classify", "--model", "flat", "--component", "++", "--n", "1", "--tol", "1e-6"],
     # every command runs at its one validated sample size
     ["verify", "--all", "--samples", "8"],
     ["verify", "--all", "--triples", "8"],

@@ -95,6 +95,13 @@ class TestDecompose:
         with pytest.raises(cur.CurvatureError, match="finite"):
             cur.compose(**blocks)
 
+    @pytest.mark.parametrize("s", [True, "12"])
+    def test_compose_rejects_a_scalar_that_is_no_number(self, s):
+        # float() would read True as 1 and "12" as 12
+        with pytest.raises(cur.CurvatureError, match="must be a number"):
+            cur.compose(s)
+        assert_allclose(cur.compose(np.int64(12)), cur.compose(12.0), rtol=0, atol=0)
+
     def test_compose_rejects_asymmetric_weyl(self):
         bad = np.zeros((3, 3))
         bad[0, 1] = 1.0
@@ -171,7 +178,8 @@ class TestModels:
 
     @pytest.mark.parametrize("name", [n for n, (params, _) in cur.MODEL_SPECS.items()
                                       if "s" in params])
-    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    # float() would read True as 1 and "12" as 12
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan, True, "12"])
     def test_non_finite_scalar_is_rejected(self, name, s):
         params = {p: np.zeros((3, 3)) for p in cur.MODEL_SPECS[name][0]} | {"s": s}
         with pytest.raises(cur.CurvatureError, match="finite s"):

@@ -53,20 +53,6 @@ def production(cond, p, rmat, params, *args):
     return float(cl.condition_values(*tn.frame_tensor(p, rmat, params), x, (cond,))[cond][0])
 
 
-class TestParams:
-    def test_validation(self):
-        tn.Params(1.0, 2.0, 3)
-        with pytest.raises(ValueError, match="positive"):
-            tn.Params(-1.0, 1.0, 1)
-        with pytest.raises(ValueError, match="n must be"):
-            tn.Params(1.0, 1.0, 5)
-
-    @pytest.mark.parametrize("t", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
-    def test_non_finite_weights_rejected(self, t):
-        with pytest.raises(ValueError, match="finite"):
-            tn.Params(t[0], t[1], 1)
-
-
 class TestMetric:
     def test_horizontal_lift_is_isometric(self):
         p = point()
