@@ -24,9 +24,9 @@ EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
-#: models constructible from the scalar flag alone, and whether they need it
-_SCALAR_MODELS = {name: "s" in params for name, (params, _) in curvature.MODEL_SPECS.items()
-                  if set(params) <= {"s"}}
+#: models with a matrix-valued parameter, which --s cannot give: they come by --input
+_FILE_MODELS = {name for name, (params, _, _) in curvature.MODEL_SPECS.items()
+                if set(params) - {"s"}}
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
@@ -93,21 +93,16 @@ def _check_output_dir(output: str | None) -> int:
 
 
 def _load_operator(args) -> tuple[object, str]:
+    """The operator and its source label.  ``curvature.model`` decides which
+    parameters a model takes: its SchemaError for an unknown name, a missing
+    --s or an --s the model does not take is EXIT_INPUT, its CurvatureError
+    for a bad s EXIT_VALIDATION."""
     if args.model is not None:
-        name = args.model
-        if name not in curvature.MODEL_SPECS:
+        if args.model in _FILE_MODELS:
             raise curvature.SchemaError(
-                f"unknown model {name!r}; see 'twistorgh models'")
-        if name not in _SCALAR_MODELS:
-            raise curvature.SchemaError(
-                f"model {name!r} needs matrix-valued blocks; supply it via --input FILE")
-        needs_s = _SCALAR_MODELS[name]
-        if needs_s and args.s is None:
-            raise curvature.SchemaError(f"model {name!r} requires --s")
-        if not needs_s and args.s is not None:
-            raise curvature.SchemaError(f"model {name!r} does not take --s")
-        params = {"s": args.s} if needs_s else {}
-        return curvature.model(name, **params), f"model:{name}"
+                f"model {args.model!r} needs matrix-valued blocks; supply it via --input FILE")
+        params = {} if args.s is None else {"s": args.s}
+        return curvature.model(args.model, **params), f"model:{args.model}"
     if args.s is not None:
         raise curvature.SchemaError("--s applies to --model only; the file fixes the operator")
     try:
@@ -181,9 +176,9 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_models(_args) -> int:
-    for name, (params, doc) in curvature.MODEL_SPECS.items():
+    for name, (params, _, doc) in curvature.MODEL_SPECS.items():
         sig = ", ".join(params) if params else "-"
-        via = "flags" if name in _SCALAR_MODELS else "--input file"
+        via = "--input file" if name in _FILE_MODELS else "flags"
         print(f"{name:<20} params: {sig:<16} via {via:<12} {doc}")
     return EXIT_OK
 

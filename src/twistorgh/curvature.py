@@ -25,6 +25,7 @@ curvature-commutator oracle of ``selftest`` checks this identity.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +116,7 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
     b = check_operator(np.zeros((3, 3)) if B is None else B, "block 'B'", 3, symmetric=False)
     wp = check_operator(np.zeros((3, 3)) if Wplus is None else Wplus, "block 'Wplus'", 3)
     wm = check_operator(np.zeros((3, 3)) if Wminus is None else Wminus, "block 'Wminus'", 3)
-    if not _is_number(s):
-        raise CurvatureError(f"scalar part s must be a number, got {s!r}")
-    s = float(s)
-    if not np.isfinite(s):
-        raise CurvatureError(f"scalar part s must be finite, got {s}")
+    s = _scalar(s)
     with np.errstate(over="ignore"):  # overflow is reported below
         mat = _assemble(s, b, wp, wm)
     if not np.all(np.isfinite(mat)):
@@ -129,61 +126,66 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
 
 # --- model constructors ------------------------------------------------------
 
+def _scalar(s) -> float:
+    """``s`` as a float if it is a number (:func:`_is_number`), finite and, if an
+    integer, within the float range; else a CurvatureError, before any arithmetic
+    (inf * 0 would warn, and a NaN would pass w2_witness's sign check)."""
+    if not _is_number(s):
+        raise CurvatureError(f"scalar part s must be a number, got {s!r}")
+    try:
+        value = float(s)
+    except OverflowError:
+        raise CurvatureError("scalar part s must be finite, got an integer beyond "
+                             "the float range") from None
+    if not np.isfinite(value):
+        raise CurvatureError(f"scalar part s must be finite, got {value}")
+    return value
+
+
 def _annihilate_minus(s: float) -> np.ndarray:
     # (s/12) Id on the self-dual half, zero on the anti-self-dual half;
     # equivalently Wminus = -(s/12) Id, which is deliberately non-strict.
-    return compose(s=s, Wminus=-(float(s) / 12.0) * np.eye(3))
+    return compose(s=s, Wminus=-(s / 12.0) * np.eye(3))
 
 
-MODEL_SPECS: dict[str, tuple[tuple[str, ...], str]] = {
-    "flat": ((), "zero operator"),
-    "constant_curvature": (("s",), "(s/12) Id on all two-vectors"),
-    "asd_ricci_flat": (("Wminus",), "s = 0, B = 0, W+ = 0, given W-"),
-    "einstein_asd": (("s", "Wminus"), "B = 0, W+ = 0"),
-    "asd_general": (("s", "B", "Wminus"), "W+ = 0"),
-    "kaehler_witness": (("s",), "(s/12) Id on the self-dual half, zero on the other (non-strict); pairs with t1 = 6/s"),
-    "w1_witness": (("s",), "same operator as kaehler_witness; pairs with t1 = 3/s"),
-    "w2_witness": (("s",), "same operator, s < 0 required; pairs with t1 = -6/s"),
+def _w2_witness(s: float) -> np.ndarray:
+    if s >= 0.0:
+        raise CurvatureError(f"w2_witness requires s < 0, got s = {s}")
+    return _annihilate_minus(s)
+
+
+#: name -> (parameters, builder, description).  ``model`` passes the builder
+#: exactly these parameters; ``compose`` leaves the blocks not listed zero.
+MODEL_SPECS: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray], str]] = {
+    "flat": ((), lambda: np.zeros((6, 6)), "zero operator"),
+    "constant_curvature": (("s",), lambda s: (s / 12.0) * np.eye(6),
+                           "(s/12) Id on all two-vectors"),
+    "asd_ricci_flat": (("Wminus",), compose, "s = 0, B = 0, W+ = 0, given W-"),
+    "einstein_asd": (("s", "Wminus"), compose, "B = 0, W+ = 0"),
+    "asd_general": (("s", "B", "Wminus"), compose, "W+ = 0"),
+    "kaehler_witness": (("s",), _annihilate_minus, "(s/12) Id on the self-dual half, zero on "
+                        "the other (non-strict); pairs with t1 = 6/s"),
+    "w1_witness": (("s",), _annihilate_minus,
+                   "same operator as kaehler_witness; pairs with t1 = 3/s"),
+    "w2_witness": (("s",), _w2_witness, "same operator, s < 0 required; pairs with t1 = -6/s"),
 }
 
 
 def model(name: str, **params) -> np.ndarray:
-    """Build a named curvature operator; see MODEL_SPECS for parameters."""
+    """The operator of a model of MODEL_SPECS from exactly its parameters: an
+    unknown name or another set of parameters is a SchemaError, a bad ``s``
+    (see :func:`_scalar`) or a bad block a CurvatureError."""
     if name not in MODEL_SPECS:
-        raise CurvatureError(f"unknown model {name!r}; known: {', '.join(sorted(MODEL_SPECS))}")
-    allowed = set(MODEL_SPECS[name][0])
-    extra = set(params) - allowed
-    if extra:
-        hint = ""
-        if "B" in extra and name in ("einstein_asd", "asd_ricci_flat"):
-            hint = " (Einstein models have B = 0 by definition)"
-        raise CurvatureError(f"model {name!r} does not accept {sorted(extra)}{hint}")
-    missing = allowed - set(params)
-    if missing:
-        raise CurvatureError(f"model {name!r} requires {sorted(missing)}")
-    # before any arithmetic: inf * 0 in the witnesses' blocks would warn, and a NaN
-    # scalar would pass the sign check of w2_witness
-    if "s" in params and not (_is_number(params["s"]) and np.isfinite(float(params["s"]))):
-        raise CurvatureError(f"model {name!r} requires a finite s, got {params['s']!r}")
-
-    if name == "flat":
-        return np.zeros((6, 6))
-    if name == "constant_curvature":
-        return (float(params["s"]) / 12.0) * np.eye(6)
-    if name == "asd_ricci_flat":
-        return compose(s=0.0, Wminus=params["Wminus"])
-    if name == "einstein_asd":
-        return compose(s=float(params["s"]), Wminus=params["Wminus"])
-    if name == "asd_general":
-        return compose(s=float(params["s"]), B=params["B"], Wminus=params["Wminus"])
-    if name == "kaehler_witness" or name == "w1_witness":
-        return _annihilate_minus(float(params["s"]))
-    if name == "w2_witness":
-        s = float(params["s"])
-        if s >= 0.0:
-            raise CurvatureError(f"w2_witness requires s < 0, got s = {s}")
-        return _annihilate_minus(s)
-    raise AssertionError(name)
+        raise SchemaError(f"unknown model {name!r}; known: {', '.join(sorted(MODEL_SPECS))}")
+    names, build, _ = MODEL_SPECS[name]
+    if set(params) != set(names):
+        extra_b = "B" in set(params) - set(names)
+        hint = " (Einstein models have B = 0 by definition)" if extra_b else ""
+        raise SchemaError(f"model {name!r} requires {', '.join(names) or 'no parameters'}, "
+                          f"got {', '.join(sorted(params)) or 'none'}{hint}")
+    if "s" in params:
+        params["s"] = _scalar(params["s"])
+    return build(**params)
 
 
 # --- curvature endomorphisms -------------------------------------------------
@@ -243,16 +245,17 @@ def _from_blocks(blocks) -> np.ndarray:
     s = blocks.get("s", 0.0)
     if not _is_number(s):
         raise SchemaError("field 'blocks.s' must be a number")
+    try:  # here, not in compose, whose CurvatureError is an invalid operator
+        s = float(s)
+    except OverflowError:
+        raise SchemaError("invalid 'blocks': 's' is an integer beyond the float range") from None
     if not isinstance(blocks.get("strict", False), bool):
         raise SchemaError("field 'blocks.strict' must be true or false")
     def block_of(key):
         if key not in blocks:
             return np.zeros((3, 3))
         return _field_matrix(blocks, key, (3, 3))
-    try:
-        return compose(s=s, B=block_of("B"), Wplus=block_of("Wplus"), Wminus=block_of("Wminus"))
-    except OverflowError as exc:  # an integer s beyond the float range
-        raise SchemaError(f"invalid 'blocks': {exc}") from None
+    return compose(s=s, B=block_of("B"), Wplus=block_of("Wplus"), Wminus=block_of("Wminus"))
 
 
 def from_json_dict(doc) -> np.ndarray:

@@ -26,6 +26,11 @@ always quasi-Kaehler, nearly Kaehler (W1) at t1 s = 3 and almost Kaehler (W2)
 at t1 s = -6 (Muskarov, 1987).  Noise in B or in that Weyl half leaves every
 class.
 
+Each product class lies inside its first factor's single class: on every
+reference row of perfbench/reference.json, the conditions of the detected
+class vanish on the first-factor indices, so a failure locates a bug in the
+restriction.
+
 The restriction does not depend on u2, so u1 runs over the 12 vertices of an
 icosahedron at one fixed u2.
 """
@@ -38,6 +43,7 @@ from twistorgh import curvature as cur
 from twistorgh import tensors as tn
 
 from gray_hervella import ICOSAHEDRON
+from test_reference_survey import _reference, _workloads
 
 U2 = np.array([0.3, -0.5, 0.8])
 #: normals of W+ and W- in a row of ``curvature.strict_operators``
@@ -152,3 +158,14 @@ def test_einstein_operators_follow_the_class_table(component, n):
                             (kind, s, ts, cond, value)
                     else:
                         assert value > NONZERO_MIN, (kind, s, ts, cond, value)
+
+
+def test_every_product_class_lies_in_its_single_class():
+    workloads = _workloads()
+    rows = [row for row in _reference()["classify"]["rows"] if row["detected"] != "OTHER"]
+    assert len(rows) == 224
+    for row in rows:
+        rmat = workloads.build_operator(cur, row)
+        for cond in cl.CLASS_CONDITIONS[row["detected"]]:
+            value = single(cond, rmat, row["component"], (row["t1"], row["t2"]), row["n"])
+            assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (row["id"], cond, value)

@@ -210,13 +210,23 @@ class TestClassifyCommand:
         assert "--input" in err
 
     def test_scalar_flag_validation(self, capsys):
+        # curvature.model decides the parameter set, and a wrong one is a schema error
         code, _, err = run_cli(capsys, "classify", "--model", "constant_curvature",
                                "--component", "++", "--n", "1")
         assert code == cli.EXIT_INPUT
-        assert "--s" in err
+        assert "model 'constant_curvature' requires s, got none" in err
         code, _, err = run_cli(capsys, "classify", "--model", "flat", "--s", "3",
                                "--component", "++", "--n", "1")
         assert code == cli.EXIT_INPUT
+        assert "model 'flat' requires no parameters, got s" in err
+
+    def test_a_bad_scalar_for_a_model_exits_3(self, capsys):
+        # the value is invalid, the parameter set is right: curvature.model's
+        # CurvatureError, not its SchemaError
+        code, out, err = run_cli(capsys, "classify", "--model", "w2_witness", "--s", "5",
+                                 "--component=+-", "--n", "3")
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert "w2_witness requires s < 0, got s = 5.0" in err
 
     def test_scalar_flag_with_input_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "op.json"
@@ -259,7 +269,7 @@ class TestClassifyCommand:
                                  "--component=+-", "--n", "1")
         assert (code, out) == (cli.EXIT_VALIDATION, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "finite s" in err
+        assert "scalar part s must be finite" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("doc", [

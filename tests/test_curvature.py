@@ -13,6 +13,8 @@ from random_fourdim import (assert_tangent, drawn_strict_operator, half, random_
                             vertical_pair)
 
 RNG = np.random.default_rng(404)
+#: the models that take a scalar part s
+SCALAR_MODELS = [n for n, (params, _, _) in cur.MODEL_SPECS.items() if "s" in params]
 
 E = np.eye(4)
 
@@ -95,11 +97,14 @@ class TestDecompose:
         with pytest.raises(cur.CurvatureError, match="finite"):
             cur.compose(**blocks)
 
-    @pytest.mark.parametrize("s", [True, "12"])
-    def test_compose_rejects_a_scalar_that_is_no_number(self, s):
-        # float() would read True as 1 and "12" as 12
-        with pytest.raises(cur.CurvatureError, match="must be a number"):
+    # float() would read True as 1 and "12" as 12, and raise OverflowError at 10**400
+    @pytest.mark.parametrize("s, message", [(True, "must be a number"), ("12", "must be a number"),
+                                            (10 ** 400, "integer beyond the float range")],
+                             ids=["True", "12", "10**400"])
+    def test_compose_rejects_a_scalar_that_is_no_number(self, s, message):
+        with pytest.raises(cur.CurvatureError, match=message) as info:
             cur.compose(s)
+        assert not isinstance(info.value, cur.SchemaError)
         assert_allclose(cur.compose(np.int64(12)), cur.compose(12.0), rtol=0, atol=0)
 
     def test_compose_rejects_asymmetric_weyl(self):
@@ -176,14 +181,16 @@ class TestModels:
         with pytest.raises(cur.CurvatureError, match="s < 0"):
             cur.model("w2_witness", s=3.0)
 
-    @pytest.mark.parametrize("name", [n for n, (params, _) in cur.MODEL_SPECS.items()
-                                      if "s" in params])
-    # float() would read True as 1 and "12" as 12
-    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan, True, "12"])
+    @pytest.mark.parametrize("name", SCALAR_MODELS)
+    # float() would read True as 1 and "12" as 12, and raise OverflowError at 10**400
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan, True, "12", 10 ** 400],
+                             ids=["inf", "-inf", "nan", "True", "12", "10**400"])
     def test_non_finite_scalar_is_rejected(self, name, s):
         params = {p: np.zeros((3, 3)) for p in cur.MODEL_SPECS[name][0]} | {"s": s}
-        with pytest.raises(cur.CurvatureError, match="finite s"):
+        # a bad value, not a bad parameter set: the CLI's exit 3, not 2
+        with pytest.raises(cur.CurvatureError, match="s must be (finite|a number)") as info:
             cur.model(name, **params)
+        assert not isinstance(info.value, cur.SchemaError)
 
     def test_einstein_models_reject_b(self):
         wm = cur.random_traceless_symmetric(RNG)
@@ -191,12 +198,27 @@ class TestModels:
             cur.model("einstein_asd", s=1.0, Wminus=wm, B=np.eye(3))
 
     def test_unknown_model(self):
-        with pytest.raises(cur.CurvatureError, match="unknown model"):
+        with pytest.raises(cur.SchemaError, match="unknown model"):
             cur.model("bogus")
 
     def test_missing_parameter(self):
-        with pytest.raises(cur.CurvatureError, match="requires"):
+        with pytest.raises(cur.SchemaError, match="requires s, got none"):
             cur.model("constant_curvature")
+
+    def test_parameter_set_is_a_schema_error(self):
+        with pytest.raises(cur.SchemaError, match="requires no parameters, got s"):
+            cur.model("flat", s=12.0)
+        with pytest.raises(cur.SchemaError, match="requires s, B, Wminus, got B, s$"):
+            cur.model("asd_general", s=12.0, B=np.eye(3))
+
+    def test_builders_receive_the_scalar_as_a_float(self):
+        # an int s and a numpy scalar build the bits of the float
+        for name in SCALAR_MODELS:
+            params = {p: np.zeros((3, 3)) for p in cur.MODEL_SPECS[name][0] if p != "s"}
+            s = -12 if name == "w2_witness" else 12
+            want = cur.model(name, **params, s=float(s))
+            for other in (s, np.int64(s), np.float32(s)):
+                np.testing.assert_array_equal(cur.model(name, **params, s=other), want)
 
     def test_strictness_of_strict_models(self):
         wm = cur.random_traceless_symmetric(RNG)

@@ -14,7 +14,11 @@ classes it reads.
 - No proper class that contains W4 occurs.
 - At random points, each of the conditions W1-cond, quasi-cond, d Omega and
   delta Omega vanishes exactly when the components outside its class do.
+- Over all symmetric operators, the second factor's family carries no
+  component, W3 alone, or all four (ROADMAP item 13).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -189,3 +193,55 @@ def test_the_component_route_and_the_condition_route_vanish_together(survey):
                 (row["id"], cond, by_condition, by_components)
             seen[cond] |= set(by_condition <= VANISH_REL)
     assert all(v == {True, False} for v in seen.values()), seen
+
+
+#: an orthonormal basis of the symmetric 6x6 operators: E_aa and (E_ab + E_ba) / sqrt 2
+SYMMETRIC_BASIS = np.array([(np.outer(e, f) + np.outer(f, e)) / (2.0 if a == b else 2 ** 0.5)
+                            for a, e in enumerate(np.eye(6)) for b, f in enumerate(np.eye(6))
+                            if a <= b])
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_family_2_carries_no_component_w3_alone_or_all_four(component, n):
+    # Family 2 is linear in R, so the operators on which P_i T vanishes there over
+    # the design form a subspace K_i of the 21 dimensions.  An operator carries
+    # exactly the components S when it lies in every K_i outside S and in none
+    # inside; such an operator exists when the intersection V_S of the K_i
+    # outside S lies in no K_i inside S, since no space is a finite union of
+    # proper subspaces.  The design means are the sphere's, so vanishing over the
+    # design is vanishing everywhere.
+    assert SYMMETRIC_BASIS.shape == (21, 6, 6)
+    points, params = cl._points(gh.DESIGN, component), tn.Params(0.7, 1.9, n)
+
+    def family_2(rmat):
+        T, M = tn.frame_tensor(points, rmat, params)
+        return gh.projections(gh.FAMILIES[1] * T, M).reshape(4, -1)
+
+    maps = np.stack([family_2(e) for e in SYMMETRIC_BASIS], axis=-1)  # (4, entries, 21)
+    c = np.random.default_rng([95, n, cl.COMPONENTS.index(component)]).standard_normal(21)
+    scale = np.abs(maps).max() * np.abs(c).sum()
+    combined = family_2(np.tensordot(c, SYMMETRIC_BASIS, 1))
+    assert np.abs(combined - maps @ c).max() <= ALGEBRA_REL * scale
+    # the triangular factors keep each map's kernel and singular values in 21 x 21
+    tri = np.linalg.qr(maps, mode="r")
+    size = max(np.linalg.norm(r, 2) for r in tri)
+
+    def kernel(maps_out):
+        if not maps_out:
+            return np.eye(21)
+        sv, vt = np.linalg.svd(np.concatenate(tri[list(maps_out)]))[1:]
+        assert np.all((sv <= VANISH_REL * size) | (sv > NONZERO_MIN * size)), sv / size
+        return vt[np.count_nonzero(sv > VANISH_REL * size):].T
+
+    carried = []
+    for inside in itertools.chain.from_iterable(itertools.combinations(range(4), k)
+                                                for k in range(5)):
+        v = kernel([i for i in range(4) if i not in inside])
+        if v.shape[1] == 0:
+            continue
+        norms = np.array([np.linalg.norm(tri[i] @ v, 2) / size for i in inside])
+        assert np.all((norms <= VANISH_REL) | (norms > NONZERO_MIN)), (inside, norms)
+        if np.all(norms > NONZERO_MIN):
+            carried.append({i + 1 for i in inside})
+    assert carried == [set(), {3}, {1, 2, 3, 4}]
