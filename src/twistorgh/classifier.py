@@ -385,7 +385,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
     if n not in (1, 2, 3, 4):
         raise ClassifierError(f"n must be in 1..4, got {n}")
     pair = tuple(t) if np.iterable(t) else ()
-    if len(pair) != 2 or not all(map(curvature._is_number, pair)):
+    if len(pair) != 2 or not curvature._numbers(pair):
         raise ClassifierError(f"t must be a pair (t1, t2) of numbers, got {t!r}")
     if not all(0 < x <= sys.float_info.max for x in pair):  # a NaN fails too
         raise ClassifierError(f"t1, t2 must be positive and finite, got {t!r}")

@@ -116,17 +116,14 @@ def cmd_classify(args) -> int:
         return EXIT_INPUT
     try:
         rmat, source = _load_operator(args)
-    except curvature.SchemaError as exc:
-        return _fail(exc, EXIT_INPUT)
-    except curvature.CurvatureError as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    try:
         # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
         # 3.13 keeps "--"
         report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
                                      args.n, classifier.SamplingConfig(args.seed),
                                      source=source)
-    except ValueError as exc:  # ClassifierError (a bad seed, t or n) or CurvatureError
+    except curvature.SchemaError as exc:  # a malformed document or model parameters
+        return _fail(exc, EXIT_INPUT)
+    except ValueError as exc:  # CurvatureError or ClassifierError (a bad seed, t or n)
         return _fail(exc, EXIT_VALIDATION)
     return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
 

@@ -58,9 +58,11 @@ def check_operator(m, name: str = "curvature operator", size: int = 6,
         raise CurvatureError(f"{name} must be {size}x{size}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise CurvatureError(f"{name} has non-finite entries")
-    err = float(np.max(np.abs(m - m.T)))
-    if symmetric and err > SYM_TOL * max(1.0, float(np.abs(m).max())):
-        raise CurvatureError(f"{name} is not symmetric: max|R - R^T| = {err:.3e}")
+    if symmetric:
+        with np.errstate(over="ignore"):  # entries near the float limit: err = inf, asymmetric
+            err = float(np.max(np.abs(m - m.T)))
+        if err > SYM_TOL * max(1.0, float(np.abs(m).max())):
+            raise CurvatureError(f"{name} is not symmetric: max|R - R^T| = {err:.3e}")
     return m
 
 
@@ -127,10 +129,10 @@ def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
 # --- model constructors ------------------------------------------------------
 
 def _scalar(s) -> float:
-    """``s`` as a float if it is a number (:func:`_is_number`), finite and, if an
+    """``s`` as a float if it is a number (:func:`_numbers`), finite and, if an
     integer, within the float range; else a CurvatureError, before any arithmetic
     (inf * 0 would warn, and a NaN would pass w2_witness's sign check)."""
-    if not _is_number(s):
+    if not _numbers((s,)):
         raise CurvatureError(f"scalar part s must be a number, got {s!r}")
     try:
         value = float(s)
@@ -199,63 +201,58 @@ def curvature_endo(mat, x, y) -> np.ndarray:
 
 # --- serialization -----------------------------------------------------------
 
+#: the numeric fields of the block form, in the writer's order; shape () is a number
+BLOCK_FIELDS = {"s": (), "B": (3, 3), "Wplus": (3, 3), "Wminus": (3, 3)}
+
+
 def to_json_dict(mat) -> dict:
     """Emit both the raw matrix and the block form."""
     blocks = decompose(mat)
-    return {
-        "matrix": np.asarray(mat, dtype=float).tolist(),
-        "blocks": {
-            "s": blocks.s,
-            "B": blocks.B.tolist(),
-            "Wplus": blocks.Wplus.tolist(),
-            "Wminus": blocks.Wminus.tolist(),
-            "strict": blocks.strict,
-        },
-    }
+    form = {key: np.asarray(getattr(blocks, key)).tolist() for key in BLOCK_FIELDS}
+    return {"matrix": np.asarray(mat, dtype=float).tolist(),
+            "blocks": {**form, "strict": blocks.strict}}
 
 
-def _is_number(x) -> bool:
-    """A Python or numpy integer or float, and not a bool: JSON's ``true`` and
-    ``false`` load as bools, which Python counts as integers, and ``float`` and
-    numpy would read them and numeric strings as numbers."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+def _numbers(values) -> bool:
+    """Whether each value is a Python or numpy integer or float, and not a bool:
+    JSON's ``true`` and ``false`` load as bools, which Python counts as integers,
+    and ``float`` and numpy would read them and numeric strings as numbers."""
+    return all(issubclass(kind, (int, float, np.integer, np.floating))
+               and not issubclass(kind, bool) for kind in set(map(type, values)))
 
 
-def _field_matrix(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
-    try:  # OverflowError: an integer beyond the float range
-        m = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"field {key!r} is not a numeric matrix: {exc}") from None
-    if m.shape != shape:
-        raise SchemaError(f"field {key!r} must have shape {shape}, got {m.shape}")
-    if not all(_is_number(x) for row in doc[key] for x in row):
-        raise SchemaError(f"field {key!r} must hold numbers, not booleans or strings")
-    return m
+def _field(value, name: str, shape: tuple[int, ...]) -> float | np.ndarray:
+    """The field ``name`` of a document as a float (shape ()) or a float array:
+    lists nested to exactly ``shape`` around numbers (:func:`_numbers`), checked
+    level by level before numpy sees them, so ragged lists fail alike on every
+    numpy.  Anything else, or an integer beyond the float range, is a SchemaError."""
+    entries = [value]
+    for size in shape:
+        if not all(isinstance(e, list) and len(e) == size for e in entries):
+            raise SchemaError(f"field {name!r} must be a {'x'.join(map(str, shape))} matrix")
+        entries = [x for e in entries for x in e]
+    if not _numbers(entries):
+        raise SchemaError(f"field {name!r} must hold numbers, not booleans, strings or lists"
+                          if shape else f"field {name!r} must be a number")
+    try:
+        return np.array(entries, dtype=float).reshape(shape) if shape else float(value)
+    except OverflowError:
+        raise SchemaError(f"field {name!r} holds an integer beyond the float range") from None
 
 
 def _from_blocks(blocks) -> np.ndarray:
-    """The operator of a block form.  Malformed fields are a SchemaError; a
-    non-finite or asymmetric block is the CurvatureError of :func:`compose`."""
+    """The operator of a block form; ``compose`` fills in the missing fields.
+    Malformed fields are a SchemaError; a non-finite or asymmetric block is the
+    CurvatureError of :func:`compose`."""
     if not isinstance(blocks, dict):
         raise SchemaError("field 'blocks' must be a JSON object")
-    known = {"s", "B", "Wplus", "Wminus", "strict"}
-    unknown = set(blocks) - known
+    unknown = set(blocks) - set(BLOCK_FIELDS) - {"strict"}
     if unknown:
         raise SchemaError(f"unknown field(s) in 'blocks': {sorted(unknown)}")
-    s = blocks.get("s", 0.0)
-    if not _is_number(s):
-        raise SchemaError("field 'blocks.s' must be a number")
-    try:  # here, not in compose, whose CurvatureError is an invalid operator
-        s = float(s)
-    except OverflowError:
-        raise SchemaError("invalid 'blocks': 's' is an integer beyond the float range") from None
     if not isinstance(blocks.get("strict", False), bool):
         raise SchemaError("field 'blocks.strict' must be true or false")
-    def block_of(key):
-        if key not in blocks:
-            return np.zeros((3, 3))
-        return _field_matrix(blocks, key, (3, 3))
-    return compose(s=s, B=block_of("B"), Wplus=block_of("Wplus"), Wminus=block_of("Wminus"))
+    return compose(**{key: _field(value, f"blocks.{key}", BLOCK_FIELDS[key])
+                      for key, value in blocks.items() if key != "strict"})
 
 
 def from_json_dict(doc) -> np.ndarray:
@@ -270,24 +267,26 @@ def from_json_dict(doc) -> np.ndarray:
     if not doc or set(doc) - {"matrix", "blocks"}:
         raise SchemaError("curvature document must contain 'matrix' or 'blocks' and no other "
                           f"field, got {sorted(doc)}")
-    has_matrix = "matrix" in doc
-    has_blocks = "blocks" in doc
-    if has_matrix:
-        mat = check_operator(_field_matrix(doc, "matrix", (6, 6)))
-        if has_blocks:
-            try:
-                from_blocks = _from_blocks(doc["blocks"])
-            except SchemaError:
-                raise
-            except CurvatureError as exc:  # blocks that cannot describe the finite matrix
-                raise SchemaError(f"invalid 'blocks': {exc}") from None
-            # relative, like SYM_TOL: the blocks carry roundoff of the entries
-            bound = 1e-9 * max(1.0, float(np.abs(mat).max()))
-            if not float(np.max(np.abs(mat - from_blocks))) <= bound:
-                raise SchemaError("fields 'matrix' and 'blocks' describe different operators")
-    else:
+    if "matrix" not in doc:
         mat = _from_blocks(doc["blocks"])
-    claimed = doc["blocks"].get("strict") if has_blocks else None
+    else:
+        mat = check_operator(_field(doc["matrix"], "matrix", (6, 6)))
+        if "blocks" not in doc:
+            return mat
+        try:
+            from_blocks = _from_blocks(doc["blocks"])
+        except SchemaError:
+            raise
+        except CurvatureError as exc:  # blocks that cannot describe the finite matrix
+            raise SchemaError(f"invalid 'blocks': {exc}") from None
+        # relative, like SYM_TOL: the blocks carry roundoff of the entries; two
+        # finite operators near the float limit differ by inf, which is no match
+        bound = 1e-9 * max(1.0, float(np.abs(mat).max()))
+        with np.errstate(over="ignore"):
+            gap = float(np.max(np.abs(mat - from_blocks)))
+        if not gap <= bound:
+            raise SchemaError("fields 'matrix' and 'blocks' describe different operators")
+    claimed = doc["blocks"].get("strict")
     if claimed is not None and claimed != decompose(mat).strict:
         raise SchemaError(f"field 'blocks.strict' is {json.dumps(claimed)}, but the operator's "
                           f"Weyl blocks give strict = {json.dumps(not claimed)}")

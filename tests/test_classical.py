@@ -27,9 +27,9 @@ at t1 s = -6 (Muskarov, 1987).  Noise in B or in that Weyl half leaves every
 class.
 
 Each product class lies inside its first factor's single class: on every
-reference row of perfbench/reference.json, the conditions of the detected
-class vanish on the first-factor indices, so a failure locates a bug in the
-restriction.
+reference row of perfbench/reference.json, and on random members of the cell
+of each "iff" statement of the suite, the conditions of the class vanish on the
+first-factor indices, so a failure locates a bug in the restriction.
 
 The restriction does not depend on u2, so u1 runs over the 12 vertices of an
 icosahedron at one fixed u2.
@@ -160,12 +160,67 @@ def test_einstein_operators_follow_the_class_table(component, n):
                         assert value > NONZERO_MIN, (kind, s, ts, cond, value)
 
 
+def assert_in_single_class(cls, rmat, component, t, n, label):
+    for cond in cl.CLASS_CONDITIONS[cls]:
+        value = single(cond, rmat, component, t, n)
+        assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (label, cond, value)
+
+
 def test_every_product_class_lies_in_its_single_class():
     workloads = _workloads()
     rows = [row for row in _reference()["classify"]["rows"] if row["detected"] != "OTHER"]
     assert len(rows) == 224
     for row in rows:
-        rmat = workloads.build_operator(cur, row)
-        for cond in cl.CLASS_CONDITIONS[row["detected"]]:
-            value = single(cond, rmat, row["component"], (row["t1"], row["t2"]), row["n"])
-            assert value <= VANISH_REL * max(1.0, np.abs(rmat).max()), (row["id"], cond, value)
+        assert_in_single_class(row["detected"], workloads.build_operator(cur, row),
+                               row["component"], (row["t1"], row["t2"]), row["n"], row["id"])
+
+
+#: the cells of the suite's "iff" statements: component, structures, class, the
+#: sign of s (0 for s = 0, None for either sign), t1 s (None where t1 is free), and
+#: the blocks of R besides (s/12) Id: "W-" a random traceless W-, "B+W-" also a
+#: random B, "annihilate" W- = -(s/12) Id, so that R annihilates the
+#: anti-self-dual half
+IFF_CELLS = {
+    "4.2b": ("+-", (1, 2), "K", 1, 6.0, "annihilate"),
+    "4.3a": ("++", (1, 2), "W3", 0, None, "B+W-"),
+    "4.3b": ("+-", (1, 2), "W3", None, None, "W-"),
+    "4.4a": ("++", (3, 4), "W1W2W3", 0, None, "B+W-"),
+    "4.4b": ("+-", (3, 4), "W1W2W3", None, None, "W-"),
+    "4.5a": ("++", (3, 4), "W1W2", 0, None, "W-"),
+    "4.5b": ("+-", (3, 4), "W1W2", None, None, "annihilate"),
+    "4.6b": ("+-", (3, 4), "W1W3", 1, 3.0, "W-"),
+    "4.7b": ("+-", (3, 4), "W2W3", -1, -6.0, "W-"),
+    "4.8b": ("+-", (3, 4), "W1", 1, 3.0, "annihilate"),
+    "4.9b": ("+-", (3, 4), "W2", -1, -6.0, "annihilate"),
+}
+CELL_DRAWS = 3
+
+
+def cell_member(tid, rng):
+    """(R, t) of a random member of the cell of statement ``tid`` (IFF_CELLS):
+    |s| from [1, 12], t2 and a free t1 from [0.3, 2]."""
+    _, _, _, sign, ts, blocks = IFF_CELLS[tid]
+    s = (rng.choice((-1.0, 1.0)) if sign is None else sign) * rng.uniform(1.0, 12.0)
+    b = rng.standard_normal((3, 3)) if blocks == "B+W-" else None
+    wm = (-(s / 12.0) * np.eye(3) if blocks == "annihilate"
+          else cur.random_traceless_symmetric(rng))
+    t1 = rng.uniform(0.3, 2.0) if ts is None else ts / s
+    return cur.compose(s, B=b, Wminus=wm), (t1, rng.uniform(0.3, 2.0))
+
+
+@pytest.mark.parametrize("tid", IFF_CELLS)
+def test_every_statement_cell_lies_in_its_single_class(tid):
+    # on the statement's component and on its orientation reversal, the swap_halves
+    # image; each draw is first checked to lie in the cell
+    component, ns, cls = IFF_CELLS[tid][:3]
+    reversed_component = component.translate(str.maketrans("+-", "-+"))
+    rng = np.random.default_rng([74, cl.THEOREM_IDS.index(tid)])
+    for draw in range(CELL_DRAWS):
+        rmat, t = cell_member(tid, rng)
+        for comp, r in ((component, rmat), (reversed_component, cur.swap_halves(rmat))):
+            for n in ns:
+                label = (tid, draw, comp, n)
+                residuals = cl.condition_residuals(r, comp, t, n, cl.SamplingConfig(),
+                                                   cl.CLASS_CONDITIONS[cls])
+                assert max(residuals.values()) <= cl.TOL, (label, residuals)
+                assert_in_single_class(cls, r, comp, t, n, label)

@@ -288,6 +288,43 @@ class TestClassifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("doc, code, message", [
+        # B need not be symmetric, so its asymmetry is not computed; the classifier's
+        # residuals overflow
+        ({"blocks": {"B": [[0, 1.5e308, 0], [-1.5e308, 0, 0], [0, 0, 0]]}},
+         cli.EXIT_VALIDATION, "non-finite residuals"),
+        ({"matrix": [[1, 1e308, 0, 0, 0, 0], [-1e308, 1, 0, 0, 0, 0]] + np.eye(6)[2:].tolist()},
+         cli.EXIT_VALIDATION, "not symmetric: max|R - R^T| = inf"),
+        ({"matrix": (1e308 * np.eye(6)).tolist(),
+          "blocks": {"Wplus": (-1e308 * np.eye(3)).tolist()}},
+         cli.EXIT_INPUT, "describe different operators"),
+    ], ids=["asymmetric-B", "asymmetric-matrix", "matrix-blocks-gap"])
+    def test_differences_that_overflow_exit_without_a_warning(self, capsys, tmp_path, doc, code,
+                                                              message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run_cli(capsys, "classify", "--input", str(path), "--component=+-",
+                                "--n", "3")
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"matrix": [[1, 2], [3]]}, "'matrix' must be a 6x6 matrix"),
+        ({"blocks": {"s": [12]}}, "'blocks.s' must be a number"),
+        ({"blocks": {"s": 12, "Wminus": {"row": [0, 0, 0]}}}, "'blocks.Wminus' must be a 3x3"),
+    ], ids=["ragged-matrix", "nested-s", "block-object"])
+    def test_malformed_fields_exit_2(self, capsys, tmp_path, doc, field):
+        # the reader checks the nesting itself: numpy 1.24 and 2.x build arrays
+        # from ragged lists differently
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component", "++",
+                                 "--n", "1")
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert field in err and err.count("\n") == 1
+
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, "classify", "--model", "flat", "--component", "++",
