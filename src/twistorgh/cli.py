@@ -114,27 +114,18 @@ def _load_operator(args) -> tuple[object, str]:
 def cmd_classify(args) -> int:
     if _check_output_dir(args.output):
         return EXIT_INPUT
-    try:
-        rmat, source = _load_operator(args)
-        # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
-        # 3.13 keeps "--"
-        report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2),
-                                     args.n, classifier.SamplingConfig(args.seed),
-                                     source=source)
-    except curvature.SchemaError as exc:  # a malformed document or model parameters
-        return _fail(exc, EXIT_INPUT)
-    except ValueError as exc:  # CurvatureError or ClassifierError (a bad seed, t or n)
-        return _fail(exc, EXIT_VALIDATION)
+    rmat, source = _load_operator(args)
+    # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
+    # 3.13 keeps "--"
+    report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2), args.n,
+                                 classifier.SamplingConfig(args.seed), source=source)
     return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
 
 
 def cmd_verify(args) -> int:
     if _check_output_dir(args.output):
         return EXIT_INPUT
-    try:
-        cfg = classifier.SamplingConfig(args.seed)
-    except classifier.ClassifierError as exc:  # a negative seed
-        return _fail(exc, EXIT_VALIDATION)
+    cfg = classifier.SamplingConfig(args.seed)
     if args.id is not None and args.id not in classifier.THEOREM_IDS:
         return _fail(f"unknown statement id {args.id!r}; "
                      f"known: {', '.join(classifier.THEOREM_IDS)}", EXIT_INPUT)
@@ -159,10 +150,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    try:
-        results = selftest.run_selftest(seed=args.seed)
-    except classifier.ClassifierError as exc:  # a negative seed
-        return _fail(exc, EXIT_VALIDATION)
+    results = selftest.run_selftest(seed=args.seed)
     for r in results:
         print(r.line())
     if not selftest.all_ok(results):
@@ -184,7 +172,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"classify": cmd_classify, "verify": cmd_verify,
                "selftest": cmd_selftest, "models": cmd_models}[args.command]
-    return handler(args)
+    try:  # the one map of errors to exit codes; any other exception is a bug
+        return handler(args)
+    except curvature.SchemaError as exc:  # a malformed document or model parameters
+        return _fail(exc, EXIT_INPUT)
+    except (curvature.CurvatureError, classifier.ClassifierError) as exc:  # invalid values
+        return _fail(exc, EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ fail tracelessness are accepted and marked non-strict: several classification
 witnesses require R to annihilate one half entirely, which forces
 W- = -(s/12) Id.
 
-Matrices from outside are checked where they enter, by ``check_operator``
-(shape, finite entries, symmetry of R, W+ and W-); operators built from
-checked blocks or from normals are not checked again.
+Every matrix from outside enters by one rule, ``_field``, and every operator
+from outside is checked by ``check_operator`` (finite entries, symmetry of R);
+``compose`` checks the operator it assembles, not its blocks one by one.
+Operators built from normals or from checked blocks are not checked again.
 
 Sign convention of ``curvature_endo``: r is the skew endomorphism of
 R(x ^ y), and the curvature of the induced connection on skew endomorphisms
@@ -49,20 +50,16 @@ class SchemaError(CurvatureError):
     """Malformed curvature-operator document."""
 
 
-def check_operator(m, name: str = "curvature operator", size: int = 6,
-                   symmetric: bool = True) -> np.ndarray:
-    """``m`` as a float size x size matrix, finite and, if ``symmetric``, symmetric
-    within SYM_TOL * max(1, max|m|): R, W+ and W- are; the block B is not."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (size, size):
-        raise CurvatureError(f"{name} must be {size}x{size}, got shape {m.shape}")
+def check_operator(m, name: str = "curvature operator") -> np.ndarray:
+    """``m`` read by :func:`_field` as a float 6x6 matrix, finite and symmetric
+    within SYM_TOL * max(1, max|m|)."""
+    m = _field(m, name, (6, 6))
     if not np.all(np.isfinite(m)):
         raise CurvatureError(f"{name} has non-finite entries")
-    if symmetric:
-        with np.errstate(over="ignore"):  # entries near the float limit: err = inf, asymmetric
-            err = float(np.max(np.abs(m - m.T)))
-        if err > SYM_TOL * max(1.0, float(np.abs(m).max())):
-            raise CurvatureError(f"{name} is not symmetric: max|R - R^T| = {err:.3e}")
+    with np.errstate(over="ignore"):  # entries near the float limit: err = inf, asymmetric
+        err = float(np.max(np.abs(m - m.T)))
+    if err > SYM_TOL * max(1.0, float(np.abs(m).max())):
+        raise CurvatureError(f"{name} is not symmetric: max|R - R^T| = {err:.3e}")
     return m
 
 
@@ -114,16 +111,17 @@ def _assemble(s, b, wp, wm) -> np.ndarray:
 
 
 def compose(s: float = 0.0, B=None, Wplus=None, Wminus=None) -> np.ndarray:
-    """Assemble the 6x6 operator from blocks; inverse of :func:`decompose`."""
-    b = check_operator(np.zeros((3, 3)) if B is None else B, "block 'B'", 3, symmetric=False)
-    wp = check_operator(np.zeros((3, 3)) if Wplus is None else Wplus, "block 'Wplus'", 3)
-    wm = check_operator(np.zeros((3, 3)) if Wminus is None else Wminus, "block 'Wminus'", 3)
+    """The 6x6 operator of blocks read by :func:`_field`; inverse of :func:`decompose`.
+    It checks the whole operator, so W+ and W- are symmetric relative to max|R|."""
+    b, wp, wm = (_field(np.zeros((3, 3)) if x is None else x, f"block {key!r}", (3, 3))
+                 for key, x in (("B", B), ("Wplus", Wplus), ("Wminus", Wminus)))
     s = _scalar(s)
     with np.errstate(over="ignore"):  # overflow is reported below
         mat = _assemble(s, b, wp, wm)
     if not np.all(np.isfinite(mat)):
-        raise CurvatureError("curvature operator overflows: (s/12) Id + W is not finite")
-    return mat
+        raise CurvatureError("curvature operator has non-finite entries: a block is not "
+                             "finite, or (s/12) Id + W overflows")
+    return check_operator(mat)
 
 
 # --- model constructors ------------------------------------------------------
@@ -222,22 +220,31 @@ def _numbers(values) -> bool:
 
 
 def _field(value, name: str, shape: tuple[int, ...]) -> float | np.ndarray:
-    """The field ``name`` of a document as a float (shape ()) or a float array:
-    lists nested to exactly ``shape`` around numbers (:func:`_numbers`), checked
-    level by level before numpy sees them, so ragged lists fail alike on every
-    numpy.  Anything else, or an integer beyond the float range, is a SchemaError."""
+    """The one rule by which a matrix enters: ``value`` (``name`` in messages) as a
+    float (shape ()) or a float array, from a numpy array of exactly ``shape`` with
+    integer or float entries (a float64 array is not copied), or from lists or tuples
+    nested to exactly ``shape`` around numbers (:func:`_numbers`), checked level by
+    level before numpy sees them, so ragged lists fail alike on every numpy.
+    Anything else, or an integer beyond the float range, is a SchemaError."""
+    dims = "x".join(map(str, shape))
+    if isinstance(value, np.ndarray):
+        if value.shape != shape:
+            raise SchemaError(f"{name} must be {dims}, got shape {value.shape}")
+        if value.dtype.kind not in "iuf":
+            raise SchemaError(f"{name} must hold numbers, not booleans, strings or objects")
+        return np.asarray(value, dtype=float)
     entries = [value]
     for size in shape:
-        if not all(isinstance(e, list) and len(e) == size for e in entries):
-            raise SchemaError(f"field {name!r} must be a {'x'.join(map(str, shape))} matrix")
+        if not all(isinstance(e, (list, tuple)) and len(e) == size for e in entries):
+            raise SchemaError(f"{name} must be a {dims} matrix")
         entries = [x for e in entries for x in e]
     if not _numbers(entries):
-        raise SchemaError(f"field {name!r} must hold numbers, not booleans, strings or lists"
-                          if shape else f"field {name!r} must be a number")
+        raise SchemaError(f"{name} must hold numbers, not booleans, strings or lists"
+                          if shape else f"{name} must be a number")
     try:
         return np.array(entries, dtype=float).reshape(shape) if shape else float(value)
     except OverflowError:
-        raise SchemaError(f"field {name!r} holds an integer beyond the float range") from None
+        raise SchemaError(f"{name} holds an integer beyond the float range") from None
 
 
 def _from_blocks(blocks) -> np.ndarray:
@@ -251,7 +258,7 @@ def _from_blocks(blocks) -> np.ndarray:
         raise SchemaError(f"unknown field(s) in 'blocks': {sorted(unknown)}")
     if not isinstance(blocks.get("strict", False), bool):
         raise SchemaError("field 'blocks.strict' must be true or false")
-    return compose(**{key: _field(value, f"blocks.{key}", BLOCK_FIELDS[key])
+    return compose(**{key: _field(value, f"field 'blocks.{key}'", BLOCK_FIELDS[key])
                       for key, value in blocks.items() if key != "strict"})
 
 
@@ -270,7 +277,7 @@ def from_json_dict(doc) -> np.ndarray:
     if "matrix" not in doc:
         mat = _from_blocks(doc["blocks"])
     else:
-        mat = check_operator(_field(doc["matrix"], "matrix", (6, 6)))
+        mat = check_operator(doc["matrix"], "field 'matrix'")
         if "blocks" not in doc:
             return mat
         try:

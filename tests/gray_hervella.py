@@ -10,8 +10,9 @@ orthogonally into W1 + W2 + W3 + W4 (Gray and Hervella, Ann. Mat. Pura Appl.
     P12 T = (T - tjj) / 2      the W1 + W2 part (tjj = -T there)
     P34 T = (T + tjj) / 2      the W3 + W4 part; T + tjj is the quasi-cond tensor
     P1 T  = cyclic(P12 T) / 3  the cyclic sum is 3 on W1 and 0 on W2
-    P4 T  = (W0 - W0(., J., J.)) / 6,  W0[a, b, c] = d_ab th_c - d_ac th_b,
-            th_c = T[a, a, c]; the 1/6 makes the trace of P4 T equal th
+    P4 T  = (W0 - W0(., J., J.)) / (d - 2),  W0[a, b, c] = d_ab th_c - d_ac th_b,
+            th_c = T[a, a, c], in d dimensions (8 here, 6 on the single
+            twistor space); the 1/(d - 2) makes the trace of P4 T equal th
     P2 = P12 - P1,  P3 = P34 - P4
 
 P2 and P3 are formed and their norms taken: |P12|^2 - |P1|^2 would leave a
@@ -60,17 +61,18 @@ CLASS_COMPONENTS = {"K": set(), "W1": {1}, "W2": {2}, "W3": {3}, "W1W2": {1, 2},
 
 def projections(T, M):
     """(P1 T, P2 T, P3 T, P4 T), stacked on a new first axis; leading axes of
-    T (..., 8, 8, 8) and M (..., 8, 8) broadcast."""
+    T (..., d, d, d) and M (..., d, d) broadcast."""
+    d = T.shape[-1]
     mt = np.swapaxes(M, -1, -2)
-    tj = (mt @ T.reshape(T.shape[:-2] + (64,))).reshape(T.shape)  # T(JX, Y, Z)
+    tj = (mt @ T.reshape(T.shape[:-2] + (d * d,))).reshape(T.shape)  # T(JX, Y, Z)
     tjj = mt[..., None, :, :] @ tj  # T(JX, JY, Z)
     p12, p34 = 0.5 * (T - tjj), 0.5 * (T + tjj)
     p1 = cl._cyclic(p12) / 3.0
     theta = np.einsum("...aac->...c", T)
     # u[a, b, c] = d_ab th_c - M[a, b] (M^T th)_c, and W0 - W0(X, JY, JZ) = u - u[a, c, b]
-    u = (np.eye(8)[..., None] * theta[..., None, None, :]
+    u = (np.eye(d)[..., None] * theta[..., None, None, :]
          - M[..., None] * (theta[..., None, :] @ M)[..., None, :])
-    p4 = (u - np.swapaxes(u, -1, -2)) / 6.0
+    p4 = (u - np.swapaxes(u, -1, -2)) / (d - 2.0)
     return np.stack((p1, p12 - p1, p34 - p4, p4))
 
 

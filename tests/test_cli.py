@@ -152,6 +152,18 @@ class TestClassifyCommand:
         assert (code, err) == (cli.EXIT_OK, "")
         assert json.loads(out)["flags"]["strict"]
 
+    def test_written_asymmetry_of_large_entries_classifies(self, capsys, tmp_path):
+        # 5e-8 is within 1e-12 max|R| of this operator; write_json's W+ block
+        # carries it and the reader measures it against the operator too
+        mat = cur.model("constant_curvature", s=12e5)
+        mat[0, 1] += 5e-8
+        path = tmp_path / "written.json"
+        cur.write_json(mat, path)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path), "--component=+-",
+                                 "--n", "3")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["detected"]
+
     def test_non_finite_matrix_exits_3(self, capsys, tmp_path):
         mat = np.eye(6)
         mat[1, 1] = np.nan
@@ -290,8 +302,8 @@ class TestClassifyCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("doc, code, message", [
-        # B need not be symmetric, so its asymmetry is not computed; the classifier's
-        # residuals overflow
+        # B's part of R - R^T is zero by construction, so no difference overflows;
+        # the classifier's residuals do
         ({"blocks": {"B": [[0, 1.5e308, 0], [-1.5e308, 0, 0], [0, 0, 0]]}},
          cli.EXIT_VALIDATION, "non-finite residuals"),
         ({"matrix": [[1, 1e308, 0, 0, 0, 0], [-1e308, 1, 0, 0, 0, 0]] + np.eye(6)[2:].tolist()},

@@ -19,6 +19,29 @@ SCALAR_MODELS = [n for n, (params, _, _) in cur.MODEL_SPECS.items() if "s" in pa
 E = np.eye(4)
 
 
+def malformed(size):
+    """Values given for a size x size matrix that are no numeric matrix, by name:
+    numpy reads the booleans and strings as numbers, and the others raise its
+    ValueError, TypeError or OverflowError."""
+    zeros = [[0] * size for _ in range(size)]
+    return {"ragged": [[1, 2], [3]], "object": {"a": 1},
+            "integer-beyond-float": [[10 ** 400] + zeros[0][1:]] + zeros[1:],
+            "booleans": [[True] + [False] * (size - 1)] + [[False] * size] * (size - 1),
+            "strings": [["1"] + zeros[0][1:]] + zeros[1:],
+            "boolean-array": np.eye(size, dtype=bool)}
+
+
+#: the documented Python entry points of a matrix: (size, call)
+MATRIX_ENTRIES = {
+    "compose-B": (3, lambda m: cur.compose(B=m)),
+    "compose-Wplus": (3, lambda m: cur.compose(Wplus=m)),
+    "compose-Wminus": (3, lambda m: cur.compose(Wminus=m)),
+    "model": (3, lambda m: cur.model("einstein_asd", s=1.0, Wminus=m)),
+    "decompose": (6, cur.decompose),
+    "classify": (6, lambda m: cl.classify(m, "+-", (1, 1), 3, cl.SamplingConfig())),
+}
+
+
 class TestDecompose:
     def test_identity_operator(self):
         blocks = cur.decompose(np.eye(6))
@@ -106,6 +129,24 @@ class TestDecompose:
             cur.compose(s)
         assert not isinstance(info.value, cur.SchemaError)
         assert_allclose(cur.compose(np.int64(12)), cur.compose(12.0), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("kind", list(malformed(3)))
+    @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+    def test_malformed_matrices_are_schema_errors(self, entry, kind):
+        # one rule reads a matrix from Python and from a document
+        size, call = MATRIX_ENTRIES[entry]
+        with pytest.raises(cur.SchemaError):
+            call(malformed(size)[kind])
+
+    def test_tuples_and_integer_arrays_read_as_the_list(self):
+        wm = [[1, 2, 0], [2, 3, 0], [0, 0, 0]]
+        want = cur.compose(1.0, Wminus=wm)
+        for same in (tuple(map(tuple, wm)), np.array(wm), np.array(wm, dtype=np.uint8)):
+            assert cur.compose(1.0, Wminus=same).tobytes() == want.tobytes()
+        mat = np.diag([3, 1, 1, 2, 2, 2]).tolist()
+        want = cur.check_operator(mat)
+        for same in (tuple(map(tuple, mat)), np.array(mat)):
+            assert cur.check_operator(same).tobytes() == want.tobytes()
 
     def test_compose_rejects_asymmetric_weyl(self):
         bad = np.zeros((3, 3))
@@ -353,6 +394,18 @@ class TestSerialization:
         doc["blocks"]["B"][0][0] += 1e-6 * np.abs(big).max()
         with pytest.raises(cur.SchemaError, match="different operators"):
             cur.from_json_dict(doc)
+
+    @pytest.mark.parametrize("k", [-6, 0, 3, 6])
+    def test_asymmetry_within_the_bound_reads_back(self, k):
+        # a Weyl block's asymmetry is bounded relative to the operator, as the
+        # matrix's is, so every operator check_operator accepts is read back
+        rng = np.random.default_rng([7, k + 6])
+        for _ in range(20):
+            mat = 10.0 ** k * cur.random_strict_operator(rng)
+            i, j = rng.choice(3, 2, replace=False) + 3 * rng.integers(2)
+            mat[i, j] += cur.SYM_TOL / 2 * max(1.0, float(np.abs(mat).max()))
+            doc = json.loads(json.dumps(cur.to_json_dict(cur.check_operator(mat))))
+            assert cur.from_json_dict(doc).tobytes() == mat.tobytes()
 
     def test_nan_blocks_are_not_consistent_with_a_matrix(self):
         doc = {"matrix": np.eye(6).tolist(), "blocks": {"s": np.nan}}

@@ -16,6 +16,8 @@ classes it reads.
   delta Omega vanishes exactly when the components outside its class do.
 - Over all symmetric operators, the second factor's family carries no
   component, W3 alone, or all four (ROADMAP item 13).
+- The first factor's family is the single twistor space's W1, W2 and W3 + W4
+  parts (ROADMAP items 6 and 13).
 """
 
 import itertools
@@ -105,6 +107,31 @@ def test_projections_split_between_the_families(component, n):
     T2, _ = tn.frame_tensor(cl._points(other, component), rmat, tn.Params(0.7, 5.3, n))
     first = gh.FAMILIES[0, 0] == 1.0
     assert np.abs(T2[:, first] - T[:, first]).max() <= ALGEBRA_REL * np.sqrt(size2.max())
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_family_1_is_the_split_of_the_single_twistor_space(component, n):
+    # family 1 lives on 0:6, where M is the single twistor space's structure, so
+    # its W1, W2 and W3 + W4 parts are the projectors' in 6 dimensions.  The
+    # trace of W4 runs over 6 indices there, so the W3/W4 split differs: by up
+    # to 0.14 of max|T^1| here, and P4 of family 1 reaches 0.28 of it outside 0:6
+    rng = np.random.default_rng([96, n, cl.COMPONENTS.index(component)])
+    outside = gh.FAMILIES[0, 0] == 0.0
+    for _ in range(5):
+        T, M = tn.frame_tensor(cl._points(rng.standard_normal((20, 6)), component),
+                               cur.random_strict_operator(rng),
+                               tn.Params(*rng.uniform(0.3, 2.0, 2), n))
+        first = gh.FAMILIES[0] * T
+        bound = 1e-13 * np.abs(first).max()
+        p1, p2, p3, p4 = gh.projections(first, M)
+        q1, q2, q3, q4 = gh.projections(T[:, :6, :6, :6], M[:, :6, :6])
+        for got, want in ((p1, q1), (p2, q2), (p3 + p4, q3 + q4)):
+            assert np.abs(got[:, :6, :6, :6] - want).max() <= bound
+            assert np.abs(got[:, outside]).max() <= bound
+        # the 6-dimensional factor 1 / (d - 2) gives P4 the trace of T
+        theta = np.einsum("paac->pc", T[:, :6, :6, :6])
+        assert np.abs(np.einsum("paac->pc", q4) - theta).max() <= bound
 
 
 @pytest.mark.parametrize("component", cl.COMPONENTS)
