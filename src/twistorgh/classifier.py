@@ -115,12 +115,13 @@ CLASS_CONDITIONS: dict[str, tuple[str, ...]] = {
     "OTHER": (),
 }
 
-#: classes a strict operator can produce, by structure index
+#: classes a strict operator can produce, by structure index: the least classes
+#: of the strict cells of the atlas, united over the four components
 ALLOWED_DETECTED = {
-    1: frozenset({"K", "W3", "OTHER"}),
-    2: frozenset({"K", "W3", "OTHER"}),
-    3: frozenset({"W1", "W2", "W1W2", "W1W3", "W2W3", "W1W2W3", "OTHER"}),
-    4: frozenset({"W1", "W2", "W1W2", "W1W3", "W2W3", "W1W2W3", "OTHER"}),
+    1: frozenset({"W3", "OTHER"}),
+    2: frozenset({"W3", "OTHER"}),
+    3: frozenset({"W1W2", "W1W3", "W2W3", "W1W2W3", "OTHER"}),
+    4: frozenset({"W1W2", "W1W3", "W2W3", "W1W2W3", "OTHER"}),
 }
 
 COMPONENTS = ("++", "+-", "-+", "--")
@@ -380,7 +381,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
     flagged, not silenced.  A non-finite residual (the operator or the weights
     overflow) raises ClassifierError instead of passing every test.
     """
-    blocks = curvature.decompose(rmat)  # the check of the operator
+    blocks = curvature.decompose(rmat)  # the checked float operator and its blocks
     n = _as_int(n, "n")
     if n not in (1, 2, 3, 4):
         raise ClassifierError(f"n must be in 1..4, got {n}")
@@ -391,7 +392,7 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
         raise ClassifierError(f"t1, t2 must be positive and finite, got {t!r}")
     t1, t2 = t = tuple(map(float, pair))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        residuals = condition_residuals(np.asarray(rmat, dtype=float), component, t, n, cfg)
+        residuals = condition_residuals(blocks.matrix, component, t, n, cfg)
     bad = [c for c, r in residuals.items() if not np.isfinite(r)]
     if bad:
         raise ClassifierError(f"non-finite residuals for {', '.join(bad)}; "

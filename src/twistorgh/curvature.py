@@ -65,13 +65,15 @@ def check_operator(m, name: str = "curvature operator") -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureBlocks:
-    """Block data (s, B, W+, W-); ``strict`` records Weyl tracelessness."""
+    """Block data (s, B, W+, W-) of the checked float operator ``matrix``;
+    ``strict`` records Weyl tracelessness."""
 
     s: float
     B: np.ndarray
     Wplus: np.ndarray
     Wminus: np.ndarray
     strict: bool
+    matrix: np.ndarray
 
 
 def decompose(mat) -> CurvatureBlocks:
@@ -95,7 +97,7 @@ def decompose(mat) -> CurvatureBlocks:
     b = mat[3:, :3]
     bound = WEYL_TRACE_TOL * max(1.0, float(np.abs(mat).max()))
     strict = bool((traces <= bound).all())
-    return CurvatureBlocks(s=s, B=b, Wplus=wplus, Wminus=wminus, strict=strict)
+    return CurvatureBlocks(s=s, B=b, Wplus=wplus, Wminus=wminus, strict=strict, matrix=mat)
 
 
 def _assemble(s, b, wp, wm) -> np.ndarray:
@@ -204,10 +206,10 @@ BLOCK_FIELDS = {"s": (), "B": (3, 3), "Wplus": (3, 3), "Wminus": (3, 3)}
 
 
 def to_json_dict(mat) -> dict:
-    """Emit both the raw matrix and the block form."""
+    """Emit both the checked float matrix and the block form."""
     blocks = decompose(mat)
     form = {key: np.asarray(getattr(blocks, key)).tolist() for key in BLOCK_FIELDS}
-    return {"matrix": np.asarray(mat, dtype=float).tolist(),
+    return {"matrix": blocks.matrix.tolist(),
             "blocks": {**form, "strict": blocks.strict}}
 
 
@@ -371,7 +373,7 @@ def perturbed(mat, kind: str, rng) -> np.ndarray:
     ``decompose`` checks the operator; its blocks plus finite noise are valid,
     so they are assembled by the code of :func:`compose`, unchecked."""
     blocks = decompose(mat)
-    base = max(float(np.linalg.norm(mat)), 1.0)
+    base = max(float(np.linalg.norm(blocks.matrix)), 1.0)
     noise = random_traceless_symmetric(rng) if kind == "Wplus" else rng.standard_normal((3, 3))
     noise *= PERTURBATION_REL * base / max(float(np.linalg.norm(noise)), 1e-12)
     if kind == "Wplus":

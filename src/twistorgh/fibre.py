@@ -5,7 +5,8 @@ g-orthogonal complex structures J (skew with J @ J = -Id), an embedded
 submanifold of the space so(g) of skew-symmetric endomorphisms.  This module
 implements the pointwise algebra of that picture: the trace metric
 G(a, b) = -1/2 trace(a b), the projection onto the tangent space at a point J
-and the Levi-Civita derivative of tangent vector fields, with which
+and the Levi-Civita derivative of a tangent vector field, given as a plain
+function on so(g) and differentiated by central differences, with which
 ``selftest`` checks that the fibre Kaehler structure V -> J o V is parallel.
 The isometry between so(g) and 2-vectors is implemented for dimension four,
 in ``fourdim``.
@@ -17,9 +18,6 @@ construction, as the seeded draws below build them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,31 +45,14 @@ def tangent_projection(j, q) -> np.ndarray:
     return 0.5 * (q + j @ q @ j)
 
 
-@dataclass(frozen=True)
-class FibreVectorField:
-    """so(g)-valued function on so(g), tangent-valued along the fibre.
-
-    ``derivative(j, x)`` is the ambient directional derivative Y'(j)(x),
-    computed by central differences with step ``FD_STEP``.
-    """
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def derivative(self, j, x) -> np.ndarray:
-        plus = np.asarray(self.evaluate(j + FD_STEP * x), dtype=float)
-        minus = np.asarray(self.evaluate(j - FD_STEP * x), dtype=float)
-        return (plus - minus) / (2.0 * FD_STEP)
-
-
-def tangent_projection_field(q) -> FibreVectorField:
-    """The field A -> (q + A q A)/2; along the fibre it is the tangent part of q."""
-    return FibreVectorField(evaluate=lambda a: 0.5 * (q + a @ q @ a))
-
-
-def fibre_levi_civita(field: FibreVectorField, x, j) -> np.ndarray:
-    """(D_X Y)_J = (Y'(J)(X) + J o Y'(J)(X) o J) / 2 for X tangent at J."""
-    d = field.derivative(j, x)
-    return 0.5 * (d + j @ d @ j)
+def fibre_levi_civita(evaluate, x, j) -> np.ndarray:
+    """(D_X Y)_J for X tangent at J, with Y given by ``evaluate``, an so(g)-valued
+    function on so(g) that is tangent along the fibre: the tangent projection at J
+    of the ambient derivative Y'(J)(X), taken by central differences with step
+    ``FD_STEP``."""
+    plus = np.asarray(evaluate(j + FD_STEP * x), dtype=float)
+    minus = np.asarray(evaluate(j - FD_STEP * x), dtype=float)
+    return tangent_projection(j, (plus - minus) / (2.0 * FD_STEP))
 
 
 # --- random elements (seeded helpers used by tests and the self-test) -------

@@ -43,11 +43,11 @@ nijenhuis-identity check; a tier-1 test negates the table to show it.
 The curvature-commutator oracle draws a block's rows of 76 normals in one
 call and evaluates them as one stack.  A fibre trial draws its J, X and q in
 turn, and a block evaluates its trials of one dimension, 4 for even trials and
-6 for odd ones, as one stack per dimension: one ``tangent_projection_field``
-and two ``fibre_levi_civita`` calls each.  These draws are valid by
-construction too, so a NaN among them reaches the residual unchecked.  Over
-640 trials every oracle peaks at 0.50 MiB (nijenhuis-identity) or less of
-traced memory.
+6 for odd ones, as one stack per dimension: two ``fibre_levi_civita`` calls
+each, on the plain functions a -> (q + a q a)/2 and a -> a (q + a q a)/2 of
+the stack's skews q.  These draws are valid by construction too, so a NaN
+among them reaches the residual unchecked.  Over 640 trials every oracle
+peaks at 0.50 MiB (nijenhuis-identity) or less of traced memory.
 """
 
 from __future__ import annotations
@@ -228,10 +228,9 @@ def _fibre_kaehler(seed: int, trials: int) -> OracleResult:
             if not draws[dim]:
                 continue
             j, x, q = (np.array(a) for a in zip(*draws[dim]))
-            field = fibre.tangent_projection_field(0.5 * (q - np.swapaxes(q, -1, -2)))
-            k_field = fibre.FibreVectorField(evaluate=lambda a, f=field: a @ f.evaluate(a))
-            lhs = fibre.fibre_levi_civita(k_field, x, j)
-            rhs = j @ fibre.fibre_levi_civita(field, x, j)
+            skew = 0.5 * (q - np.swapaxes(q, -1, -2))
+            lhs = fibre.fibre_levi_civita(lambda a: a @ fibre.tangent_projection(a, skew), x, j)
+            rhs = j @ fibre.fibre_levi_civita(lambda a: fibre.tangent_projection(a, skew), x, j)
             res[first::2] = np.max(np.abs(lhs - rhs), axis=(-2, -1))
         return res
 

@@ -122,6 +122,16 @@ class TestClassify:
         assert report.detected == "W3"
         assert report.flags["possible_class_violation"]
 
+    def test_strict_operator_read_as_kaehler_is_flagged(self):
+        # no strict operator is Kaehler: on +- with n = 1 the K cell is the
+        # non-strict Kaehler witness alone.  At s = 1e-18 the absolute threshold
+        # reads constant curvature as K, which the possible set must flag
+        report = cl.classify(cur.model("constant_curvature", s=1e-18), "+-", (6e18, 1.0), 1,
+                             DEFAULT)
+        assert report.flags["strict"]
+        assert report.detected == "K"
+        assert report.flags["possible_class_violation"]
+
     def test_monotone_in_the_lattice(self):
         for rmat, component, t, n in [
             (cur.model("kaehler_witness", s=12.0), "+-", (0.5, 1.0), 1),
