@@ -334,17 +334,11 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c)
 
 # --- single-fibre forms (independent code path for the restriction check) ----
 
-@dataclass(frozen=True, eq=False)
-class SingleTangent:
-    """Tangent vector of one twistor fibre bundle: R^4 part plus one vertical."""
-
-    horizontal: np.ndarray
-    vertical: np.ndarray
-
-
 def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
-                     a: SingleTangent, b: SingleTangent, c: SingleTangent) -> float:
-    """(D_A Omega_k)(B, C) for the structure k in {1, 2} on one fibre bundle.
+                     horizontal, vertical) -> float:
+    """(D_A Omega_k)(B, C) for the structure k in {1, 2} on one fibre bundle,
+    for A, B, C with the R^4 parts ``horizontal`` and the vertical
+    endomorphisms ``vertical``.
 
     k = 1 acts on verticals by V -> J V, k = 2 by V -> -J V; the mixed
     component carries the sign -1 for k = 1 and +1 for k = 2.
@@ -353,34 +347,34 @@ def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
     jm = j.matrix
     tw = _w(t, 1)
 
-    def rp(arg, w):  # <R p(V), w>
-        return _pair(w, rmat, sgn * tw * two_vector_of_endo(arg.vertical))
+    def rp(v, w):  # <R p(V), w>
+        return _pair(w, rmat, sgn * tw * two_vector_of_endo(v))
 
-    def rq(arg, w):  # <R q(V), w>
-        return _pair(w, rmat, tw * two_vector_of_endo(jm @ arg.vertical))
+    def rq(v, w):  # <R q(V), w>
+        return _pair(w, rmat, tw * two_vector_of_endo(jm @ v))
 
-    ax, bx, cx = a.horizontal, b.horizontal, c.horizontal
+    (ax, bx, cx), (av, bv, cv) = horizontal, vertical
     jbx, jcx = _apply(jm, bx), _apply(jm, cx)
-    val = _pair(cx, a.vertical, bx) - rq(a, wedge_of_pair(bx, jcx) + wedge_of_pair(jbx, cx))
-    val = val + rp(c, wedge_of_pair(ax, bx)) + rq(c, wedge_of_pair(ax, jbx))
-    return val - (rp(b, wedge_of_pair(ax, cx)) + rq(b, wedge_of_pair(ax, jcx)))
+    val = _pair(cx, av, bx) - rq(av, wedge_of_pair(bx, jcx) + wedge_of_pair(jbx, cx))
+    val = val + rp(cv, wedge_of_pair(ax, bx)) + rq(cv, wedge_of_pair(ax, jbx))
+    return val - (rp(bv, wedge_of_pair(ax, cx)) + rq(bv, wedge_of_pair(ax, jcx)))
 
 
 def single_ext_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
-                     a: SingleTangent, b: SingleTangent, c: SingleTangent) -> float:
+                     horizontal, vertical) -> float:
     sgn = -1.0 if k == 1 else 1.0
 
-    def hv(x: SingleTangent, y: SingleTangent, v: SingleTangent) -> float:
-        rv = _w(t, 1) * two_vector_of_endo(v.vertical)
-        return _pair(y.horizontal, v.vertical, x.horizontal) + 2.0 * sgn * _pair(
-            wedge_of_pair(x.horizontal, y.horizontal), rmat, rv)
+    def hv(x, y, v) -> float:  # x, y horizontal, v vertical
+        rv = _w(t, 1) * two_vector_of_endo(v)
+        return _pair(y, v, x) + 2.0 * sgn * _pair(wedge_of_pair(x, y), rmat, rv)
 
-    return hv(a, b, c) + hv(b, c, a) + hv(c, a, b)
+    (ax, bx, cx), (av, bv, cv) = horizontal, vertical
+    return hv(ax, bx, cv) + hv(bx, cx, av) + hv(cx, ax, bv)
 
 
-def single_codiff(j: OrientedComplexStructure4, rmat, t: float,
-                  a: SingleTangent) -> float:
-    return -2.0 * t * _pair(j.wedge, rmat, two_vector_of_endo(j.matrix @ a.vertical))
+def single_codiff(j: OrientedComplexStructure4, rmat, t: float, vertical) -> float:
+    """delta Omega(A) on one fibre bundle, for A with the vertical endomorphism ``vertical``."""
+    return -2.0 * t * _pair(j.wedge, rmat, two_vector_of_endo(j.matrix @ vertical))
 
 
 def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
@@ -402,11 +396,10 @@ def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
     av, bv, cv = v[0], v[1], v[2]
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
-    sa, sb, sc = (SingleTangent(h, v1) for h, v1 in zip(g.horizontal, g.v1))
     return {
         "cov_deriv": abs(_dcov(params, av, bv, cv)
-                         - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+                         - single_cov_deriv(p.j1, rmat, t, k, g.horizontal, g.v1)),
         "ext_deriv": abs(_dext(params, av, bv, cv)
-                         - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
-        "codiff": abs(_dcodiff(p, av) - single_codiff(p.j1, rmat, t, sa)),
+                         - single_ext_deriv(p.j1, rmat, t, k, g.horizontal, g.v1)),
+        "codiff": abs(_dcodiff(p, av) - single_codiff(p.j1, rmat, t, g.v1[0])),
     }

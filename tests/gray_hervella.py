@@ -35,10 +35,35 @@ Geom. Dedicata 6, 1977).  The design means of |P_i T|^2 do not change when
 either design is rotated (tests/test_gray_hervella.py), so they are the means
 over the whole of S^2 x S^2.
 
+``design_residuals`` is that direct route, and stays the reference.  The
+detector reads compiled forms instead, one set per (component, n), compiled
+once from six design evaluations at t = (1, 1): u = 0, e_s = Id / sqrt 6,
+e_tau = diag(Id, -Id) / sqrt 6 and one element each of B, W+ and W-.  Family 1
+is affine in u = t1 R and family 2 linear in R, and the design mean is
+invariant under SO(3) x SO(3) acting on (s, B, W+, W-), so by Schur's lemma
+(Singer and Thorpe, 1969) each mean |P_i T^f|^2 is a 3 x 3 form on
+(1, s', tau') plus one weight per block.  ``residuals`` evaluates them:
+
+    family 1:  sqrt(|F1_i (1, t1 s', t1 tau')|^2 + sum lam1 t1^2 |block|^2) / (2 + t1 |R|_F)
+    family 2:  sqrt(|F2_i (0, s', tau')|^2 + sum lam2 |block|^2) / |R|_F,  skipped at R = 0
+
+with s', tau' R's Frobenius coordinates on e_s and e_tau, and the blocks
+sqrt 2 |B|_F and the traceless parts of W+ and W-.
+
 A component is present when its residual is above ``tol``; the class is the
 least element of ``classifier.CLASS_ORDER`` that contains every present
 component, with OTHER above all of them.
+
+The same forms give the classification atlas (ROADMAP item 3): ``nullity`` is
+the dimension of the set of operators u = t1 R on which a class holds, and
+``carried`` lists the sets of components that can be present together.  Both
+measure against the forms' overall scale, since the rows of a component that
+vanishes are roundoff of it, and assert that no value lies between VANISH_REL
+and NONZERO_MIN of it.
 """
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -105,13 +130,86 @@ def scales(rmat, t):
     return 2.0 / sq1 + sq1 * norm, sq2 * norm
 
 
-def residuals(rmat, component, t, n, rows=DESIGN):
-    """The residuals of the components W1..W4: for each, the larger of the two
-    families' rms over the design divided by the family's scale."""
+def design_residuals(rmat, component, t, n, rows=DESIGN):
+    """The residuals of the components W1..W4 on the direct route: for each, the
+    larger of the two families' rms over the design divided by the family's
+    scale.  The forms are compiled from this route, which stays their reference."""
     rms = np.sqrt(design_means(rmat, component, t, n, rows))
     scale1, scale2 = scales(rmat, t)
     first = rms[:, 0] / scale1
     return np.maximum(first, rms[:, 1] / scale2) if scale2 > 0.0 else first
+
+
+_E = np.eye(6)
+#: the operators of the compile, unit in the Frobenius norm: u = 0, e_s, e_tau,
+#: and one element each of B, W+ and W-
+COMPILE_OPERATORS = np.array([
+    np.zeros((6, 6)), np.eye(6) / 6 ** 0.5, np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]) / 6 ** 0.5,
+    (np.outer(_E[3], _E[0]) + np.outer(_E[0], _E[3])) / 2 ** 0.5,
+    (np.outer(_E[0], _E[1]) + np.outer(_E[1], _E[0])) / 2 ** 0.5,
+    (np.outer(_E[3], _E[4]) + np.outer(_E[4], _E[3])) / 2 ** 0.5])
+#: points per chunk of the compile: 6 points of 6 operators are 36 frame tensors
+COMPILE_CHUNK = 6
+
+
+def design_columns(component, n, operators):
+    """The design columns of ``operators`` (k, 6, 6) at t = (1, 1), chunk by
+    chunk of points: arrays (4, 2, k, entries) over component i and family f,
+    holding P_i T^f of the first operator and, of each other one, P_i T^f minus
+    the first's."""
+    points, params = cl._points(DESIGN, component), tn.Params(1.0, 1.0, n)
+    for lo in range(0, len(DESIGN), COMPILE_CHUNK):
+        T, M = tn.frame_tensor(points[lo:lo + COMPILE_CHUNK], operators[:, None], params)
+        parts = projections(FAMILIES[:, None] * T, M).reshape(4, 2, len(operators), -1)
+        yield np.concatenate((parts[:, :, :1], parts[:, :, 1:] - parts[:, :, :1]), axis=2)
+
+
+@functools.cache
+def forms(component, n):
+    """The compiled forms (F, lam) of ``component`` and n.  For component i and
+    family f, F[i, f] is the 3 x 3 triangular factor of a QR of the design
+    columns of u = 0, e_s and e_tau, and lam[i, f] holds the squared norms of
+    the columns of B, W+ and W-, all over 72.  By Schur's lemma for SO(3) x
+    SO(3) on (s, B, W+, W-), the design mean of |P_i T^f(u)|^2 at t = (1, 1) is
+    then |F[i, f] (1, s', tau')|^2 + lam[i, f] . (|B|, |W+|, |W-|)^2, in the
+    terms of ``coordinates``.  Family 2 is linear in u, so its u = 0 column,
+    and the first column of its factor, is exactly zero."""
+    tri, lam = np.zeros((4, 2, 0, 3)), np.zeros((4, 2, 3))
+    for cols in design_columns(component, n, COMPILE_OPERATORS):
+        stacked = np.concatenate((tri, np.swapaxes(cols[:, :, :3], -1, -2)), axis=-2)
+        tri = np.linalg.qr(stacked, mode="r")
+        lam += np.einsum("ifbk,ifbk->ifb", cols[:, :, 3:], cols[:, :, 3:])
+    tri, lam = tri / len(DESIGN) ** 0.5, lam / len(DESIGN)
+    tri.flags.writeable = lam.flags.writeable = False
+    return tri, lam
+
+
+def coordinates(rmat):
+    """(s', tau', blocks): R's Frobenius coordinates on e_s and e_tau, and the
+    norms sqrt 2 |B|_F, |W+|_F and |W-|_F of its other parts, W+- taken
+    traceless (a non-strict trace lies in e_s and e_tau)."""
+    plus, minus = rmat[:3, :3], rmat[3:, 3:]
+    a, d = np.trace(plus), np.trace(minus)
+    blocks = [2 ** 0.5 * np.linalg.norm(rmat[3:, :3]), np.linalg.norm(plus - a / 3.0 * np.eye(3)),
+              np.linalg.norm(minus - d / 3.0 * np.eye(3))]
+    return (a + d) / 6 ** 0.5, (a - d) / 6 ** 0.5, np.array(blocks)
+
+
+def residuals(rmat, component, t, n):
+    """The residuals of the components W1..W4 from the compiled forms: family 1
+    at u = t1 R over 2 + t1 |R|_F, family 2 at R / |R|_F, skipped at R = 0.  They
+    are those of ``design_residuals`` to roundoff."""
+    tri, lam = forms(component, n)
+    s, tau, blocks = coordinates(rmat)
+    norm, t1 = float(np.linalg.norm(rmat)), t[0]
+
+    def rms(f, x, b):
+        return np.sqrt(np.sum((tri[:, f] @ x) ** 2, axis=-1) + lam[:, f] @ b ** 2)
+
+    first = rms(0, np.array([1.0, t1 * s, t1 * tau]), t1 * blocks) / (2.0 + t1 * norm)
+    if norm == 0.0:
+        return first
+    return np.maximum(first, rms(1, np.array([0.0, s, tau]) / norm, blocks / norm))
 
 
 def class_of(res, tol=1e-9):
@@ -124,3 +222,89 @@ def class_of(res, tol=1e-9):
 def detect(rmat, component, t, n, tol=1e-9):
     """The class of the operator ``rmat`` on ``component`` at weights t and structure n."""
     return class_of(residuals(rmat, component, t, n), tol)
+
+
+#: a value measured against the forms' scale is zero at or below VANISH_REL of
+#: it, nonzero above NONZERO_MIN, and never in between
+VANISH_REL = 1e-12
+NONZERO_MIN = 1e-3
+#: the dimensions of the B, W+ and W- blocks
+BLOCK_DIMS = np.array([9, 5, 5])
+
+
+def _nonzero(values, scale):
+    """values > NONZERO_MIN scale, asserting that none lies in the gap."""
+    rel = np.asarray(values) / scale
+    assert np.all((rel <= VANISH_REL) | (rel > NONZERO_MIN)), rel
+    return rel > NONZERO_MIN
+
+
+def _scale(component, n):
+    """The forms' overall scale max(|F|, sqrt max lam): the rows of a vanishing
+    component are roundoff of it, not of their own size."""
+    tri, lam = forms(component, n)
+    return max(np.abs(tri).max(), np.sqrt(lam.max()))
+
+
+def _rows(component, n, comps, families):
+    """The (1, s', tau') rows and the block weights of the components ``comps``
+    in ``families``."""
+    tri, lam = forms(component, n)
+    idx = np.ix_([i - 1 for i in comps], [f - 1 for f in families])
+    return tri[idx].reshape(-1, 3), np.sqrt(lam[idx]).reshape(-1, 3)
+
+
+def cell(component, n, vanish, families=(1, 2), strict=False):
+    """The operators u on which the components ``vanish`` vanish in
+    ``families``, as (x0, null, free): the point x0 and an orthonormal basis
+    ``null`` of the affine set of (s', tau') (of s', with tau' = 0, when
+    ``strict``), and the blocks among B, W+ and W- left free; None when empty."""
+    scale = _scale(component, n)
+    rows, weights = _rows(component, n, vanish, families)
+    free = ~_nonzero(weights, scale).any(axis=0)
+    a, b = (rows[:, 1:2] if strict else rows[:, 1:]), rows[:, 0]
+    if not len(rows):
+        return np.zeros(a.shape[1]), np.eye(a.shape[1]), free
+    u, sv, vt = np.linalg.svd(a)
+    rank = np.count_nonzero(_nonzero(sv, scale))
+    x0 = -vt[:rank].T @ ((u[:, :rank].T @ b) / sv[:rank])
+    if _nonzero(np.linalg.norm(a @ x0 + b), scale):
+        return None
+    return x0, vt[rank:].T, free
+
+
+def nullity(component, n, cls, strict):
+    """The dimension of the cell of the class ``cls`` (item 3's atlas): the
+    operators u = t1 R, strict ones when ``strict``, on which it holds; None
+    when no operator does."""
+    c = cell(component, n, {1, 2, 3, 4} - CLASS_COMPONENTS[cls], strict=strict)
+    if c is None:
+        return None
+    _, null, free = c
+    return null.shape[1] + int(BLOCK_DIMS[free].sum())
+
+
+def carried(component, n, families=(1, 2)):
+    """The sets of components that can be present together in ``families``, in
+    order of size.  S is carried when the cell where the components outside S
+    vanish is not empty and no component of S vanishes on all of it: then one
+    operator carries all of S, since no affine space is a finite union of
+    proper affine subspaces."""
+    scale = _scale(component, n)
+    out = []
+    for inside in itertools.chain.from_iterable(itertools.combinations(range(1, 5), k)
+                                                for k in range(5)):
+        c = cell(component, n, set(range(1, 5)) - set(inside), families)
+        if c is None:
+            continue
+        x0, null, free = c
+
+        def present(i):
+            rows, weights = _rows(component, n, [i], families)
+            on_cell = (rows @ np.concatenate(([1.0], x0)), (rows[:, 1:] @ null).ravel(),
+                       weights[:, free].ravel())
+            return _nonzero(np.concatenate(on_cell), scale).any()
+
+        if all(present(i) for i in inside):
+            out.append(set(inside))
+    return out

@@ -21,7 +21,6 @@ from twistorgh.tensors import (
     GTangent,
     Params,
     ProductTwistorPoint,
-    SingleTangent,
     _acs_unchecked,
     _ArgView,
     _dcodiff,
@@ -96,14 +95,15 @@ def restriction_one_by_one(p: ProductTwistorPoint, rmat, params: Params, a, b, c
                for x in (a, b, c))
     k = 1 if params.n in (1, 2) else 2
     t = params.t1
-    sa, sb, sc = (SingleTangent(g.horizontal, g.v1)
-                  for g in (frame_vectors(p, params, x) for x in (a, b, c)))
+    gs = [frame_vectors(p, params, x) for x in (a, b, c)]
+    horizontal, vertical = [g.horizontal for g in gs], [g.v1 for g in gs]
     return {
         "cov_deriv": abs(one_by_one(_dcov, p, rmat, params, a, b, c)
-                         - single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+                         - single_cov_deriv(p.j1, rmat, t, k, horizontal, vertical)),
         "ext_deriv": abs(one_by_one(_dext, p, rmat, params, a, b, c)
-                         - single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
-        "codiff": abs(_dcodiff(p, _view(p, rmat, params, a)) - single_codiff(p.j1, rmat, t, sa)),
+                         - single_ext_deriv(p.j1, rmat, t, k, horizontal, vertical)),
+        "codiff": abs(_dcodiff(p, _view(p, rmat, params, a))
+                      - single_codiff(p.j1, rmat, t, vertical[0])),
     }
 
 

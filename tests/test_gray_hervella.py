@@ -1,13 +1,18 @@
-"""The detector of tests/gray_hervella.py: its projectors, its design, and the
-classes it reads.
+"""The detector of tests/gray_hervella.py: its projectors, its design, its
+compiled forms, and the classes and the atlas it reads.
 
 - The four projections sum to T, are orthogonal and idempotent, and have the
   defining properties of W1..W4; each splits orthogonally between the two
   factor families.
 - The design means do not change when the icosahedron and the octahedron are
-  rotated.
+  rotated, the direct route's residuals do not change under R -> g R g^T for
+  g in SO(3) x SO(3), and orientation reversal maps them between components.
 - Every row of perfbench/reference.json gets its recorded class, and every
   residual lies far from the tolerance.
+- The compiled forms give the direct route's classes and residuals, and they
+  are the Schur forms of the full 21-element basis.
+- The atlas from the forms is ROADMAP item 3's table, and the least classes of
+  its strict cells are ``classifier.ALLOWED_DETECTED``.
 - The W1W3 witness reads W1W3 at every scale, which the sampled detector does
   not (ROADMAP aim 3), and no class changes under the homothety
   (R / l, l t1, l t2) or with t2 / t1.
@@ -30,6 +35,7 @@ from twistorgh import curvature as cur
 from twistorgh import tensors as tn
 
 import gray_hervella as gh
+from gray_hervella import NONZERO_MIN, VANISH_REL
 from test_reference_survey import _reference, _workloads
 
 TOL = 1e-9
@@ -37,8 +43,10 @@ TOL = 1e-9
 ALGEBRA_REL = 1e-14
 #: bound of the rotation invariance of a design mean, relative to |T|^2
 ROTATION_REL = 1e-13
-VANISH_REL = 1e-12
-NONZERO_MIN = 1e-3
+#: relative bound of the agreement of two routes, of a symmetry and of the Schur structure
+ROUTE_REL = 1e-13
+#: every (component, n)
+STRUCTURES = [(component, n) for component in cl.COMPONENTS for n in (1, 2, 3, 4)]
 
 
 def random_rotation(rng):
@@ -55,7 +63,7 @@ def survey():
     for row in _reference()["classify"]["rows"]:
         rmat = workloads.build_operator(cur, row)
         t = (row["t1"], row["t2"])
-        out.append((row, rmat, gh.residuals(rmat, row["component"], t, row["n"])))
+        out.append((row, rmat, gh.design_residuals(rmat, row["component"], t, row["n"])))
     return out
 
 
@@ -148,6 +156,133 @@ def test_design_means_do_not_depend_on_the_rotation_of_the_design(component):
                 assert np.all(np.abs(got - want) <= ROTATION_REL * want.sum(axis=0)), (n, got)
 
 
+@pytest.mark.parametrize("component, n", STRUCTURES)
+def test_residuals_are_invariant_under_the_rotation_of_the_halves(component, n):
+    # ROADMAP item 2's symmetries of the direct route, which let the forms take
+    # one element per block: R -> g R g^T with g = diag(g+, g-) in SO(3) x SO(3)
+    # keeps every residual, and swap_halves (orientation reversal) maps ++ to --
+    # and +- to -+, residual for residual
+    rng = np.random.default_rng([97, n, cl.COMPONENTS.index(component)])
+    strict = cur.random_strict_operator(rng)
+    trace = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    for rmat in (strict, strict + 0.3 * trace):  # B != 0 in both; the second is not strict
+        t = tuple(rng.uniform(0.3, 2.0, 2))
+        want = gh.design_residuals(rmat, component, t, n)
+        g = np.zeros((6, 6))
+        g[:3, :3], g[3:, 3:] = random_rotation(rng), random_rotation(rng)
+        swapped = component.translate(str.maketrans("+-", "-+"))
+        for got in (gh.design_residuals(g @ rmat @ g.T, component, t, n),
+                    gh.design_residuals(cur.swap_halves(rmat), swapped, t, n)):
+            assert np.all(np.abs(got - want) <= ROUTE_REL * want.max()), (got, want)
+
+
+#: the block of each element of the full basis: (1, s, tau), then B, W+ and W-
+FULL_BLOCKS = np.repeat(np.arange(4), [3, 9, 5, 5])
+
+
+def full_basis():
+    """The 21 elements e_s, e_tau, the 9 of B and the 5 of each Weyl block, an
+    orthonormal basis of the symmetric 6x6 operators."""
+    e = np.eye(6)
+    sym = [(np.outer(e[a], e[b]) + np.outer(e[b], e[a])) / 2 ** 0.5 for a, b in
+           [(0, 1), (0, 2), (1, 2)]]
+    diag = [np.diag([1.0, -1.0, 0.0]) / 2 ** 0.5, np.diag([1.0, 1.0, -2.0]) / 6 ** 0.5]
+    weyl = np.zeros((5, 6, 6))
+    weyl[:3, :3, :3] = [x[:3, :3] for x in sym]
+    weyl[3:, :3, :3] = diag
+    return np.concatenate((gh.COMPILE_OPERATORS[1:3],
+                           [(np.outer(e[3 + i], e[j]) + np.outer(e[j], e[3 + i])) / 2 ** 0.5
+                            for i in range(3) for j in range(3)],
+                           weyl, np.roll(weyl, (3, 3), axis=(1, 2))))
+
+
+@pytest.mark.parametrize("component, n", [("++", 1), ("+-", 3)])
+def test_the_forms_are_the_schur_forms_of_the_full_basis(component, n):
+    # the Gram matrix of u = 0 and all 21 basis columns is formed for this check only
+    basis = full_basis()
+    assert np.allclose(np.einsum("kab,lab->kl", basis, basis), np.eye(21), rtol=0.0, atol=1e-15)
+    operators = np.concatenate((np.zeros((1, 6, 6)), basis))
+    gram = sum(cols @ np.swapaxes(cols, -1, -2)
+               for cols in gh.design_columns(component, n, operators)) / len(gh.DESIGN)
+    top = np.abs(gram).max()
+    for a in range(4):
+        for b in range(4):
+            block = gram[..., FULL_BLOCKS == a, :][..., FULL_BLOCKS == b]
+            if a != b:
+                assert np.abs(block).max() <= ROUTE_REL * top, (a, b)
+            elif a > 0:  # scalar on B, W+ and W-
+                m = block.shape[-1]
+                scalar = np.trace(block, axis1=-2, axis2=-1)[..., None, None] / m
+                assert np.abs(block - scalar * np.eye(m)).max() <= ROUTE_REL * top
+    tri, lam = gh.forms(component, n)
+    trivial = gram[..., FULL_BLOCKS == 0, :][..., FULL_BLOCKS == 0]
+    assert np.abs(np.swapaxes(tri, -1, -2) @ tri - trivial).max() <= ROUTE_REL * top
+    weights = np.stack([np.diagonal(gram, axis1=-2, axis2=-1)[..., FULL_BLOCKS == a].mean(axis=-1)
+                        for a in (1, 2, 3)], axis=-1)
+    assert np.abs(lam - weights).max() <= ROUTE_REL * top
+
+
+def test_the_compiled_forms_agree_with_the_direct_route(survey):
+    flat = cur.model("flat")
+    cases = [(rmat, row["component"], (row["t1"], row["t2"]), row["n"], res)
+             for row, rmat, res in survey]
+    cases += [(flat, component, (0.7, 1.9), n, gh.design_residuals(flat, component, (0.7, 1.9), n))
+              for component, n in STRUCTURES]
+    for rmat, component, t, n, want in cases:
+        got = gh.residuals(rmat, component, t, n)
+        assert gh.class_of(got, TOL) == gh.class_of(want, TOL), (component, n, got, want)
+        above = want > TOL
+        assert np.all(np.abs(got - want)[above] <= ROUTE_REL * want[above]), (got, want)
+        assert np.all(got[got <= TOL] <= VANISH_REL), got
+    # R = 0: family 2 is skipped, not divided by zero
+    assert [gh.detect(flat, component, (0.7, 1.9), n, TOL) for component, n in STRUCTURES] \
+        == ["W3", "W3", "W1W2", "W1W2"] * 4
+    for component, n in STRUCTURES:
+        assert np.all(gh.forms(component, n)[0][:, 1, :, 0] == 0.0)  # family 2's u = 0 column
+
+
+#: ROADMAP item 3's atlas: for each class of ``classifier.CLASS_ORDER`` but
+#: OTHER, the nullity of its cell over all 21 operators u = t1 R, then over the
+#: strict ones in parentheses; - where no operator holds the class
+ATLAS = {
+    # components    n          K      W1     W2     W3     W1W2   W1W3   W2W3   W1W2W3
+    (("++", "--"), (1, 2)): "-      -      -      15(14) -      15(14) 15(14) 15(14)",
+    (("++", "--"), (3, 4)): "-      -      -      -      6(5)   -      -      15(14)",
+    (("+-", "-+"), (1, 2)): "0(-)   0(-)   0(-)   7(6)   0(-)   7(6)   7(6)   7(6)",
+    (("+-", "-+"), (3, 4)): "-      0(-)   0(-)   -      1(0)   6(5)   6(5)   7(6)",
+}
+
+
+def test_the_atlas_is_the_table_of_roadmap_item_3():
+    def entry(component, n, cls):
+        full, strict = (gh.nullity(component, n, cls, s) for s in (False, True))
+        if full is None and strict is None:
+            return "-"
+        return f"{full}({'-' if strict is None else strict})"
+
+    bad = []
+    for (components, ns), want in ATLAS.items():
+        for component, n in itertools.product(components, ns):
+            got = [entry(component, n, cls) for cls in cl.CLASS_ORDER[:-1]]
+            if got != want.split():
+                bad.append(f"{component}, n = {n}: {' '.join(got)}")
+    assert bad == [], "\n".join(bad)
+
+
+def test_allowed_detected_is_the_least_classes_of_the_strict_cells():
+    # a class's least class is the smallest class below it with the same strict
+    # nullity: cells nest, so equal nullity means equal cells
+    for n in (1, 2, 3, 4):
+        least = {"OTHER"}
+        for component in cl.COMPONENTS:
+            strict = {cls: gh.nullity(component, n, cls, True) for cls in cl.CLASS_ORDER[:-1]}
+            least |= {min((b for b in strict if strict[b] == k
+                           and gh.CLASS_COMPONENTS[b] <= gh.CLASS_COMPONENTS[cls]),
+                          key=lambda b: len(gh.CLASS_COMPONENTS[b]))
+                      for cls, k in strict.items() if k is not None}
+        assert least == cl.ALLOWED_DETECTED[n], n
+
+
 def test_every_reference_row_keeps_its_class(survey):
     assert len(survey) == 256
     bad = [f"row {row['id']}: {gh.class_of(res, TOL)} != {row['detected']} ({res})"
@@ -159,39 +294,40 @@ def test_every_reference_row_keeps_its_class(survey):
 
 
 def test_no_proper_class_contains_w4(survey):
-    rng = np.random.default_rng(93)
+    for component, n in STRUCTURES:
+        sets = gh.carried(component, n)
+        assert all(s == {1, 2, 3, 4} for s in sets if 4 in s), (component, n, sets)
+        assert sets[-1] == {1, 2, 3, 4}
     sets = [{i + 1 for i, r in enumerate(res) if r > TOL} for _, _, res in survey]
-    for component in cl.COMPONENTS:
-        for n in (1, 2, 3, 4):
-            res = gh.residuals(cur.random_strict_operator(rng), component,
-                               tuple(rng.uniform(0.3, 2.0, 2)), n)
-            sets.append({i + 1 for i, r in enumerate(res) if r > TOL})
     assert all(s == {1, 2, 3, 4} for s in sets if 4 in s)
     assert {1, 2, 3, 4} in sets
 
 
 @pytest.mark.parametrize("s", [1e-18, 1e-6, 12.0, 1e8, 1e12])
 def test_the_w1w3_witness_reads_w1w3_at_every_scale(s):
-    # constant curvature on +- with n = 3 and t1 = 3/s (statement 4.6b); the
-    # sampled detector reads K at s = 1e-18 and OTHER at s = 1e8 and 1e12
-    res = gh.residuals(cur.model("constant_curvature", s=s), "+-", (3.0 / s, 1.0), 3)
-    assert gh.class_of(res, TOL) == "W1W3"
-    at12 = gh.residuals(cur.model("constant_curvature", s=12.0), "+-", (0.25, 1.0), 3)
-    assert np.allclose(res[[0, 2]], at12[[0, 2]], rtol=1e-12, atol=0.0)
-    assert np.all(res[[1, 3]] <= VANISH_REL)
+    # constant curvature on +- with n = 3 and t1 = 3/s (statement 4.6b), on both
+    # routes; the sampled detector reads K at s = 1e-18 and OTHER at s = 1e8 and 1e12
+    for route in (gh.residuals, gh.design_residuals):
+        res = route(cur.model("constant_curvature", s=s), "+-", (3.0 / s, 1.0), 3)
+        assert gh.class_of(res, TOL) == "W1W3", route
+        at12 = route(cur.model("constant_curvature", s=12.0), "+-", (0.25, 1.0), 3)
+        assert np.allclose(res[[0, 2]], at12[[0, 2]], rtol=1e-12, atol=0.0)
+        assert np.all(res[[1, 3]] <= VANISH_REL)
 
 
 @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e6, 1e12])
 def test_no_class_changes_under_the_homothety_or_with_t2(survey, lam):
     # 64 rows, every fourth, at (R / lam, lam t1, lam t1 rho) for 4 ratios rho = t2 / t1:
-    # 1024 configurations over the four values of lam
+    # 1024 configurations over the four values of lam, on the direct route (the
+    # compiled forms hold the homothety by construction)
     bad = []
     for row, rmat, _ in survey[::4]:
         for rho in (1e-12, 1e-3, 1e3, 1e12):
             t1 = lam * row["t1"]
-            got = gh.detect(rmat / lam, row["component"], (t1, t1 * rho), row["n"], TOL)
-            if got != row["detected"]:
-                bad.append(f"row {row['id']} at rho = {rho}: {got} != {row['detected']}")
+            res = gh.design_residuals(rmat / lam, row["component"], (t1, t1 * rho), row["n"])
+            if gh.class_of(res, TOL) != row["detected"]:
+                bad.append(f"row {row['id']} at rho = {rho}: {gh.class_of(res, TOL)} "
+                           f"!= {row['detected']}")
     assert bad == [], "\n".join(bad)
 
 
@@ -222,53 +358,9 @@ def test_the_component_route_and_the_condition_route_vanish_together(survey):
     assert all(v == {True, False} for v in seen.values()), seen
 
 
-#: an orthonormal basis of the symmetric 6x6 operators: E_aa and (E_ab + E_ba) / sqrt 2
-SYMMETRIC_BASIS = np.array([(np.outer(e, f) + np.outer(f, e)) / (2.0 if a == b else 2 ** 0.5)
-                            for a, e in enumerate(np.eye(6)) for b, f in enumerate(np.eye(6))
-                            if a <= b])
-
-
 @pytest.mark.parametrize("component", cl.COMPONENTS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_family_2_carries_no_component_w3_alone_or_all_four(component, n):
-    # Family 2 is linear in R, so the operators on which P_i T vanishes there over
-    # the design form a subspace K_i of the 21 dimensions.  An operator carries
-    # exactly the components S when it lies in every K_i outside S and in none
-    # inside; such an operator exists when the intersection V_S of the K_i
-    # outside S lies in no K_i inside S, since no space is a finite union of
-    # proper subspaces.  The design means are the sphere's, so vanishing over the
-    # design is vanishing everywhere.
-    assert SYMMETRIC_BASIS.shape == (21, 6, 6)
-    points, params = cl._points(gh.DESIGN, component), tn.Params(0.7, 1.9, n)
-
-    def family_2(rmat):
-        T, M = tn.frame_tensor(points, rmat, params)
-        return gh.projections(gh.FAMILIES[1] * T, M).reshape(4, -1)
-
-    maps = np.stack([family_2(e) for e in SYMMETRIC_BASIS], axis=-1)  # (4, entries, 21)
-    c = np.random.default_rng([95, n, cl.COMPONENTS.index(component)]).standard_normal(21)
-    scale = np.abs(maps).max() * np.abs(c).sum()
-    combined = family_2(np.tensordot(c, SYMMETRIC_BASIS, 1))
-    assert np.abs(combined - maps @ c).max() <= ALGEBRA_REL * scale
-    # the triangular factors keep each map's kernel and singular values in 21 x 21
-    tri = np.linalg.qr(maps, mode="r")
-    size = max(np.linalg.norm(r, 2) for r in tri)
-
-    def kernel(maps_out):
-        if not maps_out:
-            return np.eye(21)
-        sv, vt = np.linalg.svd(np.concatenate(tri[list(maps_out)]))[1:]
-        assert np.all((sv <= VANISH_REL * size) | (sv > NONZERO_MIN * size)), sv / size
-        return vt[np.count_nonzero(sv > VANISH_REL * size):].T
-
-    carried = []
-    for inside in itertools.chain.from_iterable(itertools.combinations(range(4), k)
-                                                for k in range(5)):
-        v = kernel([i for i in range(4) if i not in inside])
-        if v.shape[1] == 0:
-            continue
-        norms = np.array([np.linalg.norm(tri[i] @ v, 2) / size for i in inside])
-        assert np.all((norms <= VANISH_REL) | (norms > NONZERO_MIN)), (inside, norms)
-        if np.all(norms > NONZERO_MIN):
-            carried.append({i + 1 for i in inside})
-    assert carried == [set(), {3}, {1, 2, 3, 4}]
+    # family 2 is linear in R, and the design means are the sphere's, so
+    # vanishing over the design is vanishing everywhere
+    assert gh.carried(component, n, families=(2,)) == [set(), {3}, {1, 2, 3, 4}]

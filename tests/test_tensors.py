@@ -374,8 +374,8 @@ class TestStackedEvaluators:
         def evaluators(p, rmat, params, args):
             # the restriction and single-fibre forms take the first-factor parts
             first = [x[..., :6] for x in args]
-            sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1)
-                          for g in (tn.frame_vectors(p, params, x) for x in args))
+            gs = [tn.frame_vectors(p, params, x) for x in args]
+            horizontal, vertical = [g.horizontal for g in gs], [g.v1 for g in gs]
             out = dict(zip("TM", tn.frame_tensor(p, rmat, params)))
             out.update(tn.restriction_residuals(p, rmat, params, *first))
             out.update({
@@ -383,9 +383,11 @@ class TestStackedEvaluators:
                 "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
                 "codiff_omega": tn.codiff_omega(p, rmat, params, args[0]),
                 "nijenhuis_closed_form": tn.nijenhuis_closed_form(p, rmat, params, *args),
-                "single_cov_deriv": tn.single_cov_deriv(p.j1, rmat, params.t1, k, sa, sb, sc),
-                "single_ext_deriv": tn.single_ext_deriv(p.j1, rmat, params.t1, k, sa, sb, sc),
-                "single_codiff": tn.single_codiff(p.j1, rmat, params.t1, sa),
+                "single_cov_deriv": tn.single_cov_deriv(p.j1, rmat, params.t1, k,
+                                                        horizontal, vertical),
+                "single_ext_deriv": tn.single_ext_deriv(p.j1, rmat, params.t1, k,
+                                                        horizontal, vertical),
+                "single_codiff": tn.single_codiff(p.j1, rmat, params.t1, vertical[0]),
             })
             return out
 
@@ -753,15 +755,15 @@ class TestRestriction:
         a, b, c = (np.concatenate((x, np.zeros((16, 2))), axis=-1) for x in first)
         ga, gb, gc = (tn.frame_vectors(p, params, x) for x in (a, b, c))
         k = 1 if n in (1, 2) else 2
-        sa, sb, sc = (tn.SingleTangent(g.horizontal, g.v1) for g in (ga, gb, gc))
+        horizontal, vertical = [g.horizontal for g in (ga, gb, gc)], [g.v1 for g in (ga, gb, gc)]
         t = params.t1
         want = {
             "cov_deriv": abs(cov_deriv_omega(p, rmat, params, a, b, c)
-                             - tn.single_cov_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+                             - tn.single_cov_deriv(p.j1, rmat, t, k, horizontal, vertical)),
             "ext_deriv": abs(tn.ext_deriv_omega(p, rmat, params, a, b, c)
-                             - tn.single_ext_deriv(p.j1, rmat, t, k, sa, sb, sc)),
+                             - tn.single_ext_deriv(p.j1, rmat, t, k, horizontal, vertical)),
             "codiff": abs(tn.codiff_omega(p, rmat, params, a)
-                          - tn.single_codiff(p.j1, rmat, t, sa)),
+                          - tn.single_codiff(p.j1, rmat, t, ga.v1)),
         }
         got = tn.restriction_residuals(p, rmat, params, *first)
         assert list(got) == list(want)
