@@ -1,7 +1,7 @@
 """Internal-consistency oracles relating independent evaluation routes.
 
 Each oracle compares two implementations of the same quantity that share no
-code path for the part under test.  The first three evaluate the classifier's
+code path for the part under test.  The first four evaluate the classifier's
 own route: ``classifier.condition_values`` on the frame tensor
 ``tensors.frame_tensor``, with the condition's coefficients drawn in the
 H_t-orthonormal frame.
@@ -13,8 +13,10 @@ H_t-orthonormal frame.
     nijenhuis-identity            the closed form, whose signs are written out
                                   from n, vs. the classifier's N, the
                                   D Omega identity contracted with Jn
-    restriction                   product tensors on first-factor arguments
-                                  vs. the single-fibre forms
+    restriction                   the single-fibre forms (Atiyah-Hitchin-Singer,
+                                  Eells-Salamon) vs. the classifier's D Omega,
+                                  W1-cond, d Omega and delta Omega on
+                                  first-factor arguments, unnormalised
     curvature-commutator          G([r, a], b) vs. <R([a, b]^), x ^ y>
     fibre-kaehler-parallel        D(K Y) = K(D Y) on the fibre under
                                   central-difference field derivatives
@@ -30,15 +32,15 @@ fills a block in trial order, so a trial's draws do not depend on the block
 size.  The block's operators are built in one call, valid by construction
 and so not checked, and its residuals come from one call per group of a
 quarter of the block (50 trials), the trials of equal n = 1 + i % 4: one
-point and one closed-form call per group.  Each trial of an identity oracle's
-route holds a full 8x8x8 frame tensor, so a group runs the classifier's route
-over slices of 25 trials, and then the closed form over the whole group; it
-peaks at the larger of the two routes, not their sum.  Both routes take the drawn frame
+point per group, and one call per closed form.  Each trial of the classifier's
+route holds a full 8x8x8 frame tensor, so a group runs the route over slices
+of 25 trials, and then the closed forms over the whole group; it peaks at the
+larger of the two routes, not their sum.  Both routes take the drawn frame
 coefficients as they are: the closed forms build their arguments' vectors
-from them (the restriction from those of E_0..E_5), so there is no tangent to
-check.  The Nijenhuis closed form writes out the signs that the frame tensor
-reads from ``tensors.SIGMA``, so a corrupted table fails the
-nijenhuis-identity check; a tier-1 test negates the table to show it.
+from them, so there is no tangent to check.  The Nijenhuis closed form and the
+single-fibre forms write out the signs that the frame tensor reads from
+``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity and
+restriction checks; a tier-1 test negates the table to show it.
 
 The curvature-commutator oracle draws a block's rows of 76 normals in one
 call and evaluates them as one stack.  A fibre trial draws its J, X and q in
@@ -96,15 +98,15 @@ class OracleResult:
 #: trials per block of every oracle.  A multiple of 4, so that every block
 #: starts at n = 1 and splits into four groups of one n each (50 trials here):
 #: each tensor oracle's 200 trials are one block, whose groups each make
-#: one ``_points`` call and one closed-form call.  The closed forms hold no frame
-#: tensor, and over 640 trials every oracle peaks at 0.50 MiB (nijenhuis-identity)
+#: one ``_points`` call and one call per closed form.  The closed forms hold no
+#: frame tensor, and over 640 trials every oracle peaks at 0.50 MiB (nijenhuis-identity)
 #: or less of traced memory (numpy 2.4), under the 0.6 MiB of
 #: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials.  It is
 #: selftest's own size, not the classifier's block size, so that resizing the
 #: classifier's blocks moves neither selftest's grouping nor its memory and
 #: timings.
 _BLOCK_TRIALS = 200
-#: trials per chunk of an identity group's classifier route: each of its trials
+#: trials per chunk of a tensor group's classifier route: each of its trials
 #: holds a full 8x8x8 frame tensor, so the route runs over slices of at most
 #: this many trials of the group (half a full group).  At 32, nijenhuis-identity
 #: peaks at 0.58 MiB over 640 trials, too close to the bound.
@@ -150,35 +152,46 @@ def _scan(name: str, seed: int, trials: int, block, where) -> OracleResult:
 
 
 #: identity oracles: (classifier condition, closed form's name in ``tensors``,
-#: number of argument slots).  The closed form is looked up by name at each
-#: call, so a wrapper installed on ``tensors`` after import sees the call.
+#: number of argument slots).  The closed forms, these and the single-fibre
+#: forms, are looked up on ``tensors`` at each call, so a wrapper installed
+#: there after import sees the call.
 _IDENTITIES = {
     "ext-deriv-antisymmetrization": ("dΩ", tensors.ext_deriv_omega.__name__, 3),
     "codiff-frame-trace": ("δΩ", tensors.codiff_omega.__name__, 1),
     "nijenhuis-identity": ("N", tensors.nijenhuis_closed_form.__name__, 3),
 }
+#: the classifier conditions the restriction compares with the single-fibre forms
+_RESTRICTED = ("DΩ", "W1-cond", "dΩ", "δΩ")
 
 
-def _group_residuals(kind: str, n: int, t1, t2, rmat, rows, coeffs) -> np.ndarray:
-    """Residuals of trials of one structure index n, evaluated stacked."""
-    params = Params(t1, t2, n)
-    p = classifier._points(rows, ("++", "+-")[(n - 1) % 2])
-    if kind == "restriction":  # the coefficients of E_0..E_5: first-factor arguments
-        first = np.moveaxis(coeffs[..., :6], 1, 0)
-        return np.max([*tensors.restriction_residuals(p, rmat, params, *first).values()], 0)
-    cond, closed_form, slots = _IDENTITIES[kind]
-    # the classifier's route, the frame tensor contracted by the condition, runs
-    # in chunks of _ROUTE_TRIALS before the closed form builds its arguments'
+def _group_residuals(kind: str, p, rmat, params: Params, coeffs) -> np.ndarray:
+    """Residuals of trials of one structure index, evaluated stacked: the stacked
+    point ``p``, its operators and weights, and coefficients (trials, 3, 8)."""
+    if kind == "restriction":  # first-factor arguments: E_6, E_7 at zero
+        coeffs = np.concatenate((coeffs[..., :6], np.zeros(coeffs.shape[:-1] + (2,))), axis=-1)
+    conds = _RESTRICTED if kind == "restriction" else (_IDENTITIES[kind][0],)
+    # the classifier's route, the frame tensor contracted by each condition, runs
+    # in chunks of _ROUTE_TRIALS before the closed forms build their arguments'
     # vectors, so a group's peak memory is the larger of the two routes, not
     # their sum
-    value = np.empty(len(rows))
-    for lo in range(0, len(rows), _ROUTE_TRIALS):
+    value = np.empty((len(conds), len(coeffs)))
+    for lo in range(0, len(coeffs), _ROUTE_TRIALS):
         c = slice(lo, lo + _ROUTE_TRIALS)
-        value[c] = classifier.condition_values(
-            *tensors.frame_tensor(p[c], rmat[c], Params(t1[c], t2[c], n)),
-            coeffs[c, None], (cond,))[cond][:, 0]
+        out = classifier.condition_values(
+            *tensors.frame_tensor(p[c], rmat[c], Params(params.t1[c], params.t2[c], params.n)),
+            coeffs[c, None], conds)
+        value[:, c] = [out[cond][:, 0] for cond in conds]
+    if kind == "restriction":  # n = 1, 2 restrict to the single structure k = 1, else k = 2
+        k, t = 1 if params.n in (1, 2) else 2, params.t1
+        g = tensors.frame_vectors(p, params, np.moveaxis(coeffs, 1, 0))
+        both = [[0, 0], [1, 0], [2, 2]]  # the slots (A, B, C) and (A, A, C), stacked
+        single = (*tensors.single_cov_deriv(p.j1, rmat, t, k, g.horizontal[both], g.v1[both]),
+                  tensors.single_ext_deriv(p.j1, rmat, t, k, g.horizontal, g.v1),
+                  tensors.single_codiff(p.j1, rmat, t, g.v1[0]))
+        return np.max(np.abs(value - single), axis=0)
+    _, closed_form, slots = _IDENTITIES[kind]
     res = np.abs(getattr(tensors, closed_form)(p, rmat, params,
-                                               *np.moveaxis(coeffs[:, :slots], 1, 0)) - value)
+                                               *np.moveaxis(coeffs[:, :slots], 1, 0)) - value[0])
     # the frame is H_t-orthonormal, so coefficient norms are H_t norms
     return res / (1.0 + np.prod(np.linalg.norm(coeffs[:, :slots], axis=-1), axis=-1))
 
@@ -190,7 +203,9 @@ def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
         configs = _random_configs(rng, weights, count)
         res = np.empty(count)
         for g in range(min(4, count)):  # a block starts at n = 1, so n = 1 + g
-            res[g::4] = _group_residuals(kind, 1 + g, *(x[g::4] for x in configs))
+            t1, t2, rmat, rows, coeffs = (x[g::4] for x in configs)
+            p = classifier._points(rows, ("++", "+-")[g % 2])
+            res[g::4] = _group_residuals(kind, p, rmat, Params(t1, t2, 1 + g), coeffs)
         return res
 
     return _scan(kind, seed, trials, block,

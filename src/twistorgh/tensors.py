@@ -43,12 +43,14 @@ its kernel.  The classifier's route and the closed forms share no code above
 ``fourdim`` except the sign tables, so the oracles compare independent routes.
 ``nijenhuis_closed_form`` writes its signs out from n instead of taking EPS
 and SIGMA, so a corrupted sign table is caught: the tests negate SIGMA and see
-the nijenhuis-identity oracle fail.  The single-fibre restrictions
-(arguments with vanishing second factor) have their own code path, which
-``restriction_residuals`` compares with the product tensors on coefficients of
-E_0..E_5.  H_t, Jn and Omega have no public evaluator here: the frame tensor
-carries Jn as the matrix M, and the tests keep the H_t formula and their
-reference for Jn in tests/reference.py.
+the nijenhuis-identity oracle fail.  The single-fibre forms
+``single_cov_deriv``, ``single_ext_deriv`` and ``single_codiff`` evaluate the
+structure of one twistor fibre bundle on a code path of their own, with their
+signs written out too; ``selftest``'s restriction oracle compares them with
+the classifier's contractions of the frame tensor on first-factor arguments,
+the coefficients of E_0..E_5.  H_t, Jn and Omega have no public evaluator
+here: the frame tensor carries Jn as the matrix M, and the tests keep the H_t
+formula and their reference for Jn in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -332,7 +334,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c)
     return val
 
 
-# --- single-fibre forms (independent code path for the restriction check) ----
+# --- single-fibre forms (independent code path for selftest's restriction) ---
 
 def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
                      horizontal, vertical) -> float:
@@ -375,31 +377,3 @@ def single_ext_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
 def single_codiff(j: OrientedComplexStructure4, rmat, t: float, vertical) -> float:
     """delta Omega(A) on one fibre bundle, for A with the vertical endomorphism ``vertical``."""
     return -2.0 * t * _pair(j.wedge, rmat, two_vector_of_endo(j.matrix @ vertical))
-
-
-def restriction_residuals(p: ProductTwistorPoint, rmat, params: Params,
-                          a, b, c) -> dict[str, float]:
-    """Product tensors on first-factor arguments vs. the single-fibre forms.
-
-    The arguments are coefficients (..., 6) of E_0..E_5, so their second
-    vertical component vanishes; n in {1, 2} pairs with the single structure
-    k = 1, n in {3, 4} with k = 2, and the single metric weight is t1.  All
-    residuals are identically zero.  The arguments are broadcast, stacked and
-    viewed once, so every residual carries the leading axes of all three and
-    of a stacked point, operator or weights; the product side is the
-    arithmetic of the derivative kernel ``_dcov``, of ``ext_deriv_omega`` and
-    of ``codiff_omega``.
-    """
-    abc = _stacked_args(p, rmat, params, a, b, c)
-    g = frame_vectors(p, params, np.concatenate((abc, np.zeros(abc.shape[:-1] + (2,))), axis=-1))
-    v = _ArgView(p, rmat, params, g)
-    av, bv, cv = v[0], v[1], v[2]
-    k = 1 if params.n in (1, 2) else 2
-    t = params.t1
-    return {
-        "cov_deriv": abs(_dcov(params, av, bv, cv)
-                         - single_cov_deriv(p.j1, rmat, t, k, g.horizontal, g.v1)),
-        "ext_deriv": abs(_dext(params, av, bv, cv)
-                         - single_ext_deriv(p.j1, rmat, t, k, g.horizontal, g.v1)),
-        "codiff": abs(_dcodiff(p, av) - single_codiff(p.j1, rmat, t, g.v1[0])),
-    }

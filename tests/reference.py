@@ -23,15 +23,10 @@ from twistorgh.tensors import (
     ProductTwistorPoint,
     _acs_unchecked,
     _ArgView,
-    _dcodiff,
     _dcov,
-    _dext,
     _dot,
     _stacked_args,
     frame_vectors,
-    single_codiff,
-    single_cov_deriv,
-    single_ext_deriv,
 )
 
 
@@ -86,25 +81,6 @@ def one_by_one(kernel, p: ProductTwistorPoint, rmat, params: Params, a, b, c):
     a time: ``cov_deriv_omega`` and ``ext_deriv_omega`` view them as one stack
     instead."""
     return kernel(params, *(_view(p, rmat, params, x) for x in (a, b, c)))
-
-
-def restriction_one_by_one(p: ProductTwistorPoint, rmat, params: Params, a, b, c) -> dict:
-    """The values of ``restriction_residuals`` on coefficients (..., 6) of
-    E_0..E_5, with each argument viewed on its own."""
-    a, b, c = (np.concatenate((x, np.zeros(np.shape(x)[:-1] + (2,))), axis=-1)
-               for x in (a, b, c))
-    k = 1 if params.n in (1, 2) else 2
-    t = params.t1
-    gs = [frame_vectors(p, params, x) for x in (a, b, c)]
-    horizontal, vertical = [g.horizontal for g in gs], [g.v1 for g in gs]
-    return {
-        "cov_deriv": abs(one_by_one(_dcov, p, rmat, params, a, b, c)
-                         - single_cov_deriv(p.j1, rmat, t, k, horizontal, vertical)),
-        "ext_deriv": abs(one_by_one(_dext, p, rmat, params, a, b, c)
-                         - single_ext_deriv(p.j1, rmat, t, k, horizontal, vertical)),
-        "codiff": abs(_dcodiff(p, _view(p, rmat, params, a))
-                      - single_codiff(p.j1, rmat, t, vertical[0])),
-    }
 
 
 _EYE3 = np.eye(3)

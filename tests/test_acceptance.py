@@ -11,7 +11,7 @@ import pytest
 from twistorgh import cli
 from twistorgh import classifier as cl
 from twistorgh import curvature as cur
-from twistorgh import fibre, fourdim as fd, tensors as tn
+from twistorgh import fibre, fourdim as fd, selftest, tensors as tn
 
 from random_fourdim import make_S_basis
 from reference import acs, metric_Ht
@@ -73,9 +73,10 @@ def test_criterion_1_internal_consistency_oracles():
                                     - vals["δΩ"][:, 0]) / (1.0 + norms[:, 0]))
             record("nijenhuis", np.abs(tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
                                        - vals["N"][:, 0]) / nrm3)
-            # the coefficients of E_0..E_5: first-factor arguments
-            record("restriction", list(tn.restriction_residuals(
-                p, rmat, params, *(x[:, :6] for x in (a, b, c))).values()))
+            # the classifier's route on first-factor arguments, the coefficients
+            # of E_0..E_5, against the single-fibre forms
+            record("restriction", selftest._group_residuals("restriction", p, rmat, params,
+                                                            coeffs))
     ok = all(w <= 1e-10 for w in worst.values())
     announce(1, ok, "internal-consistency oracles over 500 configs per "
                     f"(component, n): worst residuals {worst}")

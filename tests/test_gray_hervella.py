@@ -13,6 +13,10 @@ compiled forms, and the classes and the atlas it reads.
   are the Schur forms of the full 21-element basis.
 - The atlas from the forms is ROADMAP item 3's table, and the least classes of
   its strict cells are ``classifier.ALLOWED_DETECTED``.
+- Four corollaries of the atlas, not statements of the paper: for n = 1, 2 the
+  cells with W3 coincide; on +- and -+ the K, W1, W2 and W1W2 cells are one
+  point for n = 1, 2, and the strict W1W2 cell is the flat operator for
+  n = 3, 4; the W1W3 and W2W3 cells never meet.
 - The W1W3 witness reads W1W3 at every scale, which the sampled detector does
   not (ROADMAP aim 3), and no class changes under the homothety
   (R / l, l t1, l t2) or with t2 / t1.
@@ -281,6 +285,79 @@ def test_allowed_detected_is_the_least_classes_of_the_strict_cells():
                           key=lambda b: len(gh.CLASS_COMPONENTS[b]))
                       for cls, k in strict.items() if k is not None}
         assert least == cl.ALLOWED_DETECTED[n], n
+
+
+# Corollaries of the atlas (ROADMAP item 14), read from the cells of the forms;
+# they are not statements of the paper.  A cell is the set of operators
+# u = t1 R, in the coordinates (s', tau') of ``gh.coordinates``, so
+# s' = t1 s / (2 sqrt 6) with s = 2 trace R.
+
+#: the largest difference between the coordinates of two cells that are one set;
+#: every cell point here has coordinates of order 1
+CELL_ABS = 1e-12
+
+
+def class_cell(component, n, cls, strict=False):
+    """The cell (x0, null, free) of the class ``cls``, or None when it is empty."""
+    return gh.cell(component, n, {1, 2, 3, 4} - gh.CLASS_COMPONENTS[cls], strict=strict)
+
+
+def same_cell(a, b):
+    """Whether the cells a and b are the same set of operators."""
+    (x0, null, free), (y0, other, other_free) = a, b
+    proj, gap = null @ null.T, x0 - y0
+    return (np.array_equal(free, other_free) and null.shape == other.shape
+            and np.abs(proj - other @ other.T).max() <= CELL_ABS
+            and np.abs(gap - proj @ gap).max() <= CELL_ABS)
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("strict", [False, True])
+def test_corollary_for_n_1_and_2_the_cells_with_w3_coincide(component, n, strict):
+    # the W3, W1W3, W2W3 and W1W2W3 cells are one set on every component
+    w3 = class_cell(component, n, "W3", strict)
+    for cls in ("W1W3", "W2W3", "W1W2W3"):
+        assert same_cell(class_cell(component, n, cls, strict), w3), cls
+
+
+@pytest.mark.parametrize("component", ["+-", "-+"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_corollary_on_mixed_components_the_k_to_w1w2_cells_are_one_point(component, n):
+    # the K, W1, W2 and W1W2 cells are the same single operator, and not a strict one
+    kaehler = class_cell(component, n, "K")
+    assert kaehler[1].shape[1] == 0 and not kaehler[2].any()
+    for cls in ("W1", "W2", "W1W2"):
+        assert same_cell(class_cell(component, n, cls), kaehler), cls
+        assert class_cell(component, n, cls, strict=True) is None, cls
+
+
+@pytest.mark.parametrize("component", ["+-", "-+"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_corollary_on_mixed_components_the_strict_w1w2_cell_is_flat(component, n):
+    # the strict W1W2 cell is the one point s' = 0 with no free block: u = 0
+    x0, null, free = class_cell(component, n, "W1W2", strict=True)
+    assert null.shape == (1, 0) and not free.any()
+    assert abs(x0[0]) <= CELL_ABS
+
+
+@pytest.mark.parametrize("component", cl.COMPONENTS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_corollary_the_w1w3_and_w2w3_cells_never_meet(component, n):
+    # both hold exactly where W3 does, which no operator reaches for n = 3, 4;
+    # on +- and -+ the two cells are parallel, through the strict points
+    # t1 s = 3 and t1 s = -6, and on ++ and -- both are empty
+    assert class_cell(component, n, "W3") is None
+    w13, w23 = class_cell(component, n, "W1W3"), class_cell(component, n, "W2W3")
+    if component in ("++", "--"):
+        assert w13 is None and w23 is None
+        return
+    proj, gap = w13[1] @ w13[1].T, w13[0] - w23[0]
+    assert np.abs(proj - w23[1] @ w23[1].T).max() <= CELL_ABS
+    assert np.linalg.norm(gap - proj @ gap) > NONZERO_MIN
+    t1_s = [2 * 6 ** 0.5 * class_cell(component, n, cls, strict=True)[0][0]
+            for cls in ("W1W3", "W2W3")]
+    assert np.allclose(t1_s, [3.0, -6.0], rtol=0.0, atol=CELL_ABS)
 
 
 def test_every_reference_row_keeps_its_class(survey):

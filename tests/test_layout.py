@@ -19,7 +19,9 @@ docstring, a comment or a string (such as the name tables of
 perfbench/tracer.py, which skip missing names) keeps nothing alive, and
 neither does a re-export from twistorgh/__init__.py: the exports are pinned by
 their own test below.  A helper that only tests call belongs under tests/,
-not in the package.
+not in the package.  The private names that only perfbench/ keeps alive are
+listed in ``PERFBENCH_ONLY``, and a test pins that list: they are the helpers
+that move under tests/ once the harness stops reaching them.
 """
 
 import ast
@@ -92,8 +94,17 @@ def _references(tree):
             yield from ((alias.name, node.lineno, source) for alias in node.names)
 
 
-def _unused():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in USERS}
+#: the private names of src/twistorgh that only perfbench/ code keeps alive: no
+#: code of the package uses them, and the benchmark harness's checks reach them.
+#: The public names that only perfbench/ calls (curvature.write_json,
+#: random_strict_operator and swap_halves) are the API its workloads drive.
+PERFBENCH_ONLY = ["tensors._acs_unchecked", "tensors._dcov"]
+
+
+def _unused(users):
+    """(path, first line, kind, name) of each module-level name of src/twistorgh
+    that no code of ``users`` uses."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     unused = []
     for path in CHECKED:
@@ -103,14 +114,22 @@ def _unused():
             if not any(ref == name and (not first <= line <= last if p == path
                                         else source in (ANY_MODULE, path.stem))
                        for p, found in scope.items() for ref, line, source in found):
-                unused.append(f"{path.name}:{first} {kind} {name}")
+                unused.append((path, first, kind, name))
     return unused
 
 
 def test_every_package_definition_is_used_outside_tests():
-    unused = _unused()
+    unused = [f"{path.name}:{first} {kind} {name}" for path, first, kind, name in _unused(USERS)]
     assert not unused, ("module-level names of src/twistorgh that no code there or in "
                         "perfbench/ uses: " + ", ".join(unused))
+
+
+def test_the_names_only_perfbench_uses_are_listed():
+    # when the harness stops reaching one of them, it is unused and leaves
+    # the package, or moves under tests/ if tests still call it
+    only = sorted(f"{path.stem}.{name}" for path, _, _, name in _unused(CHECKED)
+                  if name.startswith("_"))
+    assert only == PERFBENCH_ONLY
 
 
 def test_public_api_is_the_documented_list():

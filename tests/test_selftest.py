@@ -21,15 +21,25 @@ def scaled_condition_tensors(cond):
     return scaled
 
 
-@pytest.mark.parametrize("cond, oracle", [("dΩ", "ext-deriv-antisymmetrization"),
-                                          ("δΩ", "codiff-frame-trace"),
-                                          ("N", "nijenhuis-identity")])
-def test_scaled_condition_tensor_fails_its_oracle_only(monkeypatch, cond, oracle):
-    # the identity oracles evaluate the classifier's contractions, so a 1% error
-    # in one condition's tensor Q must fail the oracle of that condition
+#: the oracles a 1% error in a condition's tensor Q fails: the restriction reads
+#: DΩ, W1-cond, dΩ and δΩ on first-factor arguments, and the identity oracles
+#: read dΩ, δΩ and N
+SCALED_FAILS = {
+    "DΩ": ["restriction"],
+    "W1-cond": ["restriction"],
+    "dΩ": ["ext-deriv-antisymmetrization", "restriction"],
+    "δΩ": ["codiff-frame-trace", "restriction"],
+    "N": ["nijenhuis-identity"],
+}
+
+
+@pytest.mark.parametrize("cond", list(SCALED_FAILS))
+def test_scaled_condition_tensor_fails_its_oracle_only(monkeypatch, cond):
+    # the tensor oracles evaluate the classifier's contractions, so a 1% error
+    # in one condition's tensor Q must fail the oracles of that condition
     monkeypatch.setattr(cl, "_condition_tensors", scaled_condition_tensors(cond))
     results = selftest.run_selftest(seed=1)
-    assert [r.name for r in results if not r.ok] == [oracle]
+    assert [r.name for r in results if not r.ok] == SCALED_FAILS[cond]
 
 
 def test_negated_sign_table_fails_the_closed_form_oracles(monkeypatch):
@@ -83,26 +93,41 @@ def test_commutator_rows_replay_the_per_trial_stream():
         assert np.array_equal(r, np.concatenate([q.ravel() for q in parts]))
 
 
-def scalar_worst(kind, seed, trials):
-    """The worst trial of an identity oracle, one configuration at a time."""
+def scalar_residual(kind, p, rmat, params, coeffs):
+    """The residual of one trial of a tensor oracle, evaluated by itself."""
+    if kind == "restriction":  # the coefficients of E_0..E_5, those of E_6, E_7 at zero
+        x = np.concatenate((coeffs[:, :6], np.zeros((3, 2))), axis=1)
+        conds = ("DΩ", "W1-cond", "dΩ", "δΩ")
+        value = cl.condition_values(*tn.frame_tensor(p, rmat, params), x[None], conds)
+        gs = [tn.frame_vectors(p, params, row) for row in x]
+        h, v = [g.horizontal for g in gs], [g.v1 for g in gs]
+        k, t = (1 if params.n in (1, 2) else 2), params.t1
+        single = (tn.single_cov_deriv(p.j1, rmat, t, k, h, v),
+                  tn.single_cov_deriv(p.j1, rmat, t, k, [h[0], h[0], h[2]], [v[0], v[0], v[2]]),
+                  tn.single_ext_deriv(p.j1, rmat, t, k, h, v),
+                  tn.single_codiff(p.j1, rmat, t, v[0]))
+        return max(abs(value[c][0] - want) for c, want in zip(conds, single))
     cond, closed_form, slots = selftest._IDENTITIES[kind]
+    value = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[None], (cond,))[cond][0]
+    res = abs(getattr(tn, closed_form)(p, rmat, params, *coeffs[:slots]) - value)
+    return res / (1.0 + np.prod(np.linalg.norm(coeffs[:slots], axis=1)))
+
+
+def scalar_worst(kind, seed, trials):
+    """The worst trial of a tensor oracle, one configuration at a time."""
     best, worst = -1.0, None
     for i, (t1, t2, rmat, row, coeffs) in enumerate(replay_configs(*generators(seed, kind),
                                                                    trials)):
         component, n = ("++", "+-")[i % 2], 1 + i % 4
-        params = tn.Params(t1, t2, n)
-        p = cl._points(row, component)
-        value = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[None],
-                                    (cond,))[cond][0]
-        res = abs(getattr(tn, closed_form)(p, rmat, params, *coeffs[:slots]) - value)
-        res /= 1.0 + np.prod(np.linalg.norm(coeffs[:slots], axis=1))
+        res = scalar_residual(kind, cl._points(row, component), rmat, tn.Params(t1, t2, n), coeffs)
         if res > best:
             best, worst = res, {"trial": i, "component": component, "n": n}
     return best, worst
 
 
 @pytest.mark.parametrize("cond, kind", [("dΩ", IDENTITY_KINDS[0]), ("δΩ", IDENTITY_KINDS[1]),
-                                        ("N", IDENTITY_KINDS[2])])
+                                        ("N", IDENTITY_KINDS[2]), ("DΩ", "restriction"),
+                                        ("W1-cond", "restriction")])
 def test_stacked_worst_trial_is_the_scalar_one(monkeypatch, cond, kind):
     # a 1% error makes the residuals geometric, not roundoff, so the worst
     # trial is well defined; 210 trials cover a full block and a partial one
@@ -170,14 +195,19 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+#: a closed form of each tensor oracle, called once per n-group
+CLOSED_FORMS = {kind: selftest._IDENTITIES[kind][1] for kind in IDENTITY_KINDS} | {
+    "restriction": "single_ext_deriv"}
+
+
+@pytest.mark.parametrize("kind", list(CLOSED_FORMS))
 @pytest.mark.parametrize("trials, route_calls", [(8, 4), (200, 8)])
 def test_closed_form_is_looked_up_on_tensors_at_each_call(monkeypatch, kind, trials,
                                                           route_calls):
     # a wrapper installed on the module after import, as perfbench's tracer does,
     # sees every call: one closed form per n-group of the block; the 50-trial
     # groups of a full block run the frame tensor in two 25-trial chunks each
-    closed_form = counting(monkeypatch, tn, selftest._IDENTITIES[kind][1])
+    closed_form = counting(monkeypatch, tn, CLOSED_FORMS[kind])
     route = counting(monkeypatch, tn, "frame_tensor")
     assert selftest._tensor_oracle(1, trials, kind).ok
     assert (len(closed_form), len(route)) == (4, route_calls)

@@ -4,11 +4,10 @@ from numpy.testing import assert_allclose
 
 from twistorgh import classifier as cl
 from twistorgh import curvature as cur
-from twistorgh import fibre, fourdim as fd, tensors as tn
+from twistorgh import fibre, fourdim as fd, selftest, tensors as tn
 
 from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo, vertical_pair
-from reference import (acs, coefficients, cov_deriv_omega, gtangent, metric_Ht, one_by_one,
-                       restriction_one_by_one)
+from reference import acs, coefficients, cov_deriv_omega, gtangent, metric_Ht, one_by_one
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -372,12 +371,10 @@ class TestStackedEvaluators:
         k = 1 if n in (1, 2) else 2
 
         def evaluators(p, rmat, params, args):
-            # the restriction and single-fibre forms take the first-factor parts
-            first = [x[..., :6] for x in args]
+            # the single-fibre forms take the first-factor parts
             gs = [tn.frame_vectors(p, params, x) for x in args]
             horizontal, vertical = [g.horizontal for g in gs], [g.v1 for g in gs]
             out = dict(zip("TM", tn.frame_tensor(p, rmat, params)))
-            out.update(tn.restriction_residuals(p, rmat, params, *first))
             out.update({
                 "cov_deriv_omega": cov_deriv_omega(p, rmat, params, *args),
                 "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
@@ -444,19 +441,11 @@ class TestStackedArguments:
         # of rows instead of one row), and BLAS may round those differently,
         # so broadcast layouts agree to a few units in the last place
         p, rmat, params, args = self.layout(layout, n, np.random.default_rng(940 + n))
-        first = [x[..., :6] for x in args]
         pairs = [(cov_deriv_omega(p, rmat, params, *args),
                   one_by_one(tn._dcov, p, rmat, params, *args)),
                  (tn.ext_deriv_omega(p, rmat, params, *args),
                   one_by_one(tn._dext, p, rmat, params, *args))]
-        got = tn.restriction_residuals(p, rmat, params, *first)
-        want = restriction_one_by_one(p, rmat, params, *first)
-        # the codiff residual, like the derivative residuals, carries the
-        # leading axes of all three arguments, which are viewed as one stack
-        want["codiff"] = np.broadcast_to(want["codiff"], np.shape(want["cov_deriv"]))
-        assert list(got) == list(want)
-        pairs += [(got[name], want[name]) for name in want]
-        scale = max(1.0, *(np.abs(w).max() for _, w in pairs[:2]))
+        scale = max(1.0, *(np.abs(w).max() for _, w in pairs))
         for i, (g, w) in enumerate(pairs):
             assert np.shape(g) == np.shape(w), i
             if layout in self.EQUAL:
@@ -516,17 +505,14 @@ class TestStackedArguments:
             params = tn.Params(t[:, 0], t[:, 1], n)
             at = [(rmat[i], tn.Params(t[i, 0], t[i, 1], n)) for i in range(k)]
         args = random_coeffs(3, rng)
-        first = [x[:6] for x in args]
 
         def evaluators(p, rmat, params):
-            out = dict(tn.restriction_residuals(p, rmat, params, *first))
-            out.update({
+            return {
                 "cov_deriv_omega": cov_deriv_omega(p, rmat, params, *args),
                 "ext_deriv_omega": tn.ext_deriv_omega(p, rmat, params, *args),
                 "codiff_omega": tn.codiff_omega(p, rmat, params, args[0]),
                 "nijenhuis_closed_form": tn.nijenhuis_closed_form(p, rmat, params, *args),
-            })
-            return out
+            }
 
         p = cl._points(rows[0] if stacked == "operator" else rows, "+-")
         got = evaluators(p, rmat, params)
@@ -722,76 +708,56 @@ class TestNijenhuis:
 
 
 class TestRestriction:
+    """The product structure on first-factor arguments is that of one twistor
+    fibre bundle: ``selftest``'s restriction group compares the classifier's
+    D Omega, W1-cond, d Omega and delta Omega there with the single-fibre forms."""
+
     @pytest.mark.parametrize("component", ["++", "+-", "-+", "--"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_residuals_vanish(self, component, n):
+        # ten trials of first-factor tangents built by hand at one point, read
+        # in the frame: their E_6, E_7 coefficients vanish
         rng = np.random.default_rng(100 + n)
-        p = point(component, rng)
-        params = tn.Params(0.7, 1.8, n)
+        rows = np.tile(rng.standard_normal(6), (10, 1))
+        at, params = cl._points(rows[0], component), tn.Params(0.7, 1.8, n)
         rmat = cur.random_strict_operator(rng)
-        for _ in range(10):
-            args = [gtangent(rng.standard_normal(4), random_vertical_endo(p.j1, rng))
-                    for _ in range(3)]
-            first = [x[:6] for x in read(p, params, *args)]
-            res = tn.restriction_residuals(p, rmat, params, *first)
-            assert max(res.values()) < 1e-12
+        coeffs = np.array([read(at, params, *(gtangent(rng.standard_normal(4),
+                                                       random_vertical_endo(at.j1, rng))
+                                              for _ in range(3)))
+                           for _ in range(10)])
+        assert np.abs(coeffs[..., 6:]).max() < 1e-12
+        stacked = tn.Params(np.full(10, 0.7), np.full(10, 1.8), n)
+        res = selftest._group_residuals("restriction", cl._points(rows, component),
+                                        np.broadcast_to(rmat, (10, 6, 6)), stacked, coeffs)
+        assert res.shape == (10,)
+        assert res.max() < 1e-12
 
     @staticmethod
     def first_factor_block(n, rng):
-        """16 stacked trials of first-factor arguments, coefficients of E_0..E_5
-        as the restriction oracle takes them."""
+        """16 stacked trials of structure index n, as a group of the restriction
+        oracle takes them: coefficients (16, 3, 8), of which it reads E_0..E_5."""
         rows = rng.standard_normal((16, 6))
         t = rng.uniform(0.3, 2.0, (16, 2))
         rmat = np.stack([cur.random_strict_operator(rng) for _ in range(16)])
         p = cl._points(rows, ("++", "+-")[(n - 1) % 2])
-        params = tn.Params(t[:, 0], t[:, 1], n)
-        first = [rng.standard_normal((16, 8))[:, :6] for _ in range(3)]
-        return p, rmat, params, first
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_stacked_values_are_those_of_the_public_evaluators(self, n):
-        p, rmat, params, first = self.first_factor_block(n, np.random.default_rng(900 + n))
-        # the same arguments with zero coefficients of E_6, E_7
-        a, b, c = (np.concatenate((x, np.zeros((16, 2))), axis=-1) for x in first)
-        ga, gb, gc = (tn.frame_vectors(p, params, x) for x in (a, b, c))
-        k = 1 if n in (1, 2) else 2
-        horizontal, vertical = [g.horizontal for g in (ga, gb, gc)], [g.v1 for g in (ga, gb, gc)]
-        t = params.t1
-        want = {
-            "cov_deriv": abs(cov_deriv_omega(p, rmat, params, a, b, c)
-                             - tn.single_cov_deriv(p.j1, rmat, t, k, horizontal, vertical)),
-            "ext_deriv": abs(tn.ext_deriv_omega(p, rmat, params, a, b, c)
-                             - tn.single_ext_deriv(p.j1, rmat, t, k, horizontal, vertical)),
-            "codiff": abs(tn.codiff_omega(p, rmat, params, a)
-                          - tn.single_codiff(p.j1, rmat, t, ga.v1)),
-        }
-        got = tn.restriction_residuals(p, rmat, params, *first)
-        assert list(got) == list(want)
-        for name in want:
-            assert got[name].shape == (16,), name
-            assert np.array_equal(got[name], want[name]), name
-        assert max(np.max(v) for v in got.values()) < 1e-12
+        return p, rmat, tn.Params(t[:, 0], t[:, 1], n), rng.standard_normal((16, 3, 8))
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_non_finite_coefficient_stays_in_its_trial(self, slot):
-        # a NaN argument must not read as a vanishing residual: the derivative
-        # residuals of its trial, which read all three slots, are NaN, and the
-        # other trials keep their values
-        p, rmat, params, args = self.first_factor_block(2, np.random.default_rng(910))
-        clean = tn.restriction_residuals(p, rmat, params, *args)
-        bad = list(args)
-        bad[slot] = args[slot].copy()
-        bad[slot][5, 4] = np.nan
-        got = tn.restriction_residuals(p, rmat, params, *bad)
+        # a NaN argument must not read as a vanishing residual: its trial's
+        # residual, the largest difference over contractions that read every
+        # slot, is NaN, and the other trials keep their values
+        p, rmat, params, coeffs = self.first_factor_block(2, np.random.default_rng(910))
+        clean = selftest._group_residuals("restriction", p, rmat, params, coeffs)
+        bad = coeffs.copy()
+        bad[5, slot, 4] = np.nan
+        got = selftest._group_residuals("restriction", p, rmat, params, bad)
         others = np.arange(16) != 5
-        for name in clean:
-            assert np.array_equal(got[name][others], clean[name][others]), name
-        assert np.isnan(got["cov_deriv"][5]) and np.isnan(got["ext_deriv"][5])
+        assert np.array_equal(got[others], clean[others])
+        assert np.isnan(got[5])
 
     def test_negated_sign_table_breaks_the_restriction(self, monkeypatch):
-        # the product side reads SIGMA, the single-fibre forms write their signs out
-        p, rmat, params, args = self.first_factor_block(1, np.random.default_rng(920))
+        # the frame tensor reads SIGMA, the single-fibre forms write their signs out
+        p, rmat, params, coeffs = self.first_factor_block(1, np.random.default_rng(920))
         negate_sign_table(monkeypatch)
-        res = tn.restriction_residuals(p, rmat, params, *args)
-        assert np.max(res["cov_deriv"]) > 1e-3
-        assert np.max(res["ext_deriv"]) > 1e-3
+        assert np.max(selftest._group_residuals("restriction", p, rmat, params, coeffs)) > 1e-3
