@@ -32,10 +32,10 @@ fills a block in trial order, so a trial's draws do not depend on the block
 size.  The block's operators are built in one call, valid by construction
 and so not checked, and its residuals come from one call per group of a
 quarter of the block (50 trials), the trials of equal n = 1 + i % 4: one
-point per group, and one call per closed form.  Each trial of the classifier's
-route holds a full 8x8x8 frame tensor, so a group runs the route over slices
-of 25 trials, and then the closed forms over the whole group; it peaks at the
-larger of the two routes, not their sum.  Both routes take the drawn frame
+point, one frame tensor and one call per closed form per group.  The group's
+frame tensor is contracted over slices of 17 trials, and dropped before the
+closed forms run over the whole group, so a group peaks at the larger of the
+two routes, not their sum.  Both routes take the drawn frame
 coefficients as they are: the closed forms build their arguments' vectors
 from them, so there is no tangent to check.  The Nijenhuis closed form and the
 single-fibre forms write out the signs that the frame tensor reads from
@@ -49,7 +49,7 @@ turn, and a block evaluates its trials of one dimension, 4 for even trials and
 each, on the plain functions a -> (q + a q a)/2 and a -> a (q + a q a)/2 of
 the stack's skews q.  These draws are valid by construction too, so a NaN
 among them reaches the residual unchecked.  Over 640 trials every oracle
-peaks at 0.50 MiB (nijenhuis-identity) or less of traced memory.
+peaks at 0.56 MiB (restriction) or less of traced memory.
 """
 
 from __future__ import annotations
@@ -98,19 +98,20 @@ class OracleResult:
 #: trials per block of every oracle.  A multiple of 4, so that every block
 #: starts at n = 1 and splits into four groups of one n each (50 trials here):
 #: each tensor oracle's 200 trials are one block, whose groups each make
-#: one ``_points`` call and one call per closed form.  The closed forms hold no
-#: frame tensor, and over 640 trials every oracle peaks at 0.50 MiB (nijenhuis-identity)
-#: or less of traced memory (numpy 2.4), under the 0.6 MiB of
+#: one ``_points`` call, one ``frame_tensor`` call and one call per closed form.
+#: The closed forms hold no frame tensor, and over 640 trials every oracle peaks
+#: at 0.56 MiB (restriction) or less of traced memory (numpy 2.4), under the 0.6 MiB of
 #: tests/test_selftest.py::test_oracle_memory_does_not_grow_with_trials.  It is
 #: selftest's own size, not the classifier's block size, so that resizing the
 #: classifier's blocks moves neither selftest's grouping nor its memory and
 #: timings.
 _BLOCK_TRIALS = 200
-#: trials per chunk of a tensor group's classifier route: each of its trials
-#: holds a full 8x8x8 frame tensor, so the route runs over slices of at most
-#: this many trials of the group (half a full group).  At 32, nijenhuis-identity
-#: peaks at 0.58 MiB over 640 trials, too close to the bound.
-_ROUTE_TRIALS = 25
+#: trials per slice of a tensor group's frame tensor that ``condition_values``
+#: contracts at once: each condition's Q holds a full 8x8x8 tensor per trial,
+#: so the contraction runs over slices of at most this many trials (three per
+#: full group).  At 25, nijenhuis-identity peaks at 0.604 MiB over 640 trials,
+#: over the bound.
+_ROUTE_TRIALS = 17
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
@@ -170,17 +171,17 @@ def _group_residuals(kind: str, p, rmat, params: Params, coeffs) -> np.ndarray:
     if kind == "restriction":  # first-factor arguments: E_6, E_7 at zero
         coeffs = np.concatenate((coeffs[..., :6], np.zeros(coeffs.shape[:-1] + (2,))), axis=-1)
     conds = _RESTRICTED if kind == "restriction" else (_IDENTITIES[kind][0],)
-    # the classifier's route, the frame tensor contracted by each condition, runs
-    # in chunks of _ROUTE_TRIALS before the closed forms build their arguments'
-    # vectors, so a group's peak memory is the larger of the two routes, not
-    # their sum
+    # the classifier's route: the group's one frame tensor, contracted by each
+    # condition in slices of _ROUTE_TRIALS, and dropped before the closed forms
+    # build their arguments' vectors, so a group's peak memory is the larger of
+    # the two routes, not their sum
+    T, M = tensors.frame_tensor(p, rmat, params)
     value = np.empty((len(conds), len(coeffs)))
     for lo in range(0, len(coeffs), _ROUTE_TRIALS):
         c = slice(lo, lo + _ROUTE_TRIALS)
-        out = classifier.condition_values(
-            *tensors.frame_tensor(p[c], rmat[c], Params(params.t1[c], params.t2[c], params.n)),
-            coeffs[c, None], conds)
+        out = classifier.condition_values(T[c], M[c], coeffs[c, None], conds)
         value[:, c] = [out[cond][:, 0] for cond in conds]
+    del T, M
     if kind == "restriction":  # n = 1, 2 restrict to the single structure k = 1, else k = 2
         k, t = 1 if params.n in (1, 2) else 2, params.t1
         g = tensors.frame_vectors(p, params, np.moveaxis(coeffs, 1, 0))

@@ -55,7 +55,7 @@ formula and their reference for Jn in tests/reference.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,25 +90,12 @@ class Params:
 
 @dataclass(frozen=True, eq=False)
 class ProductTwistorPoint:
-    """A point (J1, J2); stacked structures of equal leading shape give a stack of points.
-
-    Indexing a stacked point indexes every array of both structures, so
-    ``p[lo:hi]`` is the stack of points lo..hi-1, built without calling the
-    structures' ``__post_init__``, which would normalise ``u`` again.
-    """
+    """A point (J1, J2); stacked structures of equal leading shape give a stack of
+    points.  A stack is not indexed: a caller that needs part of it builds that
+    part's structures from their own sphere rows."""
 
     j1: OrientedComplexStructure4
     j2: OrientedComplexStructure4
-
-    def __getitem__(self, i) -> "ProductTwistorPoint":
-        def index(j: OrientedComplexStructure4) -> OrientedComplexStructure4:
-            out = object.__new__(OrientedComplexStructure4)
-            for f in fields(j):
-                value = getattr(j, f.name)
-                object.__setattr__(out, f.name, value if f.name == "sign" else value[i])
-            return out
-
-        return ProductTwistorPoint(index(self.j1), index(self.j2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -157,9 +157,10 @@ def design_columns(component, n, operators):
     chunk of points: arrays (4, 2, k, entries) over component i and family f,
     holding P_i T^f of the first operator and, of each other one, P_i T^f minus
     the first's."""
-    points, params = cl._points(DESIGN, component), tn.Params(1.0, 1.0, n)
+    params = tn.Params(1.0, 1.0, n)
     for lo in range(0, len(DESIGN), COMPILE_CHUNK):
-        T, M = tn.frame_tensor(points[lo:lo + COMPILE_CHUNK], operators[:, None], params)
+        points = cl._points(DESIGN[lo:lo + COMPILE_CHUNK], component)
+        T, M = tn.frame_tensor(points, operators[:, None], params)
         parts = projections(FAMILIES[:, None] * T, M).reshape(4, 2, len(operators), -1)
         yield np.concatenate((parts[:, :, :1], parts[:, :, 1:] - parts[:, :, :1]), axis=2)
 
