@@ -31,8 +31,10 @@ point and argument coefficients, in one call on the first; each generator
 fills a block in trial order, so a trial's draws do not depend on the block
 size.  The block's operators are built in one call, valid by construction
 and so not checked, and its residuals come from one call per group of a
-quarter of the block (50 trials), the trials of equal n = 1 + i % 4: one
-point, one frame tensor and one call per closed form per group.  The group's
+quarter of the block (50 trials), the trials of equal n = 1 + i % 4, whose
+component ``_GROUP_COMPONENTS`` gives (+-, --, -+, ++ for n = 1..4, so the
+groups meet both signs of s1, s2, k1 s1 and k2 s2): one point, one frame
+tensor and one call per closed form per group.  The group's
 frame tensor is contracted over slices of 17 trials, and dropped before the
 closed forms run over the whole group, so a group peaks at the larger of the
 two routes, not their sum.  Both routes take the drawn frame
@@ -40,7 +42,9 @@ coefficients as they are: the closed forms build their arguments' vectors
 from them, so there is no tangent to check.  The Nijenhuis closed form and the
 single-fibre forms write out the signs that the frame tensor reads from
 ``tensors.SIGMA``, so a corrupted table fails the nijenhuis-identity and
-restriction checks; a tier-1 test negates the table to show it.
+restriction checks; tier-1 tests negate the table, or one of its entries, to
+show it.  Others drop s1 from the frame tensor's coefficients, or s1 or k2 s2
+from the vertical blocks of the frame's Jn, and see the oracles fail.
 
 The curvature-commutator oracle draws a block's rows of 76 normals in one
 call and evaluates them as one stack.  A fibre trial draws its J, X and q in
@@ -112,6 +116,9 @@ _BLOCK_TRIALS = 200
 #: full group).  At 25, nijenhuis-identity peaks at 0.604 MiB over 640 trials,
 #: over the bound.
 _ROUTE_TRIALS = 17
+#: the component of a tensor oracle's n-group for n = 1..4, so the groups meet
+#: both signs of s1, s2 and of Jn's vertical actions k1 s1 and k2 s2
+_GROUP_COMPONENTS = ("+-", "--", "-+", "++")
 #: normals per tensor-oracle trial: operator, point, (3, 8) coefficients
 _TRIAL_NORMALS = curvature.STRICT_NORMALS + 6 + 24
 
@@ -187,7 +194,7 @@ def _group_residuals(kind: str, p, rmat, params: Params, coeffs) -> np.ndarray:
         g = tensors.frame_vectors(p, params, np.moveaxis(coeffs, 1, 0))
         both = [[0, 0], [1, 0], [2, 2]]  # the slots (A, B, C) and (A, A, C), stacked
         single = (*tensors.single_cov_deriv(p.j1, rmat, t, k, g.horizontal[both], g.v1[both]),
-                  tensors.single_ext_deriv(p.j1, rmat, t, k, g.horizontal, g.v1),
+                  tensors.single_ext_deriv(rmat, t, k, g.horizontal, g.v1),
                   tensors.single_codiff(p.j1, rmat, t, g.v1[0]))
         return np.max(np.abs(value - single), axis=0)
     _, closed_form, slots = _IDENTITIES[kind]
@@ -205,12 +212,12 @@ def _tensor_oracle(seed: int, trials: int, kind: str) -> OracleResult:
         res = np.empty(count)
         for g in range(min(4, count)):  # a block starts at n = 1, so n = 1 + g
             t1, t2, rmat, rows, coeffs = (x[g::4] for x in configs)
-            p = classifier._points(rows, ("++", "+-")[g % 2])
+            p = classifier._points(rows, _GROUP_COMPONENTS[g])
             res[g::4] = _group_residuals(kind, p, rmat, Params(t1, t2, 1 + g), coeffs)
         return res
 
     return _scan(kind, seed, trials, block,
-                 lambda i: {"trial": i, "component": ("++", "+-")[i % 2], "n": 1 + i % 4})
+                 lambda i: {"trial": i, "component": _GROUP_COMPONENTS[i % 4], "n": 1 + i % 4})
 
 
 def _curvature_commutator(seed: int, trials: int) -> OracleResult:

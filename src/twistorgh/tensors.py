@@ -349,8 +349,7 @@ def single_cov_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
     return val - (rp(bv, wedge_of_pair(ax, cx)) + rq(bv, wedge_of_pair(ax, jcx)))
 
 
-def single_ext_deriv(j: OrientedComplexStructure4, rmat, t: float, k: int,
-                     horizontal, vertical) -> float:
+def single_ext_deriv(rmat, t: float, k: int, horizontal, vertical) -> float:
     sgn = -1.0 if k == 1 else 1.0
 
     def hv(x, y, v) -> float:  # x, y horizontal, v vertical

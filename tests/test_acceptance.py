@@ -41,8 +41,10 @@ def random_symmetric_operator(rng, scale=1.0):
 
 def test_criterion_1_internal_consistency_oracles():
     # each configuration is drawn in turn from the stream, as one at a time;
-    # the 500 of a (component, n) are then evaluated stacked
-    worst = {"dext": 0.0, "codiff": 0.0, "nijenhuis": 0.0, "restriction": 0.0}
+    # the 500 of a (component, n) are then evaluated stacked by the residuals
+    # of the self-test's tensor oracles
+    worst = dict.fromkeys(("ext-deriv-antisymmetrization", "codiff-frame-trace",
+                           "nijenhuis-identity", "restriction"), 0.0)
     for component in ("++", "+-"):
         for n in (1, 2, 3, 4):
             rng = np.random.default_rng([SEED, 1, 1 if component == "++" else 2, n])
@@ -53,65 +55,28 @@ def test_criterion_1_internal_consistency_oracles():
                 rmat[i] = random_symmetric_operator(rng)
                 rows[i] = rng.standard_normal(6)  # the point's draw, as in classify
                 coeffs[i] = rng.standard_normal((3, 8))
-            params = tn.Params(t[:, 0], t[:, 1], n)
-            p = cl._points(rows, component)
-            a, b, c = (coeffs[:, s] for s in range(3))
-            norms = np.linalg.norm(coeffs, axis=-1)
-            nrm3 = 1.0 + np.prod(norms, axis=-1)
-
-            # the classifier's route: the frame tensor contracted by each condition
-            vals = cl.condition_values(*tn.frame_tensor(p, rmat, params), coeffs[:, None],
-                                       ("dΩ", "δΩ", "N"))
-
-            def record(key, res):
+            p, params = cl._points(rows, component), tn.Params(t[:, 0], t[:, 1], n)
+            for kind in worst:
+                res = selftest._group_residuals(kind, p, rmat, params, coeffs)
                 # np.maximum keeps a NaN that the builtin max would drop
-                worst[key] = float(np.maximum(worst[key], np.max(res)))
-
-            record("dext", np.abs(tn.ext_deriv_omega(p, rmat, params, a, b, c)
-                                  - vals["dΩ"][:, 0]) / nrm3)
-            record("codiff", np.abs(tn.codiff_omega(p, rmat, params, a)
-                                    - vals["δΩ"][:, 0]) / (1.0 + norms[:, 0]))
-            record("nijenhuis", np.abs(tn.nijenhuis_closed_form(p, rmat, params, a, b, c)
-                                       - vals["N"][:, 0]) / nrm3)
-            # the classifier's route on first-factor arguments, the coefficients
-            # of E_0..E_5, against the single-fibre forms
-            record("restriction", selftest._group_residuals("restriction", p, rmat, params,
-                                                            coeffs))
+                worst[kind] = float(np.maximum(worst[kind], np.max(res)))
     ok = all(w <= 1e-10 for w in worst.values())
     announce(1, ok, "internal-consistency oracles over 500 configs per "
                     f"(component, n): worst residuals {worst}")
 
 
 def test_criterion_2_curvature_commutator_identity():
-    rng = np.random.default_rng([SEED, 2])
-    worst = 0.0
-    for _ in range(1000):
-        rmat = random_symmetric_operator(rng)
-        qa, qb = rng.standard_normal((2, 4, 4))
-        a, b = 0.5 * (qa - qa.T), 0.5 * (qb - qb.T)
-        x, y = rng.standard_normal((2, 4))
-        r = cur.curvature_endo(rmat, x, y)
-        lhs = fibre.inner_G(r @ a - a @ r, b)
-        rhs = float((rmat @ fd.two_vector_of_endo(a @ b - b @ a)) @ fd.wedge_of_pair(x, y))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + np.linalg.norm(x) * np.linalg.norm(y)))
-    announce(2, worst <= 1e-10,
-             f"commutator coupling identity over 1000 draws: worst {worst:.3e}")
+    result = selftest._oracle("curvature-commutator", SEED, 1000)
+    announce(2, result.ok and result.max_residual <= 1e-10,
+             f"commutator coupling identity over 1000 draws: worst {result.max_residual:.3e}")
 
 
 def test_criterion_3_fibre_kaehler_parallelism():
-    worst = 0.0
-    for dim in (4, 6):
-        rng = np.random.default_rng([SEED, 3, dim])
-        for _ in range(20):
-            j = fibre.random_complex_structure(dim, rng)
-            x = fibre.random_tangent(j, rng)
-            q = rng.standard_normal((dim, dim))
-            skew = 0.5 * (q - q.T)
-            lhs = fibre.fibre_levi_civita(lambda a: a @ fibre.tangent_projection(a, skew), x, j)
-            rhs = j @ fibre.fibre_levi_civita(lambda a: fibre.tangent_projection(a, skew), x, j)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    announce(3, worst <= 1e-6,
-             f"fibre Kaehler parallelism with finite-difference fields: worst {worst:.3e}")
+    # 20 trials per fibre dimension, 4 and 6
+    result = selftest._oracle("fibre-kaehler-parallel", SEED, 40)
+    announce(3, result.ok and result.max_residual <= 1e-6,
+             "fibre Kaehler parallelism with finite-difference fields: "
+             f"worst {result.max_residual:.3e}")
 
 
 def test_criterion_4_theorem_suite_positive_directions(verify_results):

@@ -42,7 +42,7 @@ from twistorgh import classifier as cl
 from twistorgh import curvature as cur
 from twistorgh import tensors as tn
 
-from gray_hervella import ICOSAHEDRON
+from gray_hervella import ICOSAHEDRON, NONZERO_MIN, VANISH_REL
 from test_reference_survey import _reference, _workloads
 
 U2 = np.array([0.3, -0.5, 0.8])
@@ -50,8 +50,6 @@ U2 = np.array([0.3, -0.5, 0.8])
 WEYL_NORMALS = {1: slice(10, 19), -1: slice(19, 28)}
 
 TRIALS = 20
-VANISH_REL = 1e-12
-NONZERO_MIN = 1e-3
 
 
 def single(cond, rmat, component, t, n):

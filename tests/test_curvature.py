@@ -333,24 +333,6 @@ class TestCurvatureEndo:
             assert np.max(np.abs(r @ j - j @ r)) < 1e-12
 
 
-def test_commutator_lemma_thousand_trials():
-    # G([r, a], b) = <R([a, b]^), x ^ y> for r the endomorphism of R(x ^ y)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(1000):
-        m = rng.standard_normal((6, 6))
-        rmat = 0.5 * (m + m.T)
-        qa = rng.standard_normal((4, 4))
-        qb = rng.standard_normal((4, 4))
-        a, b = 0.5 * (qa - qa.T), 0.5 * (qb - qb.T)
-        x, y = rng.standard_normal((2, 4))
-        r = cur.curvature_endo(rmat, x, y)
-        lhs = fibre.inner_G(r @ a - a @ r, b)
-        rhs = float((rmat @ fd.two_vector_of_endo(a @ b - b @ a)) @ fd.wedge_of_pair(x, y))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + np.linalg.norm(x) * np.linalg.norm(y)))
-    assert worst < 1e-10
-
-
 class TestSerialization:
     def test_both_forms_emitted(self):
         doc = cur.to_json_dict(cur.model("kaehler_witness", s=12.0))

@@ -141,19 +141,6 @@ class TestLeviCivita:
         v = fibre.random_tangent(j, RNG)
         assert_allclose(fibre.fibre_levi_civita(lambda a: v, x, j), np.zeros((4, 4)), atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [4, 6])
-    def test_kaehler_structure_is_parallel(self, dim):
-        # D(K Y) = K(D Y) under central-difference derivatives
-        rng = np.random.default_rng(7 + dim)
-        for _ in range(10):
-            j = fibre.random_complex_structure(dim, rng)
-            x = fibre.random_tangent(j, rng)
-            q = rng.standard_normal((dim, dim))
-            field = tangent_part(0.5 * (q - q.T))
-            lhs = fibre.fibre_levi_civita(lambda a: a @ field(a), x, j)
-            rhs = j @ fibre.fibre_levi_civita(field, x, j)
-            assert np.max(np.abs(lhs - rhs)) < 1e-6
-
     def test_matches_projected_curve_derivative(self):
         # second-order oracle: project the field derivative along a retracted curve
         rng = np.random.default_rng(42)

@@ -1,9 +1,11 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from twistorgh import classifier as cl, fibre, selftest, tensors as tn
+from twistorgh import classifier as cl, curvature as cur, fibre, fourdim as fd, selftest
+from twistorgh import tensors as tn
 
 from random_fourdim import drawn_strict_operator, negate_sign_table
 
@@ -54,6 +56,115 @@ def test_negated_sign_table_fails_the_closed_form_oracles(monkeypatch):
     negate_sign_table(monkeypatch)
     results = selftest.run_selftest(seed=1)
     assert [r.name for r in results if not r.ok] == ["nijenhuis-identity", "restriction"]
+
+
+def negate_sign_entry(monkeypatch, entry, n):
+    """Negate one sign of ``tensors`` at n: EPS[n], SIGMA[n], or k1 or k2 of
+    KSIGNS[n]; undone at the end of the test."""
+    if entry in ("k1", "k2"):
+        k = list(tn.KSIGNS[n])
+        k[entry == "k2"] *= -1.0
+        monkeypatch.setitem(tn.KSIGNS, n, tuple(k))
+    else:
+        table = getattr(tn, entry)
+        monkeypatch.setitem(table, n, -table[n])
+
+
+#: the oracles one negated sign fails, at every n: the frame tensor and the
+#: product evaluators read EPS and SIGMA, which the Nijenhuis closed form and
+#: the single-fibre forms write out; KSIGNS is read by Jn alone, whose vertical
+#: signs only the Nijenhuis closed form writes out
+NEGATED_ENTRY_FAILS = {
+    "EPS": ["nijenhuis-identity", "restriction"],
+    "SIGMA": ["nijenhuis-identity", "restriction"],
+    "k1": ["nijenhuis-identity"],
+    "k2": ["nijenhuis-identity"],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("entry", list(NEGATED_ENTRY_FAILS))
+def test_one_negated_sign_fails_the_closed_form_oracles_at_its_n(monkeypatch, entry, n):
+    # only the n-group of n reads the tables at n, so its trials alone must
+    # carry the error, and the worst trial is one of them
+    negate_sign_entry(monkeypatch, entry, n)
+    failed = [r for r in selftest.run_selftest(seed=1) if not r.ok]
+    assert [r.name for r in failed] == NEGATED_ENTRY_FAILS[entry]
+    assert all(r.worst["n"] == n for r in failed)
+
+
+def orientation_fault(fault):
+    """``tensors.frame_tensor`` with one orientation sign written as +1: s1 in
+    ``coef``, the coefficients of R q_0 and R q_1 (so in T); s1 in M's first
+    vertical block -k1 s1 J_std; or k2 s2 in its second, -k2 s2 J_std."""
+    intact = tn.frame_tensor
+
+    def faulty(p, rmat, params):
+        T, M = intact(p, rmat, params)
+        if fault == "coef-s1":  # the first structure, its sign read as +1
+            j1 = SimpleNamespace(**vars(p.j1) | {"sign": 1})
+            T = intact(tn.ProductTwistorPoint(j1, p.j2), rmat, params)[0]
+        elif fault == "M-s1":
+            M[..., 4:6, 4:6] *= p.j1.sign
+        else:
+            M[..., 6:8, 6:8] *= tn.KSIGNS[params.n][1] * p.j2.sign
+        return T, M
+
+    return faulty
+
+
+#: the oracles each lost orientation sign fails.  None of the faults changes a
+#: trial with s1 = +1 and k2 s2 = +1, the only signs the n-groups met when each
+#: took its component from n alone, so the components must reach the others
+ORIENTATION_FAILS = {
+    "coef-s1": ["codiff-frame-trace", "nijenhuis-identity", "restriction"],
+    "M-s1": ["nijenhuis-identity"],
+    "M-k2s2": ["nijenhuis-identity"],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("fault", list(ORIENTATION_FAILS))
+def test_lost_orientation_sign_fails_its_oracles(monkeypatch, fault, seed):
+    monkeypatch.setattr(tn, "frame_tensor", orientation_fault(fault))
+    results = selftest.run_selftest(seed=seed)
+    assert [r.name for r in results if not r.ok] == ORIENTATION_FAILS[fault]
+
+
+def scaled(f, factor):
+    return lambda *args: factor * f(*args)
+
+
+def unprojected(evaluate, x, j):
+    """``fibre.fibre_levi_civita`` without its tangent projection."""
+    step = fibre.FD_STEP
+    return (evaluate(j + step * x) - evaluate(j - step * x)) / (2.0 * step)
+
+
+#: faults in what the curvature-commutator and fibre-kaehler-parallel oracles
+#: evaluate, each (module, name, replacement), and the one oracle each fails:
+#: a 1% error in r or in G, or r of y ^ x for x ^ y; the fibre derivative
+#: without its projection, at a step of 1e-2, or with no tangent projection at all
+GEOMETRY_FAULTS = {
+    "curvature_endo": (cur, "curvature_endo", scaled(cur.curvature_endo, 1.01),
+                       "curvature-commutator"),
+    "inner_G": (fibre, "inner_G", scaled(fibre.inner_G, 1.01), "curvature-commutator"),
+    "wedge_order": (cur, "wedge_of_pair", lambda x, y: fd.wedge_of_pair(y, x),
+                    "curvature-commutator"),
+    "unprojected": (fibre, "fibre_levi_civita", unprojected, "fibre-kaehler-parallel"),
+    "coarse_step": (fibre, "FD_STEP", 1e-2, "fibre-kaehler-parallel"),
+    "no_projection": (fibre, "tangent_projection", lambda j, q: q, "fibre-kaehler-parallel"),
+}
+
+
+@pytest.mark.parametrize("fault", list(GEOMETRY_FAULTS))
+def test_geometry_fault_fails_its_oracle_only(monkeypatch, fault):
+    # acceptance criteria 2 and 3 run these two oracles, so each must see an
+    # error in the routines it evaluates
+    module, name, replacement, oracle = GEOMETRY_FAULTS[fault]
+    monkeypatch.setattr(module, name, replacement)
+    results = selftest.run_selftest(seed=1)
+    assert [r.name for r in results if not r.ok] == [oracle]
 
 
 def generators(seed, kind):
@@ -110,7 +221,7 @@ def scalar_residual(kind, p, rmat, params, coeffs):
         k, t = (1 if params.n in (1, 2) else 2), params.t1
         single = (tn.single_cov_deriv(p.j1, rmat, t, k, h, v),
                   tn.single_cov_deriv(p.j1, rmat, t, k, [h[0], h[0], h[2]], [v[0], v[0], v[2]]),
-                  tn.single_ext_deriv(p.j1, rmat, t, k, h, v),
+                  tn.single_ext_deriv(rmat, t, k, h, v),
                   tn.single_codiff(p.j1, rmat, t, v[0]))
         return max(abs(value[c][0] - want) for c, want in zip(conds, single))
     cond, closed_form, slots = selftest._IDENTITIES[kind]
@@ -124,7 +235,7 @@ def scalar_worst(kind, seed, trials):
     best, worst = -1.0, None
     for i, (t1, t2, rmat, row, coeffs) in enumerate(replay_configs(*generators(seed, kind),
                                                                    trials)):
-        component, n = ("++", "+-")[i % 2], 1 + i % 4
+        component, n = selftest._GROUP_COMPONENTS[i % 4], 1 + i % 4
         res = scalar_residual(kind, cl._points(row, component), rmat, tn.Params(t1, t2, n), coeffs)
         if res > best:
             best, worst = res, {"trial": i, "component": component, "n": n}
@@ -218,6 +329,23 @@ def test_closed_form_is_looked_up_on_tensors_at_each_call(monkeypatch, kind, tri
     route = counting(monkeypatch, tn, "frame_tensor")
     assert selftest._tensor_oracle(1, trials, kind).ok
     assert (len(closed_form), len(route)) == (4, route_calls)
+
+
+@pytest.mark.parametrize("kind", list(CLOSED_FORMS))
+def test_n_groups_meet_both_orientations_of_each_factor(monkeypatch, kind):
+    # the n-groups' points in call order, (s1, s2, n): both signs of s1 and
+    # s2, and of Jn's vertical actions k1 s1 and k2 s2
+    seen, intact = [], tn.frame_tensor
+
+    def recording(p, rmat, params):
+        seen.append((p.j1.sign, p.j2.sign, params.n))
+        return intact(p, rmat, params)
+
+    monkeypatch.setattr(tn, "frame_tensor", recording)
+    assert selftest._tensor_oracle(1, 8, kind).ok
+    assert seen == [(1, -1, 1), (-1, -1, 2), (-1, 1, 3), (1, 1, 4)]
+    for i in (0, 1):
+        assert {tn.KSIGNS[n][i] * s[i] for *s, n in seen} == {-1.0, 1.0}
 
 
 def assert_nan_fails_at_trial_8(oracle):
