@@ -36,34 +36,31 @@ either design is rotated (tests/test_gray_hervella.py), so they are the means
 over the whole of S^2 x S^2.
 
 ``design_residuals`` is that direct route, and stays the reference.  The
-detector reads compiled forms instead, one set per (component, n), compiled
-once from six design evaluations at t = (1, 1): u = 0, e_s = Id / sqrt 6,
-e_tau = diag(Id, -Id) / sqrt 6 and one element each of B, W+ and W-.  Family 1
-is affine in u = t1 R and family 2 linear in R, and the design mean is
-invariant under SO(3) x SO(3) acting on (s, B, W+, W-), so by Schur's lemma
-(Singer and Thorpe, 1969) each mean |P_i T^f|^2 is a 3 x 3 form on
-(1, s', tau') plus one weight per block.  ``residuals`` evaluates them:
+detector reads ``table`` instead.  Family 1 is affine in u = t1 R and family 2
+linear in R, and the design mean is invariant under SO(3) x SO(3) acting on
+(s, B, W+, W-), so by Schur's lemma (Singer and Thorpe, 1969) the mean of
+|P_i T^f|^2 at t = (1, 1) is a 3 x 3 form on (1, a + d, a - d), a = tr R[:3, :3]
+and d = tr R[3:, 3:], plus one weight per block.  Six design evaluations give
+them: u = 0, e_s = Id / sqrt 6, e_tau = diag(Id, -Id) / sqrt 6 and one element
+each of B, W+ and W-.  Each form is c v v^T, c, v and the weights lam rational
+(ROADMAP finding A), and ``residuals`` evaluates these rows, never the Gram,
+whose vanishing part would stay at sqrt(eps) (finding B):
 
-    family 1:  sqrt(|F1_i (1, t1 s', t1 tau')|^2 + sum lam1 t1^2 |block|^2) / (2 + t1 |R|_F)
-    family 2:  sqrt(|F2_i (0, s', tau')|^2 + sum lam2 |block|^2) / |R|_F,  skipped at R = 0
+    family 1:  hypot(sqrt c |v . (1, t1 (a+d), t1 (a-d))|, sqrt(lam . t1^2 b^2)) / (2 + t1 |R|_F)
+    family 2:  hypot(sqrt c |v . (0, a+d, a-d)|, sqrt(lam . b^2)) / |R|_F,  skipped at R = 0
 
-with s', tau' R's Frobenius coordinates on e_s and e_tau, and the blocks
-sqrt 2 |B|_F and the traceless parts of W+ and W-.
+with b the norms sqrt 2 |B|_F and those of the traceless parts of W+ and W-.
 
 A component is present when its residual is above ``tol``; the class is the
 least element of ``classifier.CLASS_ORDER`` that contains every present
-component, with OTHER above all of them.
-
-The same forms give the classification atlas (ROADMAP item 3): ``nullity`` is
-the dimension of the set of operators u = t1 R on which a class holds, and
-``carried`` lists the sets of components that can be present together.  Both
-measure against the forms' overall scale, since the rows of a component that
-vanishes are roundoff of it, and assert that no value lies between VANISH_REL
-and NONZERO_MIN of it.
+component, with OTHER above all of them.  ``cell``, ``nullity`` and
+``carried`` solve the same table over Q for the atlas (ROADMAP item 3), so no
+tolerance decides a cell.
 """
 
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,7 +130,7 @@ def scales(rmat, t):
 def design_residuals(rmat, component, t, n, rows=DESIGN):
     """The residuals of the components W1..W4 on the direct route: for each, the
     larger of the two families' rms over the design divided by the family's
-    scale.  The forms are compiled from this route, which stays their reference."""
+    scale.  The table is compiled from this route, which stays its reference."""
     rms = np.sqrt(design_means(rmat, component, t, n, rows))
     scale1, scale2 = scales(rmat, t)
     first = rms[:, 0] / scale1
@@ -165,52 +162,72 @@ def design_columns(component, n, operators):
         yield np.concatenate((parts[:, :, :1], parts[:, :, 1:] - parts[:, :, :1]), axis=2)
 
 
+#: (1, s', tau') -> finding A's (1, a + d, a - d) on the compile's trivial
+#: columns; the block columns stay, each operator having block norm 1
+FINDING_A = np.array([1.0, 6 ** -0.5, 6 ** -0.5, 1.0, 1.0, 1.0])
+
+
+def _rank_one(g):
+    """(c, v) with the 3 x 3 Fraction form g = c v v^T exactly and v's first
+    nonzero entry 1; c = 0 and v = 0 when g = 0."""
+    k = next((k for k in range(3) if g[k][k]), 0)
+    c, v = g[k][k], tuple(x / (g[k][k] or 1) for x in g[k])
+    assert all(g[a][b] == c * v[a] * v[b] for a in range(3) for b in range(3)), g
+    return c, v
+
+
+def _compile(component, n):
+    """The rows (c, v, lam) of W1..W4 in family 1, then in family 2: the design
+    Gram of ``COMPILE_OPERATORS`` in finding A's coordinates, snapped to fractions."""
+    gram = sum(cols @ np.swapaxes(cols, -1, -2)
+               for cols in design_columns(component, n, COMPILE_OPERATORS)) / len(DESIGN)
+    gram *= np.outer(FINDING_A, FINDING_A)
+    snap = np.vectorize(lambda x: Fraction(x).limit_denominator(81), otypes=[object])(gram)
+    assert np.abs(snap.astype(float) - gram).max() <= 1e-12, (component, n)
+    # Schur: the blocks are orthogonal to each other and to (1, a + d, a - d)
+    assert np.all((snap * (1 - np.eye(6, dtype=int)))[..., 3:] == 0), (component, n)
+    return [tuple((*_rank_one(snap[i, f, :3, :3]), tuple(snap[i, f].diagonal()[3:]))
+                  for i in range(4)) for f in (0, 1)]
+
+
+def keys(component, n):
+    """The keys of ``table`` that hold the family-1 and the family-2 rows of
+    ``component`` and n: (1, s1, n <= 2) and (2, component)."""
+    return (1, component[0], n <= 2), (2, component)
+
+
 @functools.cache
-def forms(component, n):
-    """The compiled forms (F, lam) of ``component`` and n.  For component i and
-    family f, F[i, f] is the 3 x 3 triangular factor of a QR of the design
-    columns of u = 0, e_s and e_tau, and lam[i, f] holds the squared norms of
-    the columns of B, W+ and W-, all over 72.  By Schur's lemma for SO(3) x
-    SO(3) on (s, B, W+, W-), the design mean of |P_i T^f(u)|^2 at t = (1, 1) is
-    then |F[i, f] (1, s', tau')|^2 + lam[i, f] . (|B|, |W+|, |W-|)^2, in the
-    terms of ``coordinates``.  Family 2 is linear in u, so its u = 0 column,
-    and the first column of its factor, is exactly zero."""
-    tri, lam = np.zeros((4, 2, 0, 3)), np.zeros((4, 2, 3))
-    for cols in design_columns(component, n, COMPILE_OPERATORS):
-        stacked = np.concatenate((tri, np.swapaxes(cols[:, :, :3], -1, -2)), axis=-2)
-        tri = np.linalg.qr(stacked, mode="r")
-        lam += np.einsum("ifbk,ifbk->ifb", cols[:, :, 3:], cols[:, :, 3:])
-    tri, lam = tri / len(DESIGN) ** 0.5, lam / len(DESIGN)
-    tri.flags.writeable = lam.flags.writeable = False
-    return tri, lam
-
-
-def coordinates(rmat):
-    """(s', tau', blocks): R's Frobenius coordinates on e_s and e_tau, and the
-    norms sqrt 2 |B|_F, |W+|_F and |W-|_F of its other parts, W+- taken
-    traceless (a non-strict trace lies in e_s and e_tau)."""
-    plus, minus = rmat[:3, :3], rmat[3:, 3:]
-    a, d = np.trace(plus), np.trace(minus)
-    blocks = [2 ** 0.5 * np.linalg.norm(rmat[3:, :3]), np.linalg.norm(plus - a / 3.0 * np.eye(3)),
-              np.linalg.norm(minus - d / 3.0 * np.eye(3))]
-    return (a + d) / 6 ** 0.5, (a - d) / 6 ** 0.5, np.array(blocks)
+def table():
+    """The 8 tables: under each key, the ``Fraction`` rows (c, v, lam) of W1..W4.
+    Compiles all 16 (component, n) and asserts that the rows depend on the key only."""
+    out = {}
+    for component, n in itertools.product(cl.COMPONENTS, (1, 2, 3, 4)):
+        for key, rows in zip(keys(component, n), _compile(component, n)):
+            assert out.setdefault(key, rows) == rows, (component, n)
+    return out
 
 
 def residuals(rmat, component, t, n):
-    """The residuals of the components W1..W4 from the compiled forms: family 1
-    at u = t1 R over 2 + t1 |R|_F, family 2 at R / |R|_F, skipped at R = 0.  They
-    are those of ``design_residuals`` to roundoff."""
-    tri, lam = forms(component, n)
-    s, tau, blocks = coordinates(rmat)
+    """The residuals of the components W1..W4 from the table: family 1 at u = t1 R
+    over 2 + t1 |R|_F, family 2 at R / |R|_F, skipped at R = 0.  They are those
+    of ``design_residuals`` to roundoff.  The blocks are taken traceless: a
+    non-strict trace lies in a + d and a - d."""
+    plus, minus = rmat[:3, :3], rmat[3:, 3:]
+    a, d = np.trace(plus), np.trace(minus)
+    blocks = np.array([2 ** 0.5 * np.linalg.norm(rmat[3:, :3]),
+                       np.linalg.norm(plus - a / 3.0 * np.eye(3)),
+                       np.linalg.norm(minus - d / 3.0 * np.eye(3))])
     norm, t1 = float(np.linalg.norm(rmat)), t[0]
+    one, two = keys(component, n)
 
-    def rms(f, x, b):
-        return np.sqrt(np.sum((tri[:, f] @ x) ** 2, axis=-1) + lam[:, f] @ b ** 2)
+    def rms(key, x, b):
+        c, v, lam = (np.array(col, float) for col in zip(*table()[key]))
+        return np.hypot(np.sqrt(c) * np.abs(v @ x), np.sqrt(lam @ b ** 2))
 
-    first = rms(0, np.array([1.0, t1 * s, t1 * tau]), t1 * blocks) / (2.0 + t1 * norm)
+    first = rms(one, np.array([1.0, t1 * (a + d), t1 * (a - d)]), t1 * blocks) / (2.0 + t1 * norm)
     if norm == 0.0:
         return first
-    return np.maximum(first, rms(1, np.array([0.0, s, tau]) / norm, blocks / norm))
+    return np.maximum(first, rms(two, np.array([0.0, a + d, a - d]) / norm, blocks / norm))
 
 
 def class_of(res, tol=1e-9):
@@ -225,64 +242,52 @@ def detect(rmat, component, t, n, tol=1e-9):
     return class_of(residuals(rmat, component, t, n), tol)
 
 
-#: a value measured against the forms' scale is zero at or below VANISH_REL of
-#: it, nonzero above NONZERO_MIN, and never in between
+#: a residual is zero at or below VANISH_REL and nonzero above NONZERO_MIN;
+#: the tests assert that none lies in between
 VANISH_REL = 1e-12
 NONZERO_MIN = 1e-3
-#: the dimensions of the B, W+ and W- blocks
-BLOCK_DIMS = np.array([9, 5, 5])
 
 
-def _nonzero(values, scale):
-    """values > NONZERO_MIN scale, asserting that none lies in the gap."""
-    rel = np.asarray(values) / scale
-    assert np.all((rel <= VANISH_REL) | (rel > NONZERO_MIN)), rel
-    return rel > NONZERO_MIN
-
-
-def _scale(component, n):
-    """The forms' overall scale max(|F|, sqrt max lam): the rows of a vanishing
-    component are roundoff of it, not of their own size."""
-    tri, lam = forms(component, n)
-    return max(np.abs(tri).max(), np.sqrt(lam.max()))
-
-
-def _rows(component, n, comps, families):
-    """The (1, s', tau') rows and the block weights of the components ``comps``
-    in ``families``."""
-    tri, lam = forms(component, n)
-    idx = np.ix_([i - 1 for i in comps], [f - 1 for f in families])
-    return tri[idx].reshape(-1, 3), np.sqrt(lam[idx]).reshape(-1, 3)
+def _solve(rows):
+    """The set {y in Q^2 : r . (1, y) = 0 for each row r} as (y0, null), y0 with
+    its free coordinates 0 and null the basis of the reduced row echelon form,
+    so both depend on the set only; None when it is empty."""
+    echelon = {}  # pivot column: its row, reduced
+    for r in rows:
+        for col, e in echelon.items():
+            r = [a - r[col] * b for a, b in zip(r, e)]
+        col = next((j for j in (1, 2) if r[j]), None)
+        if col is None and r[0]:
+            return None
+        if col is not None:
+            r = [a / r[col] for a in r]
+            echelon = {k: [a - e[col] * b for a, b in zip(e, r)] for k, e in echelon.items()}
+            echelon[col] = r
+    y0 = tuple(-echelon[k][0] if k in echelon else Fraction(0) for k in (1, 2))
+    null = tuple(tuple(-echelon[k][j] if k in echelon else Fraction(k == j) for k in (1, 2))
+                 for j in (1, 2) if j not in echelon)
+    return y0, null
 
 
 def cell(component, n, vanish, families=(1, 2), strict=False):
-    """The operators u on which the components ``vanish`` vanish in
-    ``families``, as (x0, null, free): the point x0 and an orthonormal basis
-    ``null`` of the affine set of (s', tau') (of s', with tau' = 0, when
-    ``strict``), and the blocks among B, W+ and W- left free; None when empty."""
-    scale = _scale(component, n)
-    rows, weights = _rows(component, n, vanish, families)
-    free = ~_nonzero(weights, scale).any(axis=0)
-    a, b = (rows[:, 1:2] if strict else rows[:, 1:]), rows[:, 0]
-    if not len(rows):
-        return np.zeros(a.shape[1]), np.eye(a.shape[1]), free
-    u, sv, vt = np.linalg.svd(a)
-    rank = np.count_nonzero(_nonzero(sv, scale))
-    x0 = -vt[:rank].T @ ((u[:, :rank].T @ b) / sv[:rank])
-    if _nonzero(np.linalg.norm(a @ x0 + b), scale):
+    """The operators u = t1 R on which the components ``vanish`` vanish in
+    ``families``, as (x0, null, free): their (t1 (a + d), t1 (a - d)), with
+    a = d when ``strict``, from ``_solve``, and the blocks among B, W+ and W-
+    left free; None when there are none.  Equal cells are equal tuples."""
+    rows = [table()[keys(component, n)[f - 1]][i - 1] for i in vanish for f in families]
+    solved = _solve([v for c, v, _ in rows if c] + [(0, 0, 1)] * strict)
+    if solved is None:
         return None
-    return x0, vt[rank:].T, free
+    return (*solved, tuple(not any(lam[j] for _, _, lam in rows) for j in range(3)))
 
 
 def nullity(component, n, cls, strict):
-    """The dimension of the cell of the class ``cls`` (item 3's atlas): the
-    operators u = t1 R, strict ones when ``strict``, on which it holds; None
-    when no operator does."""
-    c = cell(component, n, {1, 2, 3, 4} - CLASS_COMPONENTS[cls], strict=strict)
-    if c is None:
-        return None
-    _, null, free = c
-    return null.shape[1] + int(BLOCK_DIMS[free].sum())
+    """The dimension of the cell of the class ``cls`` (item 3's atlas), over the
+    strict operators when ``strict``; None when it is empty."""
+    found = cell(component, n, {1, 2, 3, 4} - CLASS_COMPONENTS[cls], strict=strict)
+    # B, W+ and W- have dimensions 9, 5 and 5
+    return None if found is None else len(found[1]) + sum(
+        dim for dim, free in zip((9, 5, 5), found[2]) if free)
 
 
 def carried(component, n, families=(1, 2)):
@@ -290,22 +295,14 @@ def carried(component, n, families=(1, 2)):
     order of size.  S is carried when the cell where the components outside S
     vanish is not empty and no component of S vanishes on all of it: then one
     operator carries all of S, since no affine space is a finite union of
-    proper affine subspaces."""
-    scale = _scale(component, n)
+    proper affine subspaces.  Component i vanishes on all of a cell exactly when
+    the cell does not shrink as i joins the components that vanish."""
     out = []
     for inside in itertools.chain.from_iterable(itertools.combinations(range(1, 5), k)
                                                 for k in range(5)):
-        c = cell(component, n, set(range(1, 5)) - set(inside), families)
-        if c is None:
-            continue
-        x0, null, free = c
-
-        def present(i):
-            rows, weights = _rows(component, n, [i], families)
-            on_cell = (rows @ np.concatenate(([1.0], x0)), (rows[:, 1:] @ null).ravel(),
-                       weights[:, free].ravel())
-            return _nonzero(np.concatenate(on_cell), scale).any()
-
-        if all(present(i) for i in inside):
+        outside = {1, 2, 3, 4} - set(inside)
+        found = cell(component, n, outside, families)
+        if found is not None and all(cell(component, n, outside | {i}, families) != found
+                                     for i in inside):
             out.append(set(inside))
     return out

@@ -115,7 +115,8 @@ def test_criterion_6_possible_class_corollaries():
         for n, component in ((1, "++"), (2, "+-"), (3, "++"), (4, "+-")):
             report = cl.classify(rmat, component, t, n, cfg)
             seen.append((n, report.detected))
-            if report.detected not in cl.ALLOWED_DETECTED[n]:
+            if (report.detected not in cl.ALLOWED_DETECTED[n]
+                    or report.flags["possible_class_violation"]):
                 announce(6, False, f"detected {report.detected} for n={n} is impossible")
     announce(6, True, "detected classes of 10 random strict operators stay in the "
                       f"possible sets for every n (saw {sorted(set(seen))})")

@@ -208,16 +208,6 @@ class TestClassify:
         with pytest.raises(ValueError):
             report.to_json()
 
-    def test_possible_classes_for_strict_operators(self):
-        rng = np.random.default_rng(2718)
-        for _ in range(10):
-            rmat = cur.random_strict_operator(rng)
-            t = (float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)))
-            for n, component in ((1, "++"), (2, "+-"), (3, "++"), (4, "+-")):
-                report = cl.classify(rmat, component, t, n, FAST)
-                assert report.detected in cl.ALLOWED_DETECTED[n]
-                assert not report.flags["possible_class_violation"]
-
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self):

@@ -1,5 +1,5 @@
 """The detector of tests/gray_hervella.py: its projectors, its design, its
-compiled forms, and the classes and the atlas it reads.
+exact table, and the classes and the atlas it reads.
 
 - The four projections sum to T, are orthogonal and idempotent, and have the
   defining properties of W1..W4; each splits orthogonally between the two
@@ -9,10 +9,11 @@ compiled forms, and the classes and the atlas it reads.
   g in SO(3) x SO(3), and orientation reversal maps them between components.
 - Every row of perfbench/reference.json gets its recorded class, and every
   residual lies far from the tolerance.
-- The compiled forms give the direct route's classes and residuals, and they
-  are the Schur forms of the full 21-element basis.
-- The atlas from the forms is ROADMAP item 3's table, and the least classes of
-  its strict cells are ``classifier.ALLOWED_DETECTED``.
+- The table gives the direct route's classes and residuals, it holds the
+  Schur forms of the full 21-element basis, and its rows are those of ROADMAP
+  finding A.
+- The atlas from the table, solved over Q, is ROADMAP item 3's table, and the
+  least classes of its strict cells are ``classifier.ALLOWED_DETECTED``.
 - Four corollaries of the atlas, not statements of the paper: for n = 1, 2 the
   cells with W3 coincide; on +- and -+ the K, W1, W2 and W1W2 cells are one
   point for n = 1, 2, and the strict W1W2 cell is the flat operator for
@@ -21,8 +22,8 @@ compiled forms, and the classes and the atlas it reads.
   not (ROADMAP aim 3), and no class changes under the homothety
   (R / l, l t1, l t2) or with t2 / t1.
 - No proper class that contains W4 occurs.
-- At random points, each of the conditions W1-cond, quasi-cond, d Omega and
-  delta Omega vanishes exactly when the components outside its class do.
+- At random points, each of the eight conditions vanishes exactly when the
+  components it needs to vanish do.
 - Over all symmetric operators, the second factor's family carries no
   component, W3 alone, or all four (ROADMAP item 13).
 - The first factor's family is the single twistor space's W1, W2 and W3 + W4
@@ -30,6 +31,7 @@ compiled forms, and the classes and the atlas it reads.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,7 +164,7 @@ def test_design_means_do_not_depend_on_the_rotation_of_the_design(component):
 
 @pytest.mark.parametrize("component, n", STRUCTURES)
 def test_residuals_are_invariant_under_the_rotation_of_the_halves(component, n):
-    # ROADMAP item 2's symmetries of the direct route, which let the forms take
+    # ROADMAP item 2's symmetries of the direct route, which let the table take
     # one element per block: R -> g R g^T with g = diag(g+, g-) in SO(3) x SO(3)
     # keeps every residual, and swap_halves (orientation reversal) maps ++ to --
     # and +- to -+, residual for residual
@@ -218,11 +220,15 @@ def test_the_forms_are_the_schur_forms_of_the_full_basis(component, n):
                 m = block.shape[-1]
                 scalar = np.trace(block, axis1=-2, axis2=-1)[..., None, None] / m
                 assert np.abs(block - scalar * np.eye(m)).max() <= ROUTE_REL * top
-    tri, lam = gh.forms(component, n)
-    trivial = gram[..., FULL_BLOCKS == 0, :][..., FULL_BLOCKS == 0]
-    assert np.abs(np.swapaxes(tri, -1, -2) @ tri - trivial).max() <= ROUTE_REL * top
+    # the table's rows (c, v, lam) by component i and family f, the Gram's order
+    rows = list(zip(*(gh.table()[key] for key in gh.keys(component, n))))
+    scale = gh.FINDING_A[:3]
+    trivial = gram[..., FULL_BLOCKS == 0, :][..., FULL_BLOCKS == 0] * np.outer(scale, scale)
+    forms = [[[[float(c * x * y) for y in v] for x in v] for c, v, _ in r] for r in rows]
+    assert np.abs(np.array(forms) - trivial).max() <= ROUTE_REL * top
     weights = np.stack([np.diagonal(gram, axis1=-2, axis2=-1)[..., FULL_BLOCKS == a].mean(axis=-1)
                         for a in (1, 2, 3)], axis=-1)
+    lam = np.array([[lam for _, _, lam in r] for r in rows], float)
     assert np.abs(lam - weights).max() <= ROUTE_REL * top
 
 
@@ -241,8 +247,17 @@ def test_the_compiled_forms_agree_with_the_direct_route(survey):
     # R = 0: family 2 is skipped, not divided by zero
     assert [gh.detect(flat, component, (0.7, 1.9), n, TOL) for component, n in STRUCTURES] \
         == ["W3", "W3", "W1W2", "W1W2"] * 4
-    for component, n in STRUCTURES:
-        assert np.all(gh.forms(component, n)[0][:, 1, :, 0] == 0.0)  # family 2's u = 0 column
+    # family 2 is linear in R: no row has a constant term
+    assert all(v[0] == 0 for key, rows in gh.table().items() if key[0] == 2 for _, v, _ in rows)
+
+
+def test_the_table_holds_the_rows_of_roadmap_finding_a():
+    # family 1 with s1 = +1: (c, v, lam) of W3 for n <= 2, and of W1 and W2 for n >= 3
+    third = Fraction(1, 3)
+    low, high = gh.table()[(1, "+", True)], gh.table()[(1, "+", False)]
+    assert low[2] == (4, (1, -third, -third), (Fraction(8, 3), Fraction(16, 15), 0))
+    assert high[0] == (Fraction(4, 3), (1, third, third), (0, Fraction(8, 45), 0))
+    assert high[1] == (Fraction(8, 3), (1, -2 * third, -2 * third), (0, Fraction(64, 45), 0))
 
 
 #: ROADMAP item 3's atlas: for each class of ``classifier.CLASS_ORDER`` but
@@ -287,28 +302,16 @@ def test_allowed_detected_is_the_least_classes_of_the_strict_cells():
         assert least == cl.ALLOWED_DETECTED[n], n
 
 
-# Corollaries of the atlas (ROADMAP item 14), read from the cells of the forms;
-# they are not statements of the paper.  A cell is the set of operators
-# u = t1 R, in the coordinates (s', tau') of ``gh.coordinates``, so
-# s' = t1 s / (2 sqrt 6) with s = 2 trace R.
-
-#: the largest difference between the coordinates of two cells that are one set;
-#: every cell point here has coordinates of order 1
-CELL_ABS = 1e-12
+# Corollaries of the atlas (ROADMAP item 14), read from the exact cells of the
+# table; they are not statements of the paper.  A cell is the set of operators
+# u = t1 R, in the coordinates (t1 (a + d), t1 (a - d)) with a + d = trace R, so
+# the first is t1 s / 2 with s = 2 trace R.  Two cells are one set exactly when
+# they are equal tuples.
 
 
 def class_cell(component, n, cls, strict=False):
     """The cell (x0, null, free) of the class ``cls``, or None when it is empty."""
     return gh.cell(component, n, {1, 2, 3, 4} - gh.CLASS_COMPONENTS[cls], strict=strict)
-
-
-def same_cell(a, b):
-    """Whether the cells a and b are the same set of operators."""
-    (x0, null, free), (y0, other, other_free) = a, b
-    proj, gap = null @ null.T, x0 - y0
-    return (np.array_equal(free, other_free) and null.shape == other.shape
-            and np.abs(proj - other @ other.T).max() <= CELL_ABS
-            and np.abs(gap - proj @ gap).max() <= CELL_ABS)
 
 
 @pytest.mark.parametrize("component", cl.COMPONENTS)
@@ -318,27 +321,27 @@ def test_corollary_for_n_1_and_2_the_cells_with_w3_coincide(component, n, strict
     # the W3, W1W3, W2W3 and W1W2W3 cells are one set on every component
     w3 = class_cell(component, n, "W3", strict)
     for cls in ("W1W3", "W2W3", "W1W2W3"):
-        assert same_cell(class_cell(component, n, cls, strict), w3), cls
+        assert class_cell(component, n, cls, strict) == w3, cls
 
 
 @pytest.mark.parametrize("component", ["+-", "-+"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_corollary_on_mixed_components_the_k_to_w1w2_cells_are_one_point(component, n):
-    # the K, W1, W2 and W1W2 cells are the same single operator, and not a strict one
+    # the K, W1, W2 and W1W2 cells are the same single operator, and not a strict
+    # one: t1 a = 3/2 and d = 0 on +-, a = 0 and t1 d = 3/2 on -+
     kaehler = class_cell(component, n, "K")
-    assert kaehler[1].shape[1] == 0 and not kaehler[2].any()
+    assert kaehler == ((Fraction(3, 2), Fraction(3 if component == "+-" else -3, 2)), (),
+                       (False,) * 3)
     for cls in ("W1", "W2", "W1W2"):
-        assert same_cell(class_cell(component, n, cls), kaehler), cls
+        assert class_cell(component, n, cls) == kaehler, cls
         assert class_cell(component, n, cls, strict=True) is None, cls
 
 
 @pytest.mark.parametrize("component", ["+-", "-+"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_corollary_on_mixed_components_the_strict_w1w2_cell_is_flat(component, n):
-    # the strict W1W2 cell is the one point s' = 0 with no free block: u = 0
-    x0, null, free = class_cell(component, n, "W1W2", strict=True)
-    assert null.shape == (1, 0) and not free.any()
-    assert abs(x0[0]) <= CELL_ABS
+    # the strict W1W2 cell is the one point a + d = a - d = 0 with no free block: u = 0
+    assert class_cell(component, n, "W1W2", strict=True) == ((0, 0), (), (False,) * 3)
 
 
 @pytest.mark.parametrize("component", cl.COMPONENTS)
@@ -352,12 +355,12 @@ def test_corollary_the_w1w3_and_w2w3_cells_never_meet(component, n):
     if component in ("++", "--"):
         assert w13 is None and w23 is None
         return
-    proj, gap = w13[1] @ w13[1].T, w13[0] - w23[0]
-    assert np.abs(proj - w23[1] @ w23[1].T).max() <= CELL_ABS
-    assert np.linalg.norm(gap - proj @ gap) > NONZERO_MIN
-    t1_s = [2 * 6 ** 0.5 * class_cell(component, n, cls, strict=True)[0][0]
-            for cls in ("W1W3", "W2W3")]
-    assert np.allclose(t1_s, [3.0, -6.0], rtol=0.0, atol=CELL_ABS)
+    # the same direction through different points, each 0 in the free coordinate:
+    # d alone moves on +- and a alone on -+
+    assert w13[1] == w23[1] == (((-1, 1) if component == "+-" else (1, 1)),)
+    assert w13[0] != w23[0]
+    t1_s = [2 * class_cell(component, n, cls, strict=True)[0][0] for cls in ("W1W3", "W2W3")]
+    assert t1_s == [3, -6]
 
 
 def test_every_reference_row_keeps_its_class(survey):
@@ -396,7 +399,7 @@ def test_the_w1w3_witness_reads_w1w3_at_every_scale(s):
 def test_no_class_changes_under_the_homothety_or_with_t2(survey, lam):
     # 64 rows, every fourth, at (R / lam, lam t1, lam t1 rho) for 4 ratios rho = t2 / t1:
     # 1024 configurations over the four values of lam, on the direct route (the
-    # compiled forms hold the homothety by construction)
+    # table holds the homothety by construction)
     bad = []
     for row, rmat, _ in survey[::4]:
         for rho in (1e-12, 1e-3, 1e3, 1e12):
@@ -408,8 +411,9 @@ def test_no_class_changes_under_the_homothety_or_with_t2(survey, lam):
     assert bad == [], "\n".join(bad)
 
 
-#: a condition of the sampled detector, and the components W1..W4 that vanish with it
-ROUTES = {"W1-cond": (2, 3, 4), "quasi-cond": (3, 4), "dΩ": (1, 3, 4), "δΩ": (4,)}
+#: each condition of the sampled detector, and the components W1..W4 that vanish with it
+ROUTES = {"DΩ": (1, 2, 3, 4), "W1-cond": (2, 3, 4), "dΩ": (1, 3, 4), "N": (1, 2), "δΩ": (4,),
+          "quasi-cond": (3, 4), "W1W3-cond": (2,), "W2W3-cond": (1,)}
 
 
 def test_the_component_route_and_the_condition_route_vanish_together(survey):
