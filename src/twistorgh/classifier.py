@@ -375,10 +375,10 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
              source: str = "") -> ClassReport:
     """Full residual table plus the minimal class whose residuals are all at most ``TOL``.
 
-    ``n`` must be an integer in 1..4 and ``t`` a pair of numbers, not bools or
-    strings, each positive and finite, else ClassifierError.  For strict
-    operators a detected class outside the possible set for the given n is
-    flagged, not silenced.  A non-finite residual (the operator or the weights
+    ``n`` must be an integer in 1..4, ``t`` a pair of numbers (not bools or strings),
+    each positive and finite, and ``cfg`` a SamplingConfig, else ClassifierError.
+    For strict operators a detected class outside the possible set for the given n
+    is flagged, not silenced.  A non-finite residual (the operator or the weights
     overflow) raises ClassifierError instead of passing every test.
     """
     blocks = curvature.decompose(rmat)  # the checked float operator and its blocks
@@ -390,6 +390,8 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
         raise ClassifierError(f"t must be a pair (t1, t2) of numbers, got {t!r}")
     if not all(0 < x <= sys.float_info.max for x in pair):  # a NaN fails too
         raise ClassifierError(f"t1, t2 must be positive and finite, got {t!r}")
+    if not isinstance(cfg, SamplingConfig):
+        raise ClassifierError(f"cfg must be a SamplingConfig, got {cfg!r}")
     t1, t2 = t = tuple(map(float, pair))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         residuals = condition_residuals(blocks.matrix, component, t, n, cfg)
@@ -506,6 +508,8 @@ def _counterexample_point() -> ProductTwistorPoint:
 def verify_theorem(tid: str, cfg: SamplingConfig) -> TheoremResult:
     if tid not in THEOREM_IDS:
         raise ClassifierError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
+    if not isinstance(cfg, SamplingConfig):
+        raise ClassifierError(f"cfg must be a SamplingConfig, got {cfg!r}")
     rec = _Recorder(tid, cfg)
     t2, wm = rec.t2, rec.wm
 

@@ -6,8 +6,9 @@ Commands:
     selftest   run the internal-consistency oracles
     models     list the built-in curvature models
 
-Exit codes: 0 success, 1 suite/assertion failure, 2 input error,
-3 validation error.
+Exit codes: 0 success, 1 suite/assertion failure, 2 input error (a SchemaError),
+3 validation error (a CurvatureError or ClassifierError).  The commands raise;
+``main`` alone maps their errors to these codes.
 """
 
 from __future__ import annotations
@@ -62,41 +63,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
-def _emit(text: str, output: str | None) -> int:
-    """Write a report to ``output`` or stdout; EXIT_INPUT if the file cannot be written."""
+def _emit(text: str, output: str | None) -> None:
+    """Write a report to ``output`` or stdout; a SchemaError if the file cannot be written."""
     if not output:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(f"cannot write {output!r}: {exc}", EXIT_INPUT)
-    return EXIT_OK
+        raise curvature.SchemaError(f"cannot write {output!r}: {exc}") from None
 
 
-def _check_output_dir(output: str | None) -> int:
-    """EXIT_INPUT if ``output`` is a directory or lies in one that does not exist, else 0.
+def _check_output_dir(output: str | None) -> None:
+    """A SchemaError if ``output`` is a directory or lies in one that does not exist.
 
     Called before any work, so a bad path fails at once, not after the run.
     """
     if output and os.path.isdir(output):
-        return _fail(f"cannot write {output!r}: it is a directory", EXIT_INPUT)
+        raise curvature.SchemaError(f"cannot write {output!r}: it is a directory")
     if output and not os.path.isdir(os.path.dirname(output) or "."):
-        return _fail(f"cannot write {output!r}: its directory does not exist", EXIT_INPUT)
-    return EXIT_OK
+        raise curvature.SchemaError(f"cannot write {output!r}: its directory does not exist")
 
 
 def _load_operator(args) -> tuple[object, str]:
     """The operator and its source label.  ``curvature.model`` decides which
-    parameters a model takes: its SchemaError for an unknown name, a missing
-    --s or an --s the model does not take is EXIT_INPUT, its CurvatureError
-    for a bad s EXIT_VALIDATION."""
+    parameters a model takes: it raises SchemaError for an unknown name, a
+    missing --s or an --s the model does not take, and CurvatureError for a
+    bad s."""
     if args.model is not None:
         if args.model in _FILE_MODELS:
             raise curvature.SchemaError(
@@ -107,28 +101,27 @@ def _load_operator(args) -> tuple[object, str]:
         raise curvature.SchemaError("--s applies to --model only; the file fixes the operator")
     try:
         return curvature.read_json(args.input), f"file:{args.input}"
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+    except OSError as exc:  # missing, a directory, unreadable
         raise curvature.SchemaError(f"cannot read {args.input!r}: {exc}") from None
 
 
 def cmd_classify(args) -> int:
-    if _check_output_dir(args.output):
-        return EXIT_INPUT
+    _check_output_dir(args.output)
     rmat, source = _load_operator(args)
     # argparse of Python 3.10-3.12 strips the value of "--component=--" to [];
     # 3.13 keeps "--"
     report = classifier.classify(rmat, args.component or "--", (args.t1, args.t2), args.n,
                                  classifier.SamplingConfig(args.seed), source=source)
-    return _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
+    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if _check_output_dir(args.output):
-        return EXIT_INPUT
+    _check_output_dir(args.output)
     cfg = classifier.SamplingConfig(args.seed)
     if args.id is not None and args.id not in classifier.THEOREM_IDS:
-        return _fail(f"unknown statement id {args.id!r}; "
-                     f"known: {', '.join(classifier.THEOREM_IDS)}", EXIT_INPUT)
+        raise curvature.SchemaError(f"unknown statement id {args.id!r}; "
+                                    f"known: {', '.join(classifier.THEOREM_IDS)}")
     results = ([classifier.verify_theorem(args.id, cfg)] if args.id is not None
                else classifier.verify_all(cfg))
     detailed = args.id is not None
@@ -141,8 +134,8 @@ def cmd_verify(args) -> int:
                       f"{c['require']} {c['bound']:.0e}")
     failed = [r.tid for r in results if not r.passed]
     print(f"passed {len(results) - len(failed)}/{len(results)}")
-    if args.output and _emit(classifier.verify_report_json(results), args.output):
-        return EXIT_INPUT
+    if args.output:
+        _emit(classifier.verify_report_json(results), args.output)
     if failed:
         print(f"failing ids: {', '.join(failed)}", file=sys.stderr)
         return EXIT_FAILURE
@@ -174,11 +167,9 @@ def main(argv=None) -> int:
                "selftest": cmd_selftest, "models": cmd_models}[args.command]
     try:  # the one map of errors to exit codes; any other exception is a bug
         return handler(args)
-    except curvature.SchemaError as exc:  # a malformed document or model parameters
-        return _fail(exc, EXIT_INPUT)
+    except curvature.SchemaError as exc:  # bad input: documents, names, --s, --output
+        code, error = EXIT_INPUT, exc
     except (curvature.CurvatureError, classifier.ClassifierError) as exc:  # invalid values
-        return _fail(exc, EXIT_VALIDATION)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        code, error = EXIT_VALIDATION, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code

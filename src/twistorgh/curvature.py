@@ -47,7 +47,8 @@ class CurvatureError(ValueError):
 
 
 class SchemaError(CurvatureError):
-    """Malformed curvature-operator document."""
+    """Malformed input: a document not UTF-8, not JSON or off the schema, an unknown
+    model or parameters it does not take; on the command line also a bad path or id."""
 
 
 def check_operator(m, name: str = "curvature operator") -> np.ndarray:
@@ -303,13 +304,15 @@ def from_json_dict(doc) -> np.ndarray:
 
 
 def read_json(path) -> np.ndarray:
-    """The operator of the document at ``path``.  A document the decoder refuses
-    is a SchemaError: malformed, nested past its recursion limit, or holding an
-    integer literal past Python's digit limit."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The operator of the document at ``path``; a file that cannot be read raises
+    OSError.  A document the decoder refuses is a SchemaError: not UTF-8, malformed,
+    nested past its recursion limit, or holding an integer past Python's digit limit."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {str(path)!r}: {exc}") from None
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON in {str(path)!r}: {exc}") from None
     return from_json_dict(doc)

@@ -196,6 +196,12 @@ class TestClassify:
         with pytest.raises(cl.ClassifierError, match="t must be a pair"):
             cl.classify(cur.model("flat"), "++", t, 1, FAST)
 
+    @pytest.mark.parametrize("cfg", [7, None, {"seed": 0}])
+    def test_cfg_must_be_a_sampling_config(self, cfg):
+        # checked beside n and t, not met as an AttributeError inside the sampler
+        with pytest.raises(cl.ClassifierError, match="cfg must be a SamplingConfig"):
+            cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, cfg)
+
     @pytest.mark.parametrize("t", [(-1.0, 1.0), (0.25, 0.0), (np.inf, 1.0), (1.0, np.inf),
                                    (np.nan, 1.0), (1.0, np.nan), (10 ** 400, 1.0)])
     def test_weights_must_be_positive_and_finite(self, t):
@@ -589,6 +595,10 @@ class TestTheoremSuite:
     def test_unknown_id(self):
         with pytest.raises(cl.ClassifierError, match="unknown theorem id"):
             cl.verify_theorem("bogus", FAST)
+
+    def test_cfg_must_be_a_sampling_config(self):
+        with pytest.raises(cl.ClassifierError, match="cfg must be a SamplingConfig"):
+            cl.verify_all(7)
 
     @pytest.mark.parametrize("tid", ["4.2a", "4.2b", "4.6b", "4.8b"])
     def test_sample_of_statements_at_another_seed(self, tid):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -326,7 +327,9 @@ class TestClassifyCommand:
         ({"matrix": [[1, 2], [3]]}, "'matrix' must be a 6x6 matrix"),
         ({"blocks": {"s": [12]}}, "'blocks.s' must be a number"),
         ({"blocks": {"s": 12, "Wminus": {"row": [0, 0, 0]}}}, "'blocks.Wminus' must be a 3x3"),
-    ], ids=["ragged-matrix", "nested-s", "block-object"])
+        ([], "curvature document must be a JSON object"),
+        ({"blocks": [1]}, "field 'blocks' must be a JSON object"),
+    ], ids=["ragged-matrix", "nested-s", "block-object", "array-document", "array-blocks"])
     def test_malformed_fields_exit_2(self, capsys, tmp_path, doc, field):
         # the reader checks the nesting itself: numpy 1.24 and 2.x build arrays
         # from ragged lists differently
@@ -431,6 +434,19 @@ class TestVerifyCommand:
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert "is a directory" in err
 
+    def test_failing_statement_exits_1_and_writes_its_report(self, capsys, tmp_path,
+                                                            monkeypatch):
+        bad = {"name": "injected-check", "value": 1.0, "require": "<=", "bound": cl.TOL,
+               "ok": False}
+        monkeypatch.setattr(cl, "verify_theorem", lambda tid, cfg: cl.TheoremResult(
+            tid, cl.THEOREM_STATEMENTS[tid], False, [bad]))
+        out_path = tmp_path / "verify.json"
+        code, out, err = run_cli(capsys, "verify", "--id", "4.6b", "--output", str(out_path))
+        assert code == cli.EXIT_FAILURE
+        assert "    BAD injected-check" in out
+        assert err == "failing ids: 4.6b\n"
+        assert json.loads(out_path.read_text())["summary"]["failed_ids"] == ["4.6b"]
+
     def test_unknown_id_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--id", "bogus")
         assert code == cli.EXIT_INPUT
@@ -473,6 +489,20 @@ def test_negative_seed_is_a_validation_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")
     assert (code, out) == (cli.EXIT_VALIDATION, "")
     assert "seed must be a non-negative integer" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv, last_line", [
+    (["classify", "--model", "flat", "--component", "++", "--n", "1"], []),
+    (["verify", "--id", "4.2a"], ["passed 1/1"]),
+])
+def test_output_that_fails_at_write_time_exits_2(capsys, argv, last_line):
+    # the directory exists, so only the write itself fails, with ENOSPC; classify
+    # prints nothing, verify prints its results before it writes the report
+    code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+    assert code == cli.EXIT_INPUT
+    assert out.splitlines()[-1:] == last_line
+    assert err.startswith("error: cannot write '/dev/full'") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

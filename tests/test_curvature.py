@@ -477,6 +477,12 @@ class TestSerialization:
             with pytest.raises(cur.SchemaError):
                 cur.read_json(path)
 
+    def test_non_utf8_file_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"matrix": "é"}'.encode("latin-1"))
+        with pytest.raises(cur.SchemaError, match="cannot read"):
+            cur.read_json(path)
+
     def test_file_round_trip(self, tmp_path):
         mat = cur.model("einstein_asd", s=5.0, Wminus=cur.random_traceless_symmetric(RNG))
         path = tmp_path / "op.json"
