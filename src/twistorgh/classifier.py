@@ -376,7 +376,8 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
     """Full residual table plus the minimal class whose residuals are all at most ``TOL``.
 
     ``n`` must be an integer in 1..4, ``t`` a pair of numbers (not bools or strings),
-    each positive and finite, and ``cfg`` a SamplingConfig, else ClassifierError.
+    each positive and finite, ``cfg`` a SamplingConfig and ``source`` a string, else
+    ClassifierError.
     For strict operators a detected class outside the possible set for the given n
     is flagged, not silenced.  A non-finite residual (the operator or the weights
     overflow) raises ClassifierError instead of passing every test.
@@ -392,6 +393,8 @@ def classify(rmat, component: str, t, n: int, cfg: SamplingConfig,
         raise ClassifierError(f"t1, t2 must be positive and finite, got {t!r}")
     if not isinstance(cfg, SamplingConfig):
         raise ClassifierError(f"cfg must be a SamplingConfig, got {cfg!r}")
+    if not isinstance(source, str):
+        raise ClassifierError(f"source must be a string, got {source!r}")
     t1, t2 = t = tuple(map(float, pair))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         residuals = condition_residuals(blocks.matrix, component, t, n, cfg)

@@ -176,9 +176,10 @@ MODEL_SPECS: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray], str]] =
 
 def model(name: str, **params) -> np.ndarray:
     """The operator of a model of MODEL_SPECS from exactly its parameters: an
-    unknown name or another set of parameters is a SchemaError, a bad ``s``
-    (see :func:`_scalar`) or a bad block a CurvatureError."""
-    if name not in MODEL_SPECS:
+    unknown name, one that is not a string, or another set of parameters is a
+    SchemaError, a bad ``s`` (see :func:`_scalar`) or a bad block a
+    CurvatureError."""
+    if not isinstance(name, str) or name not in MODEL_SPECS:
         raise SchemaError(f"unknown model {name!r}; known: {', '.join(sorted(MODEL_SPECS))}")
     names, build, _ = MODEL_SPECS[name]
     if set(params) != set(names):

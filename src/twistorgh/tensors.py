@@ -35,12 +35,11 @@ last three are the oracles ``selftest`` compares it with: ``ext_deriv_omega``,
 ``codiff_omega`` and ``nijenhuis_closed_form``.  Their arguments are frame
 coefficients: an array x of shape (..., 8) stands for sum_a x[a] E_a in the
 frame of ``frame_vectors``, a tangent whatever its values, so no argument is
-checked.  An evaluator broadcasts its coefficient arrays to the leading axes
-they share with the point, the operators and the weights, stacks them and
-builds their vectors with one ``frame_vectors`` call; but for the Nijenhuis
-form, it views the stack once (``_ArgView``) and passes the view's slices to
-its kernel.  The classifier's route and the closed forms share no code above
-``fourdim`` except the sign tables, so the oracles compare independent routes.
+checked.  An evaluator builds the vectors of each argument on its own with
+``frame_vectors`` and, but for the Nijenhuis form, views each of them on its
+own (``_ArgView``) for its kernel.  The classifier's route and the closed
+forms share no code above ``fourdim`` except the sign tables, so the oracles
+compare independent routes.
 ``nijenhuis_closed_form`` writes its signs out from n instead of taking EPS
 and SIGMA, so a corrupted sign table is caught: the tests negate SIGMA and see
 the nijenhuis-identity oracle fail.  The single-fibre forms
@@ -143,9 +142,7 @@ class _ArgView:
     The argument, the vectors ``frame_vectors`` builds from frame coefficients,
     may be stacked along leading axes; every field then carries them, and a
     stacked point, operator (..., 6, 6) and weights broadcast against the
-    trailing ones.  Indexing a view indexes every field, so ``view[i]`` of a
-    view of arguments stacked on a first axis is the view of argument i, built
-    without calling ``__init__``.
+    trailing ones.
     """
 
     __slots__ = ("X", "jX", "V1", "rq", "rpe", "rqe")
@@ -153,7 +150,8 @@ class _ArgView:
     def __init__(self, p: ProductTwistorPoint, rmat, params: Params, a: GTangent):
         n = params.n
         v1, v2 = a.v1, a.v2
-        wedges = two_vector_of_endo(np.stack((v1, v2, p.j1.matrix @ v1, p.j2.matrix @ v2)))
+        wedges = two_vector_of_endo(np.stack(np.broadcast_arrays(v1, v2, p.j1.matrix @ v1,
+                                                                 p.j2.matrix @ v2)))
         t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
         p6 = SIGMA[n] * t1 * wedges[0] + t2 * wedges[1]
         q6 = t1 * wedges[2] + t2 * wedges[3]
@@ -163,12 +161,6 @@ class _ArgView:
         self.rq = _op(rmat, q6)
         self.rpe = endo_of_two_vector(_op(rmat, p6))
         self.rqe = endo_of_two_vector(self.rq)
-
-    def __getitem__(self, i) -> "_ArgView":
-        view = object.__new__(_ArgView)
-        for name in self.__slots__:
-            setattr(view, name, getattr(self, name)[i])
-        return view
 
 
 def _dot(x, y):
@@ -211,22 +203,13 @@ def _dcodiff(p: ProductTwistorPoint, av: _ArgView) -> float:
 # Each argument is an array (..., 8) of frame coefficients, the tangent
 # sum_a x[a] E_a of ``frame_vectors``.  The arguments broadcast against each
 # other and against the leading axes of a stacked point, operators (..., 6, 6)
-# and weights (``_stacked_args``), so unstacked arguments at a stacked point
-# give one value per point.  Unstacked calls return scalars.
-
-def _stacked_args(p: ProductTwistorPoint, rmat, params: Params, *args) -> np.ndarray:
-    """The arguments broadcast to the leading axes they share with each other,
-    the point, the operators and the weights, stacked on a new first axis."""
-    lead = np.broadcast_shapes(p.j1.matrix.shape[:-2], np.shape(rmat)[:-2], np.shape(params.t1),
-                               np.shape(params.t2), *(np.shape(x)[:-1] for x in args))
-    return np.stack([np.broadcast_to(x, lead + np.shape(x)[-1:]) for x in args])
-
+# and weights, so unstacked arguments at a stacked point give one value per
+# point.  Unstacked calls return scalars.
 
 def ext_deriv_omega(p: ProductTwistorPoint, rmat, params: Params, a, b, c) -> float:
     """d Omega(A, B, C); fully antisymmetric."""
-    abc = _stacked_args(p, rmat, params, a, b, c)
-    v = _ArgView(p, rmat, params, frame_vectors(p, params, abc))
-    return _dext(params, v[0], v[1], v[2])
+    views = (_ArgView(p, rmat, params, frame_vectors(p, params, x)) for x in (a, b, c))
+    return _dext(params, *views)
 
 
 def codiff_omega(p: ProductTwistorPoint, rmat, params: Params, a) -> float:
@@ -301,7 +284,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c)
     The signs (-1)^n and sigma(n) are written out here rather than read from
     EPS and SIGMA, so corrupting those tables is detectable.
     """
-    g = frame_vectors(p, params, _stacked_args(p, rmat, params, a, b, c))
+    ga, gb, gc = (frame_vectors(p, params, x) for x in (a, b, c))
     n = params.n
     e = -1.0 if n % 2 else 1.0
     sigma = 1.0 if n in (1, 4) else -1.0
@@ -309,7 +292,8 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c)
     j2 = p.j2.matrix
     t1, t2 = _w(params.t1, 1), _w(params.t2, 1)
 
-    (ax, bx, cx), (av1, bv1, cv1), cv2 = g.horizontal, g.v1, g.v2[2]
+    ax, bx, cx = ga.horizontal, gb.horizontal, gc.horizontal
+    cv1, cv2 = gc.v1, gc.v2
     pc = sigma * t1 * two_vector_of_endo(cv1) + t2 * two_vector_of_endo(cv2)
     qc = t1 * two_vector_of_endo(j1 @ cv1) + t2 * two_vector_of_endo(j2 @ cv2)
     jax, jbx = _apply(j1, ax), _apply(j1, bx)
@@ -317,7 +301,7 @@ def nijenhuis_closed_form(p: ProductTwistorPoint, rmat, params: Params, a, b, c)
     val = (2.0 * e * _pair(wedge_of_pair(ax, jbx) + wedge_of_pair(jax, bx), rmat, pc)
            - 2.0 * _pair(wedge_of_pair(ax, bx) - wedge_of_pair(jax, jbx), rmat, qc))
     if n in (3, 4):
-        val = val + 2.0 * (_pair(cx, j1 @ bv1, ax) - _pair(cx, j1 @ av1, bx))
+        val = val + 2.0 * (_pair(cx, j1 @ gb.v1, ax) - _pair(cx, j1 @ ga.v1, bx))
     return val
 
 

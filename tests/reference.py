@@ -2,9 +2,8 @@
 tangents of the product twistor space, and the frame coefficients of a tangent
 built by hand, for the tests of the frame tensor, its frame, the classifier's
 contractions and the theorem suite's counterexamples; the covariant derivative
-D Omega on frame coefficients; the closed-form kernels on arguments viewed one
-at a time, for the tests of the closed forms' stacked arguments; and
-Rodrigues's rotation for the tests of the structures' vertical basis rows.
+D Omega on frame coefficients; and Rodrigues's rotation for the tests of the
+structures' vertical basis rows.
 
 ``metric_Ht`` is the one formula of H_t: the package needs none, since it
 works in the H_t-orthonormal frame of ``frame_vectors``.
@@ -25,7 +24,6 @@ from twistorgh.tensors import (
     _ArgView,
     _dcov,
     _dot,
-    _stacked_args,
     frame_vectors,
 )
 
@@ -65,22 +63,10 @@ def coefficients(p: ProductTwistorPoint, params: Params, a: GTangent) -> np.ndar
 def cov_deriv_omega(p: ProductTwistorPoint, rmat, params: Params, a, b, c):
     """(D_A Omega)(B, C) on frame coefficients, assembled from the component
     formulas by the kernel ``_dcov``: the oracle for the frame tensor T, which
-    the classifier reads.  The arguments are stacked and viewed once, as the
-    closed forms in ``tensors`` do."""
-    abc = _stacked_args(p, rmat, params, a, b, c)
-    v = _ArgView(p, rmat, params, frame_vectors(p, params, abc))
-    return _dcov(params, v[0], v[1], v[2])
-
-
-def _view(p: ProductTwistorPoint, rmat, params: Params, x) -> _ArgView:
-    return _ArgView(p, rmat, params, frame_vectors(p, params, x))
-
-
-def one_by_one(kernel, p: ProductTwistorPoint, rmat, params: Params, a, b, c):
-    """``kernel`` (``_dcov`` or ``_dext``) on frame coefficients viewed one at
-    a time: ``cov_deriv_omega`` and ``ext_deriv_omega`` view them as one stack
-    instead."""
-    return kernel(params, *(_view(p, rmat, params, x) for x in (a, b, c)))
+    the classifier reads.  Each argument is viewed on its own, as the closed
+    forms in ``tensors`` do."""
+    views = (_ArgView(p, rmat, params, frame_vectors(p, params, x)) for x in (a, b, c))
+    return _dcov(params, *views)
 
 
 _EYE3 = np.eye(3)

@@ -202,6 +202,12 @@ class TestClassify:
         with pytest.raises(cl.ClassifierError, match="cfg must be a SamplingConfig"):
             cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, cfg)
 
+    @pytest.mark.parametrize("source", [b"x", float("nan"), None, 3, ["a"]])
+    def test_source_must_be_a_string(self, source):
+        # else the report holds it: bytes and NaN make to_json() raise, the rest is written
+        with pytest.raises(cl.ClassifierError, match="source must be a string"):
+            cl.classify(cur.model("flat"), "++", (1.0, 1.0), 1, FAST, source=source)
+
     @pytest.mark.parametrize("t", [(-1.0, 1.0), (0.25, 0.0), (np.inf, 1.0), (1.0, np.inf),
                                    (np.nan, 1.0), (1.0, np.nan), (10 ** 400, 1.0)])
     def test_weights_must_be_positive_and_finite(self, t):

@@ -1,9 +1,12 @@
 import csv
+import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ import pytest
 from twistorgh import classifier as cl, cli, curvature as cur, selftest
 
 from random_fourdim import negate_sign_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -563,3 +568,31 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "constant_curvature" in proc.stdout
+
+
+def readme_commands():
+    """The argument lists of the ``twistorgh`` examples in README's "Command
+    line" section, continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.replace("\\\n", " ").splitlines()
+            if line.startswith("    twistorgh ")]
+
+
+class TestDocumentedEntry:
+    COMMANDS = readme_commands()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_readme_example_parses(self, argv):
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+
+    def test_readme_shows_every_command(self):
+        assert {argv[0] for argv in self.COMMANDS} == {"classify", "verify", "selftest", "models"}
+
+    def test_console_script_is_cli_main(self):
+        # the script every README example runs, which nothing else here starts
+        tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert project["scripts"] == {"twistorgh": "twistorgh.cli:main"}
+        module, name = project["scripts"]["twistorgh"].split(":")
+        assert getattr(importlib.import_module(module), name) is cli.main

@@ -242,6 +242,12 @@ class TestModels:
         with pytest.raises(cur.SchemaError, match="unknown model"):
             cur.model("bogus")
 
+    @pytest.mark.parametrize("name", [["flat"], None, 3])
+    def test_model_name_must_be_a_string(self, name):
+        # a list is unhashable, so the table lookup alone raised TypeError
+        with pytest.raises(cur.SchemaError, match="unknown model"):
+            cur.model(name)
+
     def test_missing_parameter(self):
         with pytest.raises(cur.SchemaError, match="requires s, got none"):
             cur.model("constant_curvature")

@@ -7,7 +7,7 @@ from twistorgh import curvature as cur
 from twistorgh import fibre, fourdim as fd, selftest, tensors as tn
 
 from random_fourdim import negate_sign_table, random_ocs, random_vertical_endo, vertical_pair
-from reference import acs, coefficients, cov_deriv_omega, gtangent, metric_Ht, one_by_one
+from reference import acs, coefficients, cov_deriv_omega, gtangent, metric_Ht
 
 RNG = np.random.default_rng(505)
 E = np.eye(4)
@@ -363,64 +363,25 @@ class TestStackedEvaluators:
 
 
 class TestStackedArguments:
-    """The closed forms view their three arguments as one stack; the values
-    are those of viewing each argument on its own, and each trial of the stack
-    is evaluated apart from the others."""
+    """Each trial of stacked arguments, points, operators and weights is
+    evaluated apart from the others."""
 
-    #: arguments of one shape, so the stack broadcasts none of them
-    EQUAL = ["stacked", "block"]
-    #: arguments the stack broadcasts to a common shape
-    BROADCAST = ["unstacked-0", "unstacked-1", "unstacked-2", "frame"]
     THREE_SLOT = [cov_deriv_omega, tn.ext_deriv_omega, tn.nijenhuis_closed_form]
 
     @staticmethod
-    def layout(name, n, rng):
-        """(point, operator, weights, coefficient arguments) of one layout."""
-        if name == "block":  # 16 trials, each with its own point, operator and weights
-            t = rng.uniform(0.3, 2.0, (16, 2))
-            rmat = cur.strict_operators(rng.standard_normal((16, cur.STRICT_NORMALS)))
-            p = cl._points(rng.standard_normal((16, 6)), selftest._GROUP_COMPONENTS[n - 1])
-            params = tn.Params(t[:, 0], t[:, 1], n)
-            coeffs = rng.standard_normal((3, 16, 8))
-        else:
-            p = point(("++", "+-", "-+", "--")[n - 1], rng)
-            rmat = cur.random_strict_operator(rng)
-            params = tn.Params(0.7, 1.6, n)
-            if name == "stacked":  # three arguments stacked along (5,) at one point
-                coeffs = rng.standard_normal((3, 5, 8))
-            elif name == "frame":  # the frame along one argument axis each
-                e = np.eye(8)
-                coeffs = [e[:, None, None], e[:, None], e]
-            else:  # one unstacked argument, the other two stacked along (5,)
-                coeffs = [rng.standard_normal((5, 8)) for _ in range(3)]
-                coeffs[int(name[-1])] = rng.standard_normal(8)
-        return p, rmat, params, list(coeffs)
-
-    @pytest.mark.parametrize("layout", EQUAL + BROADCAST)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_values_are_those_of_the_one_by_one_route(self, layout, n):
-        # bit for bit when no argument is broadcast.  Broadcasting one changes
-        # the shape of its rows in the stacked 6x6 and 6x16 products (a matrix
-        # of rows instead of one row), and BLAS may round those differently,
-        # so broadcast layouts agree to a few units in the last place
-        p, rmat, params, args = self.layout(layout, n, np.random.default_rng(940 + n))
-        pairs = [(cov_deriv_omega(p, rmat, params, *args),
-                  one_by_one(tn._dcov, p, rmat, params, *args)),
-                 (tn.ext_deriv_omega(p, rmat, params, *args),
-                  one_by_one(tn._dext, p, rmat, params, *args))]
-        scale = max(1.0, *(np.abs(w).max() for _, w in pairs))
-        for i, (g, w) in enumerate(pairs):
-            assert np.shape(g) == np.shape(w), i
-            if layout in self.EQUAL:
-                assert np.array_equal(g, w), i
-            else:
-                assert np.abs(g - w).max() <= 64 * np.finfo(float).eps * scale, i
+    def block(rng):
+        """(point, operator, weights, coefficient arguments) of 16 trials at
+        n = 3, each with its own point, operator and weights."""
+        t = rng.uniform(0.3, 2.0, (16, 2))
+        rmat = cur.strict_operators(rng.standard_normal((16, cur.STRICT_NORMALS)))
+        p = cl._points(rng.standard_normal((16, 6)), selftest._GROUP_COMPONENTS[2])
+        return p, rmat, tn.Params(t[:, 0], t[:, 1], 3), list(rng.standard_normal((3, 16, 8)))
 
     @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_one_trial_changed_in_any_slot_moves_that_trial_alone(self, evaluator, slot):
         rng = np.random.default_rng(950)
-        p, rmat, params, args = self.layout("block", 3, rng)
+        p, rmat, params, args = self.block(rng)
         clean = evaluator(p, rmat, params, *args)
         changed = list(args)
         changed[slot] = args[slot].copy()
@@ -436,7 +397,7 @@ class TestStackedArguments:
     def test_non_finite_coefficient_stays_in_its_trial(self, slot, evaluator, value):
         # nothing checks the arguments, so a non-finite coefficient must show in
         # its own trial's value and leave the other trials of the stack intact
-        p, rmat, params, args = self.layout("block", 3, np.random.default_rng(960))
+        p, rmat, params, args = self.block(np.random.default_rng(960))
         clean = evaluator(p, rmat, params, *args)
         bad = list(args)
         bad[slot] = args[slot].copy()
@@ -450,10 +411,9 @@ class TestStackedArguments:
     @pytest.mark.parametrize("stacked", ["point", "all", "operator"])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_unstacked_arguments_at_a_stacked_point_give_one_value_per_point(self, k, stacked):
-        # the arguments are broadcast to the leading axes of the point, the
-        # operators and the weights before they are stacked, so the argument
-        # stack never pairs with them: k points sharing one operator and
-        # weights, k points each with its own, or one point with k of each
+        # each argument's view broadcasts against the leading axes of the
+        # point, the operators and the weights: k points sharing one operator
+        # and weights, k points each with its own, or one point with k of each
         rng = np.random.default_rng(970 + k)
         rows = rng.standard_normal((k, 6))
         if stacked == "operator":
@@ -485,6 +445,26 @@ class TestStackedArguments:
             want = np.array([s[name] for s in singles])
             assert np.shape(got[name]) == (k,), name
             assert np.abs(got[name] - want).max() <= 64 * np.finfo(float).eps * scale, name
+
+    @pytest.mark.parametrize("stacked", ["t1", "t2"])
+    def test_one_stacked_weight_gives_one_value_per_weight(self, stacked):
+        # V1 and V2 of an argument then differ in their leading axes, so a
+        # view broadcasts them to one shape before it stacks them
+        rng = np.random.default_rng(980)
+        p = cl._points(rng.standard_normal(6), "+-")
+        rmat, weights = cur.random_strict_operator(rng), rng.uniform(0.3, 2.0, 3)
+        args = random_coeffs(3, rng)
+
+        def evaluators(w):
+            params = tn.Params(w, 1.6, 3) if stacked == "t1" else tn.Params(0.7, w, 3)
+            three = [f(p, rmat, params, *args) for f in self.THREE_SLOT]
+            return three + [tn.codiff_omega(p, rmat, params, args[0])]
+
+        got = evaluators(weights)
+        want = np.array([evaluators(w) for w in weights]).T
+        for g, w in zip(got, want):
+            assert np.shape(g) == (3,)
+            assert np.abs(g - w).max() <= 64 * np.finfo(float).eps * max(1.0, np.abs(w).max())
 
 
 class TestExteriorDerivative:
