@@ -377,6 +377,42 @@ class TestStackedArguments:
         p = cl._points(rng.standard_normal((16, 6)), selftest._GROUP_COMPONENTS[2])
         return p, rmat, tn.Params(t[:, 0], t[:, 1], 3), list(rng.standard_normal((3, 16, 8)))
 
+    @staticmethod
+    def layout(name, n, rng):
+        """(point, operator, weights, coefficient arguments) at one point, with
+        the arguments stacked in one of the layouts the self-test and the
+        theorem suite pass."""
+        p = point(("++", "+-", "-+", "--")[n - 1], rng)
+        rmat = cur.random_strict_operator(rng)
+        if name == "stacked":  # three arguments stacked along (5,)
+            coeffs = list(rng.standard_normal((3, 5, 8)))
+        elif name == "frame":  # the frame along one argument axis each
+            e = np.eye(8)
+            coeffs = [e[:, None, None], e[:, None], e]
+        else:  # one unstacked argument, the other two stacked along (5,)
+            coeffs = [rng.standard_normal((5, 8)) for _ in range(3)]
+            coeffs[int(name[-1])] = rng.standard_normal(8)
+        return p, rmat, tn.Params(0.7, 1.6, n), coeffs
+
+    @pytest.mark.parametrize("layout", ["stacked", "unstacked-0", "unstacked-1", "unstacked-2",
+                                        "frame"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_are_those_of_each_trial_alone(self, layout, n):
+        # the arguments broadcast to one shape, and each entry is the value of
+        # its own three rows; BLAS may round a stacked product and a single
+        # row differently, so they agree to a few units in the last place
+        p, rmat, params, args = self.layout(layout, n, np.random.default_rng(940 + n))
+        shape = np.broadcast_shapes(*(np.shape(x)[:-1] for x in args))
+        rows = [np.broadcast_to(x, shape + (8,)) for x in args]
+        for evaluator in self.THREE_SLOT:
+            got = evaluator(p, rmat, params, *args)
+            want = np.empty(shape)
+            for i in np.ndindex(shape):
+                want[i] = evaluator(p, rmat, params, *(x[i] for x in rows))
+            scale = max(1.0, np.abs(want).max())
+            assert np.shape(got) == shape, evaluator.__name__
+            assert np.abs(got - want).max() <= 64 * np.finfo(float).eps * scale, evaluator.__name__
+
     @pytest.mark.parametrize("evaluator", THREE_SLOT, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_one_trial_changed_in_any_slot_moves_that_trial_alone(self, evaluator, slot):
